@@ -1,34 +1,27 @@
 //! Regenerates `BENCH_round_kernel.json` — the repo's committed perf
-//! baseline for the flat-arena round kernel and its vectorized variants.
+//! baseline for the flat-arena round kernel.
 //!
-//! For each `(n, c, λ)` cell the tool runs every kernel variant in
-//! **lockstep on the same seed**, interleaving them round-by-round in
-//! alternating segments so machine drift cancels out of the ratios,
+//! For each `(n, c, λ)` cell the tool runs the `scalar` oracle (the
+//! pre-kernel per-ball loop) and the `arena` kernel (counting-sort
+//! acceptance) in **lockstep on the same seed**, interleaving them in
+//! alternating segments so machine drift cancels out of the ratio,
 //! timing each round individually, and asserting the per-round
-//! [`RoundReport`]s are bit-identical across all variants (the
-//! measurement doubles as a differential check). It reports the median
-//! ns/round, rounds/second, ball throughput, and each variant's speedup
-//! over the scalar kernel, then writes everything as JSON.
+//! [`RoundReport`]s are bit-identical (the measurement doubles as a
+//! differential check). It reports the median ns/round, rounds/second,
+//! ball throughput, and the arena kernel's speedup over the scalar one,
+//! then writes everything as JSON.
 //!
 //! ```text
 //! cargo run --release -p iba-bench --bin round_kernel_baseline -- \
-//!     [--quick] [--n N] [--threads LIST] [--assert-parallel-wins] \
-//!     [--out BENCH_round_kernel.json]
+//!     [--quick] [--n N] [--out BENCH_round_kernel.json] \
+//!     [--registry PATH] [--force]
 //! ```
-//!
-//! The four standing variants are `scalar` (pre-kernel per-ball loop),
-//! `arena` (counting-sort kernel), `arena_simd` (SWAR register sweeps),
-//! and `arena_parallel` (intra-round partitioned workers at the resolved
-//! thread count). `--threads 1,2,4` appends an `arena_parallel_t{t}`
-//! sweep column per listed count. `--assert-parallel-wins` exits
-//! non-zero if `arena_parallel` is slower than `arena` (compared on
-//! minimum round time, the least noise-sensitive statistic) while the
-//! host has at least two cores — the CI guard for the parallel path.
 //!
 //! The default cells are the acceptance grid of the kernel PRs — n = 10⁶,
 //! c ∈ {2, 4, 8}, λ = 0.95 — and take a few minutes; `--quick` shrinks n
 //! to 20 000 for a seconds-long smoke run (do **not** commit quick
-//! output as the baseline).
+//! output as the baseline). `--n` must make λn an integer (the
+//! deterministic arrival model throws exactly λn new balls per round).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -42,42 +35,36 @@ use iba_sim::rng::SimRng;
 /// Rounds run before measurement starts (on top of the warm-started
 /// pool), so timed rounds sit in the stationary regime.
 const WARMUP_ROUNDS: u64 = 48;
-/// Alternating per-variant measurement segments per cell.
+/// Alternating per-kernel measurement segments per cell.
 const SEGMENTS: usize = 8;
-/// Timed rounds per variant per segment; each segment also runs one
-/// untimed round first to re-warm the caches after the other variants'
+/// Timed rounds per kernel per segment; each segment also runs one
+/// untimed round first to re-warm the caches after the other kernel's
 /// segments evicted them.
 const ROUNDS_PER_SEGMENT: usize = 4;
-/// Individually timed rounds per variant per cell.
+/// Individually timed rounds per kernel per cell.
 const MEASURED_ROUNDS: usize = SEGMENTS * ROUNDS_PER_SEGMENT;
 const SEED: u64 = 20210705; // ICDCS'21 presentation date, arbitrary but fixed
+/// Arrival rate of every cell.
+const LAMBDA: f64 = 0.95;
+/// The benched kernels, in measurement order; the scalar oracle comes
+/// first and is the reference every other report is compared against.
+const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Arena];
 
-/// One benched kernel configuration.
-#[derive(Clone)]
-struct VariantSpec {
-    /// JSON key (`scalar`, `arena`, `arena_simd`, `arena_parallel`,
-    /// `arena_parallel_t{t}`).
-    key: String,
-    kernel: KernelMode,
-    /// Worker count for parallel variants (`None` = mode default).
-    threads: Option<usize>,
-}
+const USAGE: &str = "usage: round_kernel_baseline [--quick] [--n N] \
+                     [--out BENCH_round_kernel.json] [--registry PATH] [--force]";
 
 struct CellMeasurement {
     n: usize,
     c: u32,
     lambda: f64,
     thrown_per_round: u64,
-    /// Stats per variant, in `VariantSpec` order (scalar first).
-    variants: Vec<(VariantSpec, KernelStats)>,
+    scalar: KernelStats,
+    arena: KernelStats,
 }
 
 impl CellMeasurement {
-    fn stats(&self, key: &str) -> Option<&KernelStats> {
-        self.variants
-            .iter()
-            .find(|(spec, _)| spec.key == key)
-            .map(|(_, stats)| stats)
+    fn arena_speedup(&self) -> f64 {
+        self.scalar.median_ns_per_round as f64 / self.arena.median_ns_per_round as f64
     }
 }
 
@@ -90,7 +77,7 @@ struct KernelStats {
     throws_per_sec: f64,
 }
 
-/// Folds one variant's per-round samples into its summary stats.
+/// Folds one kernel's per-round samples into its summary stats.
 fn summarize(mut samples: Vec<Duration>, thrown_per_round: u64) -> KernelStats {
     samples.sort_unstable();
     let median = samples[samples.len() / 2].as_nanos();
@@ -104,9 +91,9 @@ fn summarize(mut samples: Vec<Duration>, thrown_per_round: u64) -> KernelStats {
     }
 }
 
-/// One variant's live process plus its measurement state.
+/// One kernel's live process plus its measurement state.
 struct Runner {
-    spec: VariantSpec,
+    kernel: KernelMode,
     process: CappedProcess,
     rng: SimRng,
     report: RoundReport,
@@ -114,14 +101,11 @@ struct Runner {
 }
 
 impl Runner {
-    fn new(spec: VariantSpec, config: &CappedConfig) -> Self {
-        let mut process = CappedProcess::with_kernel(config.clone(), spec.kernel);
-        if let Some(t) = spec.threads {
-            process.set_kernel_threads(t);
-        }
+    fn new(kernel: KernelMode, config: &CappedConfig) -> Self {
+        let mut process = CappedProcess::with_kernel(config.clone(), kernel);
         process.warm_start();
         Runner {
-            spec,
+            kernel,
             process,
             rng: SimRng::seed_from(SEED),
             report: RoundReport::default(),
@@ -129,15 +113,14 @@ impl Runner {
         }
     }
 
-    /// One round through this variant's driver entry point. The scalar
+    /// One round through this kernel's driver entry point. The scalar
     /// side runs the per-round `step()` API — the only driver that
     /// existed before the kernel landed (a fresh report, and with it the
     /// waiting-time vector, is allocated every round, exactly as the
-    /// simulation engine used to do). Every arena-family variant runs the
-    /// kernel the way the engine drives it today: `step_into` with a
-    /// reused report.
+    /// simulation engine used to do). The arena side runs the kernel the
+    /// way the engine drives it today: `step_into` with a reused report.
     fn step(&mut self) {
-        if self.spec.kernel == KernelMode::Scalar {
+        if self.kernel == KernelMode::Scalar {
             self.report = self.process.step(&mut self.rng);
         } else {
             self.process.step_into(&mut self.rng, &mut self.report);
@@ -145,23 +128,21 @@ impl Runner {
     }
 }
 
-/// Runs every variant in **lockstep segments** on the same seed: each
-/// segment runs, per variant, one untimed cache re-warm round plus
-/// [`ROUNDS_PER_SEGMENT`] timed rounds, then asserts all variants'
+/// Runs both kernels in **lockstep segments** on the same seed: each
+/// segment runs, per kernel, one untimed cache re-warm round plus
+/// [`ROUNDS_PER_SEGMENT`] timed rounds, then asserts both kernels'
 /// [`RoundReport`]s are bit-identical. Alternating segments means slow
-/// machine drift (frequency scaling, co-tenants) hits every side of the
-/// ratios roughly equally instead of skewing whichever variant ran in
-/// the noisier phase, while the re-warm round keeps each variant's timed
+/// machine drift (frequency scaling, co-tenants) hits both sides of the
+/// ratio roughly equally instead of skewing whichever kernel ran in the
+/// noisier phase, while the re-warm round keeps each kernel's timed
 /// rounds cache-warm as in steady-state production use; the per-segment
 /// assert turns the measurement into a differential check of the whole
 /// trajectory.
-fn measure_cell(n: usize, c: u32, lambda: f64, specs: &[VariantSpec]) -> CellMeasurement {
+fn measure_cell(n: usize, c: u32) -> CellMeasurement {
+    let lambda = LAMBDA;
     eprintln!("measuring n={n} c={c} lambda={lambda} ...");
-    let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let mut runners: Vec<Runner> = specs
-        .iter()
-        .map(|spec| Runner::new(spec.clone(), &config))
-        .collect();
+    let config = CappedConfig::new(n, c, lambda).expect("parse_args validated n");
+    let mut runners = KERNELS.map(|kernel| Runner::new(kernel, &config));
     for runner in runners.iter_mut() {
         for _ in 0..WARMUP_ROUNDS {
             runner.step();
@@ -178,41 +159,33 @@ fn measure_cell(n: usize, c: u32, lambda: f64, specs: &[VariantSpec]) -> CellMea
             }
         }
         thrown_total += ROUNDS_PER_SEGMENT as u64 * runners[0].report.thrown;
-        let (reference, rest) = runners.split_first().expect("at least one variant");
-        for runner in rest {
-            assert_eq!(
-                runner.report, reference.report,
-                "{} diverged from {} in segment {segment} at n={n} c={c} lambda={lambda}",
-                runner.spec.key, reference.spec.key
-            );
-        }
-    }
-    let thrown = thrown_total / MEASURED_ROUNDS as u64;
-    let variants: Vec<(VariantSpec, KernelStats)> = runners
-        .into_iter()
-        .map(|r| {
-            let stats = summarize(r.samples, thrown);
-            (r.spec, stats)
-        })
-        .collect();
-    let scalar_median = variants[0].1.median_ns_per_round;
-    for (spec, stats) in &variants {
-        let speedup = scalar_median as f64 / stats.median_ns_per_round as f64;
-        eprintln!(
-            "  {:<18} {:>12} ns/round   {:>14.0} throws/s   {speedup:.2}x vs scalar",
-            spec.key, stats.median_ns_per_round, stats.throws_per_sec
+        let [scalar, arena] = &runners;
+        assert_eq!(
+            arena.report, scalar.report,
+            "arena diverged from scalar in segment {segment} at n={n} c={c} lambda={lambda}"
         );
     }
-    CellMeasurement {
+    let thrown = thrown_total / MEASURED_ROUNDS as u64;
+    let [scalar, arena] = runners.map(|r| summarize(r.samples, thrown));
+    let cell = CellMeasurement {
         n,
         c,
         lambda,
         thrown_per_round: thrown,
-        variants,
+        scalar,
+        arena,
+    };
+    for (kernel, stats) in [("scalar", &cell.scalar), ("arena", &cell.arena)] {
+        let speedup = cell.scalar.median_ns_per_round as f64 / stats.median_ns_per_round as f64;
+        eprintln!(
+            "  {kernel:<8} {:>12} ns/round   {:>14.0} throws/s   {speedup:.2}x vs scalar",
+            stats.median_ns_per_round, stats.throws_per_sec
+        );
     }
+    cell
 }
 
-fn render_json(cells: &[CellMeasurement], parallel_threads: usize) -> String {
+fn render_json(cells: &[CellMeasurement]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"round_kernel\",\n");
@@ -220,8 +193,7 @@ fn render_json(cells: &[CellMeasurement], parallel_threads: usize) -> String {
         "  \"description\": \"CAPPED(c, lambda) round throughput across kernel generations: \
          legacy scalar kernel through the pre-kernel per-round step() API (VecDeque-per-bin, \
          per-ball RNG, fresh report allocation each round) vs the flat-arena counting-sort \
-         kernel, the SWAR register-sweep kernel, and the intra-round partitioned parallel \
-         kernel, all through step_into with reused round scratch. Same seed, bit-identical \
+         kernel through step_into with reused round scratch. Same seed, bit-identical \
          trajectories, alternating measurement segments; median over timed rounds in the \
          stationary regime.\",\n",
     );
@@ -229,182 +201,105 @@ fn render_json(cells: &[CellMeasurement], parallel_threads: usize) -> String {
     let _ = writeln!(out, "  \"seed\": {SEED},");
     let _ = writeln!(out, "  \"warmup_rounds\": {WARMUP_ROUNDS},");
     let _ = writeln!(out, "  \"measured_rounds\": {MEASURED_ROUNDS},");
-    let _ = writeln!(
-        out,
-        "  \"available_parallelism\": {},",
-        available_parallelism()
-    );
-    let _ = writeln!(out, "  \"parallel_threads\": {parallel_threads},");
     out.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
-        let scalar_median = cell.variants[0].1.median_ns_per_round;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(
             out,
             "      \"n\": {}, \"c\": {}, \"lambda\": {}, \"thrown_per_round\": {},",
             cell.n, cell.c, cell.lambda, cell.thrown_per_round
         );
-        for (spec, stats) in &cell.variants {
-            let threads = spec
-                .threads
-                .map_or(String::new(), |t| format!("\"threads\": {t}, "));
+        for (key, stats) in [("scalar", &cell.scalar), ("arena", &cell.arena)] {
             let _ = writeln!(
                 out,
-                "      \"{}\": {{ {threads}\"median_ns_per_round\": {}, \
+                "      \"{key}\": {{ \"median_ns_per_round\": {}, \
                  \"min_ns_per_round\": {}, \"rounds_per_sec\": {:.3}, \
                  \"throws_per_sec\": {:.0} }},",
-                spec.key,
                 stats.median_ns_per_round,
                 stats.min_ns_per_round,
                 stats.rounds_per_sec,
                 stats.throws_per_sec
             );
         }
-        for (key, label) in [
-            ("arena", "arena_speedup"),
-            ("arena_simd", "simd_speedup"),
-            ("arena_parallel", "parallel_speedup"),
-        ] {
-            if let Some(stats) = cell.stats(key) {
-                let speedup = scalar_median as f64 / stats.median_ns_per_round as f64;
-                let _ = writeln!(out, "      \"{label}\": {speedup:.3},");
-            }
-        }
-        // Strip the trailing comma of the last entry to stay valid JSON.
-        let trimmed = out.trim_end_matches('\n').trim_end_matches(',').len();
-        out.truncate(trimmed);
-        out.push('\n');
+        let _ = writeln!(out, "      \"arena_speedup\": {:.3}", cell.arena_speedup());
         let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+struct Options {
+    n: usize,
+    out_path: String,
+    registry: Option<String>,
+    force: bool,
+}
+
+/// Parses the command line. `--n` must be positive and make `λn` an
+/// integer, the deterministic arrival model's requirement — anything
+/// else is a usage error, not a panic halfway into the measurement.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+    let mut quick = false;
+    let mut n_override: Option<usize> = None;
+    let mut opts = Options {
+        n: 0,
+        out_path: String::from("BENCH_round_kernel.json"),
+        registry: None,
+        force: false,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--force" => opts.force = true,
+            "--registry" => opts.registry = Some(args.next().ok_or("--registry requires a path")?),
+            "--out" => opts.out_path = args.next().ok_or("--out requires a path")?,
+            "--n" => {
+                let value = args.next().ok_or("--n requires a positive integer")?;
+                match value.parse::<usize>() {
+                    Ok(n) if n > 0 && CappedConfig::new(n, 2, LAMBDA).is_ok() => {
+                        n_override = Some(n)
+                    }
+                    Ok(n) if n > 0 => {
+                        return Err(format!(
+                            "--n {n}: lambda * n = {} must be an integer (lambda = {LAMBDA}; \
+                             use a multiple of 20, e.g. --n 32000)",
+                            LAMBDA * n as f64
+                        ))
+                    }
+                    _ => return Err(format!("--n requires a positive integer, got {value}")),
+                }
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    opts.n = n_override.unwrap_or(if quick { 20_000 } else { 1_000_000 });
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
     let started = Instant::now();
-    let mut quick = false;
-    let mut assert_parallel_wins = false;
-    let mut n_override: Option<usize> = None;
-    let mut thread_sweep: Vec<usize> = Vec::new();
-    let mut out_path = String::from("BENCH_round_kernel.json");
-    let mut registry: Option<String> = None;
-    let mut force = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--assert-parallel-wins" => assert_parallel_wins = true,
-            "--force" => force = true,
-            "--registry" => match args.next() {
-                Some(path) => registry = Some(path),
-                None => {
-                    eprintln!("--registry requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--n" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => n_override = Some(n),
-                _ => {
-                    eprintln!("--n requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => {
-                let parsed: Option<Vec<usize>> = args
-                    .next()
-                    .map(|list| {
-                        list.split(',')
-                            .map(|t| t.trim().parse::<usize>().ok().filter(|&t| t >= 1))
-                            .collect()
-                    })
-                    .unwrap_or(None);
-                match parsed {
-                    Some(list) if !list.is_empty() => thread_sweep = list,
-                    _ => {
-                        eprintln!("--threads requires a comma-separated list of counts >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: round_kernel_baseline [--quick] [--n N] [--threads LIST] \
-                     [--assert-parallel-wins] [--out BENCH_round_kernel.json] \
-                     [--registry PATH] [--force]"
-                );
-                return ExitCode::FAILURE;
-            }
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(err) => {
+            eprintln!("{err}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
-    let cores = available_parallelism();
-    let parallel_threads = CappedProcess::with_kernel(
-        CappedConfig::new(16, 2, 0.75).expect("valid probe config"),
-        KernelMode::ArenaParallel,
-    )
-    .kernel_threads();
-    let mut specs = vec![
-        VariantSpec {
-            key: "scalar".into(),
-            kernel: KernelMode::Scalar,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena".into(),
-            kernel: KernelMode::Arena,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena_simd".into(),
-            kernel: KernelMode::ArenaSimd,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena_parallel".into(),
-            kernel: KernelMode::ArenaParallel,
-            threads: Some(parallel_threads),
-        },
-    ];
-    for &t in &thread_sweep {
-        if t == parallel_threads {
-            continue; // already covered by the standing variant
-        }
-        specs.push(VariantSpec {
-            key: format!("arena_parallel_t{t}"),
-            kernel: KernelMode::ArenaParallel,
-            threads: Some(t),
-        });
-    }
-
-    let n = n_override.unwrap_or(if quick { 20_000 } else { 1_000_000 });
-    let lambda = 0.95;
     let cells: Vec<CellMeasurement> = [2u32, 4, 8]
         .iter()
-        .map(|&c| measure_cell(n, c, lambda, &specs))
+        .map(|&c| measure_cell(opts.n, c))
         .collect();
 
-    let json = render_json(&cells, parallel_threads);
+    let json = render_json(&cells);
     let json = match iba_bench::prov::finalize(
         "round_kernel",
         &json,
-        std::path::Path::new(&out_path),
-        registry.as_deref().map(std::path::Path::new),
-        force,
-        Some(("arena_parallel", parallel_threads)),
+        std::path::Path::new(&opts.out_path),
+        opts.registry.as_deref().map(std::path::Path::new),
+        opts.force,
+        Some((KernelMode::Arena.name(), 1)),
         started.elapsed().as_secs_f64() * 1e3,
     ) {
         Ok(stamped) => stamped,
@@ -414,41 +309,48 @@ fn main() -> ExitCode {
         }
     };
     println!("{json}");
-    let mut failed = false;
     for cell in &cells {
-        let arena = cell.stats("arena").expect("standing variant");
-        let scalar_median = cell.variants[0].1.median_ns_per_round;
-        let speedup = scalar_median as f64 / arena.median_ns_per_round as f64;
+        let speedup = cell.arena_speedup();
         if speedup < 2.0 {
             eprintln!(
                 "WARNING: arena speedup {speedup:.2}x below the 2x acceptance bar at n={} c={}",
                 cell.n, cell.c
             );
         }
-        if assert_parallel_wins {
-            let parallel = cell.stats("arena_parallel").expect("standing variant");
-            if cores >= 2 && parallel_threads >= 2 {
-                // Minimum round time: the least noise-sensitive statistic
-                // for a CI gate on shared runners.
-                if parallel.min_ns_per_round > arena.min_ns_per_round {
-                    eprintln!(
-                        "FAIL: arena_parallel min {} ns/round is slower than arena min {} \
-                         ns/round at n={} c={} ({cores} cores, {parallel_threads} threads)",
-                        parallel.min_ns_per_round, arena.min_ns_per_round, cell.n, cell.c
-                    );
-                    failed = true;
-                }
-            } else {
-                eprintln!(
-                    "note: --assert-parallel-wins skipped at n={} c={} \
-                     ({cores} cores / {parallel_threads} threads resolved — need >= 2)",
-                    cell.n, cell.c
-                );
-            }
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn n_must_make_lambda_n_integral() {
+        let err = parse(&["--n", "32768"])
+            .err()
+            .expect("2^15 * 0.95 is fractional");
+        assert!(err.contains("must be an integer"), "{err}");
+        assert_eq!(parse(&["--n", "32000"]).map(|o| o.n), Ok(32_000));
+    }
+
+    #[test]
+    fn n_must_be_a_positive_integer() {
+        for bad in ["0", "-5", "ten"] {
+            let err = parse(&["--n", bad]).err().expect("rejected");
+            assert!(err.contains("positive integer"), "{bad}: {err}");
+        }
+        assert!(parse(&["--n"]).is_err());
+    }
+
+    #[test]
+    fn defaults_and_quick_pick_integral_cells() {
+        assert_eq!(parse(&[]).map(|o| o.n), Ok(1_000_000));
+        assert_eq!(parse(&["--quick"]).map(|o| o.n), Ok(20_000));
+        assert!(parse(&["--threads", "2"]).is_err(), "removed flag");
+    }
 }

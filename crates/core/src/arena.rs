@@ -78,30 +78,13 @@ pub struct BinArena {
 }
 
 #[inline]
-pub(crate) fn unpack(meta: u64) -> (usize, usize) {
+fn unpack(meta: u64) -> (usize, usize) {
     ((meta & 0xFFFF_FFFF) as usize, (meta >> 32) as usize)
 }
 
 #[inline]
-pub(crate) fn pack(head: usize, len: usize) -> u64 {
+fn pack(head: usize, len: usize) -> u64 {
     (head as u64) | ((len as u64) << 32)
-}
-
-/// A mutable window over a contiguous range of arena bins — `slots` and
-/// `meta` restricted to the bins of one worker partition, plus the shared
-/// `stride`. Produced by [`BinArena::as_slice_mut`] (the whole arena) or
-/// [`BinArena::split_slices_mut`] (disjoint per-worker partitions); the
-/// split is plain `split_at_mut` slicing, so the intra-round parallel
-/// kernel shares the arena across `std::thread::scope` workers without a
-/// line of `unsafe`.
-#[derive(Debug)]
-pub(crate) struct ArenaSliceMut<'a> {
-    /// `bins * stride` ring slots of this window's bins.
-    pub slots: &'a mut [Ball],
-    /// One packed `(head, len)` word per bin of the window.
-    pub meta: &'a mut [u64],
-    /// Ring size per bin (shared by the whole arena; power of two).
-    pub stride: usize,
 }
 
 /// The initial stride for a set of capacities and pre-existing loads:
@@ -452,50 +435,6 @@ impl BinArena {
         self.slots = slots;
         self.stride = new_stride;
     }
-
-    /// The whole arena as one mutable [`ArenaSliceMut`] window.
-    #[inline]
-    pub(crate) fn as_slice_mut(&mut self) -> ArenaSliceMut<'_> {
-        ArenaSliceMut {
-            slots: &mut self.slots,
-            meta: &mut self.meta,
-            stride: self.stride,
-        }
-    }
-
-    /// Splits the arena into disjoint mutable windows at the given bin
-    /// boundaries (`bounds` strictly increasing, `bounds.last() ==
-    /// bins()`; the first window starts at bin 0). Each window owns the
-    /// `slots` and `meta` of its bin range exclusively — the safe-Rust
-    /// partitioning that lets intra-round workers scatter in parallel.
-    ///
-    /// Boundaries are chosen by the caller; rounding them to
-    /// [`crate::simd::PARTITION_ALIGN`]-bin multiples keeps every
-    /// window's `meta` span starting on its own cache line (8 words per
-    /// 64-byte line), so workers never false-share a meta line.
-    pub(crate) fn split_slices_mut(&mut self, bounds: &[usize]) -> Vec<ArenaSliceMut<'_>> {
-        debug_assert_eq!(bounds.last().copied(), Some(self.bins()));
-        let stride = self.stride;
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut slots: &mut [Ball] = &mut self.slots;
-        let mut meta: &mut [u64] = &mut self.meta;
-        let mut prev = 0usize;
-        for &end in bounds {
-            debug_assert!(end >= prev);
-            let take = end - prev;
-            let (s, rest_s) = slots.split_at_mut(take * stride);
-            let (m, rest_m) = meta.split_at_mut(take);
-            slots = rest_s;
-            meta = rest_m;
-            out.push(ArenaSliceMut {
-                slots: s,
-                meta: m,
-                stride,
-            });
-            prev = end;
-        }
-        out
-    }
 }
 
 /// A read-only view of one bin's buffer, independent of whether the bin
@@ -796,7 +735,7 @@ where
 /// The shared fast-path bail-out: counts the event (telemetry only) and
 /// yields the `None` that sends the caller to [`counting_accept`].
 #[cold]
-pub(crate) fn bail() -> Option<u64> {
+fn bail() -> Option<u64> {
     if let Some(p) = obs::probes() {
         p.fast_accept_bailouts.inc();
     }

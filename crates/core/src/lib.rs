@@ -57,7 +57,6 @@ mod obs;
 pub mod pool;
 pub mod process;
 pub mod shard;
-mod simd;
 pub mod spec;
 
 pub use arena::{BinArena, BinView};

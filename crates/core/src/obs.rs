@@ -34,20 +34,6 @@ pub(crate) struct CoreProbes {
     pub phase_accept_nanos: Arc<Histogram>,
     /// FIFO-deletion (serve) phase duration per round.
     pub phase_serve_nanos: Arc<Histogram>,
-    /// Register-prime init sweep duration (cold SIMD rounds only; primed
-    /// rounds skip the sweep entirely, so absence of samples is the
-    /// steady-state signal).
-    pub phase_prime_nanos: Arc<Histogram>,
-    /// Scatter sub-phase duration: the single random-access pass over the
-    /// request stream (sequential SIMD rounds), or the whole partitioned
-    /// worker section — scatter + fused serve across all workers,
-    /// wall-clock — on parallel rounds.
-    pub phase_scatter_nanos: Arc<Histogram>,
-    /// Parallel-round merge sub-phase duration: summing worker stats,
-    /// concatenating waits, and the canonical-order k-way reject merge.
-    pub phase_merge_nanos: Arc<Histogram>,
-    /// Rounds that ran the partitioned multi-worker kernel.
-    pub parallel_rounds: Arc<Counter>,
     /// Balls accepted by `BinShard::accept` calls, lifetime.
     pub shard_accepted_balls: Arc<Counter>,
     /// Balls rejected by `BinShard::accept` calls, lifetime.
@@ -69,10 +55,6 @@ impl CoreProbes {
             phase_generate_nanos: r.histogram("iba_core_phase_generate_nanos"),
             phase_accept_nanos: r.histogram("iba_core_phase_accept_nanos"),
             phase_serve_nanos: r.histogram("iba_core_phase_serve_nanos"),
-            phase_prime_nanos: r.histogram("iba_core_phase_prime_nanos"),
-            phase_scatter_nanos: r.histogram("iba_core_phase_scatter_nanos"),
-            phase_merge_nanos: r.histogram("iba_core_phase_merge_nanos"),
-            parallel_rounds: r.counter("iba_core_arena_parallel_rounds_total"),
             shard_accepted_balls: r.counter("iba_core_shard_accepted_balls_total"),
             shard_rejected_balls: r.counter("iba_core_shard_rejected_balls_total"),
             shard_served_balls: r.counter("iba_core_shard_served_balls_total"),

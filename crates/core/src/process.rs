@@ -5,7 +5,7 @@ use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
 use iba_sim::stats::Histogram;
 
-use crate::arena::{counting_accept, fast_accept, BinStore, BinView};
+use crate::arena::{counting_accept, fast_accept, BinArena, BinStore, BinView};
 use crate::ball::Ball;
 use crate::config::{AcceptancePolicy, Capacity, CappedConfig};
 use crate::pool::Pool;
@@ -13,22 +13,12 @@ use crate::pool::Pool;
 /// Which implementation of the round's acceptance/deletion stages a
 /// [`CappedProcess`] runs.
 ///
-/// All kernels compute **bit-identical** trajectories (same RNG
-/// consumption, same [`RoundReport`]s, same waiting times) — the scalar
-/// kernel exists as the in-tree reference for differential tests and
-/// old-vs-new benchmarks, and the SIMD/parallel kernels are proven
-/// against it by the same lockstep suites. Checkpoints do not record the
-/// kernel mode; restored processes run the default (re-select with
-/// [`CappedProcess::set_kernel`]).
-///
-/// Choosing a mode (see also DESIGN.md §kernel): `Arena` is the safe
-/// default; `ArenaSimd` adds the SWAR register sweeps and lookahead
-/// scatter (strictly sequential, no threads); `ArenaParallel` adds the
-/// partitioned intra-round scatter + serve on top, sized by
-/// [`IBA_THREADS`](CappedProcess::set_kernel_threads) or
-/// `std::thread::available_parallelism`. Parallelism pays off from
-/// roughly `n ≥ 10⁵` on multicore hosts; below that (or on one core) it
-/// automatically degrades to the sequential SIMD path.
+/// Both kernels compute **bit-identical** trajectories (same RNG
+/// consumption, same [`RoundReport`]s, same waiting times): `Arena` is
+/// the production kernel, and `Scalar` is the in-tree reference for
+/// differential tests and old-vs-new benchmarks. Checkpoints do not
+/// record the kernel mode; restored processes run the default
+/// (re-select with [`CappedProcess::set_kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Flat-arena storage with the counting-sort acceptance pass and bulk
@@ -37,35 +27,18 @@ pub enum KernelMode {
     /// over the same arena storage.
     #[default]
     Arena,
-    /// `Arena` plus the SWAR meta sweeps (two bins per `u64` register
-    /// word in the fused commit+serve+prime pass) and the lookahead
-    /// scatter — see `crate::simd`.
-    ArenaSimd,
-    /// `ArenaSimd` plus the intra-round partitioned scatter + serve
-    /// across a `std::thread::scope` worker pool, with the canonical
-    /// reject merge that keeps the trajectory bit-identical at any
-    /// thread count (parallel implies SIMD).
-    ArenaParallel,
     /// The legacy layout and loop: one `VecDeque` buffer per bin, one
     /// RNG draw and one random-access push per ball.
     Scalar,
 }
 
 impl KernelMode {
-    /// Whether this mode routes through the SWAR/parallel kernel paths.
-    #[inline]
-    pub(crate) fn uses_simd(self) -> bool {
-        matches!(self, KernelMode::ArenaSimd | KernelMode::ArenaParallel)
-    }
-
-    /// Stable lowercase identifier, used in provenance records and CLI
-    /// flags (`scalar`, `arena`, `arena_simd`, `arena_parallel`).
+    /// Stable lowercase identifier (`scalar`, `arena`), used in
+    /// provenance records and benchmark output.
     pub fn name(self) -> &'static str {
         match self {
             KernelMode::Scalar => "scalar",
             KernelMode::Arena => "arena",
-            KernelMode::ArenaSimd => "arena_simd",
-            KernelMode::ArenaParallel => "arena_parallel",
         }
     }
 }
@@ -74,8 +47,6 @@ impl KernelMode {
 /// rounds allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct KernelScratch {
-    /// This round's pre-drawn bin choices, one per pooled ball.
-    choices: Vec<u32>,
     /// Per-bin request histogram, reused as the scatter cursor
     /// (exact-histogram fallback path only).
     counts: Vec<u32>,
@@ -84,8 +55,48 @@ struct KernelScratch {
     /// Packed per-bin `(remaining quota, ring cursor)` registers of the
     /// single-pass scatter (see [`fast_accept`]).
     state: Vec<u32>,
-    /// Per-worker scratch of the parallel kernel (reject lists, waits).
-    workers: Vec<crate::simd::WorkerScratch>,
+}
+
+impl KernelScratch {
+    /// Runs one round's pre-drawn `(bin, ball)` request stream (`thrown`
+    /// long, oldest first) through the arena kernel: the single-pass
+    /// [`fast_accept`], or [`counting_accept`] when it bails out. Both are
+    /// bit-exact with the scalar oldest-first greedy walk. Returns the
+    /// accepted count and whether the fast path left the ring lengths
+    /// uncommitted for the fused deletion sweep.
+    fn accept<I: Iterator<Item = (usize, Ball)> + Clone>(
+        &mut self,
+        arena: &mut BinArena,
+        offline: &[bool],
+        was_primed: bool,
+        thrown: usize,
+        stream: I,
+        rejected: &mut Vec<Ball>,
+    ) -> (u64, bool) {
+        match fast_accept(
+            arena,
+            offline,
+            &mut self.state,
+            &mut self.quotas,
+            thrown,
+            stream.clone(),
+            rejected,
+            was_primed,
+        ) {
+            Some(accepted) => (accepted, true),
+            None => (
+                counting_accept(
+                    arena,
+                    offline,
+                    &mut self.counts,
+                    &mut self.quotas,
+                    stream,
+                    rejected,
+                ),
+                false,
+            ),
+        }
+    }
 }
 
 /// The CAPPED(c, λ) process.
@@ -131,6 +142,8 @@ pub struct CappedProcess {
     total_deleted: u64,
     scratch: Vec<Ball>,
     kernel: KernelMode,
+    /// This round's pre-drawn bin choices, one per pooled ball.
+    choices: Vec<u32>,
     kscratch: KernelScratch,
     /// Whether `kscratch.state` already holds valid per-bin acceptance
     /// registers for the *next* round (written by the previous round's
@@ -138,116 +151,6 @@ pub struct CappedProcess {
     /// mutation that can change a bin's room or ring offset behind the
     /// kernel's back.
     kernel_primed: bool,
-    /// SIMD-kernel regularity: every bin online and no bin holding more
-    /// than the uniform capacity — the precondition for the register-only
-    /// SWAR serve sweep (`crate::simd::commit_serve_prime_swar`). Only
-    /// meaningful while `kernel_primed` propagates it between rounds;
-    /// cold rounds recompute it during the prime sweep.
-    kernel_regular: bool,
-    /// Worker count of the `ArenaParallel` kernel (≥ 1; 1 on the other
-    /// modes). Not part of the trajectory: any value yields bit-identical
-    /// results.
-    threads: usize,
-}
-
-/// Resolves the parallel kernel's worker count: the `IBA_THREADS`
-/// environment override if set and ≥ 1, else the machine's available
-/// parallelism (1 if unknown).
-fn resolve_threads() -> usize {
-    match std::env::var("IBA_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(t) if t >= 1 => t,
-        _ => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
-}
-
-/// Routes one round's pre-drawn acceptance through the selected arena
-/// kernel. Every path is bit-exact with the scalar oldest-first greedy
-/// walk; they differ only in sweep shape (see [`crate::simd`]).
-///
-/// On the fast paths the scatter leaves ring lengths uncommitted and
-/// sets `commit_pending` for the fused deletion sweep. The parallel
-/// kernel instead serves inside its worker phase and hands back its
-/// merged [`SweepStats`](crate::simd::SweepStats) via `parallel_served`.
-#[allow(clippy::too_many_arguments)]
-fn kernel_accept<C: crate::simd::BinIndex>(
-    kernel: KernelMode,
-    threads: usize,
-    was_primed: bool,
-    regular: &mut bool,
-    round: u64,
-    arena: &mut crate::arena::BinArena,
-    offline: &[bool],
-    counts: &mut Vec<u32>,
-    quotas: &mut Vec<u32>,
-    state: &mut Vec<u32>,
-    workers: &mut Vec<crate::simd::WorkerScratch>,
-    balls: &[Ball],
-    choices: &[C],
-    rejected: &mut Vec<Ball>,
-    waits: &mut Vec<u64>,
-    commit_pending: &mut bool,
-    parallel_served: &mut Option<crate::simd::SweepStats>,
-) -> u64 {
-    let stream = || choices.iter().map(|c| c.bin()).zip(balls.iter().copied());
-    match kernel {
-        KernelMode::Scalar => unreachable!("the scalar kernel uses buffer storage"),
-        KernelMode::Arena => {
-            match fast_accept(
-                arena,
-                offline,
-                state,
-                quotas,
-                balls.len(),
-                stream(),
-                rejected,
-                was_primed,
-            ) {
-                Some(a) => {
-                    *commit_pending = true;
-                    a
-                }
-                None => counting_accept(arena, offline, counts, quotas, stream(), rejected),
-            }
-        }
-        KernelMode::ArenaSimd | KernelMode::ArenaParallel => {
-            if kernel == KernelMode::ArenaParallel && threads > 1 && arena.uniform_cap().is_some() {
-                match crate::simd::parallel_round(
-                    arena, offline, state, workers, threads, was_primed, *regular, round, balls,
-                    choices, rejected, waits,
-                ) {
-                    Some(out) => {
-                        *regular = out.stats.regular;
-                        *parallel_served = Some(out.stats);
-                        return out.accepted;
-                    }
-                    None => {
-                        // A worker bailed with nothing committed; rerun the
-                        // round through the exact-histogram pass (and the
-                        // ordinary deletion stage).
-                        *regular = false;
-                        return counting_accept(arena, offline, counts, quotas, stream(), rejected);
-                    }
-                }
-            }
-            match crate::simd::fast_accept_simd(
-                arena, offline, state, quotas, balls, choices, rejected, was_primed, regular,
-            ) {
-                Some(a) => {
-                    *commit_pending = true;
-                    a
-                }
-                None => {
-                    *regular = false;
-                    counting_accept(arena, offline, counts, quotas, stream(), rejected)
-                }
-            }
-        }
-    }
 }
 
 enum ChoiceSource<'a> {
@@ -266,11 +169,9 @@ impl CappedProcess {
         Self::with_kernel(config, KernelMode::default())
     }
 
-    /// Creates the process with an explicit [`KernelMode`]. All modes are
+    /// Creates the process with an explicit [`KernelMode`]. Both modes are
     /// bit-exact; `Scalar` pins the legacy per-ball loop for differential
-    /// tests and old-vs-new benchmarks. `ArenaParallel` sizes its worker
-    /// pool from `IBA_THREADS` / `available_parallelism` (adjustable via
-    /// [`set_kernel_threads`](Self::set_kernel_threads)).
+    /// tests and old-vs-new benchmarks.
     pub fn with_kernel(config: CappedConfig, kernel: KernelMode) -> Self {
         let caps: Vec<Capacity> = (0..config.bins()).map(|i| config.capacity_of(i)).collect();
         let store = BinStore::from_capacities(caps, kernel == KernelMode::Scalar);
@@ -283,14 +184,9 @@ impl CappedProcess {
             total_deleted: 0,
             scratch: Vec::new(),
             kernel,
+            choices: Vec::new(),
             kscratch: KernelScratch::default(),
             kernel_primed: false,
-            kernel_regular: false,
-            threads: if kernel == KernelMode::ArenaParallel {
-                resolve_threads()
-            } else {
-                1
-            },
             config,
         }
     }
@@ -302,8 +198,8 @@ impl CappedProcess {
 
     /// Switches the kernel mode in place, converting the bin storage if
     /// the old and new modes disagree on it (`Scalar` keeps per-bin
-    /// buffers; the arena modes share the flat arena). The trajectory is
-    /// unaffected — all modes are bit-exact — so this is safe mid-run;
+    /// buffers; `Arena` uses the flat arena). The trajectory is
+    /// unaffected — both modes are bit-exact — so this is safe mid-run;
     /// it is primarily the hook for re-selecting a non-default kernel
     /// after a checkpoint restore.
     pub fn set_kernel(&mut self, kernel: KernelMode) {
@@ -332,28 +228,6 @@ impl CappedProcess {
         }
         self.kernel = kernel;
         self.kernel_primed = false;
-        self.kernel_regular = false;
-        if kernel == KernelMode::ArenaParallel && self.threads == 1 {
-            self.threads = resolve_threads();
-        }
-    }
-
-    /// The `ArenaParallel` worker count this process would use (1 unless
-    /// that mode is selected).
-    pub fn kernel_threads(&self) -> usize {
-        if self.kernel == KernelMode::ArenaParallel {
-            self.threads
-        } else {
-            1
-        }
-    }
-
-    /// Overrides the `ArenaParallel` worker count (clamped to ≥ 1). Has
-    /// no effect on the trajectory — any thread count is bit-identical —
-    /// only on wall-clock speed. No-op in the other kernel modes beyond
-    /// remembering the value for a later [`set_kernel`](Self::set_kernel).
-    pub fn set_kernel_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Fault injection: takes bin `i` offline (`true`) or back online
@@ -620,10 +494,9 @@ impl CappedProcess {
             total_deleted,
             scratch: Vec::new(),
             kernel: KernelMode::default(),
+            choices: Vec::new(),
             kscratch: KernelScratch::default(),
             kernel_primed: false,
-            kernel_regular: false,
-            threads: 1,
         };
         if !process.conserves_balls() {
             return Err(CodecError::Invalid {
@@ -736,18 +609,12 @@ impl CappedProcess {
         let mut balls = self.pool.take();
         let mut rejected = std::mem::take(&mut self.scratch);
         rejected.clear();
-        // Cleared before acceptance because the parallel kernel fuses the
-        // serve sweep into its worker phase and appends waits there.
-        report.waiting_times.clear();
         let mut accepted = 0u64;
         let policy = self.config.policy();
         // Set when the fast path ran: its scatter leaves the ring lengths
         // uncommitted, and the deletion stage below folds the per-bin
         // accepted counts in while it serves (one meta pass, not two).
         let mut commit_pending = false;
-        // Set when the parallel kernel already served: its merged sweep
-        // stats replace the deletion stage entirely.
-        let mut parallel_served: Option<crate::simd::SweepStats> = None;
         if self.kernel_eligible(&source, balls.len()) {
             // Counting-sort kernel. Pre-drawing every choice in pool order
             // consumes the RNG exactly as the scalar per-ball loop does
@@ -757,56 +624,35 @@ impl CappedProcess {
             let BinStore::Arena(arena) = &mut self.store else {
                 unreachable!("kernel_eligible checked the storage variant");
             };
-            let KernelScratch {
-                choices,
-                counts,
-                quotas,
-                state,
-                workers,
-            } = &mut self.kscratch;
-            accepted = match &mut source {
+            (accepted, commit_pending) = match &mut source {
                 ChoiceSource::Rng(rng, _) => {
+                    let choices = &mut self.choices;
                     choices.resize(balls.len(), 0);
                     rng.fill_uniform_bins(n, choices);
-                    kernel_accept(
-                        self.kernel,
-                        self.threads,
-                        was_primed,
-                        &mut self.kernel_regular,
-                        round,
+                    let stream = choices
+                        .iter()
+                        .map(|&c| c as usize)
+                        .zip(balls.iter().copied());
+                    self.kscratch.accept(
                         arena,
                         &self.offline,
-                        counts,
-                        quotas,
-                        state,
-                        workers,
-                        &balls,
-                        choices,
+                        was_primed,
+                        balls.len(),
+                        stream,
                         &mut rejected,
-                        &mut report.waiting_times,
-                        &mut commit_pending,
-                        &mut parallel_served,
                     )
                 }
-                ChoiceSource::Slice(slice) => kernel_accept(
-                    self.kernel,
-                    self.threads,
-                    was_primed,
-                    &mut self.kernel_regular,
-                    round,
-                    arena,
-                    &self.offline,
-                    counts,
-                    quotas,
-                    state,
-                    workers,
-                    &balls,
-                    slice,
-                    &mut rejected,
-                    &mut report.waiting_times,
-                    &mut commit_pending,
-                    &mut parallel_served,
-                ),
+                ChoiceSource::Slice(slice) => {
+                    let stream = slice.iter().copied().zip(balls.iter().copied());
+                    self.kscratch.accept(
+                        arena,
+                        &self.offline,
+                        was_primed,
+                        balls.len(),
+                        stream,
+                        &mut rejected,
+                    )
+                }
             };
             balls.clear();
         } else if policy == AcceptancePolicy::OldestFirst {
@@ -884,168 +730,131 @@ impl CappedProcess {
         // steady-state rounds allocate nothing.
         let serve_timer = iba_obs::PhaseTimer::start();
         let waiting_times = &mut report.waiting_times;
+        waiting_times.clear();
         let mut failed_deletions = 0u64;
         let mut buffered = 0u64;
         let mut max_load = 0u64;
-        if let Some(stats) = parallel_served {
-            // The parallel kernel already committed, served, and
-            // re-primed inside its worker phase; fold its merged stats.
-            failed_deletions = stats.failed_deletions;
-            buffered = stats.buffered;
-            max_load = stats.max_load;
-            self.total_deleted += stats.deleted;
-            self.kernel_primed = true;
-        } else {
-            match &mut self.store {
-                BinStore::Arena(arena) if commit_pending => {
-                    // Fused commit + serve: fold each bin's accepted count
-                    // (left uncommitted by the fast path's scatter) into
-                    // its ring length and FIFO-serve in the same meta pass.
-                    match arena.uniform_cap() {
-                        Some(c0) if self.kernel.uses_simd() && self.kernel_regular => {
-                            // Regular SIMD rounds run the register-only
-                            // SWAR sweep: two bins per word, meta
-                            // write-only (see `crate::simd`).
-                            let state = &mut self.kscratch.state;
-                            debug_assert_eq!(state.len(), n);
-                            let stats = crate::simd::commit_serve_prime_swar(
-                                &mut arena.as_slice_mut(),
-                                state,
-                                c0,
-                                round,
-                                waiting_times,
-                            );
-                            failed_deletions = stats.failed_deletions;
-                            buffered = stats.buffered;
-                            max_load = stats.max_load;
-                            self.total_deleted += stats.deleted;
-                            self.kernel_regular = stats.regular;
-                            self.kernel_primed = true;
-                        }
-                        Some(c0) => {
-                            // Uniform capacity profile: the accepted count
-                            // is recoverable from the register's remaining
-                            // room alone (no quota array), and the same
-                            // sweep writes next round's register —
-                            // (room << 16) | tail — so the next acceptance
-                            // pass skips its init sweep entirely
-                            // ("priming").
-                            let state = &mut self.kscratch.state;
-                            debug_assert_eq!(state.len(), n);
-                            let mut regular = true;
-                            for (b, s) in state.iter_mut().enumerate() {
-                                if self.offline[b] {
-                                    // A crashed bin neither serves nor
-                                    // counts as a failed deletion
-                                    // *attempt* — it makes none. Its
-                                    // register had zero room, so there is
-                                    // nothing to commit; re-arm it with
-                                    // zero room again.
-                                    debug_assert_eq!(*s >> 16, 0);
-                                    let (len, tail) = arena.len_tail(b);
-                                    *s = tail;
-                                    let load = u64::from(len);
-                                    buffered += load;
-                                    max_load = max_load.max(load);
-                                    regular = false;
-                                    continue;
-                                }
-                                let (served, len, tail) =
-                                    arena.commit_serve_uniform(b, c0, *s >> 16);
-                                match served {
-                                    Some(ball) => {
-                                        waiting_times.push(ball.age_at(round));
-                                        self.total_deleted += 1;
-                                    }
-                                    None => failed_deletions += 1,
-                                }
-                                // `saturating_sub`: an overfull bin (a
-                                // degraded-checkpoint restore can leave
-                                // len > c₀ under a uniform profile) must
-                                // re-arm with zero room, not an
-                                // underflowed quota.
-                                *s = (c0.saturating_sub(len) << 16) | tail;
-                                regular &= len <= c0;
+        match &mut self.store {
+            BinStore::Arena(arena) if commit_pending => {
+                // Fused commit + serve: fold each bin's accepted count
+                // (left uncommitted by the fast path's scatter) into its
+                // ring length and FIFO-serve in the same meta pass.
+                match arena.uniform_cap() {
+                    Some(c0) => {
+                        // Uniform capacity profile: the accepted count is
+                        // recoverable from the register's remaining room
+                        // alone (no quota array), and the same sweep writes
+                        // next round's register — (room << 16) | tail — so
+                        // the next acceptance pass skips its init sweep
+                        // entirely ("priming").
+                        let state = &mut self.kscratch.state;
+                        debug_assert_eq!(state.len(), n);
+                        for (b, s) in state.iter_mut().enumerate() {
+                            if self.offline[b] {
+                                // A crashed bin neither serves nor counts
+                                // as a failed deletion *attempt* — it makes
+                                // none. Its register had zero room, so
+                                // there is nothing to commit; re-arm it
+                                // with zero room again.
+                                debug_assert_eq!(*s >> 16, 0);
+                                let (len, tail) = arena.len_tail(b);
+                                *s = tail;
                                 let load = u64::from(len);
                                 buffered += load;
                                 max_load = max_load.max(load);
+                                continue;
                             }
-                            self.kernel_regular = regular;
-                            self.kernel_primed = true;
+                            let (served, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
+                            match served {
+                                Some(ball) => {
+                                    waiting_times.push(ball.age_at(round));
+                                    self.total_deleted += 1;
+                                }
+                                None => failed_deletions += 1,
+                            }
+                            // `saturating_sub`: an overfull bin (a
+                            // degraded-checkpoint restore can leave
+                            // len > c₀ under a uniform profile) must
+                            // re-arm with zero room, not an underflowed
+                            // quota.
+                            *s = (c0.saturating_sub(len) << 16) | tail;
+                            let load = u64::from(len);
+                            buffered += load;
+                            max_load = max_load.max(load);
                         }
-                        None => {
-                            self.kernel_regular = false;
-                            let quotas = &self.kscratch.quotas;
-                            let state = &self.kscratch.state;
-                            for b in 0..n {
-                                let taken = (quotas[b] - (state[b] >> 16)) as usize;
-                                if self.offline[b] {
-                                    // A crashed bin neither serves nor
-                                    // counts as a failed deletion
-                                    // *attempt* — it makes none. Its quota
-                                    // was 0, so there is nothing to commit.
-                                    debug_assert_eq!(taken, 0);
-                                    let load = arena.len(b) as u64;
-                                    buffered += load;
-                                    max_load = max_load.max(load);
-                                    continue;
-                                }
-                                match arena.commit_serve(b, taken) {
-                                    Some(ball) => {
-                                        waiting_times.push(ball.age_at(round));
-                                        self.total_deleted += 1;
-                                    }
-                                    None => failed_deletions += 1,
-                                }
+                        self.kernel_primed = true;
+                    }
+                    None => {
+                        let quotas = &self.kscratch.quotas;
+                        let state = &self.kscratch.state;
+                        for b in 0..n {
+                            let taken = (quotas[b] - (state[b] >> 16)) as usize;
+                            if self.offline[b] {
+                                // A crashed bin neither serves nor counts
+                                // as a failed deletion *attempt* — it makes
+                                // none. Its quota was 0, so there is
+                                // nothing to commit.
+                                debug_assert_eq!(taken, 0);
                                 let load = arena.len(b) as u64;
                                 buffered += load;
                                 max_load = max_load.max(load);
+                                continue;
                             }
-                        }
-                    }
-                }
-                BinStore::Arena(arena) => {
-                    for b in 0..n {
-                        if self.offline[b] {
-                            // A crashed bin neither serves nor counts as a
-                            // failed deletion *attempt* — it makes none.
+                            match arena.commit_serve(b, taken) {
+                                Some(ball) => {
+                                    waiting_times.push(ball.age_at(round));
+                                    self.total_deleted += 1;
+                                }
+                                None => failed_deletions += 1,
+                            }
                             let load = arena.len(b) as u64;
                             buffered += load;
                             max_load = max_load.max(load);
-                            continue;
                         }
-                        match arena.serve(b) {
-                            Some(ball) => {
-                                waiting_times.push(ball.age_at(round));
-                                self.total_deleted += 1;
-                            }
-                            None => failed_deletions += 1,
-                        }
+                    }
+                }
+            }
+            BinStore::Arena(arena) => {
+                for b in 0..n {
+                    if self.offline[b] {
+                        // A crashed bin neither serves nor counts as a
+                        // failed deletion *attempt* — it makes none.
                         let load = arena.len(b) as u64;
                         buffered += load;
                         max_load = max_load.max(load);
+                        continue;
                     }
+                    match arena.serve(b) {
+                        Some(ball) => {
+                            waiting_times.push(ball.age_at(round));
+                            self.total_deleted += 1;
+                        }
+                        None => failed_deletions += 1,
+                    }
+                    let load = arena.len(b) as u64;
+                    buffered += load;
+                    max_load = max_load.max(load);
                 }
-                BinStore::Buffers(bins) => {
-                    for (bin, &offline) in bins.iter_mut().zip(&self.offline) {
-                        if offline {
-                            // A crashed bin neither serves nor counts as a
-                            // failed deletion *attempt* — it makes none.
-                            buffered += bin.len() as u64;
-                            max_load = max_load.max(bin.len() as u64);
-                            continue;
-                        }
-                        match bin.serve() {
-                            Some(ball) => {
-                                waiting_times.push(ball.age_at(round));
-                                self.total_deleted += 1;
-                            }
-                            None => failed_deletions += 1,
-                        }
-                        let load = bin.len() as u64;
-                        buffered += load;
-                        max_load = max_load.max(load);
+            }
+            BinStore::Buffers(bins) => {
+                for (bin, &offline) in bins.iter_mut().zip(&self.offline) {
+                    if offline {
+                        // A crashed bin neither serves nor counts as a
+                        // failed deletion *attempt* — it makes none.
+                        buffered += bin.len() as u64;
+                        max_load = max_load.max(bin.len() as u64);
+                        continue;
                     }
+                    match bin.serve() {
+                        Some(ball) => {
+                            waiting_times.push(ball.age_at(round));
+                            self.total_deleted += 1;
+                        }
+                        None => failed_deletions += 1,
+                    }
+                    let load = bin.len() as u64;
+                    buffered += load;
+                    max_load = max_load.max(load);
                 }
             }
         }

@@ -119,15 +119,9 @@ pub struct BinShard {
     counts: Vec<u32>,
     quotas: Vec<u32>,
     state: Vec<u32>,
-    /// Acceptance kernel variant (see [`KernelMode`]). Within one shard
-    /// the SIMD and parallel modes are the same SWAR accept sweep —
-    /// intra-round parallelism is the dispatch service's job (one thread
-    /// per shard), so `ArenaParallel` degrades to `ArenaSimd` here.
+    /// Acceptance kernel (see [`KernelMode`]): the arena kernel, or the
+    /// scalar per-ball walk for differential tests.
     kernel: KernelMode,
-    /// Unzipped request scratch for the SWAR accept path (persisted so the
-    /// steady state allocates nothing).
-    ball_buf: Vec<Ball>,
-    choice_buf: Vec<u32>,
 }
 
 impl BinShard {
@@ -160,8 +154,6 @@ impl BinShard {
             quotas: Vec::new(),
             state: Vec::new(),
             kernel: KernelMode::default(),
-            ball_buf: Vec::new(),
-            choice_buf: Vec::new(),
         }
     }
 
@@ -216,28 +208,17 @@ impl BinShard {
             quotas: Vec::new(),
             state: Vec::new(),
             kernel: KernelMode::default(),
-            ball_buf: Vec::new(),
-            choice_buf: Vec::new(),
         }
     }
 
-    /// Selects the acceptance kernel (builder form, for construction
-    /// sites). Within a shard `ArenaParallel` runs the same SWAR sweep as
-    /// `ArenaSimd` — the service's parallelism is one thread per shard, so
-    /// a nested per-round worker pool would oversubscribe the host.
-    /// `Scalar` keeps whatever storage the shard was built with and simply
-    /// routes acceptance through the per-ball walk.
+    /// Selects the acceptance kernel (builder form). `Scalar` keeps
+    /// whatever storage the shard was built with and simply routes
+    /// acceptance through the per-ball walk — the oracle the differential
+    /// tests compare the arena kernel against.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// Switches the acceptance kernel in place (see
-    /// [`with_kernel`](Self::with_kernel)). Takes effect from the next
-    /// `accept` call; no storage conversion happens at shard level.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
-        self.kernel = kernel;
     }
 
     /// The acceptance kernel this shard runs.
@@ -356,8 +337,6 @@ impl BinShard {
             quotas: Vec::new(),
             state: Vec::new(),
             kernel: KernelMode::default(),
-            ball_buf: Vec::new(),
-            choice_buf: Vec::new(),
         }
     }
 
@@ -432,42 +411,16 @@ impl BinShard {
                 if self.kernel != KernelMode::Scalar && requests.len() <= u32::MAX as usize =>
             {
                 let stream = || requests.iter().map(|&(local, ball)| (local as usize, ball));
-                let fast = if self.kernel.uses_simd() {
-                    // SWAR accept sweep: unzip the routed pairs into the
-                    // persisted parallel slices the vector kernel wants.
-                    // The shard's accept and serve stages are separate
-                    // calls, so registers are never primed across rounds
-                    // and the fused SWAR serve does not apply here.
-                    self.ball_buf.clear();
-                    self.choice_buf.clear();
-                    self.ball_buf.extend(requests.iter().map(|&(_, ball)| ball));
-                    self.choice_buf
-                        .extend(requests.iter().map(|&(local, _)| local));
-                    let mut regular = false;
-                    crate::simd::fast_accept_simd(
-                        arena,
-                        &self.offline,
-                        &mut self.state,
-                        &mut self.quotas,
-                        &self.ball_buf,
-                        &self.choice_buf,
-                        rejected,
-                        false,
-                        &mut regular,
-                    )
-                } else {
-                    fast_accept(
-                        arena,
-                        &self.offline,
-                        &mut self.state,
-                        &mut self.quotas,
-                        requests.len(),
-                        stream(),
-                        rejected,
-                        false,
-                    )
-                };
-                match fast {
+                match fast_accept(
+                    arena,
+                    &self.offline,
+                    &mut self.state,
+                    &mut self.quotas,
+                    requests.len(),
+                    stream(),
+                    rejected,
+                    false,
+                ) {
                     Some(accepted) => {
                         // The shard's accept and serve stages are separate
                         // calls with observable state in between, so the

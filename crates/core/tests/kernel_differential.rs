@@ -9,13 +9,10 @@
 //! [`KernelMode::Scalar`] pins the pre-kernel implementation (one
 //! `VecDeque` per bin, one RNG draw and one random-access push per ball),
 //! so these tests are an executable statement of the old-vs-new
-//! equivalence, not a fixture comparison.
-//!
-//! The SWAR ([`KernelMode::ArenaSimd`]) and intra-round multicore
-//! ([`KernelMode::ArenaParallel`]) kernels are held to the same oracle:
-//! every suite below that sweeps `NEW_KERNELS` proves them bit-identical
-//! to the scalar reference — across faults, checkpoints, kernel switches
-//! mid-run, and elastic shard membership changes.
+//! equivalence, not a fixture comparison. Beyond the round kernel itself
+//! they pin heavy pool surges, kernel switches mid-run (storage
+//! conversion both ways), checkpoint restores into either kernel, and
+//! `BinShard` acceptance through elastic membership changes.
 
 use iba_core::checkpoint;
 use iba_core::process::KernelMode;
@@ -35,20 +32,6 @@ const CELLS: &[(usize, u32, f64)] = &[
 ];
 
 const SEEDS: &[u64] = &[1, 42, 0xDEAD_BEEF];
-
-/// The vectorized kernels added on top of the counting-sort arena; each
-/// must match the scalar oracle bit-for-bit.
-const NEW_KERNELS: &[KernelMode] = &[KernelMode::ArenaSimd, KernelMode::ArenaParallel];
-
-/// A process running `kernel`; the parallel kernel gets a fixed worker
-/// count so the tests don't depend on the host's core count.
-fn with_kernel(config: CappedConfig, kernel: KernelMode) -> CappedProcess {
-    let mut p = CappedProcess::with_kernel(config, kernel);
-    if kernel == KernelMode::ArenaParallel {
-        p.set_kernel_threads(3);
-    }
-    p
-}
 
 fn pair(n: usize, c: u32, lambda: f64) -> (CappedProcess, CappedProcess) {
     let config = CappedConfig::new(n, c, lambda).expect("valid cell");
@@ -412,99 +395,28 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
 }
 
 #[test]
-fn simd_kernels_are_bit_exact_across_cells_and_seeds() {
-    for &kernel in NEW_KERNELS {
-        for &(n, c, lambda) in CELLS {
-            for &seed in SEEDS {
-                let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-                let mut fast = with_kernel(config.clone(), kernel);
-                let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-                let what = format!("{kernel:?} n={n} c={c} lambda={lambda} seed={seed}");
-                assert_lockstep(&mut fast, &mut scalar, seed, 300, &what);
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_kernels_are_bit_exact_under_fault_injection() {
-    // The fault scenario drives every irregularity the SWAR sweep must
-    // detect and route around: offline windows, degraded and unbounded
-    // capacities (stride growth), and pool surges.
-    for &kernel in NEW_KERNELS {
-        for &seed in SEEDS {
-            let config = CappedConfig::new(48, 2, 0.75).expect("valid");
-            let mut fast = FaultedProcess::new(with_kernel(config.clone(), kernel), scenario());
-            let mut scalar = FaultedProcess::new(
-                CappedProcess::with_kernel(config, KernelMode::Scalar),
-                scenario(),
-            );
-            let mut rng_f = SimRng::seed_from(seed);
-            let mut rng_s = SimRng::seed_from(seed);
-            for round in 0..120 {
-                let a = fast.step(&mut rng_f);
-                let s = scalar.step(&mut rng_s);
-                assert_eq!(a, s, "{kernel:?} faulted divergence at round {round}");
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_kernels_are_bit_exact_on_heterogeneous_capacities() {
-    // Non-uniform profiles force the SIMD accept to delegate to the plain
-    // fast path and the parallel driver to refuse its partitioned sweep —
-    // both still bit-exact.
-    let n = 96;
-    let profile: Vec<u32> = (0..n as u32).map(|i| 1 + (i % 4)).collect();
-    let config = CappedConfig::new(n, 2, 0.75)
-        .expect("valid")
-        .with_capacity_profile(profile)
-        .expect("valid profile");
-    for &kernel in NEW_KERNELS {
-        let mut fast = with_kernel(config.clone(), kernel);
-        let mut scalar = CappedProcess::with_kernel(config.clone(), KernelMode::Scalar);
-        let what = format!("{kernel:?} heterogeneous profile");
-        assert_lockstep(&mut fast, &mut scalar, 9, 250, &what);
-    }
-}
-
-#[test]
-fn parallel_kernel_spawns_real_threads_and_stays_bit_exact() {
-    // Rounds below the spawn threshold run the partitioned kernel inline;
-    // a large pool surge pushes the throw count past it so worker threads
-    // actually scatter and serve concurrently for many rounds.
+fn arena_kernel_is_bit_exact_under_heavy_pool_surge() {
+    // A pool ~100× the bin count: every round throws far more balls than
+    // the bins can take, so nearly every request is rejected back to the
+    // pool and the reject list dominates the round.
     let config = CappedConfig::new(512, 2, 0.75).expect("valid");
-    let mut par = with_kernel(config.clone(), KernelMode::ArenaParallel);
-    par.set_kernel_threads(4);
+    let mut arena = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
     let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-    par.inject_pool(50_000);
+    arena.inject_pool(50_000);
     scalar.inject_pool(50_000);
-    let mut rng_p = SimRng::seed_from(5);
-    let mut rng_s = SimRng::seed_from(5);
-    for round in 0..40 {
-        let a = par.step(&mut rng_p);
-        let s = scalar.step(&mut rng_s);
-        assert!(
-            round > 0 || a.thrown > (1 << 15),
-            "surge must exceed the spawn threshold"
-        );
-        assert_eq!(a, s, "spawned-thread divergence at round {round}");
-    }
+    assert_lockstep(&mut arena, &mut scalar, 5, 40, "pool surge");
 }
 
 #[test]
 fn set_kernel_switches_modes_mid_run_without_divergence() {
-    // One process hops through every kernel (converting storage both
+    // One process hops between the kernels (converting storage both
     // directions) while the reference stays scalar; the trajectory must
     // not notice.
     let schedule = [
         KernelMode::Scalar,
-        KernelMode::ArenaSimd,
         KernelMode::Arena,
-        KernelMode::ArenaParallel,
         KernelMode::Scalar,
-        KernelMode::ArenaParallel,
+        KernelMode::Arena,
     ];
     for &(n, c, lambda) in &[(64, 2, 0.75), (96, 3, 0.875)] {
         let config = CappedConfig::new(n, c, lambda).expect("valid cell");
@@ -514,9 +426,6 @@ fn set_kernel_switches_modes_mid_run_without_divergence() {
         let mut rng_s = SimRng::seed_from(77);
         for (leg, &kernel) in schedule.iter().enumerate() {
             hopper.set_kernel(kernel);
-            if kernel == KernelMode::ArenaParallel {
-                hopper.set_kernel_threads(1 + leg);
-            }
             assert_eq!(hopper.kernel(), kernel);
             for round in 0..40 {
                 let a = hopper.step(&mut rng_h);
@@ -530,14 +439,17 @@ fn set_kernel_switches_modes_mid_run_without_divergence() {
 }
 
 #[test]
-fn simd_checkpoint_restores_and_continues_identically() {
-    // A checkpoint taken under the SWAR kernel restores (onto the default
-    // arena kernel), is switched back to each new kernel, and continues
-    // the exact trajectory of both the uninterrupted original and the
-    // scalar oracle.
-    for &kernel in NEW_KERNELS {
+fn checkpoint_restores_into_either_kernel_and_continues_identically() {
+    // A checkpoint taken under each kernel restores (onto the default
+    // arena kernel), is switched back to the kernel it was taken under,
+    // and continues the exact trajectory of both the uninterrupted
+    // original and the scalar oracle.
+    for &kernel in &[KernelMode::Arena, KernelMode::Scalar] {
         let config = CappedConfig::new(96, 2, 0.875).expect("valid");
-        let mut sim = Simulation::new(with_kernel(config.clone(), kernel), SimRng::seed_from(13));
+        let mut sim = Simulation::new(
+            CappedProcess::with_kernel(config.clone(), kernel),
+            SimRng::seed_from(13),
+        );
         let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
         let mut scalar_rng = SimRng::seed_from(13);
         for _ in 0..80 {
@@ -548,9 +460,7 @@ fn simd_checkpoint_restores_and_continues_identically() {
         let bytes = checkpoint::save(&sim);
         let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
         restored.process_mut().set_kernel(kernel);
-        if kernel == KernelMode::ArenaParallel {
-            restored.process_mut().set_kernel_threads(3);
-        }
+        assert_eq!(restored.process().kernel(), kernel);
         for round in 0..80 {
             let a = sim.step();
             let r = restored.step();
@@ -567,13 +477,9 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
     // it past c₀, degrade it back to c₀, and checkpoint. The restore
     // re-derives a *uniform* capacity profile around a bin whose load
     // exceeds c₀; the re-arm sweep must give that bin zero room
-    // (`saturating_sub`), not an underflowed 16-bit quota. Every kernel
-    // continues bit-exactly while the overfull bin drains.
-    for &kernel in &[
-        KernelMode::Arena,
-        KernelMode::ArenaSimd,
-        KernelMode::ArenaParallel,
-    ] {
+    // (`saturating_sub`), not an underflowed 16-bit quota. Both kernels
+    // continue bit-exactly while the overfull bin drains.
+    for &kernel in &[KernelMode::Arena, KernelMode::Scalar] {
         let config = CappedConfig::new(16, 2, 0.75).expect("valid");
         let mut sim = Simulation::new(
             CappedProcess::with_kernel(config.clone(), KernelMode::Arena),
@@ -593,9 +499,6 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
         let bytes = checkpoint::save(&sim);
         let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
         restored.process_mut().set_kernel(kernel);
-        if kernel == KernelMode::ArenaParallel {
-            restored.process_mut().set_kernel_threads(2);
-        }
         for round in 0..60 {
             let a = sim.step();
             let r = restored.step();
@@ -608,51 +511,50 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
 
 #[test]
 fn shard_kernels_match_through_elastic_membership_changes() {
-    // BinShard-level oracle: a SWAR-kernel shard and a scalar-kernel shard
-    // fed identical routed streams stay identical through bin growth and
-    // shrink mid-run (the elastic-membership surface the service uses).
+    // BinShard-level oracle: an arena-kernel shard and a scalar-kernel
+    // shard fed identical routed streams stay identical through bin growth
+    // and shrink mid-run (the elastic-membership surface the service
+    // uses).
     use iba_core::shard::BinShard;
     use iba_core::Ball;
 
-    for &kernel in NEW_KERNELS {
-        let config = CappedConfig::new(16, 2, 0.75).expect("valid");
-        let mut fast = BinShard::new(&config, 0..8).with_kernel(kernel);
-        let mut scalar = BinShard::new(&config, 0..8).with_kernel(KernelMode::Scalar);
-        assert_eq!(fast.kernel(), kernel);
-        let mut rng = SimRng::seed_from(3);
-        let mut pending: Vec<Ball> = Vec::new();
-        for round in 1..=120u64 {
-            // Elastic membership: grow two bins mid-run, shrink one later.
-            if round == 30 || round == 45 {
-                let cap = Capacity::finite(2).unwrap();
-                fast.push_bin_with(cap, &[], false);
-                scalar.push_bin_with(cap, &[], false);
-            }
-            if round == 80 {
-                let (cf, bf, of) = fast.pop_bin();
-                let (cs, bs, os) = scalar.pop_bin();
-                assert_eq!((cf, &bf, of), (cs, &bs, os), "popped bins diverged");
-                pending.extend(bf); // drained balls re-enter the stream
-            }
-            let bins = fast.len();
-            pending.extend(std::iter::repeat_n(Ball::generated_in(round), 6));
-            pending.sort();
-            let requests: Vec<(u32, Ball)> = pending
-                .drain(..)
-                .map(|ball| (rng.uniform_bin(bins) as u32, ball))
-                .collect();
-            let (mut rej_f, mut rej_s) = (Vec::new(), Vec::new());
-            let af = fast.accept(&requests, &mut rej_f);
-            let a_s = scalar.accept(&requests, &mut rej_s);
-            assert_eq!(af, a_s, "{kernel:?} accept diverged at round {round}");
-            assert_eq!(rej_f, rej_s, "{kernel:?} rejects diverged at round {round}");
-            let (mut sf, mut wf, mut ss, mut ws) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            let stf = fast.serve(round, &mut sf, &mut wf);
-            let sts = scalar.serve(round, &mut ss, &mut ws);
-            assert_eq!((stf, &sf, &wf), (sts, &ss, &ws), "serve diverged");
-            assert_eq!(fast.loads(), scalar.loads(), "loads diverged");
-            pending = rej_f;
+    let config = CappedConfig::new(16, 2, 0.75).expect("valid");
+    let mut fast = BinShard::new(&config, 0..8);
+    let mut scalar = BinShard::new(&config, 0..8).with_kernel(KernelMode::Scalar);
+    assert_eq!(fast.kernel(), KernelMode::Arena);
+    let mut rng = SimRng::seed_from(3);
+    let mut pending: Vec<Ball> = Vec::new();
+    for round in 1..=120u64 {
+        // Elastic membership: grow two bins mid-run, shrink one later.
+        if round == 30 || round == 45 {
+            let cap = Capacity::finite(2).unwrap();
+            fast.push_bin_with(cap, &[], false);
+            scalar.push_bin_with(cap, &[], false);
         }
+        if round == 80 {
+            let (cf, bf, of) = fast.pop_bin();
+            let (cs, bs, os) = scalar.pop_bin();
+            assert_eq!((cf, &bf, of), (cs, &bs, os), "popped bins diverged");
+            pending.extend(bf); // drained balls re-enter the stream
+        }
+        let bins = fast.len();
+        pending.extend(std::iter::repeat_n(Ball::generated_in(round), 6));
+        pending.sort();
+        let requests: Vec<(u32, Ball)> = pending
+            .drain(..)
+            .map(|ball| (rng.uniform_bin(bins) as u32, ball))
+            .collect();
+        let (mut rej_f, mut rej_s) = (Vec::new(), Vec::new());
+        let af = fast.accept(&requests, &mut rej_f);
+        let a_s = scalar.accept(&requests, &mut rej_s);
+        assert_eq!(af, a_s, "accept diverged at round {round}");
+        assert_eq!(rej_f, rej_s, "rejects diverged at round {round}");
+        let (mut sf, mut wf, mut ss, mut ws) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let stf = fast.serve(round, &mut sf, &mut wf);
+        let sts = scalar.serve(round, &mut ss, &mut ws);
+        assert_eq!((stf, &sf, &wf), (sts, &ss, &ws), "serve diverged");
+        assert_eq!(fast.loads(), scalar.loads(), "loads diverged");
+        pending = rej_f;
     }
 }
 

@@ -63,8 +63,6 @@ fn headline_metrics(benchmark: &str) -> &'static [&'static str] {
             "cells.0.arena_speedup",
             "cells.1.arena_speedup",
             "cells.2.arena_speedup",
-            "cells.0.simd_speedup",
-            "cells.0.parallel_speedup",
         ],
         "obs_overhead" => &["cells.0.overhead_percent"],
         "serve_net" => &["accepted_per_sec", "admission_latency_us.p99"],

@@ -64,10 +64,11 @@ pub struct Provenance {
     pub host: String,
     /// `std::thread::available_parallelism()` on that machine.
     pub cores: u64,
-    /// Acceptance-kernel mode, when the run had one (`scalar`, `arena`,
-    /// `arena_simd`, `arena_parallel`).
+    /// Acceptance-kernel mode, when the run had one (`scalar`, `arena`;
+    /// records from older revisions may name since-deleted modes).
     pub kernel: Option<String>,
-    /// Resolved kernel worker-thread count, when the run had one.
+    /// Worker-thread count, when the run had one (one per shard for the
+    /// service harnesses, 1 for single-process kernels).
     pub threads: Option<u64>,
 }
 

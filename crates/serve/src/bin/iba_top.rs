@@ -39,7 +39,6 @@ struct Options {
     refresh_ms: u64,
     pace_us: u64,
     mode: RngMode,
-    kernel: KernelMode,
     /// Write one final plain-text dashboard frame here and exit.
     snapshot: Option<String>,
     /// Append the final state as a registry `RunRecord` JSON line here.
@@ -60,7 +59,6 @@ impl Options {
             refresh_ms: 250,
             pace_us: 1_000,
             mode: RngMode::PerShard,
-            kernel: KernelMode::default(),
             snapshot: None,
             snapshot_json: None,
         }
@@ -71,7 +69,7 @@ const USAGE: &str = "iba-top: live dashboard over a sharded CAPPED(c, lambda) se
 
 USAGE: iba-top [--n BINS] [--c CAP] [--lambda L] [--shards S] [--rounds N]
                [--seed SEED] [--refresh-ms MS] [--pace-us MICROS]
-               [--mode central|pershard] [--kernel scalar|arena|simd|parallel]
+               [--mode central|pershard]
                [--snapshot PATH] [--snapshot-json PATH]
 
 Runs the service under model arrivals with telemetry enabled and refreshes
@@ -88,20 +86,6 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Strin
     value
         .parse()
         .map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
-/// Parses a `--kernel` value; every mode is bit-exact, so this is purely
-/// a performance knob (see DESIGN.md "Round kernel").
-fn parse_kernel(value: &str) -> Result<KernelMode, String> {
-    match value {
-        "scalar" => Ok(KernelMode::Scalar),
-        "arena" => Ok(KernelMode::Arena),
-        "simd" => Ok(KernelMode::ArenaSimd),
-        "parallel" => Ok(KernelMode::ArenaParallel),
-        other => Err(format!(
-            "--kernel must be scalar|arena|simd|parallel, got {other}"
-        )),
-    }
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -130,7 +114,6 @@ fn parse_args() -> Result<Options, String> {
                     _ => return Err(format!("--mode must be central or pershard, got {value}")),
                 }
             }
-            "--kernel" => opts.kernel = parse_kernel(&value)?,
             "--snapshot" => opts.snapshot = Some(value),
             "--snapshot-json" => opts.snapshot_json = Some(value),
             other => return Err(format!("unknown flag {other}")),
@@ -257,12 +240,6 @@ fn render_frame(
         ("merge", "iba_serve_phase_merge_nanos"),
         ("shard round", "iba_serve_shard_round_nanos"),
         ("full round", "iba_serve_round_nanos"),
-        // Kernel sub-phases (sampled only on SIMD/parallel kernel modes;
-        // "prime" appears only on cold rounds — its absence at steady
-        // state means the register-priming sweep is being elided).
-        ("krn prime", "iba_core_phase_prime_nanos"),
-        ("krn scatter", "iba_core_phase_scatter_nanos"),
-        ("krn merge", "iba_core_phase_merge_nanos"),
     ] {
         let _ = writeln!(
             frame,
@@ -284,7 +261,7 @@ fn config_pairs(opts: &Options) -> Vec<(String, String)> {
         ("shards".to_string(), opts.shards.to_string()),
         ("rounds".to_string(), opts.rounds.to_string()),
         ("seed".to_string(), opts.seed.to_string()),
-        ("kernel".to_string(), opts.kernel.name().to_string()),
+        ("kernel".to_string(), KernelMode::Arena.name().to_string()),
     ]
 }
 
@@ -315,7 +292,7 @@ fn snapshot_record(opts: &Options, service: &CappedService, wall_ms: f64) -> Run
         benchmark: "iba_top".to_string(),
         config_hash: content_hash(&config_pairs(opts)),
         seed: opts.seed,
-        provenance: Provenance::collect().with_kernel(opts.kernel.name(), opts.shards),
+        provenance: Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
         wall_ms,
         unix_time: unix_time_now(),
         metrics,
@@ -326,7 +303,7 @@ fn run(opts: &Options) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
     iba_obs::flight::set_run_context(
-        Provenance::collect().with_kernel(opts.kernel.name(), opts.shards),
+        Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
     );
 
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
@@ -334,7 +311,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let mut service = CappedService::spawn(
         ServiceConfig::new(capped, opts.shards, opts.seed)
             .with_rng_mode(opts.mode)
-            .with_kernel(opts.kernel)
             .with_model_arrivals(true),
     )
     .map_err(|e| format!("invalid service configuration: {e}"))?;

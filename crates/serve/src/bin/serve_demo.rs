@@ -35,7 +35,6 @@ struct Options {
     pace_us: u64,
     metrics_every: u64,
     mode: RngMode,
-    kernel: KernelMode,
     ingress_capacity: usize,
     telemetry: bool,
     listen: Option<String>,
@@ -60,7 +59,6 @@ impl Options {
             pace_us: 0,
             metrics_every: 0,
             mode: RngMode::PerShard,
-            kernel: KernelMode::default(),
             ingress_capacity: 1 << 16,
             telemetry: false,
             listen: None,
@@ -80,7 +78,6 @@ const USAGE: &str =
 USAGE: serve_demo [--rounds N] [--shards S] [--n BINS] [--c CAP] [--lambda L]
                   [--seed SEED] [--generators G] [--pace-us MICROS]
                   [--metrics-every K] [--mode central|pershard] [--ingress-cap Q]
-                  [--kernel scalar|arena|simd|parallel]
                   [--telemetry] [--listen ADDR] [--elastic]
                   [--checkpoint PATH] [--checkpoint-every K] [--resume]
                   [--chaos SPEC] [--chaos-seed SEED]
@@ -112,12 +109,6 @@ Network-mode resilience (all require --listen):
                        partial[:max_bytes[:rounds]], garbage[:conns[:bytes]]
                        e.g. --chaos 10:drop:2,20:partial:8:5,30:garbage:1:64
 --chaos-seed SEED      seed for victim picks and garbage (default --seed)
-
---kernel picks the round kernel (default arena): every mode computes the
-bit-identical trajectory, so this is purely a speed knob — simd adds the
-u64-SWAR meta sweeps, parallel additionally arms the intra-round worker
-pool in single-process mode (within a shard it equals simd; worker count
-honors IBA_THREADS). See DESIGN.md 'Round kernel'.
 
 --elastic arms the membership autoscaler: the service watches its pool
 against the Theorem 1 bound each round and grows the fleet (up to 4n bins)
@@ -173,19 +164,6 @@ fn parse_args() -> Result<Options, String> {
                     "central" => RngMode::Central,
                     "pershard" => RngMode::PerShard,
                     _ => return Err(format!("--mode must be central or pershard, got {value}")),
-                }
-            }
-            "--kernel" => {
-                opts.kernel = match value.as_str() {
-                    "scalar" => KernelMode::Scalar,
-                    "arena" => KernelMode::Arena,
-                    "simd" => KernelMode::ArenaSimd,
-                    "parallel" => KernelMode::ArenaParallel,
-                    _ => {
-                        return Err(format!(
-                            "--kernel must be scalar|arena|simd|parallel, got {value}"
-                        ))
-                    }
                 }
             }
             other => return Err(format!("unknown flag {other}")),
@@ -339,13 +317,12 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
     iba_obs::flight::set_run_context(
-        iba_obs::json::Provenance::collect().with_kernel(opts.kernel.name(), opts.shards),
+        iba_obs::json::Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
     );
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
     let service_config = ServiceConfig::new(capped, opts.shards, opts.seed)
         .with_rng_mode(opts.mode)
-        .with_kernel(opts.kernel)
         .with_ingress_capacity(opts.ingress_capacity);
     let mut autosaver = opts
         .checkpoint
@@ -492,7 +469,7 @@ fn run(opts: &Options) -> Result<(), String> {
     if iba_obs::enabled() {
         iba_obs::flight::install_panic_hook();
         iba_obs::flight::set_run_context(
-            iba_obs::json::Provenance::collect().with_kernel(opts.kernel.name(), opts.shards),
+            iba_obs::json::Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
         );
     }
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
@@ -502,7 +479,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let mut service = CappedService::spawn(
         ServiceConfig::new(capped, opts.shards, opts.seed)
             .with_rng_mode(opts.mode)
-            .with_kernel(opts.kernel)
             .with_ingress_capacity(opts.ingress_capacity)
             .with_max_admit_per_round(Some(per_round)),
     )

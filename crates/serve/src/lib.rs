@@ -91,7 +91,7 @@ pub use net::{
 };
 pub use proto::{CloseReason, Frame, FrameDecoder, ProtoError};
 pub use service::{CappedService, RngMode, ServiceConfig};
-// Re-exported so serve-layer users can pick a round kernel without a
-// direct `iba_core` dependency (`ServiceConfig::with_kernel`).
+// Re-exported so serve-layer users can name the round kernel reported by
+// `CappedService::kernel_mode` without a direct `iba_core` dependency.
 pub use iba_core::KernelMode;
 pub use workload::{run_open_loop, OpenLoop, WorkloadSummary};

@@ -98,11 +98,6 @@ pub struct ServiceConfig {
     /// passed; the ball itself still gets served — paper semantics are
     /// untouched). `None` keeps tickets forever.
     pub ticket_ttl_rounds: Option<u64>,
-    /// Acceptance kernel every shard runs (see [`KernelMode`]). All
-    /// variants are bit-exact; within a shard `ArenaParallel` runs the
-    /// same SWAR sweep as `ArenaSimd` because the service's parallelism
-    /// is already one thread per shard.
-    pub kernel: KernelMode,
 }
 
 impl ServiceConfig {
@@ -119,7 +114,6 @@ impl ServiceConfig {
             ingress_capacity: 1 << 16,
             max_admit_per_round: None,
             ticket_ttl_rounds: None,
-            kernel: KernelMode::default(),
         }
     }
 
@@ -163,13 +157,6 @@ impl ServiceConfig {
         self.ticket_ttl_rounds = ttl;
         self
     }
-
-    /// Selects the acceptance kernel the shard workers run.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 struct Worker {
@@ -196,8 +183,6 @@ pub struct CappedService {
     /// Next stable worker id to hand out (split shards get fresh ids).
     next_worker_id: usize,
     rng_mode: RngMode,
-    /// Acceptance kernel handed to every shard (split shards inherit it).
-    kernel: KernelMode,
     model_arrivals: bool,
     max_admit: Option<u64>,
     driver_rng: SimRng,
@@ -283,12 +268,7 @@ impl CappedService {
             .iter()
             .cloned()
             .zip(shard_rngs)
-            .map(|(range, rng)| {
-                (
-                    BinShard::new(&config.capped, range).with_kernel(config.kernel),
-                    rng,
-                )
-            })
+            .map(|(range, rng)| (BinShard::new(&config.capped, range), rng))
             .collect();
         let live_n = config.capped.bins();
         Ok(Self::assemble(
@@ -363,7 +343,6 @@ impl CappedService {
             live_n,
             next_worker_id: shards,
             rng_mode: config.rng_mode,
-            kernel: config.kernel,
             model_arrivals: config.model_arrivals,
             max_admit: config.max_admit_per_round,
             driver_rng,
@@ -564,8 +543,7 @@ impl CappedService {
                 .map(|i| process.bin(i).iter().copied().collect())
                 .collect();
             let offline: Vec<bool> = range.clone().map(|i| process.is_bin_offline(i)).collect();
-            let bins = BinShard::from_state(&expected, range, caps, contents, offline)
-                .with_kernel(config.kernel);
+            let bins = BinShard::from_state(&expected, range, caps, contents, offline);
             let rng = match saved_mode {
                 RngMode::Central => None,
                 RngMode::PerShard => Some(SimRng::from_state(shard_rng_states[s])),
@@ -810,9 +788,11 @@ impl CappedService {
         self.balls_moved
     }
 
-    /// Acceptance kernel every shard runs.
+    /// Acceptance kernel every shard runs: always the production
+    /// [`KernelMode::Arena`] (the scalar oracle is a `BinShard`-level test
+    /// hook, not a service option).
     pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
+        KernelMode::Arena
     }
 
     /// Worker threads serving rounds (one per shard).
@@ -1369,8 +1349,7 @@ impl CappedService {
         let parts = rx.recv().expect("shard worker alive");
         let upper_buffered: u64 = parts.iter().map(|(_, c, _)| c.len() as u64).sum();
         let first_bin = range.start + at;
-        let bins =
-            BinShard::from_parts(first_bin, self.config.capacity(), parts).with_kernel(self.kernel);
+        let bins = BinShard::from_parts(first_bin, self.config.capacity(), parts);
         let rng = match self.rng_mode {
             RngMode::Central => None,
             // A fresh deterministic stream: split off the driver's

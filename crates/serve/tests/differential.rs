@@ -12,12 +12,13 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use iba_core::{CappedConfig, CappedProcess, KernelMode};
+use iba_core::{checkpoint, CappedConfig, CappedProcess, KernelMode};
 use iba_serve::proto::MAGIC;
 use iba_serve::{CappedService, Frame, FrameDecoder, NetFrontend, RngMode, ServiceConfig};
+use iba_sim::codec::Decoder;
 use iba_sim::faults::{FaultEvent, FaultPlan, FaultedProcess};
 use iba_sim::process::AllocationProcess;
-use iba_sim::SimRng;
+use iba_sim::{SimRng, Simulation};
 
 /// The (n, c, λ) cells exercised by every differential test. λn must be
 /// integral; the cells cover tight (c = 1), paper-typical (c = 2..4), and
@@ -324,6 +325,38 @@ fn crash_restart_trajectory_is_bit_identical_to_uninterrupted_process() {
         }
         assert_eq!(resumed.pool_size(), reference.pool_size());
         assert!(resumed.conserves_balls());
+    }
+}
+
+/// The service's embedded core checkpoint is the bare process's
+/// checkpoint, byte for byte: after a faulted lock-step run, the `IBA1`
+/// payload inside `checkpoint_bytes()` equals `iba_core::checkpoint::save`
+/// of the reference simulation (same pool, bin queues, live capacities,
+/// offline mask, counters, and RNG position), for any shard count.
+#[test]
+fn embedded_core_checkpoint_is_byte_identical_to_process_checkpoint() {
+    for shards in [1usize, 4] {
+        let config = CappedConfig::new(48, 2, 0.75).expect("valid");
+        let mut reference = FaultedProcess::new(CappedProcess::new(config.clone()), scenario());
+        let mut rng = SimRng::seed_from(2024);
+        let mut service = spawn_central(config, shards, 2024);
+        service.schedule(scenario());
+        for round in 0..40 {
+            assert_eq!(
+                service.run_round(),
+                reference.step(&mut rng),
+                "divergence at shards={shards} round={round}"
+            );
+        }
+        let envelope = service.checkpoint_bytes();
+        let mut dec = Decoder::new(&envelope).expect("valid envelope");
+        dec.header("IBSV", 2).expect("serve envelope header");
+        let embedded = dec.byte_seq("core checkpoint").expect("embedded core");
+        let expected = checkpoint::save(&Simulation::new(reference.inner().clone(), rng.clone()));
+        assert!(
+            embedded == expected.as_slice(),
+            "embedded IBA1 bytes differ from the process checkpoint at shards={shards}"
+        );
     }
 }
 

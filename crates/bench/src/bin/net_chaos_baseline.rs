@@ -347,7 +347,7 @@ fn run_chaos(tuning: &Tuning) -> Result<ChaosOutcome, String> {
         .with_rng_mode(RngMode::PerShard)
         .with_ingress_capacity(CHAOS_INGRESS);
     let mut service = CappedService::spawn(service_config.clone()).map_err(|e| e.to_string())?;
-    let kernel = (service.kernel_mode().name(), service.kernel_threads());
+    let kernel = (service.kernel_mode().name(), service.shards());
     let completions = service.take_completions().expect("fresh service");
     let mut frontend = NetFrontend::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
     frontend.set_admission_control(AdmissionControl::default().with_shedding(SHED_START, SEED));

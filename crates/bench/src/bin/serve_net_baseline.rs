@@ -346,7 +346,7 @@ fn run_in_process(opts: &Options, started: Instant) -> Result<(), String> {
             .with_ingress_capacity(1 << 16),
     )
     .map_err(|e| e.to_string())?;
-    let kernel = (service.kernel_mode().name(), service.kernel_threads());
+    let kernel = (service.kernel_mode().name(), service.shards());
     let completions = service.take_completions().expect("fresh service");
     let frontend = NetFrontend::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
     let addr = frontend.local_addr();

@@ -38,6 +38,7 @@ use crate::ball::Ball;
 use crate::buffer::BinBuffer;
 use crate::config::Capacity;
 use crate::obs;
+use crate::process::KernelMode;
 
 /// Strides are initially clamped to this many slots; bins whose capacity
 /// exceeds the clamp grow the arena lazily on first overflow, exactly like
@@ -498,13 +499,29 @@ pub(crate) enum BinStore {
 }
 
 impl BinStore {
-    /// Builds storage for the given live capacities: the arena unless any
-    /// bin is unbounded or the caller forces the legacy layout.
-    pub(crate) fn from_capacities(caps: Vec<Capacity>, force_buffers: bool) -> Self {
-        if force_buffers || caps.contains(&Capacity::Infinite) {
-            BinStore::Buffers(caps.into_iter().map(BinBuffer::new).collect())
+    /// Builds storage holding `contents` (one FIFO list per bin, oldest
+    /// first; missing trailing bins start empty) under the given live
+    /// capacities — the one storage-selection rule. The layout is keyed on the *configured* capacity class `base`
+    /// and the kernel: the `Scalar` oracle and unbounded configurations get
+    /// per-bin buffers, every other configuration gets the flat arena, even
+    /// when faults degraded some live capacities to unbounded (the arena
+    /// grows those on demand).
+    pub(crate) fn new(
+        base: Capacity,
+        kernel: KernelMode,
+        caps: Vec<Capacity>,
+        contents: Vec<Vec<Ball>>,
+    ) -> Self {
+        assert!(contents.len() <= caps.len(), "more bin contents than bins");
+        if kernel == KernelMode::Scalar || base == Capacity::Infinite {
+            let mut contents = contents.into_iter();
+            BinStore::Buffers(
+                caps.into_iter()
+                    .map(|cap| BinBuffer::restore(cap, contents.next().unwrap_or_default()))
+                    .collect(),
+            )
         } else {
-            BinStore::Arena(BinArena::new(caps))
+            BinStore::Arena(BinArena::from_bins(caps, contents))
         }
     }
 
@@ -607,11 +624,11 @@ impl BinStore {
 ///
 /// **The scatter does not update ring lengths.** On `Some`, the caller
 /// must fold the per-bin accepted counts into the arena before it is
-/// next read. For a uniformly-capacitated arena the count is recomputed
-/// from the (still pre-accept) bin metadata — use [`commit_accepts_uniform`]
-/// or [`BinArena::commit_serve_uniform`] per bin, no quota scratch
-/// involved; otherwise the count is `quotas[b] − state[b] >> 16` — use
-/// [`commit_accepts`] or [`BinArena::commit_serve`] per bin.
+/// next read — the shard's deletion sweep does so while it serves. For a
+/// uniformly-capacitated arena the count is recomputed from the (still
+/// pre-accept) bin metadata by [`BinArena::commit_serve_uniform`], no
+/// quota scratch involved; otherwise the count is
+/// `quotas[b] − state[b] >> 16`, folded in by [`BinArena::commit_serve`].
 ///
 /// Returns `None` **without consuming the stream** if some bin's quota
 /// could overflow its ring (`ℓ + quota > stride`, possible only after a
@@ -740,43 +757,6 @@ fn bail() -> Option<u64> {
         p.fast_accept_bailouts.inc();
     }
     None
-}
-
-/// Folds the per-bin accepted counts of a successful [`fast_accept`] into
-/// the arena's ring lengths — the plain commit sweep, used where the
-/// deletion stage does not immediately follow (the shard's two-phase
-/// round). [`CappedProcess`](crate::process::CappedProcess) fuses this
-/// into its deletion sweep via [`BinArena::commit_serve`] instead. Only
-/// for non-uniform capacity profiles (the only case [`fast_accept`]
-/// fills `quotas` for); see [`commit_accepts_uniform`].
-pub(crate) fn commit_accepts(arena: &mut BinArena, state: &[u32], quotas: &[u32]) {
-    for (b, (&q, &s)) in quotas.iter().zip(state).enumerate() {
-        let taken = q - (s >> 16);
-        if taken > 0 {
-            arena.add_len(b, taken as usize);
-        }
-    }
-}
-
-/// The uniform-capacity form of [`commit_accepts`]: each bin's accepted
-/// count is recomputed from its (still pre-accept) length as
-/// `(c₀ − ℓ) − remaining`, so no quota scratch is read or written.
-pub(crate) fn commit_accepts_uniform(
-    arena: &mut BinArena,
-    offline: &[bool],
-    state: &[u32],
-    c0: u32,
-) {
-    for (b, (&s, &off)) in state.iter().zip(offline).enumerate() {
-        if off {
-            debug_assert_eq!(s >> 16, 0, "offline bins accept nothing");
-            continue;
-        }
-        let taken = (c0 as usize).saturating_sub(arena.len(b)) - (s >> 16) as usize;
-        if taken > 0 {
-            arena.add_len(b, taken);
-        }
-    }
 }
 
 /// The exact-histogram form of the counting-sort acceptance pass (see the
@@ -1017,7 +997,6 @@ mod tests {
             false,
         )
         .expect("no ring overflow possible");
-        commit_accepts(&mut fast_arena, &state, &quotas);
 
         let mut exact_arena = BinArena::from_bins(caps, contents);
         let (mut counts, mut equotas, mut exact_rejected) = (Vec::new(), Vec::new(), Vec::new());
@@ -1033,6 +1012,14 @@ mod tests {
         assert_eq!(fast, exact);
         assert_eq!(fast_rejected, exact_rejected);
         for b in 0..4 {
+            // The fused commit + serve folds the fast path's accepted count
+            // in; the exact pass already committed its lengths.
+            let taken = (quotas[b] - (state[b] >> 16)) as usize;
+            assert_eq!(
+                fast_arena.commit_serve(b, taken),
+                exact_arena.serve(b),
+                "served from bin {b}"
+            );
             let f: Vec<u64> = fast_arena.iter_bin(b).map(Ball::label).collect();
             let e: Vec<u64> = exact_arena.iter_bin(b).map(Ball::label).collect();
             assert_eq!(f, e, "bin {b}");
@@ -1060,11 +1047,13 @@ mod tests {
             false,
         )
         .expect("fits");
-        commit_accepts_uniform(&mut arena, &[false], &state, 2);
         assert_eq!(accepted, 1);
         assert!(rejected.is_empty());
+        let (served, len, _) = arena.commit_serve_uniform(0, 2, state[0] >> 16);
+        assert_eq!(served, Some(Ball::generated_in(2)));
+        assert_eq!(len, 1);
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
-        assert_eq!(labels, vec![2, 3]);
+        assert_eq!(labels, vec![3], "the accepted ball wrapped to slot 0");
     }
 
     #[test]
@@ -1234,8 +1223,14 @@ mod tests {
 
     #[test]
     fn view_is_uniform_across_storages() {
-        let mut buffer_store = BinStore::from_capacities(vec![finite(2); 2], true);
-        let mut arena_store = BinStore::from_capacities(vec![finite(2); 2], false);
+        let mut buffer_store = BinStore::new(
+            finite(2),
+            KernelMode::Scalar,
+            vec![finite(2); 2],
+            Vec::new(),
+        );
+        let mut arena_store =
+            BinStore::new(finite(2), KernelMode::Arena, vec![finite(2); 2], Vec::new());
         assert!(matches!(buffer_store, BinStore::Buffers(_)));
         assert!(matches!(arena_store, BinStore::Arena(_)));
         for store in [&mut buffer_store, &mut arena_store] {
@@ -1254,9 +1249,23 @@ mod tests {
     }
 
     #[test]
-    fn infinite_capacity_forces_buffer_storage() {
-        let store = BinStore::from_capacities(vec![Capacity::Infinite; 2], false);
-        assert!(matches!(store, BinStore::Buffers(_)));
+    fn storage_is_keyed_on_the_configured_capacity() {
+        let unbounded = BinStore::new(
+            Capacity::Infinite,
+            KernelMode::Arena,
+            vec![Capacity::Infinite; 2],
+            Vec::new(),
+        );
+        assert!(matches!(unbounded, BinStore::Buffers(_)));
+        // A finite configuration keeps the arena even with a live capacity
+        // faulted to unbounded.
+        let degraded = BinStore::new(
+            finite(2),
+            KernelMode::Arena,
+            vec![finite(2), Capacity::Infinite],
+            Vec::new(),
+        );
+        assert!(matches!(degraded, BinStore::Arena(_)));
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub(crate) struct CoreProbes {
     pub fallback_rounds: Arc<Counter>,
     /// Arena re-layouts (stride growth; only fault-raised capacities).
     pub arena_grows: Arc<Counter>,
-    /// Balls accepted into buffers, lifetime.
+    /// Balls accepted into buffers by any round (process or shard),
+    /// lifetime.
     pub accepted_balls: Arc<Counter>,
     /// Allocation requests rejected back into the pool, lifetime.
     pub rejected_balls: Arc<Counter>,
@@ -34,12 +35,6 @@ pub(crate) struct CoreProbes {
     pub phase_accept_nanos: Arc<Histogram>,
     /// FIFO-deletion (serve) phase duration per round.
     pub phase_serve_nanos: Arc<Histogram>,
-    /// Balls accepted by `BinShard::accept` calls, lifetime.
-    pub shard_accepted_balls: Arc<Counter>,
-    /// Balls rejected by `BinShard::accept` calls, lifetime.
-    pub shard_rejected_balls: Arc<Counter>,
-    /// Balls served by `BinShard::serve` calls, lifetime.
-    pub shard_served_balls: Arc<Counter>,
 }
 
 impl CoreProbes {
@@ -55,9 +50,6 @@ impl CoreProbes {
             phase_generate_nanos: r.histogram("iba_core_phase_generate_nanos"),
             phase_accept_nanos: r.histogram("iba_core_phase_accept_nanos"),
             phase_serve_nanos: r.histogram("iba_core_phase_serve_nanos"),
-            shard_accepted_balls: r.counter("iba_core_shard_accepted_balls_total"),
-            shard_rejected_balls: r.counter("iba_core_shard_rejected_balls_total"),
-            shard_served_balls: r.counter("iba_core_shard_served_balls_total"),
         }
     }
 }

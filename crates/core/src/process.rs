@@ -5,13 +5,14 @@ use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
 use iba_sim::stats::Histogram;
 
-use crate::arena::{counting_accept, fast_accept, BinArena, BinStore, BinView};
+use crate::arena::BinView;
 use crate::ball::Ball;
 use crate::config::{AcceptancePolicy, Capacity, CappedConfig};
 use crate::pool::Pool;
+use crate::shard::{BinPart, BinShard};
 
 /// Which implementation of the round's acceptance/deletion stages a
-/// [`CappedProcess`] runs.
+/// [`BinShard`] (and hence a [`CappedProcess`]) runs.
 ///
 /// Both kernels compute **bit-identical** trajectories (same RNG
 /// consumption, same [`RoundReport`]s, same waiting times): `Arena` is
@@ -23,12 +24,12 @@ use crate::pool::Pool;
 pub enum KernelMode {
     /// Flat-arena storage with the counting-sort acceptance pass and bulk
     /// RNG (the default). Used for the 1-choice oldest-first paper process
-    /// on finite capacities; other policies fall back to the scalar walk
-    /// over the same arena storage.
+    /// on finite capacities; other policies walk the same arena storage
+    /// ball by ball.
     #[default]
     Arena,
-    /// The legacy layout and loop: one `VecDeque` buffer per bin, one
-    /// RNG draw and one random-access push per ball.
+    /// The reference oracle: one `VecDeque` buffer per bin, one RNG draw
+    /// and one random-access push per ball.
     Scalar,
 }
 
@@ -39,62 +40,6 @@ impl KernelMode {
         match self {
             KernelMode::Scalar => "scalar",
             KernelMode::Arena => "arena",
-        }
-    }
-}
-
-/// Round-persistent scratch buffers of the arena kernel, so steady-state
-/// rounds allocate nothing.
-#[derive(Debug, Clone, Default)]
-struct KernelScratch {
-    /// Per-bin request histogram, reused as the scatter cursor
-    /// (exact-histogram fallback path only).
-    counts: Vec<u32>,
-    /// Per-bin acceptance quotas `min{c − ℓ, ν}`.
-    quotas: Vec<u32>,
-    /// Packed per-bin `(remaining quota, ring cursor)` registers of the
-    /// single-pass scatter (see [`fast_accept`]).
-    state: Vec<u32>,
-}
-
-impl KernelScratch {
-    /// Runs one round's pre-drawn `(bin, ball)` request stream (`thrown`
-    /// long, oldest first) through the arena kernel: the single-pass
-    /// [`fast_accept`], or [`counting_accept`] when it bails out. Both are
-    /// bit-exact with the scalar oldest-first greedy walk. Returns the
-    /// accepted count and whether the fast path left the ring lengths
-    /// uncommitted for the fused deletion sweep.
-    fn accept<I: Iterator<Item = (usize, Ball)> + Clone>(
-        &mut self,
-        arena: &mut BinArena,
-        offline: &[bool],
-        was_primed: bool,
-        thrown: usize,
-        stream: I,
-        rejected: &mut Vec<Ball>,
-    ) -> (u64, bool) {
-        match fast_accept(
-            arena,
-            offline,
-            &mut self.state,
-            &mut self.quotas,
-            thrown,
-            stream.clone(),
-            rejected,
-            was_primed,
-        ) {
-            Some(accepted) => (accepted, true),
-            None => (
-                counting_accept(
-                    arena,
-                    offline,
-                    &mut self.counts,
-                    &mut self.quotas,
-                    stream,
-                    rejected,
-                ),
-                false,
-            ),
         }
     }
 }
@@ -110,9 +55,11 @@ impl KernelScratch {
 ///    enter the bin's FIFO queue;
 /// 4. every non-empty bin deletes (serves) the first ball in its queue.
 ///
-/// The implementation processes the pool in global oldest-first order and
-/// accepts greedily while a bin has room, which yields exactly the
-/// acceptance rule in item 3 (see `Pool`'s documentation).
+/// The process holds the pool, the round counters, and the choice source;
+/// the bins and the bin-local round (items 3 and 4) belong to one
+/// [`BinShard`] over `0..n`. The pool is processed in global oldest-first
+/// order and each bin accepts greedily while it has room, which yields
+/// exactly the acceptance rule in item 3 (see `Pool`'s documentation).
 ///
 /// # Examples
 ///
@@ -133,24 +80,13 @@ impl KernelScratch {
 pub struct CappedProcess {
     config: CappedConfig,
     pool: Pool,
-    store: BinStore,
-    /// Fault-injection mask: an offline bin rejects every request and
-    /// stops serving; its buffered balls are frozen until it comes back.
-    offline: Vec<bool>,
+    bins: BinShard,
     round: u64,
     total_generated: u64,
     total_deleted: u64,
     scratch: Vec<Ball>,
-    kernel: KernelMode,
     /// This round's pre-drawn bin choices, one per pooled ball.
     choices: Vec<u32>,
-    kscratch: KernelScratch,
-    /// Whether `kscratch.state` already holds valid per-bin acceptance
-    /// registers for the *next* round (written by the previous round's
-    /// deletion sweep under a uniform capacity profile). Cleared by every
-    /// mutation that can change a bin's room or ring offset behind the
-    /// kernel's back.
-    kernel_primed: bool,
 }
 
 enum ChoiceSource<'a> {
@@ -173,61 +109,55 @@ impl CappedProcess {
     /// bit-exact; `Scalar` pins the legacy per-ball loop for differential
     /// tests and old-vs-new benchmarks.
     pub fn with_kernel(config: CappedConfig, kernel: KernelMode) -> Self {
-        let caps: Vec<Capacity> = (0..config.bins()).map(|i| config.capacity_of(i)).collect();
-        let store = BinStore::from_capacities(caps, kernel == KernelMode::Scalar);
+        let bins = BinShard::new(&config, 0..config.bins()).with_kernel(kernel);
+        let pool = Pool::with_capacity(config.predicted_stationary_pool());
+        Self::from_parts(config, bins, pool, 0, 0, 0)
+    }
+
+    /// Assembles a process from its state: the bins (one shard over
+    /// `0..n`, holding queues, live capacities, and the fault mask), the
+    /// age-sorted pool, the last completed round, and the lifetime
+    /// generated/deleted counters. This is how checkpoints are restored,
+    /// and how a sharded service describes its state as one process.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bins` covers exactly `0..config.bins()`.
+    pub fn from_parts(
+        config: CappedConfig,
+        bins: BinShard,
+        pool: Pool,
+        round: u64,
+        total_generated: u64,
+        total_deleted: u64,
+    ) -> Self {
+        assert!(
+            bins.first_bin() == 0 && bins.len() == config.bins(),
+            "the process's shard must cover 0..n"
+        );
         CappedProcess {
-            pool: Pool::with_capacity(config.predicted_stationary_pool()),
-            store,
-            offline: vec![false; config.bins()],
-            round: 0,
-            total_generated: 0,
-            total_deleted: 0,
-            scratch: Vec::new(),
-            kernel,
-            choices: Vec::new(),
-            kscratch: KernelScratch::default(),
-            kernel_primed: false,
             config,
+            pool,
+            bins,
+            round,
+            total_generated,
+            total_deleted,
+            scratch: Vec::new(),
+            choices: Vec::new(),
         }
     }
 
     /// The kernel mode this process runs.
     pub fn kernel(&self) -> KernelMode {
-        self.kernel
+        self.bins.kernel()
     }
 
-    /// Switches the kernel mode in place, converting the bin storage if
-    /// the old and new modes disagree on it (`Scalar` keeps per-bin
-    /// buffers; `Arena` uses the flat arena). The trajectory is
-    /// unaffected — both modes are bit-exact — so this is safe mid-run;
-    /// it is primarily the hook for re-selecting a non-default kernel
-    /// after a checkpoint restore.
+    /// Switches the kernel mode in place (see [`BinShard::set_kernel`]).
+    /// The trajectory is unaffected — both modes are bit-exact — so this
+    /// is safe mid-run; it is primarily the hook for re-selecting a
+    /// non-default kernel after a checkpoint restore.
     pub fn set_kernel(&mut self, kernel: KernelMode) {
-        if kernel == self.kernel {
-            return;
-        }
-        let need_buffers =
-            kernel == KernelMode::Scalar || self.config.capacity() == Capacity::Infinite;
-        let have_buffers = matches!(self.store, BinStore::Buffers(_));
-        if need_buffers != have_buffers {
-            let n = self.config.bins();
-            let caps: Vec<Capacity> = (0..n).map(|i| self.bin(i).capacity()).collect();
-            let contents: Vec<Vec<Ball>> = (0..n)
-                .map(|i| self.bin(i).iter().copied().collect())
-                .collect();
-            self.store = if need_buffers {
-                BinStore::Buffers(
-                    caps.into_iter()
-                        .zip(contents)
-                        .map(|(cap, balls)| crate::buffer::BinBuffer::restore(cap, balls))
-                        .collect(),
-                )
-            } else {
-                BinStore::Arena(crate::arena::BinArena::from_bins(caps, contents))
-            };
-        }
-        self.kernel = kernel;
-        self.kernel_primed = false;
+        self.bins.set_kernel(kernel);
     }
 
     /// Fault injection: takes bin `i` offline (`true`) or back online
@@ -243,12 +173,11 @@ impl CappedProcess {
     /// handling of untrusted indices.
     pub fn set_bin_offline(&mut self, i: usize, offline: bool) {
         assert!(
-            i < self.offline.len(),
+            i < self.bins.len(),
             "bin index {i} out of range for a process with n = {} bins",
-            self.offline.len()
+            self.bins.len()
         );
-        self.offline[i] = offline;
-        self.kernel_primed = false;
+        self.bins.set_offline(i, offline);
     }
 
     /// Fallible [`set_bin_offline`](Self::set_bin_offline) for indices
@@ -263,14 +192,13 @@ impl CappedProcess {
         i: usize,
         offline: bool,
     ) -> Result<(), iba_sim::error::ConfigError> {
-        if i >= self.offline.len() {
+        if i >= self.bins.len() {
             return Err(iba_sim::error::ConfigError::OutOfDomain {
                 name: "bin index",
                 domain: "0..n",
             });
         }
-        self.offline[i] = offline;
-        self.kernel_primed = false;
+        self.bins.set_offline(i, offline);
         Ok(())
     }
 
@@ -280,12 +208,14 @@ impl CappedProcess {
     ///
     /// Panics if `i ≥ n`.
     pub fn is_bin_offline(&self, i: usize) -> bool {
-        self.offline[i]
+        self.bins.is_offline(i)
     }
 
     /// Number of currently offline bins.
     pub fn offline_count(&self) -> usize {
-        self.offline.iter().filter(|&&o| o).count()
+        (0..self.bins.len())
+            .filter(|&i| self.bins.is_offline(i))
+            .count()
     }
 
     /// Fault injection: changes bin `i`'s **live** buffer capacity without
@@ -303,8 +233,7 @@ impl CappedProcess {
             "bin index {i} out of range for a process with n = {} bins",
             self.config.bins()
         );
-        self.store.set_capacity(i, capacity);
-        self.kernel_primed = false;
+        self.bins.set_capacity(i, capacity);
     }
 
     /// The configuration this process runs with.
@@ -344,24 +273,24 @@ impl CappedProcess {
     ///
     /// Panics if `i ≥ n`.
     pub fn bin(&self, i: usize) -> BinView<'_> {
-        self.store.view(i)
+        self.bins.bin(i)
     }
 
     /// Current loads of all bins.
     pub fn loads(&self) -> Vec<usize> {
-        (0..self.config.bins()).map(|i| self.store.len(i)).collect()
+        self.bins.loads()
     }
 
     /// Histogram of current bin loads (values `0..=c`).
     pub fn load_histogram(&self) -> Histogram {
-        (0..self.config.bins())
-            .map(|i| self.store.len(i) as u64)
+        (0..self.bins.len())
+            .map(|i| self.bins.load(i) as u64)
             .collect()
     }
 
     /// Total number of balls stored in bin buffers.
     pub fn buffered(&self) -> usize {
-        self.store.buffered()
+        self.bins.buffered()
     }
 
     /// The pool.
@@ -400,7 +329,7 @@ impl CappedProcess {
         enc.u64_seq(pool_labels.into_iter());
         enc.usize(self.config.bins());
         for i in 0..self.config.bins() {
-            let bin = self.store.view(i);
+            let bin = self.bins.bin(i);
             // Live capacity, which fault injection may have diverged from
             // the configured profile; 0 encodes "unbounded".
             enc.u64(match bin.capacity() {
@@ -410,8 +339,8 @@ impl CappedProcess {
             let labels: Vec<u64> = bin.iter().map(Ball::label).collect();
             enc.u64_seq(labels.into_iter());
         }
-        for &offline in &self.offline {
-            enc.bool(offline);
+        for i in 0..self.config.bins() {
+            enc.bool(self.bins.is_offline(i));
         }
     }
 
@@ -439,8 +368,7 @@ impl CappedProcess {
         if bin_count != config.bins() {
             return Err(CodecError::Invalid { what: "bin count" });
         }
-        let mut caps = Vec::with_capacity(bin_count);
-        let mut contents = Vec::with_capacity(bin_count);
+        let mut parts: Vec<BinPart> = Vec::with_capacity(bin_count);
         for _ in 0..bin_count {
             let raw = dec.u64("bin capacity")?;
             let capacity = if raw == 0 {
@@ -457,47 +385,16 @@ impl CappedProcess {
             // No load-vs-capacity check: a degraded bin legally holds more
             // balls than its live capacity (capacity degradation);
             // conservation is verified below.
-            caps.push(capacity);
-            contents.push(
-                labels
-                    .iter()
-                    .map(|&l| Ball::generated_in(l))
-                    .collect::<Vec<Ball>>(),
-            );
+            let balls = labels.iter().map(|&l| Ball::generated_in(l)).collect();
+            parts.push((capacity, balls, false));
         }
-        let mut offline = Vec::with_capacity(bin_count);
-        for _ in 0..bin_count {
-            offline.push(dec.bool("offline flag")?);
+        for part in &mut parts {
+            part.2 = dec.bool("offline flag")?;
         }
-        // Checkpoints never record the kernel mode: restores always run the
-        // default kernel. The choice of storage mirrors `with_kernel`,
-        // keyed on the *configured* base capacity so a finite configuration
-        // restores to the arena even when faults degraded some live
-        // capacities to unbounded (the arena grows those on demand).
-        let store = if config.capacity() == Capacity::Infinite {
-            BinStore::Buffers(
-                caps.into_iter()
-                    .zip(contents)
-                    .map(|(cap, balls)| crate::buffer::BinBuffer::restore(cap, balls))
-                    .collect(),
-            )
-        } else {
-            BinStore::Arena(crate::arena::BinArena::from_bins(caps, contents))
-        };
-        let process = CappedProcess {
-            config,
-            pool,
-            store,
-            offline,
-            round,
-            total_generated,
-            total_deleted,
-            scratch: Vec::new(),
-            kernel: KernelMode::default(),
-            choices: Vec::new(),
-            kscratch: KernelScratch::default(),
-            kernel_primed: false,
-        };
+        // Checkpoints never record the kernel mode: restores always run
+        // the default kernel.
+        let bins = BinShard::from_parts(0, config.capacity(), parts);
+        let process = Self::from_parts(config, bins, pool, round, total_generated, total_deleted);
         if !process.conserves_balls() {
             return Err(CodecError::Invalid {
                 what: "ball conservation",
@@ -555,23 +452,6 @@ impl CappedProcess {
         self.run_round(batch, ChoiceSource::Slice(choices))
     }
 
-    /// Whether this round can run through the counting-sort kernel: the
-    /// paper's 1-choice oldest-first process over arena storage (pre-drawn
-    /// choice slices are by definition 1-choice). The d-choice and ablation
-    /// policies keep the scalar walk — their acceptance depends on loads or
-    /// priorities evolving *during* the request stream, which a batched
-    /// pass cannot reproduce. The `u32::MAX` guard keeps the per-bin
-    /// request histogram's `u32` counters from overflowing.
-    fn kernel_eligible(&self, source: &ChoiceSource<'_>, thrown: usize) -> bool {
-        self.config.policy() == AcceptancePolicy::OldestFirst
-            && matches!(self.store, BinStore::Arena(_))
-            && thrown <= u32::MAX as usize
-            && match source {
-                ChoiceSource::Rng(_, d) => *d == 1,
-                ChoiceSource::Slice(_) => true,
-            }
-    }
-
     fn run_round(&mut self, generated: u64, source: ChoiceSource<'_>) -> RoundReport {
         let mut report = RoundReport::default();
         self.run_round_into(generated, source, &mut report);
@@ -587,10 +467,6 @@ impl CappedProcess {
         let n = self.config.bins();
         self.round += 1;
         let round = self.round;
-        // Consume the priming flag up front: whatever path this round
-        // takes, the registers it leaves behind are only valid if the
-        // uniform deletion sweep below re-arms them.
-        let was_primed = std::mem::take(&mut self.kernel_primed);
 
         // 1. Ball generation.
         let gen_timer = iba_obs::PhaseTimer::start();
@@ -602,121 +478,65 @@ impl CappedProcess {
         }
 
         // 2 + 3. Random choices and priority-ordered greedy acceptance.
-        // The default (paper) policy processes balls oldest-first, which
-        // realizes "accept the oldest min{c − ℓ, ν} requests"; the ablation
-        // policies permute the acceptance priority.
         let accept_timer = iba_obs::PhaseTimer::start();
         let mut balls = self.pool.take();
         let mut rejected = std::mem::take(&mut self.scratch);
         rejected.clear();
-        let mut accepted = 0u64;
         let policy = self.config.policy();
-        // Set when the fast path ran: its scatter leaves the ring lengths
-        // uncommitted, and the deletion stage below folds the per-bin
-        // accepted counts in while it serves (one meta pass, not two).
-        let mut commit_pending = false;
-        if self.kernel_eligible(&source, balls.len()) {
-            // Counting-sort kernel. Pre-drawing every choice in pool order
-            // consumes the RNG exactly as the scalar per-ball loop does
-            // (acceptance itself draws nothing), and the quota/scatter pass
-            // is bit-exactly the oldest-first greedy walk — see
-            // `arena::counting_accept`.
-            let BinStore::Arena(arena) = &mut self.store else {
-                unreachable!("kernel_eligible checked the storage variant");
-            };
-            (accepted, commit_pending) = match &mut source {
-                ChoiceSource::Rng(rng, _) => {
-                    let choices = &mut self.choices;
-                    choices.resize(balls.len(), 0);
-                    rng.fill_uniform_bins(n, choices);
-                    let stream = choices
-                        .iter()
-                        .map(|&c| c as usize)
-                        .zip(balls.iter().copied());
-                    self.kscratch.accept(
-                        arena,
-                        &self.offline,
-                        was_primed,
-                        balls.len(),
-                        stream,
-                        &mut rejected,
-                    )
-                }
-                ChoiceSource::Slice(slice) => {
-                    let stream = slice.iter().copied().zip(balls.iter().copied());
-                    self.kscratch.accept(
-                        arena,
-                        &self.offline,
-                        was_primed,
-                        balls.len(),
-                        stream,
-                        &mut rejected,
-                    )
-                }
-            };
-            balls.clear();
-        } else if policy == AcceptancePolicy::OldestFirst {
-            for (i, ball) in balls.drain(..).enumerate() {
-                let bin_idx = match &mut source {
-                    ChoiceSource::Rng(rng, 1) => rng.uniform_bin(n),
-                    ChoiceSource::Rng(rng, d) => {
-                        // d-choice ablation: commit to the least-loaded of d
-                        // uniform samples (ties toward the first sample).
-                        let mut best = rng.uniform_bin(n);
-                        for _ in 1..*d {
-                            let candidate = rng.uniform_bin(n);
-                            if self.store.len(candidate) < self.store.len(best) {
-                                best = candidate;
-                            }
+        let accepted = match &mut source {
+            // The paper's 1-choice oldest-first process: the whole round
+            // is one age-ordered (bin, ball) stream through the shard.
+            // Pre-drawing every choice in pool order consumes the RNG
+            // exactly as the scalar oracle's per-ball draws do.
+            ChoiceSource::Slice(choices) => {
+                let stream = choices.iter().copied().zip(balls.iter().copied());
+                self.bins.accept_stream(stream, &mut rejected)
+            }
+            ChoiceSource::Rng(rng, 1)
+                if policy == AcceptancePolicy::OldestFirst
+                    && self.bins.kernel() == KernelMode::Arena =>
+            {
+                self.choices.resize(balls.len(), 0);
+                rng.fill_uniform_bins(n, &mut self.choices);
+                let stream = self
+                    .choices
+                    .iter()
+                    .map(|&c| c as usize)
+                    .zip(balls.iter().copied());
+                self.bins.accept_stream(stream, &mut rejected)
+            }
+            // The per-ball walk: the scalar oracle, the d-choice ablation
+            // (its choices read loads evolving during the stream), and the
+            // acceptance-policy ablations, which permute the priority.
+            ChoiceSource::Rng(rng, d) => match policy {
+                AcceptancePolicy::OldestFirst => walk(
+                    &mut self.bins,
+                    rng,
+                    *d,
+                    balls.iter().copied(),
+                    &mut rejected,
+                ),
+                AcceptancePolicy::YoungestFirst | AcceptancePolicy::Random => {
+                    let mut order: Vec<usize> = (0..balls.len()).collect();
+                    if policy == AcceptancePolicy::YoungestFirst {
+                        order.reverse();
+                    } else {
+                        // Fisher–Yates shuffle.
+                        for i in (1..order.len()).rev() {
+                            let j = rng.uniform_below(i as u64 + 1) as usize;
+                            order.swap(i, j);
                         }
-                        best
                     }
-                    ChoiceSource::Slice(choices) => choices[i],
-                };
-                if !self.offline[bin_idx] && self.store.try_accept(bin_idx, ball) {
-                    accepted += 1;
-                } else {
-                    rejected.push(ball);
+                    let by_priority = order.iter().map(|&i| balls[i]);
+                    let accepted = walk(&mut self.bins, rng, *d, by_priority, &mut rejected);
+                    // Restore the pool's age order (rejection order
+                    // followed the priority permutation).
+                    rejected.sort();
+                    accepted
                 }
-            }
-        } else {
-            // Ablation policies need the RNG both for bin choices and (for
-            // `Random`) the priority permutation.
-            let ChoiceSource::Rng(rng, d) = &mut source else {
-                unreachable!("step_with_choices asserts the oldest-first policy");
-            };
-            let mut order: Vec<usize> = (0..balls.len()).collect();
-            match policy {
-                AcceptancePolicy::YoungestFirst => order.reverse(),
-                AcceptancePolicy::Random => {
-                    // Fisher–Yates shuffle.
-                    for i in (1..order.len()).rev() {
-                        let j = rng.uniform_below(i as u64 + 1) as usize;
-                        order.swap(i, j);
-                    }
-                }
-                AcceptancePolicy::OldestFirst => unreachable!("handled above"),
-            }
-            for &i in &order {
-                let ball = balls[i];
-                let mut best = rng.uniform_bin(n);
-                for _ in 1..*d {
-                    let candidate = rng.uniform_bin(n);
-                    if self.store.len(candidate) < self.store.len(best) {
-                        best = candidate;
-                    }
-                }
-                if !self.offline[best] && self.store.try_accept(best, ball) {
-                    accepted += 1;
-                } else {
-                    rejected.push(ball);
-                }
-            }
-            // Restore the pool's age order (rejection order followed the
-            // priority permutation).
-            rejected.sort();
-            balls.clear();
-        }
+            },
+        };
+        balls.clear();
         self.scratch = balls;
         self.pool.restore(rejected);
         if let Some(p) = crate::obs::probes() {
@@ -731,143 +551,21 @@ impl CappedProcess {
         let serve_timer = iba_obs::PhaseTimer::start();
         let waiting_times = &mut report.waiting_times;
         waiting_times.clear();
-        let mut failed_deletions = 0u64;
-        let mut buffered = 0u64;
-        let mut max_load = 0u64;
-        match &mut self.store {
-            BinStore::Arena(arena) if commit_pending => {
-                // Fused commit + serve: fold each bin's accepted count
-                // (left uncommitted by the fast path's scatter) into its
-                // ring length and FIFO-serve in the same meta pass.
-                match arena.uniform_cap() {
-                    Some(c0) => {
-                        // Uniform capacity profile: the accepted count is
-                        // recoverable from the register's remaining room
-                        // alone (no quota array), and the same sweep writes
-                        // next round's register — (room << 16) | tail — so
-                        // the next acceptance pass skips its init sweep
-                        // entirely ("priming").
-                        let state = &mut self.kscratch.state;
-                        debug_assert_eq!(state.len(), n);
-                        for (b, s) in state.iter_mut().enumerate() {
-                            if self.offline[b] {
-                                // A crashed bin neither serves nor counts
-                                // as a failed deletion *attempt* — it makes
-                                // none. Its register had zero room, so
-                                // there is nothing to commit; re-arm it
-                                // with zero room again.
-                                debug_assert_eq!(*s >> 16, 0);
-                                let (len, tail) = arena.len_tail(b);
-                                *s = tail;
-                                let load = u64::from(len);
-                                buffered += load;
-                                max_load = max_load.max(load);
-                                continue;
-                            }
-                            let (served, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
-                            match served {
-                                Some(ball) => {
-                                    waiting_times.push(ball.age_at(round));
-                                    self.total_deleted += 1;
-                                }
-                                None => failed_deletions += 1,
-                            }
-                            // `saturating_sub`: an overfull bin (a
-                            // degraded-checkpoint restore can leave
-                            // len > c₀ under a uniform profile) must
-                            // re-arm with zero room, not an underflowed
-                            // quota.
-                            *s = (c0.saturating_sub(len) << 16) | tail;
-                            let load = u64::from(len);
-                            buffered += load;
-                            max_load = max_load.max(load);
-                        }
-                        self.kernel_primed = true;
-                    }
-                    None => {
-                        let quotas = &self.kscratch.quotas;
-                        let state = &self.kscratch.state;
-                        for b in 0..n {
-                            let taken = (quotas[b] - (state[b] >> 16)) as usize;
-                            if self.offline[b] {
-                                // A crashed bin neither serves nor counts
-                                // as a failed deletion *attempt* — it makes
-                                // none. Its quota was 0, so there is
-                                // nothing to commit.
-                                debug_assert_eq!(taken, 0);
-                                let load = arena.len(b) as u64;
-                                buffered += load;
-                                max_load = max_load.max(load);
-                                continue;
-                            }
-                            match arena.commit_serve(b, taken) {
-                                Some(ball) => {
-                                    waiting_times.push(ball.age_at(round));
-                                    self.total_deleted += 1;
-                                }
-                                None => failed_deletions += 1,
-                            }
-                            let load = arena.len(b) as u64;
-                            buffered += load;
-                            max_load = max_load.max(load);
-                        }
-                    }
-                }
-            }
-            BinStore::Arena(arena) => {
-                for b in 0..n {
-                    if self.offline[b] {
-                        // A crashed bin neither serves nor counts as a
-                        // failed deletion *attempt* — it makes none.
-                        let load = arena.len(b) as u64;
-                        buffered += load;
-                        max_load = max_load.max(load);
-                        continue;
-                    }
-                    match arena.serve(b) {
-                        Some(ball) => {
-                            waiting_times.push(ball.age_at(round));
-                            self.total_deleted += 1;
-                        }
-                        None => failed_deletions += 1,
-                    }
-                    let load = arena.len(b) as u64;
-                    buffered += load;
-                    max_load = max_load.max(load);
-                }
-            }
-            BinStore::Buffers(bins) => {
-                for (bin, &offline) in bins.iter_mut().zip(&self.offline) {
-                    if offline {
-                        // A crashed bin neither serves nor counts as a
-                        // failed deletion *attempt* — it makes none.
-                        buffered += bin.len() as u64;
-                        max_load = max_load.max(bin.len() as u64);
-                        continue;
-                    }
-                    match bin.serve() {
-                        Some(ball) => {
-                            waiting_times.push(ball.age_at(round));
-                            self.total_deleted += 1;
-                        }
-                        None => failed_deletions += 1,
-                    }
-                    let load = bin.len() as u64;
-                    buffered += load;
-                    max_load = max_load.max(load);
-                }
-            }
-        }
+        let stats = self
+            .bins
+            .serve_sweep(|_, ball| waiting_times.push(ball.age_at(round)));
+        let deleted = waiting_times.len() as u64;
+        self.total_deleted += deleted;
 
         report.round = round;
         report.generated = generated;
         report.thrown = thrown;
         report.accepted = accepted;
-        report.deleted = report.waiting_times.len() as u64;
-        report.failed_deletions = failed_deletions;
+        report.deleted = deleted;
+        report.failed_deletions = stats.failed_deletions;
         report.pool_size = self.pool.len() as u64;
-        report.buffered = buffered;
-        report.max_load = max_load;
+        report.buffered = stats.buffered;
+        report.max_load = stats.max_load;
 
         if let Some(p) = crate::obs::probes() {
             serve_timer.observe(&p.phase_serve_nanos);
@@ -875,14 +573,45 @@ impl CappedProcess {
                 round,
                 generated,
                 accepted,
-                deleted: report.deleted,
-                failed_deletions,
+                deleted,
+                failed_deletions: stats.failed_deletions,
                 pool_size: report.pool_size,
-                buffered,
-                max_load,
+                buffered: stats.buffered,
+                max_load: stats.max_load,
             });
         }
     }
+}
+
+/// The per-ball walk: each ball (in the given priority order) draws `d`
+/// uniform bins, requests the least loaded (ties toward the first
+/// sample), and is accepted if that bin is online with room; rejected
+/// balls are appended to `rejected`. Returns the accepted count. The
+/// caller finishes the round with the shard's deletion sweep.
+fn walk(
+    bins: &mut BinShard,
+    rng: &mut SimRng,
+    d: u32,
+    balls: impl Iterator<Item = Ball>,
+    rejected: &mut Vec<Ball>,
+) -> u64 {
+    let n = bins.len();
+    let mut accepted = 0u64;
+    for ball in balls {
+        let mut best = rng.uniform_bin(n);
+        for _ in 1..d {
+            let candidate = rng.uniform_bin(n);
+            if bins.load(candidate) < bins.load(best) {
+                best = candidate;
+            }
+        }
+        if bins.try_accept(best, ball) {
+            accepted += 1;
+        } else {
+            rejected.push(ball);
+        }
+    }
+    accepted
 }
 
 impl AllocationProcess for CappedProcess {

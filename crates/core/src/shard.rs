@@ -1,27 +1,30 @@
-//! Per-shard bin state: the sequential kernel of a sharded CAPPED service.
+//! Bin state and the bin-local round of Algorithm 1.
 //!
-//! A [`BinShard`] owns a contiguous range of bins — their FIFO buffers and
-//! fault masks — and executes the bin-local half of one CAPPED(c, λ) round:
-//! the greedy oldest-first acceptance stage ([`accept`](BinShard::accept))
-//! and the FIFO deletion stage ([`serve`](BinShard::serve)). It is the
-//! single-threaded building block the `iba-serve` dispatch service runs one
-//! per worker thread; composing `S` shards over a partition of `0..n`
-//! reproduces [`CappedProcess`](crate::process::CappedProcess) exactly:
+//! A [`BinShard`] owns a contiguous range of bins — their FIFO buffers,
+//! fault masks, and the round kernel's scratch registers — and executes
+//! the bin-local half of one CAPPED(c, λ) round
+//! ([`run_round`](BinShard::run_round)): every bin accepts the oldest
+//! `min{c − ℓ, ν}` of its requests, then serves the head of its queue.
+//! It is the only owner of bin state in the repo:
+//! [`CappedProcess`](crate::process::CappedProcess) is a pool plus one
+//! shard over `0..n`, and the `iba-serve` dispatch service runs one shard
+//! per worker thread over a partition of `0..n`. Composing `S` shards
+//! therefore reproduces the process bit-exactly by construction:
 //!
 //! - acceptance at a bin depends only on that bin's load and the age order
 //!   of the requests *to that bin*, so routing an age-ordered request
 //!   stream to shards preserves Algorithm 1's "accept the oldest
 //!   min{c − ℓ, ν}" rule at every bin;
-//! - the deletion stage is bin-local by definition.
+//! - the deletion stage is bin-local by definition, and every shard runs
+//!   the same round body.
 //!
-//! The bit-exact equivalence of the composition is property-tested in this
-//! module and anchored end-to-end by the `iba-serve` differential tests.
+//! The `iba-serve` differential tests anchor the composition end to end
+//! (sharded service vs. bare process, report by report and checkpoint
+//! byte by byte).
 
 use std::ops::Range;
 
-use crate::arena::{
-    commit_accepts, commit_accepts_uniform, counting_accept, fast_accept, BinStore, BinView,
-};
+use crate::arena::{counting_accept, fast_accept, BinStore, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::obs;
@@ -70,17 +73,31 @@ pub fn shard_of(bins: usize, shards: usize, bin: usize) -> usize {
     }
 }
 
-/// Statistics of one shard's deletion stage, aggregated over its bins.
+/// One bin's extracted state: live capacity, FIFO contents (oldest
+/// first), and offline flag — the unit of checkpoints and membership
+/// transfers.
+pub type BinPart = (Capacity, Vec<Ball>, bool);
+
+/// Statistics of one shard round, aggregated over the shard's bins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardServeStats {
+pub struct ShardRoundStats {
+    /// Requests accepted into this shard's bins.
+    pub accepted: u64,
     /// Bins that attempted a deletion and found their buffer empty
-    /// (offline bins make no attempt and are excluded, matching
-    /// [`CappedProcess`](crate::process::CappedProcess)).
+    /// (offline bins make no attempt and are excluded).
     pub failed_deletions: u64,
     /// Balls left in this shard's buffers after the deletion stage.
     pub buffered: u64,
     /// Maximum bin load in this shard after the deletion stage.
     pub max_load: u64,
+}
+
+impl ShardRoundStats {
+    #[inline]
+    fn note_load(&mut self, load: u64) {
+        self.buffered += load;
+        self.max_load = self.max_load.max(load);
+    }
 }
 
 /// A contiguous slice of a CAPPED system's bins, with their FIFO buffers
@@ -96,22 +113,31 @@ pub struct ShardServeStats {
 /// let config = CappedConfig::new(8, 1, 0.5)?;
 /// // Shard 1 of 2 owns bins 4..8.
 /// let mut shard = BinShard::new(&config, 4..8);
+/// let requests = [(0, Ball::generated_in(1)), (0, Ball::generated_in(1))];
 /// let mut rejected = Vec::new();
-/// // Two requests for local bin 0 (global bin 4): c = 1 keeps only one.
-/// let accepted = shard.accept(
-///     &[(0, Ball::generated_in(1)), (0, Ball::generated_in(1))],
-///     &mut rejected,
-/// );
-/// assert_eq!(accepted, 1);
+/// let mut served = Vec::new();
+/// // Two requests for local bin 0 (global bin 4): c = 1 keeps only one,
+/// // which the same round then serves.
+/// let stats = shard.run_round(requests.into_iter(), &mut rejected, |bin, ball| {
+///     served.push((bin, ball))
+/// });
+/// assert_eq!(stats.accepted, 1);
 /// assert_eq!(rejected.len(), 1);
+/// assert_eq!(served, vec![(0, Ball::generated_in(1))]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinShard {
     first_bin: usize,
+    /// The *configured* capacity class. Together with the kernel it picks
+    /// the storage layout (see [`BinStore::new`]), so a finite
+    /// configuration keeps the flat arena even after faults degrade some
+    /// live capacities to unbounded.
+    base: Capacity,
     store: BinStore,
-    bin_count: usize,
+    /// Fault-injection mask: an offline bin rejects every request and
+    /// stops serving; its buffered balls are frozen until it comes back.
     offline: Vec<bool>,
     /// Counting-sort scratch (request histogram / scatter cursor,
     /// acceptance quotas, and the fast path's packed per-bin registers),
@@ -119,17 +145,22 @@ pub struct BinShard {
     counts: Vec<u32>,
     quotas: Vec<u32>,
     state: Vec<u32>,
-    /// Acceptance kernel (see [`KernelMode`]): the arena kernel, or the
-    /// scalar per-ball walk for differential tests.
+    /// Set by a fast-path acceptance: its scatter leaves the ring lengths
+    /// uncommitted, and the deletion sweep folds the per-bin accepted
+    /// counts in while it serves (one meta pass, not two).
+    commit_pending: bool,
+    /// Whether `state` already holds valid acceptance registers for the
+    /// *next* round (written by the previous round's deletion sweep under
+    /// a uniform capacity profile). Cleared by every mutation that can
+    /// change a bin's room or ring offset behind the kernel's back.
+    primed: bool,
     kernel: KernelMode,
 }
 
 impl BinShard {
     /// Creates the shard owning `range`, with per-bin capacities taken
-    /// from `config` (heterogeneous profiles respected). Finite-capacity
-    /// configurations store their bins in a flat [`crate::arena::BinArena`]
-    /// and accept through the counting-sort kernel; an unbounded
-    /// configuration keeps one `VecDeque` buffer per bin.
+    /// from `config` (heterogeneous profiles respected), running the
+    /// default (arena) kernel.
     ///
     /// # Panics
     ///
@@ -141,87 +172,98 @@ impl BinShard {
             config.bins()
         );
         assert!(!range.is_empty(), "a shard must own at least one bin");
-        let caps: Vec<Capacity> = range.clone().map(|i| config.capacity_of(i)).collect();
-        let bin_count = caps.len();
-        let store = BinStore::from_capacities(caps, false);
-        let offline = vec![false; bin_count];
-        BinShard {
-            first_bin: range.start,
-            store,
-            bin_count,
-            offline,
-            counts: Vec::new(),
-            quotas: Vec::new(),
-            state: Vec::new(),
-            kernel: KernelMode::default(),
-        }
+        let caps = range.clone().map(|i| config.capacity_of(i)).collect();
+        let offline = vec![false; range.len()];
+        Self::assemble(range.start, config.capacity(), caps, Vec::new(), offline)
     }
 
-    /// Rebuilds a shard from checkpointed state: per-bin **live**
-    /// capacities (which fault injection may have diverged from the
-    /// configured profile), FIFO bin contents (oldest first), and the
-    /// offline mask. Storage selection mirrors [`BinShard::new`]: the
-    /// layout is keyed on the *configured* capacities of the range, so a
-    /// resumed shard behaves identically to one that lived through the
-    /// original run.
+    /// Rebuilds a shard from extracted per-bin parts (see [`BinPart`]) —
+    /// the checkpoint-restore and membership-transfer path. Bins may
+    /// legally hold more balls than their live capacity (capacity
+    /// degradation). `base_capacity` is the *configured* capacity class;
+    /// the shard runs the default (arena) kernel.
     ///
     /// # Panics
     ///
-    /// Panics if `range` is invalid for `config`, or if `caps`,
-    /// `contents`, and `offline` do not all have the range's length.
-    pub fn from_state(
-        config: &CappedConfig,
-        range: Range<usize>,
+    /// Panics if `parts` is empty.
+    pub fn from_parts(first_bin: usize, base_capacity: Capacity, parts: Vec<BinPart>) -> Self {
+        assert!(!parts.is_empty(), "a shard must own at least one bin");
+        let mut caps = Vec::with_capacity(parts.len());
+        let mut contents = Vec::with_capacity(parts.len());
+        let mut offline = Vec::with_capacity(parts.len());
+        for (cap, balls, off) in parts {
+            caps.push(cap);
+            contents.push(balls);
+            offline.push(off);
+        }
+        Self::assemble(first_bin, base_capacity, caps, contents, offline)
+    }
+
+    /// The shared constructor; `contents` may be shorter than `caps`
+    /// (missing bins start empty).
+    fn assemble(
+        first_bin: usize,
+        base: Capacity,
         caps: Vec<Capacity>,
         contents: Vec<Vec<Ball>>,
         offline: Vec<bool>,
     ) -> Self {
-        assert!(
-            range.end <= config.bins(),
-            "shard range {range:?} exceeds n = {}",
-            config.bins()
-        );
-        assert!(!range.is_empty(), "a shard must own at least one bin");
-        let bin_count = range.len();
-        assert_eq!(caps.len(), bin_count, "one live capacity per bin");
-        assert_eq!(contents.len(), bin_count, "one content list per bin");
-        assert_eq!(offline.len(), bin_count, "one offline flag per bin");
-        let configured_unbounded = range
-            .clone()
-            .any(|i| config.capacity_of(i) == Capacity::Infinite);
-        let store = if configured_unbounded {
-            BinStore::Buffers(
-                caps.into_iter()
-                    .zip(contents)
-                    .map(|(cap, balls)| crate::buffer::BinBuffer::restore(cap, balls))
-                    .collect(),
-            )
-        } else {
-            BinStore::Arena(crate::arena::BinArena::from_bins(caps, contents))
-        };
+        let kernel = KernelMode::default();
         BinShard {
-            first_bin: range.start,
-            store,
-            bin_count,
+            first_bin,
+            base,
+            store: BinStore::new(base, kernel, caps, contents),
             offline,
             counts: Vec::new(),
             quotas: Vec::new(),
             state: Vec::new(),
-            kernel: KernelMode::default(),
+            commit_pending: false,
+            primed: false,
+            kernel,
         }
     }
 
-    /// Selects the acceptance kernel (builder form). `Scalar` keeps
-    /// whatever storage the shard was built with and simply routes
-    /// acceptance through the per-ball walk — the oracle the differential
-    /// tests compare the arena kernel against.
+    /// Every bin's state as [`BinPart`]s, in bin order — the inverse of
+    /// [`from_parts`](Self::from_parts).
+    pub fn to_parts(&self) -> Vec<BinPart> {
+        (0..self.len())
+            .map(|i| {
+                let bin = self.bin(i);
+                (
+                    bin.capacity(),
+                    bin.iter().copied().collect(),
+                    self.offline[i],
+                )
+            })
+            .collect()
+    }
+
+    /// Selects the kernel (builder form of [`set_kernel`](Self::set_kernel)).
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
+        self.set_kernel(kernel);
         self
     }
 
-    /// The acceptance kernel this shard runs.
+    /// Switches the kernel in place, converting the bin storage to the
+    /// layout the new kernel runs on (`Scalar`: per-bin buffers; `Arena`:
+    /// the flat arena, for finite configurations). Both kernels are
+    /// bit-exact, so this is safe mid-run.
+    pub fn set_kernel(&mut self, kernel: KernelMode) {
+        if kernel == self.kernel {
+            return;
+        }
+        let (caps, contents) = self
+            .to_parts()
+            .into_iter()
+            .map(|(cap, balls, _)| (cap, balls))
+            .unzip();
+        self.store = BinStore::new(self.base, kernel, caps, contents);
+        self.kernel = kernel;
+        self.primed = false;
+    }
+
+    /// The kernel this shard runs.
     pub fn kernel(&self) -> KernelMode {
         self.kernel
     }
@@ -233,12 +275,12 @@ impl BinShard {
 
     /// Number of bins this shard owns.
     pub fn len(&self) -> usize {
-        self.bin_count
+        self.offline.len()
     }
 
     /// Whether the shard owns no bins (never true for a constructed shard).
     pub fn is_empty(&self) -> bool {
-        self.bin_count == 0
+        self.offline.is_empty()
     }
 
     /// Read access to the local bin `i` (0-based within the shard), as a
@@ -251,9 +293,18 @@ impl BinShard {
         self.store.view(i)
     }
 
+    /// Current load of local bin `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn load(&self, i: usize) -> usize {
+        self.store.len(i)
+    }
+
     /// Current loads of this shard's bins, in bin order.
     pub fn loads(&self) -> Vec<usize> {
-        (0..self.bin_count).map(|i| self.store.len(i)).collect()
+        (0..self.len()).map(|i| self.store.len(i)).collect()
     }
 
     /// Total balls stored in this shard's buffers.
@@ -270,6 +321,7 @@ impl BinShard {
     /// Panics if `i` is out of range.
     pub fn set_offline(&mut self, i: usize, offline: bool) {
         self.offline[i] = offline;
+        self.primed = false;
     }
 
     /// Whether local bin `i` is offline.
@@ -288,81 +340,31 @@ impl BinShard {
     ///
     /// Panics if `i` is out of range.
     pub fn set_capacity(&mut self, i: usize, capacity: Capacity) {
-        assert!(i < self.bin_count, "local bin index {i} out of range");
+        assert!(i < self.len(), "local bin index {i} out of range");
         self.store.set_capacity(i, capacity);
-    }
-
-    /// Rebuilds a shard directly from extracted per-bin parts — the
-    /// membership transfer path (shard splits spawn the upper half of a
-    /// range as a new shard without a `CappedConfig` describing the
-    /// resized topology). `base_capacity` is the *configured* capacity
-    /// class and picks the storage layout like [`BinShard::new`] does:
-    /// finite configurations get the flat arena even if faults degraded
-    /// some live capacities to unbounded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn from_parts(
-        first_bin: usize,
-        base_capacity: Capacity,
-        parts: Vec<(Capacity, Vec<Ball>, bool)>,
-    ) -> Self {
-        assert!(!parts.is_empty(), "a shard must own at least one bin");
-        let bin_count = parts.len();
-        let mut caps = Vec::with_capacity(bin_count);
-        let mut contents = Vec::with_capacity(bin_count);
-        let mut offline = Vec::with_capacity(bin_count);
-        for (cap, balls, off) in parts {
-            caps.push(cap);
-            contents.push(balls);
-            offline.push(off);
-        }
-        let store = if base_capacity == Capacity::Infinite {
-            BinStore::Buffers(
-                caps.into_iter()
-                    .zip(contents)
-                    .map(|(cap, balls)| crate::buffer::BinBuffer::restore(cap, balls))
-                    .collect(),
-            )
-        } else {
-            BinStore::Arena(crate::arena::BinArena::from_bins(caps, contents))
-        };
-        BinShard {
-            first_bin,
-            store,
-            bin_count,
-            offline,
-            counts: Vec::new(),
-            quotas: Vec::new(),
-            state: Vec::new(),
-            kernel: KernelMode::default(),
-        }
+        self.primed = false;
     }
 
     /// Appends a bin to the shard (elastic membership growth, or a bin
-    /// transferred in from a merged neighbor). A fresh bin enters empty
-    /// and online — primed with its full capacity as acceptance quota for
-    /// the next round.
+    /// transferred in from a merged neighbor).
     pub fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball], offline: bool) {
         self.store.push_bin_with(capacity, contents);
         self.offline.push(offline);
-        self.bin_count += 1;
+        self.primed = false;
     }
 
-    /// Removes the shard's **last** bin, returning its live capacity,
-    /// buffered balls (FIFO order), and offline flag. Removed bins drain
-    /// their rings back through the caller (the serve path re-pools the
-    /// balls; a merge re-inserts them into the absorbing shard).
+    /// Removes the shard's **last** bin, returning its state. Removed bins
+    /// drain their rings back through the caller (the serve path re-pools
+    /// the balls; a merge re-inserts them into the absorbing shard).
     ///
     /// # Panics
     ///
     /// Panics if the shard owns a single bin.
-    pub fn pop_bin(&mut self) -> (Capacity, Vec<Ball>, bool) {
-        assert!(self.bin_count > 1, "a shard must keep at least one bin");
+    pub fn pop_bin(&mut self) -> BinPart {
+        assert!(self.len() > 1, "a shard must keep at least one bin");
         let (cap, balls) = self.store.pop_bin();
         let offline = self.offline.pop().expect("non-empty shard");
-        self.bin_count -= 1;
+        self.primed = false;
         (cap, balls, offline)
     }
 
@@ -374,184 +376,188 @@ impl BinShard {
     /// # Panics
     ///
     /// Panics unless `1 <= at < len` (both halves must be non-empty).
-    pub fn split_off(&mut self, at: usize) -> Vec<(Capacity, Vec<Ball>, bool)> {
+    pub fn split_off(&mut self, at: usize) -> Vec<BinPart> {
         assert!(
-            at >= 1 && at < self.bin_count,
+            at >= 1 && at < self.len(),
             "split point {at} must leave both halves non-empty (len {})",
-            self.bin_count
+            self.len()
         );
-        let count = self.bin_count - at;
-        let mut parts = Vec::with_capacity(count);
-        for _ in 0..count {
-            parts.push(self.pop_bin());
-        }
+        let mut parts: Vec<BinPart> = (at..self.len()).map(|_| self.pop_bin()).collect();
         parts.reverse();
         parts
     }
 
-    /// The acceptance stage for this shard: processes `requests` —
-    /// `(local_bin, ball)` pairs that MUST be ordered oldest-first — and
-    /// greedily accepts each ball into its requested bin while the bin is
-    /// online and has room. Rejected balls are appended to `rejected` in
-    /// request order (hence oldest-first). Returns the number accepted.
+    /// One bin-local round of Algorithm 1 on this shard.
     ///
-    /// Because acceptance at a bin depends only on that bin's state and
-    /// the relative order of its own requests, running this per shard on
-    /// an age-ordered routed stream is exactly Algorithm 1's acceptance
-    /// rule (see [`Pool`](crate::pool::Pool) for the equivalence).
-    pub fn accept(&mut self, requests: &[(u32, Ball)], rejected: &mut Vec<Ball>) -> u64 {
-        let accepted = match &mut self.store {
-            // Counting-sort kernel over the flat arena: bit-exactly the
-            // scalar greedy walk (see `arena::fast_accept`), one sequential
-            // write per accepted ball. The single-pass fast path bails out
-            // only when a fault-raised capacity could overflow the ring;
-            // the exact-histogram pass then sizes the growth. The
-            // `u32::MAX` guard keeps the quota counters from overflowing.
-            BinStore::Arena(arena)
-                if self.kernel != KernelMode::Scalar && requests.len() <= u32::MAX as usize =>
-            {
-                let stream = || requests.iter().map(|&(local, ball)| (local as usize, ball));
-                match fast_accept(
+    /// `requests` yields `(local_bin, ball)` pairs that MUST be ordered
+    /// oldest-first. Every bin accepts the oldest `min{c − ℓ, ν}` of its
+    /// requests while online; rejected balls are appended to `rejected` in
+    /// request order (hence oldest-first). Then every online bin serves the
+    /// head of its FIFO queue, handing `(local_bin, ball)` to `served` in
+    /// bin order — concatenating shard outputs in shard order therefore
+    /// reproduces [`CappedProcess`](crate::process::CappedProcess)'s
+    /// global bin-order waiting-time vector.
+    pub fn run_round<I, F>(
+        &mut self,
+        requests: I,
+        rejected: &mut Vec<Ball>,
+        served: F,
+    ) -> ShardRoundStats
+    where
+        I: ExactSizeIterator<Item = (usize, Ball)> + Clone,
+        F: FnMut(usize, Ball),
+    {
+        let thrown = requests.len() as u64;
+        let accepted = self.accept_stream(requests, rejected);
+        if let Some(p) = obs::probes() {
+            p.accepted_balls.add(accepted);
+            p.rejected_balls.add(thrown - accepted);
+        }
+        ShardRoundStats {
+            accepted,
+            ..self.serve_sweep(served)
+        }
+    }
+
+    /// The acceptance half of [`run_round`](Self::run_round); returns the
+    /// accepted count. Over the flat arena this is the counting-sort
+    /// kernel — the single-pass [`fast_accept`], or [`counting_accept`]
+    /// when a fault-raised capacity could overflow a ring — bit-exactly
+    /// the scalar greedy walk. Over per-bin buffers (the `Scalar` oracle,
+    /// and unbounded configurations) it is that walk. The `u32::MAX` guard
+    /// keeps the quota counters from overflowing.
+    ///
+    /// Must be followed by [`serve_sweep`](Self::serve_sweep) before any
+    /// other access: a fast-path acceptance leaves its commit to it.
+    pub(crate) fn accept_stream<I>(&mut self, requests: I, rejected: &mut Vec<Ball>) -> u64
+    where
+        I: ExactSizeIterator<Item = (usize, Ball)> + Clone,
+    {
+        let primed = std::mem::take(&mut self.primed);
+        let thrown = requests.len();
+        if let BinStore::Arena(arena) = &mut self.store {
+            if thrown <= u32::MAX as usize {
+                let fast = fast_accept(
                     arena,
                     &self.offline,
                     &mut self.state,
                     &mut self.quotas,
-                    requests.len(),
-                    stream(),
+                    thrown,
+                    requests.clone(),
                     rejected,
-                    false,
-                ) {
-                    Some(accepted) => {
-                        // The shard's accept and serve stages are separate
-                        // calls with observable state in between, so the
-                        // scatter's lengths are committed here rather than
-                        // fused into `serve`.
-                        match arena.uniform_cap() {
-                            Some(c0) => {
-                                commit_accepts_uniform(arena, &self.offline, &self.state, c0)
-                            }
-                            None => commit_accepts(arena, &self.state, &self.quotas),
-                        }
-                        accepted
-                    }
-                    None => counting_accept(
-                        arena,
-                        &self.offline,
-                        &mut self.counts,
-                        &mut self.quotas,
-                        stream(),
-                        rejected,
-                    ),
+                    primed,
+                );
+                if let Some(accepted) = fast {
+                    self.commit_pending = true;
+                    return accepted;
                 }
+                return counting_accept(
+                    arena,
+                    &self.offline,
+                    &mut self.counts,
+                    &mut self.quotas,
+                    requests,
+                    rejected,
+                );
             }
-            store => {
-                let mut accepted = 0u64;
-                for &(local, ball) in requests {
-                    let local = local as usize;
-                    if !self.offline[local] && store.try_accept(local, ball) {
-                        accepted += 1;
-                    } else {
-                        rejected.push(ball);
-                    }
-                }
-                accepted
+        }
+        let mut accepted = 0u64;
+        for (bin, ball) in requests {
+            if self.try_accept(bin, ball) {
+                accepted += 1;
+            } else {
+                rejected.push(ball);
             }
-        };
-        if let Some(p) = obs::probes() {
-            p.shard_accepted_balls.add(accepted);
-            p.shard_rejected_balls.add(requests.len() as u64 - accepted);
         }
         accepted
     }
 
-    /// The deletion stage for this shard: every online non-empty bin
-    /// serves the head of its FIFO queue. Served balls are appended to
-    /// `served` and their waiting times (`round − label`) to `waits`, in
-    /// bin order — concatenating shard outputs in shard order therefore
-    /// reproduces [`CappedProcess`](crate::process::CappedProcess)'s
-    /// global bin-order waiting-time vector.
-    pub fn serve(
-        &mut self,
-        round: u64,
-        served: &mut Vec<Ball>,
-        waits: &mut Vec<u64>,
-    ) -> ShardServeStats {
-        self.serve_impl(round, served, waits, None)
+    /// Accepts `ball` into local bin `i` if the bin is online and has
+    /// room — one step of the per-ball walk, which the d-choice and
+    /// acceptance-policy ablations drive directly because their choices
+    /// depend on loads evolving *during* the request stream. Follow a walk
+    /// with [`serve_sweep`](Self::serve_sweep) to finish the round.
+    pub(crate) fn try_accept(&mut self, i: usize, ball: Ball) -> bool {
+        self.primed = false;
+        !self.offline[i] && self.store.try_accept(i, ball)
     }
 
-    /// [`serve`](Self::serve), additionally appending the **local** bin
-    /// index of each served ball to `bins` (parallel to `served`/`waits`).
-    /// The dispatch service uses this to report which bin served each
-    /// ticket in its completion notifications.
-    pub fn serve_with_bins(
-        &mut self,
-        round: u64,
-        served: &mut Vec<Ball>,
-        waits: &mut Vec<u64>,
-        bins: &mut Vec<u32>,
-    ) -> ShardServeStats {
-        self.serve_impl(round, served, waits, Some(bins))
-    }
-
-    fn serve_impl(
-        &mut self,
-        round: u64,
-        served: &mut Vec<Ball>,
-        waits: &mut Vec<u64>,
-        mut bins: Option<&mut Vec<u32>>,
-    ) -> ShardServeStats {
-        let mut stats = ShardServeStats::default();
-        let served_before = served.len();
+    /// The deletion half of [`run_round`](Self::run_round): every online
+    /// bin serves the head of its queue into `served`, in bin order. After
+    /// a fast-path acceptance the same sweep first folds each bin's
+    /// accepted count into its ring length (one meta read-modify-write per
+    /// bin), and under a uniform capacity profile it also writes each
+    /// bin's next-round acceptance register `(room << 16) | tail`
+    /// ("priming"), so the next [`fast_accept`] skips its init sweep.
+    /// Returns the round's deletion statistics (`accepted` is left 0).
+    pub(crate) fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
+        let mut stats = ShardRoundStats::default();
+        let pending = std::mem::take(&mut self.commit_pending);
         match &mut self.store {
-            BinStore::Arena(arena) => {
-                for b in 0..self.bin_count {
-                    if self.offline[b] {
-                        let load = arena.len(b) as u64;
-                        stats.buffered += load;
-                        stats.max_load = stats.max_load.max(load);
-                        continue;
-                    }
-                    match arena.serve(b) {
-                        Some(ball) => {
-                            waits.push(ball.age_at(round));
-                            served.push(ball);
-                            if let Some(bins) = bins.as_deref_mut() {
-                                bins.push(b as u32);
-                            }
+            BinStore::Arena(arena) => match arena.uniform_cap() {
+                Some(c0) if pending => {
+                    // The accepted count is recovered from the register's
+                    // remaining room alone (no quota array).
+                    debug_assert_eq!(self.state.len(), self.offline.len());
+                    for (b, s) in self.state.iter_mut().enumerate() {
+                        if self.offline[b] {
+                            // A crashed bin neither serves nor counts as a
+                            // failed deletion *attempt* — it makes none.
+                            // Its register had zero room, so there is
+                            // nothing to commit; re-arm it with zero room.
+                            debug_assert_eq!(*s >> 16, 0);
+                            let (len, tail) = arena.len_tail(b);
+                            *s = tail;
+                            stats.note_load(u64::from(len));
+                            continue;
                         }
-                        None => stats.failed_deletions += 1,
+                        let (ball, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
+                        match ball {
+                            Some(ball) => served(b, ball),
+                            None => stats.failed_deletions += 1,
+                        }
+                        // `saturating_sub`: an overfull bin (a
+                        // degraded-checkpoint restore can leave len > c₀
+                        // under a uniform profile) must re-arm with zero
+                        // room, not an underflowed quota.
+                        *s = (c0.saturating_sub(len) << 16) | tail;
+                        stats.note_load(u64::from(len));
                     }
-                    let load = arena.len(b) as u64;
-                    stats.buffered += load;
-                    stats.max_load = stats.max_load.max(load);
+                    self.primed = true;
+                }
+                _ => {
+                    for b in 0..self.offline.len() {
+                        // Non-uniform fast path: the accepted count is the
+                        // quota minus the register's remaining room.
+                        let taken = if pending {
+                            (self.quotas[b] - (self.state[b] >> 16)) as usize
+                        } else {
+                            0
+                        };
+                        if self.offline[b] {
+                            debug_assert_eq!(taken, 0, "offline bins accept nothing");
+                            stats.note_load(arena.len(b) as u64);
+                            continue;
+                        }
+                        match arena.commit_serve(b, taken) {
+                            Some(ball) => served(b, ball),
+                            None => stats.failed_deletions += 1,
+                        }
+                        stats.note_load(arena.len(b) as u64);
+                    }
+                }
+            },
+            BinStore::Buffers(bins) => {
+                for (b, (bin, &offline)) in bins.iter_mut().zip(&self.offline).enumerate() {
+                    if !offline {
+                        match bin.serve() {
+                            Some(ball) => served(b, ball),
+                            None => stats.failed_deletions += 1,
+                        }
+                    }
+                    stats.note_load(bin.len() as u64);
                 }
             }
-            BinStore::Buffers(buffers) => {
-                for (b, (bin, &offline)) in buffers.iter_mut().zip(&self.offline).enumerate() {
-                    if offline {
-                        stats.buffered += bin.len() as u64;
-                        stats.max_load = stats.max_load.max(bin.len() as u64);
-                        continue;
-                    }
-                    match bin.serve() {
-                        Some(ball) => {
-                            waits.push(ball.age_at(round));
-                            served.push(ball);
-                            if let Some(bins) = bins.as_deref_mut() {
-                                bins.push(b as u32);
-                            }
-                        }
-                        None => stats.failed_deletions += 1,
-                    }
-                    let load = bin.len() as u64;
-                    stats.buffered += load;
-                    stats.max_load = stats.max_load.max(load);
-                }
-            }
-        }
-        if let Some(p) = obs::probes() {
-            p.shard_served_balls
-                .add((served.len() - served_before) as u64);
         }
         stats
     }
@@ -561,6 +567,25 @@ impl BinShard {
 mod tests {
     use super::*;
     use crate::process::CappedProcess;
+
+    /// Runs one fused round at `round`, returning the stats, the rejected
+    /// balls, and the served `(local_bin, wait)` pairs in bin order.
+    fn step(
+        shard: &mut BinShard,
+        round: u64,
+        requests: &[(usize, Ball)],
+    ) -> (ShardRoundStats, Vec<Ball>, Vec<(usize, u64)>) {
+        let mut rejected = Vec::new();
+        let mut served = Vec::new();
+        let stats = shard.run_round(requests.iter().copied(), &mut rejected, |b, ball| {
+            served.push((b, ball.age_at(round)))
+        });
+        (stats, rejected, served)
+    }
+
+    fn ball(label: u64) -> Ball {
+        Ball::generated_in(label)
+    }
 
     #[test]
     fn partition_covers_all_bins_without_overlap() {
@@ -595,73 +620,51 @@ mod tests {
     fn accept_is_greedy_oldest_first_per_bin() {
         let config = CappedConfig::new(4, 1, 0.5).unwrap();
         let mut shard = BinShard::new(&config, 0..4);
-        let mut rejected = Vec::new();
-        // Oldest-first stream: bin 0 gets labels 1 then 2 — only 1 fits.
-        let accepted = shard.accept(
-            &[
-                (0, Ball::generated_in(1)),
-                (0, Ball::generated_in(2)),
-                (1, Ball::generated_in(2)),
-            ],
-            &mut rejected,
-        );
-        assert_eq!(accepted, 2);
-        assert_eq!(rejected, vec![Ball::generated_in(2)]);
-        assert_eq!(shard.bin(0).head(), Some(&Ball::generated_in(1)));
+        // Oldest-first stream: bin 0 gets labels 1 then 2 — only 1 fits,
+        // and it is the one bin 0 serves.
+        let (stats, rejected, served) =
+            step(&mut shard, 2, &[(0, ball(1)), (0, ball(2)), (1, ball(2))]);
+        assert_eq!(stats.accepted, 2);
+        assert_eq!(rejected, vec![ball(2)]);
+        assert_eq!(served, vec![(0, 1), (1, 0)]);
     }
 
     #[test]
     fn serve_reports_waits_in_bin_order() {
         let config = CappedConfig::new(4, 2, 0.5).unwrap();
         let mut shard = BinShard::new(&config, 0..3);
-        let mut rejected = Vec::new();
-        shard.accept(
-            &[(0, Ball::generated_in(1)), (2, Ball::generated_in(3))],
-            &mut rejected,
-        );
-        let mut served = Vec::new();
-        let mut waits = Vec::new();
-        let stats = shard.serve(4, &mut served, &mut waits);
-        assert_eq!(served, vec![Ball::generated_in(1), Ball::generated_in(3)]);
-        assert_eq!(waits, vec![3, 1]);
+        let (stats, _, served) = step(&mut shard, 4, &[(0, ball(1)), (2, ball(3))]);
+        assert_eq!(served, vec![(0, 3), (2, 1)]);
         assert_eq!(stats.failed_deletions, 1); // bin 1 was empty
         assert_eq!(stats.buffered, 0);
         assert_eq!(stats.max_load, 0);
     }
 
     #[test]
-    fn serve_with_bins_labels_each_served_ball() {
-        let config = CappedConfig::new(4, 2, 0.5).unwrap();
-        let mut shard = BinShard::new(&config, 0..3);
-        let mut rejected = Vec::new();
-        shard.accept(
-            &[(0, Ball::generated_in(1)), (2, Ball::generated_in(3))],
-            &mut rejected,
-        );
+    fn served_sink_receives_each_balls_local_bin() {
+        let config = CappedConfig::new(8, 2, 0.5).unwrap();
+        // Shard 4..7: local bins are 0-based within the shard.
+        let mut shard = BinShard::new(&config, 4..7);
         let mut served = Vec::new();
-        let mut waits = Vec::new();
-        let mut bins = Vec::new();
-        shard.serve_with_bins(4, &mut served, &mut waits, &mut bins);
-        assert_eq!(bins, vec![0, 2]);
-        assert_eq!(served.len(), bins.len());
-        assert_eq!(waits.len(), bins.len());
+        shard.run_round(
+            [(0, ball(1)), (2, ball(3))].into_iter(),
+            &mut Vec::new(),
+            |b, ball| served.push((b, ball)),
+        );
+        assert_eq!(served, vec![(0, ball(1)), (2, ball(3))]);
     }
 
     #[test]
     fn offline_bins_freeze_and_skip_service() {
         let config = CappedConfig::new(2, 2, 0.5).unwrap();
         let mut shard = BinShard::new(&config, 0..2);
-        let mut rejected = Vec::new();
-        shard.accept(&[(0, Ball::generated_in(1))], &mut rejected);
+        // Bin 0 accepts two balls and serves one: one ball stays.
+        step(&mut shard, 1, &[(0, ball(1)), (0, ball(1))]);
         shard.set_offline(0, true);
         assert!(shard.is_offline(0));
-        assert_eq!(
-            shard.accept(&[(0, Ball::generated_in(2))], &mut rejected),
-            0
-        );
-        let mut served = Vec::new();
-        let mut waits = Vec::new();
-        let stats = shard.serve(2, &mut served, &mut waits);
+        let (stats, rejected, served) = step(&mut shard, 2, &[(0, ball(2))]);
+        assert_eq!(stats.accepted, 0);
+        assert_eq!(rejected, vec![ball(2)]);
         assert!(served.is_empty());
         // Offline bin 0 makes no deletion attempt; empty bin 1 fails one.
         assert_eq!(stats.failed_deletions, 1);
@@ -669,29 +672,22 @@ mod tests {
         assert_eq!(stats.max_load, 1);
         // Recovery: the frozen ball is served first.
         shard.set_offline(0, false);
-        shard.serve(3, &mut served, &mut waits);
-        assert_eq!(served, vec![Ball::generated_in(1)]);
+        let (_, _, served) = step(&mut shard, 3, &[]);
+        assert_eq!(served, vec![(0, 2)]);
     }
 
     #[test]
     fn degraded_capacity_rejects_until_drained() {
         let config = CappedConfig::new(1, 3, 0.0).unwrap();
         let mut shard = BinShard::new(&config, 0..1);
-        let mut rejected = Vec::new();
-        shard.accept(
-            &[
-                (0, Ball::generated_in(1)),
-                (0, Ball::generated_in(1)),
-                (0, Ball::generated_in(1)),
-            ],
-            &mut rejected,
-        );
+        step(&mut shard, 1, &[(0, ball(1)), (0, ball(1)), (0, ball(1))]);
+        assert_eq!(shard.bin(0).len(), 2);
         shard.set_capacity(0, Capacity::finite(1).unwrap());
-        assert_eq!(
-            shard.accept(&[(0, Ball::generated_in(2))], &mut rejected),
-            0
-        );
-        assert_eq!(shard.bin(0).len(), 3, "overflow balls stay");
+        assert_eq!(shard.bin(0).len(), 2, "overflow balls stay");
+        let (stats, _, served) = step(&mut shard, 2, &[(0, ball(2))]);
+        assert_eq!(stats.accepted, 0);
+        assert_eq!(served, vec![(0, 1)]);
+        assert_eq!(shard.bin(0).len(), 1);
     }
 
     #[test]
@@ -707,68 +703,43 @@ mod tests {
     }
 
     #[test]
-    fn from_state_reproduces_a_live_shard() {
+    fn from_parts_reproduces_a_live_shard() {
         let config = CappedConfig::new(8, 2, 0.5).unwrap();
         let mut original = BinShard::new(&config, 2..6);
-        let mut rejected = Vec::new();
-        original.accept(
-            &[
-                (0, Ball::generated_in(1)),
-                (0, Ball::generated_in(2)),
-                (3, Ball::generated_in(2)),
-            ],
-            &mut rejected,
+        step(
+            &mut original,
+            2,
+            &[(0, ball(1)), (0, ball(2)), (3, ball(2)), (3, ball(2))],
         );
         original.set_offline(1, true);
         original.set_capacity(2, Capacity::finite(1).unwrap());
 
-        let caps: Vec<Capacity> = (0..original.len())
-            .map(|i| original.bin(i).capacity())
-            .collect();
-        let contents: Vec<Vec<Ball>> = (0..original.len())
-            .map(|i| original.bin(i).iter().copied().collect())
-            .collect();
-        let offline: Vec<bool> = (0..original.len())
-            .map(|i| original.is_offline(i))
-            .collect();
-        let mut restored = BinShard::from_state(&config, 2..6, caps, contents, offline);
-
+        let mut restored = BinShard::from_parts(2, config.capacity(), original.to_parts());
         assert_eq!(restored.first_bin(), original.first_bin());
         assert_eq!(restored.loads(), original.loads());
         assert_eq!(restored.bin(2).capacity(), Capacity::finite(1).unwrap());
         assert!(restored.is_offline(1));
         // Identical continuations: same accepts, same serves.
-        let stream = [
-            (0u32, Ball::generated_in(3)),
-            (1, Ball::generated_in(3)),
-            (2, Ball::generated_in(3)),
-        ];
-        let (mut r1, mut r2) = (Vec::new(), Vec::new());
-        assert_eq!(
-            original.accept(&stream, &mut r1),
-            restored.accept(&stream, &mut r2)
-        );
-        assert_eq!(r1, r2);
-        let (mut s1, mut w1, mut s2, mut w2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let st1 = original.serve(3, &mut s1, &mut w1);
-        let st2 = restored.serve(3, &mut s2, &mut w2);
-        assert_eq!(s1, s2);
-        assert_eq!(w1, w2);
-        assert_eq!(st1, st2);
+        let stream = [(0, ball(3)), (1, ball(3)), (2, ball(3)), (3, ball(3))];
+        for round in 3..6 {
+            assert_eq!(
+                step(&mut original, round, &stream),
+                step(&mut restored, round, &stream),
+                "round {round}"
+            );
+        }
     }
 
     #[test]
-    fn from_state_uses_buffers_for_unbounded_configs() {
-        let config = CappedConfig::unbounded(4, 0.5).unwrap();
-        let restored = BinShard::from_state(
-            &config,
-            0..4,
-            vec![Capacity::Infinite; 4],
-            vec![vec![Ball::generated_in(1)], vec![], vec![], vec![]],
-            vec![false; 4],
-        );
+    fn from_parts_uses_buffers_for_unbounded_configs() {
+        let parts = vec![
+            (Capacity::Infinite, vec![ball(1)], false),
+            (Capacity::Infinite, Vec::new(), false),
+        ];
+        let restored = BinShard::from_parts(0, Capacity::Infinite, parts);
+        assert!(matches!(restored.store, BinStore::Buffers(_)));
         assert_eq!(restored.buffered(), 1);
-        assert_eq!(restored.bin(0).head(), Some(&Ball::generated_in(1)));
+        assert_eq!(restored.bin(0).head(), Some(&ball(1)));
     }
 
     /// Sequential composition of shards reproduces `CappedProcess`
@@ -788,30 +759,26 @@ mod tests {
         for round in 1..=200u64 {
             // Shared choice stream, one uniform bin per thrown ball.
             let batch = 9u64; // λn = 0.75 · 12
-            pool.extend(std::iter::repeat_n(
-                Ball::generated_in(round),
-                batch as usize,
-            ));
+            pool.extend(std::iter::repeat_n(ball(round), batch as usize));
             let choices: Vec<usize> = pool.iter().map(|_| rng.uniform_bin(n)).collect();
             let report = reference.step_with_choices(&choices);
 
             // Route the same stream through the shards.
-            let mut routed: Vec<Vec<(u32, Ball)>> = vec![Vec::new(); shards];
+            let mut routed: Vec<Vec<(usize, Ball)>> = vec![Vec::new(); shards];
             for (&ball, &bin) in pool.iter().zip(&choices) {
                 let s = shard_of(n, shards, bin);
-                let local = (bin - parts[s].first_bin()) as u32;
-                routed[s].push((local, ball));
+                routed[s].push((bin - parts[s].first_bin(), ball));
             }
-            let mut rejected: Vec<Vec<Ball>> = vec![Vec::new(); shards];
+            let mut merged = Vec::new();
             let mut waits = Vec::new();
-            let mut served = Vec::new();
             let mut accepted = 0;
             for (s, part) in parts.iter_mut().enumerate() {
-                accepted += part.accept(&routed[s], &mut rejected[s]);
-                part.serve(round, &mut served, &mut waits);
+                let (stats, rejected, served) = step(part, round, &routed[s]);
+                accepted += stats.accepted;
+                merged.extend(rejected);
+                waits.extend(served.into_iter().map(|(_, wait)| wait));
             }
             // Merge per-shard rejects oldest-first back into the pool.
-            let mut merged: Vec<Ball> = rejected.into_iter().flatten().collect();
             merged.sort();
             pool = merged;
 
@@ -830,46 +797,43 @@ mod tests {
     fn push_and_pop_bins_keep_shard_state_consistent() {
         let config = CappedConfig::new(8, 2, 0.5).unwrap();
         let mut shard = BinShard::new(&config, 0..3);
-        let mut rejected = Vec::new();
-        shard.accept(
-            &[(0, Ball::generated_in(1)), (2, Ball::generated_in(2))],
-            &mut rejected,
+        step(
+            &mut shard,
+            1,
+            &[(0, ball(1)), (0, ball(1)), (2, ball(1)), (2, ball(1))],
         );
+        assert_eq!(shard.buffered(), 2);
 
         // Growth: the new bin is empty, online, and accepts immediately.
         shard.push_bin_with(Capacity::finite(2).unwrap(), &[], false);
         assert_eq!(shard.len(), 4);
         assert!(!shard.is_offline(3));
-        assert_eq!(
-            shard.accept(&[(3, Ball::generated_in(3))], &mut rejected),
-            1
-        );
+        let (stats, _, _) = step(&mut shard, 2, &[(3, ball(2)), (3, ball(2))]);
+        assert_eq!(stats.accepted, 2);
         assert_eq!(shard.bin(3).len(), 1);
 
         // Shrink: the popped bin drains its balls; survivors keep theirs.
         let (cap, balls, offline) = shard.pop_bin();
         assert_eq!(cap, Capacity::finite(2).unwrap());
-        assert_eq!(balls, vec![Ball::generated_in(3)]);
+        assert_eq!(balls, vec![ball(2)]);
         assert!(!offline);
         assert_eq!(shard.len(), 3);
-        assert_eq!(shard.buffered(), 2);
-        assert!(rejected.is_empty());
+        assert_eq!(shard.buffered(), 0, "bins 0 and 2 served their balls");
     }
 
     #[test]
     fn split_off_and_from_parts_move_ownership_not_balls() {
         let config = CappedConfig::new(8, 2, 0.5).unwrap();
+        let fill = [
+            (1, ball(1)),
+            (1, ball(1)),
+            (4, ball(1)),
+            (4, ball(2)),
+            (5, ball(3)),
+            (5, ball(3)),
+        ];
         let mut shard = BinShard::new(&config, 0..6);
-        let mut rejected = Vec::new();
-        shard.accept(
-            &[
-                (1, Ball::generated_in(1)),
-                (4, Ball::generated_in(1)),
-                (4, Ball::generated_in(2)),
-                (5, Ball::generated_in(3)),
-            ],
-            &mut rejected,
-        );
+        step(&mut shard, 3, &fill);
         shard.set_offline(5, true);
 
         let parts = shard.split_off(3);
@@ -878,35 +842,30 @@ mod tests {
         let upper = BinShard::from_parts(3, config.capacity(), parts);
         assert_eq!(upper.first_bin(), 3);
         assert_eq!(upper.len(), 3);
-        assert_eq!(upper.bin(1).len(), 2, "global bin 4 kept both balls");
-        assert_eq!(upper.bin(1).head(), Some(&Ball::generated_in(1)));
+        assert_eq!(
+            upper.bin(1).head(),
+            Some(&ball(2)),
+            "global bin 4 kept its ball"
+        );
         assert!(upper.is_offline(2), "offline mask travels with the bin");
-        assert_eq!(shard.buffered() + upper.buffered(), 4, "no ball lost");
+        assert_eq!(shard.buffered() + upper.buffered(), 3, "no ball lost");
 
-        // The reunited halves serve exactly like an unsplit shard.
+        // The reunited halves run exactly like an unsplit shard.
         let mut merged = shard.clone();
-        for i in 0..upper.len() {
-            let caps = upper.bin(i).capacity();
-            let balls: Vec<Ball> = upper.bin(i).iter().copied().collect();
-            merged.push_bin_with(caps, &balls, upper.is_offline(i));
+        for (cap, balls, offline) in upper.to_parts() {
+            merged.push_bin_with(cap, &balls, offline);
         }
         let mut reference = BinShard::new(&config, 0..6);
-        reference.accept(
-            &[
-                (1, Ball::generated_in(1)),
-                (4, Ball::generated_in(1)),
-                (4, Ball::generated_in(2)),
-                (5, Ball::generated_in(3)),
-            ],
-            &mut rejected,
-        );
+        step(&mut reference, 3, &fill);
         reference.set_offline(5, true);
-        let (mut s1, mut w1, mut s2, mut w2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let st1 = merged.serve(4, &mut s1, &mut w1);
-        let st2 = reference.serve(4, &mut s2, &mut w2);
-        assert_eq!(s1, s2);
-        assert_eq!(w1, w2);
-        assert_eq!(st1, st2);
+        for round in 4..7 {
+            let stream = [(1, ball(round)), (4, ball(round)), (5, ball(round))];
+            assert_eq!(
+                step(&mut merged, round, &stream),
+                step(&mut reference, round, &stream),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

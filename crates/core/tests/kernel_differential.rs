@@ -512,24 +512,68 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
 #[test]
 fn shard_kernels_match_through_elastic_membership_changes() {
     // BinShard-level oracle: an arena-kernel shard and a scalar-kernel
-    // shard fed identical routed streams stay identical through bin growth
-    // and shrink mid-run (the elastic-membership surface the service
-    // uses).
-    use iba_core::shard::BinShard;
+    // shard fed identical routed streams through the fused round stay
+    // identical through every mutation that must invalidate the arena
+    // shard's primed acceptance registers: bin growth and shrink, crash
+    // and recovery, capacity degradation and raises (past the stride,
+    // forcing the `counting_accept` fallback, and to unbounded), and a
+    // split → rebuild → re-merge round trip (the elastic-membership and
+    // fault surface the service uses).
+    use iba_core::shard::{BinShard, ShardRoundStats};
     use iba_core::Ball;
 
+    fn step(
+        shard: &mut BinShard,
+        requests: &[(usize, Ball)],
+    ) -> (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>) {
+        let mut rejected = Vec::new();
+        let mut served = Vec::new();
+        let stats = shard.run_round(requests.iter().copied(), &mut rejected, |b, ball| {
+            served.push((b, ball))
+        });
+        (stats, rejected, served)
+    }
+
+    let c = Capacity::finite(2).unwrap();
     let config = CappedConfig::new(16, 2, 0.75).expect("valid");
     let mut fast = BinShard::new(&config, 0..8);
     let mut scalar = BinShard::new(&config, 0..8).with_kernel(KernelMode::Scalar);
     assert_eq!(fast.kernel(), KernelMode::Arena);
     let mut rng = SimRng::seed_from(3);
     let mut pending: Vec<Ball> = Vec::new();
-    for round in 1..=120u64 {
-        // Elastic membership: grow two bins mid-run, shrink one later.
-        if round == 30 || round == 45 {
-            let cap = Capacity::finite(2).unwrap();
-            fast.push_bin_with(cap, &[], false);
-            scalar.push_bin_with(cap, &[], false);
+    for round in 1..=200u64 {
+        for shard in [&mut fast, &mut scalar] {
+            match round {
+                // Elastic membership: grow two bins, shrink one later.
+                30 | 45 => shard.push_bin_with(c, &[], false),
+                // Crash two bins, recover one, then the other.
+                55 => {
+                    shard.set_offline(1, true);
+                    shard.set_offline(6, true);
+                }
+                62 => shard.set_offline(1, false),
+                70 => shard.set_offline(6, false),
+                // Degrade, then raise past the stride (fast path bails to
+                // the exact-histogram pass, which grows the arena), raise
+                // another bin to unbounded, and restore both.
+                90 => shard.set_capacity(2, Capacity::finite(1).unwrap()),
+                100 => shard.set_capacity(2, Capacity::finite(9).unwrap()),
+                105 => shard.set_capacity(4, Capacity::Infinite),
+                120 => {
+                    shard.set_capacity(2, c);
+                    shard.set_capacity(4, c);
+                }
+                // Split the upper half off, rebuild it as its own shard,
+                // and merge it back.
+                140 => {
+                    let parts = shard.split_off(5);
+                    let upper = BinShard::from_parts(5, c, parts);
+                    for (cap, balls, offline) in upper.to_parts() {
+                        shard.push_bin_with(cap, &balls, offline);
+                    }
+                }
+                _ => {}
+            }
         }
         if round == 80 {
             let (cf, bf, of) = fast.pop_bin();
@@ -537,23 +581,27 @@ fn shard_kernels_match_through_elastic_membership_changes() {
             assert_eq!((cf, &bf, of), (cs, &bs, os), "popped bins diverged");
             pending.extend(bf); // drained balls re-enter the stream
         }
+        if round == 100 || round == 105 {
+            // A surge that fills the raised bins past the old stride.
+            pending.extend(std::iter::repeat_n(Ball::generated_in(round), 40));
+        }
         let bins = fast.len();
         pending.extend(std::iter::repeat_n(Ball::generated_in(round), 6));
         pending.sort();
-        let requests: Vec<(u32, Ball)> = pending
+        let requests: Vec<(usize, Ball)> = pending
             .drain(..)
-            .map(|ball| (rng.uniform_bin(bins) as u32, ball))
+            .map(|ball| (rng.uniform_bin(bins), ball))
             .collect();
-        let (mut rej_f, mut rej_s) = (Vec::new(), Vec::new());
-        let af = fast.accept(&requests, &mut rej_f);
-        let a_s = scalar.accept(&requests, &mut rej_s);
-        assert_eq!(af, a_s, "accept diverged at round {round}");
+        let (stats_f, rej_f, served_f) = step(&mut fast, &requests);
+        let (stats_s, rej_s, served_s) = step(&mut scalar, &requests);
+        assert_eq!(stats_f, stats_s, "round stats diverged at round {round}");
         assert_eq!(rej_f, rej_s, "rejects diverged at round {round}");
-        let (mut sf, mut wf, mut ss, mut ws) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let stf = fast.serve(round, &mut sf, &mut wf);
-        let sts = scalar.serve(round, &mut ss, &mut ws);
-        assert_eq!((stf, &sf, &wf), (sts, &ss, &ws), "serve diverged");
-        assert_eq!(fast.loads(), scalar.loads(), "loads diverged");
+        assert_eq!(served_f, served_s, "serves diverged at round {round}");
+        assert_eq!(
+            fast.loads(),
+            scalar.loads(),
+            "loads diverged at round {round}"
+        );
         pending = rej_f;
     }
 }

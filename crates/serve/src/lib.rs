@@ -6,9 +6,10 @@
 //!
 //! - **Sharded bin state** ([`service`]) — the `n` bins are partitioned
 //!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), each owned
-//!   by one worker thread. The driver broadcasts the allocate/accept/serve
-//!   phases of every round to the workers over `std::sync::mpsc` channels
-//!   and merges their replies.
+//!   by one worker thread. The driver routes every round's requests to the
+//!   workers over `std::sync::mpsc` channels; each worker runs the same
+//!   bin-local round as `CappedProcess` (`BinShard::run_round`), and the
+//!   driver merges their replies.
 //! - **Round clock** ([`clock`]) — rounds are logical epochs; an optional
 //!   wall-clock pacing mode spaces them at a fixed interval.
 //! - **Admission front end** ([`dispatch`]) — clients submit requests

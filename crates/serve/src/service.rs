@@ -27,15 +27,15 @@ use std::thread::JoinHandle;
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
-use iba_core::shard::{shard_range, BinShard};
-use iba_core::{AcceptancePolicy, Ball, Capacity, CappedConfig, KernelMode, Pool};
+use iba_core::shard::{shard_range, BinPart, BinShard};
+use iba_core::{AcceptancePolicy, Ball, CappedConfig, CappedProcess, KernelMode, Pool};
 use iba_membership::{Autoscaler, MembershipEvent, MembershipPlan};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::error::ConfigError;
 use iba_sim::faults::{FaultEvent, FaultPlan};
 use iba_sim::process::RoundReport;
 use iba_sim::stats::Histogram;
-use iba_sim::{AllocationProcess, SimRng};
+use iba_sim::{AllocationProcess, SimRng, Simulation};
 
 use crate::checkpoint::ResumeError;
 use crate::dispatch::{Completion, Dispatcher, Ticket};
@@ -535,19 +535,23 @@ impl CappedService {
             };
         let shards = ranges.len();
         let mut shard_states = Vec::with_capacity(shards);
+        let mut loads = Vec::with_capacity(shards);
         for (s, range) in ranges.iter().enumerate() {
-            let range = range.clone();
-            let caps: Vec<Capacity> = range.clone().map(|i| process.bin(i).capacity()).collect();
-            let contents: Vec<Vec<Ball>> = range
+            let parts = range
                 .clone()
-                .map(|i| process.bin(i).iter().copied().collect())
+                .map(|i| {
+                    let bin = process.bin(i);
+                    let contents = bin.iter().copied().collect();
+                    (bin.capacity(), contents, process.is_bin_offline(i))
+                })
                 .collect();
-            let offline: Vec<bool> = range.clone().map(|i| process.is_bin_offline(i)).collect();
-            let bins = BinShard::from_state(&expected, range, caps, contents, offline);
+            let bins = BinShard::from_parts(range.start, expected.capacity(), parts);
             let rng = match saved_mode {
                 RngMode::Central => None,
                 RngMode::PerShard => Some(SimRng::from_state(shard_rng_states[s])),
             };
+            let max_load = bins.loads().into_iter().max().unwrap_or(0);
+            loads.push((bins.buffered() as u64, max_load as u64));
             shard_states.push((bins, rng));
         }
 
@@ -568,11 +572,7 @@ impl CappedService {
         service.membership_events = membership_events;
         service.pool = process.pool().clone();
         service.pending = pending;
-        for (s, range) in ranges.iter().enumerate() {
-            let loads: Vec<usize> = range.clone().map(|i| process.bin(i).len()).collect();
-            service.shard_buffered[s] = loads.iter().map(|&l| l as u64).sum();
-            service.shard_max_load[s] = loads.iter().map(|&l| l as u64).max().unwrap_or(0);
-        }
+        (service.shard_buffered, service.shard_max_load) = loads.into_iter().unzip();
         if let Some(p) = obs::probes() {
             p.checkpoint_resumes.inc();
             p.resume_round.set(service.round);
@@ -607,11 +607,14 @@ impl CappedService {
             snapshots[pos] = Some(snap);
         }
 
-        // The inner core checkpoint, hand-assembled field-for-field to the
-        // `iba_core::checkpoint::save` layout (tag IBA1 v2): restore-side
-        // validation (CRC, conservation, pool order) comes for free. A
-        // mid-resize service embeds the resized configuration so that
-        // validation runs against the live bin count.
+        // The inner core checkpoint is the `iba_core::checkpoint` of the
+        // process this service is: the pool, the counters, the driver's
+        // RNG, and one shard holding every bin (shards own contiguous
+        // ascending ranges, so concatenating the snapshots in shard order
+        // walks the bins globally in order). Restore-side validation (CRC,
+        // conservation, pool order) comes for free. A mid-resize service
+        // embeds the resized configuration so that validation runs
+        // against the live bin count.
         let inner_config = if self.live_n == self.config.bins() {
             self.config.clone()
         } else {
@@ -620,35 +623,22 @@ impl CappedService {
                 .resized(self.live_n)
                 .expect("membership is gated to resizable configurations")
         };
-        let mut core = Encoder::new();
-        core.header("IBA1", 2);
-        for word in self.driver_rng.state() {
-            core.u64(word);
+        let mut rng_words = Vec::new();
+        let mut parts = Vec::with_capacity(self.live_n);
+        for snap in snapshots.into_iter().map(|s| s.expect("collected")) {
+            rng_words.extend(snap.rng_state.into_iter().flatten());
+            parts.extend(snap.parts);
         }
-        inner_config.encode_into(&mut core);
-        core.u64(self.round);
-        core.u64(self.total_generated);
-        core.u64(self.total_served);
-        let pool_labels: Vec<u64> = self.pool.iter().map(Ball::label).collect();
-        core.u64_seq(pool_labels.into_iter());
-        core.usize(self.live_n);
-        // Shards own contiguous ascending ranges, so concatenating the
-        // snapshots in shard order walks the bins globally in order.
-        for snap in snapshots.iter().map(|s| s.as_ref().expect("collected")) {
-            for (cap, contents) in snap.caps.iter().zip(&snap.contents) {
-                core.u64(match cap {
-                    Capacity::Finite(c) => u64::from(c.get()),
-                    Capacity::Infinite => 0,
-                });
-                core.u64_seq(contents.iter().map(Ball::label));
-            }
-        }
-        for snap in snapshots.iter().map(|s| s.as_ref().expect("collected")) {
-            for &offline in &snap.offline {
-                core.bool(offline);
-            }
-        }
-        let core_bytes = core.finish();
+        let process = CappedProcess::from_parts(
+            inner_config,
+            BinShard::from_parts(0, self.config.capacity(), parts),
+            self.pool.clone(),
+            self.round,
+            self.total_generated,
+            self.total_served,
+        );
+        let core_bytes =
+            iba_core::checkpoint::save(&Simulation::new(process, self.driver_rng.clone()));
 
         let mut enc = Encoder::new();
         enc.header(ENVELOPE_TAG, ENVELOPE_VERSION);
@@ -659,12 +649,8 @@ impl CappedService {
         });
         enc.usize(self.shards);
         if self.rng_mode == RngMode::PerShard {
-            let words: Vec<u64> = snapshots
-                .iter()
-                .map(|s| s.as_ref().expect("collected"))
-                .flat_map(|s| s.rng_state.expect("per-shard mode has worker RNGs"))
-                .collect();
-            enc.u64_seq(words.into_iter());
+            debug_assert_eq!(rng_words.len(), 4 * self.shards, "one stream per worker");
+            enc.u64_seq(rng_words.into_iter());
         }
         enc.u64(self.dispatcher.next_id());
         enc.u64(self.total_admitted);
@@ -793,11 +779,6 @@ impl CappedService {
     /// hook, not a service option).
     pub fn kernel_mode(&self) -> KernelMode {
         KernelMode::Arena
-    }
-
-    /// Worker threads serving rounds (one per shard).
-    pub fn kernel_threads(&self) -> usize {
-        self.shards
     }
 
     /// Last completed round.
@@ -1259,8 +1240,7 @@ impl CappedService {
             return false;
         }
         let capacity = self.config.capacity();
-        let parts: Vec<(Capacity, Vec<Ball>, bool)> =
-            (0..count).map(|_| (capacity, Vec::new(), false)).collect();
+        let parts: Vec<BinPart> = (0..count).map(|_| (capacity, Vec::new(), false)).collect();
         let last = self.shards - 1;
         self.workers[last]
             .cmds
@@ -1404,19 +1384,13 @@ impl CappedService {
 
     /// Captures the full state of the worker at `pos` as push-ready parts
     /// (capacity, contents, offline) in ascending bin order.
-    fn snapshot_parts(&self, pos: usize) -> Vec<(Capacity, Vec<Ball>, bool)> {
+    fn snapshot_parts(&self, pos: usize) -> Vec<BinPart> {
         let (tx, rx) = channel();
         self.workers[pos]
             .cmds
             .send(ShardCmd::Snapshot { reply: tx })
             .expect("shard worker alive");
-        let snap = rx.recv().expect("shard worker alive");
-        snap.caps
-            .into_iter()
-            .zip(snap.contents)
-            .zip(snap.offline)
-            .map(|((cap, contents), offline)| (cap, contents, offline))
-            .collect()
+        rx.recv().expect("shard worker alive").parts
     }
 
     /// Stops and joins the worker at `pos`, removing it from the fleet.

@@ -8,7 +8,7 @@
 
 use std::sync::mpsc::{Receiver, Sender};
 
-use iba_core::shard::BinShard;
+use iba_core::shard::{BinPart, BinShard};
 use iba_core::{Ball, Capacity};
 use iba_sim::SimRng;
 
@@ -45,21 +45,19 @@ pub(crate) enum ShardCmd {
     /// Append bins (capacity, FIFO contents oldest-first, offline flag)
     /// at the top of the shard's local index space — elastic growth, or
     /// the receiving half of a shard merge.
-    PushBins {
-        parts: Vec<(Capacity, Vec<Ball>, bool)>,
-    },
+    PushBins { parts: Vec<BinPart> },
     /// Remove the top `count` bins and hand their state back in ascending
     /// bin order (elastic shrink). The worker never gives up its last bin;
     /// the driver clamps `count` accordingly.
     PopBins {
         count: usize,
-        reply: Sender<Vec<(Capacity, Vec<Ball>, bool)>>,
+        reply: Sender<Vec<BinPart>>,
     },
     /// Split the shard at local bin `at`, handing back the upper half in
     /// ascending bin order (the driver spawns a new worker for it).
     SplitOff {
         at: usize,
-        reply: Sender<Vec<(Capacity, Vec<Ball>, bool)>>,
+        reply: Sender<Vec<BinPart>>,
     },
     /// Terminate the worker loop.
     Stop,
@@ -70,13 +68,10 @@ pub(crate) enum ShardCmd {
 #[derive(Debug)]
 pub(crate) struct ShardSnapshot {
     pub shard: usize,
-    /// Per-bin live capacities (fault injection may have diverged them
-    /// from the configured profile).
-    pub caps: Vec<Capacity>,
-    /// Per-bin FIFO contents, oldest first.
-    pub contents: Vec<Vec<Ball>>,
-    /// Per-bin offline flags.
-    pub offline: Vec<bool>,
+    /// Every bin's live capacity (fault injection may have diverged it
+    /// from the configured profile), FIFO contents, and offline flag, in
+    /// bin order.
+    pub parts: Vec<BinPart>,
     /// The worker's RNG stream position (`None` in central RNG mode).
     pub rng_state: Option<[u64; 4]>,
 }
@@ -151,11 +146,7 @@ pub(crate) fn worker_loop(
             ShardCmd::Snapshot { reply } => {
                 let snapshot = ShardSnapshot {
                     shard: shard_id,
-                    caps: (0..local_n).map(|i| bins.bin(i).capacity()).collect(),
-                    contents: (0..local_n)
-                        .map(|i| bins.bin(i).iter().copied().collect())
-                        .collect(),
-                    offline: (0..local_n).map(|i| bins.is_offline(i)).collect(),
+                    parts: bins.to_parts(),
                     rng_state: rng.as_ref().map(SimRng::state),
                 };
                 if reply.send(snapshot).is_err() {
@@ -194,11 +185,18 @@ fn run_round(
 ) -> Result<(), ()> {
     let timer = iba_obs::PhaseTimer::start();
     let mut rejected = Vec::new();
-    let accepted = bins.accept(requests, &mut rejected);
     let mut served = Vec::new();
     let mut waits = Vec::new();
     let mut served_bins = Vec::new();
-    let stats = bins.serve_with_bins(round, &mut served, &mut waits, &mut served_bins);
+    let stats = bins.run_round(
+        requests.iter().map(|&(local, ball)| (local as usize, ball)),
+        &mut rejected,
+        |local, ball| {
+            served.push(ball);
+            waits.push(ball.age_at(round));
+            served_bins.push(local as u32);
+        },
+    );
     if let Some(p) = obs::probes() {
         timer.observe(&p.shard_round_nanos);
     }
@@ -206,7 +204,7 @@ fn run_round(
         .send(ShardReply {
             shard: shard_id,
             round,
-            accepted,
+            accepted: stats.accepted,
             rejected,
             served,
             waits,

@@ -1,13 +1,11 @@
 //! Serving-layer throughput: wall-clock cost of one service round across
-//! shard counts and RNG modes, against the single-threaded process as the
-//! baseline, plus a saturation probe at demand near the service limit.
+//! shard counts, against the single-threaded process as the baseline, plus
+//! a saturation probe at demand near the service limit.
 //!
 //! The interesting comparisons:
 //!
 //! - `service_round/central` vs the bare process: the cost of routing,
-//!   channels, and merging with serial randomness generation;
-//! - `service_round/pershard` across shard counts: how much the parallel
-//!   RNG mode buys once randomness generation is off the driver;
+//!   channels, and merging, with randomness drawn by the driver;
 //! - `open_loop_saturated`: rounds/second with ingress admission and
 //!   ticket accounting in the loop, offered load at ~95 % of capacity.
 
@@ -16,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iba_core::config::CappedConfig;
 use iba_core::process::CappedProcess;
 use iba_serve::workload::{run_open_loop, OpenLoop};
-use iba_serve::{CappedService, RngMode, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig};
 use iba_sim::process::AllocationProcess;
 use iba_sim::rng::SimRng;
 
@@ -24,14 +22,11 @@ const N: usize = 1 << 14;
 const C: u32 = 4;
 const LAMBDA: f64 = 0.75;
 
-fn warmed_service(shards: usize, mode: RngMode) -> CappedService {
+fn warmed_service(shards: usize) -> CappedService {
     let capped = CappedConfig::new(N, C, LAMBDA).expect("valid");
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, shards, 1)
-            .with_rng_mode(mode)
-            .with_model_arrivals(true),
-    )
-    .expect("valid service");
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(capped, shards, 1).with_model_arrivals(true))
+            .expect("valid service");
     for _ in 0..100 {
         service.run_round();
     }
@@ -51,15 +46,10 @@ fn bench_service_round(c_bench: &mut Criterion) {
         b.iter(|| p.step(&mut rng));
     });
     for &shards in &[1usize, 2, 4, 8] {
-        for (label, mode) in [
-            ("central", RngMode::Central),
-            ("pershard", RngMode::PerShard),
-        ] {
-            group.bench_function(BenchmarkId::new(label, shards), |b| {
-                let mut service = warmed_service(shards, mode);
-                b.iter(|| service.run_round());
-            });
-        }
+        group.bench_function(BenchmarkId::new("central", shards), |b| {
+            let mut service = warmed_service(shards);
+            b.iter(|| service.run_round());
+        });
     }
     group.finish();
 }

@@ -33,7 +33,7 @@ use iba_core::{Ball, CappedConfig, CappedProcess};
 use iba_membership::{
     moved_keys, BoundedLoadRouter, MembershipEvent, MembershipPlan, RoundRobinRouter, Router,
 };
-use iba_serve::{CappedService, RngMode, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig};
 use iba_sim::codec::Decoder;
 use iba_sim::faults::{FaultEvent, FaultPlan};
 use iba_sim::process::AllocationProcess;
@@ -268,12 +268,9 @@ fn run_gauntlet(tuning: &Tuning) -> Result<GauntletStats, String> {
         Ok(())
     };
 
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(capped.clone(), 4, SEED)
-            .with_rng_mode(RngMode::PerShard)
-            .with_model_arrivals(true),
-    )
-    .map_err(|e| e.to_string())?;
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(capped.clone(), 4, SEED).with_model_arrivals(true))
+            .map_err(|e| e.to_string())?;
     schedule(&mut service, 0)?;
 
     let mut resident: HashMap<u64, i64> = HashMap::new();
@@ -290,9 +287,7 @@ fn run_gauntlet(tuning: &Tuning) -> Result<GauntletStats, String> {
     let saved_shards = service.shards();
     service.shutdown();
     let mut resumed = CappedService::resume(
-        ServiceConfig::new(capped, saved_shards, SEED)
-            .with_rng_mode(RngMode::PerShard)
-            .with_model_arrivals(true),
+        ServiceConfig::new(capped, saved_shards, SEED).with_model_arrivals(true),
         &bytes,
     )
     .map_err(|e| format!("mid-resize resume failed: {e}"))?;
@@ -350,17 +345,14 @@ fn run_gauntlet(tuning: &Tuning) -> Result<GauntletStats, String> {
 }
 
 /// No-churn differential: scheduled-but-unfired membership must leave a
-/// Central-mode service bit-identical to the bare process.
+/// service bit-identical to the bare process.
 fn run_differential(tuning: &Tuning) -> Result<u64, String> {
     let capped = CappedConfig::new(tuning.n, 2, 0.75).map_err(|e| e.to_string())?;
     let mut reference = CappedProcess::new(capped.clone());
     let mut rng = SimRng::seed_from(SEED);
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, 4, SEED)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true),
-    )
-    .map_err(|e| e.to_string())?;
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(capped, 4, SEED).with_model_arrivals(true))
+            .map_err(|e| e.to_string())?;
     service
         .schedule_membership(
             MembershipPlan::new().with(1_000_000_000, MembershipEvent::AddBins { count: 8 }),
@@ -435,7 +427,7 @@ fn render_json(
     out.push_str("  \"gauntlet\": {\n");
     let _ = writeln!(
         out,
-        "    \"n\": {}, \"c\": 2, \"lambda\": 0.75, \"shards\": 4, \"rng_mode\": \"pershard\",",
+        "    \"n\": {}, \"c\": 2, \"lambda\": 0.75, \"shards\": 4, \"rng_mode\": \"central\",",
         tuning.n
     );
     let _ = writeln!(out, "    \"rounds\": {},", gauntlet.rounds);

@@ -37,7 +37,7 @@ use iba_core::CappedConfig;
 use iba_serve::proto::MAGIC;
 use iba_serve::{
     run_net_loop, AdmissionControl, CappedService, ClientConfig, ClientStats, Frame, FrameDecoder,
-    NetClient, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, RngMode, ServiceConfig,
+    NetClient, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, ServiceConfig,
 };
 use iba_sim::stats::Histogram;
 
@@ -288,9 +288,7 @@ fn await_progress(progress: &AtomicU64, target: u64) -> Result<(), String> {
 fn run_calm(tuning: &Tuning) -> Result<PhaseStats, String> {
     let config = CappedConfig::new(N, C, 0.0).map_err(|e| e.to_string())?;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(config, SHARDS, SEED)
-            .with_rng_mode(RngMode::PerShard)
-            .with_ingress_capacity(1 << 16),
+        ServiceConfig::new(config, SHARDS, SEED).with_ingress_capacity(1 << 16),
     )
     .map_err(|e| e.to_string())?;
     let completions = service.take_completions().expect("fresh service");
@@ -343,9 +341,8 @@ type ChaosOutcome = (PhaseStats, RecoveryStats, u64, u64, (&'static str, usize))
 
 fn run_chaos(tuning: &Tuning) -> Result<ChaosOutcome, String> {
     let config = CappedConfig::new(N, C, 0.0).map_err(|e| e.to_string())?;
-    let service_config = ServiceConfig::new(config, SHARDS, SEED)
-        .with_rng_mode(RngMode::PerShard)
-        .with_ingress_capacity(CHAOS_INGRESS);
+    let service_config =
+        ServiceConfig::new(config, SHARDS, SEED).with_ingress_capacity(CHAOS_INGRESS);
     let mut service = CappedService::spawn(service_config.clone()).map_err(|e| e.to_string())?;
     let kernel = (service.kernel_mode().name(), service.shards());
     let completions = service.take_completions().expect("fresh service");

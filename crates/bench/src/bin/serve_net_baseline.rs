@@ -36,8 +36,7 @@ use std::time::{Duration, Instant};
 use iba_core::CappedConfig;
 use iba_serve::proto::MAGIC;
 use iba_serve::{
-    run_net_loop, CappedService, Frame, FrameDecoder, NetFrontend, NetLoopOptions, RngMode,
-    ServiceConfig,
+    run_net_loop, CappedService, Frame, FrameDecoder, NetFrontend, NetLoopOptions, ServiceConfig,
 };
 use iba_sim::stats::Histogram;
 
@@ -341,9 +340,7 @@ fn run_in_process(opts: &Options, started: Instant) -> Result<(), String> {
     iba_obs::set_enabled(true);
     let config = CappedConfig::new(N, C, 0.75).map_err(|e| e.to_string())?;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(config, SHARDS, SEED)
-            .with_rng_mode(RngMode::PerShard)
-            .with_ingress_capacity(1 << 16),
+        ServiceConfig::new(config, SHARDS, SEED).with_ingress_capacity(1 << 16),
     )
     .map_err(|e| e.to_string())?;
     let kernel = (service.kernel_mode().name(), service.shards());

@@ -27,7 +27,7 @@ use iba_core::CappedConfig;
 use iba_exp::registry::{unix_time_now, RunRecord, RunRegistry};
 use iba_obs::json::{content_hash, Provenance};
 use iba_obs::HistogramSnapshot;
-use iba_serve::{CappedService, KernelMode, Pacing, RngMode, RoundClock, ServiceConfig};
+use iba_serve::{CappedService, KernelMode, Pacing, RoundClock, ServiceConfig};
 
 struct Options {
     n: usize,
@@ -38,7 +38,6 @@ struct Options {
     seed: u64,
     refresh_ms: u64,
     pace_us: u64,
-    mode: RngMode,
     /// Write one final plain-text dashboard frame here and exit.
     snapshot: Option<String>,
     /// Append the final state as a registry `RunRecord` JSON line here.
@@ -58,7 +57,6 @@ impl Options {
             seed: 2021,
             refresh_ms: 250,
             pace_us: 1_000,
-            mode: RngMode::PerShard,
             snapshot: None,
             snapshot_json: None,
         }
@@ -69,7 +67,6 @@ const USAGE: &str = "iba-top: live dashboard over a sharded CAPPED(c, lambda) se
 
 USAGE: iba-top [--n BINS] [--c CAP] [--lambda L] [--shards S] [--rounds N]
                [--seed SEED] [--refresh-ms MS] [--pace-us MICROS]
-               [--mode central|pershard]
                [--snapshot PATH] [--snapshot-json PATH]
 
 Runs the service under model arrivals with telemetry enabled and refreshes
@@ -107,13 +104,6 @@ fn parse_args() -> Result<Options, String> {
             "--seed" => opts.seed = parse_value(&flag, &value)?,
             "--refresh-ms" => opts.refresh_ms = parse_value(&flag, &value)?,
             "--pace-us" => opts.pace_us = parse_value(&flag, &value)?,
-            "--mode" => {
-                opts.mode = match value.as_str() {
-                    "central" => RngMode::Central,
-                    "pershard" => RngMode::PerShard,
-                    _ => return Err(format!("--mode must be central or pershard, got {value}")),
-                }
-            }
             "--snapshot" => opts.snapshot = Some(value),
             "--snapshot-json" => opts.snapshot_json = Some(value),
             other => return Err(format!("unknown flag {other}")),
@@ -166,12 +156,11 @@ fn render_frame(
     };
     let _ = writeln!(
         frame,
-        "iba-top — CAPPED(c={}, lambda={}) n={} shards={} mode={:?}  round {}/{}  up {:.1}s",
+        "iba-top — CAPPED(c={}, lambda={}) n={} shards={}  round {}/{}  up {:.1}s",
         opts.c,
         opts.lambda,
         opts.n,
         service.shards(),
-        opts.mode,
         snap.round,
         total,
         started.elapsed().as_secs_f64()
@@ -309,9 +298,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, opts.shards, opts.seed)
-            .with_rng_mode(opts.mode)
-            .with_model_arrivals(true),
+        ServiceConfig::new(capped, opts.shards, opts.seed).with_model_arrivals(true),
     )
     .map_err(|e| format!("invalid service configuration: {e}"))?;
 

@@ -21,7 +21,7 @@ use iba_core::CappedConfig;
 use iba_membership::{Autoscaler, AutoscalerConfig};
 use iba_serve::{
     run_net_loop, CappedService, Completion, Dispatcher, KernelMode, NetFault, NetFaultPlan,
-    NetFrontend, NetLoopOptions, Pacing, RngMode, RoundClock, ServeAutosaver, ServiceConfig,
+    NetFrontend, NetLoopOptions, Pacing, RoundClock, ServeAutosaver, ServiceConfig,
 };
 
 struct Options {
@@ -34,7 +34,6 @@ struct Options {
     generators: usize,
     pace_us: u64,
     metrics_every: u64,
-    mode: RngMode,
     ingress_capacity: usize,
     telemetry: bool,
     listen: Option<String>,
@@ -58,7 +57,6 @@ impl Options {
             generators: 4,
             pace_us: 0,
             metrics_every: 0,
-            mode: RngMode::PerShard,
             ingress_capacity: 1 << 16,
             telemetry: false,
             listen: None,
@@ -77,7 +75,7 @@ const USAGE: &str =
 
 USAGE: serve_demo [--rounds N] [--shards S] [--n BINS] [--c CAP] [--lambda L]
                   [--seed SEED] [--generators G] [--pace-us MICROS]
-                  [--metrics-every K] [--mode central|pershard] [--ingress-cap Q]
+                  [--metrics-every K] [--ingress-cap Q]
                   [--telemetry] [--listen ADDR] [--elastic]
                   [--checkpoint PATH] [--checkpoint-every K] [--resume]
                   [--chaos SPEC] [--chaos-seed SEED]
@@ -159,13 +157,6 @@ fn parse_args() -> Result<Options, String> {
             "--checkpoint-every" => opts.checkpoint_every = parse_value(&flag, &value)?,
             "--chaos" => opts.chaos = Some(value),
             "--chaos-seed" => opts.chaos_seed = Some(parse_value(&flag, &value)?),
-            "--mode" => {
-                opts.mode = match value.as_str() {
-                    "central" => RngMode::Central,
-                    "pershard" => RngMode::PerShard,
-                    _ => return Err(format!("--mode must be central or pershard, got {value}")),
-                }
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -322,7 +313,6 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
     let service_config = ServiceConfig::new(capped, opts.shards, opts.seed)
-        .with_rng_mode(opts.mode)
         .with_ingress_capacity(opts.ingress_capacity);
     let mut autosaver = opts
         .checkpoint
@@ -362,8 +352,8 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     // key off; flush so it is visible even through a pipe.
     println!("serve_demo: listening on {}", frontend.local_addr());
     println!(
-        "serve_demo: n={} c={} lambda={} shards={} mode={:?} rounds={} pace={pace_us}us",
-        opts.n, opts.c, opts.lambda, opts.shards, opts.mode, opts.rounds
+        "serve_demo: n={} c={} lambda={} shards={} rounds={} pace={pace_us}us",
+        opts.n, opts.c, opts.lambda, opts.shards, opts.rounds
     );
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -478,7 +468,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let target = opts.rounds * per_round;
     let mut service = CappedService::spawn(
         ServiceConfig::new(capped, opts.shards, opts.seed)
-            .with_rng_mode(opts.mode)
             .with_ingress_capacity(opts.ingress_capacity)
             .with_max_admit_per_round(Some(per_round)),
     )
@@ -488,8 +477,8 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     println!(
-        "serve_demo: n={} c={} lambda={} shards={} mode={:?} target={} requests ({} rounds x {}/round)",
-        opts.n, opts.c, opts.lambda, opts.shards, opts.mode, target, opts.rounds, per_round
+        "serve_demo: n={} c={} lambda={} shards={} target={} requests ({} rounds x {}/round)",
+        opts.n, opts.c, opts.lambda, opts.shards, target, opts.rounds, per_round
     );
 
     let generators = spawn_generators(&service.dispatcher(), opts.generators, target);

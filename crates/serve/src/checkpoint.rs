@@ -1,14 +1,15 @@
 //! Crash-safe persistence for a running [`CappedService`].
 //!
 //! The service's checkpoint is a two-layer format: the inner layer is a
-//! complete `iba_core::checkpoint` payload (tag `IBA1` — restorable by the
-//! core tooling on its own), wrapped in a serve envelope (tag `IBSV`) that
-//! adds the state only the serving layer owns: the RNG distribution mode,
-//! per-shard RNG streams, the ticket-id watermark, lifetime admission
-//! counters, and the pending ticket map. See
+//! complete `iba_core::checkpoint` payload (tag `IBA1` — byte for byte the
+//! checkpoint of the equivalent `CappedProcess`, driver RNG stream
+//! included, and restorable by the core tooling on its own), wrapped in a
+//! serve envelope (tag `IBSV`) that adds the state only the serving layer
+//! owns: the ticket-id watermark, lifetime admission counters, the pending
+//! ticket map, and the shard topology. See
 //! [`CappedService::checkpoint_bytes`] for the capture protocol and
 //! [`CappedService::resume`] for the recovery guarantees (bit-identical
-//! continuation in [`RngMode::Central`](crate::service::RngMode::Central)).
+//! continuation).
 //!
 //! This module supplies the error type and the file-level plumbing:
 //! atomic writes with `.prev` rotation ([`ServeAutosaver`]) and a
@@ -32,9 +33,9 @@ pub enum ResumeError {
     /// The checkpoint was taken under a different CAPPED(c, λ)
     /// configuration than the caller's.
     ConfigMismatch,
-    /// The envelope decoded but a field is inconsistent — wrong RNG mode,
-    /// shard-count mismatch in per-shard mode, out-of-order pending
-    /// labels, trailing bytes.
+    /// The envelope decoded but a field is inconsistent — an RNG mode
+    /// other than the driver-owned stream, shard range ends that do not
+    /// tile the live bins, out-of-order pending labels, trailing bytes.
     Invalid {
         /// Which field failed validation.
         what: &'static str,
@@ -234,7 +235,6 @@ impl ServeAutosaver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::RngMode;
     use iba_core::CappedConfig;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -246,7 +246,6 @@ mod tests {
 
     fn running_service(rounds: u64) -> (ServiceConfig, CappedService) {
         let config = ServiceConfig::new(CappedConfig::new(16, 2, 0.75).unwrap(), 2, 99)
-            .with_rng_mode(RngMode::Central)
             .with_model_arrivals(true);
         let mut service = CappedService::spawn(config.clone()).unwrap();
         for _ in 0..rounds {

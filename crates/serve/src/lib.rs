@@ -33,29 +33,25 @@
 //!
 //! # Determinism and the differential guarantee
 //!
-//! In [`RngMode::Central`] the driver owns the single RNG stream and
-//! consumes randomness in exactly the order `CappedProcess` does (the
-//! arrival sample, then one uniform bin per pooled ball oldest-first), so
-//! the service's round-by-round trajectory — pool size, bin loads,
+//! The driver owns the service's only RNG stream and consumes randomness
+//! in exactly the order `CappedProcess` does (the arrival sample, then one
+//! uniform bin per pooled ball oldest-first); the workers draw nothing.
+//! So the service's round-by-round trajectory — pool size, bin loads,
 //! waiting times — is **bit-identical** to the bare process under the same
-//! seed, for *any* shard count. The `differential` integration test pins
-//! this. [`RngMode::PerShard`] instead splits one decorrelated stream per
-//! worker from the master seed for scalable randomness generation; the
-//! trajectory is then statistically equivalent rather than bit-equal.
+//! seed, for *any* shard count, and its checkpoint embeds the process's
+//! checkpoint byte for byte. The `differential` integration test pins
+//! this.
 //!
 //! # Example
 //!
 //! ```
 //! use iba_core::CappedConfig;
-//! use iba_serve::{RngMode, ServiceConfig, CappedService};
+//! use iba_serve::{ServiceConfig, CappedService};
 //!
 //! # fn main() -> Result<(), iba_sim::error::ConfigError> {
 //! let capped = CappedConfig::new(64, 2, 0.75)?;
-//! let mut service = CappedService::spawn(
-//!     ServiceConfig::new(capped, 4, 7)
-//!         .with_rng_mode(RngMode::Central)
-//!         .with_model_arrivals(true),
-//! )?;
+//! let mut service =
+//!     CappedService::spawn(ServiceConfig::new(capped, 4, 7).with_model_arrivals(true))?;
 //! let report = service.run_round();
 //! assert_eq!(report.generated, 48); // λn = 0.75 · 64
 //! assert!(service.conserves_balls());

@@ -17,8 +17,9 @@
 //!    ticket [`Completion`]s.
 //!
 //! Rejected requests never time out — exactly the paper's pool
-//! semantics, which is what makes the service's trajectory provably
-//! identical to `CappedProcess` in [`RngMode::Central`].
+//! semantics. Together with the driver owning the only RNG stream, this
+//! is what makes the service's trajectory provably identical to
+//! `CappedProcess` under the same seed, for any shard count.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -45,30 +46,28 @@ use crate::shard::{worker_loop, FaultOp, ShardCmd, ShardReply, ShardSnapshot};
 
 /// Service checkpoint envelope tag ("IBa SerVe"). The envelope wraps a
 /// complete `iba_core::checkpoint` payload (tag `IBA1`) as an opaque byte
-/// blob and adds the serve-only state around it: RNG distribution,
-/// per-shard RNG streams, the ticket-id watermark, and the pending ticket
-/// map. Version 2 appends the membership section (live bin count, shard
-/// range ends, balls-moved and membership-event counters) so crash
+/// blob and adds the serve-only state around it: the RNG-mode word
+/// (always 0), the shard count, the ticket-id watermark, and the pending
+/// ticket map. Version 2 appends the membership section (live bin count,
+/// shard range ends, balls-moved and membership-event counters) so crash
 /// recovery works mid-resize; version-1 envelopes stay readable.
 const ENVELOPE_TAG: &str = "IBSV";
 /// Current envelope format version.
 const ENVELOPE_VERSION: u32 = 2;
 
 /// How randomness is distributed between the driver and the workers.
+///
+/// There is one distribution: the driver owns the single RNG stream. The
+/// enum and [`ServiceConfig::with_rng_mode`] remain so that callers
+/// written against the former two-mode API keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RngMode {
     /// The driver owns the single RNG stream and consumes it in exactly
     /// the order [`iba_core::process::CappedProcess`] does, making the
     /// service trajectory bit-identical to the bare process under the
-    /// same seed (any shard count). Randomness generation is serial.
-    Central,
-    /// Each worker draws from its own stream, split deterministically
-    /// from the master seed ([`SimRng::family`]); the driver keeps the
-    /// last stream for arrivals and shard assignment. Scalable, and
-    /// statistically equivalent (each ball's bin is still uniform), but
-    /// not bit-equal to the bare process.
+    /// same seed (any shard count).
     #[default]
-    PerShard,
+    Central,
 }
 
 /// Configuration of a [`CappedService`].
@@ -79,10 +78,8 @@ pub struct ServiceConfig {
     pub capped: CappedConfig,
     /// Number of shards = worker threads (`1..=n`).
     pub shards: usize,
-    /// Master seed; every RNG stream in the service derives from it.
+    /// Seed of the driver's RNG stream, the service's only one.
     pub seed: u64,
-    /// Randomness distribution; see [`RngMode`].
-    pub rng_mode: RngMode,
     /// Whether each round also generates the configured arrival model's
     /// balls (in addition to admitted client requests). Enable for
     /// simulator-faithful runs and the differential tests; disable for a
@@ -101,15 +98,14 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Creates a configuration with the defaults: per-shard RNG, no model
-    /// arrivals (request-driven), ingress capacity 65 536, unbounded
-    /// per-round admission.
+    /// Creates a configuration with the defaults: no model arrivals
+    /// (request-driven), ingress capacity 65 536, unbounded per-round
+    /// admission.
     pub fn new(capped: CappedConfig, shards: usize, seed: u64) -> Self {
         ServiceConfig {
             capped,
             shards,
             seed,
-            rng_mode: RngMode::PerShard,
             model_arrivals: false,
             ingress_capacity: 1 << 16,
             max_admit_per_round: None,
@@ -117,10 +113,11 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the RNG mode.
+    /// Returns `self` unchanged: [`RngMode`] has one variant, so there is
+    /// nothing to set. Kept so that callers written against the former
+    /// two-mode API keep compiling.
     #[must_use]
-    pub fn with_rng_mode(mut self, mode: RngMode) -> Self {
-        self.rng_mode = mode;
+    pub fn with_rng_mode(self, _mode: RngMode) -> Self {
         self
     }
 
@@ -182,7 +179,6 @@ pub struct CappedService {
     live_n: usize,
     /// Next stable worker id to hand out (split shards get fresh ids).
     next_worker_id: usize,
-    rng_mode: RngMode,
     model_arrivals: bool,
     max_admit: Option<u64>,
     driver_rng: SimRng,
@@ -233,7 +229,6 @@ impl std::fmt::Debug for CappedService {
             .field("config", &self.config)
             .field("live_bins", &self.live_n)
             .field("shards", &self.shards)
-            .field("rng_mode", &self.rng_mode)
             .field("round", &self.round)
             .field("pool_size", &self.pool.len())
             .finish_non_exhaustive()
@@ -250,30 +245,18 @@ impl CappedService {
     /// more than one choice per ball, a non-oldest-first acceptance
     /// policy, or a shard count outside `1..=n`.
     pub fn spawn(config: ServiceConfig) -> Result<Self, ConfigError> {
-        let shards = config.shards;
         Self::validate(&config)?;
-        let (seed, rng_mode) = (config.seed, config.rng_mode);
-        let (driver_rng, shard_rngs): (SimRng, Vec<Option<SimRng>>) = match rng_mode {
-            RngMode::Central => (SimRng::seed_from(seed), (0..shards).map(|_| None).collect()),
-            RngMode::PerShard => {
-                let mut family = SimRng::family(seed, shards + 1);
-                let driver = family.pop().expect("family has shards + 1 streams");
-                (driver, family.into_iter().map(Some).collect())
-            }
-        };
-        let ranges: Vec<Range<usize>> = (0..shards)
-            .map(|s| shard_range(config.capped.bins(), shards, s))
-            .collect();
-        let shard_states: Vec<(BinShard, Option<SimRng>)> = ranges
-            .iter()
-            .cloned()
-            .zip(shard_rngs)
-            .map(|(range, rng)| (BinShard::new(&config.capped, range), rng))
-            .collect();
         let live_n = config.capped.bins();
+        let ranges: Vec<Range<usize>> = (0..config.shards)
+            .map(|s| shard_range(live_n, config.shards, s))
+            .collect();
+        let shard_states = ranges
+            .iter()
+            .map(|range| BinShard::new(&config.capped, range.clone()))
+            .collect();
         Ok(Self::assemble(
             &config,
-            driver_rng,
+            SimRng::seed_from(config.seed),
             shard_states,
             ranges,
             live_n,
@@ -309,7 +292,7 @@ impl CappedService {
     fn assemble(
         config: &ServiceConfig,
         driver_rng: SimRng,
-        shard_states: Vec<(BinShard, Option<SimRng>)>,
+        shard_states: Vec<BinShard>,
         ranges: Vec<Range<usize>>,
         live_n: usize,
         first_ticket_id: u64,
@@ -317,36 +300,21 @@ impl CappedService {
         let shards = ranges.len();
         let capped = config.capped.clone();
         let (reply_tx, replies) = channel();
-        let mut workers = Vec::with_capacity(shards);
-        for (s, (bins, rng)) in shard_states.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = channel();
-            let worker_reply_tx = reply_tx.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("iba-serve-shard-{s}"))
-                .spawn(move || worker_loop(s, bins, rng, cmd_rx, worker_reply_tx))
-                .expect("spawn shard worker thread");
-            workers.push(Worker {
-                id: s,
-                cmds: cmd_tx,
-                join,
-            });
-        }
 
         let capacity = config.ingress_capacity.max(1);
         let (ingress_tx, ingress) = sync_channel(capacity);
         let dispatcher = Dispatcher::with_first_id(ingress_tx, capacity, first_ticket_id);
         let (completions_tx, completions_rx) = channel();
 
-        CappedService {
+        let mut service = CappedService {
             shards,
             ranges,
             live_n,
-            next_worker_id: shards,
-            rng_mode: config.rng_mode,
+            next_worker_id: 0,
             model_arrivals: config.model_arrivals,
             max_admit: config.max_admit_per_round,
             driver_rng,
-            workers,
+            workers: Vec::with_capacity(shards),
             reply_tx,
             replies,
             ingress,
@@ -373,23 +341,27 @@ impl CappedService {
             total_expired: 0,
             stopped: false,
             config: capped,
+        };
+        for (pos, bins) in shard_states.into_iter().enumerate() {
+            service.spawn_worker(pos, bins);
         }
+        service
     }
 
     /// Resumes a service from bytes produced by
     /// [`checkpoint_bytes`](Self::checkpoint_bytes), mid-traffic.
     ///
     /// The embedded core checkpoint restores the full process state (pool,
-    /// bin queues with live capacities, fault mask, RNG stream) through
-    /// `iba_core::checkpoint::restore` — inheriting all of its validation:
-    /// CRC, pool order, ball conservation. The envelope restores the
-    /// serve-only state: per-shard RNG streams, the ticket-id watermark
-    /// (new tickets never collide with pre-crash ids), the lifetime
-    /// admission counter, and the pending ticket map. In
-    /// [`RngMode::Central`] the resumed trajectory is **bit-identical** to
-    /// the uninterrupted run (any shard count — the differential test pins
-    /// this); in [`RngMode::PerShard`] the shard count must match the
-    /// checkpoint's.
+    /// bin queues with live capacities, fault mask, the driver's RNG
+    /// stream) through `iba_core::checkpoint::restore` — inheriting all of
+    /// its validation: CRC, pool order, ball conservation. The envelope
+    /// restores the serve-only state: the ticket-id watermark (new tickets
+    /// never collide with pre-crash ids), the lifetime admission counter,
+    /// and the pending ticket map. The resumed trajectory is
+    /// **bit-identical** to the uninterrupted run (the differential test
+    /// pins this). A checkpoint taken with every configured bin live
+    /// resumes onto `config.shards` balanced shards, whatever shard count
+    /// it was taken with; a mid-resize checkpoint keeps its saved ranges.
     ///
     /// Not restored (by design): scheduled fault plans and active bursts
     /// (re-[`schedule`](Self::schedule) after resume, shifting rounds as
@@ -399,8 +371,8 @@ impl CappedService {
     /// # Errors
     ///
     /// [`ResumeError`] if the bytes are corrupt or truncated, the caller's
-    /// CAPPED configuration differs from the checkpoint's, or the RNG
-    /// distribution is incompatible (mode or per-shard stream count).
+    /// CAPPED configuration differs from the checkpoint's, or the envelope
+    /// records an RNG mode other than the driver-owned stream (word 0).
     pub fn resume(config: ServiceConfig, bytes: &[u8]) -> Result<Self, ResumeError> {
         Self::validate(&config).map_err(|_| ResumeError::Invalid {
             what: "service configuration",
@@ -408,24 +380,10 @@ impl CappedService {
         let mut dec = Decoder::new(bytes)?;
         let version = dec.header(ENVELOPE_TAG, ENVELOPE_VERSION)?;
         let core_bytes = dec.byte_seq("core checkpoint")?.to_vec();
-        let saved_mode = match dec.u32("rng mode")? {
-            0 => RngMode::Central,
-            1 => RngMode::PerShard,
-            _ => return Err(ResumeError::Invalid { what: "rng mode" }),
-        };
-        let saved_shards = dec.usize("shard count")?;
-        let mut shard_rng_states = Vec::new();
-        if saved_mode == RngMode::PerShard {
-            let words = dec.u64_seq("shard rng states")?;
-            if words.len() != saved_shards * 4 {
-                return Err(ResumeError::Invalid {
-                    what: "shard rng state count",
-                });
-            }
-            for chunk in words.chunks_exact(4) {
-                shard_rng_states.push([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
+        if dec.u32("rng mode")? != 0 {
+            return Err(ResumeError::Invalid { what: "rng mode" });
         }
+        let saved_shards = dec.usize("shard count")?;
         let next_ticket_id = dec.u64("ticket watermark")?;
         let total_admitted = dec.u64("total admitted")?;
         let total_expired = dec.u64("total expired")?;
@@ -476,16 +434,6 @@ impl CappedService {
                 });
             }
         }
-        if config.rng_mode != saved_mode {
-            return Err(ResumeError::Invalid {
-                what: "rng mode (checkpoint used the other distribution)",
-            });
-        }
-        if saved_mode == RngMode::PerShard && config.shards != saved_shards {
-            return Err(ResumeError::Invalid {
-                what: "shard count (per-shard RNG streams are per-checkpoint-shard)",
-            });
-        }
 
         let sim = iba_core::checkpoint::restore(&core_bytes)?;
         let process = sim.process();
@@ -505,38 +453,29 @@ impl CappedService {
             return Err(ResumeError::ConfigMismatch);
         }
         let driver_rng = SimRng::from_state(sim.rng().state());
-        // Topology: a no-churn Central checkpoint resumes onto whatever
-        // shard count the caller asked for (the driver owns all the
-        // randomness, so the partition is free); otherwise the saved
-        // ranges are authoritative — mid-resize Central runs keep their
-        // shape, and in per-shard RNG mode each saved stream belongs to
-        // its saved shard.
-        let ranges: Vec<Range<usize>> =
-            if saved_mode == RngMode::Central && live_n == config.capped.bins() {
-                (0..config.shards)
-                    .map(|s| shard_range(live_n, config.shards, s))
+        // Topology: the driver owns all the randomness, so a no-churn
+        // checkpoint (every v1 envelope included) resumes onto whatever
+        // shard count the caller asked for; a mid-resize run keeps its
+        // saved ranges.
+        let ranges: Vec<Range<usize>> = match saved_ends {
+            Some(ends) if live_n != config.capped.bins() => {
+                let mut start = 0usize;
+                ends.iter()
+                    .map(|&end| {
+                        let range = start..end as usize;
+                        start = end as usize;
+                        range
+                    })
                     .collect()
-            } else {
-                match &saved_ends {
-                    Some(ends) => {
-                        let mut start = 0usize;
-                        ends.iter()
-                            .map(|&end| {
-                                let range = start..end as usize;
-                                start = end as usize;
-                                range
-                            })
-                            .collect()
-                    }
-                    None => (0..saved_shards)
-                        .map(|s| shard_range(live_n, saved_shards, s))
-                        .collect(),
-                }
-            };
+            }
+            _ => (0..config.shards)
+                .map(|s| shard_range(live_n, config.shards, s))
+                .collect(),
+        };
         let shards = ranges.len();
         let mut shard_states = Vec::with_capacity(shards);
         let mut loads = Vec::with_capacity(shards);
-        for (s, range) in ranges.iter().enumerate() {
+        for range in &ranges {
             let parts = range
                 .clone()
                 .map(|i| {
@@ -546,13 +485,9 @@ impl CappedService {
                 })
                 .collect();
             let bins = BinShard::from_parts(range.start, expected.capacity(), parts);
-            let rng = match saved_mode {
-                RngMode::Central => None,
-                RngMode::PerShard => Some(SimRng::from_state(shard_rng_states[s])),
-            };
             let max_load = bins.loads().into_iter().max().unwrap_or(0);
             loads.push((bins.buffered() as u64, max_load as u64));
-            shard_states.push((bins, rng));
+            shard_states.push(bins);
         }
 
         let mut service = Self::assemble(
@@ -623,10 +558,8 @@ impl CappedService {
                 .resized(self.live_n)
                 .expect("membership is gated to resizable configurations")
         };
-        let mut rng_words = Vec::new();
         let mut parts = Vec::with_capacity(self.live_n);
         for snap in snapshots.into_iter().map(|s| s.expect("collected")) {
-            rng_words.extend(snap.rng_state.into_iter().flatten());
             parts.extend(snap.parts);
         }
         let process = CappedProcess::from_parts(
@@ -643,15 +576,8 @@ impl CappedService {
         let mut enc = Encoder::new();
         enc.header(ENVELOPE_TAG, ENVELOPE_VERSION);
         enc.byte_seq(&core_bytes);
-        enc.u32(match self.rng_mode {
-            RngMode::Central => 0,
-            RngMode::PerShard => 1,
-        });
+        enc.u32(0); // RNG mode: the driver-owned stream is the only one
         enc.usize(self.shards);
-        if self.rng_mode == RngMode::PerShard {
-            debug_assert_eq!(rng_words.len(), 4 * self.shards, "one stream per worker");
-            enc.u64_seq(rng_words.into_iter());
-        }
         enc.u64(self.dispatcher.next_id());
         enc.u64(self.total_admitted);
         enc.u64(self.total_expired);
@@ -890,41 +816,17 @@ impl CappedService {
         // 3. Allocation broadcast: route every pooled ball (oldest-first)
         // to the shard owning its uniformly drawn bin.
         let route_timer = iba_obs::PhaseTimer::start();
-        let balls = self.pool.take();
-        match self.rng_mode {
-            RngMode::Central => {
-                let mut routed: Vec<Vec<(u32, Ball)>> =
-                    (0..self.shards).map(|_| Vec::new()).collect();
-                for ball in balls {
-                    let bin = self.driver_rng.uniform_bin(n);
-                    let s = self.owner_of(bin);
-                    routed[s].push(((bin - self.ranges[s].start) as u32, ball));
-                }
-                for (worker, requests) in self.workers.iter().zip(routed) {
-                    worker
-                        .cmds
-                        .send(ShardCmd::RoundRouted { round, requests })
-                        .expect("shard worker alive");
-                }
-            }
-            RngMode::PerShard => {
-                // The driver picks the owning shard (probability
-                // proportional to shard size); the worker draws the local
-                // bin from its own stream. The composition is uniform
-                // over all n bins.
-                let mut assigned: Vec<Vec<Ball>> = (0..self.shards).map(|_| Vec::new()).collect();
-                for ball in balls {
-                    let bin = self.driver_rng.uniform_bin(n);
-                    let s = self.owner_of(bin);
-                    assigned[s].push(ball);
-                }
-                for (worker, balls) in self.workers.iter().zip(assigned) {
-                    worker
-                        .cmds
-                        .send(ShardCmd::RoundDraw { round, balls })
-                        .expect("shard worker alive");
-                }
-            }
+        let mut routed: Vec<Vec<(u32, Ball)>> = (0..self.shards).map(|_| Vec::new()).collect();
+        for ball in self.pool.take() {
+            let bin = self.driver_rng.uniform_bin(n);
+            let s = self.owner_of(bin);
+            routed[s].push(((bin - self.ranges[s].start) as u32, ball));
+        }
+        for (worker, requests) in self.workers.iter().zip(routed) {
+            worker
+                .cmds
+                .send(ShardCmd::Round { round, requests })
+                .expect("shard worker alive");
         }
 
         // 4. Collect and merge the shard replies.
@@ -1330,13 +1232,7 @@ impl CappedService {
         let upper_buffered: u64 = parts.iter().map(|(_, c, _)| c.len() as u64).sum();
         let first_bin = range.start + at;
         let bins = BinShard::from_parts(first_bin, self.config.capacity(), parts);
-        let rng = match self.rng_mode {
-            RngMode::Central => None,
-            // A fresh deterministic stream: split off the driver's
-            // (per-shard mode has no bit-exactness contract to keep).
-            RngMode::PerShard => Some(self.driver_rng.split()),
-        };
-        self.spawn_worker(shard + 1, bins, rng);
+        self.spawn_worker(shard + 1, bins);
         self.ranges[shard].end = first_bin;
         self.ranges.insert(shard + 1, first_bin..range.end);
         self.shards += 1;
@@ -1401,14 +1297,14 @@ impl CappedService {
     }
 
     /// Spawns a new worker at position `pos` with a fresh stable id.
-    fn spawn_worker(&mut self, pos: usize, bins: BinShard, rng: Option<SimRng>) {
+    fn spawn_worker(&mut self, pos: usize, bins: BinShard) {
         let id = self.next_worker_id;
         self.next_worker_id += 1;
         let (cmd_tx, cmd_rx) = channel();
         let reply_tx = self.reply_tx.clone();
         let join = std::thread::Builder::new()
             .name(format!("iba-serve-shard-{id}"))
-            .spawn(move || worker_loop(id, bins, rng, cmd_rx, reply_tx))
+            .spawn(move || worker_loop(id, bins, cmd_rx, reply_tx))
             .expect("spawn shard worker thread");
         self.workers.insert(
             pos,
@@ -1436,11 +1332,9 @@ mod tests {
         CappedConfig::new(n, c, lambda).unwrap()
     }
 
-    fn model_service(n: usize, c: u32, lambda: f64, shards: usize, mode: RngMode) -> CappedService {
+    fn model_service(n: usize, c: u32, lambda: f64, shards: usize) -> CappedService {
         CappedService::spawn(
-            ServiceConfig::new(config(n, c, lambda), shards, 42)
-                .with_rng_mode(mode)
-                .with_model_arrivals(true),
+            ServiceConfig::new(config(n, c, lambda), shards, 42).with_model_arrivals(true),
         )
         .unwrap()
     }
@@ -1458,20 +1352,18 @@ mod tests {
 
     #[test]
     fn model_rounds_conserve_and_report() {
-        for mode in [RngMode::Central, RngMode::PerShard] {
-            let mut service = model_service(32, 2, 0.75, 4, mode);
-            for _ in 0..100 {
-                let report = service.run_round();
-                assert!(report.conserves_balls(), "{mode:?}");
-                assert!(service.conserves_balls(), "{mode:?}");
-                assert!(report.max_load <= 2, "{mode:?}");
-                assert_eq!(report.generated, 24, "{mode:?}");
-            }
-            assert_eq!(service.round(), 100);
-            assert!(service.total_served() > 0);
-            service.shutdown();
+        let mut service = model_service(32, 2, 0.75, 4);
+        for _ in 0..100 {
+            let report = service.run_round();
+            assert!(report.conserves_balls());
             assert!(service.conserves_balls());
+            assert!(report.max_load <= 2);
+            assert_eq!(report.generated, 24);
         }
+        assert_eq!(service.round(), 100);
+        assert!(service.total_served() > 0);
+        service.shutdown();
+        assert!(service.conserves_balls());
     }
 
     #[test]
@@ -1552,9 +1444,7 @@ mod tests {
         // n = 2, 2 shards: bin 0 is shard 0's only bin. Crash it; model
         // arrivals (λ = 0.5 → 1 ball/round) can then only land in bin 1.
         let mut service = CappedService::spawn(
-            ServiceConfig::new(config(2, 1, 0.5), 2, 11)
-                .with_rng_mode(RngMode::Central)
-                .with_model_arrivals(true),
+            ServiceConfig::new(config(2, 1, 0.5), 2, 11).with_model_arrivals(true),
         )
         .unwrap();
         service.schedule(FaultPlan::new().with(1, FaultEvent::CrashBins { bins: vec![0] }));
@@ -1573,7 +1463,7 @@ mod tests {
 
     #[test]
     fn pool_surge_enters_with_pre_round_label() {
-        let mut service = model_service(8, 1, 0.5, 2, RngMode::Central);
+        let mut service = model_service(8, 1, 0.5, 2);
         service.run_round();
         service.schedule(FaultPlan::new().with(2, FaultEvent::PoolSurge { extra: 5 }));
         let report = service.run_round();
@@ -1585,7 +1475,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters() {
-        let mut service = model_service(32, 2, 0.75, 4, RngMode::PerShard);
+        let mut service = model_service(32, 2, 0.75, 4);
         for _ in 0..20 {
             service.run_round();
         }
@@ -1602,54 +1492,46 @@ mod tests {
     #[test]
     #[should_panic(expected = "shut down")]
     fn run_after_shutdown_panics() {
-        let mut service = model_service(8, 1, 0.5, 2, RngMode::PerShard);
+        let mut service = model_service(8, 1, 0.5, 2);
         service.shutdown();
         service.run_round();
     }
 
     #[test]
     fn checkpoint_resume_continues_bit_identically() {
-        for mode in [RngMode::Central, RngMode::PerShard] {
-            let config = ServiceConfig::new(config(32, 2, 0.75), 4, 42)
-                .with_rng_mode(mode)
-                .with_model_arrivals(true);
-            let mut original = CappedService::spawn(config.clone()).unwrap();
-            for _ in 0..30 {
-                original.run_round();
-            }
-            let bytes = original.checkpoint_bytes();
-            let mut resumed = CappedService::resume(config, &bytes).unwrap();
-            assert_eq!(resumed.round(), 30, "{mode:?}");
-            assert_eq!(resumed.total_generated(), original.total_generated());
-            assert_eq!(resumed.pool_size(), original.pool_size());
-            assert_eq!(resumed.buffered(), original.buffered());
-            assert!(resumed.conserves_balls(), "{mode:?}");
-            for r in 0..25 {
-                assert_eq!(
-                    original.run_round(),
-                    resumed.run_round(),
-                    "{mode:?} diverged at +{r}"
-                );
-            }
+        let config = ServiceConfig::new(config(32, 2, 0.75), 4, 42).with_model_arrivals(true);
+        let mut original = CappedService::spawn(config.clone()).unwrap();
+        for _ in 0..30 {
+            original.run_round();
+        }
+        let bytes = original.checkpoint_bytes();
+        let mut resumed = CappedService::resume(config, &bytes).unwrap();
+        assert_eq!(resumed.round(), 30);
+        assert_eq!(resumed.total_generated(), original.total_generated());
+        assert_eq!(resumed.pool_size(), original.pool_size());
+        assert_eq!(resumed.buffered(), original.buffered());
+        assert!(resumed.conserves_balls());
+        for r in 0..25 {
+            assert_eq!(
+                original.run_round(),
+                resumed.run_round(),
+                "diverged at +{r}"
+            );
         }
     }
 
     #[test]
     fn central_resume_works_across_shard_counts() {
         let capped = config(32, 2, 0.75);
-        let cfg4 = ServiceConfig::new(capped.clone(), 4, 9)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true);
+        let cfg4 = ServiceConfig::new(capped.clone(), 4, 9).with_model_arrivals(true);
         let mut original = CappedService::spawn(cfg4.clone()).unwrap();
         for _ in 0..20 {
             original.run_round();
         }
         let bytes = original.checkpoint_bytes();
-        // Central mode owns all randomness in the driver, so the resumed
-        // topology is free to differ.
-        let cfg2 = ServiceConfig::new(capped, 2, 9)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true);
+        // The driver owns all the randomness, so the resumed topology is
+        // free to differ.
+        let cfg2 = ServiceConfig::new(capped, 2, 9).with_model_arrivals(true);
         let mut resumed = CappedService::resume(cfg2, &bytes).unwrap();
         for _ in 0..20 {
             assert_eq!(original.run_round(), resumed.run_round());
@@ -1658,35 +1540,43 @@ mod tests {
 
     #[test]
     fn resume_rejects_incompatible_configs() {
-        let base = ServiceConfig::new(config(16, 2, 0.5), 2, 7)
-            .with_rng_mode(RngMode::PerShard)
-            .with_model_arrivals(true);
+        let base = ServiceConfig::new(config(16, 2, 0.5), 2, 7).with_model_arrivals(true);
         let mut service = CappedService::spawn(base.clone()).unwrap();
         service.run_rounds(5);
         let bytes = service.checkpoint_bytes();
 
-        let other_capped = ServiceConfig::new(config(16, 3, 0.5), 2, 7)
-            .with_rng_mode(RngMode::PerShard)
-            .with_model_arrivals(true);
+        let other_capped = ServiceConfig::new(config(16, 3, 0.5), 2, 7).with_model_arrivals(true);
         assert!(matches!(
             CappedService::resume(other_capped, &bytes),
             Err(ResumeError::ConfigMismatch)
         ));
 
-        let other_shards = ServiceConfig::new(config(16, 2, 0.5), 4, 7)
-            .with_rng_mode(RngMode::PerShard)
-            .with_model_arrivals(true);
+        // A per-shard envelope in the layout older versions wrote (mode
+        // word 1, then one 4-word RNG stream per shard) is well-formed
+        // and CRC-valid, and still rejected at the mode word.
+        let mut dec = Decoder::new(&bytes).unwrap();
+        dec.header(ENVELOPE_TAG, ENVELOPE_VERSION).unwrap();
+        let mut enc = Encoder::new();
+        enc.header(ENVELOPE_TAG, ENVELOPE_VERSION);
+        enc.byte_seq(dec.byte_seq("core checkpoint").unwrap());
+        assert_eq!(dec.u32("rng mode").unwrap(), 0);
+        enc.u32(1);
+        let shards = dec.usize("shard count").unwrap();
+        enc.usize(shards);
+        enc.u64_seq((0..4 * shards).map(|w| w as u64));
+        for what in ["ticket watermark", "total admitted", "total expired"] {
+            enc.u64(dec.u64(what).unwrap());
+        }
+        assert_eq!(dec.usize("pending ticket map").unwrap(), 0);
+        enc.usize(0);
+        enc.usize(dec.usize("live bin count").unwrap());
+        enc.u64_seq(dec.u64_seq("shard range ends").unwrap().into_iter());
+        enc.u64(dec.u64("balls moved").unwrap());
+        enc.u64(dec.u64("membership events").unwrap());
+        assert!(dec.is_exhausted());
         assert!(matches!(
-            CappedService::resume(other_shards, &bytes),
-            Err(ResumeError::Invalid { .. })
-        ));
-
-        let other_mode = ServiceConfig::new(config(16, 2, 0.5), 2, 7)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true);
-        assert!(matches!(
-            CappedService::resume(other_mode, &bytes),
-            Err(ResumeError::Invalid { .. })
+            CappedService::resume(base.clone(), &enc.finish()),
+            Err(ResumeError::Invalid { what: "rng mode" })
         ));
 
         // Corruption fails the CRC before any field parses.

@@ -1,16 +1,17 @@
 //! Worker-thread internals: the per-shard command loop.
 //!
-//! Each worker owns one [`BinShard`] (a contiguous range of bins) and, in
-//! per-shard RNG mode, its own [`SimRng`] stream. The driver broadcasts
-//! one command per round on the worker's private channel; because mpsc
-//! channels deliver in send order, fault commands sent before a round
-//! command are guaranteed to apply before that round executes.
+//! Each worker owns one [`BinShard`] (a contiguous range of bins) and no
+//! randomness: the driver draws every ball's bin from its own stream and
+//! sends the worker requests already routed to local bins. The driver
+//! broadcasts one command per round on the worker's private channel;
+//! because mpsc channels deliver in send order, fault commands sent
+//! before a round command are guaranteed to apply before that round
+//! executes.
 
 use std::sync::mpsc::{Receiver, Sender};
 
 use iba_core::shard::{BinPart, BinShard};
 use iba_core::{Ball, Capacity};
-use iba_sim::SimRng;
 
 use crate::obs;
 
@@ -28,16 +29,12 @@ pub(crate) enum FaultOp {
 pub(crate) enum ShardCmd {
     /// Apply a fault operation to local bin `local` before the next round.
     Fault { local: u32, op: FaultOp },
-    /// Execute one round on requests already routed to local bins
-    /// (central RNG mode). Requests are ordered oldest-first.
-    RoundRouted {
+    /// Execute one round on requests already routed to local bins.
+    /// Requests are ordered oldest-first.
+    Round {
         round: u64,
         requests: Vec<(u32, Ball)>,
     },
-    /// Execute one round, drawing a uniform local bin per ball from the
-    /// worker's own RNG stream (per-shard RNG mode). Balls are ordered
-    /// oldest-first.
-    RoundDraw { round: u64, balls: Vec<Ball> },
     /// Capture the shard's full state for a service checkpoint. The reply
     /// goes to the dedicated `reply` channel so it cannot interleave with
     /// round replies.
@@ -72,8 +69,6 @@ pub(crate) struct ShardSnapshot {
     /// from the configured profile), FIFO contents, and offline flag, in
     /// bin order.
     pub parts: Vec<BinPart>,
-    /// The worker's RNG stream position (`None` in central RNG mode).
-    pub rng_state: Option<[u64; 4]>,
 }
 
 /// A worker's answer to one round command.
@@ -104,14 +99,10 @@ pub(crate) struct ShardReply {
 pub(crate) fn worker_loop(
     shard_id: usize,
     mut bins: BinShard,
-    mut rng: Option<SimRng>,
     cmds: Receiver<ShardCmd>,
     replies: Sender<ShardReply>,
 ) {
     for cmd in cmds {
-        // Membership commands resize the shard between rounds, so the
-        // local bin count is re-read per command, never cached.
-        let local_n = bins.len();
         match cmd {
             ShardCmd::Fault { local, op } => match op {
                 FaultOp::Offline(offline) => bins.set_offline(local as usize, offline),
@@ -126,28 +117,15 @@ pub(crate) fn worker_loop(
                     bins.set_capacity(local as usize, capacity);
                 }
             },
-            ShardCmd::RoundRouted { round, requests } => {
+            ShardCmd::Round { round, requests } => {
                 if run_round(shard_id, &mut bins, round, &requests, &replies).is_err() {
                     return; // driver gone
-                }
-            }
-            ShardCmd::RoundDraw { round, balls } => {
-                let rng = rng
-                    .as_mut()
-                    .expect("RoundDraw requires a per-shard RNG stream");
-                let requests: Vec<(u32, Ball)> = balls
-                    .into_iter()
-                    .map(|ball| (rng.uniform_bin(local_n) as u32, ball))
-                    .collect();
-                if run_round(shard_id, &mut bins, round, &requests, &replies).is_err() {
-                    return;
                 }
             }
             ShardCmd::Snapshot { reply } => {
                 let snapshot = ShardSnapshot {
                     shard: shard_id,
                     parts: bins.to_parts(),
-                    rng_state: rng.as_ref().map(SimRng::state),
                 };
                 if reply.send(snapshot).is_err() {
                     return; // driver gone
@@ -159,7 +137,7 @@ pub(crate) fn worker_loop(
                 }
             }
             ShardCmd::PopBins { count, reply } => {
-                debug_assert!(count < local_n, "driver keeps at least one bin");
+                debug_assert!(count < bins.len(), "driver keeps at least one bin");
                 let mut parts: Vec<_> = (0..count).map(|_| bins.pop_bin()).collect();
                 parts.reverse(); // popped top-down; hand back in bin order
                 if reply.send(parts).is_err() {

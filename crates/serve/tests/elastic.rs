@@ -2,7 +2,7 @@
 //! autoscaling, and crash recovery mid-resize.
 //!
 //! The anchors:
-//! - a Central-mode service with membership *scheduled but never firing*
+//! - a service with membership *scheduled but never firing*
 //!   stays bit-identical to the bare `CappedProcess`;
 //! - shard splits and merges move ownership only — the trajectory is
 //!   bit-identical to an unsplit service;
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use iba_core::{Ball, CappedConfig, CappedProcess};
 use iba_membership::{Autoscaler, AutoscalerConfig, MembershipEvent, MembershipPlan};
-use iba_serve::{CappedService, RngMode, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig};
 use iba_sim::codec::Decoder;
 use iba_sim::faults::{FaultEvent, FaultPlan};
 use iba_sim::process::AllocationProcess;
@@ -24,13 +24,9 @@ fn config(n: usize, c: u32, lambda: f64) -> CappedConfig {
     CappedConfig::new(n, c, lambda).expect("valid cell")
 }
 
-fn central(config: CappedConfig, shards: usize, seed: u64) -> CappedService {
-    CappedService::spawn(
-        ServiceConfig::new(config, shards, seed)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true),
-    )
-    .expect("valid service config")
+fn model_service(config: CappedConfig, shards: usize, seed: u64) -> CappedService {
+    CappedService::spawn(ServiceConfig::new(config, shards, seed).with_model_arrivals(true))
+        .expect("valid service config")
 }
 
 /// Every ball still in the system (pool + every bin ring), by label, read
@@ -56,7 +52,7 @@ fn scheduled_but_unfired_membership_stays_bit_identical_to_capped_process() {
     let cfg = config(64, 2, 0.75);
     let mut reference = CappedProcess::new(cfg.clone());
     let mut rng = SimRng::seed_from(99);
-    let mut service = central(cfg, 4, 99);
+    let mut service = model_service(cfg, 4, 99);
     // Membership is live (the plan is non-empty) but every event sits far
     // beyond the horizon: the apply path runs each round and must not
     // perturb the trajectory.
@@ -76,8 +72,8 @@ fn scheduled_but_unfired_membership_stays_bit_identical_to_capped_process() {
 #[test]
 fn shard_splits_and_merges_do_not_perturb_the_trajectory() {
     let cfg = config(64, 2, 0.75);
-    let mut plain = central(cfg.clone(), 2, 7);
-    let mut churned = central(cfg, 2, 7);
+    let mut plain = model_service(cfg.clone(), 2, 7);
+    let mut churned = model_service(cfg, 2, 7);
     churned
         .schedule_membership(
             MembershipPlan::new()
@@ -103,13 +99,8 @@ fn shard_splits_and_merges_do_not_perturb_the_trajectory() {
 
 #[test]
 fn churn_fault_surge_gauntlet_loses_no_ball() {
-    for (mode, shards) in [(RngMode::Central, 3), (RngMode::PerShard, 4)] {
-        let mut service = CappedService::spawn(
-            ServiceConfig::new(config(48, 2, 0.75), shards, 1234)
-                .with_rng_mode(mode)
-                .with_model_arrivals(true),
-        )
-        .expect("valid service config");
+    for shards in [3, 4] {
+        let mut service = model_service(config(48, 2, 0.75), shards, 1234);
         service
             .schedule_membership(
                 MembershipPlan::new()
@@ -158,8 +149,8 @@ fn churn_fault_surge_gauntlet_loses_no_ball() {
         let mut prev_generated = 0u64;
         for round in 1..=100u64 {
             let report = service.run_round();
-            assert!(report.conserves_balls(), "{mode:?} round {round}");
-            assert!(service.conserves_balls(), "{mode:?} round {round}");
+            assert!(report.conserves_balls(), "{shards} shards round {round}");
+            assert!(service.conserves_balls(), "{shards} shards round {round}");
             // `report.generated` covers model arrivals (labeled `round`);
             // surge and burst balls only show up in the lifetime counter
             // and carry the pre-round label.
@@ -174,14 +165,20 @@ fn churn_fault_surge_gauntlet_loses_no_ball() {
                 let label = round - wait;
                 let count = resident.get_mut(&label).expect("served a known ball");
                 *count -= 1;
-                assert!(*count >= 0, "{mode:?}: ball labeled {label} over-served");
+                assert!(
+                    *count >= 0,
+                    "{shards} shards: ball labeled {label} over-served"
+                );
                 if *count == 0 {
                     resident.remove(&label);
                 }
             }
         }
-        assert!(service.membership_events() >= 7, "{mode:?}");
-        assert!(service.balls_moved() > 0, "{mode:?}: drains moved balls");
+        assert!(service.membership_events() >= 7, "{shards} shards");
+        assert!(
+            service.balls_moved() > 0,
+            "{shards} shards: drains moved balls"
+        );
         // Per-ball id conservation: what the checkpoint says is resident
         // is exactly what the arrival/serve ledger says should be.
         let mut expected: Vec<u64> = resident
@@ -191,18 +188,16 @@ fn churn_fault_surge_gauntlet_loses_no_ball() {
             })
             .collect();
         expected.sort_unstable();
-        assert_eq!(resident_labels(&mut service), expected, "{mode:?}");
+        assert_eq!(resident_labels(&mut service), expected, "{shards} shards");
     }
 }
 
 #[test]
 fn mid_resize_checkpoint_resumes_bit_identically() {
-    // Central mode: resize events straddle the checkpoint; the resumed
+    // Resize events straddle the checkpoint; the resumed
     // service re-schedules the still-future ones (plans are deliberately
     // not checkpointed, matching fault-plan semantics).
-    let cfg = ServiceConfig::new(config(32, 2, 0.75), 4, 2024)
-        .with_rng_mode(RngMode::Central)
-        .with_model_arrivals(true);
+    let cfg = ServiceConfig::new(config(32, 2, 0.75), 4, 2024).with_model_arrivals(true);
     let past = MembershipPlan::new()
         .with(5, MembershipEvent::AddBins { count: 10 })
         .with(12, MembershipEvent::SplitShard { shard: 3 })
@@ -239,44 +234,8 @@ fn mid_resize_checkpoint_resumes_bit_identically() {
 }
 
 #[test]
-fn per_shard_mid_resize_checkpoint_resumes_bit_identically() {
-    // Per-shard RNG with add/remove churn (no splits, so the shard count
-    // the caller passes still matches the checkpoint).
-    let cfg = ServiceConfig::new(config(24, 2, 0.75), 3, 77)
-        .with_rng_mode(RngMode::PerShard)
-        .with_model_arrivals(true);
-    let mut original = CappedService::spawn(cfg.clone()).expect("valid service config");
-    original
-        .schedule_membership(
-            MembershipPlan::new()
-                .with(4, MembershipEvent::AddBins { count: 9 })
-                .with(10, MembershipEvent::RemoveBins { count: 5 }),
-        )
-        .expect("uniform");
-    for _ in 0..15 {
-        original.run_round();
-    }
-    assert_eq!(original.live_bins(), 28);
-    let bytes = original.checkpoint_bytes();
-    let mut resumed = CappedService::resume(cfg, &bytes).expect("per-shard mid-resize resume");
-    assert_eq!(resumed.live_bins(), 28);
-    for r in 0..20 {
-        assert_eq!(
-            original.run_round(),
-            resumed.run_round(),
-            "diverged at +{r}"
-        );
-    }
-}
-
-#[test]
 fn autoscaler_grows_under_surge_and_shrinks_when_idle() {
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(config(8, 1, 0.875), 2, 5)
-            .with_rng_mode(RngMode::Central)
-            .with_model_arrivals(true),
-    )
-    .expect("valid service config");
+    let mut service = model_service(config(8, 1, 0.875), 2, 5);
     service
         .set_autoscaler(Autoscaler::new(
             AutoscalerConfig::new(4, 64)
@@ -336,7 +295,7 @@ fn removing_bins_drains_their_rings_back_into_the_pool() {
     // Load the system, then shrink hard: drained balls must retry (pool
     // grows by exactly what the removed bins buffered) and eventually get
     // served by the survivors.
-    let mut service = central(config(32, 4, 0.875), 4, 314);
+    let mut service = model_service(config(32, 4, 0.875), 4, 314);
     for _ in 0..20 {
         service.run_round();
     }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use iba_core::{Ball, CappedConfig};
 use iba_membership::{MembershipEvent, MembershipPlan};
-use iba_serve::{CappedService, RngMode, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig};
 use iba_sim::codec::Decoder;
 
 fn arb_event() -> impl Strategy<Value = MembershipEvent> {
@@ -56,16 +56,13 @@ proptest! {
     fn no_membership_sequence_loses_or_duplicates_a_ball(
         plan in arb_plan(),
         seed in 1u64..1_000,
-        central in any::<bool>(),
     ) {
-        let mode = if central { RngMode::Central } else { RngMode::PerShard };
         let mut service = CappedService::spawn(
             ServiceConfig::new(
                 CappedConfig::new(16, 2, 0.75).expect("valid cell"),
                 2,
                 seed,
             )
-            .with_rng_mode(mode)
             .with_model_arrivals(true),
         )
         .expect("valid service config");

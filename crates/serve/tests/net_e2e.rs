@@ -13,8 +13,7 @@ use iba_core::CappedConfig;
 use iba_serve::proto::MAGIC;
 use iba_serve::{
     run_net_loop, AdmissionControl, CappedService, ClientConfig, CloseReason, Frame, FrameDecoder,
-    NetClient, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, NetStats, RngMode,
-    ServiceConfig,
+    NetClient, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, NetStats, ServiceConfig,
 };
 
 const N: usize = 32;
@@ -22,7 +21,6 @@ const N: usize = 32;
 fn spawn_service(ingress_capacity: usize) -> CappedService {
     CappedService::spawn(
         ServiceConfig::new(CappedConfig::new(N, 2, 0.0).expect("valid config"), 4, 7)
-            .with_rng_mode(RngMode::PerShard)
             .with_ingress_capacity(ingress_capacity),
     )
     .expect("valid service config")

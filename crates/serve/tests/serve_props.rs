@@ -1,6 +1,6 @@
 //! Property-based tests of the sharded service: ball conservation and
-//! ticket accounting under arbitrary fault plans, per-shard RNG mode, and
-//! open-loop client traffic.
+//! ticket accounting under arbitrary fault plans and open-loop client
+//! traffic.
 //!
 //! The laws pinned here hold for *any* fault sequence:
 //!
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use iba_core::CappedConfig;
 use iba_serve::workload::{run_open_loop, OpenLoop};
-use iba_serve::{CappedService, RngMode, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig};
 use iba_sim::faults::{FaultEvent, FaultPlan};
 
 const N: usize = 24;
@@ -60,14 +60,13 @@ fn alters_capacity(plan: &FaultPlan) -> bool {
     })
 }
 
-fn service(c: u32, shards: usize, seed: u64, mode: RngMode) -> CappedService {
+fn service(c: u32, shards: usize, seed: u64) -> CappedService {
     CappedService::spawn(
         ServiceConfig::new(
             CappedConfig::new(N, c, 0.5).expect("valid config"),
             shards,
             seed,
         )
-        .with_rng_mode(mode)
         .with_model_arrivals(true),
     )
     .expect("valid service config")
@@ -78,19 +77,17 @@ proptest! {
 
     /// Under an arbitrary fault plan, every round of a sharded service
     /// conserves balls — the per-round report law and the service-lifetime
-    /// law — for any shard count and either RNG mode.
+    /// law — for any shard count.
     #[test]
     fn sharded_rounds_conserve_under_arbitrary_plans(
         plan in fault_plan(),
         c in 1u32..4,
         shards in 1usize..9,
         seed in any::<u64>(),
-        central in any::<bool>(),
     ) {
-        let mode = if central { RngMode::Central } else { RngMode::PerShard };
         let rounds = plan.last_round().unwrap_or(0) + 10;
         let capacity_fixed = !alters_capacity(&plan);
-        let mut svc = service(c, shards, seed, mode);
+        let mut svc = service(c, shards, seed);
         svc.schedule(plan);
         for _ in 0..rounds {
             let report = svc.run_round();
@@ -113,7 +110,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rounds = plan.last_round().unwrap_or(0) + 10;
-        let mut svc = service(2, shards, seed, RngMode::PerShard);
+        let mut svc = service(2, shards, seed);
         let completions = svc.take_completions().expect("fresh service");
         let load = OpenLoop::new(rate).with_plan(plan);
         let summary = run_open_loop(&mut svc, &load, rounds);
@@ -127,28 +124,5 @@ proptest! {
             "a ticket was lost or double-completed"
         );
         prop_assert!(svc.conserves_balls());
-    }
-
-    /// Central and per-shard RNG modes agree on the conservation
-    /// aggregates (not the trajectory): after the same number of rounds,
-    /// both have generated exactly `rounds · λn` model balls and conserve
-    /// them.
-    #[test]
-    fn rng_modes_agree_on_aggregate_laws(
-        shards in 1usize..9,
-        seed in any::<u64>(),
-        rounds in 1u64..40,
-    ) {
-        let mut central = service(2, shards, seed, RngMode::Central);
-        let mut pershard = service(2, shards, seed, RngMode::PerShard);
-        for _ in 0..rounds {
-            central.run_round();
-            pershard.run_round();
-        }
-        // λn = 12 is deterministic per round for the paper's arrival model.
-        prop_assert_eq!(central.total_generated(), rounds * 12);
-        prop_assert_eq!(pershard.total_generated(), rounds * 12);
-        prop_assert!(central.conserves_balls());
-        prop_assert!(pershard.conserves_balls());
     }
 }

@@ -1,19 +1,167 @@
 //! Ablations and robustness experiments (`DOM`, `ABL-d`, `ABL-arr`,
-//! `STAB`).
+//! `STAB`, `POLICY`, ...), and the [`AblationProcess`] behind `ABL-d` and
+//! `POLICY`.
+
+use std::fmt;
 
 use iba_core::config::CappedConfig;
 use iba_core::coupling::CoupledRun;
 use iba_core::process::CappedProcess;
+use iba_core::{BinShard, Pool};
 use iba_sim::arrivals::ArrivalModel;
 use iba_sim::output::Table;
-use iba_sim::process::AllocationProcess;
+use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
 
 use iba_analysis::fits;
 
 use crate::figures::ExperimentOutput;
-use crate::measure::{measure_capped, MeasureConfig};
+use crate::measure::{measure_capped, measure_process, MeasureConfig};
 use crate::scale::Scale;
+
+/// The order in which an [`AblationProcess`]'s requests reach the bins,
+/// and so which requests a bin accepts when more ask than it has room for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Priority {
+    /// Oldest requests first (Algorithm 1).
+    OldestFirst,
+    /// A uniformly random order (age-blind).
+    Random,
+    /// Youngest requests first (adversarial: old balls starve).
+    YoungestFirst,
+}
+
+impl fmt::Display for Priority {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Priority::OldestFirst => "oldest-first",
+            Priority::Random => "random",
+            Priority::YoungestFirst => "youngest-first",
+        })
+    }
+}
+
+/// CAPPED(c, λ) with Algorithm 1's two design choices turned into knobs,
+/// for the `ABL-d` and `POLICY` ablations. Each ball samples `d` uniform
+/// bins and requests the least loaded (ties toward the first sample), and
+/// the round's requests reach the bins in [`Priority`] order. Under either
+/// knob a ball's fate depends on loads that change *during* the request
+/// stream, so the process walks its bins ball by ball
+/// ([`BinShard::try_accept`]) and then runs the shard's deletion sweep.
+///
+/// With `d = 1` and [`Priority::OldestFirst`] it is Algorithm 1: its
+/// `RoundReport`s equal [`CappedProcess`]'s under the same RNG stream.
+#[derive(Debug, Clone)]
+pub struct AblationProcess {
+    config: CappedConfig,
+    d: u32,
+    priority: Priority,
+    pool: Pool,
+    bins: BinShard,
+    round: u64,
+}
+
+impl AblationProcess {
+    /// Creates the process in the paper's initial state (empty pool, empty
+    /// bins, round 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    pub fn new(config: CappedConfig, d: u32, priority: Priority) -> Self {
+        assert!(d >= 1, "every ball needs at least one choice");
+        let bins = BinShard::new(&config, 0..config.bins());
+        AblationProcess {
+            config,
+            d,
+            priority,
+            pool: Pool::new(),
+            bins,
+            round: 0,
+        }
+    }
+
+    /// Fills the pool to the theory-predicted stationary size, as
+    /// [`CappedProcess::warm_start`] does. Call before the first step.
+    pub fn warm_start(&mut self) {
+        let target = self.config.predicted_stationary_pool();
+        let extra = target.saturating_sub(self.pool.len()) as u64;
+        self.pool.push_generation(self.round, extra);
+    }
+
+    /// The pool.
+    pub fn pool(&self) -> &Pool {
+        &self.pool
+    }
+}
+
+impl AllocationProcess for AblationProcess {
+    fn bins(&self) -> usize {
+        self.config.bins()
+    }
+
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn pool_size(&self) -> usize {
+        self.pool.len()
+    }
+
+    fn step(&mut self, rng: &mut SimRng) -> RoundReport {
+        let generated = self.config.arrivals().sample(rng);
+        self.round += 1;
+        let round = self.round;
+        self.pool.push_generation(round, generated);
+        let mut balls = self.pool.take();
+        let thrown = balls.len() as u64;
+        match self.priority {
+            Priority::OldestFirst => {}
+            Priority::YoungestFirst => balls.reverse(),
+            Priority::Random => {
+                // Fisher–Yates shuffle.
+                for i in (1..balls.len()).rev() {
+                    let j = rng.uniform_below(i as u64 + 1) as usize;
+                    balls.swap(i, j);
+                }
+            }
+        }
+        let n = self.bins.len();
+        let mut rejected = Vec::new();
+        for ball in balls {
+            let mut best = rng.uniform_bin(n);
+            for _ in 1..self.d {
+                let candidate = rng.uniform_bin(n);
+                if self.bins.load(candidate) < self.bins.load(best) {
+                    best = candidate;
+                }
+            }
+            if !self.bins.try_accept(best, ball) {
+                rejected.push(ball);
+            }
+        }
+        // The pool keeps age order whatever order the bins saw.
+        rejected.sort();
+        let accepted = thrown - rejected.len() as u64;
+        self.pool.restore(rejected);
+        let mut waiting_times = Vec::new();
+        let stats = self
+            .bins
+            .serve_sweep(|_, ball| waiting_times.push(ball.age_at(round)));
+        RoundReport {
+            round,
+            generated,
+            thrown,
+            accepted,
+            deleted: waiting_times.len() as u64,
+            failed_deletions: stats.failed_deletions,
+            pool_size: self.pool.len() as u64,
+            buffered: stats.buffered,
+            max_load: stats.max_load,
+            waiting_times,
+        }
+    }
+}
 
 /// **`DOM`** — executes the Lemma-1/6 coupling for several `(c, λ)` and
 /// reports, per configuration, the number of dominance violations (which
@@ -76,13 +224,15 @@ pub fn choice_ablation(scale: Scale) -> ExperimentOutput {
     let notes = vec![format!("n = {n}")];
     for c in [1u32, 2, 3] {
         for d in [1u32, 2] {
-            let config = CappedConfig::new(n, c, lambda)
-                .expect("valid")
-                .with_choices(d)
-                .expect("valid d");
+            let config = CappedConfig::new(n, c, lambda).expect("valid");
             let m = MeasureConfig::for_lambda(lambda, scale.window(), scale.seeds())
                 .with_master_seed(u64::from(c * 10 + d));
-            let est = measure_capped(&config, &m);
+            let factory = |_| {
+                let mut p = AblationProcess::new(config.clone(), d, Priority::OldestFirst);
+                p.warm_start();
+                p
+            };
+            let est = measure_process(factory, n, &m);
             table.row(vec![
                 u64::from(c).into(),
                 u64::from(d).into(),
@@ -193,8 +343,6 @@ pub fn stabilization(scale: Scale) -> ExperimentOutput {
 /// distribution (acceptance counts don't depend on priority) but destroy
 /// the tail.
 pub fn policy_ablation(scale: Scale) -> ExperimentOutput {
-    use iba_core::config::AcceptancePolicy;
-
     let n = scale.bins();
     let lambda = 1.0 - 1.0 / 64.0;
     let c = 2u32;
@@ -213,14 +361,12 @@ pub fn policy_ablation(scale: Scale) -> ExperimentOutput {
         "n = {n}; the pool is priority-invariant, the waiting-time tail is not"
     )];
     for policy in [
-        AcceptancePolicy::OldestFirst,
-        AcceptancePolicy::Random,
-        AcceptancePolicy::YoungestFirst,
+        Priority::OldestFirst,
+        Priority::Random,
+        Priority::YoungestFirst,
     ] {
-        let config = CappedConfig::new(n, c, lambda)
-            .expect("valid")
-            .with_policy(policy);
-        let mut process = CappedProcess::new(config);
+        let config = CappedConfig::new(n, c, lambda).expect("valid");
+        let mut process = AblationProcess::new(config, 1, policy);
         process.warm_start();
         let mut rng = SimRng::seed_from(311);
         for _ in 0..(4.0 / (1.0 - lambda)).ceil() as u64 + 256 {
@@ -803,6 +949,90 @@ mod tests {
             let violations: u64 = line.split(',').nth(3).unwrap().parse().unwrap();
             assert_eq!(violations, 0, "row: {line}");
         }
+    }
+
+    #[test]
+    fn one_choice_oldest_first_is_the_capped_process() {
+        for (c, lambda) in [(1u32, 0.75), (2, 1.0 - 1.0 / 64.0), (3, 0.5)] {
+            for seed in [1u64, 2, 3] {
+                let config = CappedConfig::new(128, c, lambda).unwrap();
+                let mut capped = CappedProcess::new(config.clone());
+                let mut ablation = AblationProcess::new(config, 1, Priority::OldestFirst);
+                capped.warm_start();
+                ablation.warm_start();
+                let mut rng_c = SimRng::seed_from(seed);
+                let mut rng_a = SimRng::seed_from(seed);
+                for _ in 0..300 {
+                    assert_eq!(ablation.step(&mut rng_a), capped.step(&mut rng_c));
+                }
+                assert_eq!(ablation.pool_size(), capped.pool_size());
+            }
+        }
+    }
+
+    #[test]
+    fn two_choice_ablation_reduces_rejections() {
+        // With d = 2 the process should reject at most as much as d = 1 on
+        // average (power of two choices); compare stationary pools.
+        let config = CappedConfig::new(256, 1, 0.75).unwrap();
+        let mut one = AblationProcess::new(config.clone(), 1, Priority::OldestFirst);
+        let mut two = AblationProcess::new(config, 2, Priority::OldestFirst);
+        let mut rng1 = SimRng::seed_from(10);
+        let mut rng2 = SimRng::seed_from(11);
+        let mut pool1 = 0u64;
+        let mut pool2 = 0u64;
+        for i in 0..400 {
+            let r1 = one.step(&mut rng1);
+            let r2 = two.step(&mut rng2);
+            if i >= 200 {
+                pool1 += r1.pool_size;
+                pool2 += r2.pool_size;
+            }
+        }
+        assert!(
+            pool2 < pool1,
+            "2-choice stationary pool {pool2} should undercut 1-choice {pool1}"
+        );
+    }
+
+    #[test]
+    fn acceptance_policies_conserve_and_differ_in_tails() {
+        let n = 256;
+        let lambda = 1.0 - 1.0 / 64.0;
+        let mut max_wait = std::collections::HashMap::new();
+        for policy in [
+            Priority::OldestFirst,
+            Priority::YoungestFirst,
+            Priority::Random,
+        ] {
+            let config = CappedConfig::new(n, 2, lambda).unwrap();
+            let mut p = AblationProcess::new(config, 1, policy);
+            let mut rng = SimRng::seed_from(77);
+            let (mut generated, mut deleted) = (0u64, 0u64);
+            let mut worst = 0u64;
+            for i in 0..2_000 {
+                let r = p.step(&mut rng);
+                generated += r.generated;
+                deleted += r.deleted;
+                assert!(r.conserves_balls(), "{policy}");
+                assert_eq!(generated, deleted + r.pool_size + r.buffered, "{policy}");
+                assert!(p.pool().is_age_sorted(), "{policy}");
+                if i >= 1_000 {
+                    worst = worst.max(r.max_waiting_time().unwrap_or(0));
+                }
+            }
+            max_wait.insert(format!("{policy}"), worst);
+        }
+        // Oldest-first must have the (weakly) best tail; youngest-first
+        // starves old balls and must be strictly worse.
+        let oldest = max_wait["oldest-first"];
+        let youngest = max_wait["youngest-first"];
+        let random = max_wait["random"];
+        assert!(
+            youngest > 2 * oldest,
+            "youngest-first tail {youngest} should dwarf oldest-first {oldest}"
+        );
+        assert!(random >= oldest, "random {random} vs oldest {oldest}");
     }
 
     #[test]

@@ -65,35 +65,10 @@ impl TryFrom<u32> for Capacity {
     }
 }
 
-/// Which balls a bin prefers when more request it than it has room for.
-///
-/// The paper's process accepts the **oldest** requests — the ingredient
-/// behind the `log log n + O(1)` waiting-time tail (old balls can never be
-/// starved by younger ones; see Lemmas 3–5). The alternatives exist for
-/// the `POLICY` ablation, which quantifies exactly how much that design
-/// choice buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AcceptancePolicy {
-    /// Accept the oldest requests first (Algorithm 1).
-    #[default]
-    OldestFirst,
-    /// Accept the youngest requests first (adversarial inversion: old
-    /// balls starve, waiting-time tails blow up).
-    YoungestFirst,
-    /// Accept requests in uniformly random priority order (age-blind).
-    Random,
-}
-
-impl fmt::Display for AcceptancePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            AcceptancePolicy::OldestFirst => "oldest-first",
-            AcceptancePolicy::YoungestFirst => "youngest-first",
-            AcceptancePolicy::Random => "random",
-        };
-        write!(f, "{name}")
-    }
-}
+/// Retired checkpoint word: choices per ball (Algorithm 1 makes one).
+const RETIRED_CHOICES: u32 = 1;
+/// Retired checkpoint word: acceptance policy (`0` was oldest-first).
+const RETIRED_POLICY: u32 = 0;
 
 /// Full configuration of a CAPPED(c, λ) run.
 ///
@@ -108,9 +83,10 @@ impl fmt::Display for AcceptancePolicy {
 ///
 /// # fn main() -> Result<(), iba_sim::error::ConfigError> {
 /// let config = CappedConfig::new(1 << 10, 3, 0.75)?
-///     .with_choices(2)?; // d-choice ablation variant
+///     .with_capacity_profile((0..1 << 10).map(|i| 2 + 2 * (i % 2)).collect())?;
 /// assert_eq!(config.bins(), 1024);
-/// assert_eq!(config.capacity().as_finite(), Some(3));
+/// assert_eq!(config.capacity().as_finite(), Some(4)); // the profile's maximum
+/// assert_eq!(config.mean_capacity(), 3.0);
 /// assert_eq!(config.arrivals().mean(), 768.0);
 /// # Ok(())
 /// # }
@@ -121,11 +97,9 @@ pub struct CappedConfig {
     capacity: Capacity,
     lambda: f64,
     arrivals: ArrivalModel,
-    choices: u32,
     /// Optional per-bin capacity override (heterogeneous-server
     /// extension); when set, `capacity` holds the maximum entry.
     capacity_profile: Option<Vec<u32>>,
-    policy: AcceptancePolicy,
 }
 
 impl CappedConfig {
@@ -144,9 +118,7 @@ impl CappedConfig {
             capacity: Capacity::finite(capacity)?,
             lambda,
             arrivals,
-            choices: 1,
             capacity_profile: None,
-            policy: AcceptancePolicy::OldestFirst,
         })
     }
 
@@ -162,9 +134,7 @@ impl CappedConfig {
             capacity: Capacity::Infinite,
             lambda,
             arrivals,
-            choices: 1,
             capacity_profile: None,
-            policy: AcceptancePolicy::OldestFirst,
         })
     }
 
@@ -174,23 +144,6 @@ impl CappedConfig {
     pub fn with_arrivals(mut self, arrivals: ArrivalModel) -> Self {
         self.arrivals = arrivals;
         self
-    }
-
-    /// Sets the number of random bin choices per ball (the `d`-choice
-    /// ablation; the paper's process uses `d = 1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfDomain`] if `d == 0`.
-    pub fn with_choices(mut self, d: u32) -> Result<Self, ConfigError> {
-        if d == 0 {
-            return Err(ConfigError::OutOfDomain {
-                name: "choices",
-                domain: "d >= 1",
-            });
-        }
-        self.choices = d;
-        Ok(self)
     }
 
     /// The same configuration with a different bin count — the elastic
@@ -225,18 +178,6 @@ impl CappedConfig {
         }
         self.bins = bins;
         Ok(self)
-    }
-
-    /// Sets the acceptance policy (the `POLICY` ablation; the paper's
-    /// process uses [`AcceptancePolicy::OldestFirst`]).
-    pub fn with_policy(mut self, policy: AcceptancePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The acceptance policy.
-    pub fn policy(&self) -> AcceptancePolicy {
-        self.policy
     }
 
     /// Sets a heterogeneous per-bin capacity profile (the non-uniform-bins
@@ -320,12 +261,12 @@ impl CappedConfig {
         &self.arrivals
     }
 
-    /// Random choices per ball (1 for the paper's process).
-    pub fn choices(&self) -> u32 {
-        self.choices
-    }
-
     /// Serializes the configuration into a checkpoint encoder.
+    ///
+    /// The IBA1 v2 layout keeps two retired words, written as constants:
+    /// the choices per ball (`1`) and the acceptance policy (`0`,
+    /// oldest-first). Checkpoints therefore stay byte-identical to those
+    /// of versions that still had the two ablation knobs.
     pub fn encode_into(&self, enc: &mut iba_sim::codec::Encoder) {
         enc.usize(self.bins);
         match self.capacity {
@@ -334,7 +275,7 @@ impl CappedConfig {
         }
         enc.f64(self.lambda);
         self.arrivals.encode_into(enc);
-        enc.u32(self.choices);
+        enc.u32(RETIRED_CHOICES);
         match &self.capacity_profile {
             Some(profile) => {
                 enc.bool(true);
@@ -342,11 +283,7 @@ impl CappedConfig {
             }
             None => enc.bool(false),
         }
-        enc.u32(match self.policy {
-            AcceptancePolicy::OldestFirst => 0,
-            AcceptancePolicy::YoungestFirst => 1,
-            AcceptancePolicy::Random => 2,
-        });
+        enc.u32(RETIRED_POLICY);
     }
 
     /// Deserializes a configuration from a checkpoint decoder.
@@ -354,7 +291,10 @@ impl CappedConfig {
     /// # Errors
     ///
     /// Returns a [`iba_sim::codec::CodecError`] on truncated or malformed
-    /// input (including profiles that fail validation).
+    /// input: a retired word other than its constant, a profile that
+    /// fails [`with_capacity_profile`](Self::with_capacity_profile)'s
+    /// validation (length, zero or out-of-range entries), or a capacity
+    /// word that is not the profile's maximum.
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
@@ -371,27 +311,25 @@ impl CappedConfig {
         let choices = dec.u32("config choices")?;
         let capacity_profile = if dec.bool("config profile flag")? {
             let raw = dec.u64_seq("config profile")?;
-            let profile: Vec<u32> = raw.iter().map(|&c| c as u32).collect();
-            if profile.len() != bins || profile.contains(&0) {
-                return Err(CodecError::Invalid {
-                    what: "capacity profile",
-                });
-            }
-            Some(profile)
+            let profile: Option<Vec<u32>> = raw.iter().map(|&c| u32::try_from(c).ok()).collect();
+            // `with_capacity_profile`'s invariants: one non-zero entry per
+            // bin, and the capacity word holds the maximum.
+            let valid = |p: &Vec<u32>| {
+                p.len() == bins && !p.contains(&0) && p.iter().max() == Some(&raw_capacity)
+            };
+            let invalid = CodecError::Invalid {
+                what: "capacity profile",
+            };
+            Some(profile.filter(valid).ok_or(invalid)?)
         } else {
             None
         };
-        let policy = match dec.u32("config policy")? {
-            0 => AcceptancePolicy::OldestFirst,
-            1 => AcceptancePolicy::YoungestFirst,
-            2 => AcceptancePolicy::Random,
-            _ => {
-                return Err(CodecError::Invalid {
-                    what: "acceptance policy",
-                })
-            }
-        };
-        if bins == 0 || choices == 0 || !(0.0..=1.0).contains(&lambda) {
+        if choices != RETIRED_CHOICES || dec.u32("config policy")? != RETIRED_POLICY {
+            return Err(CodecError::Invalid {
+                what: "retired ablation word",
+            });
+        }
+        if bins == 0 || !(0.0..=1.0).contains(&lambda) {
             return Err(CodecError::Invalid {
                 what: "configuration fields",
             });
@@ -401,9 +339,7 @@ impl CappedConfig {
             capacity,
             lambda,
             arrivals,
-            choices,
             capacity_profile,
-            policy,
         })
     }
 
@@ -462,13 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn choices_validation() {
-        let cfg = CappedConfig::new(8, 1, 0.5).unwrap();
-        assert!(cfg.clone().with_choices(0).is_err());
-        assert_eq!(cfg.with_choices(2).unwrap().choices(), 2);
-    }
-
-    #[test]
     fn predicted_pool_matches_fit() {
         // n = 1024, c = 1, λ = 0.75: n·ln(4) + n ≈ 1024·1.386 + 1024 ≈ 2444.
         let cfg = CappedConfig::new(1024, 1, 0.75).unwrap();
@@ -508,6 +437,86 @@ mod tests {
             CappedConfig::unbounded(4, 0.5).unwrap().mean_capacity(),
             f64::INFINITY
         );
+    }
+
+    /// Encodes a config word by word in the IBA1 v2 layout, with every
+    /// field under the caller's control (including the two retired words
+    /// and unvalidated profile entries), and finishes it with the CRC.
+    fn parent_layout(capacity: u32, choices: u32, profile: Option<&[u64]>, policy: u32) -> Vec<u8> {
+        use iba_sim::codec::Encoder;
+        let mut enc = Encoder::new();
+        enc.usize(4);
+        enc.u32(capacity);
+        enc.f64(0.5);
+        ArrivalModel::deterministic_rate(4, 0.5)
+            .unwrap()
+            .encode_into(&mut enc);
+        enc.u32(choices);
+        match profile {
+            Some(p) => {
+                enc.bool(true);
+                enc.u64_seq(p.iter().copied());
+            }
+            None => enc.bool(false),
+        }
+        enc.u32(policy);
+        enc.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<CappedConfig, iba_sim::codec::CodecError> {
+        CappedConfig::decode_from(&mut iba_sim::codec::Decoder::new(bytes)?)
+    }
+
+    #[test]
+    fn codec_keeps_the_retired_words_and_round_trips() {
+        let plain = CappedConfig::new(4, 2, 0.5).unwrap();
+        let profiled = plain
+            .clone()
+            .with_capacity_profile(vec![1, 3, 1, 3])
+            .unwrap();
+        for (cfg, layout) in [
+            (&plain, parent_layout(2, 1, None, 0)),
+            (&profiled, parent_layout(3, 1, Some(&[1, 3, 1, 3]), 0)),
+        ] {
+            let mut enc = iba_sim::codec::Encoder::new();
+            cfg.encode_into(&mut enc);
+            assert_eq!(enc.finish(), layout, "byte layout of {cfg:?}");
+            assert_eq!(&decode(&layout).unwrap(), cfg);
+        }
+    }
+
+    #[test]
+    fn decode_rejects_retired_ablation_values() {
+        use iba_sim::codec::CodecError;
+        // A two-choice configuration, as an older version could save it.
+        assert!(matches!(
+            decode(&parent_layout(2, 2, None, 0)),
+            Err(CodecError::Invalid { .. })
+        ));
+        // A random-priority configuration (policy word 2).
+        assert!(matches!(
+            decode(&parent_layout(2, 1, None, 2)),
+            Err(CodecError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_profiles_the_builder_would_refuse() {
+        use iba_sim::codec::CodecError;
+        let invalid = |bytes: Vec<u8>| matches!(decode(&bytes), Err(CodecError::Invalid { .. }));
+        // 2^32 + 1 must not narrow to capacity 1.
+        assert!(invalid(parent_layout(
+            3,
+            1,
+            Some(&[(1 << 32) + 1, 3, 1, 3]),
+            0
+        )));
+        // The capacity word must be the profile's maximum.
+        assert!(invalid(parent_layout(2, 1, Some(&[1, 3, 1, 3]), 0)));
+        assert!(invalid(parent_layout(0, 1, Some(&[1, 3, 1, 3]), 0)));
+        // Zero entries and wrong lengths, as before.
+        assert!(invalid(parent_layout(3, 1, Some(&[1, 3, 0, 3]), 0)));
+        assert!(invalid(parent_layout(3, 1, Some(&[1, 3, 3]), 0)));
     }
 
     #[test]

@@ -78,19 +78,14 @@ impl CoupledRun {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration uses an infinite capacity, a
-    /// non-deterministic arrival model, or `d ≠ 1` choices — the coupling
-    /// is defined only for the paper's base process.
+    /// Panics if the configuration uses an infinite capacity or a
+    /// non-deterministic arrival model — the coupling is defined only for
+    /// the paper's base process.
     pub fn new(config: CappedConfig) -> Result<Self, iba_sim::error::ConfigError> {
         let capacity = config
             .capacity()
             .as_finite()
             .expect("coupling requires a finite capacity");
-        assert_eq!(
-            config.choices(),
-            1,
-            "coupling requires the 1-choice process"
-        );
         let modcapped = ModCappedProcess::new(config.bins(), capacity, config.lambda())?;
         Ok(CoupledRun {
             capped: CappedProcess::new(config),

@@ -62,7 +62,7 @@ pub mod spec;
 pub use arena::{BinArena, BinView};
 pub use ball::Ball;
 pub use buffer::BinBuffer;
-pub use config::{AcceptancePolicy, Capacity, CappedConfig};
+pub use config::{Capacity, CappedConfig};
 pub use coupling::CoupledRun;
 pub use metrics::WaitQuantiles;
 pub use modcapped::ModCappedProcess;

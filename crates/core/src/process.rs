@@ -7,7 +7,7 @@ use iba_sim::stats::Histogram;
 
 use crate::arena::BinView;
 use crate::ball::Ball;
-use crate::config::{AcceptancePolicy, Capacity, CappedConfig};
+use crate::config::{Capacity, CappedConfig};
 use crate::pool::Pool;
 use crate::shard::{BinPart, BinShard};
 
@@ -23,9 +23,8 @@ use crate::shard::{BinPart, BinShard};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Flat-arena storage with the counting-sort acceptance pass and bulk
-    /// RNG (the default). Used for the 1-choice oldest-first paper process
-    /// on finite capacities; other policies walk the same arena storage
-    /// ball by ball.
+    /// RNG (the default). Finite configurations run on the arena;
+    /// unbounded ones keep per-bin buffers and the per-ball walk.
     #[default]
     Arena,
     /// The reference oracle: one `VecDeque` buffer per bin, one RNG draw
@@ -90,9 +89,8 @@ pub struct CappedProcess {
 }
 
 enum ChoiceSource<'a> {
-    /// Sample with `d` uniform choices per ball, committing to the
-    /// least-loaded sampled bin.
-    Rng(&'a mut SimRng, u32),
+    /// Draw one uniform bin per ball.
+    Rng(&'a mut SimRng),
     /// Use pre-drawn bin choices (index i for the i-th thrown ball) —
     /// the hook used by the Lemma-1/6 coupling.
     Slice(&'a [usize]),
@@ -427,23 +425,13 @@ impl CappedProcess {
     ///
     /// # Panics
     ///
-    /// Panics if the arrival model is not deterministic, if the configured
-    /// choice count is not 1, or if `choices.len()` differs from the number
-    /// of thrown balls (`pool + λn`).
+    /// Panics if the arrival model is not deterministic, or if
+    /// `choices.len()` differs from the number of thrown balls
+    /// (`pool + λn`).
     pub fn step_with_choices(&mut self, choices: &[usize]) -> RoundReport {
         let ArrivalModel::Deterministic { batch } = *self.config.arrivals() else {
             panic!("step_with_choices requires the deterministic arrival model");
         };
-        assert_eq!(
-            self.config.choices(),
-            1,
-            "step_with_choices supports only the 1-choice process"
-        );
-        assert_eq!(
-            self.config.policy(),
-            AcceptancePolicy::OldestFirst,
-            "step_with_choices supports only the paper's oldest-first policy"
-        );
         assert_eq!(
             choices.len(),
             self.pool.len() + batch as usize,
@@ -461,7 +449,7 @@ impl CappedProcess {
     fn run_round_into(
         &mut self,
         generated: u64,
-        mut source: ChoiceSource<'_>,
+        source: ChoiceSource<'_>,
         report: &mut RoundReport,
     ) {
         let n = self.config.bins();
@@ -477,65 +465,39 @@ impl CappedProcess {
             gen_timer.observe(&p.phase_generate_nanos);
         }
 
-        // 2 + 3. Random choices and priority-ordered greedy acceptance.
+        // 2 + 3. Random choices and oldest-first greedy acceptance: the
+        // whole round is one age-ordered (bin, ball) stream through the
+        // shard. Pre-drawing every choice in pool order consumes the RNG
+        // exactly as per-ball draws interleaved with the acceptance would.
         let accept_timer = iba_obs::PhaseTimer::start();
         let mut balls = self.pool.take();
         let mut rejected = std::mem::take(&mut self.scratch);
         rejected.clear();
-        let policy = self.config.policy();
-        let accepted = match &mut source {
-            // The paper's 1-choice oldest-first process: the whole round
-            // is one age-ordered (bin, ball) stream through the shard.
-            // Pre-drawing every choice in pool order consumes the RNG
-            // exactly as the scalar oracle's per-ball draws do.
+        match source {
             ChoiceSource::Slice(choices) => {
-                let stream = choices.iter().copied().zip(balls.iter().copied());
-                self.bins.accept_stream(stream, &mut rejected)
+                self.choices.clear();
+                self.choices.extend(
+                    choices
+                        .iter()
+                        .map(|&c| u32::try_from(c).expect("bin index fits u32")),
+                );
             }
-            ChoiceSource::Rng(rng, 1)
-                if policy == AcceptancePolicy::OldestFirst
-                    && self.bins.kernel() == KernelMode::Arena =>
-            {
+            ChoiceSource::Rng(rng) => {
                 self.choices.resize(balls.len(), 0);
-                rng.fill_uniform_bins(n, &mut self.choices);
-                let stream = self
-                    .choices
-                    .iter()
-                    .map(|&c| c as usize)
-                    .zip(balls.iter().copied());
-                self.bins.accept_stream(stream, &mut rejected)
-            }
-            // The per-ball walk: the scalar oracle, the d-choice ablation
-            // (its choices read loads evolving during the stream), and the
-            // acceptance-policy ablations, which permute the priority.
-            ChoiceSource::Rng(rng, d) => match policy {
-                AcceptancePolicy::OldestFirst => walk(
-                    &mut self.bins,
-                    rng,
-                    *d,
-                    balls.iter().copied(),
-                    &mut rejected,
-                ),
-                AcceptancePolicy::YoungestFirst | AcceptancePolicy::Random => {
-                    let mut order: Vec<usize> = (0..balls.len()).collect();
-                    if policy == AcceptancePolicy::YoungestFirst {
-                        order.reverse();
-                    } else {
-                        // Fisher–Yates shuffle.
-                        for i in (1..order.len()).rev() {
-                            let j = rng.uniform_below(i as u64 + 1) as usize;
-                            order.swap(i, j);
-                        }
-                    }
-                    let by_priority = order.iter().map(|&i| balls[i]);
-                    let accepted = walk(&mut self.bins, rng, *d, by_priority, &mut rejected);
-                    // Restore the pool's age order (rejection order
-                    // followed the priority permutation).
-                    rejected.sort();
-                    accepted
+                match self.bins.kernel() {
+                    KernelMode::Arena => rng.fill_uniform_bins(n, &mut self.choices),
+                    // The oracle keeps the per-call draw, so the
+                    // differential suites check the bulk draw against it.
+                    KernelMode::Scalar => self.choices.fill_with(|| rng.uniform_bin(n) as u32),
                 }
-            },
-        };
+            }
+        }
+        let stream = self
+            .choices
+            .iter()
+            .map(|&c| c as usize)
+            .zip(balls.iter().copied());
+        let accepted = self.bins.accept_stream(stream, &mut rejected);
         balls.clear();
         self.scratch = balls;
         self.pool.restore(rejected);
@@ -583,37 +545,6 @@ impl CappedProcess {
     }
 }
 
-/// The per-ball walk: each ball (in the given priority order) draws `d`
-/// uniform bins, requests the least loaded (ties toward the first
-/// sample), and is accepted if that bin is online with room; rejected
-/// balls are appended to `rejected`. Returns the accepted count. The
-/// caller finishes the round with the shard's deletion sweep.
-fn walk(
-    bins: &mut BinShard,
-    rng: &mut SimRng,
-    d: u32,
-    balls: impl Iterator<Item = Ball>,
-    rejected: &mut Vec<Ball>,
-) -> u64 {
-    let n = bins.len();
-    let mut accepted = 0u64;
-    for ball in balls {
-        let mut best = rng.uniform_bin(n);
-        for _ in 1..d {
-            let candidate = rng.uniform_bin(n);
-            if bins.load(candidate) < bins.load(best) {
-                best = candidate;
-            }
-        }
-        if bins.try_accept(best, ball) {
-            accepted += 1;
-        } else {
-            rejected.push(ball);
-        }
-    }
-    accepted
-}
-
 impl AllocationProcess for CappedProcess {
     fn bins(&self) -> usize {
         self.config.bins()
@@ -629,23 +560,20 @@ impl AllocationProcess for CappedProcess {
 
     fn step(&mut self, rng: &mut SimRng) -> RoundReport {
         let generated = self.config.arrivals().sample(rng);
-        let d = self.config.choices();
-        self.run_round(generated, ChoiceSource::Rng(rng, d))
+        self.run_round(generated, ChoiceSource::Rng(rng))
     }
 
     fn step_into(&mut self, rng: &mut SimRng, report: &mut RoundReport) {
         let generated = self.config.arrivals().sample(rng);
-        let d = self.config.choices();
-        self.run_round_into(generated, ChoiceSource::Rng(rng, d), report);
+        self.run_round_into(generated, ChoiceSource::Rng(rng), report);
     }
 
     fn label(&self) -> String {
         format!(
-            "capped(n={}, c={}, λ={}, d={})",
+            "capped(n={}, c={}, λ={})",
             self.config.bins(),
             self.config.capacity(),
-            self.config.lambda(),
-            self.config.choices()
+            self.config.lambda()
         )
     }
 }
@@ -861,40 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn two_choice_ablation_reduces_rejections() {
-        // With d = 2 the process should reject at most as much as d = 1 on
-        // average (power of two choices); compare stationary pools.
-        let mut one = CappedProcess::new(
-            CappedConfig::new(256, 1, 0.75)
-                .unwrap()
-                .with_choices(1)
-                .unwrap(),
-        );
-        let mut two = CappedProcess::new(
-            CappedConfig::new(256, 1, 0.75)
-                .unwrap()
-                .with_choices(2)
-                .unwrap(),
-        );
-        let mut rng1 = SimRng::seed_from(10);
-        let mut rng2 = SimRng::seed_from(11);
-        let mut pool1 = 0u64;
-        let mut pool2 = 0u64;
-        for i in 0..400 {
-            let r1 = one.step(&mut rng1);
-            let r2 = two.step(&mut rng2);
-            if i >= 200 {
-                pool1 += r1.pool_size;
-                pool2 += r2.pool_size;
-            }
-        }
-        assert!(
-            pool2 < pool1,
-            "2-choice stationary pool {pool2} should undercut 1-choice {pool1}"
-        );
-    }
-
-    #[test]
     fn label_mentions_parameters() {
         let p = process(8, 2, 0.75);
         let l = iba_sim::AllocationProcess::label(&p);
@@ -946,55 +840,6 @@ mod tests {
             (end as i64 - mid as i64).unsigned_abs() < 3 * n as u64,
             "pool drifting: {mid} -> {end}"
         );
-    }
-
-    #[test]
-    fn acceptance_policies_conserve_and_differ_in_tails() {
-        use crate::config::AcceptancePolicy;
-        let n = 256;
-        let lambda = 1.0 - 1.0 / 64.0;
-        let mut max_wait = std::collections::HashMap::new();
-        for policy in [
-            AcceptancePolicy::OldestFirst,
-            AcceptancePolicy::YoungestFirst,
-            AcceptancePolicy::Random,
-        ] {
-            let config = CappedConfig::new(n, 2, lambda).unwrap().with_policy(policy);
-            let mut p = CappedProcess::new(config);
-            let mut rng = SimRng::seed_from(77);
-            let mut worst = 0u64;
-            for i in 0..2_000 {
-                let r = p.step(&mut rng);
-                assert!(r.conserves_balls(), "{policy}");
-                assert!(p.conserves_balls(), "{policy}");
-                assert!(p.pool().is_age_sorted(), "{policy}");
-                if i >= 1_000 {
-                    worst = worst.max(r.max_waiting_time().unwrap_or(0));
-                }
-            }
-            max_wait.insert(format!("{policy}"), worst);
-        }
-        // Oldest-first must have the (weakly) best tail; youngest-first
-        // starves old balls and must be strictly worse.
-        let oldest = max_wait["oldest-first"];
-        let youngest = max_wait["youngest-first"];
-        let random = max_wait["random"];
-        assert!(
-            youngest > 2 * oldest,
-            "youngest-first tail {youngest} should dwarf oldest-first {oldest}"
-        );
-        assert!(random >= oldest, "random {random} vs oldest {oldest}");
-    }
-
-    #[test]
-    #[should_panic(expected = "oldest-first policy")]
-    fn step_with_choices_rejects_ablation_policies() {
-        use crate::config::AcceptancePolicy;
-        let config = CappedConfig::new(4, 1, 0.5)
-            .unwrap()
-            .with_policy(AcceptancePolicy::Random);
-        let mut p = CappedProcess::new(config);
-        p.step_with_choices(&[0, 1]);
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl BinShard {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub(crate) fn load(&self, i: usize) -> usize {
+    pub fn load(&self, i: usize) -> usize {
         self.store.len(i)
     }
 
@@ -473,11 +473,15 @@ impl BinShard {
     }
 
     /// Accepts `ball` into local bin `i` if the bin is online and has
-    /// room — one step of the per-ball walk, which the d-choice and
-    /// acceptance-policy ablations drive directly because their choices
-    /// depend on loads evolving *during* the request stream. Follow a walk
-    /// with [`serve_sweep`](Self::serve_sweep) to finish the round.
-    pub(crate) fn try_accept(&mut self, i: usize, ball: Ball) -> bool {
+    /// room — one step of the per-ball greedy walk. A caller that drives
+    /// the walk itself (an experiment whose choices or priorities depend
+    /// on loads evolving *during* the request stream) finishes the round
+    /// with [`serve_sweep`](Self::serve_sweep).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn try_accept(&mut self, i: usize, ball: Ball) -> bool {
         self.primed = false;
         !self.offline[i] && self.store.try_accept(i, ball)
     }
@@ -488,9 +492,9 @@ impl BinShard {
     /// accepted count into its ring length (one meta read-modify-write per
     /// bin), and under a uniform capacity profile it also writes each
     /// bin's next-round acceptance register `(room << 16) | tail`
-    /// ("priming"), so the next [`fast_accept`] skips its init sweep.
+    /// ("priming"), so the next fast-path acceptance skips its init sweep.
     /// Returns the round's deletion statistics (`accepted` is left 0).
-    pub(crate) fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
+    pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
         let mut stats = ShardRoundStats::default();
         let pending = std::mem::take(&mut self.commit_pending);
         match &mut self.store {

@@ -391,23 +391,13 @@ pub fn render_exposition(expo: &Exposition) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{set_enabled, Registry};
-    use std::sync::Mutex;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::registry::{with_telemetry, Registry};
 
     /// The exposition golden test: exact expected text for a small
     /// registry.
     #[test]
     fn golden_exposition() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.counter("iba_balls_total").add(12);
             r.gauge("iba_pool_size").set(7);
@@ -436,7 +426,7 @@ iba_round_nanos_count 4
 
     #[test]
     fn render_parses_back() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.counter("a_total").add(3);
             r.gauge("depth").set(9);
@@ -491,7 +481,7 @@ iba_round_nanos_count 4
 
     #[test]
     fn http_response_wraps_exposition_and_parses_back() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.gauge("iba_pool_size").set(11);
             let raw = http_metrics_response(&r);

@@ -385,16 +385,7 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::set_enabled;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::registry::with_telemetry;
 
     fn sample(round: u64) -> RoundSample {
         RoundSample {
@@ -411,16 +402,17 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        set_enabled(false);
-        let r = FlightRecorder::new();
-        r.record_round(sample(1));
-        r.record_marker(1, "x");
-        assert!(r.events().is_empty());
+        with_telemetry(false, || {
+            let r = FlightRecorder::new();
+            r.record_round(sample(1));
+            r.record_marker(1, "x");
+            assert!(r.events().is_empty());
+        });
     }
 
     #[test]
     fn ring_evicts_oldest() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = FlightRecorder::new();
             r.set_capacity(3);
             for round in 1..=5 {
@@ -441,7 +433,7 @@ mod tests {
 
     #[test]
     fn shrinking_capacity_drops_oldest() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = FlightRecorder::new();
             for round in 1..=4 {
                 r.record_round(sample(round));
@@ -454,7 +446,7 @@ mod tests {
 
     #[test]
     fn post_mortem_round_trips() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             recorder().clear();
             recorder().record_round(sample(41));
             recorder().record_marker(42, "fault:crash_bins:3 \"quoted\"");
@@ -479,7 +471,7 @@ mod tests {
     /// field survives the JSON round-trip.
     #[test]
     fn post_mortem_carries_run_provenance_through_json() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let prov = Provenance {
                 schema_version: json::SCHEMA_VERSION,
                 git_rev: "deadbeefcafe".into(),
@@ -517,7 +509,7 @@ mod tests {
 
     #[test]
     fn fault_trigger_leaves_marker() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             recorder().clear();
             set_dump_on_fault(false);
             fault_triggered(7, "crash_bins:2");

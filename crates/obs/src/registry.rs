@@ -452,38 +452,50 @@ impl PhaseTimer {
     }
 }
 
+/// The lock every test in this crate holds while it depends on the
+/// process-global switch: the tests of all modules share one binary, and
+/// so one switch.
+#[cfg(test)]
+static TEST_SWITCH: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the global switch set to `on` under [`TEST_SWITCH`], and
+/// turns the switch off afterwards. A test that panics poisons the lock
+/// but cannot leave a state the next holder does not overwrite, so the
+/// poison is cleared instead of failing every later test.
+#[cfg(test)]
+pub(crate) fn with_telemetry<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    let _guard = TEST_SWITCH
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_enabled(on);
+    let out = f();
+    set_enabled(false);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes tests that flip the global switch.
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
-
     #[test]
     fn disabled_probes_record_nothing() {
-        set_enabled(false);
-        let c = Counter::default();
-        let g = Gauge::default();
-        let h = Histogram::default();
-        c.inc();
-        g.set(9);
-        g.record_max(9);
-        h.record(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.snapshot().count, 0);
+        with_telemetry(false, || {
+            let c = Counter::default();
+            let g = Gauge::default();
+            let h = Histogram::default();
+            c.inc();
+            g.set(9);
+            g.record_max(9);
+            h.record(9);
+            assert_eq!(c.get(), 0);
+            assert_eq!(g.get(), 0);
+            assert_eq!(h.snapshot().count, 0);
+        });
     }
 
     #[test]
     fn enabled_probes_record() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let c = Counter::default();
             c.add(2);
             c.inc();
@@ -534,7 +546,7 @@ mod tests {
 
     #[test]
     fn snapshot_quantiles_return_bucket_bounds() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let h = Histogram::default();
             for v in 1..=100u64 {
                 h.record(v);
@@ -559,7 +571,7 @@ mod tests {
 
     #[test]
     fn merge_adds_observations() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let a = Histogram::default();
             let b = Histogram::default();
             a.record(1);
@@ -575,7 +587,7 @@ mod tests {
 
     #[test]
     fn registry_get_or_create_returns_same_metric() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             let c1 = r.counter("x_total");
             let c2 = r.counter("x_total");
@@ -604,7 +616,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_name_sorted() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.counter("b_total");
             r.counter("a_total");
@@ -620,16 +632,17 @@ mod tests {
 
     #[test]
     fn phase_timer_inert_when_disabled() {
-        set_enabled(false);
-        let h = Histogram::default();
-        let t = PhaseTimer::start();
-        t.observe(&h);
-        assert_eq!(h.snapshot().count, 0);
+        with_telemetry(false, || {
+            let h = Histogram::default();
+            let t = PhaseTimer::start();
+            t.observe(&h);
+            assert_eq!(h.snapshot().count, 0);
+        });
     }
 
     #[test]
     fn phase_timer_records_when_enabled() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let h = Histogram::default();
             let t = PhaseTimer::start();
             t.observe(&h);

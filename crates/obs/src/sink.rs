@@ -113,21 +113,11 @@ impl<W: io::Write> JsonlSink<W> {
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::registry::{set_enabled, Registry};
-    use std::sync::Mutex;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::registry::{with_telemetry, Registry};
 
     #[test]
     fn telemetry_line_shape() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.counter("requests_total").add(5);
             r.gauge("pool").set(2);
@@ -150,7 +140,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantiles_are_null() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.histogram("empty_nanos");
             let line = snapshot_to_json_line(&r.snapshot());
@@ -162,7 +152,7 @@ mod tests {
 
     #[test]
     fn sink_appends_lines() {
-        with_telemetry(|| {
+        with_telemetry(true, || {
             let r = Registry::new();
             r.counter("x_total").inc();
             let mut sink = JsonlSink::new(Vec::new());

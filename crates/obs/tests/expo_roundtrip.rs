@@ -12,6 +12,10 @@ use iba_obs::registry::HISTOGRAM_BUCKETS;
 use iba_obs::{set_enabled, Registry};
 
 fn fully_populated_registry() -> Registry {
+    // Both tests of this binary run concurrently and record through the
+    // process-global switch, so it is only ever switched on here: a test
+    // switching it off could race the other's recording.
+    set_enabled(true);
     let r = Registry::new();
     r.counter("iba_balls_total").add(12_345);
     r.counter("iba_rounds_total").add(1);
@@ -36,7 +40,6 @@ fn fully_populated_registry() -> Registry {
 
 #[test]
 fn full_registry_round_trips_byte_identically_with_provenance() {
-    set_enabled(true);
     let registry = fully_populated_registry();
     let prov = Provenance {
         schema_version: SCHEMA_VERSION,
@@ -48,7 +51,6 @@ fn full_registry_round_trips_byte_identically_with_provenance() {
         threads: Some(2),
     };
     let rendered = render_with_provenance(&registry.snapshot(), Some(&prov));
-    set_enabled(false);
 
     // Every bucket of the fully-populated histogram is present.
     let bucket_lines = rendered
@@ -91,11 +93,9 @@ fn full_registry_round_trips_byte_identically_with_provenance() {
 
 #[test]
 fn round_trip_without_provenance_matches_plain_render() {
-    set_enabled(true);
     let registry = fully_populated_registry();
     let plain = iba_obs::expo::render(&registry.snapshot());
     let with_none = render_with_provenance(&registry.snapshot(), None);
-    set_enabled(false);
     assert_eq!(plain, with_none);
     let expo = parse(&plain).unwrap();
     assert_eq!(render_exposition(&expo), plain);

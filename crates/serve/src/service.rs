@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
 use iba_core::shard::{shard_range, BinPart, BinShard};
-use iba_core::{AcceptancePolicy, Ball, CappedConfig, CappedProcess, KernelMode, Pool};
+use iba_core::{Ball, CappedConfig, CappedProcess, KernelMode, Pool};
 use iba_membership::{Autoscaler, MembershipEvent, MembershipPlan};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::error::ConfigError;
@@ -73,8 +73,7 @@ pub enum RngMode {
 /// Configuration of a [`CappedService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The CAPPED(c, λ) parameters (must use one choice per ball and the
-    /// oldest-first acceptance policy — the paper's process).
+    /// The CAPPED(c, λ) parameters.
     pub capped: CappedConfig,
     /// Number of shards = worker threads (`1..=n`).
     pub shards: usize,
@@ -241,9 +240,8 @@ impl CappedService {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::OutOfDomain`] if the configuration uses
-    /// more than one choice per ball, a non-oldest-first acceptance
-    /// policy, or a shard count outside `1..=n`.
+    /// Returns [`ConfigError::OutOfDomain`] if the shard count is outside
+    /// `1..=n`.
     pub fn spawn(config: ServiceConfig) -> Result<Self, ConfigError> {
         Self::validate(&config)?;
         let live_n = config.capped.bins();
@@ -265,18 +263,6 @@ impl CappedService {
     }
 
     fn validate(config: &ServiceConfig) -> Result<(), ConfigError> {
-        if config.capped.choices() != 1 {
-            return Err(ConfigError::OutOfDomain {
-                name: "choices",
-                domain: "the serving layer implements the 1-choice process",
-            });
-        }
-        if config.capped.policy() != AcceptancePolicy::OldestFirst {
-            return Err(ConfigError::OutOfDomain {
-                name: "policy",
-                domain: "the serving layer implements oldest-first acceptance",
-            });
-        }
         if config.shards == 0 || config.shards > config.capped.bins() {
             return Err(ConfigError::OutOfDomain {
                 name: "shards",
@@ -1343,11 +1329,7 @@ mod tests {
     fn spawn_rejects_invalid_configs() {
         let base = config(8, 2, 0.75);
         assert!(CappedService::spawn(ServiceConfig::new(base.clone(), 0, 1)).is_err());
-        assert!(CappedService::spawn(ServiceConfig::new(base.clone(), 9, 1)).is_err());
-        let d2 = base.clone().with_choices(2).unwrap();
-        assert!(CappedService::spawn(ServiceConfig::new(d2, 2, 1)).is_err());
-        let random = base.with_policy(AcceptancePolicy::Random);
-        assert!(CappedService::spawn(ServiceConfig::new(random, 2, 1)).is_err());
+        assert!(CappedService::spawn(ServiceConfig::new(base, 9, 1)).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `min{c − ℓ, ν}` of its requests, then serves the head of its queue.
 //! It is the only owner of bin state in the repo:
 //! [`CappedProcess`](crate::process::CappedProcess) is a pool plus one
-//! shard over `0..n`, and the `iba-serve` dispatch service runs one shard
-//! per worker thread over a partition of `0..n`. Composing `S` shards
+//! shard over `0..n`, and the `iba-serve` dispatch service runs `S`
+//! shards over a partition of `0..n`, in parallel. Composing `S` shards
 //! therefore reproduces the process bit-exactly by construction:
 //!
 //! - acceptance at a bin depends only on that bin's load and the age order

@@ -5,11 +5,13 @@
 //! The crate turns [`iba_core::process::CappedProcess`] into a service:
 //!
 //! - **Sharded bin state** ([`service`]) — the `n` bins are partitioned
-//!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), each owned
-//!   by one worker thread. The driver routes every round's requests to the
-//!   workers over `std::sync::mpsc` channels; each worker runs the same
-//!   bin-local round as `CappedProcess` (`BinShard::run_round`), and the
-//!   driver merges their replies.
+//!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), all owned
+//!   by the driver. Each round the driver routes the requests into the
+//!   shards, sends shards `1..S` over `std::sync::mpsc` channels to
+//!   `S − 1` stateless worker threads, runs shard 0 itself, and merges
+//!   the shards it gets back. Every shard runs the same bin-local round as
+//!   `CappedProcess` (`BinShard::run_round`); between rounds faults,
+//!   membership changes and checkpoints are plain calls on the driver.
 //! - **Round clock** ([`clock`]) — rounds are logical epochs; an optional
 //!   wall-clock pacing mode spaces them at a fixed interval.
 //! - **Admission front end** ([`dispatch`]) — clients submit requests

@@ -6,12 +6,15 @@
 //! capacities degrade, arrivals burst — and to *measure* how fast the
 //! system returns to its stationary band afterwards.
 //!
-//! The three pieces:
+//! The pieces:
 //!
 //! - [`FaultPlan`] — a round-keyed, serializable schedule of
 //!   [`FaultEvent`]s. Plans are plain data: build them by hand, generate
 //!   stochastic churn with [`ChurnModel`] from a dedicated RNG stream, or
 //!   round-trip them through the checkpoint codec ([`FaultPlan::to_bytes`]).
+//! - [`FaultSchedule`] — a plan in play: it turns each round's events
+//!   and the active arrival bursts into normalized [`FaultAction`]s and
+//!   counts them in telemetry. Every driver of a plan goes through it.
 //! - [`FaultedProcess`] — a wrapper implementing
 //!   [`AllocationProcess`] that applies a plan to any inner process
 //!   exposing the small [`FaultTolerant`] trait. With an empty plan the
@@ -417,6 +420,146 @@ impl ChurnModel {
     }
 }
 
+/// One normalized operation a [`FaultSchedule`] hands its caller: the
+/// bin index is in range and the capacity is never `Some(0)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Take bin `i` offline.
+    Crash(usize),
+    /// Bring bin `i` back online.
+    Recover(usize),
+    /// Set bin `i`'s capacity (`None` = unbounded).
+    SetCapacity(usize, Option<u32>),
+    /// Inject this many balls into the pool, labeled with the current
+    /// (pre-step) round.
+    Surge(u64),
+}
+
+/// A [`FaultPlan`] in play: the plan plus the arrival bursts it has
+/// started. This is the one place a plan's events become actions — the
+/// out-of-range filter, the `Some(0)` skip, burst expiry, the
+/// `iba_sim_fault_*` counters and the flight-recorder fault events — for
+/// [`FaultedProcess`] and for any other driver (the serving layer) alike.
+#[derive(Debug, Clone, Default)]
+pub struct FaultSchedule {
+    plan: FaultPlan,
+    /// Active arrival bursts as `(last_round_inclusive, extra_per_round)`.
+    bursts: Vec<(u64, u64)>,
+}
+
+impl FaultSchedule {
+    /// Schedules `plan` with no burst active.
+    pub fn new(plan: FaultPlan) -> Self {
+        FaultSchedule {
+            plan,
+            bursts: Vec::new(),
+        }
+    }
+
+    /// The plan being played.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Merges `plan`'s events into the schedule; same-round events apply
+    /// after the ones already scheduled.
+    pub fn extend(&mut self, plan: FaultPlan) {
+        for (round, events) in plan.events {
+            self.plan.events.entry(round).or_default().extend(events);
+        }
+    }
+
+    /// Hands `act` everything due before the step producing `round` on a
+    /// process with `n` bins: that round's events in insertion order,
+    /// then one [`FaultAction::Surge`] per arrival burst still active.
+    /// With nothing due it calls `act` not at all.
+    pub fn apply(&mut self, round: u64, n: usize, mut act: impl FnMut(FaultAction)) {
+        let probes = obs::probes();
+        for event in self.plan.events_at(round) {
+            let fired = match *event {
+                FaultEvent::CrashBins { ref bins } => {
+                    let hit = act_on_bins(bins, n, &mut act, FaultAction::Crash);
+                    if let Some(p) = probes {
+                        p.crashed_bins.add(hit);
+                    }
+                    "crash-bins"
+                }
+                FaultEvent::RecoverBins { ref bins } => {
+                    let hit = act_on_bins(bins, n, &mut act, FaultAction::Recover);
+                    if let Some(p) = probes {
+                        p.recovered_bins.add(hit);
+                    }
+                    "recover-bins"
+                }
+                // Malformed: capacities are >= 1 or unbounded.
+                FaultEvent::DegradeCapacity {
+                    capacity: Some(0), ..
+                } => continue,
+                FaultEvent::DegradeCapacity { ref bins, capacity } => {
+                    let set = |i| FaultAction::SetCapacity(i, capacity);
+                    let hit = act_on_bins(bins, n, &mut act, set);
+                    if let Some(p) = probes {
+                        p.degraded_bins.add(hit);
+                    }
+                    "degrade-capacity"
+                }
+                FaultEvent::ArrivalBurst {
+                    extra_per_round,
+                    rounds,
+                } => {
+                    if extra_per_round == 0 || rounds == 0 {
+                        continue;
+                    }
+                    self.bursts.push((round + rounds - 1, extra_per_round));
+                    if let Some(p) = probes {
+                        p.bursts.inc();
+                    }
+                    "arrival-burst"
+                }
+                FaultEvent::PoolSurge { extra } => {
+                    if extra == 0 {
+                        continue;
+                    }
+                    act(FaultAction::Surge(extra));
+                    if let Some(p) = probes {
+                        p.surge_balls.add(extra);
+                    }
+                    "pool-surge"
+                }
+            };
+            if probes.is_some() {
+                iba_obs::flight::fault_triggered(round, fired);
+            }
+        }
+        if !self.bursts.is_empty() {
+            self.bursts.retain(|&(until, _)| until >= round);
+            let mut surged = 0u64;
+            for &(_, extra) in &self.bursts {
+                act(FaultAction::Surge(extra));
+                surged += extra;
+            }
+            if let Some(p) = probes {
+                p.surge_balls.add(surged);
+            }
+        }
+    }
+}
+
+/// Hands `act` one `action` per in-range bin of `list`; returns how many.
+fn act_on_bins(
+    list: &[usize],
+    n: usize,
+    act: &mut impl FnMut(FaultAction),
+    action: impl Fn(usize) -> FaultAction,
+) -> u64 {
+    let mut hit = 0u64;
+    for &i in list.iter().filter(|&&i| i < n) {
+        act(action(i));
+        hit += 1;
+    }
+    hit
+}
+
 /// Wraps a [`FaultTolerant`] process and applies a [`FaultPlan`] to it as
 /// rounds advance.
 ///
@@ -427,9 +570,7 @@ impl ChurnModel {
 #[derive(Debug, Clone)]
 pub struct FaultedProcess<P> {
     inner: P,
-    plan: FaultPlan,
-    /// Active arrival bursts as `(last_round_inclusive, extra_per_round)`.
-    bursts: Vec<(u64, u64)>,
+    schedule: FaultSchedule,
 }
 
 impl<P: FaultTolerant> FaultedProcess<P> {
@@ -440,8 +581,7 @@ impl<P: FaultTolerant> FaultedProcess<P> {
     pub fn new(inner: P, plan: FaultPlan) -> Self {
         FaultedProcess {
             inner,
-            plan,
-            bursts: Vec::new(),
+            schedule: FaultSchedule::new(plan),
         }
     }
 
@@ -462,96 +602,20 @@ impl<P: FaultTolerant> FaultedProcess<P> {
 
     /// The schedule driving this wrapper.
     pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn apply_events(&mut self, round: u64) {
-        if self.plan.events_at(round).is_empty() {
-            return;
-        }
-        let n = self.inner.bins();
-        // Clone the round's events so the plan stays intact for replays
-        // and inspection; event lists are tiny next to a simulation round.
-        let events = self.plan.events_at(round).to_vec();
-        for event in events {
-            match event {
-                FaultEvent::CrashBins { bins } => {
-                    let mut hit = 0u64;
-                    for i in bins.into_iter().filter(|&i| i < n) {
-                        self.inner.crash_bin(i);
-                        hit += 1;
-                    }
-                    if let Some(p) = obs::probes() {
-                        p.crashed_bins.add(hit);
-                        iba_obs::flight::fault_triggered(round, "crash-bins");
-                    }
-                }
-                FaultEvent::RecoverBins { bins } => {
-                    let mut hit = 0u64;
-                    for i in bins.into_iter().filter(|&i| i < n) {
-                        self.inner.recover_bin(i);
-                        hit += 1;
-                    }
-                    if let Some(p) = obs::probes() {
-                        p.recovered_bins.add(hit);
-                        iba_obs::flight::fault_triggered(round, "recover-bins");
-                    }
-                }
-                FaultEvent::DegradeCapacity { bins, capacity } => {
-                    if capacity == Some(0) {
-                        continue; // malformed: capacities are >= 1 or unbounded
-                    }
-                    let mut hit = 0u64;
-                    for i in bins.into_iter().filter(|&i| i < n) {
-                        self.inner.set_bin_capacity(i, capacity);
-                        hit += 1;
-                    }
-                    if let Some(p) = obs::probes() {
-                        p.degraded_bins.add(hit);
-                        iba_obs::flight::fault_triggered(round, "degrade-capacity");
-                    }
-                }
-                FaultEvent::ArrivalBurst {
-                    extra_per_round,
-                    rounds,
-                } => {
-                    if extra_per_round > 0 && rounds > 0 {
-                        self.bursts.push((round + rounds - 1, extra_per_round));
-                        if let Some(p) = obs::probes() {
-                            p.bursts.inc();
-                            iba_obs::flight::fault_triggered(round, "arrival-burst");
-                        }
-                    }
-                }
-                FaultEvent::PoolSurge { extra } => {
-                    if extra > 0 {
-                        self.inner.surge_pool(extra);
-                        if let Some(p) = obs::probes() {
-                            p.surge_balls.add(extra);
-                            iba_obs::flight::fault_triggered(round, "pool-surge");
-                        }
-                    }
-                }
-            }
-        }
+        self.schedule.plan()
     }
 
     /// Applies everything scheduled before the upcoming round: the plan's
     /// events for that round, then any arrival bursts still active.
     fn apply_pre_round_faults(&mut self) {
-        let round = self.inner.round() + 1;
-        self.apply_events(round);
-        if !self.bursts.is_empty() {
-            self.bursts.retain(|&(until, _)| until >= round);
-            let mut surged = 0u64;
-            for &(_, extra) in &self.bursts {
-                self.inner.surge_pool(extra);
-                surged += extra;
-            }
-            if let Some(p) = obs::probes() {
-                p.surge_balls.add(surged);
-            }
-        }
+        let inner = &mut self.inner;
+        let (round, n) = (inner.round() + 1, inner.bins());
+        self.schedule.apply(round, n, |action| match action {
+            FaultAction::Crash(i) => inner.crash_bin(i),
+            FaultAction::Recover(i) => inner.recover_bin(i),
+            FaultAction::SetCapacity(i, capacity) => inner.set_bin_capacity(i, capacity),
+            FaultAction::Surge(extra) => inner.surge_pool(extra),
+        });
     }
 }
 

@@ -37,7 +37,8 @@
 //!
 //! The driver owns the service's only RNG stream and consumes randomness
 //! in exactly the order `CappedProcess` does (the arrival sample, then one
-//! uniform bin per pooled ball oldest-first); the workers draw nothing.
+//! bulk draw of every pooled ball's bin, oldest-first, consumption-identical
+//! to one uniform draw per ball); the workers draw nothing.
 //! So the service's round-by-round trajectory — pool size, bin loads,
 //! waiting times — is **bit-identical** to the bare process under the same
 //! seed, for *any* shard count, and its checkpoint embeds the process's

@@ -12,12 +12,15 @@
 //!    [`iba_sim::faults::FaultedProcess`] uses);
 //! 2. generate arrivals — the configured arrival model, client requests
 //!    admitted from the bounded ingress queue, or both — into the pool;
-//! 3. draw one uniform bin per pooled ball (oldest-first), route it to
-//!    the shard owning that bin, and hand shard `k ≥ 1` to worker `k − 1`;
+//! 3. draw every pooled ball's bin in bulk
+//!    ([`SimRng::fill_uniform_bins`], consumption-identical to one
+//!    uniform draw per ball, oldest-first), bucket the balls by the shard
+//!    owning their bin in the same pass, and hand shard `k ≥ 1` to worker
+//!    `k − 1`;
 //! 4. run shard 0 on the driver, take the other shards back in shard
-//!    order and merge: rejected balls re-enter the global pool (retrying
-//!    next round), served balls produce waiting times and ticket
-//!    [`Completion`]s.
+//!    order and merge: the shards' rejects — one oldest-first run each —
+//!    merge linearly back into the global pool (retrying next round),
+//!    served balls produce waiting times and ticket [`Completion`]s.
 //!
 //! Between rounds every shard is on the driver, so faults, membership
 //! changes and checkpoints are plain method calls on its
@@ -28,14 +31,14 @@
 //! is what makes the service's trajectory provably identical to
 //! `CappedProcess` under the same seed, for any shard count.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
 use iba_core::shard::{shard_range, BinShard};
-use iba_core::{Capacity, CappedConfig, CappedProcess, KernelMode, Pool};
+use iba_core::{Ball, Capacity, CappedConfig, CappedProcess, KernelMode, Pool};
 use iba_membership::{Autoscaler, MembershipEvent, MembershipPlan};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::error::ConfigError;
@@ -60,6 +63,10 @@ use crate::shard::{Slot, Worker};
 const ENVELOPE_TAG: &str = "IBSV";
 /// Current envelope format version.
 const ENVELOPE_VERSION: u32 = 2;
+
+/// Balls whose bins the driver draws and routes at a time: the choices
+/// stay in L1 between the draw and the routing.
+const ROUTE_CHUNK: usize = 1024;
 
 /// How randomness is distributed between the driver and the workers.
 ///
@@ -193,10 +200,16 @@ pub struct CappedService {
     /// (drained from removed bins or transferred between shards).
     balls_moved: u64,
     pool: Pool,
-    /// Tickets admitted in round `label`, awaiting service, FIFO. Balls
-    /// with equal labels are interchangeable, so matching a served ball
-    /// to the longest-waiting ticket of its label is consistent.
-    pending: HashMap<u64, VecDeque<u64>>,
+    /// Tickets awaiting service: one entry per round that admitted any,
+    /// in ascending label order, none exhausted. Labels never exceed
+    /// `round`, so admission appends and TTL reaping pops the front.
+    /// Balls with equal labels are interchangeable, so matching a served
+    /// ball to the longest-waiting ticket of its label is consistent.
+    pending: VecDeque<PendingRound>,
+    /// Number of ticket ids `pending` holds.
+    pending_count: usize,
+    /// Id buffers of retired `pending` entries, reused by admission.
+    spare_ids: Vec<Vec<u64>>,
     round: u64,
     total_generated: u64,
     total_admitted: u64,
@@ -208,6 +221,15 @@ pub struct CappedService {
     expired_tickets: Vec<u64>,
     total_expired: u64,
     stopped: bool,
+}
+
+/// The tickets admitted in round `label`, in admission (id) order; those
+/// in `ids[next..]` still await a served ball of that label.
+#[derive(Debug)]
+struct PendingRound {
+    label: u64,
+    ids: Vec<u64>,
+    next: usize,
 }
 
 impl std::fmt::Debug for CappedService {
@@ -290,7 +312,9 @@ impl CappedService {
             membership_events: 0,
             balls_moved: 0,
             pool: Pool::with_capacity(capped.predicted_stationary_pool()),
-            pending: HashMap::new(),
+            pending: VecDeque::new(),
+            pending_count: 0,
+            spare_ids: Vec::new(),
             round: 0,
             total_generated: 0,
             total_admitted: 0,
@@ -315,7 +339,7 @@ impl CappedService {
     /// its validation: CRC, pool order, ball conservation. The envelope
     /// restores the serve-only state: the ticket-id watermark (new tickets
     /// never collide with pre-crash ids), the lifetime admission counter,
-    /// and the pending ticket map. The resumed trajectory is
+    /// and the pending tickets. The resumed trajectory is
     /// **bit-identical** to the uninterrupted run (the differential test
     /// pins this). A checkpoint taken with every configured bin live
     /// resumes onto `config.shards` balanced shards, whatever shard count
@@ -329,8 +353,10 @@ impl CappedService {
     /// # Errors
     ///
     /// [`ResumeError`] if the bytes are corrupt or truncated, the caller's
-    /// CAPPED configuration differs from the checkpoint's, or the envelope
-    /// records an RNG mode other than the driver-owned stream (word 0).
+    /// CAPPED configuration differs from the checkpoint's, the envelope
+    /// records an RNG mode other than the driver-owned stream (word 0), or
+    /// a pending ticket carries a label past the checkpoint's round or an
+    /// id at or above its watermark.
     pub fn resume(config: ServiceConfig, bytes: &[u8]) -> Result<Self, ResumeError> {
         Self::validate(&config).map_err(|_| ResumeError::Invalid {
             what: "service configuration",
@@ -348,23 +374,34 @@ impl CappedService {
         // The count comes from outside input: it bounds the loop, which
         // the decoder ends at the data's end, but never sizes a buffer.
         let pending_len = dec.usize("pending ticket map")?;
-        let mut pending: HashMap<u64, VecDeque<u64>> = HashMap::new();
-        let mut prev_label = None;
+        let mut pending: VecDeque<PendingRound> = VecDeque::new();
+        let mut pending_count = 0;
         for _ in 0..pending_len {
             let label = dec.u64("pending label")?;
-            if prev_label.is_some_and(|p| p >= label) {
+            if pending.back().is_some_and(|prev| prev.label >= label) {
                 return Err(ResumeError::Invalid {
                     what: "pending label order",
                 });
             }
-            prev_label = Some(label);
             let ids = dec.u64_seq("pending ticket ids")?;
             if ids.is_empty() {
                 return Err(ResumeError::Invalid {
                     what: "empty pending queue",
                 });
             }
-            pending.insert(label, ids.into_iter().collect());
+            // Every id was issued before the checkpoint; one at or above
+            // the watermark would be issued again by `submit`.
+            if ids.iter().any(|&id| id >= next_ticket_id) {
+                return Err(ResumeError::Invalid {
+                    what: "pending ticket id at or above the watermark",
+                });
+            }
+            pending_count += ids.len();
+            pending.push_back(PendingRound {
+                label,
+                ids,
+                next: 0,
+            });
         }
         // Version 2 appends the membership section; a v1 envelope is a
         // fixed-topology run (live n = configured n, balanced ranges).
@@ -397,6 +434,16 @@ impl CappedService {
 
         let sim = iba_core::checkpoint::restore(&core_bytes)?;
         let process = sim.process();
+        // Tickets are admitted with the round they enter in: a later label
+        // would queue a future admission behind forged ids.
+        if pending
+            .back()
+            .is_some_and(|last| last.label > process.round())
+        {
+            return Err(ResumeError::Invalid {
+                what: "pending label past the checkpoint round",
+            });
+        }
         // Mid-resize checkpoints embed the *resized* configuration so the
         // core restore path validates conservation against the live bin
         // count; the caller still passes the original configuration.
@@ -457,6 +504,7 @@ impl CappedService {
         service.membership_events = membership_events;
         service.pool = process.pool().clone();
         service.pending = pending;
+        service.pending_count = pending_count;
         if let Some(p) = obs::probes() {
             p.checkpoint_resumes.inc();
             p.resume_round.set(service.round);
@@ -511,12 +559,10 @@ impl CappedService {
         enc.u64(self.dispatcher.next_id());
         enc.u64(self.total_admitted);
         enc.u64(self.total_expired);
-        let mut labels: Vec<u64> = self.pending.keys().copied().collect();
-        labels.sort_unstable();
-        enc.usize(labels.len());
-        for label in labels {
-            enc.u64(label);
-            enc.u64_seq(self.pending[&label].iter().copied());
+        enc.usize(self.pending.len());
+        for entry in &self.pending {
+            enc.u64(entry.label);
+            enc.u64_seq(entry.ids[entry.next..].iter().copied());
         }
         // Membership section (envelope v2).
         enc.usize(live_n);
@@ -666,7 +712,7 @@ impl CappedService {
 
     /// Number of admitted requests not yet served.
     pub fn pending_tickets(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
+        self.pending_count
     }
 
     /// Lifetime count of tickets reaped by TTL expiry.
@@ -739,15 +785,18 @@ impl CappedService {
         self.total_generated += model + admitted;
         let thrown = self.pool.len() as u64;
 
-        // 3. Route every pooled ball (oldest-first) to the shard owning
-        // its uniformly drawn bin, then hand every shard but the first to
-        // its worker.
+        // 3. Draw every pooled ball's bin (oldest-first, in cache-sized
+        // bulk draws that consume the stream exactly as one draw per ball
+        // would), route each ball to the shard owning its bin, then hand
+        // every shard but the first to its worker.
         let route_timer = iba_obs::PhaseTimer::start();
         let mut slots = std::mem::take(&mut self.slots);
         let mut balls = self.pool.take();
-        for &ball in &balls {
-            let (slot, local) = locate(&mut slots, self.driver_rng.uniform_bin(n));
-            slot.requests.push((local as u32, ball));
+        let mut choices = [0u32; ROUTE_CHUNK];
+        for chunk in balls.chunks(ROUTE_CHUNK) {
+            let choices = &mut choices[..chunk.len()];
+            self.driver_rng.fill_uniform_bins(n, choices);
+            route(&mut slots, choices, chunk);
         }
         for (worker, slot) in self.workers.iter().zip(slots.drain(1..)) {
             worker.send(slot);
@@ -767,14 +816,13 @@ impl CappedService {
         let mut buffered = 0u64;
         let mut max_load = 0u64;
         let served_before = self.total_served;
-        let mut waiting_times: Vec<u64> = Vec::new();
-        balls.clear(); // reused for the rejected balls
+        let mut waiting_times =
+            Vec::with_capacity(slots.iter().map(|slot| slot.served.len()).sum());
         for slot in &slots {
             accepted += slot.stats.accepted;
             failed_deletions += slot.stats.failed_deletions;
             buffered += slot.stats.buffered;
             max_load = max_load.max(slot.stats.max_load);
-            balls.extend_from_slice(&slot.rejected);
             // Shards own contiguous bin ranges, so concatenating in shard
             // order reproduces the bare process's bin-order vector.
             let first_bin = slot.bins.first_bin() as u64;
@@ -784,34 +832,34 @@ impl CappedService {
                 self.complete(ball.label(), round, wait, first_bin + u64::from(local));
             }
         }
-        self.slots = slots;
         self.total_served += waiting_times.len() as u64;
         self.wait_hist.extend(waiting_times.iter().copied());
 
-        // Per-shard reject lists are age-sorted; balls are ordered by
-        // label only, so one sort reproduces the merged oldest-first pool.
-        balls.sort();
+        // The pooled balls' buffer takes the merged rejects.
+        merge_rejects(&mut slots, &mut balls);
+        self.slots = slots;
         self.pool.restore(balls);
 
         // 5. Deadline reaping: forget completion-notification state for
         // tickets past the TTL. The balls themselves stay pooled/buffered
         // and still get served — only the notification is dropped, so the
-        // paper's process trajectory is untouched.
+        // paper's process trajectory is untouched. Labels ascend, so the
+        // expired entries are a prefix.
         if let Some(ttl) = self.ticket_ttl {
-            let expired: Vec<u64> = self
-                .pending
-                .keys()
-                .copied()
-                .filter(|&label| round.saturating_sub(label) >= ttl)
-                .collect();
             let mut reaped = 0u64;
-            for label in expired {
-                if let Some(queue) = self.pending.remove(&label) {
-                    reaped += queue.len() as u64;
-                    self.expired_tickets.extend(queue);
-                }
+            while self
+                .pending
+                .front()
+                .is_some_and(|entry| round.saturating_sub(entry.label) >= ttl)
+            {
+                let entry = self.pending.pop_front().expect("front checked");
+                let ids = &entry.ids[entry.next..];
+                reaped += ids.len() as u64;
+                self.expired_tickets.extend_from_slice(ids);
+                self.retire(entry);
             }
             if reaped > 0 {
+                self.pending_count -= reaped as usize;
                 self.total_expired += reaped;
                 if let Some(p) = obs::probes() {
                     p.tickets_expired.add(reaped);
@@ -932,16 +980,28 @@ impl CappedService {
         });
     }
 
-    /// Drains the ingress queue (up to the per-round cap) into the pool.
+    /// Drains the ingress queue (up to the per-round cap) into the pool,
+    /// queueing the admitted tickets as one `pending` entry.
     fn admit(&mut self, round: u64) -> u64 {
-        let mut admitted = 0u64;
-        while self.max_admit.is_none_or(|cap| admitted < cap) {
+        let mut ids = self.spare_ids.pop().unwrap_or_default();
+        while self.max_admit.is_none_or(|cap| (ids.len() as u64) < cap) {
             let Ok(id) = self.ingress.try_recv() else {
                 break;
             };
-            self.pool.push_generation(round, 1);
-            self.pending.entry(round).or_default().push_back(id);
-            admitted += 1;
+            ids.push(id);
+        }
+        let admitted = ids.len() as u64;
+        self.pool.push_generation(round, admitted);
+        if ids.is_empty() {
+            self.spare_ids.push(ids);
+        } else {
+            debug_assert!(self.pending.back().is_none_or(|last| last.label < round));
+            self.pending_count += ids.len();
+            self.pending.push_back(PendingRound {
+                label: round,
+                ids,
+                next: 0,
+            });
         }
         self.dispatcher.note_admitted(admitted as usize);
         self.total_admitted += admitted;
@@ -955,21 +1015,31 @@ impl CappedService {
     /// (balls with equal labels are interchangeable) and notifies the
     /// completion channel. Model-arrival and surge balls have no ticket.
     fn complete(&mut self, label: u64, served_round: u64, waiting_rounds: u64, bin: u64) {
-        let Some(queue) = self.pending.get_mut(&label) else {
+        let at = self.pending.partition_point(|entry| entry.label < label);
+        let Some(entry) = self.pending.get_mut(at).filter(|e| e.label == label) else {
             return;
         };
-        if let Some(id) = queue.pop_front() {
-            let _ = self.completions_tx.send(Completion {
-                ticket: Ticket::from_id(id),
-                bin,
-                admitted_round: label,
-                served_round,
-                waiting_rounds,
-            });
+        let id = entry.ids[entry.next];
+        entry.next += 1;
+        if entry.next == entry.ids.len() {
+            let entry = self.pending.remove(at).expect("entry found above");
+            self.retire(entry);
         }
-        if queue.is_empty() {
-            self.pending.remove(&label);
-        }
+        self.pending_count -= 1;
+        let _ = self.completions_tx.send(Completion {
+            ticket: Ticket::from_id(id),
+            bin,
+            admitted_round: label,
+            served_round,
+            waiting_rounds,
+        });
+    }
+
+    /// Keeps a removed `pending` entry's id buffer for a later admission.
+    fn retire(&mut self, entry: PendingRound) {
+        let mut ids = entry.ids;
+        ids.clear();
+        self.spare_ids.push(ids);
     }
 
     /// Applies the membership events scheduled at `round`, in insertion
@@ -1089,6 +1159,39 @@ impl CappedService {
 /// `iba_core::shard::shard_of`, preserving bit-exactness.
 fn owner_of(slots: &[Slot], bin: usize) -> usize {
     slots.partition_point(|slot| slot.end() <= bin)
+}
+
+/// Appends every ball, paired with its drawn bin, to the requests of the
+/// shard owning that bin, so each shard sees its balls in pool
+/// (oldest-first) order.
+fn route(slots: &mut [Slot], choices: &[u32], balls: &[Ball]) {
+    for (&bin, &ball) in choices.iter().zip(balls) {
+        let shard = owner_of(slots, bin as usize);
+        slots[shard].requests.push((bin, ball));
+    }
+}
+
+/// Merges the shards' rejected balls into `out`, oldest-first, emptying
+/// the shards' reject buffers. Each shard's rejects are already an
+/// oldest-first run and balls order by label alone, so filling `out`
+/// from the back with every run's youngest-label suffix in turn takes
+/// time linear in the balls plus labels × shards — no comparison sort.
+fn merge_rejects(slots: &mut [Slot], out: &mut Vec<Ball>) {
+    let mut end: usize = slots.iter().map(|slot| slot.rejected.len()).sum();
+    out.clear();
+    out.resize(end, Ball::generated_in(0));
+    while let Some(&youngest) = slots.iter().filter_map(|slot| slot.rejected.last()).max() {
+        for run in slots.iter_mut().map(|slot| &mut slot.rejected) {
+            let start = run
+                .iter()
+                .rposition(|&ball| ball < youngest)
+                .map_or(0, |i| i + 1);
+            let len = run.len() - start;
+            out[end - len..end].copy_from_slice(&run[start..]);
+            end -= len;
+            run.truncate(start);
+        }
+    }
 }
 
 /// The shard owning global `bin`, and `bin`'s index within it.

@@ -24,10 +24,11 @@ use crate::obs;
 pub(crate) struct Slot {
     /// The shard's bins, `first_bin()..end()` globally.
     pub bins: Box<BinShard>,
-    /// Requests routed to local bins for the next round, oldest-first.
-    /// The round consumes them.
+    /// Requests routed to this shard's bins (global indices) for the next
+    /// round, oldest-first. The round consumes them.
     pub requests: Vec<(u32, Ball)>,
-    /// The last round's rejected balls, in request order (oldest-first).
+    /// The last round's rejected balls, in request order (oldest-first),
+    /// until the driver merges them into the pool.
     pub rejected: Vec<Ball>,
     /// The last round's served balls with their local bin, in bin order.
     pub served: Vec<(u32, Ball)>,
@@ -67,10 +68,11 @@ impl Slot {
         self.rejected.clear();
         self.served.clear();
         let served = &mut self.served;
+        let first_bin = self.bins.first_bin();
         self.stats = self.bins.run_round(
             self.requests
                 .iter()
-                .map(|&(local, ball)| (local as usize, ball)),
+                .map(move |&(bin, ball)| (bin as usize - first_bin, ball)),
             &mut self.rejected,
             |local, ball| served.push((local as u32, ball)),
         );

@@ -1,13 +1,17 @@
 //! The service's public surface: spawn validation, rounds and ticket
-//! completions, admission caps and backpressure, scheduled faults,
-//! checkpoint resume (across shard counts, with pending tickets, and
-//! against hostile envelopes), ticket TTL reaping, shutdown, and the
-//! fault telemetry a service run records.
+//! completions (each served ball takes the longest-waiting ticket of its
+//! label), admission caps and backpressure, scheduled faults, checkpoint
+//! resume (across shard counts, with pending tickets, and against hostile
+//! envelopes), ticket TTL reaping, shutdown, and the fault telemetry a
+//! service run records.
 
-use iba_core::CappedConfig;
+use std::collections::BTreeMap;
+
+use iba_core::{CappedConfig, CappedProcess};
 use iba_serve::{CappedService, ResumeError, ServiceConfig, SubmitError, Ticket};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::faults::{FaultEvent, FaultPlan};
+use iba_sim::{AllocationProcess, SimRng};
 
 fn config(n: usize, c: u32, lambda: f64) -> CappedConfig {
     CappedConfig::new(n, c, lambda).unwrap()
@@ -394,4 +398,199 @@ fn service_faults_advance_the_fault_counters() {
     service.run_rounds(3);
     assert!(crashed.get() - before >= 3);
     assert!(service.conserves_balls());
+}
+
+#[test]
+fn rounds_of_thousands_of_balls_match_the_bare_process() {
+    // λn = 3 840 balls arrive every round, so the driver draws and routes
+    // a round's bins in several bulk draws, over three uneven shards.
+    let config = config(4096, 2, 0.9375);
+    let mut reference = CappedProcess::new(config.clone());
+    let mut rng = SimRng::seed_from(9);
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(config, 3, 9).with_model_arrivals(true)).unwrap();
+    for round in 1..=40 {
+        assert_eq!(
+            service.run_round(),
+            reference.step(&mut rng),
+            "round {round}"
+        );
+    }
+}
+
+#[test]
+fn completions_take_the_longest_waiting_ticket_of_each_label() {
+    let mut service = CappedService::spawn(ServiceConfig::new(config(24, 2, 0.0), 3, 11)).unwrap();
+    let completions = service.take_completions().unwrap();
+    let dispatcher = service.dispatcher();
+    // Two thirds of the bins are down for rounds 3..8, so tickets of
+    // several labels wait several rounds, spread over all three shards.
+    service.schedule(
+        FaultPlan::new()
+            .with(
+                3,
+                FaultEvent::CrashBins {
+                    bins: (0..24).filter(|i| i % 3 != 0).collect(),
+                },
+            )
+            .with(
+                8,
+                FaultEvent::RecoverBins {
+                    bins: (0..24).collect(),
+                },
+            ),
+    );
+    let mut submitted = Vec::new();
+    for _ in 0..12 {
+        submitted.extend((0..20).map(|_| dispatcher.submit().unwrap().id()));
+        service.run_round();
+    }
+    for _ in 0..200 {
+        if service.pending_tickets() == 0 {
+            break;
+        }
+        service.run_round();
+    }
+    assert_eq!(service.pending_tickets(), 0);
+
+    let mut by_label: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut completed = Vec::new();
+    let mut longest_wait = 0;
+    while let Ok(c) = completions.try_recv() {
+        by_label
+            .entry(c.admitted_round)
+            .or_default()
+            .push(c.ticket.id());
+        completed.push(c.ticket.id());
+        longest_wait = longest_wait.max(c.waiting_rounds);
+    }
+    assert!(longest_wait >= 3, "the crash left tickets waiting");
+    for (label, ids) in &by_label {
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "label {label} completed out of admission order: {ids:?}"
+        );
+    }
+    completed.sort_unstable();
+    assert_eq!(completed, submitted, "every ticket completes exactly once");
+}
+
+#[test]
+fn ttl_reaps_the_oldest_label_first_after_a_resume() {
+    let cfg = ServiceConfig::new(config(8, 1, 0.0), 2, 5);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    service.schedule(FaultPlan::new().with(
+        1,
+        FaultEvent::CrashBins {
+            bins: (0..8).collect(),
+        },
+    ));
+    // Labels 1..=4 hold three tickets each; no bin serves any of them.
+    let dispatcher = service.dispatcher();
+    let mut submitted = Vec::new();
+    for _ in 0..4 {
+        submitted.extend((0..3).map(|_| dispatcher.submit().unwrap().id()));
+        service.run_round();
+    }
+    assert_eq!(service.pending_tickets(), 12);
+    let bytes = service.checkpoint_bytes();
+
+    // A TTL of four rounds expires one label per round from round 5 on.
+    let ttl_cfg = cfg.with_ticket_ttl_rounds(Some(4));
+    let again = CappedService::resume(ttl_cfg.clone(), &bytes).unwrap();
+    assert_eq!(
+        again.checkpoint_bytes(),
+        bytes,
+        "checkpoint -> resume -> checkpoint"
+    );
+    let mut resumed = CappedService::resume(ttl_cfg, &bytes).unwrap();
+    let mut expired = Vec::new();
+    for round in 5..=8 {
+        resumed.run_round();
+        let reaped = resumed.drain_expired_tickets();
+        let label = (round - 4) as usize;
+        assert_eq!(
+            reaped,
+            submitted[3 * (label - 1)..3 * label],
+            "round {round}"
+        );
+        expired.extend(reaped);
+    }
+    assert_eq!(expired, submitted);
+    assert_eq!(resumed.pending_tickets(), 0);
+}
+
+/// A 2-shard service whose bins all crashed in round 1, checkpointed
+/// after round 3 with tickets 0..4 pending under label 1 (watermark 4).
+fn checkpoint_with_pending_tickets() -> (ServiceConfig, Vec<u8>) {
+    let cfg = ServiceConfig::new(config(16, 2, 0.0), 2, 7);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    service.schedule(FaultPlan::new().with(
+        1,
+        FaultEvent::CrashBins {
+            bins: (0..16).collect(),
+        },
+    ));
+    let dispatcher = service.dispatcher();
+    for _ in 0..4 {
+        dispatcher.submit().unwrap();
+    }
+    service.run_rounds(3);
+    assert_eq!(service.pending_tickets(), 4);
+    (cfg, service.checkpoint_bytes())
+}
+
+/// Re-encodes a service envelope field by field with its pending-ticket
+/// section replaced by `pending`.
+fn with_pending(bytes: &[u8], pending: &[(u64, &[u64])]) -> Vec<u8> {
+    let mut dec = Decoder::new(bytes).unwrap();
+    dec.header("IBSV", 2).unwrap();
+    let mut enc = Encoder::new();
+    enc.header("IBSV", 2);
+    enc.byte_seq(dec.byte_seq("core checkpoint").unwrap());
+    enc.u32(dec.u32("rng mode").unwrap());
+    enc.usize(dec.usize("shard count").unwrap());
+    for what in ["ticket watermark", "total admitted", "total expired"] {
+        enc.u64(dec.u64(what).unwrap());
+    }
+    for _ in 0..dec.usize("pending ticket map").unwrap() {
+        dec.u64("pending label").unwrap();
+        dec.u64_seq("pending ticket ids").unwrap();
+    }
+    enc.usize(pending.len());
+    for (label, ids) in pending {
+        enc.u64(*label);
+        enc.u64_seq(ids.iter().copied());
+    }
+    enc.usize(dec.usize("live bin count").unwrap());
+    enc.u64_seq(dec.u64_seq("shard range ends").unwrap().into_iter());
+    enc.u64(dec.u64("balls moved").unwrap());
+    enc.u64(dec.u64("membership events").unwrap());
+    assert!(dec.is_exhausted());
+    enc.finish()
+}
+
+#[test]
+fn resume_rejects_a_pending_label_past_the_checkpoint_round() {
+    let (cfg, bytes) = checkpoint_with_pending_tickets();
+    assert_eq!(with_pending(&bytes, &[(1, &[0, 1, 2, 3])]), bytes);
+    // Round 3 is the checkpoint's last: a label-4 entry would take the
+    // completions of the tickets the resumed service admits in round 4.
+    let forged = with_pending(&bytes, &[(4, &[0, 1, 2, 3])]);
+    assert!(matches!(
+        CappedService::resume(cfg, &forged),
+        Err(ResumeError::Invalid { .. })
+    ));
+}
+
+#[test]
+fn resume_rejects_a_pending_ticket_id_at_the_watermark() {
+    let (cfg, bytes) = checkpoint_with_pending_tickets();
+    assert_eq!(with_pending(&bytes, &[(1, &[0, 1, 2, 3])]), bytes);
+    // Id 4 is the watermark: the resumed dispatcher issues it again.
+    let forged = with_pending(&bytes, &[(1, &[0, 1, 2, 4])]);
+    assert!(matches!(
+        CappedService::resume(cfg, &forged),
+        Err(ResumeError::Invalid { .. })
+    ));
 }

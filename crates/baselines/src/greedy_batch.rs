@@ -338,7 +338,8 @@ impl AllocationProcess for GreedyBatchProcess {
 /// candidate comparisons and freezes its queue; a ball whose `d` samples
 /// are all offline is *parked* (reported as the pool) and re-thrown next
 /// round. Queues are unbounded, so capacity degradation is a no-op (the
-/// [`FaultTolerant::set_bin_capacity`] default).
+/// [`FaultTolerant::set_bin_capacity`](iba_sim::faults::FaultTolerant::set_bin_capacity)
+/// default).
 impl iba_sim::faults::FaultTolerant for GreedyBatchProcess {
     fn crash_bin(&mut self, i: usize) {
         self.offline[i] = true;

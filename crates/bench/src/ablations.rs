@@ -686,10 +686,11 @@ pub fn wait_tail(scale: Scale) -> ExperimentOutput {
 
 /// **`CHAOS`** — deterministic fault injection with recovery metrics.
 ///
-/// Each scenario is a seeded [`FaultPlan`] played against a warm-started
-/// CAPPED(2, 0.75) system by `iba_sim::faults::measure_recovery`: burn in,
-/// record the pre-fault pool baseline, apply the faults, then count the
-/// rounds until the pool re-enters the ε-band around its baseline.
+/// Each scenario is a seeded [`FaultPlan`](iba_sim::faults::FaultPlan)
+/// played against a warm-started CAPPED(2, 0.75) system by
+/// `iba_sim::faults::measure_recovery`: burn in, record the pre-fault pool
+/// baseline, apply the faults, then count the rounds until the pool
+/// re-enters the ε-band around its baseline.
 /// Scenarios:
 ///
 /// - **crash 10% / 20%** — a scripted mass outage (well below the

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use iba_bench::ablations::{
-    choice_ablation, dominance, lemma_phases, policy_ablation, stabilization,
+    chaos, choice_ablation, dominance, lemma_phases, policy_ablation, stabilization,
 };
 use iba_bench::figures::ExperimentOutput;
 use iba_bench::scale::Scale;
@@ -78,4 +78,9 @@ fn golden_choice_ablation() {
 #[test]
 fn golden_policy_ablation() {
     check_golden("policy_smoke", &policy_ablation(Scale::Smoke));
+}
+
+#[test]
+fn golden_chaos() {
+    check_golden("chaos_smoke", &chaos(Scale::Smoke));
 }

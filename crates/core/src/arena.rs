@@ -16,7 +16,7 @@
 //! - **`caps`** — the per-bin **live** capacity (fault injection may
 //!   diverge it from the configured profile).
 //!
-//! On top of the layout, [`counting_accept`] implements the round kernel's
+//! On top of the layout, `counting_accept` implements the round kernel's
 //! acceptance stage as a counting sort over bin indices: histogram the
 //! per-bin request counts ν, clamp each against the bin's remaining room to
 //! get the per-bin acceptance quota `min{c − ℓ, ν}`, then stably scatter

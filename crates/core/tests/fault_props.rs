@@ -1,6 +1,6 @@
 //! Property-based tests of the fault-injection harness on the real CAPPED
 //! process: ball conservation under arbitrary fault plans, frozen offline
-//! bins, identity of the fault-free wrapper, and plan serialization.
+//! bins, and identity of the fault-free wrapper.
 
 use proptest::prelude::*;
 
@@ -123,13 +123,5 @@ proptest! {
         prop_assert_eq!(bare_rng, wrapped_rng, "wrapper drew extra randomness");
         prop_assert_eq!(bare.loads(), wrapped.inner().loads());
         prop_assert_eq!(bare.pool_size(), wrapped.pool_size());
-    }
-
-    /// Every plan round-trips through its checksummed serialization.
-    #[test]
-    fn plans_roundtrip_through_serialization(plan in fault_plan()) {
-        let bytes = plan.to_bytes();
-        let decoded = FaultPlan::from_bytes(&bytes).expect("valid bytes decode");
-        prop_assert_eq!(plan, decoded);
     }
 }

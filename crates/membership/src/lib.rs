@@ -6,8 +6,9 @@
 //!
 //! - **Replayable plans** ([`plan`]) — [`MembershipEvent`]s (add/remove
 //!   bins, split/merge shards) keyed to round boundaries in a
-//!   [`MembershipPlan`], serialized with the same versioned CRC32 codec
-//!   (`IBMB`) the fault plans use, so a churn run replays bit-exactly.
+//!   [`MembershipPlan`], the same round-keyed container
+//!   ([`iba_sim::plan::RoundPlan`]) the fault plans use, so a churn run
+//!   replays bit-exactly.
 //! - **Placement routers** ([`router`]) — two front-end placement
 //!   strategies behind the [`Router`] trait: the classic round-robin
 //!   resharder ([`RoundRobinRouter`], modulo over the live bin set — every
@@ -23,9 +24,9 @@
 //!   already exports and emitting grow/shrink events with hysteresis,
 //!   patience, and cooldown.
 //!
-//! The crate depends only on `iba-sim` (codec + RNG); the serve-side
-//! mechanics (arena grow/shrink, shard splits, ball draining) live in
-//! `iba-core` and `iba-serve`.
+//! The crate depends only on `iba-sim`, for the plan container; the
+//! serve-side mechanics (arena grow/shrink, shard splits, ball draining)
+//! live in `iba-core` and `iba-serve`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,13 @@
 //! Round-keyed, replayable membership change schedules.
 //!
-//! A [`MembershipPlan`] mirrors [`iba_sim::faults::FaultPlan`]: events are
-//! keyed to 1-based rounds and applied immediately *before* the step that
-//! produces that round, so a change scheduled at round `r` is in force for
-//! all of round `r`. The `IBMB` codec (versioned, CRC32-checksummed, same
-//! [`iba_sim::codec`] substrate as checkpoints and fault plans) makes
-//! churn runs serializable and bit-exactly replayable.
+//! A [`MembershipPlan`] is a [`RoundPlan`] of [`MembershipEvent`]s, the
+//! same container as [`iba_sim::faults::FaultPlan`]: events are keyed to
+//! 1-based rounds and applied immediately *before* the step that produces
+//! that round, so a change scheduled at round `r` is in force for all of
+//! round `r`. A plan is plain data, so replaying it with the same seed
+//! replays a churn run bit-exactly.
 
-use std::collections::BTreeMap;
-
-use iba_sim::codec::{CodecError, Decoder, Encoder};
+use iba_sim::plan::RoundPlan;
 
 /// One membership change, applied at a round boundary.
 ///
@@ -53,242 +51,9 @@ pub enum MembershipEvent {
     },
 }
 
-const EVENT_ADD: u32 = 0;
-const EVENT_REMOVE: u32 = 1;
-const EVENT_SPLIT: u32 = 2;
-const EVENT_MERGE: u32 = 3;
-
-impl MembershipEvent {
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            MembershipEvent::AddBins { count } => {
-                enc.u32(EVENT_ADD);
-                enc.usize(*count);
-            }
-            MembershipEvent::RemoveBins { count } => {
-                enc.u32(EVENT_REMOVE);
-                enc.usize(*count);
-            }
-            MembershipEvent::SplitShard { shard } => {
-                enc.u32(EVENT_SPLIT);
-                enc.usize(*shard);
-            }
-            MembershipEvent::MergeShards { left } => {
-                enc.u32(EVENT_MERGE);
-                enc.usize(*left);
-            }
-        }
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let kind = dec.u32("membership event kind")?;
-        match kind {
-            EVENT_ADD => Ok(MembershipEvent::AddBins {
-                count: dec.usize("add count")?,
-            }),
-            EVENT_REMOVE => Ok(MembershipEvent::RemoveBins {
-                count: dec.usize("remove count")?,
-            }),
-            EVENT_SPLIT => Ok(MembershipEvent::SplitShard {
-                shard: dec.usize("split shard")?,
-            }),
-            EVENT_MERGE => Ok(MembershipEvent::MergeShards {
-                left: dec.usize("merge left shard")?,
-            }),
-            _ => Err(CodecError::Invalid {
-                what: "membership event kind",
-            }),
-        }
-    }
-}
-
-/// Checkpoint tag for serialized membership plans ("IBa MemBership").
-const PLAN_TAG: &str = "IBMB";
-/// Current membership-plan format version.
-const PLAN_VERSION: u32 = 1;
-
 /// A round-keyed schedule of membership events.
 ///
 /// Rounds are 1-based: an event scheduled at round `r` is applied
 /// immediately before the step that produces round `r`. Events within one
 /// round apply in insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MembershipPlan {
-    events: BTreeMap<u64, Vec<MembershipEvent>>,
-}
-
-impl MembershipPlan {
-    /// Creates an empty plan (a service with an empty plan is elastic in
-    /// name only: its trajectory is identical to the fixed-`n` service).
-    pub fn new() -> Self {
-        MembershipPlan::default()
-    }
-
-    /// Schedules `event` at `round` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round == 0` — round 0 is the initial state, no step
-    /// produces it.
-    pub fn insert(&mut self, round: u64, event: MembershipEvent) {
-        assert!(round > 0, "membership events schedule at rounds >= 1");
-        self.events.entry(round).or_default().push(event);
-    }
-
-    /// Builder-style [`insert`](Self::insert).
-    #[must_use]
-    pub fn with(mut self, round: u64, event: MembershipEvent) -> Self {
-        self.insert(round, event);
-        self
-    }
-
-    /// Whether the plan schedules no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.values().map(Vec::len).sum()
-    }
-
-    /// Earliest round with an event, if any.
-    pub fn first_round(&self) -> Option<u64> {
-        self.events.keys().next().copied()
-    }
-
-    /// Latest round with an event, if any.
-    pub fn last_round(&self) -> Option<u64> {
-        self.events.keys().next_back().copied()
-    }
-
-    /// The events scheduled at `round` (empty for quiet rounds).
-    pub fn events_at(&self, round: u64) -> &[MembershipEvent] {
-        self.events.get(&round).map_or(&[], Vec::as_slice)
-    }
-
-    /// Iterates over `(round, events)` in round order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[MembershipEvent])> {
-        self.events.iter().map(|(&r, evs)| (r, evs.as_slice()))
-    }
-
-    /// Returns the plan with every event moved `offset` rounds later
-    /// (re-anchoring a plan authored relative to a burn-in or a resume
-    /// point).
-    #[must_use]
-    pub fn shifted(self, offset: u64) -> Self {
-        MembershipPlan {
-            events: self
-                .events
-                .into_iter()
-                .map(|(r, evs)| (r + offset, evs))
-                .collect(),
-        }
-    }
-
-    /// Serializes the plan (versioned, CRC32-checksummed).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.header(PLAN_TAG, PLAN_VERSION);
-        enc.usize(self.events.len());
-        for (&round, events) in &self.events {
-            enc.u64(round);
-            enc.usize(events.len());
-            for event in events {
-                event.encode_into(&mut enc);
-            }
-        }
-        enc.finish()
-    }
-
-    /// Deserializes a plan written by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on corrupted, truncated, malformed, or
-    /// future-versioned input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(bytes)?;
-        dec.header(PLAN_TAG, PLAN_VERSION)?;
-        let round_count = dec.usize("plan round count")?;
-        let mut events = BTreeMap::new();
-        for _ in 0..round_count {
-            let round = dec.u64("plan round")?;
-            if round == 0 {
-                return Err(CodecError::Invalid { what: "plan round" });
-            }
-            let count = dec.usize("plan event count")?;
-            let mut list = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                list.push(MembershipEvent::decode_from(&mut dec)?);
-            }
-            if events.insert(round, list).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "duplicate plan round",
-                });
-            }
-        }
-        if !dec.is_exhausted() {
-            return Err(CodecError::Invalid {
-                what: "trailing bytes",
-            });
-        }
-        Ok(MembershipPlan { events })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_plan() -> MembershipPlan {
-        MembershipPlan::new()
-            .with(3, MembershipEvent::AddBins { count: 8 })
-            .with(3, MembershipEvent::SplitShard { shard: 1 })
-            .with(10, MembershipEvent::RemoveBins { count: 4 })
-            .with(12, MembershipEvent::MergeShards { left: 0 })
-    }
-
-    #[test]
-    fn plan_accessors_report_schedule() {
-        let plan = sample_plan();
-        assert!(!plan.is_empty());
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.first_round(), Some(3));
-        assert_eq!(plan.last_round(), Some(12));
-        assert_eq!(plan.events_at(3).len(), 2);
-        assert!(plan.events_at(7).is_empty());
-        let shifted = plan.shifted(5);
-        assert_eq!(shifted.first_round(), Some(8));
-        assert_eq!(shifted.len(), 4);
-    }
-
-    #[test]
-    fn codec_round_trips() {
-        let plan = sample_plan();
-        let bytes = plan.to_bytes();
-        assert_eq!(MembershipPlan::from_bytes(&bytes).unwrap(), plan);
-        let empty = MembershipPlan::new();
-        assert_eq!(
-            MembershipPlan::from_bytes(&empty.to_bytes()).unwrap(),
-            empty
-        );
-    }
-
-    #[test]
-    fn codec_rejects_corruption_and_truncation() {
-        let bytes = sample_plan().to_bytes();
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0xff;
-        assert!(MembershipPlan::from_bytes(&corrupt).is_err());
-        assert!(MembershipPlan::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        assert!(MembershipPlan::from_bytes(b"IBMB").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "rounds >= 1")]
-    fn round_zero_is_rejected() {
-        MembershipPlan::new().insert(0, MembershipEvent::AddBins { count: 1 });
-    }
-}
+pub type MembershipPlan = RoundPlan<MembershipEvent>;

@@ -35,9 +35,9 @@ const KEY_SALT: u64 = 0x51C3_9A1B_7D4E_F002;
 
 /// A placement strategy over a dynamic set of bins `0..n`.
 ///
-/// Membership is LIFO, matching the serve layer: [`add_bins`]
-/// (Router::add_bins) appends bin ids at the top, [`remove_bins`]
-/// (Router::remove_bins) retires from the top. [`assign`](Router::assign)
+/// Membership is LIFO, matching the serve layer:
+/// [`add_bins`](Router::add_bins) appends bin ids at the top,
+/// [`remove_bins`](Router::remove_bins) retires from the top. [`assign`](Router::assign)
 /// maps every key to a live bin; diffing two assignments with
 /// [`moved_keys`] counts the relocation cost of the change in between.
 pub trait Router: std::fmt::Debug {

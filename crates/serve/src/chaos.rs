@@ -1,26 +1,22 @@
 //! Deterministic socket-layer fault injection for the network front end.
 //!
 //! [`NetFaultPlan`] is the transport-layer sibling of
-//! [`iba_sim::faults::FaultPlan`]: a round-keyed schedule of fault events,
-//! applied by [`NetFrontend`](crate::net::NetFrontend) at the start of the
-//! round they are scheduled for. Where the sim-layer plan perturbs the
-//! *allocation process* (crashed bins, surges), this plan perturbs the
-//! *sockets underneath it*: abrupt connection drops, read/write stalls
-//! (slow consumers, slowloris writers), partial-write throttling, and
-//! garbage injected mid-stream.
+//! [`iba_sim::faults::FaultPlan`], and the same [`RoundPlan`] container:
+//! a round-keyed schedule of fault events, applied by
+//! [`NetFrontend`](crate::net::NetFrontend) at the start of the round they
+//! are scheduled for. Where the sim-layer plan perturbs the *allocation
+//! process* (crashed bins, surges), this plan perturbs the *sockets
+//! underneath it*: abrupt connection drops, read/write stalls (slow
+//! consumers, slowloris writers), partial-write throttling, and garbage
+//! injected mid-stream.
 //!
 //! Everything is deterministic: which connections a fault hits is drawn
-//! from a [`SimRng`] stream seeded at
+//! from a [`SimRng`](iba_sim::SimRng) stream seeded at
 //! [`NetFrontend::arm_faults`](crate::net::NetFrontend::arm_faults), so
 //! the same seed + plan + traffic reproduces the same chaos — the property
 //! the chaos bench and the injected-fault tests rely on.
-//!
-//! Plans serialize with the shared checkpoint codec (tag `IBNF`), so a
-//! chaos scenario can be stored next to the experiment that ran it.
 
-use std::collections::BTreeMap;
-
-use iba_sim::codec::{CodecError, Decoder, Encoder};
+use iba_sim::plan::RoundPlan;
 
 /// One scheduled socket fault.
 ///
@@ -74,287 +70,10 @@ pub enum NetFault {
     },
 }
 
-const EVENT_DROP: u32 = 0;
-const EVENT_STALL_READS: u32 = 1;
-const EVENT_STALL_WRITES: u32 = 2;
-const EVENT_PARTIAL_WRITES: u32 = 3;
-const EVENT_GARBAGE: u32 = 4;
-
-impl NetFault {
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            NetFault::DropConns { conns } => {
-                enc.u32(EVENT_DROP);
-                enc.u32(*conns);
-            }
-            NetFault::StallReads { conns, rounds } => {
-                enc.u32(EVENT_STALL_READS);
-                enc.u32(*conns);
-                enc.u32(*rounds);
-            }
-            NetFault::StallWrites { conns, rounds } => {
-                enc.u32(EVENT_STALL_WRITES);
-                enc.u32(*conns);
-                enc.u32(*rounds);
-            }
-            NetFault::PartialWrites { max_bytes, rounds } => {
-                enc.u32(EVENT_PARTIAL_WRITES);
-                enc.u32(*max_bytes);
-                enc.u32(*rounds);
-            }
-            NetFault::InjectGarbage { conns, bytes } => {
-                enc.u32(EVENT_GARBAGE);
-                enc.u32(*conns);
-                enc.u32(*bytes);
-            }
-        }
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let kind = dec.u32("net fault kind")?;
-        match kind {
-            EVENT_DROP => Ok(NetFault::DropConns {
-                conns: dec.u32("drop conns")?,
-            }),
-            EVENT_STALL_READS => Ok(NetFault::StallReads {
-                conns: dec.u32("stall conns")?,
-                rounds: dec.u32("stall rounds")?,
-            }),
-            EVENT_STALL_WRITES => Ok(NetFault::StallWrites {
-                conns: dec.u32("stall conns")?,
-                rounds: dec.u32("stall rounds")?,
-            }),
-            EVENT_PARTIAL_WRITES => Ok(NetFault::PartialWrites {
-                max_bytes: dec.u32("write budget")?,
-                rounds: dec.u32("throttle rounds")?,
-            }),
-            EVENT_GARBAGE => Ok(NetFault::InjectGarbage {
-                conns: dec.u32("garble conns")?,
-                bytes: dec.u32("garbage bytes")?,
-            }),
-            _ => Err(CodecError::Invalid {
-                what: "net fault kind",
-            }),
-        }
-    }
-}
-
-/// Serialization tag for socket fault plans ("IBa Net Faults").
-const PLAN_TAG: &str = "IBNF";
-/// Current plan format version.
-const PLAN_VERSION: u32 = 1;
-
 /// A round-keyed schedule of socket fault events.
 ///
 /// Rounds are 1-based, matching the service's round counter: an event
 /// scheduled at round `r` is applied by the front end at the start of
 /// round `r`, before that round's sockets are polled. Events within one
 /// round apply in insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    events: BTreeMap<u64, Vec<NetFault>>,
-}
-
-impl NetFaultPlan {
-    /// Creates an empty plan (arming an empty plan injects nothing).
-    pub fn new() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Schedules `event` at `round` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round == 0` — round 0 is the initial state, no round
-    /// executes it.
-    pub fn insert(&mut self, round: u64, event: NetFault) {
-        assert!(round > 0, "net fault events schedule at rounds >= 1");
-        self.events.entry(round).or_default().push(event);
-    }
-
-    /// Builder-style [`insert`](Self::insert).
-    #[must_use]
-    pub fn with(mut self, round: u64, event: NetFault) -> Self {
-        self.insert(round, event);
-        self
-    }
-
-    /// Whether the plan schedules no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.values().map(Vec::len).sum()
-    }
-
-    /// Earliest round with an event, if any.
-    pub fn first_round(&self) -> Option<u64> {
-        self.events.keys().next().copied()
-    }
-
-    /// Latest round with an event, if any.
-    pub fn last_round(&self) -> Option<u64> {
-        self.events.keys().next_back().copied()
-    }
-
-    /// The events scheduled at `round` (empty for fault-free rounds).
-    pub fn events_at(&self, round: u64) -> &[NetFault] {
-        self.events.get(&round).map_or(&[], Vec::as_slice)
-    }
-
-    /// Iterates over `(round, events)` in round order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[NetFault])> {
-        self.events.iter().map(|(&r, evs)| (r, evs.as_slice()))
-    }
-
-    /// Returns the plan with every event moved `offset` rounds later
-    /// (e.g. to re-arm a plan authored relative to a resume point).
-    #[must_use]
-    pub fn shifted(self, offset: u64) -> Self {
-        NetFaultPlan {
-            events: self
-                .events
-                .into_iter()
-                .map(|(r, evs)| (r + offset, evs))
-                .collect(),
-        }
-    }
-
-    /// Serializes the plan (tag `IBNF`, CRC-protected).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.header(PLAN_TAG, PLAN_VERSION);
-        enc.usize(self.events.len());
-        for (&round, events) in &self.events {
-            enc.u64(round);
-            enc.usize(events.len());
-            for event in events {
-                event.encode_into(&mut enc);
-            }
-        }
-        enc.finish()
-    }
-
-    /// Deserializes a plan written by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if the bytes are corrupt, truncated, or from an
-    /// unsupported version.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(bytes)?;
-        dec.header(PLAN_TAG, PLAN_VERSION)?;
-        let rounds = dec.usize("net fault plan rounds")?;
-        let mut events: BTreeMap<u64, Vec<NetFault>> = BTreeMap::new();
-        let mut prev_round = 0u64;
-        for _ in 0..rounds {
-            let round = dec.u64("net fault round")?;
-            if round == 0 || round <= prev_round {
-                return Err(CodecError::Invalid {
-                    what: "net fault round order",
-                });
-            }
-            prev_round = round;
-            let count = dec.usize("net fault event count")?;
-            if count == 0 {
-                return Err(CodecError::Invalid {
-                    what: "empty net fault round",
-                });
-            }
-            let mut list = Vec::with_capacity(count);
-            for _ in 0..count {
-                list.push(NetFault::decode_from(&mut dec)?);
-            }
-            events.insert(round, list);
-        }
-        if !dec.is_exhausted() {
-            return Err(CodecError::Invalid {
-                what: "net fault plan trailing bytes",
-            });
-        }
-        Ok(NetFaultPlan { events })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_plan() -> NetFaultPlan {
-        NetFaultPlan::new()
-            .with(1, NetFault::DropConns { conns: 2 })
-            .with(
-                3,
-                NetFault::StallReads {
-                    conns: 1,
-                    rounds: 5,
-                },
-            )
-            .with(
-                3,
-                NetFault::StallWrites {
-                    conns: 4,
-                    rounds: 2,
-                },
-            )
-            .with(
-                7,
-                NetFault::PartialWrites {
-                    max_bytes: 3,
-                    rounds: 10,
-                },
-            )
-            .with(
-                9,
-                NetFault::InjectGarbage {
-                    conns: 1,
-                    bytes: 64,
-                },
-            )
-    }
-
-    #[test]
-    fn plan_accessors() {
-        let plan = sample_plan();
-        assert!(!plan.is_empty());
-        assert_eq!(plan.len(), 5);
-        assert_eq!(plan.first_round(), Some(1));
-        assert_eq!(plan.last_round(), Some(9));
-        assert_eq!(plan.events_at(3).len(), 2);
-        assert!(plan.events_at(2).is_empty());
-        assert_eq!(plan.iter().count(), 4);
-        let shifted = plan.clone().shifted(100);
-        assert_eq!(shifted.first_round(), Some(101));
-        assert_eq!(shifted.len(), plan.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "rounds >= 1")]
-    fn round_zero_is_rejected() {
-        NetFaultPlan::new().insert(0, NetFault::DropConns { conns: 1 });
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let plan = sample_plan();
-        let bytes = plan.to_bytes();
-        let back = NetFaultPlan::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back, plan);
-        let empty = NetFaultPlan::new();
-        assert_eq!(
-            NetFaultPlan::from_bytes(&empty.to_bytes()).expect("decodes"),
-            empty
-        );
-    }
-
-    #[test]
-    fn corrupt_bytes_are_rejected() {
-        let mut bytes = sample_plan().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(NetFaultPlan::from_bytes(&bytes).is_err(), "CRC catches it");
-        assert!(NetFaultPlan::from_bytes(&bytes[..8]).is_err(), "truncated");
-    }
-}
+pub type NetFaultPlan = RoundPlan<NetFault>;

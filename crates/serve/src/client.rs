@@ -234,7 +234,8 @@ impl NetClient {
     ///
     /// The request id is fixed up front and reused across every retry
     /// and reconnect (idempotent re-submission); completions arriving
-    /// while waiting are buffered for [`take_completions`].
+    /// while waiting are buffered for
+    /// [`take_completions`](Self::take_completions).
     ///
     /// # Errors
     ///

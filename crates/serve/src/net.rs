@@ -52,7 +52,7 @@
 //! # Chaos injection
 //!
 //! [`NetFrontend::arm_faults`] installs a round-keyed
-//! [`NetFaultPlan`](crate::chaos::NetFaultPlan): connection drops,
+//! [`NetFaultPlan`]: connection drops,
 //! read/write stalls, partial-write throttling, and mid-stream garbage,
 //! with victims drawn from a seeded [`SimRng`] so every chaos run is
 //! reproducible. Faults only ever touch wire connections — the metrics
@@ -415,8 +415,7 @@ impl NetFrontend {
         {
             injector.write_budget = None;
         }
-        let events = injector.plan.events_at(round).to_vec();
-        for event in events {
+        for event in injector.plan.take_due(round) {
             self.stats.faults_injected += 1;
             if let Some(p) = obs::probes() {
                 p.net_faults_injected.inc();

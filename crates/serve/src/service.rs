@@ -608,11 +608,7 @@ impl CappedService {
     /// profile or unbounded bins cannot express.
     pub fn schedule_membership(&mut self, plan: MembershipPlan) -> Result<(), ConfigError> {
         self.ensure_elastic()?;
-        for (round, events) in plan.iter() {
-            for event in events {
-                self.mplan.insert(round, event.clone());
-            }
-        }
+        self.mplan.extend(plan);
         Ok(())
     }
 
@@ -1048,8 +1044,7 @@ impl CappedService {
         if self.mplan.is_empty() {
             return;
         }
-        let events = self.mplan.events_at(round).to_vec();
-        for event in events {
+        for event in self.mplan.take_due(round) {
             let changed = match event {
                 MembershipEvent::AddBins { count } => self.add_bins(count),
                 MembershipEvent::RemoveBins { count } => self.remove_bins(count),

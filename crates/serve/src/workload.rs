@@ -121,7 +121,8 @@ impl WorkloadSummary {
 }
 
 /// Drives `service` for `rounds` rounds under `workload`: each round,
-/// submits the workload's demand through the service's [`Dispatcher`]
+/// submits the workload's demand through the service's
+/// [`Dispatcher`](crate::dispatch::Dispatcher)
 /// (shedding on backpressure), then executes the round. Infrastructure
 /// events in the workload's plan are scheduled on the service first.
 ///
@@ -201,12 +202,12 @@ mod tests {
             .with(4, FaultEvent::RecoverBins { bins: vec![0] });
         let load = OpenLoop::new(1).with_plan(plan);
         let infra = load.infrastructure_plan();
-        assert_eq!(infra.events_at(2).len(), 1);
-        assert!(matches!(
-            infra.events_at(2)[0],
-            FaultEvent::CrashBins { .. }
-        ));
-        assert_eq!(infra.events_at(4).len(), 1);
+        let rounds: Vec<(u64, &[FaultEvent])> = infra.iter().collect();
+        assert_eq!(rounds.len(), 2);
+        assert_eq!(rounds[0].0, 2);
+        assert!(matches!(rounds[0].1, [FaultEvent::CrashBins { .. }]));
+        assert_eq!(rounds[1].0, 4);
+        assert!(matches!(rounds[1].1, [FaultEvent::RecoverBins { .. }]));
         assert_eq!(load.demand(2), 8); // surge stays on the traffic side
     }
 

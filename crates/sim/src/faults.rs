@@ -8,10 +8,9 @@
 //!
 //! The pieces:
 //!
-//! - [`FaultPlan`] — a round-keyed, serializable schedule of
-//!   [`FaultEvent`]s. Plans are plain data: build them by hand, generate
-//!   stochastic churn with [`ChurnModel`] from a dedicated RNG stream, or
-//!   round-trip them through the checkpoint codec ([`FaultPlan::to_bytes`]).
+//! - [`FaultPlan`] — a [`RoundPlan`] of [`FaultEvent`]s. Plans are plain
+//!   data: build them by hand, or generate stochastic churn with
+//!   [`ChurnModel`] from a dedicated RNG stream.
 //! - [`FaultSchedule`] — a plan in play: it turns each round's events
 //!   and the active arrival bursts into normalized [`FaultAction`]s and
 //!   counts them in telemetry. Every driver of a plan goes through it.
@@ -31,10 +30,8 @@
 //! the same seed reproduces every crash, every recovery and every metric
 //! bit-exactly.
 
-use std::collections::BTreeMap;
-
-use crate::codec::{CodecError, Decoder, Encoder};
 use crate::obs;
+use crate::plan::RoundPlan;
 use crate::process::{AllocationProcess, RoundReport};
 use crate::rng::SimRng;
 use crate::runner::{replicate, PointEstimate};
@@ -109,242 +106,13 @@ pub enum FaultEvent {
     },
 }
 
-const EVENT_CRASH: u32 = 0;
-const EVENT_RECOVER: u32 = 1;
-const EVENT_DEGRADE: u32 = 2;
-const EVENT_BURST: u32 = 3;
-const EVENT_SURGE: u32 = 4;
-
-impl FaultEvent {
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            FaultEvent::CrashBins { bins } => {
-                enc.u32(EVENT_CRASH);
-                enc.u64_seq(
-                    bins.iter()
-                        .map(|&b| b as u64)
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                );
-            }
-            FaultEvent::RecoverBins { bins } => {
-                enc.u32(EVENT_RECOVER);
-                enc.u64_seq(
-                    bins.iter()
-                        .map(|&b| b as u64)
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                );
-            }
-            FaultEvent::DegradeCapacity { bins, capacity } => {
-                enc.u32(EVENT_DEGRADE);
-                enc.u64_seq(
-                    bins.iter()
-                        .map(|&b| b as u64)
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                );
-                enc.u64(capacity.map_or(0, u64::from));
-            }
-            FaultEvent::ArrivalBurst {
-                extra_per_round,
-                rounds,
-            } => {
-                enc.u32(EVENT_BURST);
-                enc.u64(*extra_per_round);
-                enc.u64(*rounds);
-            }
-            FaultEvent::PoolSurge { extra } => {
-                enc.u32(EVENT_SURGE);
-                enc.u64(*extra);
-            }
-        }
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let kind = dec.u32("fault event kind")?;
-        let bins_of = |dec: &mut Decoder<'_>| -> Result<Vec<usize>, CodecError> {
-            Ok(dec
-                .u64_seq("fault event bins")?
-                .into_iter()
-                .map(|b| b as usize)
-                .collect())
-        };
-        match kind {
-            EVENT_CRASH => Ok(FaultEvent::CrashBins {
-                bins: bins_of(dec)?,
-            }),
-            EVENT_RECOVER => Ok(FaultEvent::RecoverBins {
-                bins: bins_of(dec)?,
-            }),
-            EVENT_DEGRADE => {
-                let bins = bins_of(dec)?;
-                let raw = dec.u64("degraded capacity")?;
-                let capacity = if raw == 0 {
-                    None
-                } else {
-                    Some(u32::try_from(raw).map_err(|_| CodecError::Invalid {
-                        what: "degraded capacity",
-                    })?)
-                };
-                Ok(FaultEvent::DegradeCapacity { bins, capacity })
-            }
-            EVENT_BURST => Ok(FaultEvent::ArrivalBurst {
-                extra_per_round: dec.u64("burst extra")?,
-                rounds: dec.u64("burst rounds")?,
-            }),
-            EVENT_SURGE => Ok(FaultEvent::PoolSurge {
-                extra: dec.u64("surge extra")?,
-            }),
-            _ => Err(CodecError::Invalid {
-                what: "fault event kind",
-            }),
-        }
-    }
-}
-
-/// Checkpoint tag for serialized fault plans.
-const PLAN_TAG: &str = "IBAF";
-/// Current fault-plan format version.
-const PLAN_VERSION: u32 = 1;
-
 /// A round-keyed schedule of fault events.
 ///
 /// Rounds are 1-based, matching [`AllocationProcess::round`]: an event
 /// scheduled at round `r` is applied immediately *before* the step that
 /// produces round `r`, so the fault is in force for all of round `r`.
 /// Events within one round apply in insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: BTreeMap<u64, Vec<FaultEvent>>,
-}
-
-impl FaultPlan {
-    /// Creates an empty plan (a [`FaultedProcess`] with an empty plan is a
-    /// strict identity wrapper).
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Schedules `event` at `round` (1-based; events at a round apply
-    /// before that round's step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round == 0` — round 0 is the initial state, no step
-    /// produces it.
-    pub fn insert(&mut self, round: u64, event: FaultEvent) {
-        assert!(round > 0, "fault events schedule at rounds >= 1");
-        self.events.entry(round).or_default().push(event);
-    }
-
-    /// Builder-style [`insert`](Self::insert).
-    #[must_use]
-    pub fn with(mut self, round: u64, event: FaultEvent) -> Self {
-        self.insert(round, event);
-        self
-    }
-
-    /// Whether the plan schedules no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.values().map(Vec::len).sum()
-    }
-
-    /// Earliest round with an event, if any.
-    pub fn first_round(&self) -> Option<u64> {
-        self.events.keys().next().copied()
-    }
-
-    /// Latest round with an event, if any.
-    pub fn last_round(&self) -> Option<u64> {
-        self.events.keys().next_back().copied()
-    }
-
-    /// The events scheduled at `round` (empty for fault-free rounds).
-    pub fn events_at(&self, round: u64) -> &[FaultEvent] {
-        self.events.get(&round).map_or(&[], Vec::as_slice)
-    }
-
-    /// Iterates over `(round, events)` in round order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[FaultEvent])> {
-        self.events.iter().map(|(&r, evs)| (r, evs.as_slice()))
-    }
-
-    /// Returns the plan with every event moved `offset` rounds later.
-    /// Used by [`run_recovery`] to place a plan authored relative to the
-    /// end of burn-in (round 1 = first measured round) at its absolute
-    /// position.
-    #[must_use]
-    pub fn shifted(self, offset: u64) -> Self {
-        FaultPlan {
-            events: self
-                .events
-                .into_iter()
-                .map(|(r, evs)| (r + offset, evs))
-                .collect(),
-        }
-    }
-
-    /// Serializes the plan (versioned, CRC32-checksummed).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.header(PLAN_TAG, PLAN_VERSION);
-        enc.usize(self.events.len());
-        for (&round, events) in &self.events {
-            enc.u64(round);
-            enc.usize(events.len());
-            for event in events {
-                event.encode_into(&mut enc);
-            }
-        }
-        enc.finish()
-    }
-
-    /// Deserializes a plan written by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on corrupted, truncated, malformed or
-    /// future-versioned input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(bytes)?;
-        dec.header(PLAN_TAG, PLAN_VERSION)?;
-        let round_count = dec.usize("plan round count")?;
-        let mut events = BTreeMap::new();
-        for _ in 0..round_count {
-            let round = dec.u64("plan round")?;
-            if round == 0 {
-                return Err(CodecError::Invalid { what: "plan round" });
-            }
-            let count = dec.usize("plan event count")?;
-            let mut list = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                list.push(FaultEvent::decode_from(&mut dec)?);
-            }
-            if events.insert(round, list).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "duplicate plan round",
-                });
-            }
-        }
-        if !dec.is_exhausted() {
-            return Err(CodecError::Invalid {
-                what: "trailing bytes",
-            });
-        }
-        Ok(FaultPlan { events })
-    }
-
-    /// Generates an i.i.d. churn plan: see [`ChurnModel::generate`].
-    pub fn churn(bins: usize, model: &ChurnModel, rng: &mut SimRng) -> Self {
-        model.generate(bins, rng)
-    }
-}
+pub type FaultPlan = RoundPlan<FaultEvent>;
 
 /// Stochastic bin-churn generator: i.i.d. per-round crash/recover
 /// probabilities, in the spirit of the related work on self-stabilizing
@@ -456,27 +224,21 @@ impl FaultSchedule {
         }
     }
 
-    /// The plan being played.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Merges `plan`'s events into the schedule; same-round events apply
     /// after the ones already scheduled.
     pub fn extend(&mut self, plan: FaultPlan) {
-        for (round, events) in plan.events {
-            self.plan.events.entry(round).or_default().extend(events);
-        }
+        self.plan.extend(plan);
     }
 
     /// Hands `act` everything due before the step producing `round` on a
     /// process with `n` bins: that round's events in insertion order,
     /// then one [`FaultAction::Surge`] per arrival burst still active.
-    /// With nothing due it calls `act` not at all.
+    /// With nothing due it calls `act` not at all. Rounds are expected in
+    /// increasing order: events at or before `round` leave the plan.
     pub fn apply(&mut self, round: u64, n: usize, mut act: impl FnMut(FaultAction)) {
         let probes = obs::probes();
-        for event in self.plan.events_at(round) {
-            let fired = match *event {
+        for event in self.plan.take_due(round) {
+            let fired = match event {
                 FaultEvent::CrashBins { ref bins } => {
                     let hit = act_on_bins(bins, n, &mut act, FaultAction::Crash);
                     if let Some(p) = probes {
@@ -598,11 +360,6 @@ impl<P: FaultTolerant> FaultedProcess<P> {
     /// Unwraps the inner process.
     pub fn into_inner(self) -> P {
         self.inner
-    }
-
-    /// The schedule driving this wrapper.
-    pub fn plan(&self) -> &FaultPlan {
-        self.schedule.plan()
     }
 
     /// Applies everything scheduled before the upcoming round: the plan's
@@ -1128,82 +885,6 @@ mod tests {
         let before = p.inner().generated;
         p.step(&mut rng);
         assert_eq!(p.inner().generated - before, 1);
-    }
-
-    #[test]
-    fn plan_roundtrips_through_codec() {
-        let plan = FaultPlan::new()
-            .with(
-                5,
-                FaultEvent::CrashBins {
-                    bins: vec![1, 2, 3],
-                },
-            )
-            .with(
-                5,
-                FaultEvent::DegradeCapacity {
-                    bins: vec![0],
-                    capacity: Some(2),
-                },
-            )
-            .with(
-                7,
-                FaultEvent::DegradeCapacity {
-                    bins: vec![4],
-                    capacity: None,
-                },
-            )
-            .with(
-                9,
-                FaultEvent::ArrivalBurst {
-                    extra_per_round: 100,
-                    rounds: 4,
-                },
-            )
-            .with(12, FaultEvent::PoolSurge { extra: 1000 })
-            .with(
-                20,
-                FaultEvent::RecoverBins {
-                    bins: vec![1, 2, 3],
-                },
-            );
-        let bytes = plan.to_bytes();
-        let decoded = FaultPlan::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(plan, decoded);
-        assert_eq!(decoded.len(), 6);
-        assert_eq!(decoded.first_round(), Some(5));
-        assert_eq!(decoded.last_round(), Some(20));
-    }
-
-    #[test]
-    fn plan_decode_rejects_corruption_and_garbage() {
-        let plan = FaultPlan::new().with(3, FaultEvent::PoolSurge { extra: 5 });
-        let mut bytes = plan.to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        assert!(matches!(
-            FaultPlan::from_bytes(&bytes),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
-        assert!(FaultPlan::from_bytes(b"junk").is_err());
-    }
-
-    #[test]
-    fn shifted_moves_every_round() {
-        let plan = FaultPlan::new()
-            .with(1, FaultEvent::PoolSurge { extra: 1 })
-            .with(4, FaultEvent::PoolSurge { extra: 2 })
-            .shifted(100);
-        assert_eq!(plan.first_round(), Some(101));
-        assert_eq!(plan.last_round(), Some(104));
-        assert_eq!(plan.events_at(4), &[]);
-        assert_eq!(plan.events_at(104), &[FaultEvent::PoolSurge { extra: 2 }]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rounds >= 1")]
-    fn round_zero_events_are_rejected() {
-        let _ = FaultPlan::new().with(0, FaultEvent::PoolSurge { extra: 1 });
     }
 
     #[test]

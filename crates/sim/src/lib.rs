@@ -25,6 +25,8 @@
 //! - [`plot`] — ASCII line charts for terminal visualization.
 //! - [`events`] — a discrete-event (continuous-time) simulation substrate.
 //! - [`codec`] — a versioned binary codec for simulation checkpoints.
+//! - [`plan`] — [`plan::RoundPlan`], the round-keyed event schedule every
+//!   fault, membership and socket-fault plan is an alias of.
 //! - [`faults`] — deterministic fault injection ([`faults::FaultPlan`],
 //!   [`faults::FaultedProcess`]) and recovery measurement
 //!   ([`faults::RecoveryReport`]).
@@ -69,6 +71,7 @@ pub mod events;
 pub mod faults;
 mod obs;
 pub mod output;
+pub mod plan;
 pub mod plot;
 pub mod process;
 pub mod rng;

@@ -378,9 +378,7 @@ pub fn policy_ablation(scale: Scale) -> ExperimentOutput {
         for _ in 0..window {
             let r = process.step(&mut rng);
             pool_sum += r.pool_size as f64;
-            for &w in &r.waiting_times {
-                waits.record(w);
-            }
+            waits.record_all(&r.waiting_times);
         }
         table.row(vec![
             format!("{policy}").into(),
@@ -664,9 +662,7 @@ pub fn wait_tail(scale: Scale) -> ExperimentOutput {
         let mut waits = iba_sim::stats::Histogram::new();
         for _ in 0..scale.window() * 4 {
             let report = process.step(&mut rng);
-            for &w in &report.waiting_times {
-                waits.record(w);
-            }
+            waits.record_all(&report.waiting_times);
         }
         table.row(vec![
             u64::from(c).into(),

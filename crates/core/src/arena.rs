@@ -9,7 +9,8 @@
 //!
 //! - **`slots`** — one contiguous `Vec<Ball>` of `n · stride` ring slots
 //!   (`stride` is a power of two ≥ every configured finite capacity, so for
-//!   the paper process this is exactly the `n · c` layout of the issue);
+//!   the paper process this is exactly an `n · c` layout), followed by one
+//!   guard slot that `fast_accept`'s branchless scatter writes rejects to;
 //! - **`meta`** — one packed `u64` per bin holding `(head, len)` in the low
 //!   and high 32 bits, so the deletion stage touches 8 sequential bytes per
 //!   bin instead of a deque header in a random heap location;
@@ -64,6 +65,8 @@ const STRIDE_CLAMP: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct BinArena {
     /// `bins() * stride` ring slots; bin `b` owns `b*stride..(b+1)*stride`.
+    /// One guard slot follows the last ring: [`fast_accept`]'s branchless
+    /// scatter writes every rejected ball there. It is never read.
     slots: Vec<Ball>,
     /// Packed per-bin ring state: head index in the low 32 bits, length in
     /// the high 32 bits.
@@ -132,7 +135,7 @@ impl BinArena {
         let stride = initial_stride(&caps, max_len);
         assert!(stride <= u32::MAX as usize, "stride exceeds u32 range");
         let bins = caps.len();
-        let mut slots = vec![Ball::generated_in(0); bins * stride];
+        let mut slots = vec![Ball::generated_in(0); bins * stride + 1];
         let mut meta = vec![0u64; bins];
         for (b, balls) in contents.iter().enumerate() {
             slots[b * stride..b * stride + balls.len()].copy_from_slice(balls);
@@ -375,7 +378,7 @@ impl BinArena {
         self.ensure_stride(contents.len());
         let b = self.bins();
         self.slots
-            .resize((b + 1) * self.stride, Ball::generated_in(0));
+            .resize((b + 1) * self.stride + 1, Ball::generated_in(0));
         self.slots[b * self.stride..b * self.stride + contents.len()].copy_from_slice(contents);
         self.meta.push(pack(0, contents.len()));
         self.caps.push(capacity);
@@ -402,7 +405,7 @@ impl BinArena {
         let balls: Vec<Ball> = self.iter_bin(b).copied().collect();
         self.meta.pop();
         let cap = self.caps.pop().expect("non-empty arena");
-        self.slots.truncate(self.bins() * self.stride);
+        self.slots.truncate(self.bins() * self.stride + 1);
         self.uniform_cap = match self.caps[0] {
             Capacity::Finite(c0) if self.caps.iter().all(|&c| c == Capacity::Finite(c0)) => {
                 Some(c0.get())
@@ -421,7 +424,7 @@ impl BinArena {
         let new_stride = needed.max(self.stride * 2).next_power_of_two();
         assert!(new_stride <= u32::MAX as usize, "stride exceeds u32 range");
         let bins = self.bins();
-        let mut slots = vec![Ball::generated_in(0); bins * new_stride];
+        let mut slots = vec![Ball::generated_in(0); bins * new_stride + 1];
         for b in 0..bins {
             let (head, len) = unpack(self.meta[b]);
             let old_base = b * self.stride;
@@ -614,13 +617,19 @@ impl BinStore {
 ///   the acceptance bound with ν replaced by its upper bound;
 /// - `next ring offset` starts at the bin's tail, `(head + len) & mask`.
 ///
-/// The scatter is then a **single pass** in age order: one register
-/// read-modify-write per request (accept: write the tail slot, decrement
-/// the quota, advance the cursor; reject: append to `rejected` in stream
-/// order). Accepting the first `min{c − ℓ, ν}` requests of each bin this
-/// way is bit-exactly the greedy oldest-first rule — the register is the
-/// running per-bin prefix sum of a counting sort, computed online instead
-/// of ahead of time.
+/// The scatter is then a **single branch-free pass** in age order: one
+/// register read-modify-write per request. With `acc = (quota != 0)`, the
+/// ball is written to the tail slot `b·stride + cursor` on accept and to
+/// the arena's one guard slot (after the last ring, never read) on
+/// reject; the quota drops by `acc` and the cursor advances by `acc`; the
+/// ball is pushed to `rejected` and the push is undone when `acc` holds,
+/// so rejects stay in stream order. About 40% of throws are rejected at
+/// the paper's cell, so a branch on `acc` would mispredict constantly;
+/// selecting the slot index and the `rejected` length arithmetically
+/// costs no more than the accept arm alone. Accepting the first
+/// `min{c − ℓ, ν}` requests of each bin this way is bit-exactly the
+/// greedy oldest-first rule — the register is the running per-bin prefix
+/// sum of a counting sort, computed online instead of ahead of time.
 ///
 /// **The scatter does not update ring lengths.** On `Some`, the caller
 /// must fold the per-bin accepted counts into the arena before it is
@@ -730,18 +739,21 @@ where
     // Scatter: the only random-access pass. One register RMW per request;
     // the per-request accesses are mutually independent, so the
     // out-of-order core overlaps their cache misses on its own — an
-    // explicit software-prefetch stage was measured slower here.
+    // explicit software-prefetch stage was measured slower here. A reject
+    // is written to the guard slot, never to its bin's tail slot: a full
+    // ring's tail is its head.
+    let guard = arena.slots.len() - 1;
     let mut accepted = 0u64;
     for (b, ball) in requests {
         let s = state[b];
-        if s >= 1 << 16 {
-            let cur = (s & 0xFFFF) as usize;
-            arena.slots[b * stride + cur] = ball;
-            state[b] = ((s >> 16) - 1) << 16 | (((cur + 1) & mask) as u32);
-            accepted += 1;
-        } else {
-            rejected.push(ball);
-        }
+        let acc = s >> 16 != 0;
+        let cur = (s & 0xFFFF) as usize;
+        let keep = (acc as usize).wrapping_neg();
+        arena.slots[((b * stride + cur) & keep) | (guard & !keep)] = ball;
+        state[b] = ((s >> 16) - acc as u32) << 16 | (((cur + acc as usize) & mask) as u32);
+        accepted += acc as u64;
+        rejected.push(ball);
+        rejected.truncate(rejected.len() - acc as usize);
     }
     if let Some(p) = obs::probes() {
         p.fast_accept_rounds.inc();

@@ -644,6 +644,113 @@ mod tests {
         assert_eq!(stats.max_load, 0);
     }
 
+    /// Runs one round on `fast` through `fast_accept` (asserted to be the
+    /// path taken) and `serve_sweep`, and the same round on `scalar` (the
+    /// per-ball `try_accept` walk and `BinBuffer::serve`): the rejects in
+    /// stream order, the served balls and every bin's FIFO contents must
+    /// agree.
+    fn assert_fast_round_matches_scalar(
+        fast: &mut BinShard,
+        scalar: &mut BinShard,
+        stream: &[(usize, Ball)],
+        what: &str,
+    ) {
+        let (mut fast_rejected, mut fast_served) = (Vec::new(), Vec::new());
+        fast.accept_stream(stream.iter().copied(), &mut fast_rejected);
+        assert!(
+            fast.commit_pending,
+            "{what}: the round must take fast_accept"
+        );
+        fast.serve_sweep(|b, ball| fast_served.push((b, ball)));
+        let (mut scalar_rejected, mut scalar_served) = (Vec::new(), Vec::new());
+        scalar.run_round(stream.iter().copied(), &mut scalar_rejected, |b, ball| {
+            scalar_served.push((b, ball))
+        });
+        assert_eq!(fast_rejected, scalar_rejected, "{what}: rejects");
+        assert_eq!(fast_served, scalar_served, "{what}: served balls");
+        assert_eq!(fast.to_parts(), scalar.to_parts(), "{what}: bin contents");
+    }
+
+    /// Both kernels over the same parts, all at the uniform capacity `c`.
+    fn kernel_pair(c: u32, parts: Vec<BinPart>) -> (BinShard, BinShard) {
+        let cap = Capacity::finite(c).unwrap();
+        let fast = BinShard::from_parts(0, cap, parts.clone());
+        let scalar = BinShard::from_parts(0, cap, parts).with_kernel(KernelMode::Scalar);
+        assert_eq!(fast.kernel(), KernelMode::Arena);
+        (fast, scalar)
+    }
+
+    /// Every throw at the bins of `bins`, twice each, interleaved, with
+    /// distinct labels from `first_label` on — so a reject written over a
+    /// stored ball would show up as a wrong label.
+    fn hazard_stream(bins: usize, first_label: u64) -> Vec<(usize, Ball)> {
+        (0..2 * bins)
+            .map(|i| (i % bins, ball(first_label + i as u64)))
+            .collect()
+    }
+
+    #[test]
+    fn branchless_scatter_never_writes_a_reject_into_a_full_ring() {
+        // c = 2 gives stride 2, so a full bin's tail slot is its head slot:
+        // a reject written there would replace the ball served next.
+        let cap = Capacity::finite(2).unwrap();
+        let (mut fast, mut scalar) = kernel_pair(
+            2,
+            vec![
+                (cap, vec![ball(1), ball(2)], false), // wraps to head 1 below
+                (cap, Vec::new(), false),             // fills at head 0 below
+                (cap, vec![ball(3)], true),           // offline
+                (cap, Vec::new(), false),             // open
+                (cap, vec![ball(4)], false),          // one slot of room
+            ],
+        );
+        // A throw-free round serves one ball per bin; the per-ball walk
+        // then fills bin 0 from head 1 (wrapped) and bin 1 from head 0.
+        assert_fast_round_matches_scalar(&mut fast, &mut scalar, &[], "setup");
+        for shard in [&mut fast, &mut scalar] {
+            for (b, label) in [(0, 5), (1, 6), (1, 7)] {
+                assert!(shard.try_accept(b, ball(label)));
+            }
+            assert_eq!(shard.bin(0).len(), 2);
+            assert_eq!(shard.bin(1).len(), 2);
+        }
+        for round in 0..3 {
+            let stream = hazard_stream(5, 100 + 10 * round);
+            assert_fast_round_matches_scalar(
+                &mut fast,
+                &mut scalar,
+                &stream,
+                &format!("full rings, round {round}"),
+            );
+        }
+    }
+
+    #[test]
+    fn branchless_scatter_keeps_an_overfull_uniform_bin_intact() {
+        // A degraded checkpoint restored under a uniform c = 2: bin 0
+        // holds four balls in a stride-4 ring (full, len == stride), bin 1
+        // three. Both have zero room and must reject every throw.
+        let cap = Capacity::finite(2).unwrap();
+        let (mut fast, mut scalar) = kernel_pair(
+            2,
+            vec![
+                (cap, (1..=4).map(ball).collect(), false),
+                (cap, (5..=7).map(ball).collect(), false),
+                (cap, vec![ball(8)], false),
+                (cap, Vec::new(), false),
+            ],
+        );
+        for round in 0..4 {
+            let stream = hazard_stream(4, 100 + 10 * round);
+            assert_fast_round_matches_scalar(
+                &mut fast,
+                &mut scalar,
+                &stream,
+                &format!("overfull bins, round {round}"),
+            );
+        }
+    }
+
     #[test]
     fn served_sink_receives_each_balls_local_bin() {
         let config = CappedConfig::new(8, 2, 0.5).unwrap();

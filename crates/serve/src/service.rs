@@ -829,7 +829,7 @@ impl CappedService {
             }
         }
         self.total_served += waiting_times.len() as u64;
-        self.wait_hist.extend(waiting_times.iter().copied());
+        self.wait_hist.record_all(&waiting_times);
 
         // The pooled balls' buffer takes the merged rejects.
         merge_rejects(&mut slots, &mut balls);

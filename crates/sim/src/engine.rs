@@ -188,9 +188,7 @@ impl WaitingTimes {
 
 impl Observer for WaitingTimes {
     fn on_round(&mut self, report: &RoundReport) {
-        for &w in &report.waiting_times {
-            self.histogram.record(w);
-        }
+        self.histogram.record_all(&report.waiting_times);
     }
 }
 

@@ -7,6 +7,27 @@ use proptest::prelude::*;
 use iba_sim::stats::quantile::{quantile, quantile_sorted};
 use iba_sim::stats::{Histogram, Summary};
 
+/// The reference [`Histogram::record_all`] must match: `record` folded
+/// over `values`, starting from `base`.
+fn fold_record(base: &Histogram, values: &[u64]) -> Histogram {
+    let mut h = base.clone();
+    for &v in values {
+        h.record(v);
+    }
+    h
+}
+
+#[test]
+fn record_all_of_nothing_changes_nothing() {
+    let mut empty = Histogram::new();
+    empty.record_all(&[]);
+    assert_eq!(empty, Histogram::new());
+    let held: Histogram = [0, 7, 7].into_iter().collect();
+    let mut batched = held.clone();
+    batched.record_all(&[]);
+    assert_eq!(batched, held);
+}
+
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Bounded magnitude keeps naive reference sums numerically comparable.
     (-1e6f64..1e6).prop_map(|x| (x * 1e6).round() / 1e6)
@@ -84,6 +105,39 @@ proptest! {
         left.merge(&right);
         let all: Histogram = a.iter().chain(&b).copied().collect();
         prop_assert_eq!(left, all);
+    }
+
+    #[test]
+    fn record_all_equals_folded_record(
+        held in prop::collection::vec(0u64..200, 0..50),
+        values in prop::collection::vec(0u64..200, 0..400),
+        top in 1u64..=200,
+    ) {
+        // Values straddle `record_all`'s dense cutoff (or, for small
+        // `top`, stay well below it, where the bucket vector's length is
+        // set by the batch's own maximum), and the histogram may already
+        // hold data (and longer buckets) before the batch.
+        let values: Vec<u64> = values.iter().map(|v| v % top).collect();
+        let base: Histogram = held.iter().copied().collect();
+        let mut batched = base.clone();
+        batched.record_all(&values);
+        prop_assert_eq!(batched, fold_record(&base, &values));
+    }
+
+    #[test]
+    fn record_all_with_one_large_value_equals_folded_record(
+        held in prop::collection::vec(0u64..200, 0..20),
+        values in prop::collection::vec(0u64..200, 0..100),
+        large in (1u64 << 16)..(1u64 << 20),
+        at in any::<usize>(),
+    ) {
+        let mut values = values;
+        let at = at % (values.len() + 1);
+        values.insert(at, large);
+        let base: Histogram = held.iter().copied().collect();
+        let mut batched = base.clone();
+        batched.record_all(&values);
+        prop_assert_eq!(batched, fold_record(&base, &values));
     }
 
     #[test]

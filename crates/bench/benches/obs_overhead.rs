@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use iba_core::process::KernelMode;
 use iba_core::{CappedConfig, CappedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
@@ -31,7 +30,7 @@ fn quick() -> bool {
 /// so the benched rounds are representative.
 fn warmed(n: usize, c: u32, lambda: f64, warmup: u64) -> CappedProcess {
     let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let mut p = CappedProcess::with_kernel(config, KernelMode::Arena);
+    let mut p = CappedProcess::new(config);
     p.warm_start();
     let mut rng = SimRng::seed_from(1);
     let mut report = RoundReport::default();

@@ -8,8 +8,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use iba_baselines::sequential::{greedy_d, one_choice};
+use iba_core::arena::BinArena;
 use iba_core::ball::Ball;
-use iba_core::buffer::BinBuffer;
 use iba_core::config::Capacity;
 use iba_sim::rng::{SimRng, SplitMix64, Xoshiro256PlusPlus};
 
@@ -36,13 +36,13 @@ fn bench_generators(c_bench: &mut Criterion) {
 
 fn bench_buffers(c_bench: &mut Criterion) {
     let mut group = c_bench.benchmark_group("buffers");
-    group.bench_function("bin_buffer_accept_serve_c3", |b| {
-        let mut buf = BinBuffer::new(Capacity::finite(3).expect("valid"));
+    group.bench_function("bin_arena_accept_serve_c3", |b| {
+        let mut arena = BinArena::new(vec![Capacity::finite(3).expect("valid")]);
         let mut label = 0u64;
         b.iter(|| {
             label += 1;
-            buf.try_accept(Ball::generated_in(label));
-            black_box(buf.serve())
+            arena.try_accept(0, Ball::generated_in(label));
+            black_box(arena.serve(0))
         });
     });
     group.bench_function("vecdeque_push_pop_reference", |b| {

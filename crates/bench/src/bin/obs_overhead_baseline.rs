@@ -24,7 +24,6 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use iba_core::process::KernelMode;
 use iba_core::{CappedConfig, CappedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
@@ -84,8 +83,8 @@ impl Measurement {
 fn measure_cell(n: usize, c: u32, lambda: f64) -> Measurement {
     eprintln!("measuring n={n} c={c} lambda={lambda} ...");
     let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let mut off_p = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
-    let mut on_p = CappedProcess::with_kernel(config, KernelMode::Arena);
+    let mut off_p = CappedProcess::new(config.clone());
+    let mut on_p = CappedProcess::new(config);
     off_p.warm_start();
     on_p.warm_start();
     let mut off_rng = SimRng::seed_from(SEED);

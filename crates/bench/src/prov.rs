@@ -30,7 +30,7 @@ pub fn stamp_json(
     let hash = content_hash(&pairs);
     let mut prov = Provenance::collect();
     if let Some((mode, threads)) = kernel {
-        prov = prov.with_kernel(mode, threads);
+        prov = prov.with_execution(mode, threads);
     }
     let block = provenance_json_with_hash(&prov, &hash);
     let anchor = rendered

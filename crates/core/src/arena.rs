@@ -1,7 +1,7 @@
-//! Flat slot-arena storage for finite-capacity bins — the data layout of
-//! the round kernel.
+//! Flat slot-arena storage for the bins — the one data layout of the round
+//! kernel, for finite and unbounded capacities alike.
 //!
-//! The scalar implementation of CAPPED(c, λ) keeps one heap-allocated
+//! A literal implementation of CAPPED(c, λ) keeps one heap-allocated
 //! `VecDeque<Ball>` per bin, so a round's acceptance stage performs
 //! `thrown` random-access pushes, each chasing a deque header *and* its
 //! separate backing allocation. [`BinArena`] replaces that with a
@@ -29,25 +29,26 @@
 //! is bit-exactly Algorithm 1's "accept the oldest `min{c − ℓ, ν}`" rule,
 //! and the rejects re-emerge in exact pool age order with zero sorting.
 //!
-//! Capacity *raises* (including to [`Capacity::Infinite`]) are honored by
-//! growing the stride on demand: the arena re-lays itself out with a doubled
-//! (power-of-two) stride, an `O(n · stride)` copy that only ever happens on
-//! a fault raising a bin past the current stride — never in the steady
-//! state of the paper process.
+//! Unbounded bins ([`Capacity::Infinite`], configured or raised by a fault)
+//! are honored by growing the stride on demand: the arena re-lays itself
+//! out with a doubled (power-of-two) stride, an `O(n · stride)` copy. Under
+//! a finite configuration that only happens on a fault raising a bin past
+//! the current stride — never in the steady state of the paper process.
+//! Under CAPPED(∞, λ) the stride tracks the largest load any bin has ever
+//! reached and never shrinks, so the arena holds `n` rings of that size.
 
 use crate::ball::Ball;
-use crate::buffer::BinBuffer;
 use crate::config::Capacity;
 use crate::obs;
-use crate::process::KernelMode;
 
-/// Strides are initially clamped to this many slots; bins whose capacity
-/// exceeds the clamp grow the arena lazily on first overflow, exactly like
-/// [`BinBuffer::new`]'s reserve clamp.
+/// Strides are initially clamped to this many slots, so a huge finite
+/// capacity does not pre-commit memory that would almost never be used;
+/// bins whose capacity exceeds the clamp grow the arena lazily on first
+/// overflow.
 const STRIDE_CLAMP: usize = 4096;
 
-/// All of a process's finite-capacity FIFO bin buffers in one contiguous
-/// slot arena (see the module docs for the layout).
+/// All of a process's FIFO bin buffers in one contiguous slot arena (see
+/// the module docs for the layout).
 ///
 /// # Examples
 ///
@@ -122,8 +123,8 @@ impl BinArena {
 
     /// Rebuilds an arena from checkpointed per-bin contents (in FIFO
     /// order). `contents` may be shorter than `caps` (missing bins start
-    /// empty) and, like [`BinBuffer::restore`], bins may legally hold more
-    /// balls than their live capacity allows (capacity degradation).
+    /// empty), and bins may legally hold more balls than their live
+    /// capacity allows (capacity degradation).
     ///
     /// # Panics
     ///
@@ -179,8 +180,8 @@ impl BinArena {
     }
 
     /// Changes bin `b`'s live capacity (fault injection). Balls stored
-    /// above a lowered capacity stay until served, exactly like
-    /// [`BinBuffer::set_capacity`].
+    /// above a lowered capacity stay until served; the bin rejects new
+    /// balls until it drains below the new bound.
     pub fn set_capacity(&mut self, b: usize, capacity: Capacity) {
         self.caps[b] = capacity;
         match (self.uniform_cap, capacity) {
@@ -256,6 +257,17 @@ impl BinArena {
     pub fn iter_bin(&self, b: usize) -> impl Iterator<Item = &Ball> {
         let (front, back) = self.as_slices(b);
         front.iter().chain(back.iter())
+    }
+
+    /// Read-only view of bin `b`: its balls in FIFO order and its live
+    /// capacity.
+    pub fn view(&self, b: usize) -> BinView<'_> {
+        let (front, back) = self.as_slices(b);
+        BinView {
+            front,
+            back,
+            capacity: self.caps[b],
+        }
     }
 
     /// Total balls stored across all bins.
@@ -441,8 +453,8 @@ impl BinArena {
     }
 }
 
-/// A read-only view of one bin's buffer, independent of whether the bin
-/// lives in a [`BinArena`] or a standalone [`BinBuffer`]. This is what
+/// A read-only view of one bin's buffer in a [`BinArena`]: the ring's two
+/// slices in FIFO order plus the live capacity. This is what
 /// [`CappedProcess::bin`](crate::process::CappedProcess::bin) and
 /// [`BinShard::bin`](crate::shard::BinShard::bin) hand out.
 #[derive(Debug, Clone, Copy)]
@@ -476,123 +488,6 @@ impl<'a> BinView<'a> {
     /// Iterates the bin's balls in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Ball> {
         self.front.iter().chain(self.back.iter())
-    }
-}
-
-impl<'a> From<&'a BinBuffer> for BinView<'a> {
-    fn from(buffer: &'a BinBuffer) -> Self {
-        let (front, back) = buffer.as_slices();
-        BinView {
-            front,
-            back,
-            capacity: buffer.capacity(),
-        }
-    }
-}
-
-/// How a process stores its bins: the flat arena for finite-capacity
-/// configurations, or one `VecDeque`-backed [`BinBuffer`] per bin for
-/// unbounded configurations (and for the scalar reference kernel).
-#[derive(Debug, Clone)]
-pub(crate) enum BinStore {
-    /// Flat-arena storage (the round-kernel layout).
-    Arena(BinArena),
-    /// Legacy per-bin buffers.
-    Buffers(Vec<BinBuffer>),
-}
-
-impl BinStore {
-    /// Builds storage holding `contents` (one FIFO list per bin, oldest
-    /// first; missing trailing bins start empty) under the given live
-    /// capacities — the one storage-selection rule. The layout is keyed on the *configured* capacity class `base`
-    /// and the kernel: the `Scalar` oracle and unbounded configurations get
-    /// per-bin buffers, every other configuration gets the flat arena, even
-    /// when faults degraded some live capacities to unbounded (the arena
-    /// grows those on demand).
-    pub(crate) fn new(
-        base: Capacity,
-        kernel: KernelMode,
-        caps: Vec<Capacity>,
-        contents: Vec<Vec<Ball>>,
-    ) -> Self {
-        assert!(contents.len() <= caps.len(), "more bin contents than bins");
-        if kernel == KernelMode::Scalar || base == Capacity::Infinite {
-            let mut contents = contents.into_iter();
-            BinStore::Buffers(
-                caps.into_iter()
-                    .map(|cap| BinBuffer::restore(cap, contents.next().unwrap_or_default()))
-                    .collect(),
-            )
-        } else {
-            BinStore::Arena(BinArena::from_bins(caps, contents))
-        }
-    }
-
-    pub(crate) fn len(&self, b: usize) -> usize {
-        match self {
-            BinStore::Arena(a) => a.len(b),
-            BinStore::Buffers(bins) => bins[b].len(),
-        }
-    }
-
-    pub(crate) fn set_capacity(&mut self, b: usize, capacity: Capacity) {
-        match self {
-            BinStore::Arena(a) => a.set_capacity(b, capacity),
-            BinStore::Buffers(bins) => bins[b].set_capacity(capacity),
-        }
-    }
-
-    pub(crate) fn try_accept(&mut self, b: usize, ball: Ball) -> bool {
-        match self {
-            BinStore::Arena(a) => a.try_accept(b, ball),
-            BinStore::Buffers(bins) => bins[b].try_accept(ball),
-        }
-    }
-
-    pub(crate) fn view(&self, b: usize) -> BinView<'_> {
-        match self {
-            BinStore::Arena(a) => {
-                let (front, back) = a.as_slices(b);
-                BinView {
-                    front,
-                    back,
-                    capacity: a.capacity(b),
-                }
-            }
-            BinStore::Buffers(bins) => BinView::from(&bins[b]),
-        }
-    }
-
-    pub(crate) fn buffered(&self) -> usize {
-        match self {
-            BinStore::Arena(a) => a.buffered(),
-            BinStore::Buffers(bins) => bins.iter().map(BinBuffer::len).sum(),
-        }
-    }
-
-    /// Appends a bin holding `contents` (elastic membership growth or a
-    /// bin transferred in from another shard).
-    pub(crate) fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball]) {
-        match self {
-            BinStore::Arena(a) => a.push_bin_with(capacity, contents),
-            BinStore::Buffers(bins) => {
-                bins.push(BinBuffer::restore(capacity, contents.iter().copied()));
-            }
-        }
-    }
-
-    /// Removes the last bin, returning its live capacity and balls
-    /// (elastic membership shrink). Panics on the last remaining bin.
-    pub(crate) fn pop_bin(&mut self) -> (Capacity, Vec<Ball>) {
-        match self {
-            BinStore::Arena(a) => a.pop_bin(),
-            BinStore::Buffers(bins) => {
-                assert!(bins.len() > 1, "cannot pop the last bin");
-                let bin = bins.pop().expect("non-empty store");
-                let capacity = bin.capacity();
-                (capacity, bin.iter().copied().collect())
-            }
-        }
     }
 }
 
@@ -772,7 +667,7 @@ fn bail() -> Option<u64> {
 }
 
 /// The exact-histogram form of the counting-sort acceptance pass (see the
-/// module docs for the argument that this is bit-exactly the scalar
+/// module docs for the argument that this is bit-exactly the per-ball
 /// greedy rule). [`fast_accept`] is the steady-state fast path; this form
 /// is the general one — its per-bin request histogram ν bounds every
 /// post-accept fill exactly, so it can grow the arena for bins whose
@@ -864,24 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_binbuffer_semantics() {
-        let mut arena = BinArena::new(vec![finite(2); 3]);
-        let mut buffer = BinBuffer::new(finite(2));
-        for label in [5, 1, 3, 9] {
-            assert_eq!(
-                arena.try_accept(1, Ball::generated_in(label)),
-                buffer.try_accept(Ball::generated_in(label))
-            );
-        }
-        assert_eq!(arena.len(1), buffer.len());
-        assert_eq!(arena.head(1), buffer.head());
-        assert_eq!(arena.serve(1), buffer.serve());
-        assert_eq!(arena.serve(1), buffer.serve());
-        assert_eq!(arena.serve(1), buffer.serve());
-        assert_eq!(arena.len(0), 0, "other bins untouched");
-    }
-
-    #[test]
     fn ring_wraps_within_stride() {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         assert_eq!(arena.stride(), 2);
@@ -955,7 +832,7 @@ mod tests {
             &mut rejected,
         );
 
-        // Scalar reference: greedy try_accept over the same stream.
+        // Reference: the per-ball greedy try_accept walk over the same stream.
         let mut reference = BinArena::from_bins(caps, contents);
         let mut ref_rejected = Vec::new();
         let mut ref_accepted = 0u64;
@@ -1231,53 +1108,6 @@ mod tests {
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
         assert_eq!(labels, vec![10, 11, 12]);
         assert_eq!(arena.buffered(), 4);
-    }
-
-    #[test]
-    fn view_is_uniform_across_storages() {
-        let mut buffer_store = BinStore::new(
-            finite(2),
-            KernelMode::Scalar,
-            vec![finite(2); 2],
-            Vec::new(),
-        );
-        let mut arena_store =
-            BinStore::new(finite(2), KernelMode::Arena, vec![finite(2); 2], Vec::new());
-        assert!(matches!(buffer_store, BinStore::Buffers(_)));
-        assert!(matches!(arena_store, BinStore::Arena(_)));
-        for store in [&mut buffer_store, &mut arena_store] {
-            assert!(store.try_accept(1, Ball::generated_in(4)));
-            assert!(store.try_accept(1, Ball::generated_in(6)));
-        }
-        let bv = buffer_store.view(1);
-        let av = arena_store.view(1);
-        assert_eq!(bv.len(), av.len());
-        assert_eq!(bv.head(), av.head());
-        assert_eq!(bv.capacity(), av.capacity());
-        let b_labels: Vec<u64> = bv.iter().map(Ball::label).collect();
-        let a_labels: Vec<u64> = av.iter().map(Ball::label).collect();
-        assert_eq!(b_labels, a_labels);
-        assert!(!bv.is_empty());
-    }
-
-    #[test]
-    fn storage_is_keyed_on_the_configured_capacity() {
-        let unbounded = BinStore::new(
-            Capacity::Infinite,
-            KernelMode::Arena,
-            vec![Capacity::Infinite; 2],
-            Vec::new(),
-        );
-        assert!(matches!(unbounded, BinStore::Buffers(_)));
-        // A finite configuration keeps the arena even with a live capacity
-        // faulted to unbounded.
-        let degraded = BinStore::new(
-            finite(2),
-            KernelMode::Arena,
-            vec![finite(2), Capacity::Infinite],
-            Vec::new(),
-        );
-        assert!(matches!(degraded, BinStore::Arena(_)));
     }
 
     #[test]

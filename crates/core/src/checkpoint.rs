@@ -482,6 +482,32 @@ mod tests {
     }
 
     #[test]
+    fn forged_bin_count_is_rejected_without_allocating_for_it() {
+        // A CRC-valid checkpoint of about 100 bytes whose configuration
+        // claims n = 2⁴⁰ bins: the decoder must run out of bytes, not
+        // reserve per-bin state for the claimed count first.
+        let n = 1usize << 40;
+        let config = CappedConfig::new(n, 2, 0.5).expect("valid");
+        let mut enc = Encoder::new();
+        enc.header(TAG, VERSION);
+        for word in [1, 2, 3, 4] {
+            enc.u64(word);
+        }
+        config.encode_into(&mut enc);
+        enc.u64(0); // round
+        enc.u64(0); // total generated
+        enc.u64(0); // total deleted
+        enc.u64_seq(std::iter::empty());
+        enc.usize(n);
+        let bytes = enc.finish();
+        assert!(bytes.len() < 128, "{} bytes", bytes.len());
+        assert!(matches!(
+            restore(&bytes),
+            Err(CodecError::UnexpectedEnd { .. })
+        ));
+    }
+
+    #[test]
     fn wrong_tag_is_rejected() {
         assert!(restore(b"NOPE").is_err());
         assert!(restore(&[]).is_err());

@@ -15,6 +15,11 @@
 //! - [`coupling::CoupledRun`] — the shared-randomness coupling of Lemmas 1
 //!   and 6, which lets tests verify the stochastic-dominance invariants
 //!   `m^C(t) ≤ m^M(t)` and `ℓᵢ^C(t) ≤ ℓᵢ^M(t)` on every round of a real run.
+//! - [`spec::SpecCapped`] — Algorithm 1 written as literally as possible,
+//!   the one oracle the differential suites hold the process to.
+//!
+//! Every configuration stores its bins in one flat [`BinArena`], the
+//! layout of the round kernel, unbounded capacities included.
 //!
 //! Setting the capacity to [`Capacity::Infinite`](config::Capacity) turns
 //! CAPPED(∞, λ) into the classical parallel GREEDY\[1\] process (see the
@@ -46,7 +51,6 @@
 
 pub mod arena;
 pub mod ball;
-pub mod buffer;
 pub mod checkpoint;
 pub mod config;
 pub mod continuous;
@@ -61,7 +65,6 @@ pub mod spec;
 
 pub use arena::{BinArena, BinView};
 pub use ball::Ball;
-pub use buffer::BinBuffer;
 pub use config::{Capacity, CappedConfig};
 pub use coupling::CoupledRun;
 pub use metrics::WaitQuantiles;

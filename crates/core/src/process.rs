@@ -11,33 +11,24 @@ use crate::config::{Capacity, CappedConfig};
 use crate::pool::Pool;
 use crate::shard::{BinPart, BinShard};
 
-/// Which implementation of the round's acceptance/deletion stages a
-/// [`BinShard`] (and hence a [`CappedProcess`]) runs.
-///
-/// Both kernels compute **bit-identical** trajectories (same RNG
-/// consumption, same [`RoundReport`]s, same waiting times): `Arena` is
-/// the production kernel, and `Scalar` is the in-tree reference for
-/// differential tests and old-vs-new benchmarks. Checkpoints do not
-/// record the kernel mode; restored processes run the default
-/// (re-select with [`CappedProcess::set_kernel`]).
+/// The round kernel a [`CappedProcess`] runs. There is one: the flat
+/// [`BinArena`](crate::arena::BinArena) with its counting-sort acceptance
+/// and bulk RNG draw, for every capacity configuration. The enum stays
+/// only because the repository benchmark prints its name; it goes with
+/// the benchmark's API shims (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Flat-arena storage with the counting-sort acceptance pass and bulk
-    /// RNG (the default). Finite configurations run on the arena;
-    /// unbounded ones keep per-bin buffers and the per-ball walk.
+    /// RNG.
     #[default]
     Arena,
-    /// The reference oracle: one `VecDeque` buffer per bin, one RNG draw
-    /// and one random-access push per ball.
-    Scalar,
 }
 
 impl KernelMode {
-    /// Stable lowercase identifier (`scalar`, `arena`), used in
-    /// provenance records and benchmark output.
+    /// Stable lowercase identifier (`arena`), used in provenance records
+    /// and benchmark output.
     pub fn name(self) -> &'static str {
         match self {
-            KernelMode::Scalar => "scalar",
             KernelMode::Arena => "arena",
         }
     }
@@ -98,16 +89,9 @@ enum ChoiceSource<'a> {
 
 impl CappedProcess {
     /// Creates the process in the paper's initial state: empty pool, empty
-    /// bins, round 0, running the default (arena) kernel.
+    /// bins, round 0.
     pub fn new(config: CappedConfig) -> Self {
-        Self::with_kernel(config, KernelMode::default())
-    }
-
-    /// Creates the process with an explicit [`KernelMode`]. Both modes are
-    /// bit-exact; `Scalar` pins the legacy per-ball loop for differential
-    /// tests and old-vs-new benchmarks.
-    pub fn with_kernel(config: CappedConfig, kernel: KernelMode) -> Self {
-        let bins = BinShard::new(&config, 0..config.bins()).with_kernel(kernel);
+        let bins = BinShard::new(&config, 0..config.bins());
         let pool = Pool::with_capacity(config.predicted_stationary_pool());
         Self::from_parts(config, bins, pool, 0, 0, 0)
     }
@@ -143,19 +127,6 @@ impl CappedProcess {
             scratch: Vec::new(),
             choices: Vec::new(),
         }
-    }
-
-    /// The kernel mode this process runs.
-    pub fn kernel(&self) -> KernelMode {
-        self.bins.kernel()
-    }
-
-    /// Switches the kernel mode in place (see [`BinShard::set_kernel`]).
-    /// The trajectory is unaffected — both modes are bit-exact — so this
-    /// is safe mid-run; it is primarily the hook for re-selecting a
-    /// non-default kernel after a checkpoint restore.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
-        self.bins.set_kernel(kernel);
     }
 
     /// Fault injection: takes bin `i` offline (`true`) or back online
@@ -265,7 +236,7 @@ impl CappedProcess {
         }
     }
 
-    /// Read access to bin `i`'s buffer, as a storage-independent view.
+    /// Read access to bin `i`: its balls in FIFO order and live capacity.
     ///
     /// # Panics
     ///
@@ -366,7 +337,9 @@ impl CappedProcess {
         if bin_count != config.bins() {
             return Err(CodecError::Invalid { what: "bin count" });
         }
-        let mut parts: Vec<BinPart> = Vec::with_capacity(bin_count);
+        // No reservation by `bin_count`: it comes from the input, and a
+        // forged count must fail on the missing bytes, not allocate first.
+        let mut parts: Vec<BinPart> = Vec::new();
         for _ in 0..bin_count {
             let raw = dec.u64("bin capacity")?;
             let capacity = if raw == 0 {
@@ -389,9 +362,7 @@ impl CappedProcess {
         for part in &mut parts {
             part.2 = dec.bool("offline flag")?;
         }
-        // Checkpoints never record the kernel mode: restores always run
-        // the default kernel.
-        let bins = BinShard::from_parts(0, config.capacity(), parts);
+        let bins = BinShard::from_parts(0, parts);
         let process = Self::from_parts(config, bins, pool, round, total_generated, total_deleted);
         if !process.conserves_balls() {
             return Err(CodecError::Invalid {
@@ -484,12 +455,7 @@ impl CappedProcess {
             }
             ChoiceSource::Rng(rng) => {
                 self.choices.resize(balls.len(), 0);
-                match self.bins.kernel() {
-                    KernelMode::Arena => rng.fill_uniform_bins(n, &mut self.choices),
-                    // The oracle keeps the per-call draw, so the
-                    // differential suites check the bulk draw against it.
-                    KernelMode::Scalar => self.choices.fill_with(|| rng.uniform_bin(n) as u32),
-                }
+                rng.fill_uniform_bins(n, &mut self.choices);
             }
         }
         let stream = self

@@ -24,11 +24,10 @@
 
 use std::ops::Range;
 
-use crate::arena::{counting_accept, fast_accept, BinStore, BinView};
+use crate::arena::{counting_accept, fast_accept, BinArena, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::obs;
-use crate::process::KernelMode;
 
 /// The contiguous bin range owned by shard `shard` when `bins` bins are
 /// partitioned across `shards` shards as evenly as possible (the first
@@ -130,12 +129,7 @@ impl ShardRoundStats {
 #[derive(Debug, Clone)]
 pub struct BinShard {
     first_bin: usize,
-    /// The *configured* capacity class. Together with the kernel it picks
-    /// the storage layout (see [`BinStore::new`]), so a finite
-    /// configuration keeps the flat arena even after faults degrade some
-    /// live capacities to unbounded.
-    base: Capacity,
-    store: BinStore,
+    arena: BinArena,
     /// Fault-injection mask: an offline bin rejects every request and
     /// stops serving; its buffered balls are frozen until it comes back.
     offline: Vec<bool>,
@@ -154,13 +148,11 @@ pub struct BinShard {
     /// a uniform capacity profile). Cleared by every mutation that can
     /// change a bin's room or ring offset behind the kernel's back.
     primed: bool,
-    kernel: KernelMode,
 }
 
 impl BinShard {
     /// Creates the shard owning `range`, with per-bin capacities taken
-    /// from `config` (heterogeneous profiles respected), running the
-    /// default (arena) kernel.
+    /// from `config` (heterogeneous profiles respected).
     ///
     /// # Panics
     ///
@@ -174,19 +166,18 @@ impl BinShard {
         assert!(!range.is_empty(), "a shard must own at least one bin");
         let caps = range.clone().map(|i| config.capacity_of(i)).collect();
         let offline = vec![false; range.len()];
-        Self::assemble(range.start, config.capacity(), caps, Vec::new(), offline)
+        Self::assemble(range.start, caps, Vec::new(), offline)
     }
 
     /// Rebuilds a shard from extracted per-bin parts (see [`BinPart`]) —
     /// the checkpoint-restore and membership-transfer path. Bins may
     /// legally hold more balls than their live capacity (capacity
-    /// degradation). `base_capacity` is the *configured* capacity class;
-    /// the shard runs the default (arena) kernel.
+    /// degradation).
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty.
-    pub fn from_parts(first_bin: usize, base_capacity: Capacity, parts: Vec<BinPart>) -> Self {
+    pub fn from_parts(first_bin: usize, parts: Vec<BinPart>) -> Self {
         assert!(!parts.is_empty(), "a shard must own at least one bin");
         let mut caps = Vec::with_capacity(parts.len());
         let mut contents = Vec::with_capacity(parts.len());
@@ -196,30 +187,26 @@ impl BinShard {
             contents.push(balls);
             offline.push(off);
         }
-        Self::assemble(first_bin, base_capacity, caps, contents, offline)
+        Self::assemble(first_bin, caps, contents, offline)
     }
 
     /// The shared constructor; `contents` may be shorter than `caps`
     /// (missing bins start empty).
     fn assemble(
         first_bin: usize,
-        base: Capacity,
         caps: Vec<Capacity>,
         contents: Vec<Vec<Ball>>,
         offline: Vec<bool>,
     ) -> Self {
-        let kernel = KernelMode::default();
         BinShard {
             first_bin,
-            base,
-            store: BinStore::new(base, kernel, caps, contents),
+            arena: BinArena::from_bins(caps, contents),
             offline,
             counts: Vec::new(),
             quotas: Vec::new(),
             state: Vec::new(),
             commit_pending: false,
             primed: false,
-            kernel,
         }
     }
 
@@ -238,36 +225,6 @@ impl BinShard {
             .collect()
     }
 
-    /// Selects the kernel (builder form of [`set_kernel`](Self::set_kernel)).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.set_kernel(kernel);
-        self
-    }
-
-    /// Switches the kernel in place, converting the bin storage to the
-    /// layout the new kernel runs on (`Scalar`: per-bin buffers; `Arena`:
-    /// the flat arena, for finite configurations). Both kernels are
-    /// bit-exact, so this is safe mid-run.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
-        if kernel == self.kernel {
-            return;
-        }
-        let (caps, contents) = self
-            .to_parts()
-            .into_iter()
-            .map(|(cap, balls, _)| (cap, balls))
-            .unzip();
-        self.store = BinStore::new(self.base, kernel, caps, contents);
-        self.kernel = kernel;
-        self.primed = false;
-    }
-
-    /// The kernel this shard runs.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// Global index of the first bin this shard owns.
     pub fn first_bin(&self) -> usize {
         self.first_bin
@@ -283,14 +240,13 @@ impl BinShard {
         self.offline.is_empty()
     }
 
-    /// Read access to the local bin `i` (0-based within the shard), as a
-    /// storage-independent view.
+    /// Read access to the local bin `i` (0-based within the shard).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn bin(&self, i: usize) -> BinView<'_> {
-        self.store.view(i)
+        self.arena.view(i)
     }
 
     /// Current load of local bin `i`.
@@ -299,17 +255,17 @@ impl BinShard {
     ///
     /// Panics if `i` is out of range.
     pub fn load(&self, i: usize) -> usize {
-        self.store.len(i)
+        self.arena.len(i)
     }
 
     /// Current loads of this shard's bins, in bin order.
     pub fn loads(&self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.store.len(i)).collect()
+        (0..self.len()).map(|i| self.arena.len(i)).collect()
     }
 
     /// Total balls stored in this shard's buffers.
     pub fn buffered(&self) -> usize {
-        self.store.buffered()
+        self.arena.buffered()
     }
 
     /// Takes local bin `i` offline (`true`) or back online (`false`):
@@ -341,14 +297,14 @@ impl BinShard {
     /// Panics if `i` is out of range.
     pub fn set_capacity(&mut self, i: usize, capacity: Capacity) {
         assert!(i < self.len(), "local bin index {i} out of range");
-        self.store.set_capacity(i, capacity);
+        self.arena.set_capacity(i, capacity);
         self.primed = false;
     }
 
     /// Appends a bin to the shard (elastic membership growth, or a bin
     /// transferred in from a merged neighbor).
     pub fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball], offline: bool) {
-        self.store.push_bin_with(capacity, contents);
+        self.arena.push_bin_with(capacity, contents);
         self.offline.push(offline);
         self.primed = false;
     }
@@ -362,7 +318,7 @@ impl BinShard {
     /// Panics if the shard owns a single bin.
     pub fn pop_bin(&mut self) -> BinPart {
         assert!(self.len() > 1, "a shard must keep at least one bin");
-        let (cap, balls) = self.store.pop_bin();
+        let (cap, balls) = self.arena.pop_bin();
         let offline = self.offline.pop().expect("non-empty shard");
         self.primed = false;
         (cap, balls, offline)
@@ -423,9 +379,9 @@ impl BinShard {
     /// accepted count. Over the flat arena this is the counting-sort
     /// kernel — the single-pass [`fast_accept`], or [`counting_accept`]
     /// when a fault-raised capacity could overflow a ring — bit-exactly
-    /// the scalar greedy walk. Over per-bin buffers (the `Scalar` oracle,
-    /// and unbounded configurations) it is that walk. The `u32::MAX` guard
-    /// keeps the quota counters from overflowing.
+    /// the per-ball greedy walk of [`try_accept`](Self::try_accept), which
+    /// serves only streams past `u32::MAX` requests, where the quota
+    /// counters would overflow.
     ///
     /// Must be followed by [`serve_sweep`](Self::serve_sweep) before any
     /// other access: a fast-path acceptance leaves its commit to it.
@@ -435,31 +391,29 @@ impl BinShard {
     {
         let primed = std::mem::take(&mut self.primed);
         let thrown = requests.len();
-        if let BinStore::Arena(arena) = &mut self.store {
-            if thrown <= u32::MAX as usize {
-                let fast = fast_accept(
-                    arena,
-                    &self.offline,
-                    &mut self.state,
-                    &mut self.quotas,
-                    thrown,
-                    requests.clone(),
-                    rejected,
-                    primed,
-                );
-                if let Some(accepted) = fast {
-                    self.commit_pending = true;
-                    return accepted;
-                }
-                return counting_accept(
-                    arena,
-                    &self.offline,
-                    &mut self.counts,
-                    &mut self.quotas,
-                    requests,
-                    rejected,
-                );
+        if thrown <= u32::MAX as usize {
+            let fast = fast_accept(
+                &mut self.arena,
+                &self.offline,
+                &mut self.state,
+                &mut self.quotas,
+                thrown,
+                requests.clone(),
+                rejected,
+                primed,
+            );
+            if let Some(accepted) = fast {
+                self.commit_pending = true;
+                return accepted;
             }
+            return counting_accept(
+                &mut self.arena,
+                &self.offline,
+                &mut self.counts,
+                &mut self.quotas,
+                requests,
+                rejected,
+            );
         }
         let mut accepted = 0u64;
         for (bin, ball) in requests {
@@ -483,7 +437,7 @@ impl BinShard {
     /// Panics if `i` is out of range.
     pub fn try_accept(&mut self, i: usize, ball: Ball) -> bool {
         self.primed = false;
-        !self.offline[i] && self.store.try_accept(i, ball)
+        !self.offline[i] && self.arena.try_accept(i, ball)
     }
 
     /// The deletion half of [`run_round`](Self::run_round): every online
@@ -497,69 +451,57 @@ impl BinShard {
     pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
         let mut stats = ShardRoundStats::default();
         let pending = std::mem::take(&mut self.commit_pending);
-        match &mut self.store {
-            BinStore::Arena(arena) => match arena.uniform_cap() {
-                Some(c0) if pending => {
-                    // The accepted count is recovered from the register's
-                    // remaining room alone (no quota array).
-                    debug_assert_eq!(self.state.len(), self.offline.len());
-                    for (b, s) in self.state.iter_mut().enumerate() {
-                        if self.offline[b] {
-                            // A crashed bin neither serves nor counts as a
-                            // failed deletion *attempt* — it makes none.
-                            // Its register had zero room, so there is
-                            // nothing to commit; re-arm it with zero room.
-                            debug_assert_eq!(*s >> 16, 0);
-                            let (len, tail) = arena.len_tail(b);
-                            *s = tail;
-                            stats.note_load(u64::from(len));
-                            continue;
-                        }
-                        let (ball, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
-                        match ball {
-                            Some(ball) => served(b, ball),
-                            None => stats.failed_deletions += 1,
-                        }
-                        // `saturating_sub`: an overfull bin (a
-                        // degraded-checkpoint restore can leave len > c₀
-                        // under a uniform profile) must re-arm with zero
-                        // room, not an underflowed quota.
-                        *s = (c0.saturating_sub(len) << 16) | tail;
+        let arena = &mut self.arena;
+        match arena.uniform_cap() {
+            Some(c0) if pending => {
+                // The accepted count is recovered from the register's
+                // remaining room alone (no quota array).
+                debug_assert_eq!(self.state.len(), self.offline.len());
+                for (b, s) in self.state.iter_mut().enumerate() {
+                    if self.offline[b] {
+                        // A crashed bin neither serves nor counts as a
+                        // failed deletion *attempt* — it makes none.
+                        // Its register had zero room, so there is
+                        // nothing to commit; re-arm it with zero room.
+                        debug_assert_eq!(*s >> 16, 0);
+                        let (len, tail) = arena.len_tail(b);
+                        *s = tail;
                         stats.note_load(u64::from(len));
+                        continue;
                     }
-                    self.primed = true;
+                    let (ball, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
+                    match ball {
+                        Some(ball) => served(b, ball),
+                        None => stats.failed_deletions += 1,
+                    }
+                    // `saturating_sub`: an overfull bin (a
+                    // degraded-checkpoint restore can leave len > c₀
+                    // under a uniform profile) must re-arm with zero
+                    // room, not an underflowed quota.
+                    *s = (c0.saturating_sub(len) << 16) | tail;
+                    stats.note_load(u64::from(len));
                 }
-                _ => {
-                    for b in 0..self.offline.len() {
-                        // Non-uniform fast path: the accepted count is the
-                        // quota minus the register's remaining room.
-                        let taken = if pending {
-                            (self.quotas[b] - (self.state[b] >> 16)) as usize
-                        } else {
-                            0
-                        };
-                        if self.offline[b] {
-                            debug_assert_eq!(taken, 0, "offline bins accept nothing");
-                            stats.note_load(arena.len(b) as u64);
-                            continue;
-                        }
-                        match arena.commit_serve(b, taken) {
-                            Some(ball) => served(b, ball),
-                            None => stats.failed_deletions += 1,
-                        }
+                self.primed = true;
+            }
+            _ => {
+                for b in 0..self.offline.len() {
+                    // Non-uniform fast path: the accepted count is the
+                    // quota minus the register's remaining room.
+                    let taken = if pending {
+                        (self.quotas[b] - (self.state[b] >> 16)) as usize
+                    } else {
+                        0
+                    };
+                    if self.offline[b] {
+                        debug_assert_eq!(taken, 0, "offline bins accept nothing");
                         stats.note_load(arena.len(b) as u64);
+                        continue;
                     }
-                }
-            },
-            BinStore::Buffers(bins) => {
-                for (b, (bin, &offline)) in bins.iter_mut().zip(&self.offline).enumerate() {
-                    if !offline {
-                        match bin.serve() {
-                            Some(ball) => served(b, ball),
-                            None => stats.failed_deletions += 1,
-                        }
+                    match arena.commit_serve(b, taken) {
+                        Some(ball) => served(b, ball),
+                        None => stats.failed_deletions += 1,
                     }
-                    stats.note_load(bin.len() as u64);
+                    stats.note_load(arena.len(b) as u64);
                 }
             }
         }
@@ -645,13 +587,13 @@ mod tests {
     }
 
     /// Runs one round on `fast` through `fast_accept` (asserted to be the
-    /// path taken) and `serve_sweep`, and the same round on `scalar` (the
-    /// per-ball `try_accept` walk and `BinBuffer::serve`): the rejects in
+    /// path taken) and `serve_sweep`, and the same round on `walk` (the
+    /// per-ball `try_accept` walk, then `serve_sweep`): the rejects in
     /// stream order, the served balls and every bin's FIFO contents must
     /// agree.
-    fn assert_fast_round_matches_scalar(
+    fn assert_fast_round_matches_walk(
         fast: &mut BinShard,
-        scalar: &mut BinShard,
+        walk: &mut BinShard,
         stream: &[(usize, Ball)],
         what: &str,
     ) {
@@ -662,22 +604,25 @@ mod tests {
             "{what}: the round must take fast_accept"
         );
         fast.serve_sweep(|b, ball| fast_served.push((b, ball)));
-        let (mut scalar_rejected, mut scalar_served) = (Vec::new(), Vec::new());
-        scalar.run_round(stream.iter().copied(), &mut scalar_rejected, |b, ball| {
-            scalar_served.push((b, ball))
-        });
-        assert_eq!(fast_rejected, scalar_rejected, "{what}: rejects");
-        assert_eq!(fast_served, scalar_served, "{what}: served balls");
-        assert_eq!(fast.to_parts(), scalar.to_parts(), "{what}: bin contents");
+        let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());
+        for &(b, ball) in stream {
+            if !walk.try_accept(b, ball) {
+                walk_rejected.push(ball);
+            }
+        }
+        walk.serve_sweep(|b, ball| walk_served.push((b, ball)));
+        assert_eq!(fast_rejected, walk_rejected, "{what}: rejects");
+        assert_eq!(fast_served, walk_served, "{what}: served balls");
+        assert_eq!(fast.to_parts(), walk.to_parts(), "{what}: bin contents");
     }
 
-    /// Both kernels over the same parts, all at the uniform capacity `c`.
-    fn kernel_pair(c: u32, parts: Vec<BinPart>) -> (BinShard, BinShard) {
-        let cap = Capacity::finite(c).unwrap();
-        let fast = BinShard::from_parts(0, cap, parts.clone());
-        let scalar = BinShard::from_parts(0, cap, parts).with_kernel(KernelMode::Scalar);
-        assert_eq!(fast.kernel(), KernelMode::Arena);
-        (fast, scalar)
+    /// Two shards over the same parts: one for the kernel, one for the
+    /// per-ball walk.
+    fn kernel_pair(parts: Vec<BinPart>) -> (BinShard, BinShard) {
+        (
+            BinShard::from_parts(0, parts.clone()),
+            BinShard::from_parts(0, parts),
+        )
     }
 
     /// Every throw at the bins of `bins`, twice each, interleaved, with
@@ -694,20 +639,17 @@ mod tests {
         // c = 2 gives stride 2, so a full bin's tail slot is its head slot:
         // a reject written there would replace the ball served next.
         let cap = Capacity::finite(2).unwrap();
-        let (mut fast, mut scalar) = kernel_pair(
-            2,
-            vec![
-                (cap, vec![ball(1), ball(2)], false), // wraps to head 1 below
-                (cap, Vec::new(), false),             // fills at head 0 below
-                (cap, vec![ball(3)], true),           // offline
-                (cap, Vec::new(), false),             // open
-                (cap, vec![ball(4)], false),          // one slot of room
-            ],
-        );
+        let (mut fast, mut walk) = kernel_pair(vec![
+            (cap, vec![ball(1), ball(2)], false), // wraps to head 1 below
+            (cap, Vec::new(), false),             // fills at head 0 below
+            (cap, vec![ball(3)], true),           // offline
+            (cap, Vec::new(), false),             // open
+            (cap, vec![ball(4)], false),          // one slot of room
+        ]);
         // A throw-free round serves one ball per bin; the per-ball walk
         // then fills bin 0 from head 1 (wrapped) and bin 1 from head 0.
-        assert_fast_round_matches_scalar(&mut fast, &mut scalar, &[], "setup");
-        for shard in [&mut fast, &mut scalar] {
+        assert_fast_round_matches_walk(&mut fast, &mut walk, &[], "setup");
+        for shard in [&mut fast, &mut walk] {
             for (b, label) in [(0, 5), (1, 6), (1, 7)] {
                 assert!(shard.try_accept(b, ball(label)));
             }
@@ -716,9 +658,9 @@ mod tests {
         }
         for round in 0..3 {
             let stream = hazard_stream(5, 100 + 10 * round);
-            assert_fast_round_matches_scalar(
+            assert_fast_round_matches_walk(
                 &mut fast,
-                &mut scalar,
+                &mut walk,
                 &stream,
                 &format!("full rings, round {round}"),
             );
@@ -731,20 +673,17 @@ mod tests {
         // holds four balls in a stride-4 ring (full, len == stride), bin 1
         // three. Both have zero room and must reject every throw.
         let cap = Capacity::finite(2).unwrap();
-        let (mut fast, mut scalar) = kernel_pair(
-            2,
-            vec![
-                (cap, (1..=4).map(ball).collect(), false),
-                (cap, (5..=7).map(ball).collect(), false),
-                (cap, vec![ball(8)], false),
-                (cap, Vec::new(), false),
-            ],
-        );
+        let (mut fast, mut walk) = kernel_pair(vec![
+            (cap, (1..=4).map(ball).collect(), false),
+            (cap, (5..=7).map(ball).collect(), false),
+            (cap, vec![ball(8)], false),
+            (cap, Vec::new(), false),
+        ]);
         for round in 0..4 {
             let stream = hazard_stream(4, 100 + 10 * round);
-            assert_fast_round_matches_scalar(
+            assert_fast_round_matches_walk(
                 &mut fast,
-                &mut scalar,
+                &mut walk,
                 &stream,
                 &format!("overfull bins, round {round}"),
             );
@@ -825,7 +764,7 @@ mod tests {
         original.set_offline(1, true);
         original.set_capacity(2, Capacity::finite(1).unwrap());
 
-        let mut restored = BinShard::from_parts(2, config.capacity(), original.to_parts());
+        let mut restored = BinShard::from_parts(2, original.to_parts());
         assert_eq!(restored.first_bin(), original.first_bin());
         assert_eq!(restored.loads(), original.loads());
         assert_eq!(restored.bin(2).capacity(), Capacity::finite(1).unwrap());
@@ -839,18 +778,6 @@ mod tests {
                 "round {round}"
             );
         }
-    }
-
-    #[test]
-    fn from_parts_uses_buffers_for_unbounded_configs() {
-        let parts = vec![
-            (Capacity::Infinite, vec![ball(1)], false),
-            (Capacity::Infinite, Vec::new(), false),
-        ];
-        let restored = BinShard::from_parts(0, Capacity::Infinite, parts);
-        assert!(matches!(restored.store, BinStore::Buffers(_)));
-        assert_eq!(restored.buffered(), 1);
-        assert_eq!(restored.bin(0).head(), Some(&ball(1)));
     }
 
     /// Sequential composition of shards reproduces `CappedProcess`
@@ -950,7 +877,7 @@ mod tests {
         let parts = shard.split_off(3);
         assert_eq!(shard.len(), 3);
         assert_eq!(parts.len(), 3);
-        let upper = BinShard::from_parts(3, config.capacity(), parts);
+        let upper = BinShard::from_parts(3, parts);
         assert_eq!(upper.first_bin(), 3);
         assert_eq!(upper.len(), 3);
         assert_eq!(

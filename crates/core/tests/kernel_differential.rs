@@ -1,22 +1,22 @@
-//! Differential validation of the flat-arena round kernel: the arena
-//! kernel (SoA [`iba_core::BinArena`] storage + counting-sort acceptance +
-//! bulk RNG) must be **bit-exact** against the legacy scalar kernel — the
-//! same [`RoundReport`] every round, including the waiting-time vectors,
-//! the same RNG consumption, and the same state after any prefix — across
-//! `(n, c, λ)` cells, seeds, pre-drawn choice slices, checkpoint/resume
+//! Differential validation of the flat-arena round kernel against the
+//! executable specification: [`CappedProcess`] (SoA [`iba_core::BinArena`]
+//! storage + counting-sort acceptance + bulk RNG) must be **bit-exact**
+//! against [`SpecCapped`] — the same [`RoundReport`] every round,
+//! including the waiting-time vectors, the same RNG consumption, and the
+//! same state after any prefix — across `(n, c, λ)` cells, seeds,
+//! pre-drawn choice slices, unbounded capacities, checkpoint/resume
 //! round-trips, and fault injection.
 //!
-//! [`KernelMode::Scalar`] pins the pre-kernel implementation (one
-//! `VecDeque` per bin, one RNG draw and one random-access push per ball),
-//! so these tests are an executable statement of the old-vs-new
-//! equivalence, not a fixture comparison. Beyond the round kernel itself
-//! they pin heavy pool surges, kernel switches mid-run (storage
-//! conversion both ways), checkpoint restores into either kernel, and
-//! `BinShard` acceptance through elastic membership changes.
+//! The specification draws one `uniform_bin` per pooled ball and re-sorts
+//! every bin's requests by age, so these tests are an executable statement
+//! of the kernel's equivalence to Algorithm 1, not a fixture comparison.
+//! Beyond the round kernel itself they pin heavy pool surges, stride
+//! growth under CAPPED(∞, λ), checkpoint restores, and `BinShard`
+//! acceptance through elastic membership changes.
 
 use iba_core::checkpoint;
-use iba_core::process::KernelMode;
-use iba_core::{Capacity, CappedConfig, CappedProcess};
+use iba_core::spec::{SpecBin, SpecCapped};
+use iba_core::{Ball, Capacity, CappedConfig, CappedProcess};
 use iba_sim::faults::{FaultEvent, FaultPlan, FaultedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::{SimRng, Simulation};
@@ -33,20 +33,55 @@ const CELLS: &[(usize, u32, f64)] = &[
 
 const SEEDS: &[u64] = &[1, 42, 0xDEAD_BEEF];
 
-fn pair(n: usize, c: u32, lambda: f64) -> (CappedProcess, CappedProcess) {
-    let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let arena = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
-    let scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-    assert_eq!(arena.kernel(), KernelMode::Arena);
-    assert_eq!(scalar.kernel(), KernelMode::Scalar);
-    (arena, scalar)
+fn pair(config: CappedConfig) -> (CappedProcess, SpecCapped) {
+    let spec = SpecCapped::from_config(&config);
+    (CappedProcess::new(config), spec)
 }
 
-/// Steps both kernels `rounds` times on identically seeded RNG streams and
-/// asserts every report (and the final observable state) is equal.
-fn assert_lockstep(
-    arena: &mut CappedProcess,
-    scalar: &mut CappedProcess,
+fn cell(n: usize, c: u32, lambda: f64) -> CappedConfig {
+    CappedConfig::new(n, c, lambda).expect("valid cell")
+}
+
+/// The specification of `p`'s current state.
+fn spec_of(p: &CappedProcess) -> SpecCapped {
+    let pool: Vec<u64> = p.pool().iter().map(Ball::label).collect();
+    SpecCapped::from_state(p.config(), p.round(), &pool, bins_of(p))
+}
+
+fn bins_of(p: &CappedProcess) -> Vec<SpecBin> {
+    (0..p.config().bins())
+        .map(|i| {
+            let bin = p.bin(i);
+            let labels = bin.iter().map(Ball::label).collect();
+            (bin.capacity(), labels, p.is_bin_offline(i))
+        })
+        .collect()
+}
+
+/// Asserts the process and the specification hold the same state: round,
+/// pool labels, and every bin's capacity, FIFO labels and offline flag.
+fn assert_same_state(p: &CappedProcess, spec: &SpecCapped, what: &str) {
+    assert_eq!(p.round(), spec.round(), "{what}: round");
+    let pool: Vec<u64> = p.pool().iter().map(Ball::label).collect();
+    assert_eq!(pool, spec.pool_labels(), "{what}: pool");
+    let spec_bins: Vec<SpecBin> = (0..spec.bins())
+        .map(|i| {
+            (
+                spec.capacity(i),
+                spec.queue_labels(i),
+                spec.is_bin_offline(i),
+            )
+        })
+        .collect();
+    assert_eq!(bins_of(p), spec_bins, "{what}: bins");
+    assert!(p.conserves_balls(), "{what}: conservation");
+}
+
+/// Steps both processes `rounds` times on identically seeded RNG streams
+/// and asserts every report and the RNG consumption are equal.
+fn lockstep<A: AllocationProcess, B: AllocationProcess>(
+    arena: &mut A,
+    spec: &mut B,
     seed: u64,
     rounds: u64,
     what: &str,
@@ -55,7 +90,7 @@ fn assert_lockstep(
     let mut rng_s = SimRng::seed_from(seed);
     for round in 0..rounds {
         let a = arena.step(&mut rng_a);
-        let s = scalar.step(&mut rng_s);
+        let s = spec.step(&mut rng_s);
         assert_eq!(a, s, "{what}: reports diverged at round {round}");
         assert_eq!(
             rng_a.state(),
@@ -63,18 +98,27 @@ fn assert_lockstep(
             "{what}: RNG consumption diverged at round {round}"
         );
     }
-    assert_eq!(arena.loads(), scalar.loads(), "{what}: final loads");
-    assert_eq!(arena.pool_size(), scalar.pool_size(), "{what}: final pool");
-    assert!(arena.conserves_balls() && scalar.conserves_balls());
+}
+
+/// [`lockstep`], then the final states must agree.
+fn assert_lockstep(
+    arena: &mut CappedProcess,
+    spec: &mut SpecCapped,
+    seed: u64,
+    rounds: u64,
+    what: &str,
+) {
+    lockstep(arena, spec, seed, rounds, what);
+    assert_same_state(arena, spec, what);
 }
 
 #[test]
 fn arena_kernel_is_bit_exact_across_cells_and_seeds() {
     for &(n, c, lambda) in CELLS {
         for &seed in SEEDS {
-            let (mut arena, mut scalar) = pair(n, c, lambda);
+            let (mut arena, mut spec) = pair(cell(n, c, lambda));
             let what = format!("n={n} c={c} lambda={lambda} seed={seed}");
-            assert_lockstep(&mut arena, &mut scalar, seed, 300, &what);
+            assert_lockstep(&mut arena, &mut spec, seed, 300, &what);
         }
     }
 }
@@ -84,11 +128,12 @@ fn arena_kernel_is_bit_exact_from_warm_start() {
     // Warm-started processes begin mid-regime, so the kernel is exercised
     // at stationary pool sizes from the first round.
     for &(n, c, lambda) in &[(128, 2, 0.75), (64, 4, 0.9375)] {
-        let (mut arena, mut scalar) = pair(n, c, lambda);
+        let config = cell(n, c, lambda);
+        let (mut arena, mut spec) = pair(config.clone());
         arena.warm_start();
-        scalar.warm_start();
+        spec.inject_pool(config.predicted_stationary_pool() as u64);
         let what = format!("warm n={n} c={c} lambda={lambda}");
-        assert_lockstep(&mut arena, &mut scalar, 7, 200, &what);
+        assert_lockstep(&mut arena, &mut spec, 7, 200, &what);
     }
 }
 
@@ -97,16 +142,16 @@ fn arena_kernel_is_bit_exact_under_pre_drawn_choices() {
     // `step_with_choices` drives the kernel's slice path — the hook the
     // Lemma-1/6 coupling uses. Choices are drawn once and fed to both.
     for &(n, c, lambda) in &[(32, 2, 0.75), (48, 3, 0.875), (16, 1, 0.5)] {
-        let (mut arena, mut scalar) = pair(n, c, lambda);
+        let (mut arena, mut spec) = pair(cell(n, c, lambda));
         let mut rng = SimRng::seed_from(1234);
         for round in 0..150 {
             let thrown = arena.next_throw_count();
-            assert_eq!(thrown, scalar.next_throw_count());
             let choices: Vec<usize> = (0..thrown).map(|_| rng.uniform_bin(n)).collect();
             let a = arena.step_with_choices(&choices);
-            let s = scalar.step_with_choices(&choices);
+            let s = spec.step_with_choices(&choices);
             assert_eq!(a, s, "n={n} c={c} slice path diverged at round {round}");
         }
+        assert_same_state(&arena, &spec, "slice path");
     }
 }
 
@@ -118,9 +163,35 @@ fn arena_kernel_is_bit_exact_on_heterogeneous_capacities() {
         .expect("valid")
         .with_capacity_profile(profile)
         .expect("valid profile");
-    let mut arena = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
-    let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-    assert_lockstep(&mut arena, &mut scalar, 9, 250, "heterogeneous profile");
+    let (mut arena, mut spec) = pair(config);
+    assert_lockstep(&mut arena, &mut spec, 9, 250, "heterogeneous profile");
+}
+
+#[test]
+fn arena_kernel_is_bit_exact_at_unbounded_capacity() {
+    // CAPPED(∞, λ) runs on the arena too: every bin starts with a one-slot
+    // ring, and each surge below pushes the largest load past the stride
+    // again, so the arena re-lays itself out several times mid-run.
+    let plan = || {
+        FaultPlan::new()
+            .with(5, FaultEvent::PoolSurge { extra: 300 })
+            .with(20, FaultEvent::PoolSurge { extra: 1_200 })
+            .with(45, FaultEvent::PoolSurge { extra: 4_000 })
+    };
+    for &seed in SEEDS {
+        let config = CappedConfig::unbounded(64, 0.75).expect("valid");
+        let (arena, spec) = pair(config);
+        let mut arena = FaultedProcess::new(arena, plan());
+        let mut spec = FaultedProcess::new(spec, plan());
+        let what = format!("c=inf seed={seed}");
+        lockstep(&mut arena, &mut spec, seed, 80, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
+        let peak = arena.inner().loads().into_iter().max().unwrap_or(0);
+        assert!(
+            peak >= 32,
+            "{what}: surges must load a bin past 32 (got {peak})"
+        );
+    }
 }
 
 /// A fault scenario covering every event the kernel must survive: bins
@@ -194,44 +265,24 @@ fn arena_kernel_survives_capacity_raised_past_u16() {
             )
     };
     for &seed in SEEDS {
-        let config = CappedConfig::new(32, 2, 0.75).expect("valid");
-        let mut arena = FaultedProcess::new(
-            CappedProcess::with_kernel(config.clone(), KernelMode::Arena),
-            plan(),
-        );
-        let mut scalar = FaultedProcess::new(
-            CappedProcess::with_kernel(config, KernelMode::Scalar),
-            plan(),
-        );
-        let mut rng_a = SimRng::seed_from(seed);
-        let mut rng_s = SimRng::seed_from(seed);
-        for round in 0..60 {
-            let a = arena.step(&mut rng_a);
-            let s = scalar.step(&mut rng_s);
-            assert_eq!(a, s, "u16-raise divergence at round {round} (seed {seed})");
-        }
+        let (arena, spec) = pair(cell(32, 2, 0.75));
+        let mut arena = FaultedProcess::new(arena, plan());
+        let mut spec = FaultedProcess::new(spec, plan());
+        let what = format!("u16 raise, seed {seed}");
+        lockstep(&mut arena, &mut spec, seed, 60, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
     }
 }
 
 #[test]
 fn arena_kernel_is_bit_exact_under_fault_injection() {
     for &seed in SEEDS {
-        let config = CappedConfig::new(48, 2, 0.75).expect("valid");
-        let mut arena = FaultedProcess::new(
-            CappedProcess::with_kernel(config.clone(), KernelMode::Arena),
-            scenario(),
-        );
-        let mut scalar = FaultedProcess::new(
-            CappedProcess::with_kernel(config, KernelMode::Scalar),
-            scenario(),
-        );
-        let mut rng_a = SimRng::seed_from(seed);
-        let mut rng_s = SimRng::seed_from(seed);
-        for round in 0..120 {
-            let a = arena.step(&mut rng_a);
-            let s = scalar.step(&mut rng_s);
-            assert_eq!(a, s, "faulted divergence at round {round} (seed {seed})");
-        }
+        let (arena, spec) = pair(cell(48, 2, 0.75));
+        let mut arena = FaultedProcess::new(arena, scenario());
+        let mut spec = FaultedProcess::new(spec, scenario());
+        let what = format!("faulted, seed {seed}");
+        lockstep(&mut arena, &mut spec, seed, 120, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
     }
 }
 
@@ -246,10 +297,7 @@ fn telemetry_toggle_does_not_perturb_the_trajectory() {
     let run = |enabled: bool| {
         iba_obs::set_enabled(enabled);
         let config = CappedConfig::new(48, 2, 0.75).expect("valid");
-        let mut process = FaultedProcess::new(
-            CappedProcess::with_kernel(config, KernelMode::Arena),
-            scenario(),
-        );
+        let mut process = FaultedProcess::new(CappedProcess::new(config), scenario());
         let mut rng = SimRng::seed_from(42);
         let reports: Vec<RoundReport> = (0..120).map(|_| process.step(&mut rng)).collect();
         (reports, rng.state())
@@ -286,77 +334,111 @@ fn telemetry_toggle_does_not_perturb_the_trajectory() {
 fn degraded_arena_bin_rejects_and_keeps_overflow() {
     // Direct (non-plan) capacity degradation on the arena path: a bin
     // holding more balls than its degraded capacity keeps them, rejects
-    // new requests, and drains FIFO — same semantics as `BinBuffer`.
-    let config = CappedConfig::new(4, 3, 0.5).expect("valid");
-    let mut p = CappedProcess::with_kernel(config, KernelMode::Arena);
+    // new requests, and drains FIFO — as the specification does.
+    let (mut p, mut spec) = pair(cell(4, 3, 0.5));
     p.inject_pool(1);
-    p.step_with_choices(&[0, 0, 0]);
+    spec.inject_pool(1);
+    assert_eq!(
+        p.step_with_choices(&[0, 0, 0]),
+        spec.step_with_choices(&[0, 0, 0])
+    );
     assert_eq!(p.bin(0).len(), 2);
     p.set_bin_capacity(0, Capacity::finite(1).unwrap());
+    spec.set_bin_capacity(0, Capacity::finite(1).unwrap());
     let r = p.step_with_choices(&[0, 0]);
+    assert_eq!(r, spec.step_with_choices(&[0, 0]));
     assert_eq!(r.accepted, 0);
     assert_eq!(p.bin(0).len(), 1);
-    assert!(p.conserves_balls());
+    assert_same_state(&p, &spec, "degraded bin");
 }
 
 #[test]
 fn checkpoint_round_trip_resumes_bit_exactly() {
     // Arena process → checkpoint v2 → restore → both continuations agree
-    // with an uninterrupted scalar run from the same seed. This pins all
-    // three at once: arena vs scalar, and arena vs its own round-trip.
-    for &(n, c, lambda) in &[(64, 2, 0.75), (96, 3, 0.875), (128, 1, 0.5)] {
-        for &seed in &[3u64, 77] {
-            let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-            let mut sim = Simulation::new(
-                CappedProcess::with_kernel(config.clone(), KernelMode::Arena),
-                SimRng::seed_from(seed),
-            );
-            let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-            let mut scalar_rng = SimRng::seed_from(seed);
+    // with an uninterrupted specification run from the same seed. This
+    // pins all three at once: arena vs spec, and arena vs its own
+    // round-trip.
+    let cases: &[(usize, u32, f64, &[u64])] = &[
+        (64, 2, 0.75, &[3, 77]),
+        (96, 3, 0.875, &[3, 77]),
+        (128, 1, 0.5, &[3, 77]),
+    ];
+    for &(n, c, lambda, seeds) in cases {
+        for &seed in seeds {
+            let config = cell(n, c, lambda);
+            let mut spec = SpecCapped::from_config(&config);
+            let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(seed));
+            let mut spec_rng = SimRng::seed_from(seed);
             for _ in 0..80 {
                 let a = sim.step();
-                let s = scalar.step(&mut scalar_rng);
+                let s = spec.step(&mut spec_rng);
                 assert_eq!(a, s, "pre-checkpoint divergence (n={n} c={c})");
             }
             let bytes = checkpoint::save(&sim);
             let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
-            assert_eq!(
-                restored.process().kernel(),
-                KernelMode::Arena,
-                "finite-capacity restores run the arena kernel"
-            );
             for round in 0..80 {
                 let a = sim.step();
                 let r = restored.step();
-                let s = scalar.step(&mut scalar_rng);
+                let s = spec.step(&mut spec_rng);
                 assert_eq!(a, r, "restored run diverged at round {round}");
-                assert_eq!(a, s, "post-checkpoint scalar divergence at {round}");
+                assert_eq!(a, s, "post-checkpoint spec divergence at {round}");
             }
+            assert_eq!(restored.rng().state(), spec_rng.state());
+            assert_same_state(restored.process(), &spec, "restored run");
         }
     }
 }
 
 #[test]
-fn scalar_checkpoint_restores_to_arena_and_continues_identically() {
-    // Checkpoints don't record the kernel mode: a scalar-kernel run's
-    // checkpoint restores onto arena storage and must continue the exact
-    // same trajectory as the uninterrupted scalar original.
-    let config = CappedConfig::new(64, 4, 0.875).expect("valid");
-    let mut sim = Simulation::new(
-        CappedProcess::with_kernel(config, KernelMode::Scalar),
-        SimRng::seed_from(11),
-    );
-    sim.run_rounds(60);
+fn checkpoint_restores_into_either_kernel_and_continues_identically() {
+    // One checkpoint restores into both implementations of the process:
+    // the arena kernel (through `checkpoint::restore`) and the
+    // specification (built from the restored bins). Each continues the
+    // exact trajectory of the uninterrupted original and of a
+    // specification run from the same seed since round zero.
+    let config = cell(96, 2, 0.875);
+    let mut sim = Simulation::new(CappedProcess::new(config.clone()), SimRng::seed_from(13));
+    let mut oracle = SpecCapped::from_config(&config);
+    let mut oracle_rng = SimRng::seed_from(13);
+    for _ in 0..80 {
+        let a = sim.step();
+        let o = oracle.step(&mut oracle_rng);
+        assert_eq!(a, o, "pre-checkpoint divergence");
+    }
     let bytes = checkpoint::save(&sim);
     let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
-    assert_eq!(restored.process().kernel(), KernelMode::Arena);
-    for round in 0..100 {
-        assert_eq!(
-            sim.step(),
-            restored.step(),
-            "cross-kernel resume diverged at round {round}"
-        );
+    let mut spec = spec_of(restored.process());
+    let mut spec_rng = SimRng::from_state(restored.rng().state());
+    assert_eq!(spec_rng.state(), oracle_rng.state());
+    for round in 0..80 {
+        let a = sim.step();
+        let r = restored.step();
+        let s = spec.step(&mut spec_rng);
+        let o = oracle.step(&mut oracle_rng);
+        assert_eq!(a, r, "restored arena run diverged at round {round}");
+        assert_eq!(a, s, "restored spec run diverged at round {round}");
+        assert_eq!(a, o, "post-checkpoint oracle divergence at round {round}");
     }
+    assert_eq!(restored.rng().state(), spec_rng.state());
+    assert_same_state(restored.process(), &spec, "restored spec run");
+    assert_same_state(restored.process(), &oracle, "uninterrupted oracle");
+}
+
+/// Continues `sim`, its checkpoint restore, and the specification built
+/// from the checkpointed state for `rounds` rounds in lockstep.
+fn assert_resume_matches_spec(sim: &mut Simulation<CappedProcess>, rounds: u64, what: &str) {
+    let bytes = checkpoint::save(sim);
+    let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
+    let mut spec = spec_of(restored.process());
+    let mut spec_rng = SimRng::from_state(restored.rng().state());
+    for round in 0..rounds {
+        let a = sim.step();
+        let r = restored.step();
+        let s = spec.step(&mut spec_rng);
+        assert_eq!(a, r, "{what}: restored run diverged at round {round}");
+        assert_eq!(a, s, "{what}: spec diverged at round {round}");
+    }
+    assert_same_state(restored.process(), &spec, what);
 }
 
 #[test]
@@ -366,10 +448,7 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
     // capacities diverge from the configured profile — over-full bins and
     // all — then continue bit-exactly.
     let config = CappedConfig::new(32, 2, 0.75).expect("valid");
-    let mut sim = Simulation::new(
-        CappedProcess::with_kernel(config, KernelMode::Arena),
-        SimRng::seed_from(23),
-    );
+    let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(23));
     sim.run_rounds(30);
     sim.process_mut()
         .set_bin_capacity(1, Capacity::finite(1).unwrap());
@@ -377,21 +456,28 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
     sim.process_mut().set_bin_offline(9, true);
     sim.run_rounds(30);
 
-    let bytes = checkpoint::save(&sim);
-    let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
+    let restored = checkpoint::restore(&checkpoint::save(&sim)).expect("valid checkpoint");
     assert_eq!(
         restored.process().bin(1).capacity(),
         Capacity::finite(1).unwrap()
     );
     assert_eq!(restored.process().bin(5).capacity(), Capacity::Infinite);
     assert!(restored.process().is_bin_offline(9));
-    for round in 0..80 {
-        assert_eq!(
-            sim.step(),
-            restored.step(),
-            "degraded resume diverged at round {round}"
-        );
-    }
+    assert_resume_matches_spec(&mut sim, 80, "degraded resume");
+}
+
+#[test]
+fn unbounded_checkpoint_round_trips_through_the_arena() {
+    // A CAPPED(∞, λ) checkpoint taken after a surge grew the stride
+    // restores onto a fresh arena sized by the loads it carries, and
+    // continues the trajectory of the original and of the specification.
+    let config = CappedConfig::unbounded(48, 0.75).expect("valid");
+    let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(29));
+    sim.run_rounds(10);
+    sim.process_mut().inject_pool(2_000);
+    sim.run_rounds(5);
+    assert!(sim.process().loads().into_iter().max().unwrap_or(0) > 16);
+    assert_resume_matches_spec(&mut sim, 60, "unbounded resume");
 }
 
 #[test]
@@ -399,76 +485,10 @@ fn arena_kernel_is_bit_exact_under_heavy_pool_surge() {
     // A pool ~100× the bin count: every round throws far more balls than
     // the bins can take, so nearly every request is rejected back to the
     // pool and the reject list dominates the round.
-    let config = CappedConfig::new(512, 2, 0.75).expect("valid");
-    let mut arena = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
-    let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
+    let (mut arena, mut spec) = pair(cell(512, 2, 0.75));
     arena.inject_pool(50_000);
-    scalar.inject_pool(50_000);
-    assert_lockstep(&mut arena, &mut scalar, 5, 40, "pool surge");
-}
-
-#[test]
-fn set_kernel_switches_modes_mid_run_without_divergence() {
-    // One process hops between the kernels (converting storage both
-    // directions) while the reference stays scalar; the trajectory must
-    // not notice.
-    let schedule = [
-        KernelMode::Scalar,
-        KernelMode::Arena,
-        KernelMode::Scalar,
-        KernelMode::Arena,
-    ];
-    for &(n, c, lambda) in &[(64, 2, 0.75), (96, 3, 0.875)] {
-        let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-        let mut hopper = CappedProcess::new(config.clone());
-        let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-        let mut rng_h = SimRng::seed_from(77);
-        let mut rng_s = SimRng::seed_from(77);
-        for (leg, &kernel) in schedule.iter().enumerate() {
-            hopper.set_kernel(kernel);
-            assert_eq!(hopper.kernel(), kernel);
-            for round in 0..40 {
-                let a = hopper.step(&mut rng_h);
-                let s = scalar.step(&mut rng_s);
-                assert_eq!(a, s, "leg {leg} ({kernel:?}) diverged at round {round}");
-            }
-        }
-        assert_eq!(hopper.loads(), scalar.loads());
-        assert!(hopper.conserves_balls());
-    }
-}
-
-#[test]
-fn checkpoint_restores_into_either_kernel_and_continues_identically() {
-    // A checkpoint taken under each kernel restores (onto the default
-    // arena kernel), is switched back to the kernel it was taken under,
-    // and continues the exact trajectory of both the uninterrupted
-    // original and the scalar oracle.
-    for &kernel in &[KernelMode::Arena, KernelMode::Scalar] {
-        let config = CappedConfig::new(96, 2, 0.875).expect("valid");
-        let mut sim = Simulation::new(
-            CappedProcess::with_kernel(config.clone(), kernel),
-            SimRng::seed_from(13),
-        );
-        let mut scalar = CappedProcess::with_kernel(config, KernelMode::Scalar);
-        let mut scalar_rng = SimRng::seed_from(13);
-        for _ in 0..80 {
-            let a = sim.step();
-            let s = scalar.step(&mut scalar_rng);
-            assert_eq!(a, s, "{kernel:?} pre-checkpoint divergence");
-        }
-        let bytes = checkpoint::save(&sim);
-        let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
-        restored.process_mut().set_kernel(kernel);
-        assert_eq!(restored.process().kernel(), kernel);
-        for round in 0..80 {
-            let a = sim.step();
-            let r = restored.step();
-            let s = scalar.step(&mut scalar_rng);
-            assert_eq!(a, r, "{kernel:?} restored run diverged at round {round}");
-            assert_eq!(a, s, "{kernel:?} post-checkpoint scalar divergence");
-        }
-    }
+    spec.inject_pool(50_000);
+    assert_lockstep(&mut arena, &mut spec, 5, 40, "pool surge");
 }
 
 #[test]
@@ -477,55 +497,41 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
     // it past c₀, degrade it back to c₀, and checkpoint. The restore
     // re-derives a *uniform* capacity profile around a bin whose load
     // exceeds c₀; the re-arm sweep must give that bin zero room
-    // (`saturating_sub`), not an underflowed 16-bit quota. Both kernels
-    // continue bit-exactly while the overfull bin drains.
-    for &kernel in &[KernelMode::Arena, KernelMode::Scalar] {
-        let config = CappedConfig::new(16, 2, 0.75).expect("valid");
-        let mut sim = Simulation::new(
-            CappedProcess::with_kernel(config.clone(), KernelMode::Arena),
-            SimRng::seed_from(19),
-        );
-        sim.run_rounds(10);
-        sim.process_mut().set_bin_capacity(3, Capacity::Infinite);
-        sim.process_mut().inject_pool(60);
-        sim.run_rounds(10);
-        assert!(
-            sim.process().bin(3).len() > 2,
-            "bin 3 must be loaded past c0"
-        );
-        sim.process_mut()
-            .set_bin_capacity(3, Capacity::finite(2).unwrap());
-
-        let bytes = checkpoint::save(&sim);
-        let mut restored = checkpoint::restore(&bytes).expect("valid checkpoint");
-        restored.process_mut().set_kernel(kernel);
-        for round in 0..60 {
-            let a = sim.step();
-            let r = restored.step();
-            assert_eq!(a, r, "{kernel:?} overfull restore diverged at {round}");
-        }
-        assert!(restored.process().bin(3).len() <= 2, "bin 3 drained");
-        assert!(restored.process().conserves_balls());
-    }
+    // (`saturating_sub`), not an underflowed 16-bit quota. The restored
+    // arena and the specification continue bit-exactly while the
+    // overfull bin drains.
+    let config = CappedConfig::new(16, 2, 0.75).expect("valid");
+    let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(19));
+    sim.run_rounds(10);
+    sim.process_mut().set_bin_capacity(3, Capacity::Infinite);
+    sim.process_mut().inject_pool(60);
+    sim.run_rounds(10);
+    assert!(
+        sim.process().bin(3).len() > 2,
+        "bin 3 must be loaded past c0"
+    );
+    sim.process_mut()
+        .set_bin_capacity(3, Capacity::finite(2).unwrap());
+    assert_resume_matches_spec(&mut sim, 60, "overfull restore");
+    assert!(sim.process().bin(3).len() <= 2, "bin 3 drained");
 }
 
 #[test]
 fn shard_kernels_match_through_elastic_membership_changes() {
-    // BinShard-level oracle: an arena-kernel shard and a scalar-kernel
-    // shard fed identical routed streams through the fused round stay
-    // identical through every mutation that must invalidate the arena
+    // BinShard-level oracle: one shard runs the fused round (the
+    // counting-sort kernel), a second runs the per-ball `try_accept` walk
+    // followed by `serve_sweep`. Fed identical routed streams, they stay
+    // identical through every mutation that must invalidate the kernel
     // shard's primed acceptance registers: bin growth and shrink, crash
     // and recovery, capacity degradation and raises (past the stride,
     // forcing the `counting_accept` fallback, and to unbounded), and a
     // split → rebuild → re-merge round trip (the elastic-membership and
     // fault surface the service uses).
     use iba_core::shard::{BinShard, ShardRoundStats};
-    use iba_core::Ball;
 
-    fn step(
-        shard: &mut BinShard,
-        requests: &[(usize, Ball)],
-    ) -> (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>) {
+    type Round = (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>);
+
+    fn kernel_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {
         let mut rejected = Vec::new();
         let mut served = Vec::new();
         let stats = shard.run_round(requests.iter().copied(), &mut rejected, |b, ball| {
@@ -534,15 +540,30 @@ fn shard_kernels_match_through_elastic_membership_changes() {
         (stats, rejected, served)
     }
 
+    fn walk_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {
+        let mut rejected = Vec::new();
+        let mut served = Vec::new();
+        let mut accepted = 0;
+        for &(b, ball) in requests {
+            if shard.try_accept(b, ball) {
+                accepted += 1;
+            } else {
+                rejected.push(ball);
+            }
+        }
+        let stats = shard.serve_sweep(|b, ball| served.push((b, ball)));
+        let stats = ShardRoundStats { accepted, ..stats };
+        (stats, rejected, served)
+    }
+
     let c = Capacity::finite(2).unwrap();
     let config = CappedConfig::new(16, 2, 0.75).expect("valid");
     let mut fast = BinShard::new(&config, 0..8);
-    let mut scalar = BinShard::new(&config, 0..8).with_kernel(KernelMode::Scalar);
-    assert_eq!(fast.kernel(), KernelMode::Arena);
+    let mut walk = BinShard::new(&config, 0..8);
     let mut rng = SimRng::seed_from(3);
     let mut pending: Vec<Ball> = Vec::new();
     for round in 1..=200u64 {
-        for shard in [&mut fast, &mut scalar] {
+        for shard in [&mut fast, &mut walk] {
             match round {
                 // Elastic membership: grow two bins, shrink one later.
                 30 | 45 => shard.push_bin_with(c, &[], false),
@@ -567,7 +588,7 @@ fn shard_kernels_match_through_elastic_membership_changes() {
                 // and merge it back.
                 140 => {
                     let parts = shard.split_off(5);
-                    let upper = BinShard::from_parts(5, c, parts);
+                    let upper = BinShard::from_parts(5, parts);
                     for (cap, balls, offline) in upper.to_parts() {
                         shard.push_bin_with(cap, &balls, offline);
                     }
@@ -577,8 +598,8 @@ fn shard_kernels_match_through_elastic_membership_changes() {
         }
         if round == 80 {
             let (cf, bf, of) = fast.pop_bin();
-            let (cs, bs, os) = scalar.pop_bin();
-            assert_eq!((cf, &bf, of), (cs, &bs, os), "popped bins diverged");
+            let (cw, bw, ow) = walk.pop_bin();
+            assert_eq!((cf, &bf, of), (cw, &bw, ow), "popped bins diverged");
             pending.extend(bf); // drained balls re-enter the stream
         }
         if round == 100 || round == 105 {
@@ -592,15 +613,15 @@ fn shard_kernels_match_through_elastic_membership_changes() {
             .drain(..)
             .map(|ball| (rng.uniform_bin(bins), ball))
             .collect();
-        let (stats_f, rej_f, served_f) = step(&mut fast, &requests);
-        let (stats_s, rej_s, served_s) = step(&mut scalar, &requests);
-        assert_eq!(stats_f, stats_s, "round stats diverged at round {round}");
-        assert_eq!(rej_f, rej_s, "rejects diverged at round {round}");
-        assert_eq!(served_f, served_s, "serves diverged at round {round}");
+        let (stats_f, rej_f, served_f) = kernel_step(&mut fast, &requests);
+        let (stats_w, rej_w, served_w) = walk_step(&mut walk, &requests);
+        assert_eq!(stats_f, stats_w, "round stats diverged at round {round}");
+        assert_eq!(rej_f, rej_w, "rejects diverged at round {round}");
+        assert_eq!(served_f, served_w, "serves diverged at round {round}");
         assert_eq!(
-            fast.loads(),
-            scalar.loads(),
-            "loads diverged at round {round}"
+            fast.to_parts(),
+            walk.to_parts(),
+            "bins diverged at round {round}"
         );
         pending = rej_f;
     }
@@ -611,8 +632,8 @@ fn step_into_refills_the_report_without_divergence() {
     // The engine's allocation-free loop (`step_into` with one reused
     // report) must observe the same trajectory as fresh-report `step`.
     let config = CappedConfig::new(64, 2, 0.75).expect("valid");
-    let mut a = CappedProcess::with_kernel(config.clone(), KernelMode::Arena);
-    let mut b = CappedProcess::with_kernel(config, KernelMode::Arena);
+    let mut a = CappedProcess::new(config.clone());
+    let mut b = CappedProcess::new(config);
     let mut rng_a = SimRng::seed_from(31);
     let mut rng_b = SimRng::seed_from(31);
     let mut reused = RoundReport::default();

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use iba_core::{Ball, BinBuffer, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_core::{Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool};
 use iba_sim::process::AllocationProcess;
 use iba_sim::SimRng;
 
@@ -85,32 +85,41 @@ proptest! {
         }
     }
 
-    /// Buffers never exceed capacity and serve FIFO for arbitrary
-    /// operation sequences.
+    /// A bin never exceeds its capacity and serves FIFO for arbitrary
+    /// operation sequences, also across a mid-sequence raise to unbounded
+    /// (which makes the one-bin arena grow its ring).
     #[test]
     fn buffer_respects_capacity_and_fifo(
         cap in 1u32..8,
         ops in prop::collection::vec(any::<bool>(), 1..200),
+        raise_at in 0usize..200,
     ) {
-        let mut buf = BinBuffer::new(Capacity::finite(cap).unwrap());
+        let mut bin = BinArena::new(vec![Capacity::finite(cap).unwrap()]);
         let mut model: std::collections::VecDeque<u64> = Default::default();
+        let mut bound = Some(cap as usize);
         let mut label = 0u64;
-        for push in ops {
+        for (i, push) in ops.into_iter().enumerate() {
+            if i == raise_at {
+                bin.set_capacity(0, Capacity::Infinite);
+                bound = None;
+            }
             if push {
                 label += 1;
-                let accepted = buf.try_accept(Ball::generated_in(label));
-                if model.len() < cap as usize {
+                let accepted = bin.try_accept(0, Ball::generated_in(label));
+                if bound.is_none_or(|c| model.len() < c) {
                     prop_assert!(accepted);
                     model.push_back(label);
                 } else {
                     prop_assert!(!accepted);
                 }
             } else {
-                let served = buf.serve().map(|b| b.label());
+                let served = bin.serve(0).map(|b| b.label());
                 prop_assert_eq!(served, model.pop_front());
             }
-            prop_assert_eq!(buf.len(), model.len());
-            prop_assert!(buf.len() <= cap as usize);
+            prop_assert_eq!(bin.len(0), model.len());
+            prop_assert!(bound.is_none_or(|c| bin.len(0) <= c));
+            let held: Vec<u64> = bin.iter_bin(0).map(Ball::label).collect();
+            prop_assert_eq!(held, model.iter().copied().collect::<Vec<u64>>());
         }
     }
 

@@ -135,7 +135,7 @@ pub fn config_pairs(benchmark: &str, doc: &JsonValue) -> Option<Vec<(String, Str
     };
     let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64);
     match benchmark {
-        "round_kernel" | "obs_overhead" => {
+        "obs_overhead" => {
             push(&mut pairs, "seed", num(doc, "seed"))?;
             push(&mut pairs, "warmup_rounds", num(doc, "warmup_rounds"))?;
             push(&mut pairs, "measured_rounds", num(doc, "measured_rounds"))?;
@@ -288,19 +288,19 @@ mod tests {
 
     #[test]
     fn config_pairs_cover_the_committed_shapes() {
-        let round_kernel = json::parse(
-            "{\"benchmark\":\"round_kernel\",\"seed\":20210705,\
+        let obs_overhead = json::parse(
+            "{\"benchmark\":\"obs_overhead\",\"seed\":20210705,\
              \"warmup_rounds\":48,\"measured_rounds\":32,\
              \"cells\":[{\"n\":1000000,\"c\":2,\"lambda\":0.95},\
                          {\"n\":1000000,\"c\":4,\"lambda\":0.95}]}",
         )
         .unwrap();
-        let pairs = config_pairs("round_kernel", &round_kernel).unwrap();
+        let pairs = config_pairs("obs_overhead", &obs_overhead).unwrap();
         let rendered: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
         assert_eq!(
             rendered,
             [
-                "benchmark=round_kernel",
+                "benchmark=obs_overhead",
                 "seed=20210705",
                 "warmup_rounds=48",
                 "measured_rounds=32",
@@ -310,7 +310,7 @@ mod tests {
             ]
         );
         // Unknown benchmarks and missing parameters refuse to hash.
-        assert!(config_pairs("mystery", &round_kernel).is_none());
+        assert!(config_pairs("mystery", &obs_overhead).is_none());
         let truncated = json::parse("{\"benchmark\":\"serve_net\",\"seed\":1}").unwrap();
         assert!(config_pairs("serve_net", &truncated).is_none());
     }

@@ -4,7 +4,7 @@
 //! cargo run --release -p iba-exp --bin replicate -- --quick --check
 //! ```
 //!
-//! Re-runs the quick paper replication sweep plus all five committed
+//! Re-runs the quick paper replication sweep plus all four committed
 //! benchmark harnesses as subprocesses (each asserts its own
 //! self-validation and appends a provenance-stamped record to the
 //! registry), then renders the static `report.html` and — with
@@ -12,7 +12,7 @@
 //! shares its config hash, exiting nonzero past the threshold.
 //!
 //! `--stamp-baselines` instead injects a provenance block (schema
-//! version, git rev, host, config hash) into the five committed
+//! version, git rev, host, config hash) into the four committed
 //! `BENCH_*.json` files, preserving their hand formatting, and exits.
 
 use std::path::{Path, PathBuf};
@@ -28,12 +28,6 @@ use iba_obs::json::{self, content_hash, JsonValue, Provenance};
 /// The committed baselines, harness binary first, output file second,
 /// then the flag sets for quick and full replication.
 const HARNESSES: &[(&str, &str, &[&str], &[&str])] = &[
-    (
-        "round_kernel_baseline",
-        "BENCH_round_kernel.json",
-        &["--quick"],
-        &[],
-    ),
     (
         "obs_overhead_baseline",
         "BENCH_obs_overhead.json",
@@ -114,17 +108,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Walks up from the current directory to the workspace root (the
-/// directory holding the committed `BENCH_*.json` baselines).
+/// Walks up from the current directory to the workspace root: the first
+/// directory whose `Cargo.toml` declares `[workspace]` (it also holds the
+/// committed `BENCH_*.json` baselines).
 fn find_repo_root() -> Result<PathBuf, String> {
     let mut dir = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
     loop {
-        if dir.join("BENCH_round_kernel.json").is_file() && dir.join("Cargo.toml").is_file() {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        if manifest.lines().any(|line| line.trim() == "[workspace]") {
             return Ok(dir);
         }
         if !dir.pop() {
             return Err(
-                "cannot find the workspace root (no BENCH_round_kernel.json above cwd)".into(),
+                "cannot find the workspace root (no [workspace] Cargo.toml above cwd)".into(),
             );
         }
     }
@@ -376,7 +372,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         //    own Theorem-2 bound per cell and records itself).
         run_cargo(&root, &plan.sweep_args(&sweep_jsonl, &registry_path))?;
 
-        // 2. The five benchmark harnesses; each asserts its own
+        // 2. The four benchmark harnesses; each asserts its own
         //    self-validation (nonzero exit aborts the replication) and
         //    appends its provenance-stamped record to the registry.
         for (bin, file, quick_flags, full_flags) in HARNESSES {

@@ -18,7 +18,7 @@ use iba_obs::json::{self, content_hash, JsonObjWriter, JsonValue, Provenance};
 /// which code revision on which machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Benchmark / harness name (`round_kernel`, `serve_net`, `sweep`, …).
+    /// Benchmark / harness name (`obs_overhead`, `serve_net`, `sweep`, …).
     pub benchmark: String,
     /// Content hash of the canonical config pairs (`fnv1a:<hex>`).
     pub config_hash: String,

@@ -59,11 +59,6 @@ pub struct ReportInput {
 /// structural fractions — the values worth eyeballing across PRs).
 fn headline_metrics(benchmark: &str) -> &'static [&'static str] {
     match benchmark {
-        "round_kernel" => &[
-            "cells.0.arena_speedup",
-            "cells.1.arena_speedup",
-            "cells.2.arena_speedup",
-        ],
         "obs_overhead" => &["cells.0.overhead_percent"],
         "serve_net" => &["accepted_per_sec", "admission_latency_us.p99"],
         "net_chaos" => &[
@@ -477,7 +472,6 @@ mod tests {
         let input = ReportInput {
             generated_unix: 1_750_000_000,
             bench: vec![
-                bench_file("round_kernel", &[("cells.0.arena_speedup", 3.0)]),
                 bench_file("serve_net", &[("accepted_per_sec", 900_000.0)]),
                 bench_file("obs_overhead", &[("cells.0.overhead_percent", 4.4)]),
                 bench_file(
@@ -511,7 +505,6 @@ mod tests {
         };
         let html = render_html(&input);
         for marker in [
-            "trajectory-round_kernel",
             "trajectory-serve_net",
             "trajectory-obs_overhead",
             "trajectory-net_chaos",

@@ -1,8 +1,9 @@
 //! Pool-bound-driven autoscaling policy.
 //!
 //! Theorem 1 of the source paper bounds the stationary pool of a healthy
-//! CAPPED(c, λ) system; the telemetry layer already exports both the live
-//! pool size and the bound as gauges. The [`Autoscaler`] closes the loop:
+//! CAPPED(c, λ) system. The telemetry layer exports the live pool size as
+//! a gauge (`iba_serve_pool_size`) but not the bound; the caller computes
+//! the bound and passes it in. The [`Autoscaler`] closes the loop:
 //! a pool persistently *above* a high-water fraction of the bound means
 //! the fleet is under-capacitated (faults, surges, or organic load) and
 //! bins should be added; a pool persistently *below* a low-water fraction

@@ -64,8 +64,9 @@ pub struct Provenance {
     pub host: String,
     /// `std::thread::available_parallelism()` on that machine.
     pub cores: u64,
-    /// Acceptance-kernel mode, when the run had one (`scalar`, `arena`;
-    /// records from older revisions may name since-deleted modes).
+    /// Acceptance-kernel name, when the run had one (`arena`; records
+    /// from older revisions may name since-deleted kernels such as
+    /// `scalar`).
     pub kernel: Option<String>,
     /// Worker-thread count, when the run had one (one per shard for the
     /// service harnesses, 1 for single-process kernels).
@@ -90,8 +91,9 @@ impl Provenance {
         }
     }
 
-    /// Returns `self` with the kernel mode and thread count attached.
-    pub fn with_kernel(mut self, kernel: &str, threads: usize) -> Provenance {
+    /// Returns `self` with the execution shape attached: the kernel name
+    /// and the thread count.
+    pub fn with_execution(mut self, kernel: &str, threads: usize) -> Provenance {
         self.kernel = Some(kernel.to_string());
         self.threads = Some(threads as u64);
         self

@@ -308,7 +308,7 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
     iba_obs::flight::set_run_context(
-        iba_obs::json::Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
+        iba_obs::json::Provenance::collect().with_execution(KernelMode::Arena.name(), opts.shards),
     );
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
@@ -459,7 +459,8 @@ fn run(opts: &Options) -> Result<(), String> {
     if iba_obs::enabled() {
         iba_obs::flight::install_panic_hook();
         iba_obs::flight::set_run_context(
-            iba_obs::json::Provenance::collect().with_kernel(KernelMode::Arena.name(), opts.shards),
+            iba_obs::json::Provenance::collect()
+                .with_execution(KernelMode::Arena.name(), opts.shards),
         );
     }
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)

@@ -490,7 +490,7 @@ impl CappedService {
                         (bin.capacity(), contents, process.is_bin_offline(i))
                     })
                     .collect();
-                Slot::new(BinShard::from_parts(first_bin, expected.capacity(), parts))
+                Slot::new(BinShard::from_parts(first_bin, parts))
             })
             .collect();
 
@@ -542,7 +542,7 @@ impl CappedService {
             .collect();
         let process = CappedProcess::from_parts(
             inner_config,
-            BinShard::from_parts(0, self.config.capacity(), parts),
+            BinShard::from_parts(0, parts),
             self.pool.clone(),
             self.round,
             self.total_generated,
@@ -668,9 +668,9 @@ impl CappedService {
         self.balls_moved
     }
 
-    /// Acceptance kernel every shard runs: always the production
-    /// [`KernelMode::Arena`] (the scalar oracle is a `BinShard`-level test
-    /// hook, not a service option).
+    /// Acceptance kernel every shard runs: always [`KernelMode::Arena`],
+    /// the one kernel. Kept for the repository benchmark, which prints it;
+    /// it goes with the benchmark's API shims (ROADMAP item 1).
     pub fn kernel_mode(&self) -> KernelMode {
         KernelMode::Arena
     }
@@ -1116,7 +1116,7 @@ impl CappedService {
         let at = slot.bins.len() / 2;
         let first_bin = slot.bins.first_bin() + at;
         let upper = slot.bins.split_off(at);
-        let upper = BinShard::from_parts(first_bin, self.config.capacity(), upper);
+        let upper = BinShard::from_parts(first_bin, upper);
         self.slots.insert(shard + 1, Slot::new(upper));
         true
     }

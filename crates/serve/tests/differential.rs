@@ -12,7 +12,8 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use iba_core::{checkpoint, CappedConfig, CappedProcess, KernelMode};
+use iba_core::spec::SpecCapped;
+use iba_core::{checkpoint, CappedConfig, CappedProcess};
 use iba_serve::proto::MAGIC;
 use iba_serve::{CappedService, Frame, FrameDecoder, NetFrontend, RngMode, ServiceConfig};
 use iba_sim::codec::Decoder;
@@ -142,15 +143,15 @@ fn faulted_trajectory_is_bit_identical_to_faulted_process() {
 #[test]
 fn sharded_arena_kernel_is_bit_identical_to_scalar_reference() {
     // The service's `BinShard` workers accept through the flat-arena
-    // counting-sort kernel; the reference here is pinned to the legacy
-    // scalar kernel (`KernelMode::Scalar`), so this differential proves
-    // old-kernel process == new-kernel sharded service end to end, for
-    // every shard count.
+    // counting-sort kernel; the reference here is the literal scalar
+    // specification (`SpecCapped`: one draw per ball, per-bin request
+    // sorting), so this differential proves Algorithm 1 == sharded
+    // service end to end, for every shard count.
     for &(n, c, lambda) in CELLS {
         for shards in [1usize, 3, 8] {
             for &seed in SEEDS {
                 let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-                let mut reference = CappedProcess::with_kernel(config.clone(), KernelMode::Scalar);
+                let mut reference = SpecCapped::from_config(&config);
                 let mut rng = SimRng::seed_from(seed);
                 let mut service = spawn_central(config, shards, seed);
                 for round in 0..150 {
@@ -158,7 +159,7 @@ fn sharded_arena_kernel_is_bit_identical_to_scalar_reference() {
                     let actual = service.run_round();
                     assert_eq!(
                         actual, expected,
-                        "arena service diverged from scalar reference: n={n} c={c} \
+                        "arena service diverged from the spec: n={n} c={c} \
                          lambda={lambda} shards={shards} seed={seed} round={round}"
                     );
                 }
@@ -173,13 +174,10 @@ fn faulted_sharded_arena_kernel_matches_faulted_scalar_reference() {
     // Same statement under fault injection: offline bins and capacity
     // degradation (including the raise back to the configured bound) flow
     // through the shards' arena storage and must not perturb a single
-    // report relative to the scalar-kernel faulted process.
+    // report relative to the faulted specification.
     for shards in [1usize, 4, 6] {
         let config = CappedConfig::new(48, 2, 0.75).expect("valid");
-        let mut reference = FaultedProcess::new(
-            CappedProcess::with_kernel(config.clone(), KernelMode::Scalar),
-            scenario(),
-        );
+        let mut reference = FaultedProcess::new(SpecCapped::from_config(&config), scenario());
         let mut rng = SimRng::seed_from(99);
         let mut service = spawn_central(config, shards, 99);
         service.schedule(scenario());
@@ -188,7 +186,7 @@ fn faulted_sharded_arena_kernel_matches_faulted_scalar_reference() {
             let actual = service.run_round();
             assert_eq!(
                 actual, expected,
-                "faulted arena-vs-scalar divergence at shards={shards} round={round}"
+                "faulted arena-vs-spec divergence at shards={shards} round={round}"
             );
         }
         assert!(service.conserves_balls());

@@ -381,6 +381,54 @@ fn resume_rejects_a_pending_count_past_the_data() {
 }
 
 #[test]
+fn resume_rejects_a_core_checkpoint_with_a_forged_bin_count() {
+    let cfg = ServiceConfig::new(config(16, 2, 0.5), 2, 7).with_model_arrivals(true);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    service.run_rounds(5);
+    let bytes = service.checkpoint_bytes();
+
+    // A CRC-valid core checkpoint whose configuration claims n = 2⁴⁰ bins
+    // and stops after the bin count: the restore must run out of bytes,
+    // not reserve per-bin state for the claimed count.
+    let n = 1usize << 40;
+    let mut core = Encoder::new();
+    core.header("IBA1", 2);
+    for word in [1, 2, 3, 4] {
+        core.u64(word);
+    }
+    config(n, 2, 0.5).encode_into(&mut core);
+    for _ in ["round", "total generated", "total deleted"] {
+        core.u64(0);
+    }
+    core.u64_seq(std::iter::empty());
+    core.usize(n);
+
+    // Swap it into the otherwise unchanged envelope.
+    let mut dec = Decoder::new(&bytes).unwrap();
+    dec.header("IBSV", 2).unwrap();
+    dec.byte_seq("core checkpoint").unwrap();
+    let mut enc = Encoder::new();
+    enc.header("IBSV", 2);
+    enc.byte_seq(&core.finish());
+    enc.u32(dec.u32("rng mode").unwrap());
+    enc.usize(dec.usize("shard count").unwrap());
+    for what in ["ticket watermark", "total admitted", "total expired"] {
+        enc.u64(dec.u64(what).unwrap());
+    }
+    assert_eq!(dec.usize("pending ticket map").unwrap(), 0);
+    enc.usize(0);
+    enc.usize(dec.usize("live bin count").unwrap());
+    enc.u64_seq(dec.u64_seq("shard range ends").unwrap().into_iter());
+    enc.u64(dec.u64("balls moved").unwrap());
+    enc.u64(dec.u64("membership events").unwrap());
+    assert!(dec.is_exhausted());
+    assert!(matches!(
+        CappedService::resume(cfg, &enc.finish()),
+        Err(ResumeError::Codec(_))
+    ));
+}
+
+#[test]
 fn service_faults_advance_the_fault_counters() {
     // Other tests of this binary run concurrently: telemetry is only ever
     // switched on here, and the counter is compared as a lower bound.

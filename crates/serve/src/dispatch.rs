@@ -2,25 +2,29 @@
 //! completion notifications.
 //!
 //! Clients interact with the service exclusively through a cloneable
-//! [`Dispatcher`] handle. Submission places a request onto a **bounded**
-//! ingress queue; when the queue is full the service is saturated and
-//! [`Dispatcher::submit`] reports backpressure instead of queueing
-//! unboundedly ([`SubmitError::Saturated`]), while
-//! [`Dispatcher::submit_blocking`] parks the caller until space frees up.
-//! Each accepted submission is identified by a [`Ticket`]; when the ball
-//! it became is served by a bin, the service emits a [`Completion`]
-//! carrying the measured waiting time in rounds.
+//! [`Dispatcher`] handle. A request is only its ticket id, so the
+//! **bounded** ingress queue is an id range: submitting reserves the next
+//! id at the tail with one compare-and-swap, and each round the service
+//! admits a prefix of the queued ids by moving the head forward — one
+//! range take per round, whatever the number of tickets. When the queue
+//! is full the service is saturated and [`Dispatcher::submit`] reports
+//! backpressure instead of queueing unboundedly
+//! ([`SubmitError::Saturated`]), while [`Dispatcher::submit_blocking`]
+//! parks the caller until an admission frees space. Each accepted
+//! submission is identified by a [`Ticket`]; when the ball it became is
+//! served by a bin, the service emits a [`Completion`] carrying the
+//! measured waiting time in rounds.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::obs;
 
 /// Identifies one submitted request. Ids are unique per service and
-/// monotonically assigned in submission order (ids of submissions rejected
-/// for backpressure are skipped, never reused).
+/// assigned consecutively in submission order; a refused submission uses
+/// up no id, and the service admits tickets in id order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket {
     id: u64,
@@ -85,6 +89,139 @@ pub struct Completion {
     pub waiting_rounds: u64,
 }
 
+/// The bounded ingress queue shared by a service and its dispatchers: the
+/// queued ticket ids are exactly `head..tail`.
+///
+/// Submitters move `tail`; only the owning service moves `head`, once per
+/// round. The ids publish no other data: `head`'s release store pairs with
+/// the submitters' acquire loads, and `tail`'s swaps with the admission's
+/// acquire load, so each side sees the other's counter no older than its
+/// last synchronisation. The mutex guards no data, so a poisoned lock is
+/// recovered; it and the condition variable are touched only by
+/// [`Dispatcher::submit_blocking`]'s slow path, by an admission that frees
+/// space, and by [`close`](Self::close).
+#[derive(Debug)]
+pub(crate) struct Ingress {
+    /// The next ticket id to hand out (the checkpoint watermark).
+    tail: AtomicU64,
+    /// The first id not yet admitted.
+    head: AtomicU64,
+    capacity: u64,
+    closed: AtomicBool,
+    lock: Mutex<()>,
+    space: Condvar,
+}
+
+impl Ingress {
+    /// An empty queue of `capacity` ids whose first ticket id is
+    /// `first_id` — on resume, the checkpoint's watermark, so new tickets
+    /// never collide with ids handed out before the crash.
+    pub(crate) fn new(capacity: usize, first_id: u64) -> Self {
+        Ingress {
+            tail: AtomicU64::new(first_id),
+            head: AtomicU64::new(first_id),
+            capacity: capacity as u64,
+            closed: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            space: Condvar::new(),
+        }
+    }
+
+    /// Queued ids: an exact snapshot, never above the capacity.
+    pub(crate) fn depth(&self) -> u64 {
+        loop {
+            let head = self.head.load(Ordering::Acquire);
+            let tail = self.tail.load(Ordering::Acquire);
+            // `head` only grows: unchanged across the `tail` load, it was
+            // `head` at that instant, so `tail − head` was the depth then.
+            if self.head.load(Ordering::Acquire) == head {
+                return tail - head;
+            }
+        }
+    }
+
+    /// The next ticket id that would be assigned (checkpoint watermark).
+    pub(crate) fn next_id(&self) -> u64 {
+        self.tail.load(Ordering::Acquire)
+    }
+
+    /// Reserves the tail id if the queue has room.
+    fn try_reserve(&self) -> Result<u64, SubmitError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(SubmitError::Closed);
+        }
+        let mut tail = self.tail.load(Ordering::Relaxed);
+        loop {
+            // `head` is read after `tail` and only grows, so this
+            // under-counts the depth if anything: a stale `tail` fails the
+            // swap below, and a successful swap leaves at most `capacity`
+            // ids queued. A stale `tail` below `head` reads as empty.
+            let head = self.head.load(Ordering::Acquire);
+            if tail.saturating_sub(head) >= self.capacity {
+                return Err(SubmitError::Saturated);
+            }
+            match self.tail.compare_exchange_weak(
+                tail,
+                tail + 1,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(tail),
+                Err(seen) => tail = seen,
+            }
+        }
+    }
+
+    /// Reserves the tail id, parking while the queue is full.
+    fn reserve_blocking(&self) -> Result<u64, SubmitError> {
+        match self.try_reserve() {
+            Err(SubmitError::Saturated) => {}
+            done => return done,
+        }
+        // An admission moves `head` before it takes the lock to notify, so
+        // a retry under the lock either sees the freed space or is parked
+        // in `wait` when the notification comes: no wake-up is lost.
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            match self.try_reserve() {
+                Err(SubmitError::Saturated) => {
+                    guard = self
+                        .space
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Admits the oldest queued ids, at most `max` of them (all if
+    /// `None`), and wakes any parked submitter if that freed space. Only
+    /// the owning service calls this, so `head` has a single writer.
+    pub(crate) fn take(&self, max: Option<u64>) -> Range<u64> {
+        let head = self.head.load(Ordering::Relaxed);
+        let queued = self.tail.load(Ordering::Acquire) - head;
+        let end = head + max.map_or(queued, |cap| cap.min(queued));
+        if end > head {
+            self.head.store(end, Ordering::Release);
+            self.wake_all();
+        }
+        head..end
+    }
+
+    /// Refuses every later submission and wakes parked submitters, which
+    /// then return [`SubmitError::Closed`].
+    pub(crate) fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.wake_all();
+    }
+
+    fn wake_all(&self) {
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.space.notify_all();
+    }
+}
+
 /// Cloneable client handle for submitting requests to a
 /// [`CappedService`](crate::service::CappedService).
 ///
@@ -92,69 +229,29 @@ pub struct Completion {
 /// any number of client threads can submit concurrently.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
-    ingress: SyncSender<u64>,
-    next_id: Arc<AtomicU64>,
-    /// Requests currently sitting in the ingress queue (incremented on
-    /// successful submit, decremented when the service admits them). An
-    /// approximation under concurrency, good enough for shed decisions.
-    depth: Arc<AtomicUsize>,
-    capacity: usize,
+    ingress: Arc<Ingress>,
 }
 
 impl Dispatcher {
-    /// A dispatcher whose ticket ids start at `first_id` — used when
-    /// resuming from a checkpoint so new tickets never collide with ids
-    /// handed out before the crash.
-    pub(crate) fn with_first_id(ingress: SyncSender<u64>, capacity: usize, first_id: u64) -> Self {
-        Dispatcher {
-            ingress,
-            next_id: Arc::new(AtomicU64::new(first_id)),
-            depth: Arc::new(AtomicUsize::new(0)),
-            capacity,
-        }
+    pub(crate) fn new(ingress: Arc<Ingress>) -> Self {
+        Dispatcher { ingress }
     }
 
     /// Capacity of the bounded ingress queue.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ingress.capacity as usize
     }
 
-    /// Requests currently enqueued awaiting admission (approximate under
-    /// concurrent submitters).
+    /// Requests currently enqueued awaiting admission: exact at one
+    /// instant, and never above [`capacity`](Self::capacity).
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.ingress.depth() as usize
     }
 
     /// Ingress fill ratio in `[0, 1]` — the pressure signal admission
     /// control sheds on.
     pub fn fill_ratio(&self) -> f64 {
-        if self.capacity == 0 {
-            return 0.0;
-        }
-        (self.depth() as f64 / self.capacity as f64).min(1.0)
-    }
-
-    /// The next ticket id that would be assigned (checkpoint watermark).
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
-    }
-
-    /// Records that the service admitted `count` requests off the queue.
-    pub(crate) fn note_admitted(&self, count: usize) {
-        // Saturating: depth is advisory and must never underflow.
-        let mut current = self.depth.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(count);
-            match self.depth.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
+        self.depth() as f64 / self.capacity() as f64
     }
 
     /// Submits one request without blocking.
@@ -165,15 +262,7 @@ impl Dispatcher {
     /// request is shed — resubmit to retry), [`SubmitError::Closed`] if
     /// the service is gone.
     pub fn submit(&self) -> Result<Ticket, SubmitError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = match self.ingress.try_send(id) {
-            Ok(()) => {
-                self.depth.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket::from_id(id))
-            }
-            Err(TrySendError::Full(_)) => Err(SubmitError::Saturated),
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Closed),
-        };
+        let result = self.ingress.try_reserve().map(Ticket::from_id);
         if let Some(p) = obs::probes() {
             p.submits.inc();
             match result {
@@ -190,17 +279,10 @@ impl Dispatcher {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] if the service is gone.
+    /// [`SubmitError::Closed`] if the service is gone, including while
+    /// this call is parked on a full queue.
     pub fn submit_blocking(&self) -> Result<Ticket, SubmitError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = self
-            .ingress
-            .send(id)
-            .map(|()| {
-                self.depth.fetch_add(1, Ordering::Relaxed);
-                Ticket::from_id(id)
-            })
-            .map_err(|_| SubmitError::Closed);
+        let result = self.ingress.reserve_blocking().map(Ticket::from_id);
         if let Some(p) = obs::probes() {
             p.submits.inc();
             if result.is_err() {
@@ -214,75 +296,19 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
 
     #[test]
-    fn submit_returns_monotonic_tickets() {
-        let (tx, rx) = sync_channel(8);
-        let d = Dispatcher::with_first_id(tx, 8, 0);
-        let a = d.submit().unwrap();
-        let b = d.submit().unwrap();
-        assert!(b.id() > a.id());
-        assert_eq!(rx.try_recv().unwrap(), a.id());
-        assert_eq!(rx.try_recv().unwrap(), b.id());
-    }
-
-    #[test]
-    fn full_queue_reports_saturation() {
-        let (tx, _rx) = sync_channel(1);
-        let d = Dispatcher::with_first_id(tx, 1, 0);
-        assert!(d.submit().is_ok());
-        assert_eq!(d.submit(), Err(SubmitError::Saturated));
-    }
-
-    #[test]
-    fn closed_queue_reports_closed() {
-        let (tx, rx) = sync_channel(1);
-        drop(rx);
-        let d = Dispatcher::with_first_id(tx, 1, 0);
-        assert_eq!(d.submit(), Err(SubmitError::Closed));
-        assert_eq!(d.submit_blocking(), Err(SubmitError::Closed));
-    }
-
-    #[test]
-    fn clones_share_the_ticket_space() {
-        let (tx, _rx) = sync_channel(16);
-        let d1 = Dispatcher::with_first_id(tx, 16, 0);
-        let d2 = d1.clone();
-        let a = d1.submit().unwrap();
-        let b = d2.submit().unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn depth_tracks_queue_occupancy() {
-        let (tx, _rx) = sync_channel(4);
-        let d = Dispatcher::with_first_id(tx, 4, 0);
-        assert_eq!(d.depth(), 0);
-        assert_eq!(d.fill_ratio(), 0.0);
-        for _ in 0..4 {
+    fn take_admits_the_oldest_ids_up_to_the_cap() {
+        let ingress = Arc::new(Ingress::new(8, 100));
+        let d = Dispatcher::new(Arc::clone(&ingress));
+        for _ in 0..5 {
             d.submit().unwrap();
         }
-        assert_eq!(d.depth(), 4);
-        assert_eq!(d.fill_ratio(), 1.0);
-        // Rejected submissions do not inflate the depth.
-        assert_eq!(d.submit(), Err(SubmitError::Saturated));
-        assert_eq!(d.depth(), 4);
-        d.note_admitted(3);
-        assert_eq!(d.depth(), 1);
-        // Saturating: over-reporting admissions never underflows.
-        d.note_admitted(10);
-        assert_eq!(d.depth(), 0);
-    }
-
-    #[test]
-    fn first_id_watermark_offsets_tickets() {
-        let (tx, _rx) = sync_channel(4);
-        let d = Dispatcher::with_first_id(tx, 4, 100);
-        assert_eq!(d.next_id(), 100);
-        assert_eq!(d.submit().unwrap().id(), 100);
-        assert_eq!(d.submit().unwrap().id(), 101);
-        assert_eq!(d.next_id(), 102);
+        assert_eq!(ingress.take(Some(3)), 100..103);
+        assert_eq!(d.depth(), 2);
+        assert_eq!(ingress.take(None), 103..105);
+        assert_eq!(ingress.take(None), 105..105);
+        assert_eq!(ingress.next_id(), 105);
     }
 
     #[test]

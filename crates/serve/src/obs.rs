@@ -29,6 +29,8 @@ pub(crate) struct ServeProbes {
     pub pool_size: Arc<Gauge>,
     /// Balls buffered across all shards after the last round.
     pub buffered: Arc<Gauge>,
+    /// Tickets queued at ingress when the last round began admitting.
+    pub ingress_depth: Arc<Gauge>,
     /// Admitted-but-unserved tickets after the last round.
     pub pending_tickets: Arc<Gauge>,
     /// Largest per-bin load observed across all rounds so far.
@@ -111,6 +113,7 @@ impl ServeProbes {
             shard_round_nanos: r.histogram("iba_serve_shard_round_nanos"),
             pool_size: r.gauge("iba_serve_pool_size"),
             buffered: r.gauge("iba_serve_buffered"),
+            ingress_depth: r.gauge("iba_serve_ingress_depth"),
             pending_tickets: r.gauge("iba_serve_pending_tickets"),
             max_load_high_water: r.gauge("iba_serve_max_load_high_water"),
             admitted: r.counter("iba_serve_admitted_total"),

@@ -33,7 +33,8 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
@@ -48,7 +49,7 @@ use iba_sim::stats::Histogram;
 use iba_sim::{AllocationProcess, SimRng, Simulation};
 
 use crate::checkpoint::ResumeError;
-use crate::dispatch::{Completion, Dispatcher, Ticket};
+use crate::dispatch::{Completion, Dispatcher, Ingress, Ticket};
 use crate::metrics::ServeSnapshot;
 use crate::obs;
 use crate::shard::{Slot, Worker};
@@ -183,10 +184,11 @@ pub struct CappedService {
     model_arrivals: bool,
     max_admit: Option<u64>,
     driver_rng: SimRng,
-    ingress: Receiver<u64>,
-    dispatcher: Dispatcher,
-    completions_tx: Sender<Completion>,
-    completions_rx: Option<Receiver<Completion>>,
+    /// The bounded ingress queue every [`Dispatcher`] clone submits to.
+    ingress: Arc<Ingress>,
+    /// Where completions go once [`take_completions`](Self::take_completions)
+    /// has made the channel; until then they are not kept.
+    completions: Option<Sender<Completion>>,
     faults: FaultSchedule,
     /// Scheduled membership changes (applied at round boundaries, before
     /// that round's faults).
@@ -291,21 +293,17 @@ impl CappedService {
         first_ticket_id: u64,
     ) -> Self {
         let capped = config.capped.clone();
-        let capacity = config.ingress_capacity.max(1);
-        let (ingress_tx, ingress) = sync_channel(capacity);
-        let dispatcher = Dispatcher::with_first_id(ingress_tx, capacity, first_ticket_id);
-        let (completions_tx, completions_rx) = channel();
-
         let mut service = CappedService {
             slots,
             workers: Vec::new(),
             model_arrivals: config.model_arrivals,
             max_admit: config.max_admit_per_round,
             driver_rng,
-            ingress,
-            dispatcher,
-            completions_tx,
-            completions_rx: Some(completions_rx),
+            ingress: Arc::new(Ingress::new(
+                config.ingress_capacity.max(1),
+                first_ticket_id,
+            )),
+            completions: None,
             faults: FaultSchedule::default(),
             mplan: MembershipPlan::new(),
             autoscaler: None,
@@ -556,7 +554,7 @@ impl CappedService {
         enc.byte_seq(&core_bytes);
         enc.u32(0); // RNG mode: the driver-owned stream is the only one
         enc.usize(self.shards());
-        enc.u64(self.dispatcher.next_id());
+        enc.u64(self.ingress.next_id());
         enc.u64(self.total_admitted);
         enc.u64(self.total_expired);
         enc.usize(self.pending.len());
@@ -577,13 +575,20 @@ impl CappedService {
 
     /// A cloneable client handle for submitting requests.
     pub fn dispatcher(&self) -> Dispatcher {
-        self.dispatcher.clone()
+        Dispatcher::new(Arc::clone(&self.ingress))
     }
 
     /// Takes the completion-notification receiver. Callable once; later
-    /// calls return `None`. If never taken, completions are discarded.
+    /// calls return `None`. The channel starts at this call: completions
+    /// of the rounds run before it are discarded, not buffered, and the
+    /// receiver gets every completion from the next round on.
     pub fn take_completions(&mut self) -> Option<Receiver<Completion>> {
-        self.completions_rx.take()
+        if self.completions.is_some() {
+            return None;
+        }
+        let (tx, rx) = channel();
+        self.completions = Some(tx);
+        Some(rx)
     }
 
     /// Schedules `plan`'s fault events against the service's round
@@ -976,21 +981,19 @@ impl CappedService {
         });
     }
 
-    /// Drains the ingress queue (up to the per-round cap) into the pool,
-    /// queueing the admitted tickets as one `pending` entry.
+    /// Admits the oldest queued ids (up to the per-round cap) into the
+    /// pool in one range take, queueing the admitted tickets as one
+    /// `pending` entry.
     fn admit(&mut self, round: u64) -> u64 {
-        let mut ids = self.spare_ids.pop().unwrap_or_default();
-        while self.max_admit.is_none_or(|cap| (ids.len() as u64) < cap) {
-            let Ok(id) = self.ingress.try_recv() else {
-                break;
-            };
-            ids.push(id);
+        if let Some(p) = obs::probes() {
+            p.ingress_depth.set(self.ingress.depth());
         }
-        let admitted = ids.len() as u64;
+        let range = self.ingress.take(self.max_admit);
+        let admitted = range.end - range.start;
         self.pool.push_generation(round, admitted);
-        if ids.is_empty() {
-            self.spare_ids.push(ids);
-        } else {
+        if admitted > 0 {
+            let mut ids = self.spare_ids.pop().unwrap_or_default();
+            ids.extend(range);
             debug_assert!(self.pending.back().is_none_or(|last| last.label < round));
             self.pending_count += ids.len();
             self.pending.push_back(PendingRound {
@@ -999,7 +1002,6 @@ impl CappedService {
                 next: 0,
             });
         }
-        self.dispatcher.note_admitted(admitted as usize);
         self.total_admitted += admitted;
         if let Some(p) = obs::probes() {
             p.admitted.add(admitted);
@@ -1022,13 +1024,15 @@ impl CappedService {
             self.retire(entry);
         }
         self.pending_count -= 1;
-        let _ = self.completions_tx.send(Completion {
-            ticket: Ticket::from_id(id),
-            bin,
-            admitted_round: label,
-            served_round,
-            waiting_rounds,
-        });
+        if let Some(tx) = &self.completions {
+            let _ = tx.send(Completion {
+                ticket: Ticket::from_id(id),
+                bin,
+                admitted_round: label,
+                served_round,
+                waiting_rounds,
+            });
+        }
     }
 
     /// Keeps a removed `pending` entry's id buffer for a later admission.
@@ -1197,7 +1201,12 @@ fn locate(slots: &mut [Slot], bin: usize) -> (&mut Slot, usize) {
 }
 
 impl Drop for CappedService {
+    /// Shuts the workers down and closes the ingress: later submissions,
+    /// and submitters parked on a full queue, get [`SubmitError::Closed`].
+    ///
+    /// [`SubmitError::Closed`]: crate::SubmitError::Closed
     fn drop(&mut self) {
         self.shutdown();
+        self.ingress.close();
     }
 }

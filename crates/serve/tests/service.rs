@@ -1,11 +1,18 @@
 //! The service's public surface: spawn validation, rounds and ticket
 //! completions (each served ball takes the longest-waiting ticket of its
-//! label), admission caps and backpressure, scheduled faults, checkpoint
+//! label), the ingress (consecutive ids, exact depth, contiguous
+//! admission ranges under concurrent submitters, parked
+//! `submit_blocking` callers woken by admission and by shutdown),
+//! admission caps and backpressure, scheduled faults, checkpoint
 //! resume (across shard counts, with pending tickets, and against hostile
 //! envelopes), ticket TTL reaping, shutdown, and the fault telemetry a
 //! service run records.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use iba_core::{CappedConfig, CappedProcess};
 use iba_serve::{CappedService, ResumeError, ServiceConfig, SubmitError, Ticket};
@@ -446,6 +453,20 @@ fn service_faults_advance_the_fault_counters() {
     service.run_rounds(3);
     assert!(crashed.get() - before >= 3);
     assert!(service.conserves_balls());
+
+    // The ingress depth is sampled as each round starts admitting. The
+    // gauge is global and other tests' rounds may overwrite it between
+    // the set and the read, so a round that lost the race is retried.
+    let depth = iba_obs::global().gauge("iba_serve_ingress_depth");
+    let dispatcher = service.dispatcher();
+    let sampled = (0..100).any(|_| {
+        for _ in 0..3 {
+            dispatcher.submit().unwrap();
+        }
+        service.run_round();
+        depth.get() == 3
+    });
+    assert!(sampled, "the gauge holds the depth the round admitted from");
 }
 
 #[test]
@@ -641,4 +662,255 @@ fn resume_rejects_a_pending_ticket_id_at_the_watermark() {
         CappedService::resume(cfg, &forged),
         Err(ResumeError::Invalid { .. })
     ));
+}
+
+#[test]
+fn completions_before_the_receiver_is_taken_are_not_kept() {
+    let mut service = CappedService::spawn(ServiceConfig::new(config(64, 2, 0.0), 2, 5)).unwrap();
+    let dispatcher = service.dispatcher();
+    for _ in 0..20 {
+        for _ in 0..48 {
+            dispatcher.submit().unwrap();
+        }
+        service.run_round();
+    }
+    assert!(service.total_served() > 0);
+    let completions = service.take_completions().unwrap();
+    assert!(
+        completions.try_recv().is_err(),
+        "completions of rounds before the take are not buffered"
+    );
+    let ticket = dispatcher.submit().unwrap();
+    let mut seen = false;
+    for _ in 0..200 {
+        service.run_round();
+        seen |= completions.try_iter().any(|c| c.ticket == ticket);
+        if seen {
+            break;
+        }
+    }
+    assert!(seen, "completions after the take arrive");
+}
+
+#[test]
+fn dispatcher_ids_are_consecutive_across_clones() {
+    let mut service = CappedService::spawn(ServiceConfig::new(config(16, 2, 0.0), 1, 7)).unwrap();
+    let d1 = service.dispatcher();
+    let d2 = d1.clone();
+    let ids: Vec<u64> = (0..6)
+        .map(|i| if i % 2 == 0 { &d1 } else { &d2 })
+        .map(|d| d.submit().unwrap().id())
+        .collect();
+    assert_eq!(ids, (0..6).collect::<Vec<u64>>());
+    service.run_round();
+    assert_eq!(d2.submit().unwrap().id(), 6);
+}
+
+#[test]
+fn depth_is_exact_and_admission_takes_the_oldest_ids() {
+    let mut service = CappedService::spawn(
+        ServiceConfig::new(config(16, 2, 0.0), 2, 7)
+            .with_ingress_capacity(4)
+            .with_max_admit_per_round(Some(3)),
+    )
+    .unwrap();
+    let completions = service.take_completions().unwrap();
+    let dispatcher = service.dispatcher();
+    assert_eq!(dispatcher.capacity(), 4);
+    assert_eq!((dispatcher.depth(), dispatcher.fill_ratio()), (0, 0.0));
+    for _ in 0..4 {
+        dispatcher.submit().unwrap();
+    }
+    assert_eq!((dispatcher.depth(), dispatcher.fill_ratio()), (4, 1.0));
+    // A refusal neither queues nor inflates the depth.
+    assert_eq!(dispatcher.submit(), Err(SubmitError::Saturated));
+    assert_eq!(dispatcher.depth(), 4);
+    assert_eq!(service.run_round().generated, 3);
+    assert_eq!(dispatcher.depth(), 1);
+    service.run_rounds(20);
+    let mut admitted: Vec<(u64, u64)> = completions
+        .try_iter()
+        .map(|c| (c.admitted_round, c.ticket.id()))
+        .collect();
+    admitted.sort_unstable_by_key(|&(_, id)| id);
+    assert_eq!(admitted, vec![(1, 0), (1, 1), (1, 2), (2, 3)]);
+}
+
+#[test]
+fn a_saturated_refusal_uses_up_no_id() {
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(config(16, 2, 0.0), 1, 7).with_ingress_capacity(2))
+            .unwrap();
+    let dispatcher = service.dispatcher();
+    assert_eq!(dispatcher.submit().unwrap().id(), 0);
+    assert_eq!(dispatcher.submit().unwrap().id(), 1);
+    for _ in 0..5 {
+        assert_eq!(dispatcher.submit(), Err(SubmitError::Saturated));
+    }
+    service.run_round();
+    assert_eq!(dispatcher.submit().unwrap().id(), 2);
+}
+
+#[test]
+fn resume_continues_ids_from_the_watermark() {
+    let cfg = ServiceConfig::new(config(16, 2, 0.0), 2, 7);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    let dispatcher = service.dispatcher();
+    for _ in 0..3 {
+        dispatcher.submit().unwrap();
+    }
+    service.run_round();
+    // Queued but not admitted: issued, so behind the watermark, but not
+    // checkpointed.
+    for _ in 0..2 {
+        dispatcher.submit().unwrap();
+    }
+    let bytes = service.checkpoint_bytes();
+    let mut resumed = CappedService::resume(cfg, &bytes).unwrap();
+    let fresh = resumed.dispatcher();
+    assert_eq!(fresh.depth(), 0);
+    assert_eq!(fresh.submit().unwrap().id(), 5);
+    assert_eq!(resumed.run_round().generated, 1);
+    assert_eq!(resumed.total_admitted(), 4);
+}
+
+#[test]
+fn submits_to_a_dropped_service_are_closed() {
+    let service = CappedService::spawn(ServiceConfig::new(config(16, 2, 0.0), 2, 7)).unwrap();
+    let dispatcher = service.dispatcher();
+    dispatcher.submit().unwrap();
+    drop(service);
+    assert_eq!(dispatcher.submit(), Err(SubmitError::Closed));
+    assert_eq!(dispatcher.submit_blocking(), Err(SubmitError::Closed));
+}
+
+/// A service whose one-slot ingress is full, and a thread parked in
+/// `submit_blocking` on it that reports its result.
+fn parked_submitter(
+    shards: usize,
+) -> (
+    CappedService,
+    mpsc::Receiver<Result<Ticket, SubmitError>>,
+    thread::JoinHandle<()>,
+) {
+    let service = CappedService::spawn(
+        ServiceConfig::new(config(16, 2, 0.0), shards, 7).with_ingress_capacity(1),
+    )
+    .unwrap();
+    let dispatcher = service.dispatcher();
+    assert_eq!(dispatcher.submit().unwrap().id(), 0);
+    let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || tx.send(dispatcher.submit_blocking()).unwrap());
+    assert_eq!(
+        rx.recv_timeout(Duration::from_millis(50)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "the queue is full, so the submitter parks"
+    );
+    (service, rx, handle)
+}
+
+#[test]
+fn ingress_parked_submit_blocking_wakes_after_a_round_admits() {
+    let (mut service, rx, handle) = parked_submitter(2);
+    service.run_round();
+    let ticket = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+    assert_eq!(ticket.id(), 1);
+    handle.join().unwrap();
+    assert_eq!(service.run_round().generated, 1);
+}
+
+#[test]
+fn ingress_parked_submit_blocking_returns_closed_on_drop() {
+    let (service, rx, handle) = parked_submitter(1);
+    drop(service);
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(30)).unwrap(),
+        Err(SubmitError::Closed)
+    );
+    handle.join().unwrap();
+}
+
+#[test]
+fn ingress_admits_contiguous_ranges_under_concurrent_submitters() {
+    const CAPACITY: usize = 256;
+    const PER_THREAD: usize = 1500;
+    let mut service = CappedService::spawn(
+        ServiceConfig::new(config(128, 2, 0.0), 2, 11)
+            .with_ingress_capacity(CAPACITY)
+            .with_max_admit_per_round(Some(100)),
+    )
+    .unwrap();
+    let completions = service.take_completions().unwrap();
+    let finished = Arc::new(AtomicUsize::new(0));
+    // Two submitters retry refusals, two park in `submit_blocking`.
+    let submitters: Vec<_> = (0..4)
+        .map(|k| {
+            let dispatcher = service.dispatcher();
+            let finished = Arc::clone(&finished);
+            thread::spawn(move || {
+                let mut ids = Vec::with_capacity(PER_THREAD);
+                while ids.len() < PER_THREAD {
+                    let result = if k % 2 == 0 {
+                        dispatcher.submit()
+                    } else {
+                        dispatcher.submit_blocking()
+                    };
+                    match result {
+                        Ok(ticket) => ids.push(ticket.id()),
+                        Err(SubmitError::Saturated) => thread::yield_now(),
+                        Err(SubmitError::Closed) => panic!("the service is running"),
+                    }
+                    assert!(dispatcher.depth() <= CAPACITY);
+                }
+                finished.fetch_add(1, Ordering::Release);
+                ids
+            })
+        })
+        .collect();
+
+    let dispatcher = service.dispatcher();
+    let mut generated = BTreeMap::new();
+    let mut done: Vec<(u64, u64)> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        assert!(Instant::now() < deadline, "a submitter stalled");
+        let all_submitted = finished.load(Ordering::Acquire) == submitters.len();
+        let depth = dispatcher.depth();
+        assert!(depth <= CAPACITY);
+        if all_submitted && depth == 0 && service.pending_tickets() == 0 {
+            break;
+        }
+        let report = service.run_round();
+        assert!(report.generated <= 100);
+        generated.insert(report.round, report.generated);
+        done.extend(
+            completions
+                .try_iter()
+                .map(|c| (c.admitted_round, c.ticket.id())),
+        );
+    }
+    let mut submitted: Vec<u64> = submitters
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    submitted.sort_unstable();
+    assert_eq!(submitted, (0..4 * PER_THREAD as u64).collect::<Vec<_>>());
+
+    // Every ticket completed once, and each round admitted one contiguous
+    // id range, following the previous round's.
+    done.sort_unstable_by_key(|&(_, id)| id);
+    let ids: Vec<u64> = done.iter().map(|&(_, id)| id).collect();
+    assert_eq!(ids, submitted, "every Ok ticket completes exactly once");
+    assert!(
+        done.windows(2).all(|w| w[0].0 <= w[1].0),
+        "admission rounds follow id order"
+    );
+    let mut per_round: BTreeMap<u64, u64> = BTreeMap::new();
+    for &(round, _) in &done {
+        *per_round.entry(round).or_default() += 1;
+    }
+    for (round, count) in per_round {
+        assert_eq!(generated[&round], count, "round {round}");
+    }
+    assert!(service.conserves_balls());
 }

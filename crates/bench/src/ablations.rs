@@ -7,7 +7,7 @@ use std::fmt;
 use iba_core::config::CappedConfig;
 use iba_core::coupling::CoupledRun;
 use iba_core::process::CappedProcess;
-use iba_core::{BinShard, Pool};
+use iba_core::{Ball, BinShard, Pool};
 use iba_sim::arrivals::ArrivalModel;
 use iba_sim::output::Table;
 use iba_sim::process::{AllocationProcess, RoundReport};
@@ -113,7 +113,7 @@ impl AllocationProcess for AblationProcess {
         self.round += 1;
         let round = self.round;
         self.pool.push_generation(round, generated);
-        let mut balls = self.pool.take();
+        let mut balls: Vec<Ball> = std::mem::take(&mut self.pool).iter().collect();
         let thrown = balls.len() as u64;
         match self.priority {
             Priority::OldestFirst => {}
@@ -140,10 +140,10 @@ impl AllocationProcess for AblationProcess {
                 rejected.push(ball);
             }
         }
-        // The pool keeps age order whatever order the bins saw.
-        rejected.sort();
+        // The pool keeps age order whatever order the bins saw: it is
+        // rebuilt from the sorted rejects.
         let accepted = thrown - rejected.len() as u64;
-        self.pool.restore(rejected);
+        self.pool = rejected.into_iter().collect();
         let mut waiting_times = Vec::new();
         let stats = self
             .bins

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use iba_core::{Ball, CappedConfig, CappedProcess};
+use iba_core::{CappedConfig, CappedProcess};
 use iba_membership::{
     moved_keys, BoundedLoadRouter, MembershipEvent, MembershipPlan, RoundRobinRouter, Router,
 };
@@ -160,7 +160,7 @@ fn resident_labels(service: &mut CappedService) -> Vec<u64> {
     let core_bytes = dec.byte_seq("core checkpoint").expect("core payload");
     let sim = iba_core::checkpoint::restore(core_bytes).expect("valid core checkpoint");
     let process = sim.process();
-    let mut labels: Vec<u64> = process.pool().iter().map(Ball::label).collect();
+    let mut labels: Vec<u64> = process.pool().iter().map(|b| b.label()).collect();
     for i in 0..process.config().bins() {
         labels.extend(process.bin(i).iter().map(|b| b.label()));
     }

@@ -21,13 +21,19 @@
 //! acceptance stage as a counting sort over bin indices: histogram the
 //! per-bin request counts ν, clamp each against the bin's remaining room to
 //! get the per-bin acceptance quota `min{c − ℓ, ν}`, then stably scatter
-//! the age-ordered request stream — the first `quota[b]` requests of bin
-//! `b` go to consecutive ring slots (the running per-bin cursor plays the
+//! the age-ordered requests — the first `quota[b]` requests of bin `b` go
+//! to consecutive ring slots (the running per-bin cursor plays the
 //! prefix-sum role of a classical counting sort), everything else is
-//! rejected *in stream order*. Because the stream is age-ordered and
+//! rejected *in request order*. Because the requests are age-ordered and
 //! acceptance at a bin depends only on that bin's own request order, this
 //! is bit-exactly Algorithm 1's "accept the oldest `min{c − ℓ, ν}`" rule,
 //! and the rejects re-emerge in exact pool age order with zero sorting.
+//!
+//! A round's requests arrive as the pool's label runs plus one bin choice
+//! per ball: `choices[i]` is the bin the `i`-th ball of the runs (oldest
+//! first) asks for. The rejects leave as runs too — a run's rejects are
+//! one `(label, count − taken)` run — so no stage handles a per-ball
+//! ball array.
 //!
 //! Unbounded bins ([`Capacity::Infinite`], configured or raised by a fault)
 //! are honored by growing the stride on demand: the arena re-lays itself
@@ -40,6 +46,7 @@
 use crate::ball::Ball;
 use crate::config::Capacity;
 use crate::obs;
+use crate::pool::{expand, push_run, Run};
 
 /// Strides are initially clamped to this many slots, so a huge finite
 /// capacity does not pre-commit memory that would almost never be used;
@@ -512,19 +519,21 @@ impl<'a> BinView<'a> {
 ///   the acceptance bound with ν replaced by its upper bound;
 /// - `next ring offset` starts at the bin's tail, `(head + len) & mask`.
 ///
-/// The scatter is then a **single branch-free pass** in age order: one
-/// register read-modify-write per request. With `acc = (quota != 0)`, the
-/// ball is written to the tail slot `b·stride + cursor` on accept and to
-/// the arena's one guard slot (after the last ring, never read) on
-/// reject; the quota drops by `acc` and the cursor advances by `acc`; the
-/// ball is pushed to `rejected` and the push is undone when `acc` holds,
-/// so rejects stay in stream order. About 40% of throws are rejected at
-/// the paper's cell, so a branch on `acc` would mispredict constantly;
-/// selecting the slot index and the `rejected` length arithmetically
-/// costs no more than the accept arm alone. Accepting the first
-/// `min{c − ℓ, ν}` requests of each bin this way is bit-exactly the
-/// greedy oldest-first rule — the register is the running per-bin prefix
-/// sum of a counting sort, computed online instead of ahead of time.
+/// The scatter is then a **single branch-free pass** in age order, run by
+/// run: one register read-modify-write per request. Every ball of a run
+/// is the same ball, so the value written is a loop constant. With
+/// `acc = (quota != 0)`, the ball is written to the tail slot
+/// `b·stride + cursor` on accept and to the arena's one guard slot (after
+/// the last ring, never read) on reject; the quota drops by `acc`, the
+/// cursor advances by `acc`, and the run's accepted count — a register —
+/// grows by `acc`. After the run, its rejects go to `rejected` as one
+/// `(label, count − taken)` run, so rejects stay in age order. About 40%
+/// of throws are rejected at the paper's cell, so a branch on `acc` would
+/// mispredict constantly; selecting the slot index arithmetically costs
+/// no more than the accept arm alone. Accepting the first `min{c − ℓ, ν}`
+/// requests of each bin this way is bit-exactly the greedy oldest-first
+/// rule — the register is the running per-bin prefix sum of a counting
+/// sort, computed online instead of ahead of time.
 ///
 /// **The scatter does not update ring lengths.** On `Some`, the caller
 /// must fold the per-bin accepted counts into the arena before it is
@@ -534,7 +543,7 @@ impl<'a> BinView<'a> {
 /// quota scratch involved; otherwise the count is
 /// `quotas[b] − state[b] >> 16`, folded in by [`BinArena::commit_serve`].
 ///
-/// Returns `None` **without consuming the stream** if some bin's quota
+/// Returns `None` **without touching the requests** if some bin's quota
 /// could overflow its ring (`ℓ + quota > stride`, possible only after a
 /// fault raised a live capacity past the stride) or the stride outgrew
 /// the `u16` register fields — in which case the caller must rerun
@@ -551,21 +560,20 @@ impl<'a> BinView<'a> {
 /// one pass over the bins (the fused commit + serve + re-prime sweep)
 /// besides the scatter itself.
 ///
-/// The caller must guarantee `max_requests` bounds the stream length.
+/// The caller must guarantee that `runs` holds exactly `choices.len()`
+/// balls.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fast_accept<I>(
+pub(crate) fn fast_accept(
     arena: &mut BinArena,
     offline: &[bool],
     state: &mut Vec<u32>,
     quotas: &mut Vec<u32>,
-    max_requests: usize,
-    requests: I,
-    rejected: &mut Vec<Ball>,
+    choices: &[u32],
+    runs: &[Run],
+    rejected: &mut Vec<Run>,
     primed: bool,
-) -> Option<u64>
-where
-    I: Iterator<Item = (usize, Ball)>,
-{
+) -> Option<u64> {
+    let max_requests = choices.len();
     let n = offline.len();
     debug_assert_eq!(n, arena.bins());
     let stride = arena.stride;
@@ -637,18 +645,28 @@ where
     // explicit software-prefetch stage was measured slower here. A reject
     // is written to the guard slot, never to its bin's tail slot: a full
     // ring's tail is its head.
-    let guard = arena.slots.len() - 1;
+    let slots = arena.slots.as_mut_slice();
+    let state = state.as_mut_slice();
+    let guard = slots.len() - 1;
     let mut accepted = 0u64;
-    for (b, ball) in requests {
-        let s = state[b];
-        let acc = s >> 16 != 0;
-        let cur = (s & 0xFFFF) as usize;
-        let keep = (acc as usize).wrapping_neg();
-        arena.slots[((b * stride + cur) & keep) | (guard & !keep)] = ball;
-        state[b] = ((s >> 16) - acc as u32) << 16 | (((cur + acc as usize) & mask) as u32);
-        accepted += acc as u64;
-        rejected.push(ball);
-        rejected.truncate(rejected.len() - acc as usize);
+    let mut choices = choices;
+    for &Run { label, count } in runs {
+        let (run, rest) = choices.split_at(count as usize);
+        choices = rest;
+        let ball = Ball::generated_in(label);
+        let mut taken = 0u64;
+        for &b in run {
+            let b = b as usize;
+            let s = state[b];
+            let acc = s >> 16 != 0;
+            let cur = (s & 0xFFFF) as usize;
+            let keep = (acc as usize).wrapping_neg();
+            slots[((b * stride + cur) & keep) | (guard & !keep)] = ball;
+            state[b] = ((s >> 16) - acc as u32) << 16 | (((cur + acc as usize) & mask) as u32);
+            taken += u64::from(acc);
+        }
+        accepted += taken;
+        push_run(rejected, label, count - taken);
     }
     if let Some(p) = obs::probes() {
         p.fast_accept_rounds.inc();
@@ -673,25 +691,23 @@ fn bail() -> Option<u64> {
 /// post-accept fill exactly, so it can grow the arena for bins whose
 /// capacity was fault-raised past the current stride.
 ///
-/// `requests` yields `(bin, ball)` pairs in **age order** and is iterated
-/// twice (histogram, then scatter), hence `Clone`. Rejected balls are
-/// appended to `rejected` in stream order. `counts` and `quotas` are
-/// round-persistent scratch vectors (resized to the bin count, contents
-/// ignored on entry). Returns the number of accepted balls.
+/// `choices[i]` is the bin the `i`-th ball of `runs` (oldest first)
+/// requests; the runs are expanded ball by ball. Rejected balls are
+/// appended to `rejected` as runs, in age order. `counts` and `quotas`
+/// are round-persistent scratch vectors (resized to the bin count,
+/// contents ignored on entry). Returns the number of accepted balls.
 ///
-/// The caller must guarantee the stream holds at most `u32::MAX` requests
-/// (the histogram counts in `u32`).
-pub(crate) fn counting_accept<I>(
+/// The caller must guarantee that `runs` holds exactly `choices.len()`
+/// balls, at most `u32::MAX` of them (the histogram counts in `u32`).
+pub(crate) fn counting_accept(
     arena: &mut BinArena,
     offline: &[bool],
     counts: &mut Vec<u32>,
     quotas: &mut Vec<u32>,
-    requests: I,
-    rejected: &mut Vec<Ball>,
-) -> u64
-where
-    I: Iterator<Item = (usize, Ball)> + Clone,
-{
+    choices: &[u32],
+    runs: &[Run],
+    rejected: &mut Vec<Run>,
+) -> u64 {
     let n = offline.len();
     debug_assert_eq!(n, arena.bins());
     if let Some(p) = obs::probes() {
@@ -701,8 +717,8 @@ where
     // Pass 1: per-bin request histogram ν.
     counts.clear();
     counts.resize(n, 0);
-    for (b, _) in requests.clone() {
-        counts[b] += 1;
+    for &b in choices {
+        counts[b as usize] += 1;
     }
 
     // Per-bin acceptance quotas min{c − ℓ, ν} (0 for offline bins), the
@@ -731,15 +747,16 @@ where
     arena.ensure_stride(max_fill);
 
     // Pass 2: stable scatter. The first quota[b] requests of bin b land in
-    // consecutive ring slots; everything else is rejected in stream order,
-    // i.e. exact age order.
-    for (b, ball) in requests {
+    // consecutive ring slots; everything else is rejected in request
+    // order, i.e. exact age order.
+    for (&b, ball) in choices.iter().zip(expand(runs)) {
+        let b = b as usize;
         let taken = counts[b];
         if taken < quotas[b] {
             counts[b] = taken + 1;
             arena.place(b, taken as usize, ball);
         } else {
-            rejected.push(ball);
+            push_run(rejected, ball.label(), 1);
         }
     }
     for (b, &quota) in quotas.iter().enumerate() {
@@ -756,6 +773,16 @@ mod tests {
 
     fn finite(c: u32) -> Capacity {
         Capacity::finite(c).unwrap()
+    }
+
+    /// Splits an age-ordered `(bin, ball)` stream into the kernel's
+    /// requests: one bin choice per ball plus the balls' label runs.
+    fn requests(stream: &[(usize, Ball)]) -> (Vec<u32>, Vec<Run>) {
+        let mut runs = Vec::new();
+        for &(_, ball) in stream {
+            push_run(&mut runs, ball.label(), 1);
+        }
+        (stream.iter().map(|&(b, _)| b as u32).collect(), runs)
     }
 
     #[test]
@@ -820,6 +847,7 @@ mod tests {
             (3, Ball::generated_in(3)),
             (3, Ball::generated_in(4)),
         ];
+        let (choices, runs) = requests(&stream);
         let mut counts = Vec::new();
         let mut quotas = Vec::new();
         let mut rejected = Vec::new();
@@ -828,7 +856,8 @@ mod tests {
             &offline,
             &mut counts,
             &mut quotas,
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut rejected,
         );
 
@@ -845,7 +874,8 @@ mod tests {
         }
 
         assert_eq!(accepted, ref_accepted);
-        assert_eq!(rejected, ref_rejected);
+        assert_eq!(expand(&rejected).collect::<Vec<_>>(), ref_rejected);
+        assert!(crate::pool::is_canonical(&rejected));
         for b in 0..4 {
             let kernel: Vec<u64> = arena.iter_bin(b).map(Ball::label).collect();
             let scalar: Vec<u64> = reference.iter_bin(b).map(Ball::label).collect();
@@ -872,6 +902,7 @@ mod tests {
             (3, Ball::generated_in(3)),
             (3, Ball::generated_in(4)),
         ];
+        let (choices, runs) = requests(&stream);
 
         let mut fast_arena = BinArena::from_bins(caps.clone(), contents.clone());
         let (mut state, mut quotas, mut fast_rejected) = (Vec::new(), Vec::new(), Vec::new());
@@ -880,8 +911,8 @@ mod tests {
             &offline,
             &mut state,
             &mut quotas,
-            stream.len(),
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut fast_rejected,
             false,
         )
@@ -894,7 +925,8 @@ mod tests {
             &offline,
             &mut counts,
             &mut equotas,
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut exact_rejected,
         );
 
@@ -924,14 +956,15 @@ mod tests {
         arena.try_accept(0, Ball::generated_in(2));
         arena.serve(0); // head = 1, len = 1
         let stream = [(0usize, Ball::generated_in(3))];
+        let (choices, runs) = requests(&stream);
         let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let accepted = fast_accept(
             &mut arena,
             &[false],
             &mut state,
             &mut quotas,
-            stream.len(),
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut rejected,
             false,
         )
@@ -962,6 +995,8 @@ mod tests {
             (0, Ball::generated_in(2)), // over quota -> reject
             (3, Ball::generated_in(2)),
         ];
+        let (choices1, runs1) = requests(&round1);
+        let (choices2, runs2) = requests(&round2);
 
         let run = |primed_second_round: bool| {
             let mut arena = BinArena::new(caps.clone());
@@ -972,8 +1007,8 @@ mod tests {
                 &offline,
                 &mut state,
                 &mut quotas,
-                round1.len(),
-                round1.iter().copied(),
+                &choices1,
+                &runs1,
                 &mut rejected,
                 false,
             )
@@ -989,8 +1024,8 @@ mod tests {
                 &offline,
                 &mut state,
                 &mut quotas,
-                round2.len(),
-                round2.iter().copied(),
+                &choices2,
+                &runs2,
                 &mut rejected,
                 primed_second_round,
             )
@@ -1016,14 +1051,15 @@ mod tests {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, Capacity::Infinite);
         let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
+        let (choices, runs) = requests(&stream);
         let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let out = fast_accept(
             &mut arena,
             &[false, false],
             &mut state,
             &mut quotas,
-            stream.len(),
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut rejected,
             false,
         );
@@ -1042,14 +1078,15 @@ mod tests {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, finite(70_000));
         let stream: Vec<(usize, Ball)> = (0..10).map(|i| (0usize, Ball::generated_in(i))).collect();
+        let (choices, runs) = requests(&stream);
         let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let out = fast_accept(
             &mut arena,
             &[false, false],
             &mut state,
             &mut quotas,
-            stream.len(),
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut rejected,
             false,
         );
@@ -1064,7 +1101,8 @@ mod tests {
             &[false, false],
             &mut counts,
             &mut fquotas,
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut frejected,
         );
         assert_eq!(accepted, 10);
@@ -1078,13 +1116,15 @@ mod tests {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, Capacity::Infinite);
         let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
+        let (choices, runs) = requests(&stream);
         let (mut counts, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let accepted = counting_accept(
             &mut arena,
             &[false, false],
             &mut counts,
             &mut quotas,
-            stream.iter().copied(),
+            &choices,
+            &runs,
             &mut rejected,
         );
         assert_eq!(accepted, 40);

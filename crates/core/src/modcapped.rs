@@ -36,7 +36,7 @@ use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
 
 use crate::ball::Ball;
-use crate::pool::Pool;
+use crate::pool::{push_run, Pool, Run};
 
 /// The MODCAPPED(c, λ) process.
 ///
@@ -70,7 +70,8 @@ pub struct ModCappedProcess {
     round: u64,
     total_generated: u64,
     total_deleted: u64,
-    scratch: Vec<Ball>,
+    /// The reject runs' buffer, reused across rounds.
+    scratch: Vec<Run>,
 }
 
 /// The Section-III threshold `m* = ln(1/(1−λ))·n + 2n` for unit capacity.
@@ -134,7 +135,7 @@ impl ModCappedProcess {
             lambda,
             batch,
             m_star,
-            pool: Pool::with_capacity(2 * m_star),
+            pool: Pool::new(),
             reds: (0..bins).map(|_| VecDeque::new()).collect(),
             blues: (0..bins).map(|_| VecDeque::new()).collect(),
             round: 0,
@@ -273,10 +274,10 @@ impl ModCappedProcess {
         //    the maximum number of satisfied preferences, since within a
         //    preference class slots are interchangeable). Overflow balls are
         //    retried cross-color in pass B using leftover capacity only.
-        let mut balls = self.pool.take();
+        let mut pool = std::mem::take(&mut self.pool);
         let mut overflow: Vec<(Ball, usize, bool)> = Vec::new();
         let mut accepted = 0u64;
-        for (i, ball) in balls.drain(..).enumerate() {
+        for (i, ball) in pool.iter().enumerate() {
             let bin = choose(i);
             debug_assert!(bin < self.bins, "bin choice out of range");
             let prefers_red = i < red_pref_count;
@@ -295,6 +296,9 @@ impl ModCappedProcess {
         }
         let mut rejected = std::mem::take(&mut self.scratch);
         rejected.clear();
+        // The rejects of the current label are counted in a register and
+        // pushed as one run when the label changes.
+        let mut run = Run::new(0, 0);
         for (ball, bin, prefers_red) in overflow {
             let other = if prefers_red {
                 &mut self.blues[bin]
@@ -306,11 +310,18 @@ impl ModCappedProcess {
                 other.push_back(ball);
                 accepted += 1;
             } else {
-                rejected.push(ball);
+                if ball.label() != run.label {
+                    push_run(&mut rejected, run.label, run.count);
+                    run = Run::new(ball.label(), 0);
+                }
+                run.count += 1;
             }
         }
-        self.scratch = balls;
-        self.pool.restore(rejected);
+        push_run(&mut rejected, run.label, run.count);
+        // Pass B keeps pass A's order, so the rejects are oldest-first
+        // runs, which `restore_runs` checks.
+        self.scratch = pool.take_runs();
+        self.pool.restore_runs(rejected);
 
         // 4. Deletion: every non-empty red buffer serves one ball.
         let mut waiting_times = Vec::with_capacity(self.bins);
@@ -453,6 +464,32 @@ mod tests {
                 assert!(p.conserves_balls(), "c={c}");
                 assert!(r.conserves_balls(), "c={c}");
                 assert!(r.max_load <= c as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_balls_keep_their_labels() {
+        // Per label, the balls generated are the balls pooled, buffered
+        // or deleted: a reject goes back to the pool under its own label.
+        use std::collections::BTreeMap;
+        for c in [1u32, 3] {
+            let mut p = ModCappedProcess::new(32, c, 0.75).unwrap();
+            let mut rng = SimRng::seed_from(7);
+            let mut generated = BTreeMap::<u64, u64>::new();
+            let mut deleted = BTreeMap::<u64, u64>::new();
+            for _ in 0..200 {
+                let r = p.step(&mut rng);
+                *generated.entry(r.round).or_default() += r.generated;
+                for &wait in &r.waiting_times {
+                    *deleted.entry(r.round - wait).or_default() += 1;
+                }
+                let mut held = deleted.clone();
+                let buffered = p.reds.iter().chain(&p.blues).flatten().copied();
+                for ball in p.pool.iter().chain(buffered) {
+                    *held.entry(ball.label()).or_default() += 1;
+                }
+                assert_eq!(held, generated, "c={c} round={}", r.round);
             }
         }
     }

@@ -1,18 +1,126 @@
-//! The pool of balls awaiting allocation.
+//! The pool of balls awaiting allocation, held as label runs.
+//!
+//! Algorithm 1 sees a pooled ball only through its label, the round that
+//! generated it: balls with equal labels are interchangeable, and the
+//! acceptance rule "accept the oldest min{c − ℓ, ν}" compares labels only.
+//! The pool is therefore stored as a list of [`Run`]s `(label, count)`,
+//! oldest first, not one [`Ball`] per pooled ball. The runs are the
+//! survivor counts of the paper's waiting-time analysis in difference
+//! form: the run of label `t′` holds the `m(t, t′) − m(t, t′ − 1)` pooled
+//! balls generated in round `t′`, so the prefix sums over the runs are
+//! the survivor counts `m(t, t′)` ([`Pool::survivors_from`]).
+//!
+//! The runs are kept in **canonical form**: labels strictly ascending,
+//! every count positive, equal labels merged. Two pools holding the same
+//! balls therefore compare equal, and a round's thrown balls — one run per
+//! label — are the batches of the batched-allocation model.
 
 use iba_sim::stats::Histogram;
 
 use crate::ball::Ball;
 
-/// The pool `M(t)`: all balls that have been generated but not yet accepted
-/// by any bin.
+/// `count` pooled balls that all carry the generation round `label`.
 ///
-/// The pool maintains the invariant that balls are ordered oldest-first
-/// (non-decreasing labels). This invariant is what makes the per-round
-/// allocation loop equivalent to Algorithm 1's "accept the oldest
-/// min{c − ℓ, ν} requests": processing balls in global age order and
-/// accepting greedily yields, at every bin, exactly its oldest requests up
-/// to remaining capacity.
+/// # Examples
+///
+/// ```
+/// use iba_core::pool::Run;
+/// let run = Run::new(4, 3);
+/// assert_eq!(run.ball().label(), 4);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Run {
+    /// The generation round every ball of the run carries.
+    pub label: u64,
+    /// How many balls the run holds.
+    pub count: u64,
+}
+
+impl Run {
+    /// A run of `count` balls labeled `label`.
+    pub fn new(label: u64, count: u64) -> Self {
+        Run { label, count }
+    }
+
+    /// The ball every member of the run is.
+    pub fn ball(self) -> Ball {
+        Ball::generated_in(self.label)
+    }
+}
+
+/// Whether `runs` is in canonical form: labels strictly ascending and
+/// every count positive.
+pub fn is_canonical(runs: &[Run]) -> bool {
+    runs.iter().all(|run| run.count > 0) && runs.windows(2).all(|w| w[0].label < w[1].label)
+}
+
+/// Appends `count` balls labeled `label` at the young end of `runs`,
+/// merging them into the last run if it has the same label. A zero count
+/// appends nothing. The caller keeps the labels ascending.
+#[inline]
+pub fn push_run(runs: &mut Vec<Run>, label: u64, count: u64) {
+    if count == 0 {
+        return;
+    }
+    match runs.last_mut() {
+        Some(last) if last.label == label => last.count += count,
+        _ => {
+            debug_assert!(runs.last().is_none_or(|last| last.label < label));
+            runs.push(Run { label, count });
+        }
+    }
+}
+
+/// The balls of `runs`, oldest first, by value: each run expanded into
+/// `count` copies of its ball. The per-ball kernel paths and
+/// [`Pool::iter`] walk the pool through it.
+pub fn expand(runs: &[Run]) -> Balls<'_> {
+    Balls {
+        remaining: runs.iter().map(|run| run.count as usize).sum(),
+        runs: runs.iter(),
+        label: 0,
+        left: 0,
+    }
+}
+
+/// Iterator over the balls of a run list (see [`expand`]).
+#[derive(Debug, Clone)]
+pub struct Balls<'a> {
+    runs: std::slice::Iter<'a, Run>,
+    label: u64,
+    left: u64,
+    remaining: usize,
+}
+
+impl Iterator for Balls<'_> {
+    type Item = Ball;
+
+    #[inline]
+    fn next(&mut self) -> Option<Ball> {
+        while self.left == 0 {
+            let run = self.runs.next()?;
+            self.label = run.label;
+            self.left = run.count;
+        }
+        self.left -= 1;
+        self.remaining -= 1;
+        Some(Ball::generated_in(self.label))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Balls<'_> {}
+
+/// The pool `M(t)`: all balls that have been generated but not yet accepted
+/// by any bin, as canonical label runs (see the module docs).
+///
+/// Oldest-first order is what makes the per-round allocation equivalent to
+/// Algorithm 1's "accept the oldest min{c − ℓ, ν} requests": processing
+/// balls in global age order and accepting greedily yields, at every bin,
+/// exactly its oldest requests up to remaining capacity.
 ///
 /// # Examples
 ///
@@ -22,11 +130,13 @@ use crate::ball::Ball;
 /// pool.push_generation(1, 3); // three balls labeled 1
 /// pool.push_generation(2, 2); // two balls labeled 2
 /// assert_eq!(pool.len(), 5);
+/// assert_eq!(pool.runs().len(), 2);
 /// assert_eq!(pool.oldest_label(), Some(1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Pool {
-    balls: Vec<Ball>,
+    runs: Vec<Run>,
+    len: usize,
 }
 
 impl Pool {
@@ -35,198 +145,148 @@ impl Pool {
         Pool::default()
     }
 
-    /// Creates an empty pool with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Pool {
-            balls: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Number of pooled balls `m(t)`.
     pub fn len(&self) -> usize {
-        self.balls.len()
+        self.len
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.balls.is_empty()
+        self.len == 0
     }
 
-    /// Appends `count` balls generated in round `round`.
+    /// The pool's runs, oldest first, in canonical form.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Appends `count` balls generated in round `round`: one run, or more
+    /// balls in the youngest run if it already carries `round`.
     ///
     /// # Panics
     ///
     /// Panics if this would violate the oldest-first invariant, i.e. if a
     /// ball with a larger label is already pooled.
     pub fn push_generation(&mut self, round: u64, count: u64) {
-        if let Some(last) = self.balls.last() {
+        if let Some(last) = self.runs.last() {
             assert!(
-                last.label() <= round,
+                last.label <= round,
                 "pool already contains younger balls (label {}) than round {round}",
-                last.label()
+                last.label
             );
         }
-        self.balls.extend(std::iter::repeat_n(
-            Ball::generated_in(round),
-            count as usize,
-        ));
+        push_run(&mut self.runs, round, count);
+        self.len += count as usize;
     }
 
-    /// Removes and returns all pooled balls (oldest first) for the
-    /// allocation stage. Rejected balls are returned via
-    /// [`restore`](Self::restore).
-    pub fn take(&mut self) -> Vec<Ball> {
-        std::mem::take(&mut self.balls)
+    /// Removes and returns all pooled runs (oldest first) for the
+    /// allocation stage. The rejected balls come back through
+    /// [`restore_runs`](Self::restore_runs).
+    pub fn take_runs(&mut self) -> Vec<Run> {
+        self.len = 0;
+        std::mem::take(&mut self.runs)
     }
 
-    /// Puts rejected balls back into the pool.
+    /// Puts the rejected runs back into the pool.
     ///
     /// # Panics
     ///
-    /// Panics if the pool is not empty (restore must follow [`take`])
-    /// or if `rejected` is not sorted oldest-first.
-    ///
-    /// [`take`]: Self::take
-    pub fn restore(&mut self, rejected: Vec<Ball>) {
+    /// Panics if the pool is not empty (restore must follow
+    /// [`take_runs`](Self::take_runs)) or if `runs` is not in canonical
+    /// form (labels strictly ascending, counts positive). Both checks run
+    /// in every build: they cost one pass over the runs, not the balls.
+    pub fn restore_runs(&mut self, runs: Vec<Run>) {
         assert!(
-            self.balls.is_empty(),
+            self.runs.is_empty(),
             "restore must follow take within the same round"
         );
-        debug_assert!(
-            rejected.windows(2).all(|w| w[0].label() <= w[1].label()),
-            "rejected balls must be ordered oldest-first"
+        assert!(
+            is_canonical(&runs),
+            "restored runs must have strictly ascending labels and positive counts"
         );
-        self.balls = rejected;
+        self.len = runs.iter().map(|run| run.count as usize).sum();
+        self.runs = runs;
+    }
+
+    /// Merges `balls` into the pool, in any order: the balls are sorted by
+    /// label and merged run by run, so the pool stays canonical. This is
+    /// how the balls of removed bins re-enter the pool.
+    pub fn merge_balls(&mut self, balls: impl IntoIterator<Item = Ball>) {
+        let mut labels: Vec<u64> = balls.into_iter().map(|ball| ball.label()).collect();
+        if labels.is_empty() {
+            return;
+        }
+        labels.sort_unstable();
+        self.len += labels.len();
+        let mut merged = Vec::with_capacity(self.runs.len() + 1);
+        let mut old = self.runs.iter().peekable();
+        for &label in &labels {
+            while let Some(run) = old.next_if(|run| run.label <= label) {
+                push_run(&mut merged, run.label, run.count);
+            }
+            push_run(&mut merged, label, 1);
+        }
+        for run in old {
+            push_run(&mut merged, run.label, run.count);
+        }
+        self.runs = merged;
     }
 
     /// Label of the oldest pooled ball, if any.
     pub fn oldest_label(&self) -> Option<u64> {
-        self.balls.first().map(Ball::label)
+        self.runs.first().map(|run| run.label)
     }
 
     /// Label of the youngest pooled ball, if any.
     pub fn youngest_label(&self) -> Option<u64> {
-        self.balls.last().map(Ball::label)
+        self.runs.last().map(|run| run.label)
     }
 
-    /// Iterates over pooled balls, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Ball> {
-        self.balls.iter()
+    /// Iterates over pooled balls, oldest first, by value.
+    pub fn iter(&self) -> Balls<'_> {
+        expand(&self.runs)
     }
 
-    /// Whether the oldest-first invariant holds (always true unless the
-    /// pool was corrupted through a bug; used by property tests).
+    /// Whether the pool is in canonical form with a consistent length
+    /// (always true unless the pool was corrupted through a bug; used by
+    /// property tests).
     pub fn is_age_sorted(&self) -> bool {
-        self.balls.windows(2).all(|w| w[0].label() <= w[1].label())
+        is_canonical(&self.runs)
+            && self
+                .runs
+                .iter()
+                .map(|run| run.count as usize)
+                .sum::<usize>()
+                == self.len
     }
 
     /// Number of pooled balls generated in round `t` or earlier — the
     /// survivor count `m(t, t')` from the paper's waiting-time analysis,
     /// evaluated at the current state.
     pub fn survivors_from(&self, t: u64) -> usize {
-        // Balls are sorted by label; binary-search the first label > t.
-        self.balls.partition_point(|b| b.label() <= t)
+        self.runs
+            .iter()
+            .take_while(|run| run.label <= t)
+            .map(|run| run.count as usize)
+            .sum()
     }
 
-    /// Histogram of ball ages at round `round`.
+    /// Histogram of ball ages at round `round`: one weighted record per
+    /// run.
     pub fn age_histogram(&self, round: u64) -> Histogram {
-        self.balls.iter().map(|b| b.age_at(round)).collect()
+        let mut histogram = Histogram::new();
+        for run in &self.runs {
+            histogram.record_n(run.ball().age_at(round), run.count);
+        }
+        histogram
     }
 }
 
 impl FromIterator<Ball> for Pool {
-    /// Collects balls into a pool, sorting them oldest-first.
+    /// Collects balls into a pool, in any order.
     fn from_iter<I: IntoIterator<Item = Ball>>(iter: I) -> Self {
-        let mut balls: Vec<Ball> = iter.into_iter().collect();
-        balls.sort();
-        Pool { balls }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn push_generation_appends_in_order() {
         let mut pool = Pool::new();
-        pool.push_generation(1, 2);
-        pool.push_generation(3, 1);
-        assert_eq!(pool.len(), 3);
-        assert!(pool.is_age_sorted());
-        assert_eq!(pool.oldest_label(), Some(1));
-        assert_eq!(pool.youngest_label(), Some(3));
-    }
-
-    #[test]
-    fn push_generation_zero_is_noop() {
-        let mut pool = Pool::new();
-        pool.push_generation(1, 0);
-        assert!(pool.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "younger balls")]
-    fn push_generation_rejects_out_of_order() {
-        let mut pool = Pool::new();
-        pool.push_generation(5, 1);
-        pool.push_generation(4, 1);
-    }
-
-    #[test]
-    fn take_restore_roundtrip() {
-        let mut pool = Pool::new();
-        pool.push_generation(1, 3);
-        let balls = pool.take();
-        assert!(pool.is_empty());
-        assert_eq!(balls.len(), 3);
-        pool.restore(balls);
-        assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must follow take")]
-    fn restore_into_nonempty_pool_panics() {
-        let mut pool = Pool::new();
-        pool.push_generation(1, 1);
-        pool.restore(vec![Ball::generated_in(0)]);
-    }
-
-    #[test]
-    fn survivors_counts_by_label() {
-        let mut pool = Pool::new();
-        pool.push_generation(1, 2);
-        pool.push_generation(2, 3);
-        pool.push_generation(4, 1);
-        assert_eq!(pool.survivors_from(0), 0);
-        assert_eq!(pool.survivors_from(1), 2);
-        assert_eq!(pool.survivors_from(2), 5);
-        assert_eq!(pool.survivors_from(3), 5);
-        assert_eq!(pool.survivors_from(10), 6);
-    }
-
-    #[test]
-    fn age_histogram_at_round() {
-        let mut pool = Pool::new();
-        pool.push_generation(1, 1);
-        pool.push_generation(3, 2);
-        let h = pool.age_histogram(4);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.count_at(3), 1); // ball labeled 1
-        assert_eq!(h.count_at(1), 2); // balls labeled 3
-    }
-
-    #[test]
-    fn from_iterator_sorts() {
-        let pool: Pool = [3u64, 1, 2].into_iter().map(Ball::generated_in).collect();
-        assert!(pool.is_age_sorted());
-        assert_eq!(pool.oldest_label(), Some(1));
-    }
-
-    #[test]
-    fn with_capacity_starts_empty() {
-        let pool = Pool::with_capacity(128);
-        assert!(pool.is_empty());
-        assert_eq!(pool.oldest_label(), None);
+        pool.merge_balls(iter);
+        pool
     }
 }

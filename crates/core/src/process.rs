@@ -8,7 +8,7 @@ use iba_sim::stats::Histogram;
 use crate::arena::BinView;
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
-use crate::pool::Pool;
+use crate::pool::{Pool, Run};
 use crate::shard::{BinPart, BinShard};
 
 /// The round kernel a [`CappedProcess`] runs. There is one: the flat
@@ -74,7 +74,8 @@ pub struct CappedProcess {
     round: u64,
     total_generated: u64,
     total_deleted: u64,
-    scratch: Vec<Ball>,
+    /// The reject runs' buffer, reused round to round.
+    scratch: Vec<Run>,
     /// This round's pre-drawn bin choices, one per pooled ball.
     choices: Vec<u32>,
 }
@@ -92,8 +93,7 @@ impl CappedProcess {
     /// bins, round 0.
     pub fn new(config: CappedConfig) -> Self {
         let bins = BinShard::new(&config, 0..config.bins());
-        let pool = Pool::with_capacity(config.predicted_stationary_pool());
-        Self::from_parts(config, bins, pool, 0, 0, 0)
+        Self::from_parts(config, bins, Pool::new(), 0, 0, 0)
     }
 
     /// Assembles a process from its state: the bins (one shard over
@@ -294,8 +294,8 @@ impl CappedProcess {
         enc.u64(self.round);
         enc.u64(self.total_generated);
         enc.u64(self.total_deleted);
-        let pool_labels: Vec<u64> = self.pool.iter().map(Ball::label).collect();
-        enc.u64_seq(pool_labels.into_iter());
+        // IBA1 stores the pool as one label per ball.
+        enc.u64_seq(self.pool.iter().map(|ball| ball.label()));
         enc.usize(self.config.bins());
         for i in 0..self.config.bins() {
             let bin = self.bins.bin(i);
@@ -319,7 +319,8 @@ impl CappedProcess {
     ///
     /// Returns a [`iba_sim::codec::CodecError`] on truncated or malformed
     /// input, including states violating the process invariants (unsorted
-    /// pool, over-capacity bins, broken conservation).
+    /// pool, a pooled or buffered ball labeled after the checkpoint's
+    /// round, broken conservation).
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
@@ -331,6 +332,13 @@ impl CappedProcess {
         let pool_labels = dec.u64_seq("pool labels")?;
         if pool_labels.windows(2).any(|w| w[0] > w[1]) {
             return Err(CodecError::Invalid { what: "pool order" });
+        }
+        // Every ball was generated by round `round` at the latest; a later
+        // label would make the next generation run out of order.
+        if pool_labels.last().is_some_and(|&label| label > round) {
+            return Err(CodecError::Invalid {
+                what: "pool label past the checkpoint round",
+            });
         }
         let pool: Pool = pool_labels.iter().map(|&l| Ball::generated_in(l)).collect();
         let bin_count = dec.usize("bin count")?;
@@ -353,6 +361,11 @@ impl CappedProcess {
                     })?
             };
             let labels = dec.u64_seq("bin queue")?;
+            if labels.iter().any(|&label| label > round) {
+                return Err(CodecError::Invalid {
+                    what: "bin label past the checkpoint round",
+                });
+            }
             // No load-vs-capacity check: a degraded bin legally holds more
             // balls than its live capacity (capacity degradation);
             // conservation is verified below.
@@ -437,11 +450,12 @@ impl CappedProcess {
         }
 
         // 2 + 3. Random choices and oldest-first greedy acceptance: the
-        // whole round is one age-ordered (bin, ball) stream through the
-        // shard. Pre-drawing every choice in pool order consumes the RNG
-        // exactly as per-ball draws interleaved with the acceptance would.
+        // whole round is the pool's label runs plus one bin choice per
+        // ball through the shard. Pre-drawing every choice in pool order
+        // consumes the RNG exactly as per-ball draws interleaved with the
+        // acceptance would.
         let accept_timer = iba_obs::PhaseTimer::start();
-        let mut balls = self.pool.take();
+        let mut runs = self.pool.take_runs();
         let mut rejected = std::mem::take(&mut self.scratch);
         rejected.clear();
         match source {
@@ -454,19 +468,14 @@ impl CappedProcess {
                 );
             }
             ChoiceSource::Rng(rng) => {
-                self.choices.resize(balls.len(), 0);
+                self.choices.resize(thrown as usize, 0);
                 rng.fill_uniform_bins(n, &mut self.choices);
             }
         }
-        let stream = self
-            .choices
-            .iter()
-            .map(|&c| c as usize)
-            .zip(balls.iter().copied());
-        let accepted = self.bins.accept_stream(stream, &mut rejected);
-        balls.clear();
-        self.scratch = balls;
-        self.pool.restore(rejected);
+        let accepted = self.bins.accept_stream(&self.choices, &runs, &mut rejected);
+        runs.clear();
+        self.scratch = runs;
+        self.pool.restore_runs(rejected);
         if let Some(p) = crate::obs::probes() {
             accept_timer.observe(&p.phase_accept_nanos);
             p.accepted_balls.add(accepted);

@@ -28,6 +28,7 @@ use crate::arena::{counting_accept, fast_accept, BinArena, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::obs;
+use crate::pool::{expand, push_run, Run};
 
 /// The contiguous bin range owned by shard `shard` when `bins` bins are
 /// partitioned across `shards` shards as evenly as possible (the first
@@ -105,6 +106,7 @@ impl ShardRoundStats {
 /// # Examples
 ///
 /// ```
+/// use iba_core::pool::Run;
 /// use iba_core::shard::BinShard;
 /// use iba_core::{Ball, CappedConfig};
 ///
@@ -112,16 +114,16 @@ impl ShardRoundStats {
 /// let config = CappedConfig::new(8, 1, 0.5)?;
 /// // Shard 1 of 2 owns bins 4..8.
 /// let mut shard = BinShard::new(&config, 4..8);
-/// let requests = [(0, Ball::generated_in(1)), (0, Ball::generated_in(1))];
+/// // One run of two balls labeled 1, both asking for local bin 0
+/// // (global bin 4): c = 1 keeps only one, which the same round serves.
+/// let runs = [Run::new(1, 2)];
 /// let mut rejected = Vec::new();
 /// let mut served = Vec::new();
-/// // Two requests for local bin 0 (global bin 4): c = 1 keeps only one,
-/// // which the same round then serves.
-/// let stats = shard.run_round(requests.into_iter(), &mut rejected, |bin, ball| {
+/// let stats = shard.run_round(&[0, 0], &runs, &mut rejected, |bin, ball| {
 ///     served.push((bin, ball))
 /// });
 /// assert_eq!(stats.accepted, 1);
-/// assert_eq!(rejected.len(), 1);
+/// assert_eq!(rejected, vec![Run::new(1, 1)]);
 /// assert_eq!(served, vec![(0, Ball::generated_in(1))]);
 /// # Ok(())
 /// # }
@@ -345,26 +347,31 @@ impl BinShard {
 
     /// One bin-local round of Algorithm 1 on this shard.
     ///
-    /// `requests` yields `(local_bin, ball)` pairs that MUST be ordered
-    /// oldest-first. Every bin accepts the oldest `min{c − ℓ, ν}` of its
-    /// requests while online; rejected balls are appended to `rejected` in
-    /// request order (hence oldest-first). Then every online bin serves the
+    /// The requests are the label `runs`, oldest first, plus one local bin
+    /// choice per ball: `choices[i]` is the bin the `i`-th ball of the runs
+    /// asks for. Every bin accepts the oldest `min{c − ℓ, ν}` of its
+    /// requests while online; the rejected balls are appended to
+    /// `rejected` as runs, oldest first. Then every online bin serves the
     /// head of its FIFO queue, handing `(local_bin, ball)` to `served` in
     /// bin order — concatenating shard outputs in shard order therefore
     /// reproduces [`CappedProcess`](crate::process::CappedProcess)'s
     /// global bin-order waiting-time vector.
-    pub fn run_round<I, F>(
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `runs` holds exactly `choices.len()` balls.
+    pub fn run_round<F>(
         &mut self,
-        requests: I,
-        rejected: &mut Vec<Ball>,
+        choices: &[u32],
+        runs: &[Run],
+        rejected: &mut Vec<Run>,
         served: F,
     ) -> ShardRoundStats
     where
-        I: ExactSizeIterator<Item = (usize, Ball)> + Clone,
         F: FnMut(usize, Ball),
     {
-        let thrown = requests.len() as u64;
-        let accepted = self.accept_stream(requests, rejected);
+        let thrown = choices.len() as u64;
+        let accepted = self.accept_stream(choices, runs, rejected);
         if let Some(p) = obs::probes() {
             p.accepted_balls.add(accepted);
             p.rejected_balls.add(thrown - accepted);
@@ -377,28 +384,38 @@ impl BinShard {
 
     /// The acceptance half of [`run_round`](Self::run_round); returns the
     /// accepted count. Over the flat arena this is the counting-sort
-    /// kernel — the single-pass [`fast_accept`], or [`counting_accept`]
-    /// when a fault-raised capacity could overflow a ring — bit-exactly
-    /// the per-ball greedy walk of [`try_accept`](Self::try_accept), which
-    /// serves only streams past `u32::MAX` requests, where the quota
-    /// counters would overflow.
+    /// kernel — the single-pass [`fast_accept`] over the runs, or
+    /// [`counting_accept`] when a fault-raised capacity could overflow a
+    /// ring — bit-exactly the per-ball greedy walk of
+    /// [`try_accept`](Self::try_accept), which serves only rounds past
+    /// `u32::MAX` requests, where the quota counters would overflow.
     ///
     /// Must be followed by [`serve_sweep`](Self::serve_sweep) before any
     /// other access: a fast-path acceptance leaves its commit to it.
-    pub(crate) fn accept_stream<I>(&mut self, requests: I, rejected: &mut Vec<Ball>) -> u64
-    where
-        I: ExactSizeIterator<Item = (usize, Ball)> + Clone,
-    {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `runs` holds exactly `choices.len()` balls.
+    pub(crate) fn accept_stream(
+        &mut self,
+        choices: &[u32],
+        runs: &[Run],
+        rejected: &mut Vec<Run>,
+    ) -> u64 {
+        assert_eq!(
+            runs.iter().map(|run| run.count).sum::<u64>(),
+            choices.len() as u64,
+            "need exactly one choice per ball"
+        );
         let primed = std::mem::take(&mut self.primed);
-        let thrown = requests.len();
-        if thrown <= u32::MAX as usize {
+        if choices.len() <= u32::MAX as usize {
             let fast = fast_accept(
                 &mut self.arena,
                 &self.offline,
                 &mut self.state,
                 &mut self.quotas,
-                thrown,
-                requests.clone(),
+                choices,
+                runs,
                 rejected,
                 primed,
             );
@@ -411,16 +428,17 @@ impl BinShard {
                 &self.offline,
                 &mut self.counts,
                 &mut self.quotas,
-                requests,
+                choices,
+                runs,
                 rejected,
             );
         }
         let mut accepted = 0u64;
-        for (bin, ball) in requests {
-            if self.try_accept(bin, ball) {
+        for (&bin, ball) in choices.iter().zip(expand(runs)) {
+            if self.try_accept(bin as usize, ball) {
                 accepted += 1;
             } else {
-                rejected.push(ball);
+                push_run(rejected, ball.label(), 1);
             }
         }
         accepted
@@ -514,6 +532,16 @@ mod tests {
     use super::*;
     use crate::process::CappedProcess;
 
+    /// Splits an age-ordered `(local_bin, ball)` stream into the round's
+    /// requests: one bin choice per ball plus the balls' label runs.
+    fn split(stream: &[(usize, Ball)]) -> (Vec<u32>, Vec<Run>) {
+        let mut runs = Vec::new();
+        for &(_, ball) in stream {
+            push_run(&mut runs, ball.label(), 1);
+        }
+        (stream.iter().map(|&(b, _)| b as u32).collect(), runs)
+    }
+
     /// Runs one fused round at `round`, returning the stats, the rejected
     /// balls, and the served `(local_bin, wait)` pairs in bin order.
     fn step(
@@ -521,12 +549,14 @@ mod tests {
         round: u64,
         requests: &[(usize, Ball)],
     ) -> (ShardRoundStats, Vec<Ball>, Vec<(usize, u64)>) {
+        let (choices, runs) = split(requests);
         let mut rejected = Vec::new();
         let mut served = Vec::new();
-        let stats = shard.run_round(requests.iter().copied(), &mut rejected, |b, ball| {
+        let stats = shard.run_round(&choices, &runs, &mut rejected, |b, ball| {
             served.push((b, ball.age_at(round)))
         });
-        (stats, rejected, served)
+        assert!(crate::pool::is_canonical(&rejected));
+        (stats, expand(&rejected).collect(), served)
     }
 
     fn ball(label: u64) -> Ball {
@@ -598,7 +628,8 @@ mod tests {
         what: &str,
     ) {
         let (mut fast_rejected, mut fast_served) = (Vec::new(), Vec::new());
-        fast.accept_stream(stream.iter().copied(), &mut fast_rejected);
+        let (choices, runs) = split(stream);
+        fast.accept_stream(&choices, &runs, &mut fast_rejected);
         assert!(
             fast.commit_pending,
             "{what}: the round must take fast_accept"
@@ -611,6 +642,7 @@ mod tests {
             }
         }
         walk.serve_sweep(|b, ball| walk_served.push((b, ball)));
+        let fast_rejected: Vec<Ball> = expand(&fast_rejected).collect();
         assert_eq!(fast_rejected, walk_rejected, "{what}: rejects");
         assert_eq!(fast_served, walk_served, "{what}: served balls");
         assert_eq!(fast.to_parts(), walk.to_parts(), "{what}: bin contents");
@@ -697,7 +729,8 @@ mod tests {
         let mut shard = BinShard::new(&config, 4..7);
         let mut served = Vec::new();
         shard.run_round(
-            [(0, ball(1)), (2, ball(3))].into_iter(),
+            &[0, 2],
+            &[Run::new(1, 1), Run::new(3, 1)],
             &mut Vec::new(),
             |b, ball| served.push((b, ball)),
         );
@@ -826,7 +859,7 @@ mod tests {
             let shard_loads: Vec<usize> = parts.iter().flat_map(|p| p.loads()).collect();
             assert_eq!(reference.loads(), shard_loads, "round {round}");
             let pool_labels: Vec<u64> = pool.iter().map(Ball::label).collect();
-            let ref_labels: Vec<u64> = reference.pool().iter().map(Ball::label).collect();
+            let ref_labels: Vec<u64> = reference.pool().iter().map(|b| b.label()).collect();
             assert_eq!(pool_labels, ref_labels, "round {round}");
         }
     }

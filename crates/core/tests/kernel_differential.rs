@@ -44,7 +44,7 @@ fn cell(n: usize, c: u32, lambda: f64) -> CappedConfig {
 
 /// The specification of `p`'s current state.
 fn spec_of(p: &CappedProcess) -> SpecCapped {
-    let pool: Vec<u64> = p.pool().iter().map(Ball::label).collect();
+    let pool: Vec<u64> = p.pool().iter().map(|b| b.label()).collect();
     SpecCapped::from_state(p.config(), p.round(), &pool, bins_of(p))
 }
 
@@ -62,7 +62,7 @@ fn bins_of(p: &CappedProcess) -> Vec<SpecBin> {
 /// pool labels, and every bin's capacity, FIFO labels and offline flag.
 fn assert_same_state(p: &CappedProcess, spec: &SpecCapped, what: &str) {
     assert_eq!(p.round(), spec.round(), "{what}: round");
-    let pool: Vec<u64> = p.pool().iter().map(Ball::label).collect();
+    let pool: Vec<u64> = p.pool().iter().map(|b| b.label()).collect();
     assert_eq!(pool, spec.pool_labels(), "{what}: pool");
     let spec_bins: Vec<SpecBin> = (0..spec.bins())
         .map(|i| {
@@ -282,6 +282,55 @@ fn arena_kernel_is_bit_exact_under_fault_injection() {
         let mut spec = FaultedProcess::new(spec, scenario());
         let what = format!("faulted, seed {seed}");
         lockstep(&mut arena, &mut spec, seed, 120, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
+    }
+}
+
+#[test]
+fn arena_kernel_is_bit_exact_on_many_one_ball_runs() {
+    // n = 8, λ = 1/8: one ball per round, so every generation is a run of
+    // one ball. Crashing seven bins backs the pool up into dozens of
+    // one-ball runs of distinct labels; the surges add balls at the
+    // current label, which merge into the youngest run; the recoveries
+    // drain the runs through the scatter, one reject run per label.
+    let plan = || {
+        FaultPlan::new()
+            .with(
+                3,
+                FaultEvent::CrashBins {
+                    bins: vec![0, 1, 2, 3, 4, 5, 6],
+                },
+            )
+            .with(10, FaultEvent::PoolSurge { extra: 1 })
+            .with(11, FaultEvent::PoolSurge { extra: 2 })
+            .with(25, FaultEvent::PoolSurge { extra: 1 })
+            .with(
+                45,
+                FaultEvent::RecoverBins {
+                    bins: vec![0, 1, 2],
+                },
+            )
+            .with(46, FaultEvent::PoolSurge { extra: 3 })
+            .with(
+                60,
+                FaultEvent::RecoverBins {
+                    bins: vec![3, 4, 5, 6],
+                },
+            )
+            .with(61, FaultEvent::CrashBins { bins: vec![7] })
+            .with(70, FaultEvent::PoolSurge { extra: 1 })
+            .with(80, FaultEvent::RecoverBins { bins: vec![7] })
+    };
+    for &seed in SEEDS {
+        let (arena, spec) = pair(cell(8, 1, 0.125));
+        let mut arena = FaultedProcess::new(arena, plan());
+        let mut spec = FaultedProcess::new(spec, plan());
+        let what = format!("one-ball runs, seed {seed}");
+        lockstep(&mut arena, &mut spec, seed, 44, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
+        let runs = arena.inner().pool().runs().len();
+        assert!(runs >= 10, "{what}: only {runs} runs backed up");
+        lockstep(&mut arena, &mut spec, seed ^ 1, 100, &what);
         assert_same_state(arena.inner(), spec.inner(), &what);
     }
 }
@@ -527,17 +576,25 @@ fn shard_kernels_match_through_elastic_membership_changes() {
     // forcing the `counting_accept` fallback, and to unbounded), and a
     // split → rebuild → re-merge round trip (the elastic-membership and
     // fault surface the service uses).
+    use iba_core::pool::{expand, push_run, Run};
     use iba_core::shard::{BinShard, ShardRoundStats};
 
     type Round = (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>);
 
     fn kernel_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {
+        // The kernel takes the balls as label runs plus one bin choice
+        // per ball, and hands the rejects back as runs.
+        let choices: Vec<u32> = requests.iter().map(|&(b, _)| b as u32).collect();
+        let mut runs: Vec<Run> = Vec::new();
+        for &(_, ball) in requests {
+            push_run(&mut runs, ball.label(), 1);
+        }
         let mut rejected = Vec::new();
         let mut served = Vec::new();
-        let stats = shard.run_round(requests.iter().copied(), &mut rejected, |b, ball| {
+        let stats = shard.run_round(&choices, &runs, &mut rejected, |b, ball| {
             served.push((b, ball))
         });
-        (stats, rejected, served)
+        (stats, expand(&rejected).collect(), served)
     }
 
     fn walk_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {

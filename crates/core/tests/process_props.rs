@@ -1,11 +1,14 @@
 //! Property-based tests of the CAPPED process internals: acceptance-rule
-//! equivalence and determinism under pre-drawn choices.
+//! equivalence and determinism under pre-drawn choices, and the
+//! checkpoint decoder's refusal of balls from the future.
 
 use proptest::prelude::*;
 
-use iba_core::{Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_core::shard::BinPart;
+use iba_core::{checkpoint, Ball, BinArena, BinShard, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_sim::codec::CodecError;
 use iba_sim::process::AllocationProcess;
-use iba_sim::SimRng;
+use iba_sim::{SimRng, Simulation};
 
 /// Reference implementation of Algorithm 1's acceptance rule for one
 /// round: given per-ball bin choices (balls indexed oldest-first), each bin
@@ -152,5 +155,96 @@ proptest! {
             p.step(&mut rng);
             prop_assert!(p.conserves_balls());
         }
+    }
+}
+
+/// The process of `sim`, re-assembled with its pool and bins passed
+/// through `forge` (and the generated-ball counter adjusted so that
+/// conservation still holds), saved as an IBA1 checkpoint with a valid
+/// CRC, and restored.
+fn restore_forged(
+    sim: &Simulation<CappedProcess>,
+    forge: impl FnOnce(&mut Vec<Ball>, &mut Vec<BinPart>),
+) -> Result<Simulation<CappedProcess>, CodecError> {
+    let p = sim.process();
+    let mut pool: Vec<Ball> = p.pool().iter().collect();
+    let mut parts: Vec<BinPart> = (0..p.config().bins())
+        .map(|i| {
+            let bin = p.bin(i);
+            (
+                bin.capacity(),
+                bin.iter().copied().collect(),
+                p.is_bin_offline(i),
+            )
+        })
+        .collect();
+    let held = |pool: &Vec<Ball>, parts: &Vec<BinPart>| {
+        pool.len() + parts.iter().map(|part| part.1.len()).sum::<usize>()
+    };
+    let before = held(&pool, &parts);
+    forge(&mut pool, &mut parts);
+    let generated = p.total_generated() + held(&pool, &parts) as u64 - before as u64;
+    let forged = CappedProcess::from_parts(
+        p.config().clone(),
+        BinShard::from_parts(0, parts),
+        pool.into_iter().collect::<Pool>(),
+        p.round(),
+        generated,
+        p.total_deleted(),
+    );
+    checkpoint::restore(&checkpoint::save(&Simulation::new(
+        forged,
+        sim.rng().clone(),
+    )))
+}
+
+fn small_run() -> Simulation<CappedProcess> {
+    let config = CappedConfig::new(16, 1, 7.0 / 8.0).expect("valid");
+    let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(3));
+    sim.run_rounds(20);
+    sim
+}
+
+#[test]
+fn checkpoint_rejects_a_pool_label_past_its_round() {
+    let sim = small_run();
+    let round = sim.process().round();
+    assert!(!sim.process().pool().is_empty(), "the fixture pools balls");
+    // Untouched, the state restores; so does a pooled ball labeled with
+    // the checkpoint round itself (a surge between rounds).
+    assert!(restore_forged(&sim, |_, _| {}).is_ok());
+    assert!(restore_forged(&sim, |pool, _| pool.push(Ball::generated_in(round))).is_ok());
+    // A pooled ball from round 1020 at round 20: restoring it used to
+    // succeed, and the next generation then panicked out of order.
+    for future in [round + 1, 1020] {
+        let forged = restore_forged(&sim, |pool, _| {
+            *pool.last_mut().expect("non-empty") = Ball::generated_in(future);
+        });
+        assert!(
+            matches!(forged, Err(CodecError::Invalid { .. })),
+            "a pool label {future} past round {round} must be refused"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_rejects_a_bin_label_past_its_round() {
+    let sim = small_run();
+    let round = sim.process().round();
+    // A ball labeled with the checkpoint round itself is legal.
+    let legal = restore_forged(&sim, |_, parts| {
+        parts[0].1.push(Ball::generated_in(round));
+    });
+    assert!(legal.is_ok());
+    // A ball from a later round queued in bin 0: its waiting time would
+    // come out as 0 (or panic with debug assertions).
+    for future in [round + 1, 1020] {
+        let forged = restore_forged(&sim, |_, parts| {
+            parts[0].1.push(Ball::generated_in(future));
+        });
+        assert!(
+            matches!(forged, Err(CodecError::Invalid { .. })),
+            "a bin label {future} past round {round} must be refused"
+        );
     }
 }

@@ -14,13 +14,14 @@
 //!    admitted from the bounded ingress queue, or both — into the pool;
 //! 3. draw every pooled ball's bin in bulk
 //!    ([`SimRng::fill_uniform_bins`], consumption-identical to one
-//!    uniform draw per ball, oldest-first), bucket the balls by the shard
-//!    owning their bin in the same pass, and hand shard `k ≥ 1` to worker
-//!    `k − 1`;
+//!    uniform draw per ball, oldest-first), route the pool's label runs in
+//!    the same pass — each shard gets the local bin of every ball it owns
+//!    and the label runs of those balls — and hand shard `k ≥ 1` to
+//!    worker `k − 1`;
 //! 4. run shard 0 on the driver, take the other shards back in shard
-//!    order and merge: the shards' rejects — one oldest-first run each —
-//!    merge linearly back into the global pool (retrying next round),
-//!    served balls produce waiting times and ticket [`Completion`]s.
+//!    order and merge: the shards' reject runs merge label by label back
+//!    into the global pool (retrying next round), served balls produce
+//!    waiting times and ticket [`Completion`]s.
 //!
 //! Between rounds every shard is on the driver, so faults, membership
 //! changes and checkpoints are plain method calls on its
@@ -38,8 +39,9 @@ use std::sync::Arc;
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
+use iba_core::pool::Run;
 use iba_core::shard::{shard_range, BinShard};
-use iba_core::{Ball, Capacity, CappedConfig, CappedProcess, KernelMode, Pool};
+use iba_core::{Capacity, CappedConfig, CappedProcess, KernelMode, Pool};
 use iba_membership::{Autoscaler, MembershipEvent, MembershipPlan};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::error::ConfigError;
@@ -309,7 +311,7 @@ impl CappedService {
             autoscaler: None,
             membership_events: 0,
             balls_moved: 0,
-            pool: Pool::with_capacity(capped.predicted_stationary_pool()),
+            pool: Pool::new(),
             pending: VecDeque::new(),
             pending_count: 0,
             spare_ids: Vec::new(),
@@ -792,13 +794,8 @@ impl CappedService {
         // every shard but the first to its worker.
         let route_timer = iba_obs::PhaseTimer::start();
         let mut slots = std::mem::take(&mut self.slots);
-        let mut balls = self.pool.take();
-        let mut choices = [0u32; ROUTE_CHUNK];
-        for chunk in balls.chunks(ROUTE_CHUNK) {
-            let choices = &mut choices[..chunk.len()];
-            self.driver_rng.fill_uniform_bins(n, choices);
-            route(&mut slots, choices, chunk);
-        }
+        let mut runs = self.pool.take_runs();
+        route(&mut slots, &mut self.driver_rng, n, &runs);
         for (worker, slot) in self.workers.iter().zip(slots.drain(1..)) {
             worker.send(slot);
         }
@@ -836,10 +833,10 @@ impl CappedService {
         self.total_served += waiting_times.len() as u64;
         self.wait_hist.record_all(&waiting_times);
 
-        // The pooled balls' buffer takes the merged rejects.
-        merge_rejects(&mut slots, &mut balls);
+        // The pool's run buffer takes the merged rejects.
+        merge_rejects(&mut slots, &mut runs);
         self.slots = slots;
-        self.pool.restore(balls);
+        self.pool.restore_runs(runs);
 
         // 5. Deadline reaping: forget completion-notification state for
         // tickets past the TTL. The balls themselves stay pooled/buffered
@@ -1100,12 +1097,9 @@ impl CappedService {
         }
         if !drained.is_empty() {
             self.count_balls_moved(drained.len() as u64);
-            // Merge the drained rings into the pool: balls order by label
-            // alone, so one sort restores the oldest-first pool invariant.
-            let mut balls = self.pool.take();
-            balls.extend(drained);
-            balls.sort();
-            self.pool.restore(balls);
+            // The drained balls keep their labels: they merge into the
+            // pool's runs of the same labels.
+            self.pool.merge_balls(drained);
         }
         to_remove > 0
     }
@@ -1160,37 +1154,63 @@ fn owner_of(slots: &[Slot], bin: usize) -> usize {
     slots.partition_point(|slot| slot.end() <= bin)
 }
 
-/// Appends every ball, paired with its drawn bin, to the requests of the
-/// shard owning that bin, so each shard sees its balls in pool
-/// (oldest-first) order.
-fn route(slots: &mut [Slot], choices: &[u32], balls: &[Ball]) {
-    for (&bin, &ball) in choices.iter().zip(balls) {
-        let shard = owner_of(slots, bin as usize);
-        slots[shard].requests.push((bin, ball));
+/// Draws the bin of every ball of `runs` (oldest-first, in bulk chunks of
+/// at most [`ROUTE_CHUNK`] balls of one run, which consume `rng` exactly
+/// as one draw per ball would) and routes it to the shard owning that
+/// bin in one pass: the owner gets the ball's local bin, and at the end
+/// of each run every shard closes it with the number of its balls it
+/// received. Each shard thus sees its balls in pool (oldest-first)
+/// order, and routing costs O(balls × log shards + runs × shards).
+fn route(slots: &mut [Slot], rng: &mut SimRng, n: usize, runs: &[Run]) {
+    // The shards' bin ranges, read once: the per-ball owner search is
+    // `owner_of`'s binary search over range ends, kept in two small
+    // arrays instead of reaching into every boxed shard.
+    let ends: Vec<u32> = slots.iter().map(|slot| slot.end() as u32).collect();
+    let firsts: Vec<u32> = slots
+        .iter()
+        .map(|slot| slot.bins.first_bin() as u32)
+        .collect();
+    let mut chunk = [0u32; ROUTE_CHUNK];
+    for run in runs {
+        let mut left = run.count;
+        while left > 0 {
+            let take = left.min(ROUTE_CHUNK as u64) as usize;
+            let chunk = &mut chunk[..take];
+            rng.fill_uniform_bins(n, chunk);
+            for &bin in chunk.iter() {
+                let owner = ends.partition_point(|&end| end <= bin);
+                slots[owner].choices.push(bin - firsts[owner]);
+            }
+            left -= take as u64;
+        }
+        for slot in slots.iter_mut() {
+            slot.close_run(run.label);
+        }
     }
 }
 
-/// Merges the shards' rejected balls into `out`, oldest-first, emptying
-/// the shards' reject buffers. Each shard's rejects are already an
-/// oldest-first run and balls order by label alone, so filling `out`
-/// from the back with every run's youngest-label suffix in turn takes
-/// time linear in the balls plus labels × shards — no comparison sort.
-fn merge_rejects(slots: &mut [Slot], out: &mut Vec<Ball>) {
-    let mut end: usize = slots.iter().map(|slot| slot.rejected.len()).sum();
+/// Merges the shards' reject runs into `out`, oldest-first, emptying the
+/// shards' reject buffers. Each shard's rejects are already canonical
+/// runs, so taking every shard's youngest run of the youngest label in
+/// turn and summing their counts builds the merged runs from the back in
+/// time linear in labels × shards.
+fn merge_rejects(slots: &mut [Slot], out: &mut Vec<Run>) {
     out.clear();
-    out.resize(end, Ball::generated_in(0));
-    while let Some(&youngest) = slots.iter().filter_map(|slot| slot.rejected.last()).max() {
-        for run in slots.iter_mut().map(|slot| &mut slot.rejected) {
-            let start = run
-                .iter()
-                .rposition(|&ball| ball < youngest)
-                .map_or(0, |i| i + 1);
-            let len = run.len() - start;
-            out[end - len..end].copy_from_slice(&run[start..]);
-            end -= len;
-            run.truncate(start);
+    while let Some(youngest) = slots
+        .iter()
+        .filter_map(|slot| slot.rejected.last())
+        .map(|run| run.label)
+        .max()
+    {
+        let mut count = 0;
+        for rejected in slots.iter_mut().map(|slot| &mut slot.rejected) {
+            if rejected.last().is_some_and(|run| run.label == youngest) {
+                count += rejected.pop().expect("last run checked").count;
+            }
         }
+        out.push(Run::new(youngest, count));
     }
+    out.reverse();
 }
 
 /// The shard owning global `bin`, and `bin`'s index within it.

@@ -12,6 +12,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
+use iba_core::pool::Run;
 use iba_core::shard::{BinShard, ShardRoundStats};
 use iba_core::Ball;
 
@@ -24,12 +25,18 @@ use crate::obs;
 pub(crate) struct Slot {
     /// The shard's bins, `first_bin()..end()` globally.
     pub bins: Box<BinShard>,
-    /// Requests routed to this shard's bins (global indices) for the next
-    /// round, oldest-first. The round consumes them.
-    pub requests: Vec<(u32, Ball)>,
-    /// The last round's rejected balls, in request order (oldest-first),
-    /// until the driver merges them into the pool.
-    pub rejected: Vec<Ball>,
+    /// The local bin of every ball routed to this shard for the next
+    /// round, in pool (oldest-first) order. The round consumes them.
+    pub choices: Vec<u32>,
+    /// The label runs of the routed balls: `choices[i]` belongs to the
+    /// `i`-th ball of the runs. The round consumes them.
+    pub runs: Vec<Run>,
+    /// How many of `choices` the closed `runs` cover; the rest belong to
+    /// the run being routed.
+    routed: u64,
+    /// The last round's rejected balls as runs, oldest-first, until the
+    /// driver merges them into the pool.
+    pub rejected: Vec<Run>,
     /// The last round's served balls with their local bin, in bin order.
     pub served: Vec<(u32, Ball)>,
     /// The last round's statistics; `buffered` and `max_load` describe
@@ -49,7 +56,9 @@ impl Slot {
         };
         Slot {
             bins: Box::new(bins),
-            requests: Vec::new(),
+            choices: Vec::new(),
+            runs: Vec::new(),
+            routed: 0,
             rejected: Vec::new(),
             served: Vec::new(),
             stats,
@@ -61,6 +70,16 @@ impl Slot {
         self.bins.first_bin() + self.bins.len()
     }
 
+    /// Ends the run labeled `label`: the balls routed since the last
+    /// closed run become one run, if there are any.
+    pub fn close_run(&mut self, label: u64) {
+        let count = self.choices.len() as u64 - self.routed;
+        if count > 0 {
+            self.runs.push(Run::new(label, count));
+            self.routed += count;
+        }
+    }
+
     /// Runs one bin-local round on the routed requests, refilling the
     /// reply buffers and the tallies.
     pub fn run(&mut self) {
@@ -68,15 +87,15 @@ impl Slot {
         self.rejected.clear();
         self.served.clear();
         let served = &mut self.served;
-        let first_bin = self.bins.first_bin();
         self.stats = self.bins.run_round(
-            self.requests
-                .iter()
-                .map(move |&(bin, ball)| (bin as usize - first_bin, ball)),
+            &self.choices,
+            &self.runs,
             &mut self.rejected,
             |local, ball| served.push((local as u32, ball)),
         );
-        self.requests.clear();
+        self.choices.clear();
+        self.runs.clear();
+        self.routed = 0;
         if let Some(p) = obs::probes() {
             timer.observe(&p.shard_round_nanos);
         }

@@ -11,11 +11,21 @@
 //!   (`stride` is a power of two ≥ every configured finite capacity, so for
 //!   the paper process this is exactly an `n · c` layout), followed by one
 //!   guard slot that `fast_accept`'s branchless scatter writes rejects to;
-//! - **`meta`** — one packed `u64` per bin holding `(head, len)` in the low
-//!   and high 32 bits, so the deletion stage touches 8 sequential bytes per
-//!   bin instead of a deque header in a random heap location;
+//! - **`regs`** — one packed `u64` **register** per bin, the bin's only
+//!   ring state: its length (bits 0..24), its acceptance bound (bits
+//!   24..40: the live capacity clipped to `u16::MAX`, or 0 while the bin
+//!   is offline) and its tail (bits 40..64, the next free ring offset
+//!   kept modulo 2²⁴). The tail sits at the top, so an increment carries
+//!   out of the word and never into another field, and `tail & (stride −
+//!   1)` stays valid for every power-of-two stride. The head is derived,
+//!   `(tail − len) & (stride − 1)`;
 //! - **`caps`** — the per-bin **live** capacity (fault injection may
 //!   diverge it from the configured profile).
+//!
+//! Every mutator rewrites the one register it touches, so the acceptance
+//! scatter and the deletion sweep read the same word and nothing is ever
+//! left to commit or re-derive between them. The fields cap the stride at
+//! [`MAX_STRIDE`] (a full ring's length must fit the 24-bit length field).
 //!
 //! On top of the layout, `counting_accept` implements the round kernel's
 //! acceptance stage as a counting sort over bin indices: histogram the
@@ -47,12 +57,93 @@ use crate::ball::Ball;
 use crate::config::Capacity;
 use crate::obs;
 use crate::pool::{expand, push_run, Run};
+use crate::shard::ShardRoundStats;
 
 /// Strides are initially clamped to this many slots, so a huge finite
 /// capacity does not pre-commit memory that would almost never be used;
 /// bins whose capacity exceeds the clamp grow the arena lazily on first
 /// overflow.
 const STRIDE_CLAMP: usize = 4096;
+
+/// The largest ring size per bin. A bin holds at most `stride` balls, and
+/// the register's 24-bit length field must hold a full ring; a state
+/// that needs a larger ring is refused
+/// ([`try_from_bins`](BinArena::try_from_bins)) or panics (growth).
+pub const MAX_STRIDE: usize = 1 << 23;
+
+/// Register field layout: length in bits 0..24, bound in 24..40, tail in
+/// 40..64 (see the module docs).
+const LEN_MASK: u64 = (1 << 24) - 1;
+const BOUND_SHIFT: u32 = 24;
+const BOUND_MAX: u64 = u16::MAX as u64;
+const TAIL_SHIFT: u32 = 40;
+/// Register increment of one accepted ball: length + 1, tail + 1.
+const ACCEPT: u64 = 1 | 1 << TAIL_SHIFT;
+
+#[inline]
+fn reg_len(r: u64) -> usize {
+    (r & LEN_MASK) as usize
+}
+
+#[inline]
+fn reg_bound(r: u64) -> u64 {
+    (r >> BOUND_SHIFT) & BOUND_MAX
+}
+
+#[inline]
+fn reg_tail(r: u64) -> usize {
+    (r >> TAIL_SHIFT) as usize
+}
+
+/// A register for a ring unwrapped to head 0 (`tail = len`).
+#[inline]
+fn unwrapped(len: usize, bound: u64) -> u64 {
+    len as u64 | bound << BOUND_SHIFT | (len as u64) << TAIL_SHIFT
+}
+
+/// The acceptance bound an online bin of capacity `cap` carries: the
+/// capacity, clipped to the field. Never 0, so 0 can mean "offline".
+fn bound_of(cap: Capacity) -> u64 {
+    match cap {
+        Capacity::Finite(c) => u64::from(c.get()).min(BOUND_MAX),
+        Capacity::Infinite => BOUND_MAX,
+    }
+}
+
+/// Whether a bin of capacity `cap` keeps the arena off `fast_accept`: its
+/// accepted balls could outgrow a `stride` ring, or its bound is clipped.
+fn blocks_fast_path(cap: Capacity, stride: usize) -> bool {
+    match cap {
+        Capacity::Finite(c) => c.get() as usize > stride.min(BOUND_MAX as usize),
+        Capacity::Infinite => true,
+    }
+}
+
+/// How many of `caps` [block the fast path](blocks_fast_path) at `stride`.
+fn count_blocking(caps: &[Capacity], stride: usize) -> usize {
+    caps.iter()
+        .filter(|&&c| blocks_fast_path(c, stride))
+        .count()
+}
+
+/// The initial stride for a set of capacities and pre-existing loads:
+/// a power of two covering every load and every finite capacity up to the
+/// [`STRIDE_CLAMP`].
+fn initial_stride(caps: &[Capacity], max_len: usize) -> usize {
+    let max_cap = caps
+        .iter()
+        .filter_map(|c| match c {
+            Capacity::Finite(c) => Some(c.get() as usize),
+            Capacity::Infinite => None,
+        })
+        .max()
+        .unwrap_or(1);
+    max_cap
+        .min(STRIDE_CLAMP)
+        .max(max_len)
+        .max(1)
+        .next_power_of_two()
+}
 
 /// All of a process's FIFO bin buffers in one contiguous slot arena (see
 /// the module docs for the layout).
@@ -76,46 +167,15 @@ pub struct BinArena {
     /// One guard slot follows the last ring: [`fast_accept`]'s branchless
     /// scatter writes every rejected ball there. It is never read.
     slots: Vec<Ball>,
-    /// Packed per-bin ring state: head index in the low 32 bits, length in
-    /// the high 32 bits.
-    meta: Vec<u64>,
+    /// One packed `(len, bound, tail)` register per bin.
+    regs: Vec<u64>,
     /// Live per-bin capacities.
     caps: Vec<Capacity>,
-    /// Ring size per bin; always a power of two.
+    /// Ring size per bin; always a power of two, at most [`MAX_STRIDE`].
     stride: usize,
-    /// `Some(c)` while every live capacity is the same finite `c` — lets
-    /// the acceptance fast path skip streaming `caps` entirely. Cleared by
-    /// any diverging [`set_capacity`](Self::set_capacity).
-    uniform_cap: Option<u32>,
-}
-
-#[inline]
-fn unpack(meta: u64) -> (usize, usize) {
-    ((meta & 0xFFFF_FFFF) as usize, (meta >> 32) as usize)
-}
-
-#[inline]
-fn pack(head: usize, len: usize) -> u64 {
-    (head as u64) | ((len as u64) << 32)
-}
-
-/// The initial stride for a set of capacities and pre-existing loads:
-/// a power of two covering every load and every finite capacity up to the
-/// [`STRIDE_CLAMP`].
-fn initial_stride(caps: &[Capacity], max_len: usize) -> usize {
-    let max_cap = caps
-        .iter()
-        .filter_map(|c| match c {
-            Capacity::Finite(c) => Some(c.get() as usize),
-            Capacity::Infinite => None,
-        })
-        .max()
-        .unwrap_or(1);
-    max_cap
-        .min(STRIDE_CLAMP)
-        .max(max_len)
-        .max(1)
-        .next_power_of_two()
+    /// Bins whose live capacity [blocks the fast path](blocks_fast_path);
+    /// [`fast_accept`] runs only while this is 0.
+    blocking: usize,
 }
 
 impl BinArena {
@@ -123,50 +183,67 @@ impl BinArena {
     ///
     /// # Panics
     ///
-    /// Panics if `caps` is empty or any stride bound exceeds `u32::MAX`.
+    /// Panics if `caps` is empty.
     pub fn new(caps: Vec<Capacity>) -> Self {
         Self::from_bins(caps, Vec::new())
     }
 
     /// Rebuilds an arena from checkpointed per-bin contents (in FIFO
-    /// order). `contents` may be shorter than `caps` (missing bins start
-    /// empty), and bins may legally hold more balls than their live
-    /// capacity allows (capacity degradation).
+    /// order), every bin online. `contents` may be shorter than `caps`
+    /// (missing bins start empty), and bins may legally hold more balls
+    /// than their live capacity allows (capacity degradation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caps` is empty, `contents` is longer than `caps`, or
+    /// [`try_from_bins`](Self::try_from_bins) refuses the state.
+    pub fn from_bins(caps: Vec<Capacity>, contents: Vec<Vec<Ball>>) -> Self {
+        Self::try_from_bins(caps, contents)
+            .expect("a bin holds more than MAX_STRIDE balls, or the arena cannot be allocated")
+    }
+
+    /// [`from_bins`](Self::from_bins) for states from outside input: the
+    /// ring slots are allocated fallibly, so a forged load cannot abort
+    /// the process. `None` if some bin holds more than [`MAX_STRIDE`]
+    /// balls or the `n · stride` slots cannot be allocated.
     ///
     /// # Panics
     ///
     /// Panics if `caps` is empty or `contents` is longer than `caps`.
-    pub fn from_bins(caps: Vec<Capacity>, contents: Vec<Vec<Ball>>) -> Self {
+    pub fn try_from_bins(caps: Vec<Capacity>, contents: Vec<Vec<Ball>>) -> Option<Self> {
         assert!(!caps.is_empty(), "an arena needs at least one bin");
         assert!(contents.len() <= caps.len(), "more bin contents than bins");
         let max_len = contents.iter().map(Vec::len).max().unwrap_or(0);
         let stride = initial_stride(&caps, max_len);
-        assert!(stride <= u32::MAX as usize, "stride exceeds u32 range");
+        if stride > MAX_STRIDE {
+            return None;
+        }
         let bins = caps.len();
-        let mut slots = vec![Ball::generated_in(0); bins * stride + 1];
-        let mut meta = vec![0u64; bins];
+        let total = bins.checked_mul(stride)?.checked_add(1)?;
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(total).ok()?;
+        slots.resize(total, Ball::generated_in(0));
+        let mut regs: Vec<u64> = caps
+            .iter()
+            .map(|&cap| unwrapped(0, bound_of(cap)))
+            .collect();
         for (b, balls) in contents.iter().enumerate() {
             slots[b * stride..b * stride + balls.len()].copy_from_slice(balls);
-            meta[b] = pack(0, balls.len());
+            regs[b] = unwrapped(balls.len(), bound_of(caps[b]));
         }
-        let uniform_cap = match caps[0] {
-            Capacity::Finite(c0) if caps.iter().all(|&c| c == Capacity::Finite(c0)) => {
-                Some(c0.get())
-            }
-            _ => None,
-        };
-        BinArena {
+        let blocking = count_blocking(&caps, stride);
+        Some(BinArena {
             slots,
-            meta,
+            regs,
             caps,
             stride,
-            uniform_cap,
-        }
+            blocking,
+        })
     }
 
     /// Number of bins.
     pub fn bins(&self) -> usize {
-        self.meta.len()
+        self.regs.len()
     }
 
     /// The current ring size per bin (exposed for tests and diagnostics).
@@ -174,10 +251,24 @@ impl BinArena {
         self.stride
     }
 
+    /// Whether [`fast_accept`] may run: no bin's live capacity exceeds
+    /// the stride (or the bound field).
+    #[inline]
+    pub(crate) fn fast_path_open(&self) -> bool {
+        self.blocking == 0
+    }
+
     /// Current load of bin `b`.
     #[inline]
     pub fn len(&self, b: usize) -> usize {
-        unpack(self.meta[b]).1
+        reg_len(self.regs[b])
+    }
+
+    /// Bin `b`'s ring offset of its first-accepted ball.
+    #[inline]
+    fn head_offset(&self, b: usize) -> usize {
+        let r = self.regs[b];
+        reg_tail(r).wrapping_sub(reg_len(r)) & (self.stride - 1)
     }
 
     /// Live capacity of bin `b`.
@@ -186,72 +277,93 @@ impl BinArena {
         self.caps[b]
     }
 
+    /// Rewrites bin `b`'s acceptance bound, keeping its length and tail.
+    fn set_bound(&mut self, b: usize, bound: u64) {
+        let r = self.regs[b] & !(BOUND_MAX << BOUND_SHIFT);
+        self.regs[b] = r | bound << BOUND_SHIFT;
+        self.debug_check(b);
+    }
+
+    /// Checks that bin `b`'s register bound is its effective bound: the
+    /// live capacity clipped, or 0 while offline.
+    #[inline]
+    fn debug_check(&self, b: usize) {
+        let bound = reg_bound(self.regs[b]);
+        debug_assert!(
+            bound == 0 || bound == bound_of(self.caps[b]),
+            "bin {b}'s register bound {bound} is not its effective bound"
+        );
+    }
+
     /// Changes bin `b`'s live capacity (fault injection). Balls stored
     /// above a lowered capacity stay until served; the bin rejects new
-    /// balls until it drains below the new bound.
+    /// balls until it drains below the new bound. An offline bin stays
+    /// offline.
     pub fn set_capacity(&mut self, b: usize, capacity: Capacity) {
+        self.blocking -= usize::from(blocks_fast_path(self.caps[b], self.stride));
+        self.blocking += usize::from(blocks_fast_path(capacity, self.stride));
         self.caps[b] = capacity;
-        match (self.uniform_cap, capacity) {
-            (Some(u), Capacity::Finite(c)) if c.get() == u => {}
-            _ => self.uniform_cap = None,
+        if !self.is_offline(b) {
+            self.set_bound(b, bound_of(capacity));
         }
     }
 
-    /// Remaining room of bin `b`: how many more balls it may accept.
-    /// `usize::MAX` for unbounded bins — callers clamp against a request
-    /// count before using it arithmetically.
+    /// Takes bin `b` offline (`true`: it accepts nothing and the deletion
+    /// sweep skips it) or back online (`false`). Its balls stay.
+    pub fn set_offline(&mut self, b: usize, offline: bool) {
+        self.set_bound(b, if offline { 0 } else { bound_of(self.caps[b]) });
+    }
+
+    /// Whether bin `b` is offline — its register bound is 0.
+    #[inline]
+    pub fn is_offline(&self, b: usize) -> bool {
+        reg_bound(self.regs[b]) == 0
+    }
+
+    /// Remaining room of bin `b`: how many more balls it may accept (0
+    /// while offline). `usize::MAX` for unbounded bins — callers clamp
+    /// against a request count before using it arithmetically.
     #[inline]
     pub fn room(&self, b: usize) -> usize {
-        let len = self.len(b);
+        if self.is_offline(b) {
+            return 0;
+        }
         match self.caps[b] {
-            Capacity::Finite(c) => (c.get() as usize).saturating_sub(len),
+            Capacity::Finite(c) => (c.get() as usize).saturating_sub(self.len(b)),
             Capacity::Infinite => usize::MAX,
         }
     }
 
-    /// Accepts `ball` into bin `b` if there is room, growing the stride if
-    /// a raised capacity lets the bin outgrow its ring.
+    /// Accepts `ball` into bin `b` if it is online and has room, growing
+    /// the stride if a raised capacity lets the bin outgrow its ring.
     pub fn try_accept(&mut self, b: usize, ball: Ball) -> bool {
-        let (head, len) = unpack(self.meta[b]);
-        if !self.caps[b].has_room(len) {
+        if self.room(b) == 0 {
             return false;
         }
-        if len == self.stride {
-            self.grow(len + 1);
-            return self.try_accept(b, ball);
-        }
-        let idx = b * self.stride + ((head + len) & (self.stride - 1));
-        self.slots[idx] = ball;
-        self.meta[b] = pack(head, len + 1);
+        self.ensure_stride(self.len(b) + 1);
+        self.place(b, 0, ball);
+        self.add_len(b, 1);
         true
     }
 
     /// Serves (deletes) bin `b`'s first-accepted ball, if any — Algorithm
-    /// 1's FIFO deletion.
+    /// 1's FIFO deletion (regardless of the offline flag).
     #[inline]
     pub fn serve(&mut self, b: usize) -> Option<Ball> {
-        let (head, len) = unpack(self.meta[b]);
-        if len == 0 {
-            return None;
-        }
-        let ball = self.slots[b * self.stride + head];
-        self.meta[b] = pack((head + 1) & (self.stride - 1), len - 1);
+        let ball = *self.head(b)?;
+        self.regs[b] -= 1;
         Some(ball)
     }
 
     /// The ball bin `b` would serve next, if any.
     pub fn head(&self, b: usize) -> Option<&Ball> {
-        let (head, len) = unpack(self.meta[b]);
-        if len == 0 {
-            return None;
-        }
-        Some(&self.slots[b * self.stride + head])
+        (self.len(b) > 0).then(|| &self.slots[b * self.stride + self.head_offset(b)])
     }
 
     /// Bin `b`'s balls as two slices in FIFO order (front first), like
     /// [`VecDeque::as_slices`](std::collections::VecDeque::as_slices).
     pub fn as_slices(&self, b: usize) -> (&[Ball], &[Ball]) {
-        let (head, len) = unpack(self.meta[b]);
+        let (head, len) = (self.head_offset(b), self.len(b));
         let base = b * self.stride;
         let first = (self.stride - head).min(len);
         (
@@ -279,97 +391,35 @@ impl BinArena {
 
     /// Total balls stored across all bins.
     pub fn buffered(&self) -> usize {
-        self.meta.iter().map(|&m| unpack(m).1).sum()
+        self.regs.iter().map(|&r| reg_len(r)).sum()
     }
 
     /// Writes `ball` into bin `b`'s ring at `offset` slots past its current
-    /// tail **without** updating the length — the scatter half of the
+    /// tail **without** updating the register — the scatter half of the
     /// counting-sort acceptance pass. Call [`add_len`](Self::add_len) once
     /// per bin afterwards to commit. The caller must have sized the stride
     /// (via [`ensure_stride`](Self::ensure_stride)) so `len + offset`
     /// fits.
     #[inline]
     pub fn place(&mut self, b: usize, offset: usize, ball: Ball) {
-        let (head, len) = unpack(self.meta[b]);
-        debug_assert!(len + offset < self.stride, "scatter past ring bounds");
-        let idx = b * self.stride + ((head + len + offset) & (self.stride - 1));
+        debug_assert!(
+            self.len(b) + offset < self.stride,
+            "scatter past ring bounds"
+        );
+        let idx = b * self.stride + ((reg_tail(self.regs[b]) + offset) & (self.stride - 1));
         self.slots[idx] = ball;
     }
 
-    /// Commits `extra` balls previously written via [`place`](Self::place)
-    /// to bin `b`'s length.
+    /// Commits `extra` balls previously written via [`place`](Self::place):
+    /// the length and the tail both advance by `extra`.
     #[inline]
     pub fn add_len(&mut self, b: usize, extra: usize) {
-        let (head, len) = unpack(self.meta[b]);
-        debug_assert!(len + extra <= self.stride, "commit past ring bounds");
-        self.meta[b] = pack(head, len + extra);
-    }
-
-    /// `Some(c)` while every live capacity is the same finite `c` (the
-    /// paper configuration) — the acceptance/commit fast paths key off
-    /// this to skip streaming `caps` and the quota scratch entirely.
-    #[inline]
-    pub(crate) fn uniform_cap(&self) -> Option<u32> {
-        self.uniform_cap
-    }
-
-    /// Commits `extra` balls previously written via the scatter pass to
-    /// bin `b`'s length, then serves (FIFO-deletes) the bin's head ball if
-    /// it has one — the fused commit + deletion step of the round kernel,
-    /// one meta read-modify-write per bin instead of two.
-    #[inline]
-    pub fn commit_serve(&mut self, b: usize, extra: usize) -> Option<Ball> {
-        let (head, len) = unpack(self.meta[b]);
-        let len = len + extra;
-        debug_assert!(len <= self.stride, "commit past ring bounds");
-        if len == 0 {
-            return None;
-        }
-        let ball = self.slots[b * self.stride + head];
-        self.meta[b] = pack((head + 1) & (self.stride - 1), len - 1);
-        Some(ball)
-    }
-
-    /// The uniform-capacity form of [`commit_serve`](Self::commit_serve):
-    /// the number of balls the scatter accepted is recomputed from the
-    /// bin's (still pre-accept) length as `(c₀ − ℓ) − remaining`, so the
-    /// caller needs no quota scratch at all. Returns the served ball plus
-    /// the bin's post-serve `(len, tail)` — exactly what the caller needs
-    /// to prime the next round's acceptance register.
-    ///
-    /// Only valid for online bins of a uniformly-`c₀`-capacitated arena
-    /// whose `remaining` came from this round's [`fast_accept`] register.
-    #[inline]
-    pub(crate) fn commit_serve_uniform(
-        &mut self,
-        b: usize,
-        c0: u32,
-        remaining: u32,
-    ) -> (Option<Ball>, u32, u32) {
-        let mask = self.stride - 1;
-        let (head, len_pre) = unpack(self.meta[b]);
-        let taken = (c0 as usize).saturating_sub(len_pre) - remaining as usize;
-        let len = len_pre + taken;
-        debug_assert!(len <= self.stride, "commit past ring bounds");
-        if len == 0 {
-            return (None, 0, head as u32);
-        }
-        let ball = self.slots[b * self.stride + head];
-        let head = (head + 1) & mask;
-        let len = len - 1;
-        self.meta[b] = pack(head, len);
-        (Some(ball), len as u32, ((head + len) & mask) as u32)
-    }
-
-    /// Post-serve `(len, tail)` of bin `b` without serving — the
-    /// offline-bin counterpart of
-    /// [`commit_serve_uniform`](Self::commit_serve_uniform), used to keep
-    /// priming the acceptance registers of bins that are skipped by the
-    /// deletion stage.
-    #[inline]
-    pub(crate) fn len_tail(&self, b: usize) -> (u32, u32) {
-        let (head, len) = unpack(self.meta[b]);
-        (len as u32, ((head + len) & (self.stride - 1)) as u32)
+        debug_assert!(
+            self.len(b) + extra <= self.stride,
+            "commit past ring bounds"
+        );
+        self.regs[b] = self.regs[b].wrapping_add(extra as u64 * ACCEPT);
+        self.debug_check(b);
     }
 
     /// Ensures every bin's ring can hold `min_fill` balls, re-laying the
@@ -382,38 +432,33 @@ impl BinArena {
         }
     }
 
-    /// Appends a new bin at the end of the arena, pre-loaded with
+    /// Appends a new online bin at the end of the arena, pre-loaded with
     /// `contents` (FIFO order, oldest first). Elastic membership: a fresh
-    /// bin enters empty with its full capacity as acceptance quota; a bin
-    /// transferred from another shard arrives with its buffered balls.
+    /// bin enters empty; a bin transferred from another shard arrives with
+    /// its buffered balls.
     ///
     /// Like [`from_bins`](Self::from_bins), `contents` may legally exceed
     /// the live capacity (a degraded bin in flight keeps its overflow).
     ///
     /// # Panics
     ///
-    /// Panics if the stride needed for `contents` exceeds `u32::MAX`.
+    /// Panics if the stride needed for `contents` exceeds [`MAX_STRIDE`].
     pub fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball]) {
         self.ensure_stride(contents.len());
         let b = self.bins();
         self.slots
             .resize((b + 1) * self.stride + 1, Ball::generated_in(0));
         self.slots[b * self.stride..b * self.stride + contents.len()].copy_from_slice(contents);
-        self.meta.push(pack(0, contents.len()));
+        self.regs
+            .push(unwrapped(contents.len(), bound_of(capacity)));
         self.caps.push(capacity);
-        match (self.uniform_cap, capacity) {
-            (Some(c0), Capacity::Finite(c)) if c.get() == c0 => {}
-            _ => self.uniform_cap = None,
-        }
+        self.blocking += usize::from(blocks_fast_path(capacity, self.stride));
+        self.debug_check(b);
     }
 
     /// Removes the arena's **last** bin and returns its live capacity and
     /// buffered balls (FIFO order). Membership shrinks from the top of the
     /// index space so surviving bin indices never shift.
-    ///
-    /// Removing a bin can only make the capacity set *more* uniform, so
-    /// the uniform-capacity fast-path flag is re-derived here (it may
-    /// come back after a heterogeneous bin leaves).
     ///
     /// # Panics
     ///
@@ -422,15 +467,10 @@ impl BinArena {
         assert!(self.bins() > 1, "cannot pop the last bin");
         let b = self.bins() - 1;
         let balls: Vec<Ball> = self.iter_bin(b).copied().collect();
-        self.meta.pop();
+        self.regs.pop();
         let cap = self.caps.pop().expect("non-empty arena");
+        self.blocking -= usize::from(blocks_fast_path(cap, self.stride));
         self.slots.truncate(self.bins() * self.stride + 1);
-        self.uniform_cap = match self.caps[0] {
-            Capacity::Finite(c0) if self.caps.iter().all(|&c| c == Capacity::Finite(c0)) => {
-                Some(c0.get())
-            }
-            _ => None,
-        };
         (cap, balls)
     }
 
@@ -441,22 +481,53 @@ impl BinArena {
             p.arena_grows.inc();
         }
         let new_stride = needed.max(self.stride * 2).next_power_of_two();
-        assert!(new_stride <= u32::MAX as usize, "stride exceeds u32 range");
+        assert!(new_stride <= MAX_STRIDE, "stride exceeds MAX_STRIDE");
         let bins = self.bins();
         let mut slots = vec![Ball::generated_in(0); bins * new_stride + 1];
         for b in 0..bins {
-            let (head, len) = unpack(self.meta[b]);
-            let old_base = b * self.stride;
-            let first = (self.stride - head).min(len);
-            let new_base = b * new_stride;
-            slots[new_base..new_base + first]
-                .copy_from_slice(&self.slots[old_base + head..old_base + head + first]);
-            slots[new_base + first..new_base + len]
-                .copy_from_slice(&self.slots[old_base..old_base + (len - first)]);
-            self.meta[b] = pack(0, len);
+            let (front, back) = self.as_slices(b);
+            let base = b * new_stride;
+            slots[base..base + front.len()].copy_from_slice(front);
+            slots[base + front.len()..base + front.len() + back.len()].copy_from_slice(back);
+            let r = self.regs[b];
+            self.regs[b] = unwrapped(reg_len(r), reg_bound(r));
+            self.debug_check(b);
         }
         self.slots = slots;
         self.stride = new_stride;
+        self.blocking = count_blocking(&self.caps, new_stride);
+    }
+
+    /// The deletion stage of one round: every online bin serves the head
+    /// of its queue into `served`, in bin order. It reads each bin's
+    /// register and, for a non-empty online bin, its head slot
+    /// `(tail − len) & mask`, and decrements the length — one register
+    /// read-modify-write per bin, whichever acceptance pass ran before.
+    /// Returns the round's deletion statistics (`accepted` is left 0).
+    pub(crate) fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
+        let mut stats = ShardRoundStats::default();
+        let (stride, mask) = (self.stride, self.stride - 1);
+        let slots = &self.slots;
+        for (b, r) in self.regs.iter_mut().enumerate() {
+            let len = reg_len(*r);
+            if reg_bound(*r) == 0 {
+                // A crashed bin neither serves nor counts as a failed
+                // deletion *attempt* — it makes none.
+                stats.note_load(len as u64);
+                continue;
+            }
+            if len == 0 {
+                stats.failed_deletions += 1;
+                continue;
+            }
+            served(
+                b,
+                slots[b * stride + (reg_tail(*r).wrapping_sub(len) & mask)],
+            );
+            *r -= 1;
+            stats.note_load(len as u64 - 1);
+        }
+        stats
     }
 }
 
@@ -503,150 +574,61 @@ impl<'a> BinView<'a> {
 /// The classical formulation ([`counting_accept`]) histograms the request
 /// stream first so it can bound every bin's post-accept fill before any
 /// slot is written. That histogram is only ever *needed* when a bin could
-/// outgrow its ring — a fault raising a capacity past the stride. In the
-/// steady state every bin's quota is already capped by `capacity − len ≤
-/// stride − len`, so the histogram pass (a full extra random-access sweep
-/// over the stream) computes information the capacities alone imply.
+/// outgrow its ring — a live capacity above the stride (a fault raising
+/// it, or an unbounded bin). While no bin's capacity exceeds the stride
+/// (nor the 16-bit bound field), every bin's fill is bounded by
+/// `max{ℓ, c} ≤ stride`, so the histogram pass (a full extra
+/// random-access sweep over the stream) computes information the
+/// capacities alone imply. The arena keeps that condition as an O(1)
+/// count of blocking bins, so this routine has no per-bin setup at all.
 ///
-/// This routine therefore fuses histogram and prefix sum into one packed
-/// per-bin `u32` register, `state[b] = (remaining quota) << 16 | (next
-/// ring offset)`, initialized by a sequential sweep over the bin metadata
-/// (the `u16` fields are valid because the fast path only runs while
-/// `stride ≤ 2¹⁵`, and a quota never exceeds the free ring space):
+/// The scatter is a **single branch-free pass** in age order, run by run:
+/// one read-modify-write of the bin's register per request. Every ball of
+/// a run is the same ball, so the value written is a loop constant. With
+/// `acc = (len < bound)` — false for a full, an overfull or an offline
+/// (bound 0) bin — the ball is written to the tail slot
+/// `b·stride + (tail & mask)` on accept and to the arena's one guard slot
+/// (after the last ring, never read) on reject; the register grows by
+/// `acc · (1 + 2⁴⁰)`, advancing length and tail at once; and the run's
+/// accepted count — a register — grows by `acc`. After the run, its
+/// rejects go to `rejected` as one `(label, count − taken)` run, so
+/// rejects stay in age order. About 40% of throws are rejected at the
+/// paper's cell, so a branch on `acc` would mispredict constantly;
+/// selecting the slot index arithmetically costs no more than the accept
+/// arm alone. Accepting the first `min{c − ℓ, ν}` requests of each bin
+/// this way is bit-exactly the greedy oldest-first rule — the register
+/// is the running per-bin prefix sum of a counting sort, computed online
+/// instead of ahead of time. The registers are complete when the scatter
+/// ends: the deletion sweep reads them as they are.
 ///
-/// - `remaining quota` starts at the bin's room `c − ℓ` (0 for offline
-///   bins; `#requests` for a fault-raised unbounded bin that still fits) —
-///   the acceptance bound with ν replaced by its upper bound;
-/// - `next ring offset` starts at the bin's tail, `(head + len) & mask`.
-///
-/// The scatter is then a **single branch-free pass** in age order, run by
-/// run: one register read-modify-write per request. Every ball of a run
-/// is the same ball, so the value written is a loop constant. With
-/// `acc = (quota != 0)`, the ball is written to the tail slot
-/// `b·stride + cursor` on accept and to the arena's one guard slot (after
-/// the last ring, never read) on reject; the quota drops by `acc`, the
-/// cursor advances by `acc`, and the run's accepted count — a register —
-/// grows by `acc`. After the run, its rejects go to `rejected` as one
-/// `(label, count − taken)` run, so rejects stay in age order. About 40%
-/// of throws are rejected at the paper's cell, so a branch on `acc` would
-/// mispredict constantly; selecting the slot index arithmetically costs
-/// no more than the accept arm alone. Accepting the first `min{c − ℓ, ν}`
-/// requests of each bin this way is bit-exactly the greedy oldest-first
-/// rule — the register is the running per-bin prefix sum of a counting
-/// sort, computed online instead of ahead of time.
-///
-/// **The scatter does not update ring lengths.** On `Some`, the caller
-/// must fold the per-bin accepted counts into the arena before it is
-/// next read — the shard's deletion sweep does so while it serves. For a
-/// uniformly-capacitated arena the count is recomputed from the (still
-/// pre-accept) bin metadata by [`BinArena::commit_serve_uniform`], no
-/// quota scratch involved; otherwise the count is
-/// `quotas[b] − state[b] >> 16`, folded in by [`BinArena::commit_serve`].
-///
-/// Returns `None` **without touching the requests** if some bin's quota
-/// could overflow its ring (`ℓ + quota > stride`, possible only after a
-/// fault raised a live capacity past the stride) or the stride outgrew
-/// the `u16` register fields — in which case the caller must rerun
-/// through [`counting_accept`], whose exact histogram sizes the growth.
-/// `state` and `quotas` are round-persistent scratch (resized to the bin
-/// count, contents ignored on entry); `quotas` is only written for
-/// non-uniform capacity profiles.
-///
-/// `primed` asserts that `state` already holds every bin's register —
-/// the caller's previous commit sweep wrote them (see
-/// [`commit_serve_uniform`](BinArena::commit_serve_uniform)) and nothing
-/// has touched the arena, the offline mask, or the capacities since. The
-/// whole init sweep is skipped; steady-state rounds thus make exactly
-/// one pass over the bins (the fused commit + serve + re-prime sweep)
-/// besides the scatter itself.
+/// Returns `None` **without touching the requests** while some bin blocks
+/// the fast path — the caller must then run [`counting_accept`], whose
+/// exact histogram sizes the growth.
 ///
 /// The caller must guarantee that `runs` holds exactly `choices.len()`
 /// balls.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fast_accept(
     arena: &mut BinArena,
-    offline: &[bool],
-    state: &mut Vec<u32>,
-    quotas: &mut Vec<u32>,
     choices: &[u32],
     runs: &[Run],
     rejected: &mut Vec<Run>,
-    primed: bool,
 ) -> Option<u64> {
-    let max_requests = choices.len();
-    let n = offline.len();
-    debug_assert_eq!(n, arena.bins());
-    let stride = arena.stride;
-    if stride > 1 << 15 {
-        return bail(); // register fields are u16; only fault growth gets here
+    debug_assert_eq!(
+        arena.blocking,
+        count_blocking(&arena.caps, arena.stride),
+        "the fast-path count is stale"
+    );
+    if !arena.fast_path_open() {
+        return bail();
     }
-    let mask = stride - 1;
-
-    // Init sweep: pure sequential reads of meta (+ caps only for
-    // non-uniform capacity profiles) and offline. Entries are written
-    // unconditionally, so the resize never needs to zero re-used length.
-    // A primed caller did all of this during its previous commit sweep.
-    if primed {
-        debug_assert_eq!(state.len(), n);
-        debug_assert!(arena.uniform_cap.is_some(), "only uniform arenas prime");
-    } else {
-        if state.len() != n {
-            state.resize(n, 0);
-        }
-        let uniform = arena.uniform_cap;
-        if uniform.is_none() && quotas.len() != n {
-            quotas.resize(n, 0);
-        }
-        for b in 0..n {
-            let (head, len) = unpack(arena.meta[b]);
-            let avail = stride - len;
-            let room = if offline[b] {
-                0
-            } else if let Some(c0) = uniform {
-                let r = (c0 as usize).saturating_sub(len);
-                if r > avail {
-                    return bail(); // capacity above the clamped stride
-                }
-                r
-            } else {
-                match arena.caps[b] {
-                    Capacity::Finite(c) => {
-                        let r = (c.get() as usize).saturating_sub(len);
-                        if r > avail {
-                            return bail();
-                        }
-                        r
-                    }
-                    Capacity::Infinite => {
-                        if max_requests > avail {
-                            return bail(); // unbounded bin could outgrow the ring
-                        }
-                        max_requests
-                    }
-                }
-            };
-            // The stride bail above implies `room ≤ avail ≤ stride ≤ 2¹⁵`,
-            // but the quota field is a u16: guard explicitly so a
-            // fault-raised capacity can never corrupt the packed cursor
-            // bits if the stride invariant ever loosens.
-            if room > u16::MAX as usize {
-                return bail();
-            }
-            state[b] = ((room as u32) << 16) | (((head + len) & mask) as u32);
-            if uniform.is_none() {
-                quotas[b] = room as u32;
-            }
-        }
-    }
-
-    // Scatter: the only random-access pass. One register RMW per request;
-    // the per-request accesses are mutually independent, so the
-    // out-of-order core overlaps their cache misses on its own — an
-    // explicit software-prefetch stage was measured slower here. A reject
-    // is written to the guard slot, never to its bin's tail slot: a full
-    // ring's tail is its head.
+    // Scatter: the only random-access pass. The per-request accesses are
+    // mutually independent, so the out-of-order core overlaps their cache
+    // misses on its own — an explicit software-prefetch stage was
+    // measured slower here. A reject is written to the guard slot, never
+    // to its bin's tail slot: a full ring's tail is its head.
+    let (stride, mask) = (arena.stride, arena.stride - 1);
     let slots = arena.slots.as_mut_slice();
-    let state = state.as_mut_slice();
+    let regs = arena.regs.as_mut_slice();
     let guard = slots.len() - 1;
     let mut accepted = 0u64;
     let mut choices = choices;
@@ -657,13 +639,12 @@ pub(crate) fn fast_accept(
         let mut taken = 0u64;
         for &b in run {
             let b = b as usize;
-            let s = state[b];
-            let acc = s >> 16 != 0;
-            let cur = (s & 0xFFFF) as usize;
+            let r = regs[b];
+            let acc = u64::from((r & LEN_MASK) < reg_bound(r));
             let keep = (acc as usize).wrapping_neg();
-            slots[((b * stride + cur) & keep) | (guard & !keep)] = ball;
-            state[b] = ((s >> 16) - acc as u32) << 16 | (((cur + acc as usize) & mask) as u32);
-            taken += u64::from(acc);
+            slots[((b * stride + (reg_tail(r) & mask)) & keep) | (guard & !keep)] = ball;
+            regs[b] = r.wrapping_add(acc * ACCEPT);
+            taken += acc;
         }
         accepted += taken;
         push_run(rejected, label, count - taken);
@@ -689,7 +670,7 @@ fn bail() -> Option<u64> {
 /// greedy rule). [`fast_accept`] is the steady-state fast path; this form
 /// is the general one — its per-bin request histogram ν bounds every
 /// post-accept fill exactly, so it can grow the arena for bins whose
-/// capacity was fault-raised past the current stride.
+/// capacity exceeds the current stride.
 ///
 /// `choices[i]` is the bin the `i`-th ball of `runs` (oldest first)
 /// requests; the runs are expanded ball by ball. Rejected balls are
@@ -701,15 +682,13 @@ fn bail() -> Option<u64> {
 /// balls, at most `u32::MAX` of them (the histogram counts in `u32`).
 pub(crate) fn counting_accept(
     arena: &mut BinArena,
-    offline: &[bool],
     counts: &mut Vec<u32>,
     quotas: &mut Vec<u32>,
     choices: &[u32],
     runs: &[Run],
     rejected: &mut Vec<Run>,
 ) -> u64 {
-    let n = offline.len();
-    debug_assert_eq!(n, arena.bins());
+    let n = arena.bins();
     if let Some(p) = obs::probes() {
         p.fallback_rounds.inc();
     }
@@ -723,7 +702,7 @@ pub(crate) fn counting_accept(
 
     // Per-bin acceptance quotas min{c − ℓ, ν} (0 for offline bins), the
     // total accepted count, and the largest post-accept fill — the one
-    // place a capacity-raising fault can force a stride growth, detected
+    // place a capacity above the stride can force a growth, detected
     // *before* any slot is written. `counts` is zeroed as it is read so it
     // can serve as the scatter cursor below.
     quotas.clear();
@@ -733,9 +712,6 @@ pub(crate) fn counting_accept(
     for b in 0..n {
         let requested = counts[b];
         counts[b] = 0;
-        if requested == 0 || offline[b] {
-            continue;
-        }
         let quota = arena.room(b).min(requested as usize) as u32;
         if quota == 0 {
             continue;
@@ -828,18 +804,18 @@ mod tests {
         assert_eq!(arena.serve(0), Some(Ball::generated_in(0)));
     }
 
-    #[test]
-    fn counting_accept_matches_scalar_greedy() {
-        // Bin 0 full, bin 1 has room for one, bin 2 offline, bin 3 open.
+    /// The shared fixture: bin 0 full, bin 1 with room for one, bin 2
+    /// offline, bin 3 open; and a stream that hits each.
+    fn fixture() -> (BinArena, Vec<(usize, Ball)>) {
         let caps = vec![finite(1), finite(2), finite(4), finite(4)];
         let contents = vec![
             vec![Ball::generated_in(1)],
             vec![Ball::generated_in(1)],
             Vec::new(),
         ];
-        let mut arena = BinArena::from_bins(caps.clone(), contents.clone());
-        let offline = [false, false, true, false];
-        let stream: Vec<(usize, Ball)> = vec![
+        let mut arena = BinArena::from_bins(caps, contents);
+        arena.set_offline(2, true);
+        let stream = vec![
             (0, Ball::generated_in(2)), // bin 0 full -> reject
             (1, Ball::generated_in(2)), // fills bin 1
             (1, Ball::generated_in(3)), // over quota -> reject
@@ -847,104 +823,82 @@ mod tests {
             (3, Ball::generated_in(3)),
             (3, Ball::generated_in(4)),
         ];
-        let (choices, runs) = requests(&stream);
-        let mut counts = Vec::new();
-        let mut quotas = Vec::new();
+        (arena, stream)
+    }
+
+    /// The per-ball greedy `try_accept` walk over `stream`: the accepted
+    /// count and the rejected balls in stream order.
+    fn walk(arena: &mut BinArena, stream: &[(usize, Ball)]) -> (u64, Vec<Ball>) {
         let mut rejected = Vec::new();
+        let mut accepted = 0u64;
+        for &(b, ball) in stream {
+            if arena.try_accept(b, ball) {
+                accepted += 1;
+            } else {
+                rejected.push(ball);
+            }
+        }
+        (accepted, rejected)
+    }
+
+    /// Both arenas' bins hold the same balls and serve the same sweep.
+    fn assert_same_bins(a: &mut BinArena, b: &mut BinArena) {
+        for bin in 0..a.bins() {
+            let x: Vec<u64> = a.iter_bin(bin).map(Ball::label).collect();
+            let y: Vec<u64> = b.iter_bin(bin).map(Ball::label).collect();
+            assert_eq!(x, y, "bin {bin}");
+        }
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        assert_eq!(
+            a.serve_sweep(|bin, ball| x.push((bin, ball))),
+            b.serve_sweep(|bin, ball| y.push((bin, ball)))
+        );
+        assert_eq!(x, y, "served balls");
+    }
+
+    #[test]
+    fn counting_accept_matches_scalar_greedy() {
+        let (mut arena, stream) = fixture();
+        let (mut reference, _) = fixture();
+        let (choices, runs) = requests(&stream);
+        let (mut counts, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let accepted = counting_accept(
             &mut arena,
-            &offline,
             &mut counts,
             &mut quotas,
             &choices,
             &runs,
             &mut rejected,
         );
-
-        // Reference: the per-ball greedy try_accept walk over the same stream.
-        let mut reference = BinArena::from_bins(caps, contents);
-        let mut ref_rejected = Vec::new();
-        let mut ref_accepted = 0u64;
-        for &(b, ball) in &stream {
-            if !offline[b] && reference.try_accept(b, ball) {
-                ref_accepted += 1;
-            } else {
-                ref_rejected.push(ball);
-            }
-        }
-
+        let (ref_accepted, ref_rejected) = walk(&mut reference, &stream);
         assert_eq!(accepted, ref_accepted);
         assert_eq!(expand(&rejected).collect::<Vec<_>>(), ref_rejected);
         assert!(crate::pool::is_canonical(&rejected));
-        for b in 0..4 {
-            let kernel: Vec<u64> = arena.iter_bin(b).map(Ball::label).collect();
-            let scalar: Vec<u64> = reference.iter_bin(b).map(Ball::label).collect();
-            assert_eq!(kernel, scalar, "bin {b}");
-        }
+        assert_same_bins(&mut arena, &mut reference);
     }
 
     #[test]
     fn fast_accept_matches_counting_accept() {
-        // Same fixture as `counting_accept_matches_scalar_greedy`: full,
-        // partially full, offline, and open bins.
-        let caps = vec![finite(1), finite(2), finite(4), finite(4)];
-        let contents = vec![
-            vec![Ball::generated_in(1)],
-            vec![Ball::generated_in(1)],
-            Vec::new(),
-        ];
-        let offline = [false, false, true, false];
-        let stream: Vec<(usize, Ball)> = vec![
-            (0, Ball::generated_in(2)),
-            (1, Ball::generated_in(2)),
-            (1, Ball::generated_in(3)),
-            (2, Ball::generated_in(3)),
-            (3, Ball::generated_in(3)),
-            (3, Ball::generated_in(4)),
-        ];
+        let (mut fast_arena, stream) = fixture();
+        let (mut exact_arena, _) = fixture();
         let (choices, runs) = requests(&stream);
-
-        let mut fast_arena = BinArena::from_bins(caps.clone(), contents.clone());
-        let (mut state, mut quotas, mut fast_rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let fast = fast_accept(
-            &mut fast_arena,
-            &offline,
-            &mut state,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut fast_rejected,
-            false,
-        )
-        .expect("no ring overflow possible");
-
-        let mut exact_arena = BinArena::from_bins(caps, contents);
-        let (mut counts, mut equotas, mut exact_rejected) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fast_rejected = Vec::new();
+        let fast = fast_accept(&mut fast_arena, &choices, &runs, &mut fast_rejected)
+            .expect("no capacity above the stride");
+        let (mut counts, mut quotas, mut exact_rejected) = (Vec::new(), Vec::new(), Vec::new());
         let exact = counting_accept(
             &mut exact_arena,
-            &offline,
             &mut counts,
-            &mut equotas,
+            &mut quotas,
             &choices,
             &runs,
             &mut exact_rejected,
         );
-
         assert_eq!(fast, exact);
         assert_eq!(fast_rejected, exact_rejected);
-        for b in 0..4 {
-            // The fused commit + serve folds the fast path's accepted count
-            // in; the exact pass already committed its lengths.
-            let taken = (quotas[b] - (state[b] >> 16)) as usize;
-            assert_eq!(
-                fast_arena.commit_serve(b, taken),
-                exact_arena.serve(b),
-                "served from bin {b}"
-            );
-            let f: Vec<u64> = fast_arena.iter_bin(b).map(Ball::label).collect();
-            let e: Vec<u64> = exact_arena.iter_bin(b).map(Ball::label).collect();
-            assert_eq!(f, e, "bin {b}");
-        }
+        // Nothing is left to commit: the registers are complete.
+        assert_eq!(fast_arena.regs, exact_arena.regs);
+        assert_same_bins(&mut fast_arena, &mut exact_arena);
     }
 
     #[test]
@@ -955,93 +909,31 @@ mod tests {
         arena.try_accept(0, Ball::generated_in(1));
         arena.try_accept(0, Ball::generated_in(2));
         arena.serve(0); // head = 1, len = 1
-        let stream = [(0usize, Ball::generated_in(3))];
-        let (choices, runs) = requests(&stream);
-        let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let accepted = fast_accept(
-            &mut arena,
-            &[false],
-            &mut state,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-            false,
-        )
-        .expect("fits");
+        let (choices, runs) = requests(&[(0usize, Ball::generated_in(3))]);
+        let mut rejected = Vec::new();
+        let accepted = fast_accept(&mut arena, &choices, &runs, &mut rejected).expect("fits");
         assert_eq!(accepted, 1);
         assert!(rejected.is_empty());
-        let (served, len, _) = arena.commit_serve_uniform(0, 2, state[0] >> 16);
-        assert_eq!(served, Some(Ball::generated_in(2)));
-        assert_eq!(len, 1);
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
-        assert_eq!(labels, vec![3], "the accepted ball wrapped to slot 0");
+        assert_eq!(labels, vec![2, 3], "the accepted ball wrapped to slot 0");
+        let mut served = Vec::new();
+        arena.serve_sweep(|_, ball| served.push(ball));
+        assert_eq!(served, vec![Ball::generated_in(2)]);
+        assert_eq!(arena.head(0), Some(&Ball::generated_in(3)));
     }
 
     #[test]
-    fn primed_fast_accept_matches_cold_init() {
-        // Run one cold round, commit + re-prime through
-        // commit_serve_uniform, then check a primed round produces exactly
-        // the same acceptances, rejects, and ring contents as a cold one.
-        let caps = vec![finite(2); 4];
-        let offline = [false, false, false, false];
-        let round1: Vec<(usize, Ball)> = vec![
-            (0, Ball::generated_in(1)),
-            (0, Ball::generated_in(1)),
-            (2, Ball::generated_in(1)),
-        ];
-        let round2: Vec<(usize, Ball)> = vec![
-            (0, Ball::generated_in(2)), // bin 0: 1 held + room 1 -> accept
-            (0, Ball::generated_in(2)), // over quota -> reject
-            (3, Ball::generated_in(2)),
-        ];
-        let (choices1, runs1) = requests(&round1);
-        let (choices2, runs2) = requests(&round2);
-
-        let run = |primed_second_round: bool| {
-            let mut arena = BinArena::new(caps.clone());
-            let (mut state, mut quotas) = (Vec::new(), Vec::new());
-            let mut rejected = Vec::new();
-            fast_accept(
-                &mut arena,
-                &offline,
-                &mut state,
-                &mut quotas,
-                &choices1,
-                &runs1,
-                &mut rejected,
-                false,
-            )
-            .expect("fits");
-            // Fused commit + serve + re-prime, as the process kernel does.
-            for (b, s) in state.iter_mut().enumerate() {
-                let (_, len, tail) = arena.commit_serve_uniform(b, 2, *s >> 16);
-                *s = ((2 - len) << 16) | tail;
-            }
-            rejected.clear();
-            let accepted = fast_accept(
-                &mut arena,
-                &offline,
-                &mut state,
-                &mut quotas,
-                &choices2,
-                &runs2,
-                &mut rejected,
-                primed_second_round,
-            )
-            .expect("fits");
-            let mut served = Vec::new();
-            for (b, &s) in state.iter().enumerate() {
-                let (ball, _, _) = arena.commit_serve_uniform(b, 2, s >> 16);
-                served.push(ball);
-            }
-            let bins: Vec<Vec<u64>> = (0..4)
-                .map(|b| arena.iter_bin(b).map(Ball::label).collect())
-                .collect();
-            (accepted, rejected, served, bins)
-        };
-
-        assert_eq!(run(true), run(false));
+    fn the_tail_wraps_modulo_its_field_without_touching_the_bound() {
+        // 2²⁴ + 3 accept/serve cycles carry the tail out of the top of
+        // the register; the bound below it and the FIFO order survive.
+        let mut arena = BinArena::new(vec![finite(2); 1]);
+        arena.regs[0] |= ((1u64 << 24) - 2) << TAIL_SHIFT; // tail near the top
+        for label in 0..5u64 {
+            assert!(arena.try_accept(0, Ball::generated_in(label)));
+            assert_eq!(arena.serve(0), Some(Ball::generated_in(label)));
+            assert_eq!(reg_bound(arena.regs[0]), 2);
+        }
+        assert_eq!(reg_tail(arena.regs[0]), 3);
     }
 
     #[test]
@@ -1052,61 +944,50 @@ mod tests {
         arena.set_capacity(0, Capacity::Infinite);
         let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
         let (choices, runs) = requests(&stream);
-        let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let out = fast_accept(
-            &mut arena,
-            &[false, false],
-            &mut state,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-            false,
+        let mut rejected = Vec::new();
+        assert_eq!(
+            fast_accept(&mut arena, &choices, &runs, &mut rejected),
+            None
         );
-        assert_eq!(out, None);
         assert!(rejected.is_empty());
         assert_eq!(arena.buffered(), 0);
         assert_eq!(arena.stride(), 2, "fast path must not grow the arena");
+        // Restoring the capacity unblocks the fast path.
+        arena.set_capacity(0, finite(2));
+        assert!(fast_accept(&mut arena, &choices, &runs, &mut rejected).is_some());
     }
 
     #[test]
     fn fast_accept_bails_out_on_capacity_past_u16() {
-        // Regression: a fault raising a live capacity past 65535 must take
-        // the counting_accept fallback — a quota that large cannot be
-        // packed into the u16 high half of the (quota << 16 | cursor)
-        // register without corrupting the cursor bits.
+        // Regression: a live capacity past 65535 does not fit the 16-bit
+        // bound field, so it must take the counting_accept fallback even
+        // once the stride has grown past it.
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, finite(70_000));
+        arena.ensure_stride(1 << 17);
         let stream: Vec<(usize, Ball)> = (0..10).map(|i| (0usize, Ball::generated_in(i))).collect();
         let (choices, runs) = requests(&stream);
-        let (mut state, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let out = fast_accept(
-            &mut arena,
-            &[false, false],
-            &mut state,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-            false,
+        let mut rejected = Vec::new();
+        let out = fast_accept(&mut arena, &choices, &runs, &mut rejected);
+        assert_eq!(
+            out, None,
+            "capacity > u16::MAX must bail to counting_accept"
         );
-        assert_eq!(out, None, "quota > u16::MAX must bail to counting_accept");
         assert!(rejected.is_empty());
         assert_eq!(arena.buffered(), 0, "bail must not consume the stream");
 
         // The fallback handles the same stream exactly.
-        let (mut counts, mut fquotas, mut frejected) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut counts, mut quotas) = (Vec::new(), Vec::new());
         let accepted = counting_accept(
             &mut arena,
-            &[false, false],
             &mut counts,
-            &mut fquotas,
+            &mut quotas,
             &choices,
             &runs,
-            &mut frejected,
+            &mut rejected,
         );
         assert_eq!(accepted, 10);
-        assert!(frejected.is_empty());
+        assert!(rejected.is_empty());
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
         assert_eq!(labels, (0..10).collect::<Vec<u64>>());
     }
@@ -1120,7 +1001,6 @@ mod tests {
         let (mut counts, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
         let accepted = counting_accept(
             &mut arena,
-            &[false, false],
             &mut counts,
             &mut quotas,
             &choices,
@@ -1133,6 +1013,30 @@ mod tests {
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
         let expected: Vec<u64> = (0..40).collect();
         assert_eq!(labels, expected);
+    }
+
+    #[test]
+    fn offline_is_a_zero_bound_that_survives_capacity_changes() {
+        let mut arena = BinArena::new(vec![finite(2); 2]);
+        assert!(arena.try_accept(0, Ball::generated_in(1)));
+        arena.set_offline(0, true);
+        arena.set_capacity(0, finite(3));
+        assert!(arena.is_offline(0), "a capacity change keeps a bin offline");
+        assert_eq!(arena.room(0), 0);
+        assert!(!arena.try_accept(0, Ball::generated_in(2)));
+        arena.set_offline(0, false);
+        assert_eq!(
+            reg_bound(arena.regs[0]),
+            3,
+            "recovery restores the live bound"
+        );
+        assert_eq!(arena.room(0), 2);
+    }
+
+    #[test]
+    fn try_from_bins_refuses_a_load_past_the_stride_ceiling() {
+        let over = vec![vec![Ball::generated_in(0); MAX_STRIDE + 1]];
+        assert!(BinArena::try_from_bins(vec![finite(2)], over).is_none());
     }
 
     #[test]
@@ -1151,15 +1055,16 @@ mod tests {
     }
 
     #[test]
-    fn push_and_pop_bins_preserve_contents_and_uniform_flag() {
+    fn push_and_pop_bins_preserve_contents_and_the_fast_path_count() {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         assert!(arena.try_accept(1, Ball::generated_in(3)));
-        assert_eq!(arena.uniform_cap(), Some(2));
+        assert_eq!(arena.blocking, 0);
 
-        // A fresh uniform bin keeps the fast-path flag.
+        // A fresh bin enters empty, and a capacity within the stride keeps
+        // the fast path open.
         arena.push_bin_with(finite(2), &[]);
         assert_eq!(arena.bins(), 3);
-        assert_eq!(arena.uniform_cap(), Some(2));
+        assert_eq!(arena.blocking, 0);
         assert_eq!(arena.len(2), 0);
 
         // A transferred bin arrives with its balls in FIFO order.
@@ -1167,13 +1072,13 @@ mod tests {
         assert_eq!(arena.len(3), 2);
         assert_eq!(arena.head(3), Some(&Ball::generated_in(1)));
 
-        // A heterogeneous bin drops the flag; popping it restores it.
+        // A capacity past the stride blocks it; popping the bin reopens it.
         arena.push_bin_with(finite(7), &[]);
-        assert_eq!(arena.uniform_cap(), None);
+        assert_eq!(arena.blocking, 1);
         let (cap, balls) = arena.pop_bin();
         assert_eq!(cap, finite(7));
         assert!(balls.is_empty());
-        assert_eq!(arena.uniform_cap(), Some(2));
+        assert_eq!(arena.blocking, 0);
 
         let (cap, balls) = arena.pop_bin();
         assert_eq!(cap, finite(2));
@@ -1181,6 +1086,15 @@ mod tests {
         assert_eq!(arena.bins(), 3);
         assert_eq!(arena.buffered(), 1, "bin 1's ball survived the churn");
         assert_eq!(arena.head(1), Some(&Ball::generated_in(3)));
+    }
+
+    #[test]
+    fn growth_recounts_the_bins_that_block_the_fast_path() {
+        let mut arena = BinArena::new(vec![finite(2); 2]);
+        arena.set_capacity(0, finite(5));
+        assert_eq!(arena.blocking, 1);
+        arena.ensure_stride(8);
+        assert_eq!(arena.blocking, 0, "capacity 5 fits a stride-8 ring");
     }
 
     #[test]

@@ -320,7 +320,8 @@ impl CappedProcess {
     /// Returns a [`iba_sim::codec::CodecError`] on truncated or malformed
     /// input, including states violating the process invariants (unsorted
     /// pool, a pooled or buffered ball labeled after the checkpoint's
-    /// round, broken conservation).
+    /// round, broken conservation) and states whose bin arena cannot be
+    /// built ([`BinShard::try_from_parts`]).
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
@@ -375,7 +376,11 @@ impl CappedProcess {
         for part in &mut parts {
             part.2 = dec.bool("offline flag")?;
         }
-        let bins = BinShard::from_parts(0, parts);
+        // The arena is n rings of the largest load's size: a forged load
+        // can ask for more memory than exists, so it is allocated fallibly.
+        let bins = BinShard::try_from_parts(0, parts).ok_or(CodecError::Invalid {
+            what: "bin arena size (a load past MAX_STRIDE, or more slots than can be allocated)",
+        })?;
         let process = Self::from_parts(config, bins, pool, round, total_generated, total_deleted);
         if !process.conserves_balls() {
             return Err(CodecError::Invalid {

@@ -94,7 +94,7 @@ pub struct ShardRoundStats {
 
 impl ShardRoundStats {
     #[inline]
-    fn note_load(&mut self, load: u64) {
+    pub(crate) fn note_load(&mut self, load: u64) {
         self.buffered += load;
         self.max_load = self.max_load.max(load);
     }
@@ -131,25 +131,16 @@ impl ShardRoundStats {
 #[derive(Debug, Clone)]
 pub struct BinShard {
     first_bin: usize,
+    /// The bins: ring slots, live capacities, and one register per bin
+    /// whose zero acceptance bound is the offline flag — an offline bin
+    /// rejects every request and stops serving; its buffered balls are
+    /// frozen until it comes back.
     arena: BinArena,
-    /// Fault-injection mask: an offline bin rejects every request and
-    /// stops serving; its buffered balls are frozen until it comes back.
-    offline: Vec<bool>,
-    /// Counting-sort scratch (request histogram / scatter cursor,
-    /// acceptance quotas, and the fast path's packed per-bin registers),
-    /// persisted across rounds so the steady state allocates nothing.
+    /// `counting_accept`'s scratch (request histogram / scatter cursor
+    /// and acceptance quotas), persisted across rounds so the fallback
+    /// allocates nothing in its steady state.
     counts: Vec<u32>,
     quotas: Vec<u32>,
-    state: Vec<u32>,
-    /// Set by a fast-path acceptance: its scatter leaves the ring lengths
-    /// uncommitted, and the deletion sweep folds the per-bin accepted
-    /// counts in while it serves (one meta pass, not two).
-    commit_pending: bool,
-    /// Whether `state` already holds valid acceptance registers for the
-    /// *next* round (written by the previous round's deletion sweep under
-    /// a uniform capacity profile). Cleared by every mutation that can
-    /// change a bin's room or ring offset behind the kernel's back.
-    primed: bool,
 }
 
 impl BinShard {
@@ -167,8 +158,7 @@ impl BinShard {
         );
         assert!(!range.is_empty(), "a shard must own at least one bin");
         let caps = range.clone().map(|i| config.capacity_of(i)).collect();
-        let offline = vec![false; range.len()];
-        Self::assemble(range.start, caps, Vec::new(), offline)
+        Self::with_arena(range.start, BinArena::new(caps))
     }
 
     /// Rebuilds a shard from extracted per-bin parts (see [`BinPart`]) —
@@ -178,37 +168,40 @@ impl BinShard {
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is empty.
+    /// Panics if `parts` is empty or [`try_from_parts`](Self::try_from_parts)
+    /// refuses them.
     pub fn from_parts(first_bin: usize, parts: Vec<BinPart>) -> Self {
-        assert!(!parts.is_empty(), "a shard must own at least one bin");
-        let mut caps = Vec::with_capacity(parts.len());
-        let mut contents = Vec::with_capacity(parts.len());
-        let mut offline = Vec::with_capacity(parts.len());
-        for (cap, balls, off) in parts {
-            caps.push(cap);
-            contents.push(balls);
-            offline.push(off);
-        }
-        Self::assemble(first_bin, caps, contents, offline)
+        Self::try_from_parts(first_bin, parts)
+            .expect("a bin holds more than MAX_STRIDE balls, or the arena cannot be allocated")
     }
 
-    /// The shared constructor; `contents` may be shorter than `caps`
-    /// (missing bins start empty).
-    fn assemble(
-        first_bin: usize,
-        caps: Vec<Capacity>,
-        contents: Vec<Vec<Ball>>,
-        offline: Vec<bool>,
-    ) -> Self {
+    /// [`from_parts`](Self::from_parts) for parts decoded from outside
+    /// input: `None` if the arena they need cannot be built (see
+    /// [`BinArena::try_from_bins`]), instead of an abort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty.
+    pub fn try_from_parts(first_bin: usize, parts: Vec<BinPart>) -> Option<Self> {
+        assert!(!parts.is_empty(), "a shard must own at least one bin");
+        let offline: Vec<bool> = parts.iter().map(|part| part.2).collect();
+        let (caps, contents) = parts
+            .into_iter()
+            .map(|(cap, balls, _)| (cap, balls))
+            .unzip();
+        let mut arena = BinArena::try_from_bins(caps, contents)?;
+        for (b, off) in offline.into_iter().enumerate() {
+            arena.set_offline(b, off);
+        }
+        Some(Self::with_arena(first_bin, arena))
+    }
+
+    fn with_arena(first_bin: usize, arena: BinArena) -> Self {
         BinShard {
             first_bin,
-            arena: BinArena::from_bins(caps, contents),
-            offline,
+            arena,
             counts: Vec::new(),
             quotas: Vec::new(),
-            state: Vec::new(),
-            commit_pending: false,
-            primed: false,
         }
     }
 
@@ -221,7 +214,7 @@ impl BinShard {
                 (
                     bin.capacity(),
                     bin.iter().copied().collect(),
-                    self.offline[i],
+                    self.is_offline(i),
                 )
             })
             .collect()
@@ -234,12 +227,12 @@ impl BinShard {
 
     /// Number of bins this shard owns.
     pub fn len(&self) -> usize {
-        self.offline.len()
+        self.arena.bins()
     }
 
     /// Whether the shard owns no bins (never true for a constructed shard).
     pub fn is_empty(&self) -> bool {
-        self.offline.is_empty()
+        self.len() == 0
     }
 
     /// Read access to the local bin `i` (0-based within the shard).
@@ -278,8 +271,7 @@ impl BinShard {
     ///
     /// Panics if `i` is out of range.
     pub fn set_offline(&mut self, i: usize, offline: bool) {
-        self.offline[i] = offline;
-        self.primed = false;
+        self.arena.set_offline(i, offline);
     }
 
     /// Whether local bin `i` is offline.
@@ -288,7 +280,7 @@ impl BinShard {
     ///
     /// Panics if `i` is out of range.
     pub fn is_offline(&self, i: usize) -> bool {
-        self.offline[i]
+        self.arena.is_offline(i)
     }
 
     /// Changes local bin `i`'s live buffer capacity (fault injection).
@@ -300,15 +292,13 @@ impl BinShard {
     pub fn set_capacity(&mut self, i: usize, capacity: Capacity) {
         assert!(i < self.len(), "local bin index {i} out of range");
         self.arena.set_capacity(i, capacity);
-        self.primed = false;
     }
 
     /// Appends a bin to the shard (elastic membership growth, or a bin
     /// transferred in from a merged neighbor).
     pub fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball], offline: bool) {
         self.arena.push_bin_with(capacity, contents);
-        self.offline.push(offline);
-        self.primed = false;
+        self.arena.set_offline(self.len() - 1, offline);
     }
 
     /// Removes the shard's **last** bin, returning its state. Removed bins
@@ -320,9 +310,8 @@ impl BinShard {
     /// Panics if the shard owns a single bin.
     pub fn pop_bin(&mut self) -> BinPart {
         assert!(self.len() > 1, "a shard must keep at least one bin");
+        let offline = self.is_offline(self.len() - 1);
         let (cap, balls) = self.arena.pop_bin();
-        let offline = self.offline.pop().expect("non-empty shard");
-        self.primed = false;
         (cap, balls, offline)
     }
 
@@ -385,13 +374,10 @@ impl BinShard {
     /// The acceptance half of [`run_round`](Self::run_round); returns the
     /// accepted count. Over the flat arena this is the counting-sort
     /// kernel — the single-pass [`fast_accept`] over the runs, or
-    /// [`counting_accept`] when a fault-raised capacity could overflow a
-    /// ring — bit-exactly the per-ball greedy walk of
+    /// [`counting_accept`] while some bin's capacity exceeds the stride —
+    /// bit-exactly the per-ball greedy walk of
     /// [`try_accept`](Self::try_accept), which serves only rounds past
     /// `u32::MAX` requests, where the quota counters would overflow.
-    ///
-    /// Must be followed by [`serve_sweep`](Self::serve_sweep) before any
-    /// other access: a fast-path acceptance leaves its commit to it.
     ///
     /// # Panics
     ///
@@ -407,31 +393,17 @@ impl BinShard {
             choices.len() as u64,
             "need exactly one choice per ball"
         );
-        let primed = std::mem::take(&mut self.primed);
         if choices.len() <= u32::MAX as usize {
-            let fast = fast_accept(
-                &mut self.arena,
-                &self.offline,
-                &mut self.state,
-                &mut self.quotas,
-                choices,
-                runs,
-                rejected,
-                primed,
-            );
-            if let Some(accepted) = fast {
-                self.commit_pending = true;
-                return accepted;
-            }
-            return counting_accept(
-                &mut self.arena,
-                &self.offline,
-                &mut self.counts,
-                &mut self.quotas,
-                choices,
-                runs,
-                rejected,
-            );
+            return fast_accept(&mut self.arena, choices, runs, rejected).unwrap_or_else(|| {
+                counting_accept(
+                    &mut self.arena,
+                    &mut self.counts,
+                    &mut self.quotas,
+                    choices,
+                    runs,
+                    rejected,
+                )
+            });
         }
         let mut accepted = 0u64;
         for (&bin, ball) in choices.iter().zip(expand(runs)) {
@@ -454,76 +426,16 @@ impl BinShard {
     ///
     /// Panics if `i` is out of range.
     pub fn try_accept(&mut self, i: usize, ball: Ball) -> bool {
-        self.primed = false;
-        !self.offline[i] && self.arena.try_accept(i, ball)
+        self.arena.try_accept(i, ball)
     }
 
     /// The deletion half of [`run_round`](Self::run_round): every online
-    /// bin serves the head of its queue into `served`, in bin order. After
-    /// a fast-path acceptance the same sweep first folds each bin's
-    /// accepted count into its ring length (one meta read-modify-write per
-    /// bin), and under a uniform capacity profile it also writes each
-    /// bin's next-round acceptance register `(room << 16) | tail`
-    /// ("priming"), so the next fast-path acceptance skips its init sweep.
-    /// Returns the round's deletion statistics (`accepted` is left 0).
-    pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
-        let mut stats = ShardRoundStats::default();
-        let pending = std::mem::take(&mut self.commit_pending);
-        let arena = &mut self.arena;
-        match arena.uniform_cap() {
-            Some(c0) if pending => {
-                // The accepted count is recovered from the register's
-                // remaining room alone (no quota array).
-                debug_assert_eq!(self.state.len(), self.offline.len());
-                for (b, s) in self.state.iter_mut().enumerate() {
-                    if self.offline[b] {
-                        // A crashed bin neither serves nor counts as a
-                        // failed deletion *attempt* — it makes none.
-                        // Its register had zero room, so there is
-                        // nothing to commit; re-arm it with zero room.
-                        debug_assert_eq!(*s >> 16, 0);
-                        let (len, tail) = arena.len_tail(b);
-                        *s = tail;
-                        stats.note_load(u64::from(len));
-                        continue;
-                    }
-                    let (ball, len, tail) = arena.commit_serve_uniform(b, c0, *s >> 16);
-                    match ball {
-                        Some(ball) => served(b, ball),
-                        None => stats.failed_deletions += 1,
-                    }
-                    // `saturating_sub`: an overfull bin (a
-                    // degraded-checkpoint restore can leave len > c₀
-                    // under a uniform profile) must re-arm with zero
-                    // room, not an underflowed quota.
-                    *s = (c0.saturating_sub(len) << 16) | tail;
-                    stats.note_load(u64::from(len));
-                }
-                self.primed = true;
-            }
-            _ => {
-                for b in 0..self.offline.len() {
-                    // Non-uniform fast path: the accepted count is the
-                    // quota minus the register's remaining room.
-                    let taken = if pending {
-                        (self.quotas[b] - (self.state[b] >> 16)) as usize
-                    } else {
-                        0
-                    };
-                    if self.offline[b] {
-                        debug_assert_eq!(taken, 0, "offline bins accept nothing");
-                        stats.note_load(arena.len(b) as u64);
-                        continue;
-                    }
-                    match arena.commit_serve(b, taken) {
-                        Some(ball) => served(b, ball),
-                        None => stats.failed_deletions += 1,
-                    }
-                    stats.note_load(arena.len(b) as u64);
-                }
-            }
-        }
-        stats
+    /// bin serves the head of its queue into `served`, in bin order — one
+    /// pass over the bins' registers, which every acceptance path leaves
+    /// complete. Returns the round's deletion statistics (`accepted` is
+    /// left 0).
+    pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, served: F) -> ShardRoundStats {
+        self.arena.serve_sweep(served)
     }
 }
 
@@ -629,11 +541,11 @@ mod tests {
     ) {
         let (mut fast_rejected, mut fast_served) = (Vec::new(), Vec::new());
         let (choices, runs) = split(stream);
-        fast.accept_stream(&choices, &runs, &mut fast_rejected);
         assert!(
-            fast.commit_pending,
+            fast.arena.fast_path_open(),
             "{what}: the round must take fast_accept"
         );
+        fast.accept_stream(&choices, &runs, &mut fast_rejected);
         fast.serve_sweep(|b, ball| fast_served.push((b, ball)));
         let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());
         for &(b, ball) in stream {

@@ -241,10 +241,10 @@ fn scenario() -> FaultPlan {
 
 #[test]
 fn arena_kernel_survives_capacity_raised_past_u16() {
-    // Regression: `fast_accept` packs per-bin quota into the high 16 bits
-    // of a u32 register, so a fault-raised capacity past 65535 must take
-    // the `counting_accept` fallback instead of corrupting the packed
-    // cursor bits. The plan raises one bin far past u16::MAX mid-run and
+    // Regression: a bin's register keeps its acceptance bound in a
+    // 16-bit field, so a fault-raised capacity past 65535 must take the
+    // `counting_accept` fallback instead of running on a clipped bound.
+    // The plan raises one bin far past u16::MAX mid-run and
     // later degrades it back down, while arrivals keep flowing.
     let plan = || {
         FaultPlan::new()
@@ -252,7 +252,7 @@ fn arena_kernel_survives_capacity_raised_past_u16() {
                 6,
                 FaultEvent::DegradeCapacity {
                     bins: vec![3],
-                    capacity: Some(70_000), // > u16::MAX: packed quota would wrap
+                    capacity: Some(70_000), // > u16::MAX: the bound field would clip
                 },
             )
             .with(10, FaultEvent::PoolSurge { extra: 200 })
@@ -570,8 +570,8 @@ fn shard_kernels_match_through_elastic_membership_changes() {
     // BinShard-level oracle: one shard runs the fused round (the
     // counting-sort kernel), a second runs the per-ball `try_accept` walk
     // followed by `serve_sweep`. Fed identical routed streams, they stay
-    // identical through every mutation that must invalidate the kernel
-    // shard's primed acceptance registers: bin growth and shrink, crash
+    // identical through every mutation that rewrites the kernel shard's
+    // per-bin registers: bin growth and shrink, crash
     // and recovery, capacity degradation and raises (past the stride,
     // forcing the `counting_accept` fallback, and to unbounded), and a
     // split → rebuild → re-merge round trip (the elastic-membership and

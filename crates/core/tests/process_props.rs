@@ -1,6 +1,7 @@
 //! Property-based tests of the CAPPED process internals: acceptance-rule
 //! equivalence and determinism under pre-drawn choices, and the
-//! checkpoint decoder's refusal of balls from the future.
+//! checkpoint decoder's refusal of balls from the future and of loads
+//! whose arena cannot be allocated.
 
 use proptest::prelude::*;
 
@@ -247,4 +248,43 @@ fn checkpoint_rejects_a_bin_label_past_its_round() {
             "a bin label {future} past round {round} must be refused"
         );
     }
+}
+
+/// A CRC-valid IBA1 checkpoint of `n` bins with capacity 2 at round 1:
+/// empty pool, bin 0 holding `load` balls, conservation forged to hold.
+/// Its arena needs `n · next_pow2(load)` ring slots.
+fn forged_load_checkpoint(n: usize, load: usize) -> Vec<u8> {
+    let mut enc = iba_sim::codec::Encoder::new();
+    enc.header("IBA1", 2);
+    for word in [1, 2, 3, 4] {
+        enc.u64(word);
+    }
+    CappedConfig::new(n, 2, 0.5)
+        .expect("valid")
+        .encode_into(&mut enc);
+    enc.u64(1); // round
+    enc.u64(load as u64); // total generated
+    enc.u64(0); // total deleted
+    enc.u64_seq(std::iter::empty());
+    enc.usize(n);
+    for b in 0..n {
+        enc.u64(2);
+        enc.u64_seq(std::iter::repeat_n(1, if b == 0 { load } else { 0 }));
+    }
+    for _ in 0..n {
+        enc.bool(false);
+    }
+    enc.finish()
+}
+
+#[test]
+fn checkpoint_refuses_a_forged_load_whose_arena_cannot_be_allocated() {
+    // 2¹⁷ bins and 2²⁰ balls in bin 0: the arena would be 2³⁷ slots of
+    // 8 B = 1 TiB. Restoring used to abort the process in the allocator.
+    let (n, load) = (1 << 17, 1 << 20);
+    assert!(checkpoint::restore(&forged_load_checkpoint(4, 3)).is_ok());
+    assert!(matches!(
+        checkpoint::restore(&forged_load_checkpoint(n, load)),
+        Err(CodecError::Invalid { .. })
+    ));
 }

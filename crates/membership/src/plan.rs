@@ -19,8 +19,7 @@ use iba_sim::plan::RoundPlan;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MembershipEvent {
     /// Adds `count` empty bins at the top of the index space. New bins
-    /// enter online and primed with their full capacity as acceptance
-    /// quota.
+    /// enter online, with their full capacity as acceptance bound.
     AddBins {
         /// Number of bins to add (events with `count == 0` are ignored).
         count: usize,

@@ -1063,8 +1063,8 @@ impl CappedService {
     }
 
     /// Grows the bin set by `count`: the new bins enter at the top of the
-    /// index space, online and empty — their first acceptance round primes
-    /// them with their full capacity as quota.
+    /// index space, online and empty, with their full capacity as
+    /// acceptance bound.
     fn add_bins(&mut self, count: usize) -> bool {
         let capacity = self.config.capacity();
         let top = &mut self.slots.last_mut().expect("at least one shard").bins;

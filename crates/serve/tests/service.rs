@@ -436,6 +436,61 @@ fn resume_rejects_a_core_checkpoint_with_a_forged_bin_count() {
 }
 
 #[test]
+fn resume_rejects_a_core_checkpoint_whose_arena_cannot_be_allocated() {
+    let cfg = ServiceConfig::new(config(16, 2, 0.5), 2, 7).with_model_arrivals(true);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    service.run_rounds(5);
+    let bytes = service.checkpoint_bytes();
+
+    // A CRC-valid, conserving core checkpoint of 2¹⁷ bins at c = 2 whose
+    // bin 0 holds 2²⁰ balls: its arena would be 2³⁷ slots of 8 B = 1 TiB.
+    // Resuming used to abort the process in the allocator.
+    let (n, load) = (1usize << 17, 1usize << 20);
+    let mut core = Encoder::new();
+    core.header("IBA1", 2);
+    for word in [1, 2, 3, 4] {
+        core.u64(word);
+    }
+    config(n, 2, 0.5).encode_into(&mut core);
+    core.u64(1); // round
+    core.u64(load as u64); // total generated
+    core.u64(0); // total deleted
+    core.u64_seq(std::iter::empty());
+    core.usize(n);
+    for b in 0..n {
+        core.u64(2);
+        core.u64_seq(std::iter::repeat_n(1, if b == 0 { load } else { 0 }));
+    }
+    for _ in 0..n {
+        core.bool(false);
+    }
+
+    // Swap it into the otherwise unchanged envelope.
+    let mut dec = Decoder::new(&bytes).unwrap();
+    dec.header("IBSV", 2).unwrap();
+    dec.byte_seq("core checkpoint").unwrap();
+    let mut enc = Encoder::new();
+    enc.header("IBSV", 2);
+    enc.byte_seq(&core.finish());
+    enc.u32(dec.u32("rng mode").unwrap());
+    enc.usize(dec.usize("shard count").unwrap());
+    for what in ["ticket watermark", "total admitted", "total expired"] {
+        enc.u64(dec.u64(what).unwrap());
+    }
+    assert_eq!(dec.usize("pending ticket map").unwrap(), 0);
+    enc.usize(0);
+    enc.usize(dec.usize("live bin count").unwrap());
+    enc.u64_seq(dec.u64_seq("shard range ends").unwrap().into_iter());
+    enc.u64(dec.u64("balls moved").unwrap());
+    enc.u64(dec.u64("membership events").unwrap());
+    assert!(dec.is_exhausted());
+    assert!(matches!(
+        CappedService::resume(cfg, &enc.finish()),
+        Err(ResumeError::Codec(_))
+    ));
+}
+
+#[test]
 fn service_faults_advance_the_fault_counters() {
     // Other tests of this binary run concurrently: telemetry is only ever
     // switched on here, and the counter is compared as a lower bound.

@@ -9,7 +9,7 @@
 //! To regenerate after an *intentional* change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p iba-bench --test golden
+//! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
 use std::fs;
@@ -21,16 +21,11 @@ use iba_bench::ablations::{
 use iba_bench::figures::ExperimentOutput;
 use iba_bench::scale::Scale;
 
-/// The suite compiles under two manifests: `iba-bench`'s own and the
-/// workspace root's `[[test]]` target. Resolve the golden directory from
-/// either, so `cargo test` finds the same files from both.
+/// The suite is the workspace root's `[[test]]` target, so its manifest
+/// directory is the repository root.
 fn golden_path(name: &str) -> PathBuf {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let bench = manifest.join("crates").join("bench");
-    let crate_dir = if bench.is_dir() { &bench } else { manifest };
-    crate_dir
-        .join("tests")
-        .join("golden")
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/bench/tests/golden")
         .join(format!("{name}.csv"))
 }
 

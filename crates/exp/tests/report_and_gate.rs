@@ -4,7 +4,7 @@
 //! regressed past the threshold (the check `replicate --check` turns
 //! into a nonzero exit).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use iba_exp::bench_data::BenchFile;
 use iba_exp::gate::{gate_fresh_runs, GateConfig};
@@ -19,16 +19,10 @@ const COMMITTED: &[&str] = &[
     "BENCH_membership.json",
 ];
 
-/// The suite compiles under two manifests: `iba-exp`'s own and the
-/// workspace root's `[[test]]` target. Resolve the repository root from
-/// either.
+/// The suite is the workspace root's `[[test]]` target, so its manifest
+/// directory is the repository root.
 fn repo_root() -> PathBuf {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    if manifest.join("crates").join("exp").is_dir() {
-        manifest.to_path_buf()
-    } else {
-        manifest.join("../..")
-    }
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn load_committed() -> Vec<BenchFile> {

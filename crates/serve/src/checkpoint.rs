@@ -35,7 +35,9 @@ pub enum ResumeError {
     ConfigMismatch,
     /// The envelope decoded but a field is inconsistent — an RNG mode
     /// other than the driver-owned stream, shard range ends that do not
-    /// tile the live bins, out-of-order pending labels, trailing bytes.
+    /// tile the live bins, out-of-order pending labels, pending ids that
+    /// are not one ascending range per label, pending tickets without
+    /// balls, trailing bytes.
     Invalid {
         /// Which field failed validation.
         what: &'static str,

@@ -204,16 +204,13 @@ pub struct CappedService {
     /// (drained from removed bins or transferred between shards).
     balls_moved: u64,
     pool: Pool,
-    /// Tickets awaiting service: one entry per round that admitted any,
-    /// in ascending label order, none exhausted. Labels never exceed
-    /// `round`, so admission appends and TTL reaping pops the front.
-    /// Balls with equal labels are interchangeable, so matching a served
-    /// ball to the longest-waiting ticket of its label is consistent.
+    /// Tickets awaiting service: one id range per round that admitted
+    /// any, in ascending label order, none empty. Labels never exceed
+    /// `round` and ids ascend with labels, so admission appends and TTL
+    /// reaping pops the front. Balls with equal labels are
+    /// interchangeable, so matching a served ball to the longest-waiting
+    /// ticket of its label is consistent.
     pending: VecDeque<PendingRound>,
-    /// Number of ticket ids `pending` holds.
-    pending_count: usize,
-    /// Id buffers of retired `pending` entries, reused by admission.
-    spare_ids: Vec<Vec<u64>>,
     round: u64,
     total_generated: u64,
     total_admitted: u64,
@@ -227,13 +224,13 @@ pub struct CappedService {
     stopped: bool,
 }
 
-/// The tickets admitted in round `label`, in admission (id) order; those
-/// in `ids[next..]` still await a served ball of that label.
+/// The tickets admitted in round `label` that still await a served ball
+/// of that label. A round admits one contiguous id range and completions
+/// take its ids in order, so what is left is always a suffix of it.
 #[derive(Debug)]
 struct PendingRound {
     label: u64,
-    ids: Vec<u64>,
-    next: usize,
+    ids: Range<u64>,
 }
 
 impl std::fmt::Debug for CappedService {
@@ -313,8 +310,6 @@ impl CappedService {
             balls_moved: 0,
             pool: Pool::new(),
             pending: VecDeque::new(),
-            pending_count: 0,
-            spare_ids: Vec::new(),
             round: 0,
             total_generated: 0,
             total_admitted: 0,
@@ -355,8 +350,9 @@ impl CappedService {
     /// [`ResumeError`] if the bytes are corrupt or truncated, the caller's
     /// CAPPED configuration differs from the checkpoint's, the envelope
     /// records an RNG mode other than the driver-owned stream (word 0), or
-    /// a pending ticket carries a label past the checkpoint's round or an
-    /// id at or above its watermark.
+    /// a pending ticket map no running service leaves: a label past the
+    /// checkpoint's round, ids that are not one ascending range per label
+    /// below the watermark, or more tickets of a label than balls.
     pub fn resume(config: ServiceConfig, bytes: &[u8]) -> Result<Self, ResumeError> {
         Self::validate(&config).map_err(|_| ResumeError::Invalid {
             what: "service configuration",
@@ -375,7 +371,6 @@ impl CappedService {
         // the decoder ends at the data's end, but never sizes a buffer.
         let pending_len = dec.usize("pending ticket map")?;
         let mut pending: VecDeque<PendingRound> = VecDeque::new();
-        let mut pending_count = 0;
         for _ in 0..pending_len {
             let label = dec.u64("pending label")?;
             if pending.back().is_some_and(|prev| prev.label >= label) {
@@ -384,23 +379,26 @@ impl CappedService {
                 });
             }
             let ids = dec.u64_seq("pending ticket ids")?;
-            if ids.is_empty() {
+            let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
                 return Err(ResumeError::Invalid {
                     what: "empty pending queue",
                 });
-            }
-            // Every id was issued before the checkpoint; one at or above
-            // the watermark would be issued again by `submit`.
-            if ids.iter().any(|&id| id >= next_ticket_id) {
+            };
+            // A round admits one id range, after the previous round's and
+            // below the watermark, and completions and reaping only remove
+            // its oldest ids. Anything else queues some ticket twice, or
+            // one that `submit` issues again.
+            if last >= next_ticket_id
+                || pending.back().is_some_and(|prev| prev.ids.end > first)
+                || ids.windows(2).any(|w| w[0].checked_add(1) != Some(w[1]))
+            {
                 return Err(ResumeError::Invalid {
-                    what: "pending ticket id at or above the watermark",
+                    what: "pending ticket ids",
                 });
             }
-            pending_count += ids.len();
             pending.push_back(PendingRound {
                 label,
-                ids,
-                next: 0,
+                ids: first..last + 1,
             });
         }
         // Version 2 appends the membership section; a v1 envelope is a
@@ -434,16 +432,6 @@ impl CappedService {
 
         let sim = iba_core::checkpoint::restore(&core_bytes)?;
         let process = sim.process();
-        // Tickets are admitted with the round they enter in: a later label
-        // would queue a future admission behind forged ids.
-        if pending
-            .back()
-            .is_some_and(|last| last.label > process.round())
-        {
-            return Err(ResumeError::Invalid {
-                what: "pending label past the checkpoint round",
-            });
-        }
         // Mid-resize checkpoints embed the *resized* configuration so the
         // core restore path validates conservation against the live bin
         // count; the caller still passes the original configuration.
@@ -458,6 +446,14 @@ impl CappedService {
         };
         if *process.config() != expected {
             return Err(ResumeError::ConfigMismatch);
+        }
+        // No restored ball carries a label past the checkpoint's round, so
+        // this also refuses tickets that would take the completions of a
+        // later admission.
+        if !tickets_have_balls(&pending, process) {
+            return Err(ResumeError::Invalid {
+                what: "more pending tickets of a label than balls",
+            });
         }
         let driver_rng = SimRng::from_state(sim.rng().state());
         // Topology: the driver owns all the randomness, so a no-churn
@@ -504,7 +500,6 @@ impl CappedService {
         service.membership_events = membership_events;
         service.pool = process.pool().clone();
         service.pending = pending;
-        service.pending_count = pending_count;
         if let Some(p) = obs::probes() {
             p.checkpoint_resumes.inc();
             p.resume_round.set(service.round);
@@ -562,7 +557,8 @@ impl CappedService {
         enc.usize(self.pending.len());
         for entry in &self.pending {
             enc.u64(entry.label);
-            enc.u64_seq(entry.ids[entry.next..].iter().copied());
+            enc.u64(entry.ids.end - entry.ids.start); // `u64_seq`'s layout
+            entry.ids.clone().for_each(|id| enc.u64(id));
         }
         // Membership section (envelope v2).
         enc.usize(live_n);
@@ -713,9 +709,13 @@ impl CappedService {
         self.total_served
     }
 
-    /// Number of admitted requests not yet served.
+    /// Number of admitted requests not yet served (and not reaped), summed
+    /// over the pending rounds.
     pub fn pending_tickets(&self) -> usize {
-        self.pending_count
+        self.pending
+            .iter()
+            .map(|e| (e.ids.end - e.ids.start) as usize)
+            .sum()
     }
 
     /// Lifetime count of tickets reaped by TTL expiry.
@@ -850,14 +850,11 @@ impl CappedService {
                 .front()
                 .is_some_and(|entry| round.saturating_sub(entry.label) >= ttl)
             {
-                let entry = self.pending.pop_front().expect("front checked");
-                let ids = &entry.ids[entry.next..];
-                reaped += ids.len() as u64;
-                self.expired_tickets.extend_from_slice(ids);
-                self.retire(entry);
+                let ids = self.pending.pop_front().expect("front checked").ids;
+                reaped += ids.end - ids.start;
+                self.expired_tickets.extend(ids);
             }
             if reaped > 0 {
-                self.pending_count -= reaped as usize;
                 self.total_expired += reaped;
                 if let Some(p) = obs::probes() {
                     p.tickets_expired.add(reaped);
@@ -979,25 +976,17 @@ impl CappedService {
     }
 
     /// Admits the oldest queued ids (up to the per-round cap) into the
-    /// pool in one range take, queueing the admitted tickets as one
-    /// `pending` entry.
+    /// pool in one range take, queueing that range as one `pending` entry.
     fn admit(&mut self, round: u64) -> u64 {
         if let Some(p) = obs::probes() {
             p.ingress_depth.set(self.ingress.depth());
         }
-        let range = self.ingress.take(self.max_admit);
-        let admitted = range.end - range.start;
+        let ids = self.ingress.take(self.max_admit);
+        let admitted = ids.end - ids.start;
         self.pool.push_generation(round, admitted);
         if admitted > 0 {
-            let mut ids = self.spare_ids.pop().unwrap_or_default();
-            ids.extend(range);
             debug_assert!(self.pending.back().is_none_or(|last| last.label < round));
-            self.pending_count += ids.len();
-            self.pending.push_back(PendingRound {
-                label: round,
-                ids,
-                next: 0,
-            });
+            self.pending.push_back(PendingRound { label: round, ids });
         }
         self.total_admitted += admitted;
         if let Some(p) = obs::probes() {
@@ -1014,13 +1003,11 @@ impl CappedService {
         let Some(entry) = self.pending.get_mut(at).filter(|e| e.label == label) else {
             return;
         };
-        let id = entry.ids[entry.next];
-        entry.next += 1;
-        if entry.next == entry.ids.len() {
-            let entry = self.pending.remove(at).expect("entry found above");
-            self.retire(entry);
+        let id = entry.ids.start;
+        entry.ids.start += 1;
+        if entry.ids.is_empty() {
+            self.pending.remove(at);
         }
-        self.pending_count -= 1;
         if let Some(tx) = &self.completions {
             let _ = tx.send(Completion {
                 ticket: Ticket::from_id(id),
@@ -1030,13 +1017,6 @@ impl CappedService {
                 waiting_rounds,
             });
         }
-    }
-
-    /// Keeps a removed `pending` entry's id buffer for a later admission.
-    fn retire(&mut self, entry: PendingRound) {
-        let mut ids = entry.ids;
-        ids.clear();
-        self.spare_ids.push(ids);
     }
 
     /// Applies the membership events scheduled at `round`, in insertion
@@ -1211,6 +1191,21 @@ fn merge_rejects(slots: &mut [Slot], out: &mut Vec<Run>) {
         out.push(Run::new(youngest, count));
     }
     out.reverse();
+}
+
+/// Whether `process` holds at least as many balls of each pending label
+/// as there are tickets of it, as a running service always does:
+/// admission adds a ball per ticket, and a served ball completes at most
+/// one ticket of its label. A ticket without a ball would never complete.
+fn tickets_have_balls(pending: &VecDeque<PendingRound>, process: &CappedProcess) -> bool {
+    let mut unbacked: Vec<u64> = pending.iter().map(|e| e.ids.end - e.ids.start).collect();
+    let buffered = (0..process.config().bins()).flat_map(|i| process.bin(i).iter().copied());
+    for ball in process.pool().iter().chain(buffered) {
+        if let Ok(at) = pending.binary_search_by_key(&ball.label(), |e| e.label) {
+            unbacked[at] = unbacked[at].saturating_sub(1);
+        }
+    }
+    unbacked.iter().all(|&left| left == 0)
 }
 
 /// The shard owning global `bin`, and `bin`'s index within it.

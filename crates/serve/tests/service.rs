@@ -719,6 +719,123 @@ fn resume_rejects_a_pending_ticket_id_at_the_watermark() {
     ));
 }
 
+/// Whether `resume` refuses `pending` in place of the pending map of
+/// [`checkpoint_with_pending_tickets`] (tickets 0..4 under label 1).
+fn rejects_pending(pending: &[(u64, &[u64])]) -> bool {
+    let (cfg, bytes) = checkpoint_with_pending_tickets();
+    assert_eq!(with_pending(&bytes, &[(1, &[0, 1, 2, 3])]), bytes);
+    matches!(
+        CappedService::resume(cfg, &with_pending(&bytes, pending)),
+        Err(ResumeError::Invalid { .. })
+    )
+}
+
+#[test]
+fn resume_rejects_overlapping_pending_ranges() {
+    // Ticket 1 under two labels: five pending tickets from four issued
+    // ids, and ticket 1 would complete twice.
+    assert!(rejects_pending(&[(1, &[0, 1]), (2, &[1, 2, 3])]));
+
+    // Labels 1 and 2 hold three pooled balls each behind tickets 0..6, so
+    // only the range order gives these forgeries away.
+    let cfg = ServiceConfig::new(config(8, 1, 0.0), 2, 5);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    service.schedule(FaultPlan::new().with(
+        1,
+        FaultEvent::CrashBins {
+            bins: (0..8).collect(),
+        },
+    ));
+    let dispatcher = service.dispatcher();
+    for _ in 0..2 {
+        for _ in 0..3 {
+            dispatcher.submit().unwrap();
+        }
+        service.run_round();
+    }
+    let bytes = service.checkpoint_bytes();
+    assert_eq!(
+        with_pending(&bytes, &[(1, &[0, 1, 2]), (2, &[3, 4, 5])]),
+        bytes
+    );
+    for forged in [
+        [(1, &[0, 1, 2][..]), (2, &[2, 3, 4][..])],
+        [(1, &[3, 4, 5][..]), (2, &[0, 1, 2][..])],
+    ] {
+        assert!(
+            matches!(
+                CappedService::resume(cfg.clone(), &with_pending(&bytes, &forged)),
+                Err(ResumeError::Invalid { .. })
+            ),
+            "{forged:?}"
+        );
+    }
+}
+
+#[test]
+fn resume_rejects_a_duplicated_pending_id() {
+    assert!(rejects_pending(&[(1, &[0, 0, 2, 3])]));
+}
+
+#[test]
+fn resume_rejects_out_of_order_pending_ids() {
+    assert!(rejects_pending(&[(1, &[3, 0, 2])]));
+}
+
+#[test]
+fn resume_rejects_more_tickets_of_a_label_than_balls() {
+    // Well-formed ranges, but the checkpoint holds four label-1 balls and
+    // no label-2 ball: the label-2 tickets could never complete.
+    assert!(rejects_pending(&[(1, &[0, 1]), (2, &[2, 3])]));
+    assert!(rejects_pending(&[(2, &[0, 1, 2, 3])]));
+    // Fewer tickets than balls is legitimate (model arrivals and surges
+    // add balls without tickets) and resumes.
+    let (cfg, bytes) = checkpoint_with_pending_tickets();
+    assert!(CappedService::resume(cfg, &with_pending(&bytes, &[(1, &[2, 3])])).is_ok());
+}
+
+#[test]
+fn partially_consumed_pending_ranges_survive_a_checkpoint() {
+    // Four bins of capacity two serve at most four of round 1's ten
+    // balls per round, so label 1's range is partly consumed at the
+    // checkpoint, and its balls are both pooled and buffered.
+    let cfg = ServiceConfig::new(config(4, 2, 0.0), 2, 9);
+    let mut service = CappedService::spawn(cfg.clone()).unwrap();
+    let completions = service.take_completions().unwrap();
+    let dispatcher = service.dispatcher();
+    let submitted: Vec<u64> = (0..10).map(|_| dispatcher.submit().unwrap().id()).collect();
+    service.run_round();
+    let served: Vec<u64> = completions.try_iter().map(|c| c.ticket.id()).collect();
+    assert!(!served.is_empty() && served.len() < submitted.len());
+    assert_eq!(served, submitted[..served.len()], "oldest ids first");
+    let remaining = &submitted[served.len()..];
+    assert_eq!(service.pending_tickets(), remaining.len());
+    assert!(service.buffered() > 0 && service.pool_size() > 0);
+    let bytes = service.checkpoint_bytes();
+    assert_eq!(with_pending(&bytes, &[(1, remaining)]), bytes);
+
+    // The resumed service completes exactly the remaining ids, once each.
+    let mut resumed = CappedService::resume(cfg.clone(), &bytes).unwrap();
+    let completions = resumed.take_completions().unwrap();
+    for _ in 0..20 {
+        resumed.run_round();
+    }
+    assert_eq!(resumed.pending_tickets(), 0);
+    let done: Vec<u64> = completions.try_iter().map(|c| c.ticket.id()).collect();
+    assert_eq!(done, remaining);
+
+    // With a one-round TTL, round 2 completes a prefix of the remaining
+    // ids and reaps exactly the rest.
+    let mut reaping = CappedService::resume(cfg.with_ticket_ttl_rounds(Some(1)), &bytes).unwrap();
+    let completions = reaping.take_completions().unwrap();
+    reaping.run_round();
+    let done: Vec<u64> = completions.try_iter().map(|c| c.ticket.id()).collect();
+    let reaped = reaping.drain_expired_tickets();
+    assert!(!reaped.is_empty());
+    assert_eq!([done, reaped].concat(), remaining);
+    assert_eq!(reaping.pending_tickets(), 0);
+}
+
 #[test]
 fn completions_before_the_receiver_is_taken_are_not_kept() {
     let mut service = CappedService::spawn(ServiceConfig::new(config(64, 2, 0.0), 2, 5)).unwrap();

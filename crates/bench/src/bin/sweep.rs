@@ -370,7 +370,7 @@ fn main() -> ExitCode {
         eprintln!("wrote {} JSONL row(s) to {}", table.len(), path.display());
     }
     if let Some(path) = &args.registry {
-        let pairs = iba_exp::bench_data::sweep_config_pairs(
+        let pairs = iba_exp::registry::sweep_config_pairs(
             args.n as u64,
             &args.capacities,
             &args.lambdas,

@@ -18,10 +18,6 @@
 //! cargo run -p iba-bench --release --bin figures -- fig4-left --scale quick
 //! cargo run -p iba-bench --release --bin figures -- all --scale paper
 //! ```
-//!
-//! The criterion benches under `benches/` wrap the same experiment
-//! functions at smoke scale so `cargo bench` both times the simulator and
-//! regenerates miniature versions of every figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

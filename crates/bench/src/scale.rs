@@ -16,7 +16,7 @@ pub enum Scale {
     /// Laptop-friendly: `n = 2¹³`, 600-round window, 3 seeds. Still large
     /// enough for every λ the paper uses (λ = 1 − 2⁻¹³ needs `n ≥ 2¹³`).
     Quick,
-    /// Smoke scale for tests and criterion benches: `n = 2¹⁰`, 200-round
+    /// Smoke scale for tests and the golden CSVs: `n = 2¹⁰`, 200-round
     /// window, 2 seeds. λ values requiring finer granularity than 2⁻¹⁰ are
     /// skipped (and reported as skipped).
     Smoke,

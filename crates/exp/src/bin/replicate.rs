@@ -4,50 +4,22 @@
 //! cargo run --release -p iba-exp --bin replicate -- --quick --check
 //! ```
 //!
-//! Re-runs the quick paper replication sweep plus all four committed
-//! benchmark harnesses as subprocesses (each asserts its own
-//! self-validation and appends a provenance-stamped record to the
-//! registry), then renders the static `report.html` and — with
-//! `--check` — gates every fresh run against the last baseline that
-//! shares its config hash, exiting nonzero past the threshold.
-//!
-//! `--stamp-baselines` instead injects a provenance block (schema
-//! version, git rev, host, config hash) into the four committed
-//! `BENCH_*.json` files, preserving their hand formatting, and exits.
+//! Re-runs the paper replication sweep as a subprocess (it asserts its
+//! own Theorem-2 self-validation and appends a provenance-stamped record
+//! to the registry), then renders the static `report.html` and gates the
+//! fresh sweep against the newest prior registry record that shares its
+//! config hash. With `--check` the exit is nonzero when a metric moved
+//! past the threshold, or when the gate compared nothing (an empty
+//! registry, or no prior record of this configuration).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use iba_analysis::bounds;
-use iba_exp::bench_data::{config_pairs, provenance_json_with_hash, sweep_config_pairs, BenchFile};
-use iba_exp::gate::{gate_fresh_runs, GateConfig, GateOutcome, DEFAULT_THRESHOLD};
-use iba_exp::registry::{identity_hash, unix_time_now, RunRegistry};
+use iba_exp::gate::{gate_fresh_runs, DEFAULT_THRESHOLD};
+use iba_exp::registry::{identity_hash, sweep_config_pairs, unix_time_now, RunRegistry};
 use iba_exp::report::{render_html, ReportInput, SweepPoint};
 use iba_obs::json::{self, content_hash, JsonValue, Provenance};
-
-/// The committed baselines, harness binary first, output file second,
-/// then the flag sets for quick and full replication.
-const HARNESSES: &[(&str, &str, &[&str], &[&str])] = &[
-    (
-        "obs_overhead_baseline",
-        "BENCH_obs_overhead.json",
-        &["--quick"],
-        &[],
-    ),
-    (
-        "serve_net_baseline",
-        "BENCH_serve_net.json",
-        &["--quick"],
-        &[],
-    ),
-    ("net_chaos_baseline", "BENCH_net_chaos.json", &["--ci"], &[]),
-    (
-        "membership_baseline",
-        "BENCH_membership.json",
-        &["--ci"],
-        &[],
-    ),
-];
 
 #[derive(Debug)]
 struct Options {
@@ -57,8 +29,6 @@ struct Options {
     registry: Option<PathBuf>,
     report: Option<PathBuf>,
     threshold: f64,
-    stamp_baselines: bool,
-    force: bool,
     report_only: bool,
 }
 
@@ -70,8 +40,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         registry: None,
         report: None,
         threshold: DEFAULT_THRESHOLD,
-        stamp_baselines: false,
-        force: false,
         report_only: false,
     };
     let mut iter = args.iter();
@@ -93,14 +61,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("bad --threshold: {e}"))?;
             }
-            "--stamp-baselines" => opts.stamp_baselines = true,
-            "--force" => opts.force = true,
             "--report-only" => opts.report_only = true,
             other => {
                 return Err(format!(
                     "unknown flag {other}\nusage: replicate [--quick|--full] [--check] \
                      [--out DIR] [--registry PATH] [--report PATH] [--threshold F] \
-                     [--report-only] [--stamp-baselines [--force]]"
+                     [--report-only]"
                 ));
             }
         }
@@ -109,8 +75,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 /// Walks up from the current directory to the workspace root: the first
-/// directory whose `Cargo.toml` declares `[workspace]` (it also holds the
-/// committed `BENCH_*.json` baselines).
+/// directory whose `Cargo.toml` declares `[workspace]`.
 fn find_repo_root() -> Result<PathBuf, String> {
     let mut dir = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
     loop {
@@ -124,72 +89,6 @@ fn find_repo_root() -> Result<PathBuf, String> {
             );
         }
     }
-}
-
-fn load_committed(root: &Path) -> Result<Vec<BenchFile>, String> {
-    HARNESSES
-        .iter()
-        .map(|(_, file, _, _)| BenchFile::load(&root.join(file)))
-        .collect()
-}
-
-/// Injects a provenance block after the top-level `"seed"` line of a
-/// committed baseline, preserving the file's hand formatting.
-fn stamp_file(path: &Path, force: bool) -> Result<bool, String> {
-    let bf = BenchFile::load(path)?;
-    if bf.provenance.is_some() && !force {
-        eprintln!(
-            "{}: already stamped (use --force to restamp)",
-            path.display()
-        );
-        return Ok(false);
-    }
-    let pairs = config_pairs(&bf.benchmark, &bf.value)
-        .ok_or_else(|| format!("{}: cannot derive config pairs", path.display()))?;
-    let hash = content_hash(&pairs);
-    let block = provenance_json_with_hash(&Provenance::collect(), &hash);
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let text = if bf.provenance.is_some() {
-        // Restamp: replace the existing single-line provenance field.
-        let start = text
-            .find("\n  \"provenance\":")
-            .ok_or_else(|| format!("{}: provenance block is not a stamped line", path.display()))?;
-        let line_end = text[start + 1..]
-            .find('\n')
-            .map(|i| start + 1 + i)
-            .unwrap_or(text.len());
-        format!(
-            "{}\n  \"provenance\": {block},{}",
-            &text[..start],
-            &text[line_end..]
-        )
-    } else {
-        let anchor = text
-            .find("\n  \"seed\":")
-            .ok_or_else(|| format!("{}: no top-level seed line to anchor on", path.display()))?;
-        let line_end = anchor
-            + 1
-            + text[anchor + 1..]
-                .find('\n')
-                .ok_or_else(|| format!("{}: truncated file", path.display()))?;
-        format!(
-            "{}\n  \"provenance\": {block},{}",
-            &text[..line_end],
-            &text[line_end..]
-        )
-    };
-    // The stamped file must still parse, and the embedded hash must match
-    // what a loader recomputes from the document.
-    std::fs::write(path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let stamped = BenchFile::load(path)?;
-    if stamped.computed_config_hash().as_deref() != Some(hash.as_str()) {
-        return Err(format!(
-            "{}: stamped hash does not recompute",
-            path.display()
-        ));
-    }
-    println!("stamped {} ({hash})", path.display());
-    Ok(true)
 }
 
 /// Runs one cargo subprocess from the workspace root, inheriting stdio.
@@ -318,21 +217,6 @@ fn parse_sweep_rows(jsonl_path: &Path, n: u64) -> Result<Vec<SweepPoint>, String
     Ok(points)
 }
 
-/// The identity a fresh stamped benchmark file's registry record will
-/// have (same formula as `RunRecord::identity_hash`).
-fn identity_of_fresh(bf: &BenchFile) -> Option<String> {
-    let prov = bf.provenance.as_ref()?;
-    let hash = bf.config_hash.as_deref()?;
-    let seed = bf.value.get("seed").and_then(JsonValue::as_u64)?;
-    Some(identity_hash(
-        &bf.benchmark,
-        hash,
-        seed,
-        &prov.git_rev,
-        prov.git_dirty,
-    ))
-}
-
 fn run(opts: &Options) -> Result<bool, String> {
     let root = find_repo_root()?;
     let out_dir = if opts.out.is_absolute() {
@@ -348,89 +232,38 @@ fn run(opts: &Options) -> Result<bool, String> {
         .report
         .clone()
         .unwrap_or_else(|| out_dir.join("report.html"));
-    let fresh_dir = out_dir.join("fresh");
-    std::fs::create_dir_all(&fresh_dir)
-        .map_err(|e| format!("cannot create {}: {e}", fresh_dir.display()))?;
-
-    if opts.stamp_baselines {
-        let mut stamped = 0;
-        for (_, file, _, _) in HARNESSES {
-            if stamp_file(&root.join(file), opts.force)? {
-                stamped += 1;
-            }
-        }
-        println!("stamped {stamped} baseline file(s)");
-        return Ok(true);
-    }
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
 
     let plan = SweepPlan::for_mode(opts.full);
     let sweep_jsonl = out_dir.join("sweep.jsonl");
     let mut fresh_identities: Vec<String> = Vec::new();
-
     if !opts.report_only {
-        // 1. The paper-replication sweep (the sweep binary validates its
-        //    own Theorem-2 bound per cell and records itself).
+        // The sweep binary validates its own Theorem-2 bound per cell and
+        // records itself. Its fresh identity is computable without its
+        // output: replicate chose the grid, and both sides hash it
+        // through `sweep_config_pairs`.
         run_cargo(&root, &plan.sweep_args(&sweep_jsonl, &registry_path))?;
-
-        // 2. The four benchmark harnesses; each asserts its own
-        //    self-validation (nonzero exit aborts the replication) and
-        //    appends its provenance-stamped record to the registry.
-        for (bin, file, quick_flags, full_flags) in HARNESSES {
-            let mut args: Vec<String> = vec![
-                "run".into(),
-                "--release".into(),
-                "-p".into(),
-                "iba-bench".into(),
-                "--bin".into(),
-                (*bin).into(),
-                "--".into(),
-            ];
-            let mode_flags = if opts.full { full_flags } else { quick_flags };
-            args.extend(mode_flags.iter().map(|f| f.to_string()));
-            let fresh_out = fresh_dir.join(file);
-            args.push("--out".into());
-            args.push(fresh_out.display().to_string());
-            args.push("--registry".into());
-            args.push(registry_path.display().to_string());
-            run_cargo(&root, &args)?;
-            let fresh = BenchFile::load(&fresh_out)?;
-            fresh_identities.push(identity_of_fresh(&fresh).ok_or_else(|| {
-                format!(
-                    "{}: fresh output is missing its provenance stamp",
-                    fresh_out.display()
-                )
-            })?);
-        }
-    }
-
-    // The sweep's fresh identity is computable without its output file:
-    // replicate chose the grid, and both sides hash it through
-    // sweep_config_pairs.
-    let sweep_prov = Provenance::collect();
-    if !opts.report_only {
+        let prov = Provenance::collect();
         fresh_identities.push(identity_hash(
             "sweep",
             &plan.config_hash(),
             plan.master_seed,
-            &sweep_prov.git_rev,
-            sweep_prov.git_dirty,
+            &prov.git_rev,
+            prov.git_dirty,
         ));
     }
 
-    // 3. Gate + report.
-    let committed = load_committed(&root)?;
     let registry = RunRegistry::open(&registry_path).map_err(|e| e.to_string())?;
-    let gate_config = GateConfig {
-        threshold: opts.threshold,
-        ..GateConfig::default()
-    };
-    let outcome: GateOutcome =
-        gate_fresh_runs(&registry, &committed, &fresh_identities, &gate_config);
+    let outcome = gate_fresh_runs(&registry, &fresh_identities, opts.threshold);
     for label in &outcome.vacuous {
         eprintln!(
-            "gate: {label} has no baseline with a matching config hash — \
-             vacuous pass (the next run on this configuration will be gated)"
+            "gate: {label} has no prior record with a matching config hash, \
+             so it compared nothing"
         );
+    }
+    if outcome.gates.is_empty() {
+        eprintln!("gate: VACUOUS: no fresh run was compared with a prior record");
     }
     for gate in &outcome.gates {
         let failures: Vec<String> = gate
@@ -459,7 +292,6 @@ fn run(opts: &Options) -> Result<bool, String> {
     };
     let input = ReportInput {
         generated_unix: unix_time_now(),
-        bench: committed,
         registry: registry.records().to_vec(),
         sweep: sweep_points,
         gates: outcome.gates.clone(),
@@ -487,10 +319,13 @@ fn main() -> ExitCode {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
             if opts.check {
-                eprintln!("replicate --check: regression gate FAILED");
+                eprintln!("replicate --check: regression gate FAILED or compared nothing");
                 ExitCode::FAILURE
             } else {
-                eprintln!("regression gate failed (informational; pass --check to enforce)");
+                eprintln!(
+                    "regression gate failed or compared nothing \
+                     (informational; pass --check to enforce)"
+                );
                 ExitCode::SUCCESS
             }
         }

@@ -1,86 +1,37 @@
 //! The regression gate behind `replicate --check`.
 //!
-//! A fresh run is compared against its baseline metric-by-metric, but
-//! only when the two share a config hash — quick-mode runs are never
-//! judged against full-scale committed baselines. Each metric has a
-//! *direction* inferred from its name (`speedup` higher is better,
-//! `wait` lower is better, unknown names must simply stay close), and
-//! metrics matching the noisy opt-out list are reported but never fail
-//! the gate. The opt-outs are explicit and surfaced in the report — a
-//! skipped cell should be a visible decision, not a silent hole.
+//! A fresh run is compared against the newest prior registry record with
+//! the same benchmark and config hash, metric by metric: quick-mode runs
+//! are never judged against full-scale ones. Each metric has a
+//! *direction* inferred from its name (`wait` lower is better, the
+//! `bound ok` verdict higher is better, unknown names must simply stay
+//! close). Every compared metric is gated. A run with no prior record is
+//! *vacuous*: it compared nothing, so the gate does not pass on it.
 
 /// Default failure threshold: a gated metric may move 15% in the bad
 /// direction before the gate fails.
 pub const DEFAULT_THRESHOLD: f64 = 0.15;
 
-/// Metric-name substrings excluded from gating by default: absolute
-/// wall-clock timings and throughputs, which swing with host load far
-/// more than any real regression on shared CI runners. Ratios (speedups,
-/// retained goodput, overhead percent, moved fractions) stay gated.
-pub const DEFAULT_NOISY: &[&str] = &[
-    "ns_per_round",
-    "per_sec",
-    "wall_ms",
-    "latency",
-    "submit_latency",
-    "mean",
-    "p50",
-    "p99",
-    "p999",
-    ".max",
-    ".min",
-];
-
 /// Which way a metric is allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Regressions are increases (waits, pool sizes, moved keys, …).
+    /// Regressions are increases (waits, pool sizes, bounds).
     LowerIsBetter,
-    /// Regressions are decreases (speedups, goodput, accepted, …).
+    /// Regressions are decreases (the `bound ok` verdict).
     HigherIsBetter,
     /// No known direction: moving more than the threshold either way
-    /// fails (structural counts that should be stable).
+    /// fails (structural values that should be stable).
     StayClose,
 }
 
 /// Infers a metric's direction from its dotted-path name (first matching
-/// rule wins; unmatched names must stay close).
+/// rule wins; unmatched names must stay close). The patterns cover the
+/// sweep table's columns: `bound ok` is the Theorem-2 verdict (1 or 0);
+/// `wait`, `pool` and `bound` match the measured and predicted waits,
+/// the pool fractions and the Theorem-2 bound.
 pub fn direction_for(name: &str) -> Direction {
-    const HIGHER: &[&str] = &[
-        "speedup",
-        "goodput",
-        "per_sec",
-        "accepted",
-        "retained",
-        "completions",
-        "wins",
-        "bound_ok",
-        "bound ok", // sweep table column
-        "recovered",
-    ];
-    const LOWER: &[&str] = &[
-        "wait",
-        "pool",
-        "max_load",
-        "moved",
-        "overhead",
-        "retr", // retries, retry_amplification
-        "shed",
-        "drop",
-        "saturated",
-        "duplicate",
-        "latency",
-        "ns_per_round",
-        "nanos",
-        "wall_ms",
-        "p50",
-        "p99",
-        "p999",
-        "mean",
-        ".max",
-        "envelope",
-        "bound", // theorem bounds: growing bound = weaker guarantee surface
-    ];
+    const HIGHER: &[&str] = &["bound ok"];
+    const LOWER: &[&str] = &["wait", "pool", "bound"];
     let lname = name.to_ascii_lowercase();
     if HIGHER.iter().any(|pat| lname.contains(pat)) {
         return Direction::HigherIsBetter;
@@ -91,33 +42,6 @@ pub fn direction_for(name: &str) -> Direction {
     Direction::StayClose
 }
 
-/// Gate configuration: threshold plus the noisy opt-out list.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Maximum allowed fractional move in the bad direction.
-    pub threshold: f64,
-    /// Metric-name substrings excluded from gating (reported as
-    /// [`GateStatus::Noisy`], never failed).
-    pub noisy: Vec<String>,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            threshold: DEFAULT_THRESHOLD,
-            noisy: DEFAULT_NOISY.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
-impl GateConfig {
-    /// Whether `metric` matches the noisy opt-out list.
-    pub fn is_noisy(&self, metric: &str) -> bool {
-        let lname = metric.to_ascii_lowercase();
-        self.noisy.iter().any(|pat| lname.contains(pat.as_str()))
-    }
-}
-
 /// Verdict for one compared metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateStatus {
@@ -125,8 +49,6 @@ pub enum GateStatus {
     Pass,
     /// Moved past the threshold in the bad direction.
     Fail,
-    /// On the noisy opt-out list; compared for the report but exempt.
-    Noisy,
     /// Present in only one of the two runs.
     Missing,
 }
@@ -168,25 +90,18 @@ impl GateReport {
     pub fn passed(&self) -> bool {
         self.failures().next().is_none()
     }
-
-    /// Metric names that were exempted as noisy.
-    pub fn noisy_metrics(&self) -> impl Iterator<Item = &str> {
-        self.checks
-            .iter()
-            .filter(|c| c.status == GateStatus::Noisy)
-            .map(|c| c.metric.as_str())
-    }
 }
 
-/// Compares `fresh` against `baseline` under `config`. Metrics are
-/// matched by exact dotted-path name; a metric present on only one side
-/// is reported as [`GateStatus::Missing`] (not a failure — schema drift
-/// is surfaced, gated values are judged).
+/// Compares `fresh` against `baseline`, failing a metric that moves more
+/// than `threshold` in its bad direction. Metrics are matched by exact
+/// dotted-path name; a metric present on only one side is reported as
+/// [`GateStatus::Missing`] (not a failure — schema drift is surfaced,
+/// gated values are judged).
 pub fn compare(
     label: &str,
     baseline: &[(String, f64)],
     fresh: &[(String, f64)],
-    config: &GateConfig,
+    threshold: f64,
 ) -> GateReport {
     let fresh_value = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
     let mut checks = Vec::new();
@@ -196,18 +111,16 @@ pub fn compare(
         let delta = fresh.and_then(|f| (*base != 0.0).then(|| (f - *base) / base.abs()));
         let status = if fresh.is_none() {
             GateStatus::Missing
-        } else if config.is_noisy(name) {
-            GateStatus::Noisy
         } else {
             let bad = match (direction, delta) {
                 // Zero baseline with a nonzero fresh value on a gated
                 // metric: treat any appearance of a lower-is-better
-                // quantity (e.g. drops going 0 → 5) as a regression.
+                // quantity (e.g. a wait going 0 → 5) as a regression.
                 (Direction::LowerIsBetter, None) => fresh.is_some_and(|f| f > 0.0 && *base == 0.0),
-                (Direction::LowerIsBetter, Some(d)) => d > config.threshold,
-                (Direction::HigherIsBetter, Some(d)) => d < -config.threshold,
+                (Direction::LowerIsBetter, Some(d)) => d > threshold,
+                (Direction::HigherIsBetter, Some(d)) => d < -threshold,
                 (Direction::HigherIsBetter, None) => false,
-                (Direction::StayClose, Some(d)) => d.abs() > config.threshold,
+                (Direction::StayClose, Some(d)) => d.abs() > threshold,
                 (Direction::StayClose, None) => false,
             };
             if bad {
@@ -244,33 +157,32 @@ pub fn compare(
 }
 
 /// How the fresh runs were gated: the reports that ran, plus the labels
-/// of runs that passed vacuously (no baseline shares their config hash).
+/// of runs that compared nothing.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
-    /// One report per fresh run that had a comparable baseline.
+    /// One report per fresh run that had a prior record to compare with.
     pub gates: Vec<GateReport>,
-    /// Fresh runs with no matching-hash baseline (first run on a new
-    /// configuration): listed, never failed.
+    /// Fresh runs that compared nothing: no prior record shares their
+    /// config hash, or the registry holds no record of them.
     pub vacuous: Vec<String>,
 }
 
 impl GateOutcome {
-    /// Whether every gated run passed.
+    /// Whether the gate passed: it compared at least one run, and every
+    /// comparison passed. A gate that compared nothing has checked
+    /// nothing, so it does not pass.
     pub fn passed(&self) -> bool {
-        self.gates.iter().all(GateReport::passed)
+        !self.gates.is_empty() && self.gates.iter().all(GateReport::passed)
     }
 }
 
-/// Gates each fresh run (by identity hash) against its baseline: the
-/// committed benchmark file when it shares the run's config hash,
-/// otherwise the newest prior registry record with that hash, otherwise
-/// vacuous. Quick-mode runs are therefore never judged against
-/// full-scale committed baselines — configs must match to be compared.
+/// Gates each fresh run (by identity hash) against the newest prior
+/// registry record with its benchmark and config hash. Runs without one
+/// are listed as vacuous.
 pub fn gate_fresh_runs(
     registry: &crate::registry::RunRegistry,
-    bench: &[crate::bench_data::BenchFile],
     fresh_identities: &[String],
-    config: &GateConfig,
+    threshold: f64,
 ) -> GateOutcome {
     let mut outcome = GateOutcome::default();
     for identity in fresh_identities {
@@ -279,28 +191,23 @@ pub fn gate_fresh_runs(
             .iter()
             .find(|r| &r.identity_hash() == identity)
         else {
+            outcome
+                .vacuous
+                .push(format!("run {identity} (not in the registry)"));
             continue;
         };
         let label = format!("{} {}", record.benchmark, record.config_hash);
-        let committed = bench.iter().find(|b| {
-            b.benchmark == record.benchmark
-                && b.config_hash.as_deref() == Some(record.config_hash.as_str())
-        });
-        if let Some(bf) = committed {
-            outcome.gates.push(compare(
-                &format!("{label} (vs committed {})", bf.path.display()),
-                &bf.metrics,
-                &record.metrics,
-                config,
-            ));
-        } else if let Some(prior) =
+        if let Some(prior) =
             registry.latest_for(&record.benchmark, &record.config_hash, Some(identity))
         {
             outcome.gates.push(compare(
-                &format!("{label} (vs registry run @{})", prior.unix_time),
+                &format!(
+                    "{label} (vs registry run @{} of rev {})",
+                    prior.unix_time, prior.provenance.git_rev
+                ),
                 &prior.metrics,
                 &record.metrics,
-                config,
+                threshold,
             ));
         } else {
             outcome.vacuous.push(label);
@@ -318,90 +225,70 @@ mod tests {
     }
 
     #[test]
-    fn directions_are_inferred_from_names() {
-        assert_eq!(
-            direction_for("cells.0.arena_speedup"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(direction_for("goodput_retained"), Direction::HigherIsBetter);
-        assert_eq!(direction_for("rows.3.avg_wait"), Direction::LowerIsBetter);
-        assert_eq!(
-            direction_for("cells.0.overhead_percent"),
-            Direction::LowerIsBetter
-        );
-        assert_eq!(
-            direction_for("router.events.0.bounded_load_moved"),
-            Direction::LowerIsBetter
-        );
-        assert_eq!(direction_for("server.batch"), Direction::StayClose);
+    fn directions_are_inferred_from_the_sweep_columns() {
+        for (column, direction) in [
+            ("c", Direction::StayClose),
+            ("pool/n", Direction::LowerIsBetter),
+            ("mf pool/n", Direction::LowerIsBetter),
+            ("avg wait", Direction::LowerIsBetter),
+            ("mf wait", Direction::LowerIsBetter),
+            ("max wait", Direction::LowerIsBetter),
+            ("wait envelope", Direction::LowerIsBetter),
+            ("thm2 bound", Direction::LowerIsBetter),
+            ("bound ok", Direction::HigherIsBetter),
+        ] {
+            assert_eq!(direction_for(&format!("rows.3.{column}")), direction);
+        }
     }
 
     #[test]
     fn artificial_regression_past_threshold_fails_the_gate() {
         let baseline = metrics(&[
-            ("cells.0.arena_speedup", 3.0),
-            ("rows.0.avg_wait", 2.0),
-            ("goodput_retained", 0.8),
+            ("rows.0.bound ok", 1.0),
+            ("rows.0.avg wait", 2.0),
+            ("rows.0.pool/n", 0.8),
         ]);
-        // 30% speedup loss: well past the default 15%.
+        // The Theorem-2 verdict flips from yes to no.
         let regressed = metrics(&[
-            ("cells.0.arena_speedup", 2.1),
-            ("rows.0.avg_wait", 2.0),
-            ("goodput_retained", 0.8),
+            ("rows.0.bound ok", 0.0),
+            ("rows.0.avg wait", 2.0),
+            ("rows.0.pool/n", 0.8),
         ]);
-        let report = compare("test", &baseline, &regressed, &GateConfig::default());
+        let report = compare("test", &baseline, &regressed, DEFAULT_THRESHOLD);
         assert!(!report.passed());
         let failed: Vec<&str> = report.failures().map(|c| c.metric.as_str()).collect();
-        assert_eq!(failed, ["cells.0.arena_speedup"]);
+        assert_eq!(failed, ["rows.0.bound ok"]);
 
-        // The same values inside the threshold pass.
+        // Moves inside the threshold pass.
         let ok = metrics(&[
-            ("cells.0.arena_speedup", 2.7),
-            ("rows.0.avg_wait", 2.2),
-            ("goodput_retained", 0.75),
+            ("rows.0.bound ok", 1.0),
+            ("rows.0.avg wait", 2.2),
+            ("rows.0.pool/n", 0.7),
         ]);
-        assert!(compare("test", &baseline, &ok, &GateConfig::default()).passed());
+        assert!(compare("test", &baseline, &ok, DEFAULT_THRESHOLD).passed());
 
         // Lower-is-better regressions fail too.
         let slow = metrics(&[
-            ("cells.0.arena_speedup", 3.0),
-            ("rows.0.avg_wait", 2.5),
-            ("goodput_retained", 0.8),
+            ("rows.0.bound ok", 1.0),
+            ("rows.0.avg wait", 2.5),
+            ("rows.0.pool/n", 0.8),
         ]);
-        assert!(!compare("test", &baseline, &slow, &GateConfig::default()).passed());
+        assert!(!compare("test", &baseline, &slow, DEFAULT_THRESHOLD).passed());
     }
 
     #[test]
-    fn noisy_metrics_are_exempt_but_reported() {
-        let baseline = metrics(&[("cells.0.arena.median_ns_per_round", 1.0e6)]);
-        let much_slower = metrics(&[("cells.0.arena.median_ns_per_round", 9.0e6)]);
-        let report = compare("t", &baseline, &much_slower, &GateConfig::default());
-        assert!(report.passed());
-        assert_eq!(
-            report.noisy_metrics().collect::<Vec<_>>(),
-            ["cells.0.arena.median_ns_per_round"]
-        );
-        // Taken off the opt-out list, the same move fails.
-        let strict = GateConfig {
-            noisy: vec![],
-            ..GateConfig::default()
-        };
-        assert!(!compare("t", &baseline, &much_slower, &strict).passed());
-    }
-
-    #[test]
-    fn zero_baseline_counts_regress_when_they_appear() {
-        let baseline = metrics(&[("chaos.slow_consumer_drops", 0.0)]);
-        let fresh = metrics(&[("chaos.slow_consumer_drops", 4.0)]);
-        assert!(!compare("t", &baseline, &fresh, &GateConfig::default()).passed());
-        assert!(compare("t", &baseline, &baseline, &GateConfig::default()).passed());
+    fn zero_baseline_waits_regress_when_they_appear() {
+        let baseline = metrics(&[("rows.0.max wait", 0.0)]);
+        let fresh = metrics(&[("rows.0.max wait", 4.0)]);
+        assert!(!compare("t", &baseline, &fresh, DEFAULT_THRESHOLD).passed());
+        assert!(compare("t", &baseline, &baseline, DEFAULT_THRESHOLD).passed());
     }
 
     #[test]
     fn schema_drift_is_missing_not_failed() {
         let baseline = metrics(&[("a", 1.0), ("gone", 2.0)]);
         let fresh = metrics(&[("a", 1.0), ("added", 3.0)]);
-        let report = compare("t", &baseline, &fresh, &GateConfig::default());
+        let report = compare("t", &baseline, &fresh, DEFAULT_THRESHOLD);
         assert!(report.passed());
         let missing: Vec<&str> = report
             .checks

@@ -1,31 +1,28 @@
 //! Experiment registry and replication tooling for the workspace.
 //!
-//! Every benchmark or sweep run in the workspace produces numbers that are
-//! only as trustworthy as their provenance. This crate turns those runs
-//! into first-class records:
+//! Every sweep run in the workspace produces numbers that are only as
+//! trustworthy as their provenance. This crate turns those runs into
+//! first-class records:
 //!
 //! - [`registry`] — an append-only JSONL store of [`registry::RunRecord`]s
 //!   (content-hashed config, seed, git revision, host, kernel mode, wall
-//!   time, flattened metrics) with a strict parser and dedup-by-hash.
-//! - [`bench_data`] — loader for the committed `BENCH_*.json` baselines,
-//!   flattening every numeric leaf into dotted-path metrics and
-//!   recovering the canonical config pairs used for content hashing.
+//!   time, flattened metrics) with a strict parser and dedup-by-hash,
+//!   plus the sweep's canonical config pairs.
 //! - [`gate`] — the regression gate behind `replicate --check`: compares
-//!   a fresh run against the last baseline with the same config hash,
-//!   direction-aware per metric, with an explicit noisy opt-out list.
+//!   a fresh run against the newest prior record with the same config
+//!   hash, direction-aware per metric; a gate that compared nothing
+//!   fails.
 //! - [`svg`] / [`report`] — std-only hand-rolled inline-SVG charts and
-//!   the static `report.html` (perf trajectories across the committed
-//!   history plus registry runs, bound-vs-measured overlays, provenance
-//!   tables, gate results).
+//!   the static `report.html` (provenance table, bound-vs-measured
+//!   overlays, gate results).
 //!
 //! The `replicate` binary ties these together: one command re-runs the
-//! quick paper replication plus all five committed benchmark harnesses
-//! through the registry and renders the report.
+//! quick paper replication sweep through the registry, gates it and
+//! renders the report.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench_data;
 pub mod gate;
 pub mod registry;
 pub mod report;

@@ -18,7 +18,7 @@ use iba_obs::json::{self, content_hash, JsonObjWriter, JsonValue, Provenance};
 /// which code revision on which machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Benchmark / harness name (`obs_overhead`, `serve_net`, `sweep`, …).
+    /// Benchmark name (`sweep`, `iba_top`, …).
     pub benchmark: String,
     /// Content hash of the canonical config pairs (`fnv1a:<hex>`).
     pub config_hash: String,
@@ -31,7 +31,7 @@ pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was created.
     pub unix_time: u64,
     /// Flattened numeric results, dotted-path name → value, in emission
-    /// order (e.g. `cells.0.arena.median_ns_per_round`).
+    /// order (e.g. `rows.3.avg wait`).
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -262,8 +262,8 @@ impl RunRegistry {
 }
 
 /// The identity hash of a run, computable without a full [`RunRecord`]
-/// (e.g. from a stamped benchmark file: its `benchmark`, embedded
-/// config hash, `seed` field and provenance block).
+/// (e.g. by `replicate` for the sweep it just ran: the benchmark, its
+/// config hash, the master seed and this checkout's provenance).
 pub fn identity_hash(
     benchmark: &str,
     config_hash: &str,
@@ -278,6 +278,43 @@ pub fn identity_hash(
         ("git_rev".to_string(), git_rev.to_string()),
         ("git_dirty".to_string(), git_dirty.to_string()),
     ])
+}
+
+/// Renders a number for canonical config hashing: integral values
+/// without a fractional part (`1024`, not `1024.0`), everything else via
+/// shortest round-trip formatting.
+pub fn canon_num(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 9.0e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
+    }
+}
+
+/// The canonical config pairs of a parameter sweep, whose
+/// [`content_hash`] is the sweep record's config hash. The `sweep` binary
+/// (building its registry record) and `replicate` (computing the fresh
+/// run's identity) both call this, so the two always hash the same
+/// configuration identically.
+pub fn sweep_config_pairs(
+    n: u64,
+    capacities: &[u32],
+    lambdas: &[f64],
+    window: u64,
+    seeds: u64,
+    master_seed: u64,
+) -> Vec<(String, String)> {
+    let cs: Vec<String> = capacities.iter().map(|c| c.to_string()).collect();
+    let ls: Vec<String> = lambdas.iter().map(|l| canon_num(*l)).collect();
+    vec![
+        ("benchmark".to_string(), "sweep".to_string()),
+        ("n".to_string(), n.to_string()),
+        ("c".to_string(), cs.join(",")),
+        ("lambda".to_string(), ls.join(",")),
+        ("window".to_string(), window.to_string()),
+        ("seeds".to_string(), seeds.to_string()),
+        ("seed".to_string(), master_seed.to_string()),
+    ]
 }
 
 /// Current seconds since the Unix epoch (0 if the clock is before 1970).
@@ -410,5 +447,30 @@ mod tests {
         let err = RunRegistry::open(&path).unwrap_err();
         assert!(err.message.contains("line 1"), "{err}");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn sweep_pairs_are_stable() {
+        let pairs = sweep_config_pairs(2048, &[1, 2, 4], &[0.75, 0.9375], 150, 1, 20210705);
+        let rendered: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        assert_eq!(
+            rendered,
+            [
+                "benchmark=sweep",
+                "n=2048",
+                "c=1,2,4",
+                "lambda=0.75,0.9375",
+                "window=150",
+                "seeds=1",
+                "seed=20210705",
+            ]
+        );
+    }
+
+    #[test]
+    fn canon_num_renders_integers_plainly() {
+        assert_eq!(canon_num(1024.0), "1024");
+        assert_eq!(canon_num(0.95), "0.95");
+        assert_eq!(canon_num(-3.0), "-3");
     }
 }

@@ -2,17 +2,13 @@
 //!
 //! One self-contained `report.html`: no scripts, no external assets, all
 //! charts inline SVG — it must render from `file://` in CI artifact
-//! viewers. Sections: run provenance table, per-benchmark performance
-//! trajectories (each metric normalised to its committed baseline),
-//! bound-vs-measured overlays (pool occupancy vs the paper's Theorem 1
-//! bound, wait quantiles vs the predicted envelope, goodput under
-//! chaos), and the regression-gate verdicts including the explicit
-//! noisy-metric opt-out list.
+//! viewers. Sections: run provenance table, bound-vs-measured overlays
+//! (pool occupancy vs the paper's Theorem 1 bound, wait quantiles vs the
+//! predicted envelope), and the regression-gate verdicts.
 
-use crate::bench_data::BenchFile;
 use crate::gate::{GateReport, GateStatus};
 use crate::registry::RunRecord;
-use crate::svg::{bar_chart, line_chart, Series};
+use crate::svg::{line_chart, Series};
 
 use std::fmt::Write as _;
 
@@ -44,31 +40,13 @@ pub struct SweepPoint {
 pub struct ReportInput {
     /// Seconds since the epoch when the report was generated.
     pub generated_unix: u64,
-    /// The committed `BENCH_*.json` baselines.
-    pub bench: Vec<BenchFile>,
-    /// All registry records (committed history plus fresh runs).
+    /// All registry records (earlier runs plus fresh ones).
     pub registry: Vec<RunRecord>,
     /// Sweep measurements for the overlays (empty ⇒ overlay section
     /// renders a placeholder note instead of charts).
     pub sweep: Vec<SweepPoint>,
     /// Gate verdicts, one per compared run.
     pub gates: Vec<GateReport>,
-}
-
-/// The benchmark's headline trajectory metrics (scale-free ratios and
-/// structural fractions — the values worth eyeballing across PRs).
-fn headline_metrics(benchmark: &str) -> &'static [&'static str] {
-    match benchmark {
-        "obs_overhead" => &["cells.0.overhead_percent"],
-        "serve_net" => &["accepted_per_sec", "admission_latency_us.p99"],
-        "net_chaos" => &[
-            "goodput_retained",
-            "chaos.retry_amplification",
-            "calm.goodput_per_sec",
-        ],
-        "membership" => &["router.total_moved_ratio", "gauntlet.balls_moved"],
-        _ => &[],
-    }
 }
 
 fn esc(s: &str) -> String {
@@ -93,7 +71,7 @@ table{border-collapse:collapse;font-size:13px;margin:0.8rem 0}\
 th,td{border:1px solid #ccc;padding:3px 8px;text-align:left}\
 th{background:#f2f2f2}\
 td.num{text-align:right;font-variant-numeric:tabular-nums}\
-.pass{color:#007040}.fail{color:#b00020;font-weight:600}.noisy{color:#806000}.missing{color:#666}\
+.pass{color:#007040}.fail{color:#b00020;font-weight:600}.missing{color:#666}\
 .chart{max-width:640px;display:block;margin:0.6rem 0;background:#fff}\
 .chart .title{font-size:14px;font-weight:600}\
 .chart .tick{font-size:10px;fill:#333}\
@@ -115,7 +93,6 @@ pub fn render_html(input: &ReportInput) -> String {
         input.generated_unix
     );
     render_provenance_table(&mut out, input);
-    render_trajectories(&mut out, input);
     render_overlays(&mut out, input);
     render_gates(&mut out, input);
     out.push_str("</body></html>");
@@ -125,53 +102,15 @@ pub fn render_html(input: &ReportInput) -> String {
 fn render_provenance_table(out: &mut String, input: &ReportInput) {
     out.push_str(
         "<h2 id=\"provenance\">Run provenance</h2>\
-         <table><tr><th>source</th><th>benchmark</th><th>config hash</th><th>seed</th>\
+         <table><tr><th>benchmark</th><th>config hash</th><th>seed</th>\
          <th>git rev</th><th>dirty</th><th>host</th><th>cores</th><th>kernel</th>\
          <th>threads</th><th>wall ms</th><th>unix time</th></tr>",
     );
-    for bf in &input.bench {
-        let (rev, dirty, host, cores, kernel, threads) = match &bf.provenance {
-            Some(p) => (
-                short_rev(&p.git_rev),
-                p.git_dirty.to_string(),
-                p.host.clone(),
-                p.cores.to_string(),
-                p.kernel.clone().unwrap_or_default(),
-                p.threads.map(|t| t.to_string()).unwrap_or_default(),
-            ),
-            None => (
-                "unstamped".to_string(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-        };
-        let _ = write!(
-            out,
-            "<tr><td>committed</td><td>{}</td><td><code>{}</code></td><td></td>\
-             <td><code>{}</code></td><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
-             <td>{}</td><td class=\"num\">{}</td><td></td><td></td></tr>",
-            esc(&bf.benchmark),
-            esc(&bf
-                .config_hash
-                .as_deref()
-                .map(short_hash)
-                .unwrap_or_default()),
-            esc(&rev),
-            dirty,
-            esc(&host),
-            cores,
-            esc(&kernel),
-            threads,
-        );
-    }
     for r in &input.registry {
         let p = &r.provenance;
         let _ = write!(
             out,
-            "<tr><td>registry</td><td>{}</td><td><code>{}</code></td><td class=\"num\">{}</td>\
+            "<tr><td>{}</td><td><code>{}</code></td><td class=\"num\">{}</td>\
              <td><code>{}</code></td><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
              <td>{}</td><td class=\"num\">{}</td><td class=\"num\">{:.0}</td>\
              <td class=\"num\">{}</td></tr>",
@@ -189,56 +128,6 @@ fn render_provenance_table(out: &mut String, input: &ReportInput) {
         );
     }
     out.push_str("</table>");
-}
-
-fn render_trajectories(out: &mut String, input: &ReportInput) {
-    out.push_str(
-        "<h2 id=\"trajectory\">Performance trajectory</h2>\
-         <p class=\"note\">Each headline metric normalised to its committed baseline \
-         (run 0). Registry runs follow in time order; a flat line at 1.0 is a \
-         perfectly reproduced baseline.</p>",
-    );
-    for bf in &input.bench {
-        let mut runs: Vec<&RunRecord> = input
-            .registry
-            .iter()
-            .filter(|r| r.benchmark == bf.benchmark)
-            .collect();
-        runs.sort_by_key(|r| r.unix_time);
-        let names: Vec<&str> = {
-            let selected = headline_metrics(&bf.benchmark);
-            if selected.is_empty() {
-                bf.metrics.iter().take(3).map(|(n, _)| n.as_str()).collect()
-            } else {
-                selected.to_vec()
-            }
-        };
-        let mut series = Vec::new();
-        for name in names {
-            let base = match bf.metrics.iter().find(|(n, _)| n == name) {
-                Some((_, v)) if *v != 0.0 => *v,
-                _ => continue,
-            };
-            let mut points = vec![(0.0, 1.0)];
-            for (i, run) in runs.iter().enumerate() {
-                if let Some(v) = run.metric(name) {
-                    points.push(((i + 1) as f64, v / base));
-                }
-            }
-            series.push(Series::solid(name, points));
-        }
-        let _ = write!(
-            out,
-            "<div id=\"trajectory-{}\">{}</div>",
-            esc(&bf.benchmark),
-            line_chart(
-                &format!("{} — trajectory vs committed baseline", bf.benchmark),
-                "run (0 = committed baseline)",
-                "metric / baseline",
-                &series,
-            )
-        );
-    }
 }
 
 fn render_overlays(out: &mut String, input: &ReportInput) {
@@ -323,57 +212,15 @@ fn render_overlays(out: &mut String, input: &ReportInput) {
             )
         );
     }
-    // Goodput under chaos: committed baseline vs fresh registry runs.
-    let mut groups = Vec::new();
-    if let Some(bf) = input.bench.iter().find(|b| b.benchmark == "net_chaos") {
-        let get = |name: &str| {
-            bf.metrics
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0)
-        };
-        groups.push((
-            "committed".to_string(),
-            vec![get("calm.goodput_per_sec"), get("chaos.goodput_per_sec")],
-        ));
-    }
-    let mut chaos_runs: Vec<&RunRecord> = input
-        .registry
-        .iter()
-        .filter(|r| r.benchmark == "net_chaos")
-        .collect();
-    chaos_runs.sort_by_key(|r| r.unix_time);
-    for r in chaos_runs {
-        groups.push((
-            format!("run @{}", short_rev(&r.provenance.git_rev)),
-            vec![
-                r.metric("calm.goodput_per_sec").unwrap_or(0.0),
-                r.metric("chaos.goodput_per_sec").unwrap_or(0.0),
-            ],
-        ));
-    }
-    if !groups.is_empty() {
-        let _ = write!(
-            out,
-            "<div id=\"overlay-goodput-chaos\">{}</div>",
-            bar_chart(
-                "Goodput: calm vs chaos",
-                "requests / s",
-                &["calm", "chaos"],
-                &groups,
-            )
-        );
-    }
 }
 
 fn render_gates(out: &mut String, input: &ReportInput) {
     out.push_str("<h2 id=\"gate\">Regression gate</h2>");
     if input.gates.is_empty() {
         out.push_str(
-            "<p class=\"note\">No gate comparisons ran (no prior record shares a \
-             config hash with this run — the gate passes vacuously and the next \
-             run on this configuration will be gated).</p>",
+            "<p class=\"note\">No gate comparisons ran: no prior record shares a \
+             config hash with this run, so the gate compared nothing and does not \
+             pass. The next run on this configuration will be gated.</p>",
         );
         return;
     }
@@ -390,15 +237,14 @@ fn render_gates(out: &mut String, input: &ReportInput) {
              <th>delta</th><th>status</th></tr>",
         );
         for check in &gate.checks {
-            // Keep the table digestible: list failures, noisy exemptions
-            // and schema drift; fold silent passes into the summary row.
+            // Keep the table digestible: list failures and schema drift;
+            // fold silent passes into the summary row.
             if check.status == GateStatus::Pass {
                 continue;
             }
             let (class, word) = match check.status {
                 GateStatus::Pass => ("pass", "pass"),
                 GateStatus::Fail => ("fail", "FAIL"),
-                GateStatus::Noisy => ("noisy", "noisy (exempt)"),
                 GateStatus::Missing => ("missing", "missing"),
             };
             let fmt = |v: Option<f64>| v.map(|v| format!("{v:.6}")).unwrap_or_default();
@@ -426,64 +272,18 @@ fn render_gates(out: &mut String, input: &ReportInput) {
             "<tr><td colspan=\"4\">… and {passes} gated metric(s) within threshold</td>\
              <td class=\"pass\">pass</td></tr></table>",
         );
-        let noisy: Vec<&str> = gate.noisy_metrics().collect();
-        if !noisy.is_empty() {
-            let _ = write!(
-                out,
-                "<p class=\"note\">Noisy opt-outs (compared, never gated): {}</p>",
-                noisy
-                    .iter()
-                    .map(|n| format!("<code>{}</code>", esc(n)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::{compare, GateConfig};
-    use iba_obs::json::{self, Provenance, SCHEMA_VERSION};
-    use std::path::PathBuf;
-
-    fn bench_file(benchmark: &str, metrics: &[(&str, f64)]) -> BenchFile {
-        BenchFile {
-            path: PathBuf::from(format!("BENCH_{benchmark}.json")),
-            benchmark: benchmark.to_string(),
-            provenance: Some(Provenance {
-                schema_version: SCHEMA_VERSION,
-                git_rev: "abc123".into(),
-                git_dirty: false,
-                host: "host".into(),
-                cores: 4,
-                kernel: None,
-                threads: None,
-            }),
-            config_hash: Some("fnv1a:0123456789abcdef".into()),
-            metrics: metrics.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-            value: json::parse("{}").unwrap(),
-        }
-    }
+    use crate::gate::{compare, DEFAULT_THRESHOLD};
 
     #[test]
     fn report_contains_all_sections_and_charts() {
         let input = ReportInput {
             generated_unix: 1_750_000_000,
-            bench: vec![
-                bench_file("serve_net", &[("accepted_per_sec", 900_000.0)]),
-                bench_file("obs_overhead", &[("cells.0.overhead_percent", 4.4)]),
-                bench_file(
-                    "net_chaos",
-                    &[
-                        ("goodput_retained", 0.8),
-                        ("calm.goodput_per_sec", 17_000.0),
-                        ("chaos.goodput_per_sec", 14_000.0),
-                    ],
-                ),
-                bench_file("membership", &[("router.total_moved_ratio", 0.18)]),
-            ],
             registry: vec![],
             sweep: vec![SweepPoint {
                 lambda: 0.75,
@@ -497,21 +297,16 @@ mod tests {
                 wait_bound: 40.0,
             }],
             gates: vec![compare(
-                "round_kernel fnv1a:0123",
-                &[("cells.0.arena_speedup".to_string(), 3.0)],
-                &[("cells.0.arena_speedup".to_string(), 1.0)],
-                &GateConfig::default(),
+                "sweep fnv1a:0123",
+                &[("rows.0.avg wait".to_string(), 1.0)],
+                &[("rows.0.avg wait".to_string(), 3.0)],
+                DEFAULT_THRESHOLD,
             )],
         };
         let html = render_html(&input);
         for marker in [
-            "trajectory-serve_net",
-            "trajectory-obs_overhead",
-            "trajectory-net_chaos",
-            "trajectory-membership",
             "overlay-pool-bound",
             "overlay-wait-quantiles",
-            "overlay-goodput-chaos",
             "Run provenance",
             "Regression gate",
             "FAIL",
@@ -524,7 +319,7 @@ mod tests {
     #[test]
     fn empty_input_still_renders() {
         let html = render_html(&ReportInput::default());
-        assert!(html.contains("passes vacuously"));
+        assert!(html.contains("compared nothing"));
         assert!(html.contains("need a replication sweep"));
     }
 }

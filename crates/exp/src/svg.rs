@@ -2,7 +2,7 @@
 //!
 //! Std-only, no templating: each function returns a complete `<svg>`
 //! element ready to embed in the report HTML. The charts are modest —
-//! axes, ticks, polylines/bars, a legend — but entirely self-contained,
+//! axes, ticks, polylines, a legend — but entirely self-contained,
 //! which is the point: the report must render from `file://` with no
 //! network access.
 
@@ -223,105 +223,6 @@ pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) 
     out
 }
 
-/// Renders a grouped bar chart: one group per `(label, values)` entry,
-/// bars within a group colored by position and named in `bar_names`.
-pub fn bar_chart(
-    title: &str,
-    y_label: &str,
-    bar_names: &[&str],
-    groups: &[(String, Vec<f64>)],
-) -> String {
-    let y_hi = groups
-        .iter()
-        .flat_map(|(_, vs)| vs.iter().copied())
-        .fold(0.0f64, f64::max)
-        .max(1e-12)
-        * 1.1;
-    let plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT;
-    let plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM;
-    let sy = move |y: f64| MARGIN_TOP + plot_h - y / y_hi * plot_h;
-
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {WIDTH} {HEIGHT}\" class=\"chart\" role=\"img\" \
-         aria-label=\"{}\" xmlns=\"http://www.w3.org/2000/svg\">",
-        esc(title)
-    );
-    let _ = write!(
-        out,
-        "<text x=\"{}\" y=\"20\" class=\"title\" text-anchor=\"middle\">{}</text>",
-        WIDTH / 2.0,
-        esc(title)
-    );
-    for i in 0..=4 {
-        let fy = y_hi * f64::from(i) / 4.0;
-        let py = sy(fy);
-        let _ = write!(
-            out,
-            "<line x1=\"{MARGIN_LEFT}\" y1=\"{py:.1}\" x2=\"{:.1}\" y2=\"{py:.1}\" class=\"grid\"/>\
-             <text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\" text-anchor=\"end\">{}</text>",
-            WIDTH - MARGIN_RIGHT,
-            MARGIN_LEFT - 6.0,
-            py + 4.0,
-            tick_label(fy)
-        );
-    }
-    let _ = write!(
-        out,
-        "<text x=\"14\" y=\"{:.1}\" class=\"axis\" text-anchor=\"middle\" \
-         transform=\"rotate(-90 14 {:.1})\">{}</text>",
-        MARGIN_TOP + plot_h / 2.0,
-        MARGIN_TOP + plot_h / 2.0,
-        esc(y_label)
-    );
-    let ngroups = groups.len().max(1) as f64;
-    let nbars = bar_names.len().max(1) as f64;
-    let group_w = plot_w / ngroups;
-    let bar_w = (group_w * 0.72) / nbars;
-    for (g, (label, values)) in groups.iter().enumerate() {
-        let gx = MARGIN_LEFT + group_w * g as f64 + group_w * 0.14;
-        for (b, v) in values.iter().enumerate() {
-            let color = PALETTE[b % PALETTE.len()];
-            let x = gx + bar_w * b as f64;
-            let top = sy(*v);
-            let _ = write!(
-                out,
-                "<rect x=\"{x:.1}\" y=\"{top:.1}\" width=\"{:.1}\" height=\"{:.1}\" fill=\"{color}\"/>",
-                bar_w * 0.92,
-                MARGIN_TOP + plot_h - top
-            );
-        }
-        let _ = write!(
-            out,
-            "<text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\" text-anchor=\"middle\">{}</text>",
-            gx + group_w * 0.36,
-            HEIGHT - MARGIN_BOTTOM + 18.0,
-            esc(label)
-        );
-    }
-    for (b, name) in bar_names.iter().enumerate() {
-        let color = PALETTE[b % PALETTE.len()];
-        let ly = MARGIN_TOP + 8.0 + 16.0 * b as f64;
-        let lx = WIDTH - MARGIN_RIGHT - 150.0;
-        let _ = write!(
-            out,
-            "<rect x=\"{lx}\" y=\"{:.1}\" width=\"12\" height=\"12\" fill=\"{color}\"/>\
-             <text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\">{}</text>",
-            ly - 8.0,
-            lx + 17.0,
-            ly + 3.0,
-            esc(name)
-        );
-    }
-    let _ = write!(
-        out,
-        "<rect x=\"{MARGIN_LEFT}\" y=\"{MARGIN_TOP}\" width=\"{plot_w:.1}\" height=\"{plot_h:.1}\" \
-         fill=\"none\" stroke=\"#444\"/></svg>"
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,22 +255,5 @@ mod tests {
         assert!(flat.contains("<svg") && !flat.contains("NaN"));
         let empty = line_chart("empty", "x", "y", &[]);
         assert!(empty.contains("<svg") && !empty.contains("NaN"));
-        let bars = bar_chart("b", "v", &["a"], &[]);
-        assert!(bars.contains("<svg") && !bars.contains("NaN"));
-    }
-
-    #[test]
-    fn bar_chart_draws_every_bar() {
-        let svg = bar_chart(
-            "goodput",
-            "req/s",
-            &["calm", "chaos"],
-            &[
-                ("run A".to_string(), vec![17816.0, 14537.0]),
-                ("run B".to_string(), vec![18000.0, 15000.0]),
-            ],
-        );
-        // 4 data bars + 2 legend swatches + 1 frame.
-        assert_eq!(svg.matches("<rect").count(), 7);
     }
 }

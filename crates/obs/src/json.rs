@@ -46,10 +46,9 @@ pub fn content_hash(pairs: &[(String, String)]) -> String {
 }
 
 /// Run provenance: where, when-ish (git), and on what hardware a
-/// measurement was taken. Every registry record, stamped `BENCH_*.json`
-/// baseline and flight-recorder post-mortem carries one of these so a
-/// number can always be traced back to the code revision and host that
-/// produced it.
+/// measurement was taken. Every registry record and flight-recorder
+/// post-mortem carries one of these so a number can always be traced
+/// back to the code revision and host that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
     /// JSON schema version ([`SCHEMA_VERSION`] at emission time).

@@ -92,8 +92,8 @@ the demo serves the length-prefixed wire protocol on ADDR (port 0 picks an
 ephemeral port) and answers GET /metrics with the live Prometheus
 exposition on the same listener. It runs --rounds rounds paced at --pace-us
 (default 500 us) and exits; telemetry is enabled automatically so the
-scrape plane has data. Drive it with:
-cargo run --release -p iba-bench --bin serve_net_baseline -- --connect ADDR
+scrape plane has data. Drive it with any client of the wire protocol
+(iba_serve::NetClient), and scrape it with curl http://ADDR/metrics.
 
 Network-mode resilience (all require --listen):
 --checkpoint PATH      autosave the full service state to PATH every

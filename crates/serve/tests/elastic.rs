@@ -7,7 +7,7 @@
 //! - shard splits and merges move ownership only — the trajectory is
 //!   bit-identical to an unsplit service;
 //! - a churn + fault + surge gauntlet conserves every ball, by total and
-//!   by id;
+//!   by id, also across a crash-restart from checkpoint bytes;
 //! - a checkpoint taken mid-resize resumes bit-identically.
 
 use std::collections::HashMap;
@@ -97,88 +97,153 @@ fn shard_splits_and_merges_do_not_perturb_the_trajectory() {
     assert!(churned.conserves_balls());
 }
 
+/// The gauntlet's membership churn: grow, split, shrink, merge, and
+/// more resizes, the split on the last of `shards` shards.
+fn gauntlet_membership(shards: usize) -> Vec<(u64, MembershipEvent)> {
+    vec![
+        (5, MembershipEvent::AddBins { count: 16 }),
+        (12, MembershipEvent::SplitShard { shard: shards - 1 }),
+        (20, MembershipEvent::RemoveBins { count: 24 }),
+        (30, MembershipEvent::MergeShards { left: 0 }),
+        (40, MembershipEvent::AddBins { count: 12 }),
+        (55, MembershipEvent::RemoveBins { count: 40 }),
+        (70, MembershipEvent::AddBins { count: 20 }),
+    ]
+}
+
+/// The gauntlet's simulator faults: a bin crash and its recovery, a pool
+/// surge, a capacity degradation that never lifts, and an arrival burst.
+fn gauntlet_faults() -> Vec<(u64, FaultEvent)> {
+    vec![
+        (
+            8,
+            FaultEvent::CrashBins {
+                bins: vec![0, 1, 2],
+            },
+        ),
+        (15, FaultEvent::PoolSurge { extra: 200 }),
+        (
+            18,
+            FaultEvent::DegradeCapacity {
+                bins: (0..8).collect(),
+                capacity: Some(1),
+            },
+        ),
+        (
+            25,
+            FaultEvent::RecoverBins {
+                bins: vec![0, 1, 2],
+            },
+        ),
+        (
+            35,
+            FaultEvent::ArrivalBurst {
+                extra_per_round: 30,
+                rounds: 5,
+            },
+        ),
+    ]
+}
+
+/// Schedules the gauntlet's events that fall after round `after`: all of
+/// them on a fresh service, only the future ones on a resumed service
+/// (plans are deliberately not checkpointed).
+fn schedule_gauntlet(service: &mut CappedService, shards: usize, after: u64) {
+    let mut membership = MembershipPlan::new();
+    for (round, event) in gauntlet_membership(shards) {
+        if round > after {
+            membership.insert(round, event);
+        }
+    }
+    service
+        .schedule_membership(membership)
+        .expect("uniform finite capacity");
+    let mut faults = FaultPlan::new();
+    for (round, event) in gauntlet_faults() {
+        if round > after {
+            faults.insert(round, event);
+        }
+    }
+    service.schedule(faults);
+}
+
+/// Runs one round and settles it against the ledger of resident balls by
+/// label: arrivals add labels, and a ball served at round r with waiting
+/// time w removes one ball labeled r - w.
+fn ledger_round(
+    service: &mut CappedService,
+    round: u64,
+    resident: &mut HashMap<u64, i64>,
+    prev_generated: &mut u64,
+    input: &str,
+) {
+    let report = service.run_round();
+    assert!(report.conserves_balls(), "{input}: round {round}");
+    assert!(service.conserves_balls(), "{input}: round {round}");
+    // `report.generated` covers model arrivals (labeled `round`); surge
+    // and burst balls only show up in the lifetime counter and carry the
+    // pre-round label.
+    let total_generated = service.total_generated();
+    let surged = total_generated - *prev_generated - report.generated;
+    *prev_generated = total_generated;
+    if surged > 0 {
+        *resident.entry(round - 1).or_insert(0) += surged as i64;
+    }
+    *resident.entry(round).or_insert(0) += report.generated as i64;
+    for &wait in &report.waiting_times {
+        let label = round - wait;
+        let count = resident
+            .get_mut(&label)
+            .unwrap_or_else(|| panic!("{input}: round {round} served an unknown ball"));
+        *count -= 1;
+        assert!(*count >= 0, "{input}: ball labeled {label} over-served");
+        if *count == 0 {
+            resident.remove(&label);
+        }
+    }
+}
+
 #[test]
 fn churn_fault_surge_gauntlet_loses_no_ball() {
-    for shards in [3, 4] {
-        let mut service = model_service(config(48, 2, 0.75), shards, 1234);
-        service
-            .schedule_membership(
-                MembershipPlan::new()
-                    .with(5, MembershipEvent::AddBins { count: 16 })
-                    .with(12, MembershipEvent::SplitShard { shard: shards - 1 })
-                    .with(20, MembershipEvent::RemoveBins { count: 24 })
-                    .with(30, MembershipEvent::MergeShards { left: 0 })
-                    .with(40, MembershipEvent::AddBins { count: 12 })
-                    .with(55, MembershipEvent::RemoveBins { count: 40 })
-                    .with(70, MembershipEvent::AddBins { count: 20 }),
-            )
-            .expect("uniform finite capacity");
-        service.schedule(
-            FaultPlan::new()
-                .with(
-                    8,
-                    FaultEvent::CrashBins {
-                        bins: vec![0, 1, 2],
-                    },
-                )
-                .with(15, FaultEvent::PoolSurge { extra: 200 })
-                .with(
-                    18,
-                    FaultEvent::DegradeCapacity {
-                        bins: (0..8).collect(),
-                        capacity: Some(1),
-                    },
-                )
-                .with(
-                    25,
-                    FaultEvent::RecoverBins {
-                        bins: vec![0, 1, 2],
-                    },
-                )
-                .with(
-                    35,
-                    FaultEvent::ArrivalBurst {
-                        extra_per_round: 30,
-                        rounds: 5,
-                    },
-                ),
-        );
-        // Track the exact multiset of resident balls: arrivals add labels,
-        // a served ball with waiting time w at round r removes label r - w.
+    // The third input crashes at round 19, after the growth, the split,
+    // the surge and the degradation: the checkpoint holds five shards, 64
+    // live bins, three crashed bins and eight degraded ones. The service resumes with the
+    // checkpoint's shard count, and only the events after the crash are
+    // scheduled again. The ledger runs across the crash unchanged.
+    for (shards, crash_at) in [(3, None), (4, None), (4, Some(19))] {
+        let input = format!("{shards} shards, crash at {crash_at:?}");
+        let service_config = |shards| {
+            ServiceConfig::new(config(48, 2, 0.75), shards, 1234).with_model_arrivals(true)
+        };
+        let mut service = CappedService::spawn(service_config(shards)).expect("valid config");
+        schedule_gauntlet(&mut service, shards, 0);
         let mut resident: HashMap<u64, i64> = HashMap::new();
         let mut prev_generated = 0u64;
         for round in 1..=100u64 {
-            let report = service.run_round();
-            assert!(report.conserves_balls(), "{shards} shards round {round}");
-            assert!(service.conserves_balls(), "{shards} shards round {round}");
-            // `report.generated` covers model arrivals (labeled `round`);
-            // surge and burst balls only show up in the lifetime counter
-            // and carry the pre-round label.
-            let total_generated = service.total_generated();
-            let surged = total_generated - prev_generated - report.generated;
-            prev_generated = total_generated;
-            if surged > 0 {
-                *resident.entry(round - 1).or_insert(0) += surged as i64;
-            }
-            *resident.entry(round).or_insert(0) += report.generated as i64;
-            for &wait in &report.waiting_times {
-                let label = round - wait;
-                let count = resident.get_mut(&label).expect("served a known ball");
-                *count -= 1;
-                assert!(
-                    *count >= 0,
-                    "{shards} shards: ball labeled {label} over-served"
-                );
-                if *count == 0 {
-                    resident.remove(&label);
-                }
+            ledger_round(
+                &mut service,
+                round,
+                &mut resident,
+                &mut prev_generated,
+                &input,
+            );
+            if crash_at == Some(round) {
+                let bytes = service.checkpoint_bytes();
+                let saved_shards = service.shards();
+                assert_ne!(saved_shards, shards, "{input}: the crash lands mid-resize");
+                service.shutdown();
+                service = CappedService::resume(service_config(saved_shards), &bytes)
+                    .expect("mid-resize resume");
+                assert_eq!(service.round(), round, "{input}");
+                schedule_gauntlet(&mut service, shards, round);
             }
         }
-        assert!(service.membership_events() >= 7, "{shards} shards");
-        assert!(
-            service.balls_moved() > 0,
-            "{shards} shards: drains moved balls"
+        assert_eq!(
+            service.membership_events(),
+            gauntlet_membership(shards).len() as u64,
+            "{input}: every membership event fired"
         );
+        assert!(service.balls_moved() > 0, "{input}: drains moved balls");
         // Per-ball id conservation: what the checkpoint says is resident
         // is exactly what the arrival/serve ledger says should be.
         let mut expected: Vec<u64> = resident
@@ -188,7 +253,7 @@ fn churn_fault_surge_gauntlet_loses_no_ball() {
             })
             .collect();
         expected.sort_unstable();
-        assert_eq!(resident_labels(&mut service), expected, "{shards} shards");
+        assert_eq!(resident_labels(&mut service), expected, "{input}");
     }
 }
 

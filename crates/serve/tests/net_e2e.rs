@@ -5,7 +5,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -219,7 +219,9 @@ fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
         &mut decoder,
         0,
     );
-    let first = scrape(&mut frontend, &dispatcher, addr);
+    let first = scrape(addr, || {
+        frontend.poll(&dispatcher);
+    });
     submit_and_round(
         &mut frontend,
         &mut service,
@@ -227,7 +229,9 @@ fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
         &mut decoder,
         100,
     );
-    let second = scrape(&mut frontend, &dispatcher, addr);
+    let second = scrape(addr, || {
+        frontend.poll(&dispatcher);
+    });
 
     for expo in [&first, &second] {
         assert_eq!(
@@ -269,13 +273,11 @@ fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
     assert_eq!(frontend.stats().scrapes, 2);
 }
 
-/// Performs one HTTP scrape against `frontend` (pumped inline) and
-/// returns the strictly parsed exposition.
-fn scrape(
-    frontend: &mut NetFrontend,
-    dispatcher: &iba_serve::Dispatcher,
-    addr: std::net::SocketAddr,
-) -> iba_obs::expo::Exposition {
+/// Performs one HTTP scrape of `addr` and returns the strictly parsed
+/// exposition. `poll` runs between reads: it pumps the front end when
+/// the test drives it inline, and does nothing when a server thread
+/// runs the loop.
+fn scrape(addr: std::net::SocketAddr, mut poll: impl FnMut()) -> iba_obs::expo::Exposition {
     let mut http = TcpStream::connect(addr).expect("connect scraper");
     http.set_read_timeout(Some(Duration::from_millis(5)))
         .expect("read timeout");
@@ -286,7 +288,7 @@ fn scrape(
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(Instant::now() < deadline, "scrape timed out");
-        frontend.poll(dispatcher);
+        poll();
         match http.read(&mut buf) {
             Ok(0) => break, // Connection: close
             Ok(k) => response.extend_from_slice(&buf[..k]),
@@ -820,4 +822,149 @@ fn net_client_retries_through_quota_refusals() {
     // and the server's ledger of refusals matches the client's.
     assert_eq!(cs.attempts, cs.accepted + cs.closed_quota);
     assert_eq!(stats.allocs_quota, cs.closed_quota);
+}
+
+/// Parks until `progress` reaches `target` submissions, so the test's
+/// events land relative to traffic rather than to wall-clock time.
+fn await_submissions(progress: &AtomicU64, target: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while progress.load(Ordering::Relaxed) < target {
+        assert!(
+            Instant::now() < deadline,
+            "fleet stalled at {}/{target} submissions",
+            progress.load(Ordering::Relaxed)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A live crash-restart behind a front end that stays up. A closed-loop
+/// `NetClient` fleet submits through the listener while model arrivals
+/// keep balls in the bins. At a quarter of the fleet's submissions the
+/// server arms a socket fault plan; at half it checkpoints the service,
+/// shuts its workers down, stays down briefly and resumes from the bytes,
+/// while the listener and its connections survive. Every submission must
+/// still land, the armed faults must fire, the resumed service must
+/// conserve balls, and a scrape after recovery must parse strictly and
+/// show the resume.
+#[test]
+fn crash_restart_behind_a_live_front_end_conserves_balls() {
+    const CLIENTS: u64 = 2;
+    const PER_CLIENT: u64 = 150;
+    const TOTAL: u64 = CLIENTS * PER_CLIENT;
+    iba_obs::set_enabled(true);
+    let config = ServiceConfig::new(CappedConfig::new(64, 2, 0.5).expect("valid config"), 2, 7)
+        .with_model_arrivals(true)
+        .with_ingress_capacity(1 << 16);
+    let mut service = CappedService::spawn(config.clone()).expect("valid service config");
+    let completions = service.take_completions().expect("fresh service");
+    let frontend = NetFrontend::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = frontend.local_addr();
+    let arm = Arc::new(AtomicBool::new(false));
+    let crash = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let (arm, crash, stop) = (Arc::clone(&arm), Arc::clone(&crash), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut frontend = frontend;
+            let opts = NetLoopOptions {
+                round_interval: Duration::from_micros(400),
+                ..NetLoopOptions::default()
+            };
+            run_net_loop(&mut service, &mut frontend, &completions, &opts, &arm);
+            // Every fault fires on the first round after arming, before
+            // any poll of that round: the fleet is mid-traffic by
+            // construction, and the scraper connects only after the fleet
+            // is done, so no fault can pick it as a victim.
+            let faults = NetFaultPlan::new()
+                .with(
+                    1,
+                    NetFault::PartialWrites {
+                        max_bytes: 64,
+                        rounds: 20,
+                    },
+                )
+                .with(
+                    1,
+                    NetFault::StallReads {
+                        conns: 1,
+                        rounds: 5,
+                    },
+                )
+                .with(
+                    1,
+                    NetFault::StallWrites {
+                        conns: 1,
+                        rounds: 5,
+                    },
+                )
+                .with(
+                    1,
+                    NetFault::InjectGarbage {
+                        conns: 1,
+                        bytes: 32,
+                    },
+                )
+                .with(1, NetFault::DropConns { conns: 1 });
+            frontend.arm_faults(faults.shifted(service.round()), 7);
+            run_net_loop(&mut service, &mut frontend, &completions, &opts, &crash);
+
+            let in_flight = service.pool_size() as u64 + service.buffered();
+            let bytes = service.checkpoint_bytes();
+            service.shutdown();
+            std::thread::sleep(Duration::from_millis(20));
+            let mut resumed = CappedService::resume(config, &bytes).expect("resume");
+            let completions = resumed.take_completions().expect("resumed service");
+            run_net_loop(&mut resumed, &mut frontend, &completions, &opts, &stop);
+            (in_flight, resumed.conserves_balls(), frontend.stats())
+        })
+    };
+
+    let progress = Arc::new(AtomicU64::new(0));
+    let fleet: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let progress = Arc::clone(&progress);
+            std::thread::spawn(move || {
+                let mut client = NetClient::new(
+                    ClientConfig::new(addr)
+                        .with_seed(100 + i)
+                        .with_deadline(Duration::from_secs(5))
+                        .with_backoff(Duration::from_micros(500), Duration::from_millis(20)),
+                );
+                let mut failures = Vec::new();
+                for _ in 0..PER_CLIENT {
+                    if let Err(e) = client.submit() {
+                        failures.push(e.to_string());
+                    }
+                    progress.fetch_add(1, Ordering::Relaxed);
+                    client.pump_completions(Duration::ZERO);
+                }
+                (failures, client.stats())
+            })
+        })
+        .collect();
+    await_submissions(&progress, TOTAL / 4);
+    arm.store(true, Ordering::Relaxed);
+    await_submissions(&progress, TOTAL / 2);
+    crash.store(true, Ordering::Relaxed);
+    let mut accepted = 0;
+    for client in fleet {
+        let (failures, stats) = client.join().expect("client thread");
+        assert!(failures.is_empty(), "submissions failed: {failures:?}");
+        accepted += stats.accepted;
+    }
+    assert_eq!(accepted, TOTAL, "every submission landed");
+
+    let after = scrape(addr, || {});
+    assert!(
+        after
+            .value("iba_serve_checkpoint_resumes_total")
+            .is_some_and(|v| v >= 1.0),
+        "the scrape after recovery shows the resume"
+    );
+    stop.store(true, Ordering::Relaxed);
+    let (in_flight, conserved, stats) = server.join().expect("server thread");
+    assert!(in_flight > 0, "the crash caught balls in flight");
+    assert!(conserved, "the resumed service conserves balls");
+    assert!(stats.faults_injected > 0, "the armed fault plan fired");
 }

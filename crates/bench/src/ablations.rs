@@ -15,6 +15,7 @@ use iba_sim::rng::SimRng;
 
 use iba_analysis::fits;
 
+use crate::continuous::{ContinuousCapped, ContinuousConfig};
 use crate::figures::ExperimentOutput;
 use crate::measure::{measure_capped, measure_process, MeasureConfig};
 use crate::scale::Scale;
@@ -452,13 +453,11 @@ pub fn mstar_sensitivity(scale: Scale) -> ExperimentOutput {
 
 /// **`ASYNC`** — robustness to the synchrony assumption: the
 /// continuous-time retrial-queue analog of CAPPED (Poisson arrivals,
-/// exponential service and retries; see `iba_core::continuous`) compared
+/// exponential service and retries; see [`crate::continuous`]) compared
 /// against the round-synchronous process at the same `(c, λ)`. The
 /// qualitative conclusions — orbit ≈ pool scaling in `1/c`, the
 /// waiting-time minimum at moderate `c` — must survive asynchrony.
 pub fn async_comparison(scale: Scale) -> ExperimentOutput {
-    use iba_core::continuous::{ContinuousCapped, ContinuousConfig};
-
     let n = (scale.bins() / 8).max(256); // events are costlier than rounds
     let mut table = Table::new(
         "Synchronous rounds vs continuous time (retrial-queue analog)",

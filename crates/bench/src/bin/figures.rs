@@ -1,5 +1,10 @@
-//! The figure-regeneration binary: one subcommand per experiment in
-//! DESIGN.md's per-experiment index.
+//! The figure-regeneration binary: one subcommand per experiment of
+//! [`iba_bench::EXPERIMENTS`], or `all` for every one.
+//!
+//! Experiments run one at a time. As soon as each finishes, its table is
+//! printed, its wall time goes to stderr and, with `--out`, its CSV is
+//! written, so an interrupted `all` run keeps every experiment that had
+//! finished.
 //!
 //! ```text
 //! cargo run -p iba-bench --release --bin figures -- fig4-left --scale quick
@@ -11,9 +16,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use iba_bench::cli::{self, Cli};
+use iba_bench::cli;
 use iba_bench::figures::ExperimentOutput;
-use iba_bench::{ablations, compare, figures};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,77 +29,30 @@ fn main() -> ExitCode {
         }
     };
     let started = Instant::now();
-    let outputs = run(&cli);
-    for (name, output) in &outputs {
+    let mut completed = 0;
+    for experiment in cli.experiments() {
+        let experiment_started = Instant::now();
+        let output = (experiment.run)(cli.scale);
         println!("{}", output.render_with_charts());
+        eprintln!(
+            "{} finished in {:.1}s",
+            experiment.name,
+            experiment_started.elapsed().as_secs_f64()
+        );
         if let Some(dir) = &cli.out_dir {
-            if let Err(e) = write_csv(dir, name, output) {
-                eprintln!("failed to write {name}.csv: {e}");
+            if let Err(e) = write_csv(dir, experiment.name, &output) {
+                eprintln!("failed to write {}.csv: {e}", experiment.name);
                 return ExitCode::FAILURE;
             }
         }
+        completed += 1;
     }
     eprintln!(
-        "completed {} experiment(s) at scale {} in {:.1}s",
-        outputs.len(),
+        "completed {completed} experiment(s) at scale {} in {:.1}s",
         cli.scale,
         started.elapsed().as_secs_f64()
     );
     ExitCode::SUCCESS
-}
-
-fn run(cli: &Cli) -> Vec<(String, ExperimentOutput)> {
-    let s = cli.scale;
-    let single = |out: ExperimentOutput| vec![(cli.command.clone(), out)];
-    match cli.command.as_str() {
-        "fig4-left" => single(figures::fig4_left(s)),
-        "fig4-right" => single(figures::fig4_right(s)),
-        "fig5-left" => single(figures::fig5_left(s)),
-        "fig5-right" => single(figures::fig5_right(s)),
-        "sweet-spot" => single(figures::sweet_spot(s)),
-        "compare" => single(compare::compare_head_to_head(s)),
-        "compare-growth" => single(compare::compare_growth(s).0),
-        "dominance" => single(ablations::dominance(s)),
-        "ablation-choices" => single(ablations::choice_ablation(s)),
-        "ablation-arrivals" => single(ablations::arrival_ablation(s)),
-        "stabilization" => single(ablations::stabilization(s)),
-        "lemma-phases" => single(ablations::lemma_phases(s)),
-        "chaos" => single(ablations::chaos(s)),
-        "adler-region" => single(compare::adler_region(s)),
-        "wait-tail" => single(ablations::wait_tail(s)),
-        "load-dist" => single(ablations::load_distribution(s)),
-        "hetero" => single(ablations::hetero(s)),
-        "async" => single(ablations::async_comparison(s)),
-        "mstar" => single(ablations::mstar_sensitivity(s)),
-        "n-invariance" => single(figures::n_invariance(s)),
-        "batch-pileup" => single(compare::batch_pileup(s)),
-        "policy" => single(ablations::policy_ablation(s)),
-        "all" => vec![
-            ("fig4-left".into(), figures::fig4_left(s)),
-            ("fig4-right".into(), figures::fig4_right(s)),
-            ("fig5-left".into(), figures::fig5_left(s)),
-            ("fig5-right".into(), figures::fig5_right(s)),
-            ("sweet-spot".into(), figures::sweet_spot(s)),
-            ("compare".into(), compare::compare_head_to_head(s)),
-            ("compare-growth".into(), compare::compare_growth(s).0),
-            ("dominance".into(), ablations::dominance(s)),
-            ("ablation-choices".into(), ablations::choice_ablation(s)),
-            ("ablation-arrivals".into(), ablations::arrival_ablation(s)),
-            ("stabilization".into(), ablations::stabilization(s)),
-            ("lemma-phases".into(), ablations::lemma_phases(s)),
-            ("chaos".into(), ablations::chaos(s)),
-            ("adler-region".into(), compare::adler_region(s)),
-            ("wait-tail".into(), ablations::wait_tail(s)),
-            ("load-dist".into(), ablations::load_distribution(s)),
-            ("hetero".into(), ablations::hetero(s)),
-            ("async".into(), ablations::async_comparison(s)),
-            ("mstar".into(), ablations::mstar_sensitivity(s)),
-            ("n-invariance".into(), figures::n_invariance(s)),
-            ("batch-pileup".into(), compare::batch_pileup(s)),
-            ("policy".into(), ablations::policy_ablation(s)),
-        ],
-        other => unreachable!("cli::parse validated the command '{other}'"),
-    }
 }
 
 fn write_csv(dir: &str, name: &str, output: &ExperimentOutput) -> std::io::Result<()> {

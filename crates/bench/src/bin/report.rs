@@ -11,48 +11,8 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Instant;
 
-use iba_bench::figures::ExperimentOutput;
 use iba_bench::scale::Scale;
-use iba_bench::{ablations, compare, figures};
-
-fn all_experiments(scale: Scale) -> Vec<(&'static str, ExperimentOutput)> {
-    vec![
-        ("F4L — Figure 4 (left)", figures::fig4_left(scale)),
-        ("F4R — Figure 4 (right)", figures::fig4_right(scale)),
-        ("F5L — Figure 5 (left)", figures::fig5_left(scale)),
-        ("F5R — Figure 5 (right)", figures::fig5_right(scale)),
-        ("SWEET — sweet-spot capacity", figures::sweet_spot(scale)),
-        ("CMP — head-to-head", compare::compare_head_to_head(scale)),
-        ("CMP — growth laws", compare::compare_growth(scale).0),
-        ("ADLER — stability region", compare::adler_region(scale)),
-        ("DOM — dominance coupling", ablations::dominance(scale)),
-        (
-            "MSTAR — m* sensitivity",
-            ablations::mstar_sensitivity(scale),
-        ),
-        ("LEMMA — survivor phases", ablations::lemma_phases(scale)),
-        ("TAIL — waiting-time tail", ablations::wait_tail(scale)),
-        (
-            "LOAD — load distribution",
-            ablations::load_distribution(scale),
-        ),
-        (
-            "ABL-d — choices ablation",
-            ablations::choice_ablation(scale),
-        ),
-        (
-            "ABL-arr — arrival models",
-            ablations::arrival_ablation(scale),
-        ),
-        ("STAB — self-stabilization", ablations::stabilization(scale)),
-        ("CHAOS — fault injection", ablations::chaos(scale)),
-        ("HETERO — capacity mixtures", ablations::hetero(scale)),
-        (
-            "ASYNC — continuous time",
-            ablations::async_comparison(scale),
-        ),
-    ]
-}
+use iba_bench::EXPERIMENTS;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -90,8 +50,9 @@ fn main() -> ExitCode {
         scale.window(),
         scale.seeds()
     ));
-    for (title, output) in all_experiments(scale) {
-        doc.push_str(&format!("## {title}\n\n"));
+    for experiment in EXPERIMENTS {
+        let output = (experiment.run)(scale);
+        doc.push_str(&format!("## {}\n\n", experiment.title));
         doc.push_str(&output.table.to_markdown());
         doc.push('\n');
         for note in &output.notes {

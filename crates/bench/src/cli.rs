@@ -1,12 +1,13 @@
 //! A minimal command-line parser for the figure harness.
 //!
 //! Hand-rolled because `clap` is not in the approved dependency set; the
-//! surface is tiny: one subcommand plus `--scale <preset>`, `--out <dir>`
-//! and `--seed <u64>` flags.
+//! surface is tiny: one subcommand (an experiment of [`EXPERIMENTS`], or
+//! `all`) plus `--scale <preset>` and `--out <dir>` flags.
 
 use std::str::FromStr;
 
 use crate::scale::Scale;
+use crate::{Experiment, EXPERIMENTS};
 
 /// Parsed command line for the `figures` binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,43 +18,25 @@ pub struct Cli {
     pub scale: Scale,
     /// Optional directory to also write CSV files into.
     pub out_dir: Option<String>,
-    /// Optional master-seed override.
-    pub seed: Option<u64>,
 }
 
-/// All subcommands the `figures` binary understands.
-pub const COMMANDS: &[&str] = &[
-    "fig4-left",
-    "fig4-right",
-    "fig5-left",
-    "fig5-right",
-    "sweet-spot",
-    "compare",
-    "compare-growth",
-    "dominance",
-    "ablation-choices",
-    "ablation-arrivals",
-    "stabilization",
-    "lemma-phases",
-    "chaos",
-    "adler-region",
-    "wait-tail",
-    "load-dist",
-    "hetero",
-    "async",
-    "mstar",
-    "n-invariance",
-    "batch-pileup",
-    "policy",
-    "all",
-];
+impl Cli {
+    /// The experiments the command selects, in [`EXPERIMENTS`] order:
+    /// the one it names, or every one for `all`.
+    pub fn experiments(&self) -> impl Iterator<Item = &'static Experiment> + '_ {
+        EXPERIMENTS
+            .iter()
+            .filter(move |e| self.command == "all" || e.name == self.command)
+    }
+}
 
 /// Usage text.
 pub fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>] [--seed <u64>]\n\
-         commands: {}",
-        COMMANDS.join(", ")
+        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>]\n\
+         commands: {}, all",
+        names.join(", ")
     )
 }
 
@@ -66,14 +49,13 @@ pub fn usage() -> String {
 pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut iter = args.iter();
     let command = iter.next().ok_or_else(usage)?.clone();
-    if !COMMANDS.contains(&command.as_str()) {
+    if command != "all" && !EXPERIMENTS.iter().any(|e| e.name == command) {
         return Err(format!("unknown command '{command}'\n{}", usage()));
     }
     let mut cli = Cli {
         command,
         scale: Scale::Quick,
         out_dir: None,
-        seed: None,
     };
     while let Some(flag) = iter.next() {
         match flag.as_str() {
@@ -84,10 +66,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--out" => {
                 let v = iter.next().ok_or("--out requires a value")?;
                 cli.out_dir = Some(v.clone());
-            }
-            "--seed" => {
-                let v = iter.next().ok_or("--seed requires a value")?;
-                cli.seed = Some(v.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?);
             }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
@@ -109,18 +87,13 @@ mod tests {
         assert_eq!(cli.command, "fig4-left");
         assert_eq!(cli.scale, Scale::Quick);
         assert_eq!(cli.out_dir, None);
-        assert_eq!(cli.seed, None);
     }
 
     #[test]
     fn parses_all_flags() {
-        let cli = parse(&strings(&[
-            "all", "--scale", "smoke", "--out", "/tmp/x", "--seed", "9",
-        ]))
-        .unwrap();
+        let cli = parse(&strings(&["all", "--scale", "smoke", "--out", "/tmp/x"])).unwrap();
         assert_eq!(cli.scale, Scale::Smoke);
         assert_eq!(cli.out_dir.as_deref(), Some("/tmp/x"));
-        assert_eq!(cli.seed, Some(9));
     }
 
     #[test]
@@ -128,14 +101,18 @@ mod tests {
         assert!(parse(&strings(&["fig9"])).is_err());
         assert!(parse(&strings(&["all", "--wat"])).is_err());
         assert!(parse(&strings(&["all", "--scale"])).is_err());
-        assert!(parse(&strings(&["all", "--seed", "x"])).is_err());
+        assert!(parse(&strings(&["all", "--seed", "9"])).is_err());
         assert!(parse(&[]).is_err());
     }
 
     #[test]
-    fn every_advertised_command_parses() {
-        for cmd in COMMANDS {
-            assert!(parse(&strings(&[cmd])).is_ok(), "{cmd}");
+    fn every_experiment_parses_and_selects_itself() {
+        for experiment in EXPERIMENTS {
+            let cli = parse(&strings(&[experiment.name])).unwrap();
+            let selected: Vec<&str> = cli.experiments().map(|e| e.name).collect();
+            assert_eq!(selected, [experiment.name]);
         }
+        let all = parse(&strings(&["all"])).unwrap();
+        assert_eq!(all.experiments().count(), EXPERIMENTS.len());
     }
 }

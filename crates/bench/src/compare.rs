@@ -65,7 +65,7 @@ impl GrowthSeries {
 /// Runs the comparison at constant `λ = 0.75` over a range of `n`
 /// (powers of two up to the scale's `n`), for CAPPED(c ∈ {1, 2, 3}) and
 /// GREEDY\[1\], GREEDY\[2\].
-pub fn compare_growth(scale: Scale) -> (ExperimentOutput, Vec<GrowthSeries>) {
+pub fn compare_growth(scale: Scale) -> ExperimentOutput {
     let lambda = 0.75;
     let max_exp = (scale.bins() as f64).log2() as u32;
     let min_exp = max_exp.saturating_sub(5).max(8);
@@ -127,7 +127,7 @@ pub fn compare_growth(scale: Scale) -> (ExperimentOutput, Vec<GrowthSeries>) {
     for s in &series {
         notes.push(format!("{}: growth law ≈ {}", s.label, s.growth_law()));
     }
-    (ExperimentOutput::new(table, notes), series)
+    ExperimentOutput::new(table, notes)
 }
 
 /// Head-to-head at a single `n`: CAPPED's waiting time against both GREEDY

@@ -2,9 +2,10 @@
 //!
 //! Every experiment is a pure function of `(scale, seeds)`, so its CSV
 //! output is reproducible bit-for-bit. These tests pin the smoke-scale
-//! output of the cheap experiments against checked-in golden files: any
-//! unintended behavioral change to the process, the RNG, the burn-in
-//! logic or the statistics shows up as a diff here.
+//! output of the paper's figures and of the cheap experiments against
+//! checked-in golden files: any unintended behavioral change to the
+//! process, the RNG, the burn-in logic or the statistics shows up as a
+//! diff here.
 //!
 //! To regenerate after an *intentional* change:
 //!
@@ -18,7 +19,10 @@ use std::path::{Path, PathBuf};
 use iba_bench::ablations::{
     chaos, choice_ablation, dominance, lemma_phases, policy_ablation, stabilization,
 };
-use iba_bench::figures::ExperimentOutput;
+use iba_bench::compare::compare_head_to_head;
+use iba_bench::figures::{
+    fig4_left, fig4_right, fig5_left, fig5_right, sweet_spot, ExperimentOutput,
+};
 use iba_bench::scale::Scale;
 
 /// The suite is the workspace root's `[[test]]` target, so its manifest
@@ -48,6 +52,36 @@ fn check_golden(name: &str, output: &ExperimentOutput) {
         "output of '{name}' diverged from its golden file; if the change is \
          intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+#[test]
+fn golden_fig4_left() {
+    check_golden("fig4_left_smoke", &fig4_left(Scale::Smoke));
+}
+
+#[test]
+fn golden_fig4_right() {
+    check_golden("fig4_right_smoke", &fig4_right(Scale::Smoke));
+}
+
+#[test]
+fn golden_fig5_left() {
+    check_golden("fig5_left_smoke", &fig5_left(Scale::Smoke));
+}
+
+#[test]
+fn golden_fig5_right() {
+    check_golden("fig5_right_smoke", &fig5_right(Scale::Smoke));
+}
+
+#[test]
+fn golden_sweet_spot() {
+    check_golden("sweet_spot_smoke", &sweet_spot(Scale::Smoke));
+}
+
+#[test]
+fn golden_compare() {
+    check_golden("compare_smoke", &compare_head_to_head(Scale::Smoke));
 }
 
 #[test]

@@ -53,7 +53,6 @@ pub mod arena;
 pub mod ball;
 pub mod checkpoint;
 pub mod config;
-pub mod continuous;
 pub mod coupling;
 pub mod metrics;
 pub mod modcapped;

@@ -23,7 +23,6 @@
 //! - [`runner`] — multi-seed replication with aggregation across seeds.
 //! - [`output`] — plain-text tables and CSV emission for experiment results.
 //! - [`plot`] — ASCII line charts for terminal visualization.
-//! - [`events`] — a discrete-event (continuous-time) simulation substrate.
 //! - [`codec`] — a versioned binary codec for simulation checkpoints.
 //! - [`plan`] — [`plan::RoundPlan`], the round-keyed event schedule every
 //!   fault, membership and socket-fault plan is an alias of.
@@ -67,7 +66,6 @@ pub mod burnin;
 pub mod codec;
 pub mod engine;
 pub mod error;
-pub mod events;
 pub mod faults;
 mod obs;
 pub mod output;

@@ -34,6 +34,7 @@ pub mod figures;
 pub mod measure;
 pub mod prov;
 pub mod scale;
+pub mod sweep;
 
 pub use measure::{measure_capped, measure_greedy, MeasureConfig, StationaryEstimate};
 pub use scale::Scale;

@@ -27,17 +27,18 @@
 //! left to commit or re-derive between them. The fields cap the stride at
 //! [`MAX_STRIDE`] (a full ring's length must fit the 24-bit length field).
 //!
-//! On top of the layout, `counting_accept` implements the round kernel's
-//! acceptance stage as a counting sort over bin indices: histogram the
-//! per-bin request counts ν, clamp each against the bin's remaining room to
-//! get the per-bin acceptance quota `min{c − ℓ, ν}`, then stably scatter
-//! the age-ordered requests — the first `quota[b]` requests of bin `b` go
-//! to consecutive ring slots (the running per-bin cursor plays the
-//! prefix-sum role of a classical counting sort), everything else is
-//! rejected *in request order*. Because the requests are age-ordered and
-//! acceptance at a bin depends only on that bin's own request order, this
-//! is bit-exactly Algorithm 1's "accept the oldest `min{c − ℓ, ν}`" rule,
-//! and the rejects re-emerge in exact pool age order with zero sorting.
+//! On top of the layout, the round kernel's acceptance stage has two
+//! passes, both bit-exactly Algorithm 1's "accept the oldest
+//! `min{c − ℓ, ν}`" rule. `fast_accept` is one branch-free scatter in
+//! age order; it runs while no bin's capacity can outgrow its ring, which
+//! is every round of a finite configuration that no fault has raised
+//! past the stride. `walk_accept` is the per-ball greedy walk of
+//! [`try_accept`](BinArena::try_accept), which grows the stride as it
+//! goes; it takes the rounds the fast path refuses (an unbounded bin, or
+//! a fault raising a capacity past the stride). Because the requests are
+//! age-ordered and acceptance at a bin depends only on that bin's own
+//! request order, both leave the rejects in exact pool age order with
+//! zero sorting.
 //!
 //! A round's requests arrive as the pool's label runs plus one bin choice
 //! per ball: `choices[i]` is the bin the `i`-th ball of the runs (oldest
@@ -341,8 +342,9 @@ impl BinArena {
             return false;
         }
         self.ensure_stride(self.len(b) + 1);
-        self.place(b, 0, ball);
-        self.add_len(b, 1);
+        let r = self.regs[b];
+        self.slots[b * self.stride + (reg_tail(r) & (self.stride - 1))] = ball;
+        self.regs[b] = r.wrapping_add(ACCEPT);
         true
     }
 
@@ -392,34 +394,6 @@ impl BinArena {
     /// Total balls stored across all bins.
     pub fn buffered(&self) -> usize {
         self.regs.iter().map(|&r| reg_len(r)).sum()
-    }
-
-    /// Writes `ball` into bin `b`'s ring at `offset` slots past its current
-    /// tail **without** updating the register — the scatter half of the
-    /// counting-sort acceptance pass. Call [`add_len`](Self::add_len) once
-    /// per bin afterwards to commit. The caller must have sized the stride
-    /// (via [`ensure_stride`](Self::ensure_stride)) so `len + offset`
-    /// fits.
-    #[inline]
-    pub fn place(&mut self, b: usize, offset: usize, ball: Ball) {
-        debug_assert!(
-            self.len(b) + offset < self.stride,
-            "scatter past ring bounds"
-        );
-        let idx = b * self.stride + ((reg_tail(self.regs[b]) + offset) & (self.stride - 1));
-        self.slots[idx] = ball;
-    }
-
-    /// Commits `extra` balls previously written via [`place`](Self::place):
-    /// the length and the tail both advance by `extra`.
-    #[inline]
-    pub fn add_len(&mut self, b: usize, extra: usize) {
-        debug_assert!(
-            self.len(b) + extra <= self.stride,
-            "commit past ring bounds"
-        );
-        self.regs[b] = self.regs[b].wrapping_add(extra as u64 * ACCEPT);
-        self.debug_check(b);
     }
 
     /// Ensures every bin's ring can hold `min_fill` balls, re-laying the
@@ -569,18 +543,13 @@ impl<'a> BinView<'a> {
     }
 }
 
-/// The single-pass fast path of the counting-sort acceptance stage.
+/// The single-pass fast path of the acceptance stage.
 ///
-/// The classical formulation ([`counting_accept`]) histograms the request
-/// stream first so it can bound every bin's post-accept fill before any
-/// slot is written. That histogram is only ever *needed* when a bin could
-/// outgrow its ring — a live capacity above the stride (a fault raising
-/// it, or an unbounded bin). While no bin's capacity exceeds the stride
-/// (nor the 16-bit bound field), every bin's fill is bounded by
-/// `max{ℓ, c} ≤ stride`, so the histogram pass (a full extra
-/// random-access sweep over the stream) computes information the
-/// capacities alone imply. The arena keeps that condition as an O(1)
-/// count of blocking bins, so this routine has no per-bin setup at all.
+/// While no bin's capacity exceeds the stride (nor the 16-bit bound
+/// field), every bin's fill is bounded by `max{ℓ, c} ≤ stride`, so no
+/// accepted ball can outgrow its ring and the scatter needs no per-bin
+/// setup. The arena keeps that condition as an O(1) count of blocking
+/// bins.
 ///
 /// The scatter is a **single branch-free pass** in age order, run by run:
 /// one read-modify-write of the bin's register per request. Every ball of
@@ -602,8 +571,8 @@ impl<'a> BinView<'a> {
 /// ends: the deletion sweep reads them as they are.
 ///
 /// Returns `None` **without touching the requests** while some bin blocks
-/// the fast path — the caller must then run [`counting_accept`], whose
-/// exact histogram sizes the growth.
+/// the fast path — the caller must then run [`walk_accept`], which grows
+/// the stride as it goes.
 ///
 /// The caller must guarantee that `runs` holds exactly `choices.len()`
 /// balls.
@@ -656,7 +625,7 @@ pub(crate) fn fast_accept(
 }
 
 /// The shared fast-path bail-out: counts the event (telemetry only) and
-/// yields the `None` that sends the caller to [`counting_accept`].
+/// yields the `None` that sends the caller to [`walk_accept`].
 #[cold]
 fn bail() -> Option<u64> {
     if let Some(p) = obs::probes() {
@@ -665,79 +634,31 @@ fn bail() -> Option<u64> {
     None
 }
 
-/// The exact-histogram form of the counting-sort acceptance pass (see the
-/// module docs for the argument that this is bit-exactly the per-ball
-/// greedy rule). [`fast_accept`] is the steady-state fast path; this form
-/// is the general one — its per-bin request histogram ν bounds every
-/// post-accept fill exactly, so it can grow the arena for bins whose
-/// capacity exceeds the current stride.
+/// The general acceptance pass: the per-ball greedy walk of
+/// [`BinArena::try_accept`] over the requests in age order, growing the
+/// stride whenever a bin outgrows its ring. It runs the rounds
+/// [`fast_accept`] refuses — an unbounded bin, or a capacity raised past
+/// the stride or the bound field — which no finite configuration reaches
+/// without a fault.
 ///
 /// `choices[i]` is the bin the `i`-th ball of `runs` (oldest first)
-/// requests; the runs are expanded ball by ball. Rejected balls are
-/// appended to `rejected` as runs, in age order. `counts` and `quotas`
-/// are round-persistent scratch vectors (resized to the bin count,
-/// contents ignored on entry). Returns the number of accepted balls.
-///
-/// The caller must guarantee that `runs` holds exactly `choices.len()`
-/// balls, at most `u32::MAX` of them (the histogram counts in `u32`).
-pub(crate) fn counting_accept(
+/// requests. Rejected balls are appended to `rejected` as runs, in age
+/// order. Returns the number of accepted balls.
+pub(crate) fn walk_accept(
     arena: &mut BinArena,
-    counts: &mut Vec<u32>,
-    quotas: &mut Vec<u32>,
     choices: &[u32],
     runs: &[Run],
     rejected: &mut Vec<Run>,
 ) -> u64 {
-    let n = arena.bins();
     if let Some(p) = obs::probes() {
         p.fallback_rounds.inc();
     }
-
-    // Pass 1: per-bin request histogram ν.
-    counts.clear();
-    counts.resize(n, 0);
-    for &b in choices {
-        counts[b as usize] += 1;
-    }
-
-    // Per-bin acceptance quotas min{c − ℓ, ν} (0 for offline bins), the
-    // total accepted count, and the largest post-accept fill — the one
-    // place a capacity above the stride can force a growth, detected
-    // *before* any slot is written. `counts` is zeroed as it is read so it
-    // can serve as the scatter cursor below.
-    quotas.clear();
-    quotas.resize(n, 0);
     let mut accepted = 0u64;
-    let mut max_fill = 0usize;
-    for b in 0..n {
-        let requested = counts[b];
-        counts[b] = 0;
-        let quota = arena.room(b).min(requested as usize) as u32;
-        if quota == 0 {
-            continue;
-        }
-        quotas[b] = quota;
-        accepted += u64::from(quota);
-        max_fill = max_fill.max(arena.len(b) + quota as usize);
-    }
-    arena.ensure_stride(max_fill);
-
-    // Pass 2: stable scatter. The first quota[b] requests of bin b land in
-    // consecutive ring slots; everything else is rejected in request
-    // order, i.e. exact age order.
     for (&b, ball) in choices.iter().zip(expand(runs)) {
-        let b = b as usize;
-        let taken = counts[b];
-        if taken < quotas[b] {
-            counts[b] = taken + 1;
-            arena.place(b, taken as usize, ball);
+        if arena.try_accept(b as usize, ball) {
+            accepted += 1;
         } else {
             push_run(rejected, ball.label(), 1);
-        }
-    }
-    for (b, &quota) in quotas.iter().enumerate() {
-        if quota > 0 {
-            arena.add_len(b, quota as usize);
         }
     }
     accepted
@@ -826,21 +747,6 @@ mod tests {
         (arena, stream)
     }
 
-    /// The per-ball greedy `try_accept` walk over `stream`: the accepted
-    /// count and the rejected balls in stream order.
-    fn walk(arena: &mut BinArena, stream: &[(usize, Ball)]) -> (u64, Vec<Ball>) {
-        let mut rejected = Vec::new();
-        let mut accepted = 0u64;
-        for &(b, ball) in stream {
-            if arena.try_accept(b, ball) {
-                accepted += 1;
-            } else {
-                rejected.push(ball);
-            }
-        }
-        (accepted, rejected)
-    }
-
     /// Both arenas' bins hold the same balls and serve the same sweep.
     fn assert_same_bins(a: &mut BinArena, b: &mut BinArena) {
         for bin in 0..a.bins() {
@@ -857,48 +763,21 @@ mod tests {
     }
 
     #[test]
-    fn counting_accept_matches_scalar_greedy() {
-        let (mut arena, stream) = fixture();
-        let (mut reference, _) = fixture();
-        let (choices, runs) = requests(&stream);
-        let (mut counts, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let accepted = counting_accept(
-            &mut arena,
-            &mut counts,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-        );
-        let (ref_accepted, ref_rejected) = walk(&mut reference, &stream);
-        assert_eq!(accepted, ref_accepted);
-        assert_eq!(expand(&rejected).collect::<Vec<_>>(), ref_rejected);
-        assert!(crate::pool::is_canonical(&rejected));
-        assert_same_bins(&mut arena, &mut reference);
-    }
-
-    #[test]
-    fn fast_accept_matches_counting_accept() {
+    fn fast_accept_matches_walk_accept() {
         let (mut fast_arena, stream) = fixture();
-        let (mut exact_arena, _) = fixture();
+        let (mut walk_arena, _) = fixture();
         let (choices, runs) = requests(&stream);
         let mut fast_rejected = Vec::new();
         let fast = fast_accept(&mut fast_arena, &choices, &runs, &mut fast_rejected)
             .expect("no capacity above the stride");
-        let (mut counts, mut quotas, mut exact_rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let exact = counting_accept(
-            &mut exact_arena,
-            &mut counts,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut exact_rejected,
-        );
-        assert_eq!(fast, exact);
-        assert_eq!(fast_rejected, exact_rejected);
+        let mut walk_rejected = Vec::new();
+        let walked = walk_accept(&mut walk_arena, &choices, &runs, &mut walk_rejected);
+        assert_eq!(fast, walked);
+        assert_eq!(fast_rejected, walk_rejected);
+        assert!(crate::pool::is_canonical(&fast_rejected));
         // Nothing is left to commit: the registers are complete.
-        assert_eq!(fast_arena.regs, exact_arena.regs);
-        assert_same_bins(&mut fast_arena, &mut exact_arena);
+        assert_eq!(fast_arena.regs, walk_arena.regs);
+        assert_same_bins(&mut fast_arena, &mut walk_arena);
     }
 
     #[test]
@@ -960,8 +839,8 @@ mod tests {
     #[test]
     fn fast_accept_bails_out_on_capacity_past_u16() {
         // Regression: a live capacity past 65535 does not fit the 16-bit
-        // bound field, so it must take the counting_accept fallback even
-        // once the stride has grown past it.
+        // bound field, so it must take the walk even once the stride has
+        // grown past it.
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, finite(70_000));
         arena.ensure_stride(1 << 17);
@@ -969,23 +848,12 @@ mod tests {
         let (choices, runs) = requests(&stream);
         let mut rejected = Vec::new();
         let out = fast_accept(&mut arena, &choices, &runs, &mut rejected);
-        assert_eq!(
-            out, None,
-            "capacity > u16::MAX must bail to counting_accept"
-        );
+        assert_eq!(out, None, "capacity > u16::MAX must bail to the walk");
         assert!(rejected.is_empty());
         assert_eq!(arena.buffered(), 0, "bail must not consume the stream");
 
-        // The fallback handles the same stream exactly.
-        let (mut counts, mut quotas) = (Vec::new(), Vec::new());
-        let accepted = counting_accept(
-            &mut arena,
-            &mut counts,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-        );
+        // The walk handles the same stream exactly.
+        let accepted = walk_accept(&mut arena, &choices, &runs, &mut rejected);
         assert_eq!(accepted, 10);
         assert!(rejected.is_empty());
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
@@ -993,20 +861,13 @@ mod tests {
     }
 
     #[test]
-    fn counting_accept_grows_for_unbounded_bins() {
+    fn walk_accept_grows_for_unbounded_bins() {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         arena.set_capacity(0, Capacity::Infinite);
         let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
         let (choices, runs) = requests(&stream);
-        let (mut counts, mut quotas, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        let accepted = counting_accept(
-            &mut arena,
-            &mut counts,
-            &mut quotas,
-            &choices,
-            &runs,
-            &mut rejected,
-        );
+        let mut rejected = Vec::new();
+        let accepted = walk_accept(&mut arena, &choices, &runs, &mut rejected);
         assert_eq!(accepted, 40);
         assert!(rejected.is_empty());
         assert_eq!(arena.len(0), 40);

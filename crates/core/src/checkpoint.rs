@@ -6,18 +6,17 @@
 //! for long paper-scale runs and for archiving the exact state behind a
 //! published measurement.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`save`] / [`restore`] — bytes in memory. The payload carries a CRC32
 //!   footer (see `iba_sim::codec`), so **any** single-byte corruption is
 //!   rejected deterministically at restore time.
-//! - [`save_to_path`] / [`load_from_path`] — crash-safe file I/O: the
-//!   checkpoint is written to a temporary sibling, fsynced, and atomically
-//!   renamed into place (then the directory is fsynced), so a crash at any
-//!   point leaves either the old file or the new one, never a torn mix.
-//! - [`Autosaver`] — periodic checkpointing with one-deep rotation
-//!   (`<path>` + `<path>.prev`) and corruption fallback on load, the
-//!   mechanism behind the sweep binary's `--resume`.
+//! - [`RotatingFile`] — crash-safe files for any checkpoint's bytes (this
+//!   one, the service's envelope, the sweep's progress): each save is
+//!   written to a temporary sibling, fsynced and atomically renamed into
+//!   place after the previous generation was rotated to `<path>.prev`,
+//!   and a load falls back to `.prev` when the newest file is missing or
+//!   does not decode.
 //!
 //! # Examples
 //!
@@ -42,7 +41,7 @@
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use iba_sim::codec::{CodecError, Decoder, Encoder};
@@ -151,7 +150,7 @@ impl From<CodecError> for CheckpointError {
 /// Writes `bytes` to `path` crash-safely: write to a `.tmp` sibling,
 /// fsync it, atomically rename over `path`, then fsync the directory so
 /// the rename itself survives a power loss.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = sibling_with_suffix(path, ".tmp");
     {
         let mut file = fs::File::create(&tmp)?;
@@ -160,7 +159,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     }
     if let Err(e) = fs::rename(&tmp, path) {
         let _ = fs::remove_file(&tmp);
-        return Err(e.into());
+        return Err(e);
     }
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // Directory fsync is advisory on some filesystems; ignore failure
@@ -178,125 +177,83 @@ fn sibling_with_suffix(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Crash-safe raw-bytes write — the building block behind
-/// [`save_to_path`], exposed for other checkpoint-like files (e.g. the
-/// sweep binary's grid-progress file): write to a `.tmp` sibling, fsync,
-/// atomically rename over `path`, fsync the directory.
+/// A checkpoint file with one-deep rotation: `<path>` holds the newest
+/// generation and `<path>.prev` the one before it.
 ///
-/// # Errors
+/// [`save`](Self::save) rotates the current file to `.prev` and writes the
+/// new bytes crash-safely (temp file, fsync, atomic rename, directory
+/// fsync), so after a crash at any point one complete generation is left.
+/// [`load`](Self::load) decodes the newest generation that decodes. The
+/// bytes are the caller's: a [`save`]d simulation, a service envelope, a
+/// sweep's progress.
 ///
-/// Returns [`CheckpointError::Io`] on filesystem failure.
-pub fn write_bytes_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), CheckpointError> {
-    write_atomic(path.as_ref(), bytes)
-}
-
-/// Saves a simulation to `path` crash-safely (temp file + fsync + atomic
-/// rename): after a crash at any point, `path` holds either the previous
-/// checkpoint or the new one in full, never a torn write.
+/// # Examples
 ///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on filesystem failure.
-pub fn save_to_path(
-    sim: &Simulation<CappedProcess>,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
-    write_atomic(path.as_ref(), &save(sim))
-}
-
-/// Loads a simulation checkpoint from `path`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] if the file cannot be read and
-/// [`CheckpointError::Codec`] if its contents are corrupt, malformed or
-/// from an unsupported format version.
-pub fn load_from_path(
-    path: impl AsRef<Path>,
-) -> Result<Simulation<CappedProcess>, CheckpointError> {
-    let bytes = fs::read(path.as_ref())?;
-    Ok(restore(&bytes)?)
-}
-
-/// Periodic crash-safe checkpointing with one-deep rotation.
-///
-/// Every `every` completed rounds, [`tick`](Self::tick) rotates the
-/// current checkpoint to `<path>.prev` and writes a fresh one to `<path>`
-/// (both steps atomic renames). [`load_latest`](Self::load_latest) prefers
-/// `<path>` and falls back to `<path>.prev` when the newest file is
-/// missing or corrupt, so a crash mid-save costs at most one autosave
-/// interval of progress.
+/// ```no_run
+/// use iba_core::checkpoint::{self, CheckpointError, RotatingFile};
+/// # fn demo(sim: &iba_sim::Simulation<iba_core::CappedProcess>) -> Result<(), CheckpointError> {
+/// let file = RotatingFile::new("run.ckpt");
+/// file.save(&checkpoint::save(sim))?;
+/// let (resumed, from) = file.load(|bytes| Ok::<_, CheckpointError>(checkpoint::restore(bytes)?))?;
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-pub struct Autosaver {
+pub struct RotatingFile {
     path: PathBuf,
-    every: u64,
+    prev: PathBuf,
 }
 
-impl Autosaver {
-    /// Creates an autosaver writing to `path` every `every` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn new(path: impl Into<PathBuf>, every: u64) -> Self {
-        assert!(every > 0, "autosave interval must be at least one round");
-        Autosaver {
-            path: path.into(),
-            every,
-        }
+impl RotatingFile {
+    /// The rotating file at `path`, its previous generation at
+    /// `<path>.prev`.
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        let path = path.into();
+        let prev = sibling_with_suffix(&path, ".prev");
+        RotatingFile { path, prev }
     }
 
-    /// The primary checkpoint path.
+    /// The newest generation's path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// The rotation path holding the previous checkpoint.
-    pub fn prev_path(&self) -> PathBuf {
-        sibling_with_suffix(&self.path, ".prev")
+    /// The previous generation's path, `<path>.prev`.
+    pub fn prev_path(&self) -> &Path {
+        &self.prev
     }
 
-    /// Saves if the simulation's round count is a multiple of the
-    /// interval; returns whether a checkpoint was written.
+    /// Rotates the current file (if any) to `.prev`, then writes `bytes`
+    /// as the newest generation crash-safely.
     ///
     /// # Errors
     ///
-    /// Propagates [`save_now`](Self::save_now) failures.
-    pub fn tick(&self, sim: &Simulation<CappedProcess>) -> Result<bool, CheckpointError> {
-        use iba_sim::AllocationProcess;
-        let round = sim.process().round();
-        if round > 0 && round.is_multiple_of(self.every) {
-            self.save_now(sim)?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Rotates the current checkpoint (if any) to `.prev` and writes a
-    /// fresh one, both crash-safely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save_now(&self, sim: &Simulation<CappedProcess>) -> Result<(), CheckpointError> {
+    /// Any filesystem failure.
+    pub fn save(&self, bytes: &[u8]) -> io::Result<()> {
         if self.path.exists() {
-            fs::rename(&self.path, self.prev_path())?;
+            fs::rename(&self.path, &self.prev)?;
         }
-        save_to_path(sim, &self.path)
+        write_atomic(&self.path, bytes)
     }
 
-    /// Loads the newest usable checkpoint: `<path>` first, then
-    /// `<path>.prev` if the primary is missing or fails to decode.
+    /// Decodes the newest usable generation: `<path>` first, then
+    /// `<path>.prev` if the newest is missing, unreadable or fails
+    /// `decode`. Returns the value and the path it was decoded from.
     ///
     /// # Errors
     ///
-    /// If both files are unusable, returns the **primary** file's error
-    /// (the more informative one: the fallback usually just doesn't
-    /// exist).
-    pub fn load_latest(&self) -> Result<Simulation<CappedProcess>, CheckpointError> {
-        match load_from_path(&self.path) {
-            Ok(sim) => Ok(sim),
-            Err(primary_err) => load_from_path(self.prev_path()).map_err(|_| primary_err),
+    /// If neither generation decodes, the **newest** file's error (the
+    /// more informative one: the fallback usually just does not exist).
+    pub fn load<T, E: From<io::Error>>(
+        &self,
+        mut decode: impl FnMut(&[u8]) -> Result<T, E>,
+    ) -> Result<(T, &Path), E> {
+        let mut read = |path: &Path| decode(&fs::read(path)?);
+        match read(&self.path) {
+            Ok(value) => Ok((value, &self.path)),
+            Err(newest) => read(&self.prev)
+                .map(|value| (value, self.prev.as_path()))
+                .map_err(|_| newest),
         }
     }
 }
@@ -513,14 +470,24 @@ mod tests {
         assert!(restore(&[]).is_err());
     }
 
+    /// Loads a simulation from `file`'s newest usable generation.
+    fn load(file: &RotatingFile) -> Result<(Simulation<CappedProcess>, PathBuf), CheckpointError> {
+        file.load(|bytes| Ok::<_, CheckpointError>(restore(bytes)?))
+            .map(|(sim, from)| (sim, from.to_path_buf()))
+    }
+
     #[test]
     fn file_roundtrip_resumes_bit_exactly() {
         let dir = scratch_dir("file-roundtrip");
-        let path = dir.join("state.ckpt");
+        let file = RotatingFile::new(dir.join("state.ckpt"));
         let mut original = running_sim(90);
-        save_to_path(&original, &path).expect("saves");
-        assert!(!sibling_with_suffix(&path, ".tmp").exists(), "tmp cleaned");
-        let mut restored = load_from_path(&path).expect("loads");
+        file.save(&save(&original)).expect("saves");
+        assert!(
+            !sibling_with_suffix(file.path(), ".tmp").exists(),
+            "tmp cleaned"
+        );
+        let (mut restored, from) = load(&file).expect("loads");
+        assert_eq!(from, file.path());
         for _ in 0..60 {
             assert_eq!(original.step(), restored.step());
         }
@@ -530,7 +497,7 @@ mod tests {
     #[test]
     fn load_from_missing_path_is_io_error() {
         let dir = scratch_dir("missing");
-        match load_from_path(dir.join("nope.ckpt")) {
+        match load(&RotatingFile::new(dir.join("nope.ckpt"))) {
             Err(CheckpointError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
             }
@@ -540,57 +507,52 @@ mod tests {
     }
 
     #[test]
-    fn autosaver_ticks_on_interval_and_rotates() {
-        let dir = scratch_dir("autosave");
-        let saver = Autosaver::new(dir.join("run.ckpt"), 10);
+    fn rotating_file_saved_on_an_interval_keeps_the_previous_generation() {
+        let dir = scratch_dir("interval");
+        let file = RotatingFile::new(dir.join("run.ckpt"));
         let config = CappedConfig::new(32, 2, 0.75).expect("valid");
         let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(4));
         let mut saves = 0;
         for _ in 0..25 {
             sim.step();
-            if saver.tick(&sim).expect("tick") {
+            if sim.process().round().is_multiple_of(10) {
+                file.save(&save(&sim)).expect("saves");
                 saves += 1;
             }
         }
         assert_eq!(saves, 2, "rounds 10 and 20");
-        assert!(saver.path().exists());
-        assert!(saver.prev_path().exists(), "rotation keeps the previous");
-        // Latest checkpoint is round 20; .prev is round 10.
-        let latest = saver.load_latest().expect("loads");
+        assert!(file.prev_path().exists(), "rotation keeps the previous");
+        // The newest generation is round 20; .prev is round 10.
+        let (latest, _) = load(&file).expect("loads");
         assert_eq!(latest.process().round(), 20);
-        let prev = load_from_path(saver.prev_path()).expect("loads prev");
+        let prev = restore(&fs::read(file.prev_path()).expect("reads prev")).expect("restores");
         assert_eq!(prev.process().round(), 10);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn autosaver_falls_back_to_previous_on_corruption() {
+    fn rotating_file_falls_back_to_previous_on_corruption() {
         let dir = scratch_dir("fallback");
-        let saver = Autosaver::new(dir.join("run.ckpt"), 1);
+        let file = RotatingFile::new(dir.join("run.ckpt"));
         let mut sim = running_sim(0);
         sim.step();
-        saver.save_now(&sim).expect("first save");
+        file.save(&save(&sim)).expect("first save");
         sim.step();
-        saver.save_now(&sim).expect("second save");
+        file.save(&save(&sim)).expect("second save");
         // Corrupt the newest checkpoint (simulating a torn disk).
-        let mut bytes = fs::read(saver.path()).expect("read");
+        let mut bytes = fs::read(file.path()).expect("read");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
-        fs::write(saver.path(), &bytes).expect("write corrupt");
-        let recovered = saver.load_latest().expect("falls back to .prev");
+        fs::write(file.path(), &bytes).expect("write corrupt");
+        let (recovered, from) = load(&file).expect("falls back to .prev");
         assert_eq!(recovered.process().round(), 1);
-        // With the fallback also gone, the primary's error surfaces.
-        fs::remove_file(saver.prev_path()).expect("remove prev");
+        assert_eq!(from, file.prev_path());
+        // With the fallback also gone, the newest file's error surfaces.
+        fs::remove_file(file.prev_path()).expect("remove prev");
         assert!(matches!(
-            saver.load_latest(),
+            load(&file),
             Err(CheckpointError::Codec(CodecError::ChecksumMismatch { .. }))
         ));
         let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one round")]
-    fn autosaver_rejects_zero_interval() {
-        let _ = Autosaver::new("x.ckpt", 0);
     }
 }

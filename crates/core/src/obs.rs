@@ -18,9 +18,9 @@ use iba_obs::{global, Counter, Histogram};
 pub(crate) struct CoreProbes {
     /// Rounds accepted through the single-pass scatter fast path.
     pub fast_accept_rounds: Arc<Counter>,
-    /// Fast-path bail-outs (fell back to the exact-histogram pass).
+    /// Fast-path bail-outs (fell back to the per-ball walk).
     pub fast_accept_bailouts: Arc<Counter>,
-    /// Rounds accepted through the exact-histogram fallback.
+    /// Rounds accepted through the per-ball walk.
     pub fallback_rounds: Arc<Counter>,
     /// Arena re-layouts (stride growth; only fault-raised capacities).
     pub arena_grows: Arc<Counter>,

@@ -12,14 +12,14 @@ use crate::pool::{Pool, Run};
 use crate::shard::{BinPart, BinShard};
 
 /// The round kernel a [`CappedProcess`] runs. There is one: the flat
-/// [`BinArena`](crate::arena::BinArena) with its counting-sort acceptance
-/// and bulk RNG draw, for every capacity configuration. The enum stays
-/// only because the repository benchmark prints its name; it goes with
-/// the benchmark's API shims (ROADMAP item 1).
+/// [`BinArena`](crate::arena::BinArena) with its acceptance scatter (the
+/// per-ball walk where the scatter does not apply) and bulk RNG draw, for
+/// every capacity configuration. The enum stays only because the
+/// repository benchmark prints its name; it goes with the benchmark's API
+/// shims (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Flat-arena storage with the counting-sort acceptance pass and bulk
-    /// RNG.
+    /// Flat-arena storage with the acceptance scatter and bulk RNG.
     #[default]
     Arena,
 }

@@ -1,8 +1,8 @@
 //! Bin state and the bin-local round of Algorithm 1.
 //!
 //! A [`BinShard`] owns a contiguous range of bins — their FIFO buffers,
-//! fault masks, and the round kernel's scratch registers — and executes
-//! the bin-local half of one CAPPED(c, λ) round
+//! fault masks and per-bin registers — and executes the bin-local half
+//! of one CAPPED(c, λ) round
 //! ([`run_round`](BinShard::run_round)): every bin accepts the oldest
 //! `min{c − ℓ, ν}` of its requests, then serves the head of its queue.
 //! It is the only owner of bin state in the repo:
@@ -24,11 +24,11 @@
 
 use std::ops::Range;
 
-use crate::arena::{counting_accept, fast_accept, BinArena, BinView};
+use crate::arena::{fast_accept, walk_accept, BinArena, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::obs;
-use crate::pool::{expand, push_run, Run};
+use crate::pool::Run;
 
 /// The contiguous bin range owned by shard `shard` when `bins` bins are
 /// partitioned across `shards` shards as evenly as possible (the first
@@ -136,11 +136,6 @@ pub struct BinShard {
     /// rejects every request and stops serving; its buffered balls are
     /// frozen until it comes back.
     arena: BinArena,
-    /// `counting_accept`'s scratch (request histogram / scatter cursor
-    /// and acceptance quotas), persisted across rounds so the fallback
-    /// allocates nothing in its steady state.
-    counts: Vec<u32>,
-    quotas: Vec<u32>,
 }
 
 impl BinShard {
@@ -197,12 +192,7 @@ impl BinShard {
     }
 
     fn with_arena(first_bin: usize, arena: BinArena) -> Self {
-        BinShard {
-            first_bin,
-            arena,
-            counts: Vec::new(),
-            quotas: Vec::new(),
-        }
+        BinShard { first_bin, arena }
     }
 
     /// Every bin's state as [`BinPart`]s, in bin order — the inverse of
@@ -372,12 +362,10 @@ impl BinShard {
     }
 
     /// The acceptance half of [`run_round`](Self::run_round); returns the
-    /// accepted count. Over the flat arena this is the counting-sort
-    /// kernel — the single-pass [`fast_accept`] over the runs, or
-    /// [`counting_accept`] while some bin's capacity exceeds the stride —
-    /// bit-exactly the per-ball greedy walk of
-    /// [`try_accept`](Self::try_accept), which serves only rounds past
-    /// `u32::MAX` requests, where the quota counters would overflow.
+    /// accepted count. Over the flat arena this is the single-pass
+    /// [`fast_accept`] over the runs, or, while some bin's capacity exceeds
+    /// the stride, [`walk_accept`]: the per-ball greedy walk of
+    /// [`try_accept`](Self::try_accept). Both are bit-exactly Algorithm 1.
     ///
     /// # Panics
     ///
@@ -393,27 +381,8 @@ impl BinShard {
             choices.len() as u64,
             "need exactly one choice per ball"
         );
-        if choices.len() <= u32::MAX as usize {
-            return fast_accept(&mut self.arena, choices, runs, rejected).unwrap_or_else(|| {
-                counting_accept(
-                    &mut self.arena,
-                    &mut self.counts,
-                    &mut self.quotas,
-                    choices,
-                    runs,
-                    rejected,
-                )
-            });
-        }
-        let mut accepted = 0u64;
-        for (&bin, ball) in choices.iter().zip(expand(runs)) {
-            if self.try_accept(bin as usize, ball) {
-                accepted += 1;
-            } else {
-                push_run(rejected, ball.label(), 1);
-            }
-        }
-        accepted
+        fast_accept(&mut self.arena, choices, runs, rejected)
+            .unwrap_or_else(|| walk_accept(&mut self.arena, choices, runs, rejected))
     }
 
     /// Accepts `ball` into local bin `i` if the bin is online and has
@@ -442,6 +411,7 @@ impl BinShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{expand, push_run};
     use crate::process::CappedProcess;
 
     /// Splits an age-ordered `(local_bin, ball)` stream into the round's

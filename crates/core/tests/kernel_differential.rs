@@ -1,6 +1,6 @@
 //! Differential validation of the flat-arena round kernel against the
 //! executable specification: [`CappedProcess`] (SoA [`iba_core::BinArena`]
-//! storage + counting-sort acceptance + bulk RNG) must be **bit-exact**
+//! storage + acceptance scatter + bulk RNG) must be **bit-exact**
 //! against [`SpecCapped`] — the same [`RoundReport`] every round,
 //! including the waiting-time vectors, the same RNG consumption, and the
 //! same state after any prefix — across `(n, c, λ)` cells, seeds,
@@ -243,7 +243,7 @@ fn scenario() -> FaultPlan {
 fn arena_kernel_survives_capacity_raised_past_u16() {
     // Regression: a bin's register keeps its acceptance bound in a
     // 16-bit field, so a fault-raised capacity past 65535 must take the
-    // `counting_accept` fallback instead of running on a clipped bound.
+    // per-ball walk instead of running on a clipped bound.
     // The plan raises one bin far past u16::MAX mid-run and
     // later degrades it back down, while arrivals keep flowing.
     let plan = || {
@@ -567,13 +567,12 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
 
 #[test]
 fn shard_kernels_match_through_elastic_membership_changes() {
-    // BinShard-level oracle: one shard runs the fused round (the
-    // counting-sort kernel), a second runs the per-ball `try_accept` walk
-    // followed by `serve_sweep`. Fed identical routed streams, they stay
+    // BinShard-level oracle: one shard runs the fused round, a second
+    // runs the per-ball `try_accept` walk followed by `serve_sweep`. Fed identical routed streams, they stay
     // identical through every mutation that rewrites the kernel shard's
     // per-bin registers: bin growth and shrink, crash
     // and recovery, capacity degradation and raises (past the stride,
-    // forcing the `counting_accept` fallback, and to unbounded), and a
+    // forcing the kernel onto the walk, and to unbounded), and a
     // split → rebuild → re-merge round trip (the elastic-membership and
     // fault surface the service uses).
     use iba_core::pool::{expand, push_run, Run};
@@ -632,7 +631,7 @@ fn shard_kernels_match_through_elastic_membership_changes() {
                 62 => shard.set_offline(1, false),
                 70 => shard.set_offline(6, false),
                 // Degrade, then raise past the stride (fast path bails to
-                // the exact-histogram pass, which grows the arena), raise
+                // the per-ball walk, which grows the arena), raise
                 // another bin to unbounded, and restore both.
                 90 => shard.set_capacity(2, Capacity::finite(1).unwrap()),
                 100 => shard.set_capacity(2, Capacity::finite(9).unwrap()),

@@ -16,9 +16,10 @@
 //!   the static `report.html` (provenance table, bound-vs-measured
 //!   overlays, gate results).
 //!
-//! The `replicate` binary ties these together: one command re-runs the
-//! quick paper replication sweep through the registry, gates it and
-//! renders the report.
+//! The crate has no binaries: `iba-bench`'s `replicate` ties these
+//! together, running the quick paper replication sweep in process,
+//! recording it, gating it and rendering the report. (`iba-bench` sits
+//! above this crate, so the sweep cannot live here.)
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

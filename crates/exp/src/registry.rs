@@ -42,13 +42,16 @@ impl RunRecord {
     /// excluded — a re-run of an identical experiment is a duplicate
     /// even though its timings differ.
     pub fn identity_hash(&self) -> String {
-        identity_hash(
-            &self.benchmark,
-            &self.config_hash,
-            self.seed,
-            &self.provenance.git_rev,
-            self.provenance.git_dirty,
-        )
+        content_hash(&[
+            ("benchmark".to_string(), self.benchmark.clone()),
+            ("config_hash".to_string(), self.config_hash.clone()),
+            ("seed".to_string(), self.seed.to_string()),
+            ("git_rev".to_string(), self.provenance.git_rev.clone()),
+            (
+                "git_dirty".to_string(),
+                self.provenance.git_dirty.to_string(),
+            ),
+        ])
     }
 
     /// Renders the record as one JSON line (no trailing newline).
@@ -261,25 +264,6 @@ impl RunRegistry {
     }
 }
 
-/// The identity hash of a run, computable without a full [`RunRecord`]
-/// (e.g. by `replicate` for the sweep it just ran: the benchmark, its
-/// config hash, the master seed and this checkout's provenance).
-pub fn identity_hash(
-    benchmark: &str,
-    config_hash: &str,
-    seed: u64,
-    git_rev: &str,
-    git_dirty: bool,
-) -> String {
-    content_hash(&[
-        ("benchmark".to_string(), benchmark.to_string()),
-        ("config_hash".to_string(), config_hash.to_string()),
-        ("seed".to_string(), seed.to_string()),
-        ("git_rev".to_string(), git_rev.to_string()),
-        ("git_dirty".to_string(), git_dirty.to_string()),
-    ])
-}
-
 /// Renders a number for canonical config hashing: integral values
 /// without a fractional part (`1024`, not `1024.0`), everything else via
 /// shortest round-trip formatting.
@@ -292,10 +276,9 @@ pub fn canon_num(v: f64) -> String {
 }
 
 /// The canonical config pairs of a parameter sweep, whose
-/// [`content_hash`] is the sweep record's config hash. The `sweep` binary
-/// (building its registry record) and `replicate` (computing the fresh
-/// run's identity) both call this, so the two always hash the same
-/// configuration identically.
+/// [`content_hash`] is the sweep record's config hash (see
+/// `iba_bench::sweep::SweepGrid::config_pairs`, its one caller outside
+/// tests).
 pub fn sweep_config_pairs(
     n: u64,
     capacities: &[u32],

@@ -3,7 +3,7 @@
 //! One self-contained `report.html`: no scripts, no external assets, all
 //! charts inline SVG — it must render from `file://` in CI artifact
 //! viewers. Sections: run provenance table, bound-vs-measured overlays
-//! (pool occupancy vs the paper's Theorem 1 bound, wait quantiles vs the
+//! (pool occupancy vs the paper's Theorem 2 bound, wait quantiles vs the
 //! predicted envelope), and the regression-gate verdicts.
 
 use crate::gate::{GateReport, GateStatus};
@@ -23,7 +23,7 @@ pub struct SweepPoint {
     pub pool_frac: f64,
     /// Mean-field predicted pool fraction.
     pub mf_pool_frac: f64,
-    /// Theorem-1 finite-capacity pool bound, as a fraction of n.
+    /// Theorem-2 finite-capacity pool bound, as a fraction of n.
     pub bound_frac: f64,
     /// Measured mean wait (rounds).
     pub avg_wait: f64,
@@ -89,7 +89,7 @@ pub fn render_html(input: &ReportInput) -> String {
          <title>iba experiment report</title><style>{STYLE}</style></head><body>\
          <h1>Infinite Balanced Allocation — experiment report</h1>\
          <p class=\"note\">Generated at unix time {}. Replicate with \
-         <code>cargo run --release -p iba-exp --bin replicate -- --quick --check</code>.</p>",
+         <code>cargo run --release -p iba-bench --bin replicate -- --quick --check</code>.</p>",
         input.generated_unix
     );
     render_provenance_table(&mut out, input);
@@ -138,7 +138,7 @@ fn render_overlays(out: &mut String, input: &ReportInput) {
              need a replication sweep (<code>replicate --quick</code>).</p>",
         );
     } else {
-        // Pool occupancy vs the Theorem-1 finite-capacity bound, one
+        // Pool occupancy vs the Theorem-2 finite-capacity bound, one
         // measured + dashed prediction/bound series per capacity c. The
         // bound is Θ(n) (it has a 12·c·n term) while the measured pool is
         // a small fraction of n, so the overlay lives on a log10 axis —
@@ -168,7 +168,7 @@ fn render_overlays(out: &mut String, input: &ReportInput) {
                 sorted_for(*c, &|p| log10(p.mf_pool_frac)),
             ));
             series.push(Series::dashed(
-                &format!("Thm 1 bound c={c}"),
+                &format!("Thm 2 bound c={c}"),
                 sorted_for(*c, &|p| log10(p.bound_frac)),
             ));
         }
@@ -176,7 +176,7 @@ fn render_overlays(out: &mut String, input: &ReportInput) {
             out,
             "<div id=\"overlay-pool-bound\">{}</div>",
             line_chart(
-                "Stationary pool occupancy vs Theorem 1 bound",
+                "Stationary pool occupancy vs Theorem 2 bound",
                 "lambda",
                 "log10(pool / n)",
                 &series,

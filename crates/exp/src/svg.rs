@@ -236,7 +236,7 @@ mod tests {
             &[
                 Series::solid("measured", vec![(0.5, 0.01), (0.75, 0.05), (0.9375, 0.2)]),
                 Series::dashed(
-                    "Theorem 1 bound",
+                    "Theorem 2 bound",
                     vec![(0.5, 0.02), (0.75, 0.1), (0.9375, 0.4)],
                 ),
             ],

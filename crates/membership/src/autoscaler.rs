@@ -1,6 +1,6 @@
 //! Pool-bound-driven autoscaling policy.
 //!
-//! Theorem 1 of the source paper bounds the stationary pool of a healthy
+//! Theorem 2 of the source paper bounds the stationary pool of a healthy
 //! CAPPED(c, λ) system. The telemetry layer exports the live pool size as
 //! a gauge (`iba_serve_pool_size`) but not the bound; the caller computes
 //! the bound and passes it in. The [`Autoscaler`] closes the loop:
@@ -143,7 +143,7 @@ impl Autoscaler {
     }
 
     /// Observes one round: the live bin count, the pool size, and the
-    /// Theorem-1 stationary pool bound for the *current* capacity.
+    /// Theorem-2 stationary pool bound for the *current* capacity.
     /// Returns the membership event to apply at the next round boundary,
     /// if the policy fired, plus the decision taken.
     pub fn observe(

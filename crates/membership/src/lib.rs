@@ -10,7 +10,7 @@
 //!   ([`iba_sim::plan::RoundPlan`]) the fault plans use, so a churn run
 //!   replays bit-exactly.
 //! - **Autoscaling policy** ([`autoscaler`]) — an [`Autoscaler`] consuming
-//!   per-round observations of the pool size against the Theorem 1 bound
+//!   per-round observations of the pool size against the Theorem 2 bound
 //!   (the caller computes the bound) and emitting grow/shrink events with
 //!   hysteresis, patience, and cooldown.
 //!

@@ -4,7 +4,7 @@
 //! Spawns a sharded [`CappedService`] under the configured model arrival
 //! load with telemetry force-enabled, drives it round by round, and
 //! refreshes a `top`-style dashboard: pool size against the paper's
-//! Theorem 1 bound `4·c⁻¹·ln(1/(1−λ))·n + O(c·n)`, exact waiting-time
+//! Theorem 2 bound `4·c⁻¹·ln(1/(1−λ))·n + O(c·n)`, exact waiting-time
 //! quantiles, per-shard max loads, and the phase-timing breakdown from
 //! the telemetry registry's histograms.
 //!
@@ -70,7 +70,7 @@ USAGE: iba-top [--n BINS] [--c CAP] [--lambda L] [--shards S] [--rounds N]
                [--snapshot PATH] [--snapshot-json PATH]
 
 Runs the service under model arrivals with telemetry enabled and refreshes
-a top-style dashboard: pool vs the Theorem 1 bound, waiting-time quantiles,
+a top-style dashboard: pool vs the Theorem 2 bound, waiting-time quantiles,
 per-shard max loads, and the registry's phase-timing breakdown.
 --rounds 0 runs until interrupted; otherwise the final frame is printed and
 the process exits 0.

@@ -17,11 +17,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use iba_core::checkpoint::RotatingFile;
 use iba_core::CappedConfig;
 use iba_membership::{Autoscaler, AutoscalerConfig};
 use iba_serve::{
     run_net_loop, CappedService, Completion, Dispatcher, KernelMode, NetFault, NetFaultPlan,
-    NetFrontend, NetLoopOptions, Pacing, RoundClock, ServeAutosaver, ServiceConfig,
+    NetFrontend, NetLoopOptions, Pacing, RoundClock, ServeCheckpointError, ServiceConfig,
 };
 
 struct Options {
@@ -109,7 +110,7 @@ Network-mode resilience (all require --listen):
 --chaos-seed SEED      seed for victim picks and garbage (default --seed)
 
 --elastic arms the membership autoscaler: the service watches its pool
-against the Theorem 1 bound each round and grows the fleet (up to 4n bins)
+against the Theorem 2 bound each round and grows the fleet (up to 4n bins)
 under sustained pressure, handing bins back (down to n/4) when the pool
 stays slack. Bin count and balls moved are reported at exit.";
 
@@ -314,18 +315,20 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
     let service_config = ServiceConfig::new(capped, opts.shards, opts.seed)
         .with_ingress_capacity(opts.ingress_capacity);
-    let mut autosaver = opts
-        .checkpoint
-        .as_ref()
-        .map(|path| ServeAutosaver::new(path, opts.checkpoint_every));
-    let mut service = match (&autosaver, opts.resume) {
-        (Some(saver), true) => {
-            let service = saver
-                .recover(service_config.clone())
-                .map_err(|e| format!("cannot resume from {}: {e}", saver.path().display()))?;
+    let checkpoint = opts.checkpoint.as_ref().map(RotatingFile::new);
+    let mut service = match (&checkpoint, opts.resume) {
+        (Some(file), true) => {
+            let (service, from) = file
+                .load(|bytes| {
+                    Ok::<_, ServeCheckpointError>(CappedService::resume(
+                        service_config.clone(),
+                        bytes,
+                    )?)
+                })
+                .map_err(|e| format!("cannot resume from {}: {e}", file.path().display()))?;
             println!(
                 "serve_demo: resumed from {} at round {}",
-                saver.path().display(),
+                from.display(),
                 service.round()
             );
             service
@@ -367,10 +370,11 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     let mut summary = iba_serve::NetLoopSummary::default();
     let mut checkpoints_written = 0u64;
     let mut rounds_left = opts.rounds;
-    // With autosaving on, run the loop in checkpoint-interval segments and
-    // save between them; otherwise one uninterrupted run.
+    // With a checkpoint file, run the loop in segments of
+    // --checkpoint-every rounds and save after each; otherwise one
+    // uninterrupted run.
     while rounds_left > 0 {
-        let chunk = match &autosaver {
+        let chunk = match &checkpoint {
             Some(_) => opts.checkpoint_every.min(rounds_left),
             None => rounds_left,
         };
@@ -388,9 +392,8 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
         summary.rounds_run += segment.rounds_run;
         summary.completions_delivered += segment.completions_delivered;
         summary.idle_polls += segment.idle_polls;
-        if let Some(saver) = &mut autosaver {
-            saver
-                .save_now(&mut service)
+        if let Some(file) = &checkpoint {
+            file.save(&service.checkpoint_bytes())
                 .map_err(|e| format!("checkpoint save failed: {e}"))?;
             checkpoints_written += 1;
         }

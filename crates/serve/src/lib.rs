@@ -81,7 +81,7 @@ mod shard;
 pub mod workload;
 
 pub use chaos::{NetFault, NetFaultPlan};
-pub use checkpoint::{ResumeError, ServeAutosaver, ServeCheckpointError};
+pub use checkpoint::{ResumeError, ServeCheckpointError};
 pub use client::{ClientConfig, ClientError, ClientStats, NetClient};
 pub use clock::{Pacing, RoundClock};
 pub use dispatch::{Completion, Dispatcher, SubmitError, Ticket};

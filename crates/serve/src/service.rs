@@ -673,7 +673,7 @@ impl CappedService {
 
     /// Acceptance kernel every shard runs: always [`KernelMode::Arena`],
     /// the one kernel. Kept for the repository benchmark, which prints it;
-    /// it goes with the benchmark's API shims (ROADMAP item 1).
+    /// it goes with the benchmark's API shims (ROADMAP item 3).
     pub fn kernel_mode(&self) -> KernelMode {
         KernelMode::Arena
     }

@@ -143,7 +143,7 @@ fn faulted_trajectory_is_bit_identical_to_faulted_process() {
 #[test]
 fn sharded_arena_kernel_is_bit_identical_to_scalar_reference() {
     // The service's `BinShard` workers accept through the flat-arena
-    // counting-sort kernel; the reference here is the literal scalar
+    // kernel; the reference here is the literal scalar
     // specification (`SpecCapped`: one draw per ball, per-bin request
     // sorting), so this differential proves Algorithm 1 == sharded
     // service end to end, for every shard count.

@@ -6,7 +6,8 @@
 //! record carries an *identity*: `(benchmark, config_hash, seed,
 //! git_rev, git_dirty)`. Appending a record whose identity is already
 //! present is a dedup no-op, so re-running `replicate` on an unchanged
-//! tree does not grow the store.
+//! tree does not grow the store. A run whose code cannot be named (rev
+//! `unknown`, or a dirty tree) shares its identity with no other run.
 
 use std::fmt;
 use std::io::Write as _;
@@ -37,12 +38,15 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// The record's dedup identity: same benchmark, same canonical
-    /// config, same seed, same (clean) code revision ⇒ same identity.
-    /// Wall time, timestamp and measured values are deliberately
-    /// excluded — a re-run of an identical experiment is a duplicate
-    /// even though its timings differ.
+    /// config, same seed, same clean code revision ⇒ same identity.
+    /// Wall time, timestamp and measured values are excluded — a re-run
+    /// of an identical experiment is a duplicate even though its timings
+    /// differ. A run of code the revision does not name (rev `unknown`,
+    /// or a dirty tree) may be of any code, so its timestamp, wall time
+    /// and measured values join the hash: it always appends, and a gate
+    /// that excludes its identity excludes only itself.
     pub fn identity_hash(&self) -> String {
-        content_hash(&[
+        let mut pairs = vec![
             ("benchmark".to_string(), self.benchmark.clone()),
             ("config_hash".to_string(), self.config_hash.clone()),
             ("seed".to_string(), self.seed.to_string()),
@@ -51,7 +55,17 @@ impl RunRecord {
                 "git_dirty".to_string(),
                 self.provenance.git_dirty.to_string(),
             ),
-        ])
+        ];
+        if self.provenance.git_rev == "unknown" || self.provenance.git_dirty {
+            pairs.push(("unix_time".to_string(), self.unix_time.to_string()));
+            pairs.push(("wall_ms".to_string(), self.wall_ms.to_string()));
+            pairs.extend(
+                self.metrics
+                    .iter()
+                    .map(|(name, v)| (format!("metrics.{name}"), v.to_string())),
+            );
+        }
+        content_hash(&pairs)
     }
 
     /// Renders the record as one JSON line (no trailing newline).
@@ -397,6 +411,54 @@ mod tests {
             reloaded.append(sample_record(2)).unwrap(),
             AppendOutcome::Deduplicated
         );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn unidentified_code_never_dedups() {
+        let path = temp_store("unidentified");
+        let mut reg = RunRegistry::open(&path).unwrap();
+        // Two runs of one config and seed, a minute apart, outside a git
+        // checkout, then two from a dirty tree: each may be other code.
+        let run = |rev: &str, dirty: bool, minute: u64| {
+            let mut r = sample_record(1);
+            r.provenance.git_rev = rev.to_string();
+            r.provenance.git_dirty = dirty;
+            r.unix_time += 60 * minute;
+            r.wall_ms += minute as f64;
+            r
+        };
+        let runs = [
+            run("unknown", false, 0),
+            run("unknown", false, 1),
+            run("cafe0123", true, 2),
+            run("cafe0123", true, 3),
+        ];
+        for r in &runs {
+            assert_eq!(reg.append(r.clone()).unwrap(), AppendOutcome::Appended);
+        }
+        // The identity survives the store's round trip, and excluding the
+        // newest run's identity excludes only that run.
+        let reloaded = RunRegistry::open(&path).unwrap();
+        assert_eq!(reloaded.records(), &runs[..]);
+        let newest = &runs[3];
+        let prior = reloaded
+            .latest_for(
+                "round_kernel",
+                &newest.config_hash,
+                Some(&newest.identity_hash()),
+            )
+            .unwrap();
+        assert_eq!(prior, &runs[2]);
+        // A clean same-revision rerun still deduplicates.
+        assert_eq!(
+            reg.append(sample_record(1)).unwrap(),
+            AppendOutcome::Appended
+        );
+        let mut rerun = sample_record(1);
+        rerun.unix_time += 1000;
+        rerun.wall_ms = 999.0;
+        assert_eq!(reg.append(rerun).unwrap(), AppendOutcome::Deduplicated);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -14,8 +14,8 @@ use iba_sim::plan::RoundPlan;
 /// Bin indices are dense `0..n`: growth appends at the top of the index
 /// space and shrink removes from the top (LIFO membership — the natural
 /// shape for autoscaling, and it keeps surviving bin indices stable so
-/// in-flight state never relabels). Shard events reshape the worker
-/// topology without changing `n`.
+/// in-flight state never relabels). Shard events reshape the shard
+/// partition without changing `n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MembershipEvent {
     /// Adds `count` empty bins at the top of the index space. New bins
@@ -32,17 +32,17 @@ pub enum MembershipEvent {
         /// Number of bins to remove (clamped by the applier).
         count: usize,
     },
-    /// Splits shard `shard`'s contiguous bin range at its midpoint,
-    /// spawning a new worker for the upper half. Only ownership moves —
-    /// no ball leaves its ring.
+    /// Splits shard `shard`'s contiguous bin range at its midpoint into a
+    /// new shard for the upper half. Only ownership moves — no ball
+    /// leaves its ring.
     SplitShard {
         /// Index of the shard to split (ignored if out of range or the
         /// shard owns a single bin).
         shard: usize,
     },
-    /// Merges shard `left + 1` into shard `left`, retiring the right
-    /// worker; the absorbing shard owns the concatenated range. Buffered
-    /// balls transfer between workers (counted as moved).
+    /// Merges shard `left + 1` into shard `left`; the absorbing shard
+    /// owns the concatenated range. Buffered balls transfer between the
+    /// shards (counted as moved).
     MergeShards {
         /// Index of the left (absorbing) shard (ignored if `left + 1` is
         /// out of range).

@@ -67,8 +67,9 @@ pub struct Provenance {
     /// from older revisions may name since-deleted kernels such as
     /// `scalar`).
     pub kernel: Option<String>,
-    /// Worker-thread count, when the run had one (one per shard for the
-    /// service harnesses, 1 for single-process kernels).
+    /// Thread count of the round loop, when the run had one (1: the
+    /// service runs every shard on its driver; records from older
+    /// revisions counted one thread per shard).
     pub threads: Option<u64>,
 }
 

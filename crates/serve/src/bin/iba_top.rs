@@ -281,7 +281,7 @@ fn snapshot_record(opts: &Options, service: &CappedService, wall_ms: f64) -> Run
         benchmark: "iba_top".to_string(),
         config_hash: content_hash(&config_pairs(opts)),
         seed: opts.seed,
-        provenance: Provenance::collect().with_execution(KernelMode::Arena.name(), opts.shards),
+        provenance: Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
         wall_ms,
         unix_time: unix_time_now(),
         metrics,
@@ -292,7 +292,7 @@ fn run(opts: &Options) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
     iba_obs::flight::set_run_context(
-        Provenance::collect().with_execution(KernelMode::Arena.name(), opts.shards),
+        Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
     );
 
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)

@@ -309,7 +309,7 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
     iba_obs::flight::set_run_context(
-        iba_obs::json::Provenance::collect().with_execution(KernelMode::Arena.name(), opts.shards),
+        iba_obs::json::Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
     );
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
@@ -462,8 +462,7 @@ fn run(opts: &Options) -> Result<(), String> {
     if iba_obs::enabled() {
         iba_obs::flight::install_panic_hook();
         iba_obs::flight::set_run_context(
-            iba_obs::json::Provenance::collect()
-                .with_execution(KernelMode::Arena.name(), opts.shards),
+            iba_obs::json::Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
         );
     }
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
@@ -551,8 +550,8 @@ fn run(opts: &Options) -> Result<(), String> {
         service.membership_events(),
         service.balls_moved(),
     );
-    // Dropping the service joins the workers AND closes the completion
-    // channel, which is what lets the collector's loop terminate.
+    // Dropping the service closes the ingress and the completion channel,
+    // which is what lets the collector's loop terminate.
     drop(service);
     let max_wait_seen = collector.join().expect("collector thread panicked");
     let notified = collected.load(Ordering::Relaxed);

@@ -1,17 +1,17 @@
-//! A sharded, multi-threaded dispatch service running the CAPPED(c, λ)
-//! discipline of *"Infinite Balanced Allocation via Finite Capacities"*
-//! (ICDCS 2021) as a live system instead of an offline simulation.
+//! A sharded dispatch service running the CAPPED(c, λ) discipline of
+//! *"Infinite Balanced Allocation via Finite Capacities"* (ICDCS 2021) as
+//! a live system instead of an offline simulation.
 //!
 //! The crate turns [`iba_core::process::CappedProcess`] into a service:
 //!
 //! - **Sharded bin state** ([`service`]) — the `n` bins are partitioned
 //!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), all owned
 //!   by the driver. Each round the driver routes the requests into the
-//!   shards, sends shards `1..S` over `std::sync::mpsc` channels to
-//!   `S − 1` stateless worker threads, runs shard 0 itself, and merges
-//!   the shards it gets back. Every shard runs the same bin-local round as
-//!   `CappedProcess` (`BinShard::run_round`); between rounds faults,
-//!   membership changes and checkpoints are plain calls on the driver.
+//!   shards, runs every shard's round itself in shard order, and merges
+//!   them; the service starts no thread. Every shard runs the same
+//!   bin-local round as `CappedProcess` (`BinShard::run_round`); between
+//!   rounds faults, membership changes and checkpoints are plain calls on
+//!   the driver.
 //! - **Round clock** ([`clock`]) — rounds are logical epochs; an optional
 //!   wall-clock pacing mode spaces them at a fixed interval.
 //! - **Admission front end** ([`dispatch`]) — clients submit requests
@@ -38,7 +38,7 @@
 //! The driver owns the service's only RNG stream and consumes randomness
 //! in exactly the order `CappedProcess` does (the arrival sample, then one
 //! bulk draw of every pooled ball's bin, oldest-first, consumption-identical
-//! to one uniform draw per ball); the workers draw nothing.
+//! to one uniform draw per ball); the shards draw nothing.
 //! So the service's round-by-round trajectory — pool size, bin loads,
 //! waiting times — is **bit-identical** to the bare process under the same
 //! seed, for *any* shard count, and its checkpoint embeds the process's

@@ -4,8 +4,8 @@
 //! once in the global [`iba_obs`] registry and cached behind a
 //! `OnceLock`, and [`probes`] costs a single relaxed load (returning
 //! `None`) while telemetry is disabled. Driver-side probes fire once per
-//! round; the shard-round probe once per shard round, on whichever thread
-//! ran it; dispatcher counters once per submission attempt.
+//! round; the shard-round probe once per shard round; dispatcher counters
+//! once per submission attempt.
 
 use std::sync::{Arc, OnceLock};
 
@@ -16,14 +16,13 @@ use iba_obs::{global, Counter, Gauge, Histogram};
 pub(crate) struct ServeProbes {
     /// Full driver round duration (faults + arrivals + route + merge).
     pub round_nanos: Arc<Histogram>,
-    /// Routing phase duration per driver round (ends once every worker
-    /// has its shard).
+    /// Routing phase duration per driver round (the bulk draw and the
+    /// routing of every pooled ball).
     pub phase_route_nanos: Arc<Histogram>,
-    /// Merge phase duration per driver round: shard 0's round on the
-    /// driver, waiting for the workers' shards, and the merge.
+    /// Merge phase duration per driver round: every shard's round, in
+    /// shard order, and the merge.
     pub phase_merge_nanos: Arc<Histogram>,
-    /// One shard's round duration (accept + serve), on the driver or a
-    /// worker.
+    /// One shard's round duration (accept + serve).
     pub shard_round_nanos: Arc<Histogram>,
     /// Pool size after the last round.
     pub pool_size: Arc<Gauge>,
@@ -93,8 +92,7 @@ pub(crate) struct ServeProbes {
     pub resume_round: Arc<Gauge>,
     /// Live bin count `n` (elastic membership moves this at runtime).
     pub live_bins: Arc<Gauge>,
-    /// Live shard count (the driver runs one; each worker thread one
-    /// more).
+    /// Live shard count (the driver runs every shard's round).
     pub live_shards: Arc<Gauge>,
     /// Membership events applied (add/remove/split/merge), lifetime.
     pub membership_events: Arc<Counter>,

@@ -3,9 +3,8 @@
 //! [`CappedService::spawn`] partitions the configured bins into `S`
 //! contiguous shards and wires up the admission front end. The driver
 //! (the thread calling [`run_round`](CappedService::run_round)) owns
-//! every shard; `S − 1` stateless worker threads exist only to run a
-//! round's shards in parallel, so a 1-shard service has none. Each call
-//! executes the paper's Algorithm 1 once:
+//! every shard and runs every shard's round itself, so the service
+//! starts no thread. Each call executes the paper's Algorithm 1 once:
 //!
 //! 1. apply the scheduled membership changes and fault events (through
 //!    [`FaultSchedule`], the same applier
@@ -16,16 +15,18 @@
 //!    ([`SimRng::fill_uniform_bins`], consumption-identical to one
 //!    uniform draw per ball, oldest-first), route the pool's label runs in
 //!    the same pass — each shard gets the local bin of every ball it owns
-//!    and the label runs of those balls — and hand shard `k ≥ 1` to
-//!    worker `k − 1`;
-//! 4. run shard 0 on the driver, take the other shards back in shard
-//!    order and merge: the shards' reject runs merge label by label back
-//!    into the global pool (retrying next round), served balls produce
-//!    waiting times and ticket [`Completion`]s.
+//!    and the label runs of those balls;
+//! 4. run every shard's bin-local round in shard order and merge: the
+//!    shards' reject runs merge label by label back into the global pool
+//!    (retrying next round), served balls produce waiting times and
+//!    ticket [`Completion`]s in bin order.
 //!
-//! Between rounds every shard is on the driver, so faults, membership
-//! changes and checkpoints are plain method calls on its
-//! [`BinShard`]s.
+//! Faults, membership changes and checkpoints are plain method calls on
+//! the shards' [`BinShard`]s between rounds. The bins of one round
+//! accept and serve independently, so running the shards one after
+//! another on one thread is Algorithm 1's round as it stands; the
+//! service's only concurrency is its callers ([`Dispatcher`] clones on
+//! any thread, a network front end on its own).
 //!
 //! Rejected requests never time out — exactly the paper's pool
 //! semantics. Together with the driver owning the only RNG stream, this
@@ -54,7 +55,7 @@ use crate::checkpoint::ResumeError;
 use crate::dispatch::{Completion, Dispatcher, Ingress, Ticket};
 use crate::metrics::ServeSnapshot;
 use crate::obs;
-use crate::shard::{Slot, Worker};
+use crate::shard::Slot;
 
 /// Service checkpoint envelope tag ("IBa SerVe"). The envelope wraps a
 /// complete `iba_core::checkpoint` payload (tag `IBA1`) as an opaque byte
@@ -71,7 +72,7 @@ const ENVELOPE_VERSION: u32 = 2;
 /// stay in L1 between the draw and the routing.
 const ROUTE_CHUNK: usize = 1024;
 
-/// How randomness is distributed between the driver and the workers.
+/// Where the service's randomness comes from.
 ///
 /// There is one distribution: the driver owns the single RNG stream. The
 /// enum and [`ServiceConfig::with_rng_mode`] remain so that callers
@@ -91,8 +92,9 @@ pub enum RngMode {
 pub struct ServiceConfig {
     /// The CAPPED(c, λ) parameters.
     pub capped: CappedConfig,
-    /// Number of shards (`1..=n`). The driver runs shard 0's rounds
-    /// itself and one worker thread runs each other shard's.
+    /// Number of shards (`1..=n`): the contiguous bin ranges that
+    /// membership events split and merge. The driver runs every shard's
+    /// round.
     pub shards: usize,
     /// Seed of the driver's RNG stream, the service's only one.
     pub seed: u64,
@@ -175,14 +177,12 @@ impl ServiceConfig {
 /// A running sharded CAPPED(c, λ) service. See the [module docs](self)
 /// for the per-round protocol.
 ///
-/// Dropping the service shuts the workers down; call
-/// [`shutdown`](Self::shutdown) to do so explicitly and join the threads.
+/// Dropping the service closes its ingress; [`shutdown`](Self::shutdown)
+/// ends its rounds.
 pub struct CappedService {
     config: CappedConfig,
     /// The shards in bin order; they tile `0..live_bins()`.
     slots: Vec<Slot>,
-    /// Worker `k − 1` runs shard `k`'s rounds; the driver runs shard 0's.
-    workers: Vec<Worker>,
     model_arrivals: bool,
     max_admit: Option<u64>,
     driver_rng: SimRng,
@@ -246,8 +246,7 @@ impl std::fmt::Debug for CappedService {
 }
 
 impl CappedService {
-    /// Partitions the bins, spawns the worker threads (one fewer than
-    /// the shards), and returns the running service.
+    /// Partitions the bins and returns the running service.
     ///
     /// # Errors
     ///
@@ -291,10 +290,8 @@ impl CappedService {
         slots: Vec<Slot>,
         first_ticket_id: u64,
     ) -> Self {
-        let capped = config.capped.clone();
-        let mut service = CappedService {
+        CappedService {
             slots,
-            workers: Vec::new(),
             model_arrivals: config.model_arrivals,
             max_admit: config.max_admit_per_round,
             driver_rng,
@@ -319,10 +316,8 @@ impl CappedService {
             expired_tickets: Vec::new(),
             total_expired: 0,
             stopped: false,
-            config: capped,
-        };
-        service.fit_workers();
-        service
+            config: config.capped.clone(),
+        }
     }
 
     /// Resumes a service from bytes produced by
@@ -510,8 +505,8 @@ impl CappedService {
     /// Serializes the full service state for a later
     /// [`resume`](Self::resume): the embedded core checkpoint (`IBA1`,
     /// byte-compatible with `iba_core::checkpoint`) wrapped in the serve
-    /// envelope (`IBSV`). Every shard is on the driver between rounds,
-    /// so the capture is consistent.
+    /// envelope (`IBSV`). The driver holds every shard between rounds, so
+    /// the capture is consistent.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         // The inner core checkpoint is the `iba_core::checkpoint` of the
         // process this service is: the pool, the counters, the driver's
@@ -760,7 +755,7 @@ impl CappedService {
     ///
     /// # Panics
     ///
-    /// Panics if the service was shut down, or if a worker thread died.
+    /// Panics if the service was shut down.
     pub fn run_round(&mut self) -> RoundReport {
         assert!(!self.stopped, "service was shut down");
         let round_timer = iba_obs::PhaseTimer::start();
@@ -790,24 +785,17 @@ impl CappedService {
 
         // 3. Draw every pooled ball's bin (oldest-first, in cache-sized
         // bulk draws that consume the stream exactly as one draw per ball
-        // would), route each ball to the shard owning its bin, then hand
-        // every shard but the first to its worker.
+        // would) and route each ball to the shard owning its bin.
         let route_timer = iba_obs::PhaseTimer::start();
-        let mut slots = std::mem::take(&mut self.slots);
         let mut runs = self.pool.take_runs();
-        route(&mut slots, &mut self.driver_rng, n, &runs);
-        for (worker, slot) in self.workers.iter().zip(slots.drain(1..)) {
-            worker.send(slot);
-        }
+        route(&mut self.slots, &mut self.driver_rng, n, &runs);
 
-        // 4. Run shard 0 here while the workers run the others, take them
-        // back in shard order, and merge.
+        // 4. Run every shard's round in shard order, then merge.
         let merge_timer = iba_obs::PhaseTimer::start();
         if let Some(p) = obs::probes() {
             route_timer.observe(&p.phase_route_nanos);
         }
-        slots[0].run();
-        slots.extend(self.workers.iter().map(Worker::recv));
+        self.slots.iter_mut().for_each(Slot::run);
 
         let mut accepted = 0u64;
         let mut failed_deletions = 0u64;
@@ -815,8 +803,8 @@ impl CappedService {
         let mut max_load = 0u64;
         let served_before = self.total_served;
         let mut waiting_times =
-            Vec::with_capacity(slots.iter().map(|slot| slot.served.len()).sum());
-        for slot in &slots {
+            Vec::with_capacity(self.slots.iter().map(|slot| slot.served.len()).sum());
+        for slot in &self.slots {
             accepted += slot.stats.accepted;
             failed_deletions += slot.stats.failed_deletions;
             buffered += slot.stats.buffered;
@@ -827,15 +815,21 @@ impl CappedService {
             for &(local, ball) in &slot.served {
                 let wait = ball.age_at(round);
                 waiting_times.push(wait);
-                self.complete(ball.label(), round, wait, first_bin + u64::from(local));
+                complete(
+                    &mut self.pending,
+                    self.completions.as_ref(),
+                    ball.label(),
+                    round,
+                    wait,
+                    first_bin + u64::from(local),
+                );
             }
         }
         self.total_served += waiting_times.len() as u64;
         self.wait_hist.record_all(&waiting_times);
 
         // The pool's run buffer takes the merged rejects.
-        merge_rejects(&mut slots, &mut runs);
-        self.slots = slots;
+        merge_rejects(&mut self.slots, &mut runs);
         self.pool.restore_runs(runs);
 
         // 5. Deadline reaping: forget completion-notification state for
@@ -928,23 +922,10 @@ impl CappedService {
         last.expect("count >= 1")
     }
 
-    /// Stops the workers and joins their threads. Statistics accessors
-    /// and checkpoints remain usable; further `run_round` calls panic.
+    /// Ends the service's rounds. Statistics accessors and checkpoints
+    /// remain usable; further `run_round` calls panic.
     pub fn shutdown(&mut self) {
         self.stopped = true;
-        self.workers.drain(..).for_each(Worker::stop);
-    }
-
-    /// Grows or shrinks the worker pool to one thread per shard after
-    /// the first.
-    fn fit_workers(&mut self) {
-        let wanted = self.slots.len() - 1;
-        while self.workers.len() > wanted {
-            self.workers.pop().expect("more workers than wanted").stop();
-        }
-        while self.workers.len() < wanted {
-            self.workers.push(Worker::spawn(self.workers.len() + 1));
-        }
     }
 
     /// Applies the faults due before `round` to the shards and the pool.
@@ -995,30 +976,6 @@ impl CappedService {
         admitted
     }
 
-    /// Matches a served ball to the longest-waiting ticket of its label
-    /// (balls with equal labels are interchangeable) and notifies the
-    /// completion channel. Model-arrival and surge balls have no ticket.
-    fn complete(&mut self, label: u64, served_round: u64, waiting_rounds: u64, bin: u64) {
-        let at = self.pending.partition_point(|entry| entry.label < label);
-        let Some(entry) = self.pending.get_mut(at).filter(|e| e.label == label) else {
-            return;
-        };
-        let id = entry.ids.start;
-        entry.ids.start += 1;
-        if entry.ids.is_empty() {
-            self.pending.remove(at);
-        }
-        if let Some(tx) = &self.completions {
-            let _ = tx.send(Completion {
-                ticket: Ticket::from_id(id),
-                bin,
-                admitted_round: label,
-                served_round,
-                waiting_rounds,
-            });
-        }
-    }
-
     /// Applies the membership events scheduled at `round`, in insertion
     /// order.
     fn apply_membership(&mut self, round: u64) {
@@ -1039,7 +996,6 @@ impl CappedService {
                 }
             }
         }
-        self.fit_workers();
     }
 
     /// Grows the bin set by `count`: the new bins enter at the top of the
@@ -1144,7 +1100,7 @@ fn owner_of(slots: &[Slot], bin: usize) -> usize {
 fn route(slots: &mut [Slot], rng: &mut SimRng, n: usize, runs: &[Run]) {
     // The shards' bin ranges, read once: the per-ball owner search is
     // `owner_of`'s binary search over range ends, kept in two small
-    // arrays instead of reaching into every boxed shard.
+    // arrays instead of reaching into every slot.
     let ends: Vec<u32> = slots.iter().map(|slot| slot.end() as u32).collect();
     let firsts: Vec<u32> = slots
         .iter()
@@ -1166,6 +1122,37 @@ fn route(slots: &mut [Slot], rng: &mut SimRng, n: usize, runs: &[Run]) {
         for slot in slots.iter_mut() {
             slot.close_run(run.label);
         }
+    }
+}
+
+/// Matches a served ball to the longest-waiting ticket of its label
+/// (balls with equal labels are interchangeable) and notifies the
+/// completion channel. Model-arrival and surge balls have no ticket.
+fn complete(
+    pending: &mut VecDeque<PendingRound>,
+    completions: Option<&Sender<Completion>>,
+    label: u64,
+    served_round: u64,
+    waiting_rounds: u64,
+    bin: u64,
+) {
+    let at = pending.partition_point(|entry| entry.label < label);
+    let Some(entry) = pending.get_mut(at).filter(|e| e.label == label) else {
+        return;
+    };
+    let id = entry.ids.start;
+    entry.ids.start += 1;
+    if entry.ids.is_empty() {
+        pending.remove(at);
+    }
+    if let Some(tx) = completions {
+        let _ = tx.send(Completion {
+            ticket: Ticket::from_id(id),
+            bin,
+            admitted_round: label,
+            served_round,
+            waiting_rounds,
+        });
     }
 }
 
@@ -1216,12 +1203,11 @@ fn locate(slots: &mut [Slot], bin: usize) -> (&mut Slot, usize) {
 }
 
 impl Drop for CappedService {
-    /// Shuts the workers down and closes the ingress: later submissions,
-    /// and submitters parked on a full queue, get [`SubmitError::Closed`].
+    /// Closes the ingress: later submissions, and submitters parked on a
+    /// full queue, get [`SubmitError::Closed`].
     ///
     /// [`SubmitError::Closed`]: crate::SubmitError::Closed
     fn drop(&mut self) {
-        self.shutdown();
         self.ingress.close();
     }
 }

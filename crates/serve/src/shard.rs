@@ -1,16 +1,11 @@
-//! Round workers: the only work that leaves the driver thread.
+//! One shard as the driver holds it.
 //!
 //! The driver owns every shard. A [`Slot`] holds one shard's bins, the
 //! tallies of its last round, and the request and reply buffers its
 //! rounds reuse. Each round the driver routes requests into the slots,
-//! hands the slot of shard `k ≥ 1` to persistent [`Worker`] `k − 1`, runs
-//! shard 0 itself, and takes the slots back in shard order. A worker
-//! keeps no state between rounds: it runs [`BinShard::run_round`] on the
-//! slot it is given and returns it. The workers draw no randomness — the
-//! driver draws every ball's bin from its own stream.
-
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+//! then runs every slot's [`BinShard::run_round`] itself, in shard order.
+//! A shard draws no randomness — the driver draws every ball's bin from
+//! its own stream.
 
 use iba_core::pool::Run;
 use iba_core::shard::{BinShard, ShardRoundStats};
@@ -18,13 +13,12 @@ use iba_core::Ball;
 
 use crate::obs;
 
-/// One shard as the driver holds it: its bins (boxed, so a slot is a
-/// small message), its last round's tallies, and the buffers a round
-/// fills. A round moves the slot to a worker thread and back.
+/// One shard as the driver holds it: its bins, its last round's tallies,
+/// and the buffers a round fills.
 #[derive(Debug)]
 pub(crate) struct Slot {
     /// The shard's bins, `first_bin()..end()` globally.
-    pub bins: Box<BinShard>,
+    pub bins: BinShard,
     /// The local bin of every ball routed to this shard for the next
     /// round, in pool (oldest-first) order. The round consumes them.
     pub choices: Vec<u32>,
@@ -55,7 +49,7 @@ impl Slot {
             ..ShardRoundStats::default()
         };
         Slot {
-            bins: Box::new(bins),
+            bins,
             choices: Vec::new(),
             runs: Vec::new(),
             routed: 0,
@@ -99,49 +93,5 @@ impl Slot {
         if let Some(p) = obs::probes() {
             timer.observe(&p.shard_round_nanos);
         }
-    }
-}
-
-/// A persistent thread that runs the rounds of the slots it is sent.
-#[derive(Debug)]
-pub(crate) struct Worker {
-    jobs: Sender<Slot>,
-    done: Receiver<Slot>,
-    join: JoinHandle<()>,
-}
-
-impl Worker {
-    /// Starts the worker that runs shard `shard`'s rounds.
-    pub fn spawn(shard: usize) -> Self {
-        let (jobs, inbox) = channel::<Slot>();
-        let (outbox, done) = channel();
-        let join = std::thread::Builder::new()
-            .name(format!("iba-serve-round-{shard}"))
-            .spawn(move || {
-                for mut slot in inbox {
-                    slot.run();
-                    if outbox.send(slot).is_err() {
-                        return; // driver gone
-                    }
-                }
-            })
-            .expect("spawn round worker thread");
-        Worker { jobs, done, join }
-    }
-
-    /// Hands the worker a slot whose requests are routed.
-    pub fn send(&self, slot: Slot) {
-        self.jobs.send(slot).expect("round worker alive");
-    }
-
-    /// Waits for the slot back, its round run.
-    pub fn recv(&self) -> Slot {
-        self.done.recv().expect("round worker alive")
-    }
-
-    /// Ends the thread and joins it.
-    pub fn stop(self) {
-        drop(self.jobs);
-        let _ = self.join.join();
     }
 }

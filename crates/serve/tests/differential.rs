@@ -5,7 +5,7 @@
 //! including the waiting-time vectors, for any shard count.
 //!
 //! This is the serving layer's correctness anchor: if routing, merging,
-//! or the worker protocol ever drops, duplicates, or reorders a ball, one
+//! or the shard rounds ever drop, duplicate, or reorder a ball, one
 //! of these comparisons breaks on the first divergent round.
 
 use std::io::{ErrorKind, Read, Write};
@@ -142,7 +142,7 @@ fn faulted_trajectory_is_bit_identical_to_faulted_process() {
 
 #[test]
 fn sharded_arena_kernel_is_bit_identical_to_scalar_reference() {
-    // The service's `BinShard` workers accept through the flat-arena
+    // The service's `BinShard`s accept through the flat-arena
     // kernel; the reference here is the literal scalar
     // specification (`SpecCapped`: one draw per ball, per-bin request
     // sorting), so this differential proves Algorithm 1 == sharded
@@ -286,7 +286,7 @@ fn central_trajectory_is_bit_identical_with_network_ingress_active() {
 }
 
 /// The crash-restart differential: checkpoint a live Central-mode service
-/// mid-run, tear it down entirely (worker threads and all), resume a new
+/// mid-run, tear it down entirely, resume a new
 /// service from the bytes — possibly on a different shard topology — and
 /// the combined trajectory is bit-identical to one uninterrupted bare
 /// [`CappedProcess`]. A crash/restart cycle is invisible in the reports.
@@ -305,7 +305,7 @@ fn crash_restart_trajectory_is_bit_identical_to_uninterrupted_process() {
             );
         }
         let bytes = service.checkpoint_bytes();
-        service.shutdown(); // the "crash": every worker thread dies
+        service.shutdown(); // the "crash": no later round runs
 
         // Restart on a *different* shard count — Central mode owns all
         // randomness in the driver, so topology is free to change.

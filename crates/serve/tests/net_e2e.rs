@@ -842,7 +842,7 @@ fn await_submissions(progress: &AtomicU64, target: u64) {
 /// `NetClient` fleet submits through the listener while model arrivals
 /// keep balls in the bins. At a quarter of the fleet's submissions the
 /// server arms a socket fault plan; at half it checkpoints the service,
-/// shuts its workers down, stays down briefly and resumes from the bytes,
+/// shuts it down, stays down briefly and resumes from the bytes,
 /// while the listener and its connections survive. Every submission must
 /// still land, the armed faults must fire, the resumed service must
 /// conserve balls, and a scrape after recovery must parse strictly and

@@ -599,6 +599,60 @@ fn completions_take_the_longest_waiting_ticket_of_each_label() {
     assert_eq!(completed, submitted, "every ticket completes exactly once");
 }
 
+/// The driver runs the shards one after another and hands out each
+/// round's completions in bin order, as one `CappedProcess` round serves:
+/// across 4 shards, through a crash and a recovery, a round's completions
+/// come in ascending bin, and their waits, in arrival order, are the
+/// round's reported waiting times.
+#[test]
+fn completions_arrive_in_bin_order_with_the_reported_waits() {
+    let mut service = CappedService::spawn(ServiceConfig::new(config(32, 2, 0.75), 4, 19)).unwrap();
+    let completions = service.take_completions().unwrap();
+    let dispatcher = service.dispatcher();
+    service.schedule(
+        FaultPlan::new()
+            .with(
+                3,
+                FaultEvent::CrashBins {
+                    bins: vec![1, 9, 10, 11, 17, 26, 31],
+                },
+            )
+            .with(
+                9,
+                FaultEvent::RecoverBins {
+                    bins: vec![1, 9, 10, 11, 17, 26, 31],
+                },
+            ),
+    );
+    let mut shards_in_one_round = 0;
+    let mut longest_wait = 0;
+    for round in 1..=60u64 {
+        if round <= 30 {
+            for _ in 0..24 {
+                dispatcher.submit().unwrap();
+            }
+        }
+        let report = service.run_round();
+        let done: Vec<_> = completions.try_iter().collect();
+        assert_eq!(done.len() as u64, report.deleted, "round {round}");
+        assert!(
+            done.windows(2).all(|w| w[0].bin < w[1].bin),
+            "round {round}: completions out of bin order"
+        );
+        let waits: Vec<u64> = done.iter().map(|c| c.waiting_rounds).collect();
+        assert_eq!(waits, report.waiting_times, "round {round}");
+        assert!(done.iter().all(|c| c.served_round == round));
+        let mut shards: Vec<u64> = done.iter().map(|c| c.bin / 8).collect();
+        shards.dedup();
+        shards_in_one_round = shards_in_one_round.max(shards.len());
+        longest_wait = longest_wait.max(waits.iter().copied().max().unwrap_or(0));
+    }
+    assert_eq!(shards_in_one_round, 4, "a round served every shard");
+    assert!(longest_wait >= 2, "the crash left tickets waiting");
+    assert_eq!(service.pending_tickets(), 0);
+    assert!(service.conserves_balls());
+}
+
 #[test]
 fn ttl_reaps_the_oldest_label_first_after_a_resume() {
     let cfg = ServiceConfig::new(config(8, 1, 0.0), 2, 5);

@@ -468,7 +468,6 @@ pub fn async_comparison(scale: Scale) -> ExperimentOutput {
             "async orbit/n",
             "sync avg wait",
             "async avg sojourn",
-            "little's gap",
         ],
     );
     let notes = vec![format!(
@@ -494,7 +493,6 @@ pub fn async_comparison(scale: Scale) -> ExperimentOutput {
                 (stats.mean_orbit / n as f64).into(),
                 sync.wait_mean.mean().into(),
                 stats.sojourns.mean().into(),
-                stats.littles_law_gap().into(),
             ]);
         }
     }

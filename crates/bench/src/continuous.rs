@@ -81,20 +81,6 @@ pub struct ContinuousStats {
     pub window: f64,
 }
 
-impl ContinuousStats {
-    /// Little's-law cross-check: `mean_in_system / throughput` must equal
-    /// the mean sojourn time. Returns the relative discrepancy.
-    pub fn littles_law_gap(&self) -> f64 {
-        if self.completed == 0 || self.window == 0.0 {
-            return 0.0;
-        }
-        let throughput = self.completed as f64 / self.window;
-        let predicted = self.mean_in_system / throughput;
-        let measured = self.sojourns.mean();
-        (predicted - measured).abs() / measured.max(1e-9)
-    }
-}
-
 /// What [`ContinuousCapped::observe`] adds up over its window.
 struct Tally {
     orbit_area: f64,
@@ -117,7 +103,6 @@ struct Tally {
 /// system.run_for(200.0, &mut rng);          // warm up
 /// let stats = system.observe(500.0, &mut rng);
 /// assert!(stats.completed > 0);
-/// assert!(stats.littles_law_gap() < 0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ContinuousCapped {
@@ -280,13 +265,6 @@ mod tests {
         let throughput = stats.completed as f64 / stats.window;
         assert!((throughput - 192.0).abs() < 10.0, "throughput {throughput}");
         assert!(stats.mean_in_system > 0.0);
-    }
-
-    #[test]
-    fn littles_law_self_consistency() {
-        let stats = stationary_stats(256, 2, 0.75, 3);
-        let gap = stats.littles_law_gap();
-        assert!(gap < 0.05, "Little's law gap {gap}");
     }
 
     #[test]

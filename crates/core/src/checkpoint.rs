@@ -59,12 +59,18 @@ const VERSION: u32 = 2;
 
 /// Serializes a CAPPED simulation (process state + RNG stream position).
 pub fn save(sim: &Simulation<CappedProcess>) -> Vec<u8> {
+    save_parts(sim.process(), sim.rng())
+}
+
+/// [`save`] for a process and the RNG stream that steps it, held apart
+/// (as the dispatch service holds them): the same bytes.
+pub fn save_parts(process: &CappedProcess, rng: &SimRng) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.header(TAG, VERSION);
-    for word in sim.rng().state() {
+    for word in rng.state() {
         enc.u64(word);
     }
-    sim.process().encode_into(&mut enc);
+    process.encode_into(&mut enc);
     enc.finish()
 }
 

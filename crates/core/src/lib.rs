@@ -71,4 +71,4 @@ pub use modcapped::ModCappedProcess;
 pub use pool::Pool;
 pub use process::CappedProcess;
 pub use process::KernelMode;
-pub use shard::{shard_of, shard_range, BinShard};
+pub use shard::BinShard;

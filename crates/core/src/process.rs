@@ -99,8 +99,7 @@ impl CappedProcess {
     /// Assembles a process from its state: the bins (one shard over
     /// `0..n`, holding queues, live capacities, and the fault mask), the
     /// age-sorted pool, the last completed round, and the lifetime
-    /// generated/deleted counters. This is how checkpoints are restored,
-    /// and how a sharded service describes its state as one process.
+    /// generated/deleted counters. This is how checkpoints are restored.
     ///
     /// # Panics
     ///
@@ -429,17 +428,87 @@ impl CappedProcess {
         self.run_round(batch, ChoiceSource::Slice(choices))
     }
 
+    /// Executes one round whose arrivals the caller supplies: `generated`
+    /// new balls, labeled with the new round, join the pool, and every
+    /// pooled ball draws its bin from `rng` exactly as in
+    /// [`step`](AllocationProcess::step). Every ball the round serves is
+    /// handed to `served` with its bin, in bin order, as its waiting time
+    /// lands in `report.waiting_times`.
+    ///
+    /// This is how a service steps the process: its arrivals are the
+    /// model's sample (drawn from `rng` first, as `step` does) plus the
+    /// requests it admitted, and the sink tells it which bin served each
+    /// ball.
+    pub fn step_with_arrivals<F: FnMut(usize, Ball)>(
+        &mut self,
+        generated: u64,
+        rng: &mut SimRng,
+        report: &mut RoundReport,
+        served: F,
+    ) {
+        self.run_round_into(generated, ChoiceSource::Rng(rng), report, served);
+    }
+
+    /// Elastic membership: adds `count` empty, online bins of the
+    /// configured capacity at the top of the index space, and resizes the
+    /// configuration to the new bin count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has a heterogeneous capacity profile,
+    /// which a resized configuration cannot express.
+    pub fn add_bins(&mut self, count: usize) {
+        let capacity = self.config.capacity();
+        for _ in 0..count {
+            self.bins.push_bin_with(capacity, &[], false);
+        }
+        self.resize_config();
+    }
+
+    /// Elastic membership: removes up to `count` bins from the top of the
+    /// index space, always keeping one, and resizes the configuration.
+    /// The removed bins' buffered balls re-enter the pool with their
+    /// labels and retry from the next round. Returns how many balls were
+    /// drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has a heterogeneous capacity profile.
+    pub fn remove_bins(&mut self, count: usize) -> u64 {
+        let mut drained = Vec::new();
+        for _ in 0..count.min(self.bins.len() - 1) {
+            drained.extend(self.bins.pop_bin().1);
+        }
+        self.resize_config();
+        let moved = drained.len() as u64;
+        if moved > 0 {
+            self.pool.merge_balls(drained);
+        }
+        moved
+    }
+
+    fn resize_config(&mut self) {
+        if self.bins.len() != self.config.bins() {
+            self.config = self
+                .config
+                .clone()
+                .resized(self.bins.len())
+                .expect("elastic membership needs uniform capacities");
+        }
+    }
+
     fn run_round(&mut self, generated: u64, source: ChoiceSource<'_>) -> RoundReport {
         let mut report = RoundReport::default();
-        self.run_round_into(generated, source, &mut report);
+        self.run_round_into(generated, source, &mut report, drop_served);
         report
     }
 
-    fn run_round_into(
+    fn run_round_into<F: FnMut(usize, Ball)>(
         &mut self,
         generated: u64,
         source: ChoiceSource<'_>,
         report: &mut RoundReport,
+        mut served: F,
     ) {
         let n = self.config.bins();
         self.round += 1;
@@ -493,9 +562,10 @@ impl CappedProcess {
         let serve_timer = iba_obs::PhaseTimer::start();
         let waiting_times = &mut report.waiting_times;
         waiting_times.clear();
-        let stats = self
-            .bins
-            .serve_sweep(|_, ball| waiting_times.push(ball.age_at(round)));
+        let stats = self.bins.serve_sweep(|bin, ball| {
+            waiting_times.push(ball.age_at(round));
+            served(bin, ball);
+        });
         let deleted = waiting_times.len() as u64;
         self.total_deleted += deleted;
 
@@ -525,6 +595,10 @@ impl CappedProcess {
     }
 }
 
+/// The served sink of a round whose caller wants only its report: one
+/// function item, so every such round shares one instantiation.
+fn drop_served(_: usize, _: Ball) {}
+
 impl AllocationProcess for CappedProcess {
     fn bins(&self) -> usize {
         self.config.bins()
@@ -545,7 +619,7 @@ impl AllocationProcess for CappedProcess {
 
     fn step_into(&mut self, rng: &mut SimRng, report: &mut RoundReport) {
         let generated = self.config.arrivals().sample(rng);
-        self.run_round_into(generated, ChoiceSource::Rng(rng), report);
+        self.run_round_into(generated, ChoiceSource::Rng(rng), report, drop_served);
     }
 
     fn label(&self) -> String {
@@ -931,6 +1005,48 @@ mod tests {
         FaultTolerant::surge_pool(&mut p, 42);
         assert_eq!(p.pool_size(), 42);
         assert!(p.conserves_balls());
+    }
+
+    #[test]
+    fn step_with_arrivals_hands_every_served_ball_to_the_sink() {
+        let mut p = process(16, 2, 0.5);
+        let mut reference = p.clone();
+        let (mut rng, mut ref_rng) = (SimRng::seed_from(14), SimRng::seed_from(14));
+        let mut report = RoundReport::default();
+        for _ in 0..30 {
+            let mut served = Vec::new();
+            // The model's sample, drawn first, is what `step` would draw.
+            let generated = p.config().arrivals().sample(&mut rng);
+            p.step_with_arrivals(generated, &mut rng, &mut report, |bin, ball| {
+                served.push((bin, ball))
+            });
+            assert_eq!(report, reference.step(&mut ref_rng));
+            assert!(served.windows(2).all(|w| w[0].0 < w[1].0), "bin order");
+            let waits: Vec<u64> = served.iter().map(|(_, b)| b.age_at(p.round())).collect();
+            assert_eq!(waits, report.waiting_times);
+        }
+    }
+
+    #[test]
+    fn elastic_bins_resize_the_config_and_drain_into_the_pool() {
+        let mut p = process(8, 2, 0.75);
+        let mut rng = SimRng::seed_from(15);
+        for _ in 0..10 {
+            p.step(&mut rng);
+        }
+        p.add_bins(4);
+        assert_eq!(p.config().bins(), 12);
+        assert_eq!(p.loads()[8..], [0, 0, 0, 0]);
+        p.step(&mut rng);
+        let top: usize = p.loads()[1..].iter().sum();
+        let pool = p.pool_size();
+        assert_eq!(p.remove_bins(20), top as u64, "all but one bin drain");
+        assert_eq!(p.config().bins(), 1);
+        assert_eq!(p.pool_size(), pool + top);
+        assert!(p.pool().is_age_sorted());
+        assert!(p.conserves_balls());
+        assert_eq!(p.remove_bins(1), 0, "the last bin stays");
+        assert_eq!(p.config().bins(), 1);
     }
 
     #[test]

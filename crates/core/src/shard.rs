@@ -7,20 +7,12 @@
 //! `min{c − ℓ, ν}` of its requests, then serves the head of its queue.
 //! It is the only owner of bin state in the repo:
 //! [`CappedProcess`](crate::process::CappedProcess) is a pool plus one
-//! shard over `0..n`, and the `iba-serve` dispatch service runs `S`
-//! shards over a partition of `0..n`, in parallel. Composing `S` shards
-//! therefore reproduces the process bit-exactly by construction:
-//!
-//! - acceptance at a bin depends only on that bin's load and the age order
-//!   of the requests *to that bin*, so routing an age-ordered request
-//!   stream to shards preserves Algorithm 1's "accept the oldest
-//!   min{c − ℓ, ν}" rule at every bin;
-//! - the deletion stage is bin-local by definition, and every shard runs
-//!   the same round body.
-//!
-//! The `iba-serve` differential tests anchor the composition end to end
-//! (sharded service vs. bare process, report by report and checkpoint
-//! byte by byte).
+//! shard over `0..n` (and the `iba-serve` dispatch service steps that
+//! process), and `iba_bench::ablations::AblationProcess` walks one shard
+//! ball by ball. A shard over a sub-range reproduces the process on its
+//! bins, because acceptance at a bin depends only on that bin's load and
+//! the age order of the requests *to that bin*, and the deletion stage is
+//! bin-local by definition.
 
 use std::ops::Range;
 
@@ -29,49 +21,6 @@ use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::obs;
 use crate::pool::Run;
-
-/// The contiguous bin range owned by shard `shard` when `bins` bins are
-/// partitioned across `shards` shards as evenly as possible (the first
-/// `bins % shards` shards own one extra bin).
-///
-/// # Panics
-///
-/// Panics if `shards == 0`, `shards > bins`, or `shard >= shards`.
-pub fn shard_range(bins: usize, shards: usize, shard: usize) -> Range<usize> {
-    assert!(shards > 0, "need at least one shard");
-    assert!(
-        shards <= bins,
-        "cannot spread {bins} bins over {shards} shards"
-    );
-    assert!(shard < shards, "shard index {shard} out of range");
-    let base = bins / shards;
-    let extra = bins % shards;
-    let start = shard * base + shard.min(extra);
-    let len = base + usize::from(shard < extra);
-    start..start + len
-}
-
-/// The shard owning bin `bin` under the [`shard_range`] partition.
-///
-/// # Panics
-///
-/// Panics if `shards == 0`, `shards > bins`, or `bin >= bins`.
-pub fn shard_of(bins: usize, shards: usize, bin: usize) -> usize {
-    assert!(shards > 0, "need at least one shard");
-    assert!(
-        shards <= bins,
-        "cannot spread {bins} bins over {shards} shards"
-    );
-    assert!(bin < bins, "bin index {bin} out of range");
-    let base = bins / shards;
-    let extra = bins % shards;
-    let boundary = extra * (base + 1);
-    if bin < boundary {
-        bin / (base + 1)
-    } else {
-        extra + (bin - boundary) / base
-    }
-}
 
 /// One bin's extracted state: live capacity, FIFO contents (oldest
 /// first), and offline flag — the unit of checkpoints and membership
@@ -305,25 +254,6 @@ impl BinShard {
         (cap, balls, offline)
     }
 
-    /// Splits off the shard's upper bins `at..len` as extracted parts (in
-    /// bin order), leaving this shard with `0..at`. The parts feed
-    /// [`from_parts`](Self::from_parts) on the new shard — a split moves
-    /// only the ownership of the upper half, never balls between rings.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= at < len` (both halves must be non-empty).
-    pub fn split_off(&mut self, at: usize) -> Vec<BinPart> {
-        assert!(
-            at >= 1 && at < self.len(),
-            "split point {at} must leave both halves non-empty (len {})",
-            self.len()
-        );
-        let mut parts: Vec<BinPart> = (at..self.len()).map(|_| self.pop_bin()).collect();
-        parts.reverse();
-        parts
-    }
-
     /// One bin-local round of Algorithm 1 on this shard.
     ///
     /// The requests are the label `runs`, oldest first, plus one local bin
@@ -443,35 +373,6 @@ mod tests {
 
     fn ball(label: u64) -> Ball {
         Ball::generated_in(label)
-    }
-
-    #[test]
-    fn partition_covers_all_bins_without_overlap() {
-        for (bins, shards) in [(8, 1), (8, 3), (8, 8), (17, 4), (1024, 7)] {
-            let mut next = 0;
-            for s in 0..shards {
-                let r = shard_range(bins, shards, s);
-                assert_eq!(r.start, next, "gap before shard {s}");
-                assert!(!r.is_empty());
-                for b in r.clone() {
-                    assert_eq!(shard_of(bins, shards, b), s, "owner of bin {b}");
-                }
-                next = r.end;
-            }
-            assert_eq!(next, bins, "partition must cover 0..{bins}");
-        }
-    }
-
-    #[test]
-    fn partition_is_balanced() {
-        let sizes: Vec<usize> = (0..5).map(|s| shard_range(17, 5, s).len()).collect();
-        assert_eq!(sizes, vec![4, 4, 3, 3, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot spread")]
-    fn more_shards_than_bins_panics() {
-        shard_range(2, 3, 0);
     }
 
     #[test]
@@ -695,17 +596,17 @@ mod tests {
         }
     }
 
-    /// Sequential composition of shards reproduces `CappedProcess`
-    /// bit-exactly on a shared pre-drawn choice stream — the invariant the
-    /// `iba-serve` differential test extends across threads.
+    /// Shards over a partition of the bins, run in turn, reproduce
+    /// `CappedProcess` bit-exactly on a shared pre-drawn choice stream:
+    /// acceptance and deletion are bin-local.
     #[test]
     fn shard_composition_matches_capped_process() {
         let n = 12;
-        let shards = 3;
+        let (shards, width) = (3, 4);
         let config = CappedConfig::new(n, 2, 0.75).unwrap();
         let mut reference = CappedProcess::new(config.clone());
         let mut parts: Vec<BinShard> = (0..shards)
-            .map(|s| BinShard::new(&config, shard_range(n, shards, s)))
+            .map(|s| BinShard::new(&config, s * width..(s + 1) * width))
             .collect();
         let mut pool: Vec<Ball> = Vec::new();
         let mut rng = iba_sim::SimRng::seed_from(99);
@@ -719,7 +620,7 @@ mod tests {
             // Route the same stream through the shards.
             let mut routed: Vec<Vec<(usize, Ball)>> = vec![Vec::new(); shards];
             for (&ball, &bin) in pool.iter().zip(&choices) {
-                let s = shard_of(n, shards, bin);
+                let s = bin / width;
                 routed[s].push((bin - parts[s].first_bin(), ball));
             }
             let mut merged = Vec::new();
@@ -772,60 +673,5 @@ mod tests {
         assert!(!offline);
         assert_eq!(shard.len(), 3);
         assert_eq!(shard.buffered(), 0, "bins 0 and 2 served their balls");
-    }
-
-    #[test]
-    fn split_off_and_from_parts_move_ownership_not_balls() {
-        let config = CappedConfig::new(8, 2, 0.5).unwrap();
-        let fill = [
-            (1, ball(1)),
-            (1, ball(1)),
-            (4, ball(1)),
-            (4, ball(2)),
-            (5, ball(3)),
-            (5, ball(3)),
-        ];
-        let mut shard = BinShard::new(&config, 0..6);
-        step(&mut shard, 3, &fill);
-        shard.set_offline(5, true);
-
-        let parts = shard.split_off(3);
-        assert_eq!(shard.len(), 3);
-        assert_eq!(parts.len(), 3);
-        let upper = BinShard::from_parts(3, parts);
-        assert_eq!(upper.first_bin(), 3);
-        assert_eq!(upper.len(), 3);
-        assert_eq!(
-            upper.bin(1).head(),
-            Some(&ball(2)),
-            "global bin 4 kept its ball"
-        );
-        assert!(upper.is_offline(2), "offline mask travels with the bin");
-        assert_eq!(shard.buffered() + upper.buffered(), 3, "no ball lost");
-
-        // The reunited halves run exactly like an unsplit shard.
-        let mut merged = shard.clone();
-        for (cap, balls, offline) in upper.to_parts() {
-            merged.push_bin_with(cap, &balls, offline);
-        }
-        let mut reference = BinShard::new(&config, 0..6);
-        step(&mut reference, 3, &fill);
-        reference.set_offline(5, true);
-        for round in 4..7 {
-            let stream = [(1, ball(round)), (4, ball(round)), (5, ball(round))];
-            assert_eq!(
-                step(&mut merged, round, &stream),
-                step(&mut reference, round, &stream),
-                "round {round}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "both halves non-empty")]
-    fn split_at_zero_panics() {
-        let config = CappedConfig::new(4, 2, 0.5).unwrap();
-        let mut shard = BinShard::new(&config, 0..4);
-        shard.split_off(0);
     }
 }

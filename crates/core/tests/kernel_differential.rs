@@ -573,10 +573,10 @@ fn shard_kernels_match_through_elastic_membership_changes() {
     // per-bin registers: bin growth and shrink, crash
     // and recovery, capacity degradation and raises (past the stride,
     // forcing the kernel onto the walk, and to unbounded), and a
-    // split → rebuild → re-merge round trip (the elastic-membership and
-    // fault surface the service uses).
+    // pop → rebuild → push round trip of the upper half (the
+    // elastic-membership and fault surface the service uses).
     use iba_core::pool::{expand, push_run, Run};
-    use iba_core::shard::{BinShard, ShardRoundStats};
+    use iba_core::shard::{BinPart, BinShard, ShardRoundStats};
 
     type Round = (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>);
 
@@ -640,10 +640,12 @@ fn shard_kernels_match_through_elastic_membership_changes() {
                     shard.set_capacity(2, c);
                     shard.set_capacity(4, c);
                 }
-                // Split the upper half off, rebuild it as its own shard,
-                // and merge it back.
+                // Pop the upper half off, rebuild it as its own shard,
+                // and push it back.
                 140 => {
-                    let parts = shard.split_off(5);
+                    let mut parts: Vec<BinPart> =
+                        (5..shard.len()).map(|_| shard.pop_bin()).collect();
+                    parts.reverse();
                     let upper = BinShard::from_parts(5, parts);
                     for (cap, balls, offline) in upper.to_parts() {
                         shard.push_bin_with(cap, &balls, offline);

@@ -2,7 +2,8 @@
 //! `BinShard::run_round`s with every mutator that rewrites a bin's
 //! register — crash and recovery, degrade and raise (past the stride, to
 //! unbounded and back), `push_bin_with` (overfull contents too),
-//! `pop_bin`, `split_off` → `from_parts`, and a `to_parts` round trip.
+//! `pop_bin` (one bin, or the upper bins into a shard of their own via
+//! `from_parts`), and a `to_parts` round trip.
 //!
 //! Every round runs three ways: the fused kernel, a second shard walked
 //! ball by ball through `try_accept` and finished with `serve_sweep`, and
@@ -126,12 +127,14 @@ impl Lockstep {
                 self.rebuild_spec(pool, bins);
             }
             9 if n > 1 => {
-                // Split the upper bins off into their own shard, then
-                // merge them back.
+                // Pop the upper bins off into their own shard, then push
+                // them back.
                 let at = 1 + (x as usize >> 8) % (n - 1);
                 for shard in [&mut self.fast, &mut self.walk] {
                     let first = shard.first_bin() + at;
-                    let upper = BinShard::from_parts(first, shard.split_off(at));
+                    let mut parts: Vec<BinPart> = (at..n).map(|_| shard.pop_bin()).collect();
+                    parts.reverse();
+                    let upper = BinShard::from_parts(first, parts);
                     assert_eq!(upper.first_bin(), first);
                     for (cap, balls, offline) in upper.to_parts() {
                         shard.push_bin_with(cap, &balls, offline);

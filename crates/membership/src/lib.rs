@@ -4,8 +4,8 @@
 //! not. This crate holds the two membership-change building blocks the
 //! `iba-serve` dispatch service composes into runtime grow/shrink:
 //!
-//! - **Replayable plans** ([`plan`]) — [`MembershipEvent`]s (add/remove
-//!   bins, split/merge shards) keyed to round boundaries in a
+//! - **Replayable plans** ([`plan`]) — [`MembershipEvent`]s (add or
+//!   remove bins at the top of the index space) keyed to round boundaries in a
 //!   [`MembershipPlan`], the same round-keyed container
 //!   ([`iba_sim::plan::RoundPlan`]) the fault plans use, so a churn run
 //!   replays bit-exactly.
@@ -15,8 +15,8 @@
 //!   hysteresis, patience, and cooldown.
 //!
 //! The crate depends only on `iba-sim`, for the plan container; the
-//! serve-side mechanics (arena grow/shrink, shard splits, ball draining)
-//! live in `iba-core` and `iba-serve`.
+//! mechanics (arena grow and shrink, draining removed bins into the pool)
+//! live in `iba_core::CappedProcess`, which the `iba-serve` service steps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,8 +14,7 @@ use iba_sim::plan::RoundPlan;
 /// Bin indices are dense `0..n`: growth appends at the top of the index
 /// space and shrink removes from the top (LIFO membership — the natural
 /// shape for autoscaling, and it keeps surviving bin indices stable so
-/// in-flight state never relabels). Shard events reshape the shard
-/// partition without changing `n`.
+/// in-flight state never relabels).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MembershipEvent {
     /// Adds `count` empty bins at the top of the index space. New bins
@@ -27,26 +26,10 @@ pub enum MembershipEvent {
     /// Removes the top `count` bins. Their FIFO rings drain back through
     /// the serve path: the balls re-enter the pool with their original
     /// labels (oldest-first order preserved) and retry from the next
-    /// round. The system never shrinks below one bin per shard.
+    /// round. The system never shrinks below one bin.
     RemoveBins {
         /// Number of bins to remove (clamped by the applier).
         count: usize,
-    },
-    /// Splits shard `shard`'s contiguous bin range at its midpoint into a
-    /// new shard for the upper half. Only ownership moves — no ball
-    /// leaves its ring.
-    SplitShard {
-        /// Index of the shard to split (ignored if out of range or the
-        /// shard owns a single bin).
-        shard: usize,
-    },
-    /// Merges shard `left + 1` into shard `left`; the absorbing shard
-    /// owns the concatenated range. Buffered balls transfer between the
-    /// shards (counted as moved).
-    MergeShards {
-        /// Index of the left (absorbing) shard (ignored if `left + 1` is
-        /// out of range).
-        left: usize,
     },
 }
 

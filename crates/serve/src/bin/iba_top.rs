@@ -1,16 +1,16 @@
 //! `iba-top`: a live terminal dashboard over a running CAPPED(c, λ)
 //! dispatch service.
 //!
-//! Spawns a sharded [`CappedService`] under the configured model arrival
+//! Spawns a [`CappedService`] under the configured model arrival
 //! load with telemetry force-enabled, drives it round by round, and
 //! refreshes a `top`-style dashboard: pool size against the paper's
 //! Theorem 2 bound `4·c⁻¹·ln(1/(1−λ))·n + O(c·n)`, exact waiting-time
-//! quantiles, per-shard max loads, and the phase-timing breakdown from
-//! the telemetry registry's histograms.
+//! quantiles, the max bin load, and the phase-timing breakdown from the
+//! telemetry registry's histograms.
 //!
 //! ```text
 //! cargo run --release -p iba-serve --bin iba-top -- \
-//!     --n 16384 --c 4 --lambda 0.95 --shards 8 --rounds 2000
+//!     --n 16384 --c 4 --lambda 0.95 --rounds 2000
 //! ```
 //!
 //! When stdout is a terminal the dashboard redraws in place (ANSI cursor
@@ -33,7 +33,6 @@ struct Options {
     n: usize,
     c: u32,
     lambda: f64,
-    shards: usize,
     rounds: u64,
     seed: u64,
     refresh_ms: u64,
@@ -52,7 +51,6 @@ impl Options {
             n: 16_000,
             c: 4,
             lambda: 0.95,
-            shards: 8,
             rounds: 2_000,
             seed: 2021,
             refresh_ms: 250,
@@ -63,15 +61,15 @@ impl Options {
     }
 }
 
-const USAGE: &str = "iba-top: live dashboard over a sharded CAPPED(c, lambda) service
+const USAGE: &str = "iba-top: live dashboard over a CAPPED(c, lambda) service
 
-USAGE: iba-top [--n BINS] [--c CAP] [--lambda L] [--shards S] [--rounds N]
+USAGE: iba-top [--n BINS] [--c CAP] [--lambda L] [--rounds N]
                [--seed SEED] [--refresh-ms MS] [--pace-us MICROS]
                [--snapshot PATH] [--snapshot-json PATH]
 
 Runs the service under model arrivals with telemetry enabled and refreshes
 a top-style dashboard: pool vs the Theorem 2 bound, waiting-time quantiles,
-per-shard max loads, and the registry's phase-timing breakdown.
+the max bin load, and the registry's phase-timing breakdown.
 --rounds 0 runs until interrupted; otherwise the final frame is printed and
 the process exits 0.
 --snapshot runs quietly and writes the final frame to PATH as plain text
@@ -99,7 +97,6 @@ fn parse_args() -> Result<Options, String> {
             "--n" => opts.n = parse_value(&flag, &value)?,
             "--c" => opts.c = parse_value(&flag, &value)?,
             "--lambda" => opts.lambda = parse_value(&flag, &value)?,
-            "--shards" => opts.shards = parse_value(&flag, &value)?,
             "--rounds" => opts.rounds = parse_value(&flag, &value)?,
             "--seed" => opts.seed = parse_value(&flag, &value)?,
             "--refresh-ms" => opts.refresh_ms = parse_value(&flag, &value)?,
@@ -156,11 +153,10 @@ fn render_frame(
     };
     let _ = writeln!(
         frame,
-        "iba-top — CAPPED(c={}, lambda={}) n={} shards={}  round {}/{}  up {:.1}s",
+        "iba-top — CAPPED(c={}, lambda={}) n={}  round {}/{}  up {:.1}s",
         opts.c,
         opts.lambda,
         opts.n,
-        service.shards(),
         snap.round,
         total,
         started.elapsed().as_secs_f64()
@@ -206,28 +202,14 @@ fn render_frame(
         }
     }
 
-    // Per-shard max loads, elided in the middle past 16 shards.
-    let loads = &snap.shard_max_load;
-    let rendered: Vec<String> = if loads.len() <= 16 {
-        loads.iter().map(u64::to_string).collect()
-    } else {
-        let mut v: Vec<String> = loads[..8].iter().map(u64::to_string).collect();
-        v.push(format!("... {} more ...", loads.len() - 16));
-        v.extend(loads[loads.len() - 8..].iter().map(u64::to_string));
-        v
-    };
-    let _ = writeln!(
-        frame,
-        "shards max load [{}]  (capacity {})",
-        rendered.join(" "),
-        opts.c
-    );
+    let _ = writeln!(frame, "load   max {}  (capacity {})", snap.max_load, opts.c);
 
     let _ = writeln!(frame, "phase timings (from telemetry registry):");
     for (label, metric) in [
-        ("route", "iba_serve_phase_route_nanos"),
-        ("merge", "iba_serve_phase_merge_nanos"),
-        ("shard round", "iba_serve_shard_round_nanos"),
+        ("generate", "iba_core_phase_generate_nanos"),
+        ("accept", "iba_core_phase_accept_nanos"),
+        ("serve", "iba_core_phase_serve_nanos"),
+        ("step+tickets", "iba_serve_phase_merge_nanos"),
         ("full round", "iba_serve_round_nanos"),
     ] {
         let _ = writeln!(
@@ -247,7 +229,6 @@ fn config_pairs(opts: &Options) -> Vec<(String, String)> {
         ("n".to_string(), opts.n.to_string()),
         ("c".to_string(), opts.c.to_string()),
         ("lambda".to_string(), format!("{}", opts.lambda)),
-        ("shards".to_string(), opts.shards.to_string()),
         ("rounds".to_string(), opts.rounds.to_string()),
         ("seed".to_string(), opts.seed.to_string()),
         ("kernel".to_string(), KernelMode::Arena.name().to_string()),
@@ -297,10 +278,9 @@ fn run(opts: &Options) -> Result<(), String> {
 
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, opts.shards, opts.seed).with_model_arrivals(true),
-    )
-    .map_err(|e| format!("invalid service configuration: {e}"))?;
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(capped, 1, opts.seed).with_model_arrivals(true))
+            .map_err(|e| format!("invalid service configuration: {e}"))?;
 
     // One-shot modes run quietly: no periodic frames, just the final
     // snapshot artifact(s).

@@ -1,6 +1,6 @@
 //! End-to-end demonstration and smoke test of the serving layer.
 //!
-//! Spawns a sharded [`CappedService`], pushes `rounds × λn` requests
+//! Spawns a [`CappedService`], pushes `rounds × λn` requests
 //! through it from concurrent generator threads (blocking on ingress
 //! backpressure), drains completion notifications on a collector thread,
 //! checks the conservation and capacity invariants every round, and
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release -p iba-serve --bin serve_demo -- \
-//!     --rounds 200 --shards 4 --n 4096
+//!     --rounds 200 --n 4096
 //! ```
 
 use std::process::ExitCode;
@@ -27,7 +27,6 @@ use iba_serve::{
 
 struct Options {
     rounds: u64,
-    shards: usize,
     n: usize,
     c: u32,
     lambda: f64,
@@ -50,7 +49,6 @@ impl Options {
     fn defaults() -> Self {
         Options {
             rounds: 100,
-            shards: 8,
             n: 16_384,
             c: 4,
             lambda: 0.75,
@@ -72,9 +70,9 @@ impl Options {
 }
 
 const USAGE: &str =
-    "serve_demo: push an open-loop CAPPED(c, lambda) workload through a sharded service
+    "serve_demo: push an open-loop CAPPED(c, lambda) workload through a CAPPED service
 
-USAGE: serve_demo [--rounds N] [--shards S] [--n BINS] [--c CAP] [--lambda L]
+USAGE: serve_demo [--rounds N] [--n BINS] [--c CAP] [--lambda L]
                   [--seed SEED] [--generators G] [--pace-us MICROS]
                   [--metrics-every K] [--ingress-cap Q]
                   [--telemetry] [--listen ADDR] [--elastic]
@@ -144,7 +142,6 @@ fn parse_args() -> Result<Options, String> {
             .ok_or_else(|| format!("missing value for {flag}"))?;
         match flag.as_str() {
             "--rounds" => opts.rounds = parse_value(&flag, &value)?,
-            "--shards" => opts.shards = parse_value(&flag, &value)?,
             "--n" => opts.n = parse_value(&flag, &value)?,
             "--c" => opts.c = parse_value(&flag, &value)?,
             "--lambda" => opts.lambda = parse_value(&flag, &value)?,
@@ -313,8 +310,8 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     );
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
-    let service_config = ServiceConfig::new(capped, opts.shards, opts.seed)
-        .with_ingress_capacity(opts.ingress_capacity);
+    let service_config =
+        ServiceConfig::new(capped, 1, opts.seed).with_ingress_capacity(opts.ingress_capacity);
     let checkpoint = opts.checkpoint.as_ref().map(RotatingFile::new);
     let mut service = match (&checkpoint, opts.resume) {
         (Some(file), true) => {
@@ -355,8 +352,8 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
     // key off; flush so it is visible even through a pipe.
     println!("serve_demo: listening on {}", frontend.local_addr());
     println!(
-        "serve_demo: n={} c={} lambda={} shards={} rounds={} pace={pace_us}us",
-        opts.n, opts.c, opts.lambda, opts.shards, opts.rounds
+        "serve_demo: n={} c={} lambda={} rounds={} pace={pace_us}us",
+        opts.n, opts.c, opts.lambda, opts.rounds
     );
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -470,7 +467,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let per_round = (opts.lambda * opts.n as f64).round() as u64;
     let target = opts.rounds * per_round;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, opts.shards, opts.seed)
+        ServiceConfig::new(capped, 1, opts.seed)
             .with_ingress_capacity(opts.ingress_capacity)
             .with_max_admit_per_round(Some(per_round)),
     )
@@ -480,8 +477,8 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     println!(
-        "serve_demo: n={} c={} lambda={} shards={} target={} requests ({} rounds x {}/round)",
-        opts.n, opts.c, opts.lambda, opts.shards, target, opts.rounds, per_round
+        "serve_demo: n={} c={} lambda={} target={} requests ({} rounds x {}/round)",
+        opts.n, opts.c, opts.lambda, target, opts.rounds, per_round
     );
 
     let generators = spawn_generators(&service.dispatcher(), opts.generators, target);
@@ -582,8 +579,8 @@ fn run(opts: &Options) -> Result<(), String> {
         None => println!("waiting time: no balls served"),
     }
     println!(
-        "final state: pool={} buffered={} shard max loads {:?}",
-        snapshot.pool_size, snapshot.buffered, snapshot.shard_max_load
+        "final state: pool={} buffered={} max load {}",
+        snapshot.pool_size, snapshot.buffered, snapshot.max_load
     );
     if opts.elastic {
         let (live_bins, events, moved) = elastic_state;

@@ -6,7 +6,7 @@
 //! included, and restorable by the core tooling on its own), wrapped in a
 //! serve envelope (tag `IBSV`) that adds the state only the serving layer
 //! owns: the ticket-id watermark, lifetime admission counters, the pending
-//! ticket map, and the shard topology. See
+//! ticket map, and the bin range list. See
 //! [`CappedService::checkpoint_bytes`](crate::CappedService::checkpoint_bytes) for the capture protocol and
 //! [`CappedService::resume`](crate::CappedService::resume) for the recovery guarantees (bit-identical
 //! continuation).

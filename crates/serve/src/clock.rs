@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// How round starts are spaced in wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pacing {
-    /// Run rounds back-to-back as fast as the shards go (benchmark mode).
+    /// Run rounds back-to-back as fast as the process goes (benchmark mode).
     #[default]
     Immediate,
     /// Start rounds at a fixed interval; a round that overruns its slot is

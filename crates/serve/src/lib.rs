@@ -1,15 +1,14 @@
-//! A sharded dispatch service running the CAPPED(c, λ) discipline of
+//! A dispatch service running the CAPPED(c, λ) discipline of
 //! *"Infinite Balanced Allocation via Finite Capacities"* (ICDCS 2021) as
 //! a live system instead of an offline simulation.
 //!
 //! The crate turns [`iba_core::process::CappedProcess`] into a service:
 //!
-//! - **Sharded bin state** ([`service`]) — the `n` bins are partitioned
-//!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), all owned
-//!   by the driver. Each round the driver routes the requests into the
-//!   shards, runs every shard's round itself in shard order, and merges
-//!   them; the service starts no thread. Every shard runs the same
-//!   bin-local round as `CappedProcess` (`BinShard::run_round`); between
+//! - **The process plus tickets** ([`service`]) — the service holds one
+//!   `CappedProcess` over the live bins and steps it once per round with
+//!   the round's arrivals (model balls plus admitted requests); a sink on
+//!   the process's serve sweep records each served ball's bin, and one
+//!   pass completes the tickets. The service starts no thread; between
 //!   rounds faults, membership changes and checkpoints are plain calls on
 //!   the driver.
 //! - **Round clock** ([`clock`]) — rounds are logical epochs; an optional
@@ -28,21 +27,19 @@
 //!   arrivals plus burst/surge scenarios described by the same
 //!   [`iba_sim::faults::FaultPlan`] schedules the simulator uses.
 //! - **Live metrics** ([`metrics`]) — periodic JSON-lines snapshots of
-//!   pool size, per-shard max load, and exact p50/p99/p999 waiting-time
+//!   pool size, max bin load, and exact p50/p99/p999 waiting-time
 //!   quantiles ([`iba_core::metrics::WaitQuantiles`]).
 //!
 //! Everything is std-only: no async runtime, no external crates.
 //!
 //! # Determinism and the differential guarantee
 //!
-//! The driver owns the service's only RNG stream and consumes randomness
-//! in exactly the order `CappedProcess` does (the arrival sample, then one
-//! bulk draw of every pooled ball's bin, oldest-first, consumption-identical
-//! to one uniform draw per ball); the shards draw nothing.
-//! So the service's round-by-round trajectory — pool size, bin loads,
-//! waiting times — is **bit-identical** to the bare process under the same
-//! seed, for *any* shard count, and its checkpoint embeds the process's
-//! checkpoint byte for byte. The `differential` integration test pins
+//! The driver owns the service's only RNG stream and steps the process
+//! with it: the arrival sample, then one bulk draw of every pooled ball's
+//! bin, oldest-first, exactly as `CappedProcess::step` does. So the
+//! service's round-by-round trajectory — pool size, bin loads, waiting
+//! times — is **bit-identical** to the bare process under the same seed,
+//! and its checkpoint embeds the process's checkpoint byte for byte. The `differential` integration test pins
 //! this.
 //!
 //! # Example
@@ -54,7 +51,7 @@
 //! # fn main() -> Result<(), iba_sim::error::ConfigError> {
 //! let capped = CappedConfig::new(64, 2, 0.75)?;
 //! let mut service =
-//!     CappedService::spawn(ServiceConfig::new(capped, 4, 7).with_model_arrivals(true))?;
+//!     CappedService::spawn(ServiceConfig::new(capped, 1, 7).with_model_arrivals(true))?;
 //! let report = service.run_round();
 //! assert_eq!(report.generated, 48); // λn = 0.75 · 64
 //! assert!(service.conserves_balls());
@@ -77,7 +74,6 @@ pub mod net;
 mod obs;
 pub mod proto;
 pub mod service;
-mod shard;
 pub mod workload;
 
 pub use chaos::{NetFault, NetFaultPlan};

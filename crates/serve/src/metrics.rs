@@ -1,8 +1,8 @@
 //! Live metrics export: point-in-time service snapshots and their
 //! JSON-lines encoding.
 //!
-//! The service accumulates an exact waiting-time histogram and per-shard
-//! load statistics as rounds execute; [`ServeSnapshot`] captures them at
+//! The service accumulates an exact waiting-time histogram as rounds
+//! execute and keeps its bins' loads; [`ServeSnapshot`] captures them at
 //! one instant and [`ServeSnapshot::to_json_line`] renders the snapshot
 //! as one line of JSON through the workspace's shared writer
 //! ([`iba_obs::json`]), stamped with the current
@@ -26,10 +26,10 @@ pub struct ServeSnapshot {
     pub bins: u64,
     /// Pool size (balls awaiting allocation) after that round.
     pub pool_size: u64,
-    /// Total balls in bin buffers across all shards.
+    /// Total balls in bin buffers.
     pub buffered: u64,
-    /// Maximum bin load per shard, in shard order.
-    pub shard_max_load: Vec<u64>,
+    /// Maximum bin load.
+    pub max_load: u64,
     /// Lifetime count of balls entering the system (model arrivals,
     /// admitted requests, and fault surges).
     pub total_generated: u64,
@@ -55,7 +55,7 @@ impl ServeSnapshot {
     ///     bins: 16,
     ///     pool_size: 10,
     ///     buffered: 4,
-    ///     shard_max_load: vec![2, 1],
+    ///     max_load: 2,
     ///     total_generated: 50,
     ///     total_admitted: 50,
     ///     total_served: 36,
@@ -69,7 +69,7 @@ impl ServeSnapshot {
         w.field_u64("bins", self.bins);
         w.field_u64("pool_size", self.pool_size);
         w.field_u64("buffered", self.buffered);
-        w.field_u64_array("shard_max_load", &self.shard_max_load);
+        w.field_u64("max_load", self.max_load);
         w.field_u64("total_generated", self.total_generated);
         w.field_u64("total_admitted", self.total_admitted);
         w.field_u64("total_served", self.total_served);
@@ -101,7 +101,7 @@ mod tests {
             bins: 24,
             pool_size: 345,
             buffered: 67,
-            shard_max_load: vec![2, 0, 1],
+            max_load: 2,
             total_generated: 1000,
             total_admitted: 900,
             total_served: 800,
@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(
             line,
             "{\"schema\":1,\"round\":12,\"bins\":24,\"pool_size\":345,\"buffered\":67,\
-             \"shard_max_load\":[2,0,1],\"total_generated\":1000,\
+             \"max_load\":2,\"total_generated\":1000,\
              \"total_admitted\":900,\"total_served\":800,\"wait\":null}"
         );
     }

@@ -4,8 +4,9 @@
 //! once in the global [`iba_obs`] registry and cached behind a
 //! `OnceLock`, and [`probes`] costs a single relaxed load (returning
 //! `None`) while telemetry is disabled. Driver-side probes fire once per
-//! round; the shard-round probe once per shard round; dispatcher counters
-//! once per submission attempt.
+//! round; dispatcher counters once per submission attempt. The process's
+//! own phase histograms (`iba_core_phase_{generate,accept,serve}_nanos`)
+//! tick inside the service round.
 
 use std::sync::{Arc, OnceLock};
 
@@ -14,19 +15,15 @@ use iba_obs::{global, Counter, Gauge, Histogram};
 /// The serve crate's registered metrics.
 #[derive(Debug)]
 pub(crate) struct ServeProbes {
-    /// Full driver round duration (faults + arrivals + route + merge).
+    /// Full driver round duration (membership, faults, admission, the
+    /// process's round and the completion pass).
     pub round_nanos: Arc<Histogram>,
-    /// Routing phase duration per driver round (the bulk draw and the
-    /// routing of every pooled ball).
-    pub phase_route_nanos: Arc<Histogram>,
-    /// Merge phase duration per driver round: every shard's round, in
-    /// shard order, and the merge.
+    /// Duration of the part of the round after admission: the process's
+    /// round and the completion pass.
     pub phase_merge_nanos: Arc<Histogram>,
-    /// One shard's round duration (accept + serve).
-    pub shard_round_nanos: Arc<Histogram>,
     /// Pool size after the last round.
     pub pool_size: Arc<Gauge>,
-    /// Balls buffered across all shards after the last round.
+    /// Balls buffered in the bins after the last round.
     pub buffered: Arc<Gauge>,
     /// Tickets queued at ingress when the last round began admitting.
     pub ingress_depth: Arc<Gauge>,
@@ -92,12 +89,9 @@ pub(crate) struct ServeProbes {
     pub resume_round: Arc<Gauge>,
     /// Live bin count `n` (elastic membership moves this at runtime).
     pub live_bins: Arc<Gauge>,
-    /// Live shard count (the driver runs every shard's round).
-    pub live_shards: Arc<Gauge>,
-    /// Membership events applied (add/remove/split/merge), lifetime.
+    /// Membership events applied (add/remove bins), lifetime.
     pub membership_events: Arc<Counter>,
-    /// Balls physically relocated by membership changes (drained from
-    /// removed bins or transferred between shards), lifetime.
+    /// Balls drained from removed bins into the pool, lifetime.
     pub balls_moved: Arc<Counter>,
 }
 
@@ -106,9 +100,7 @@ impl ServeProbes {
         let r = global();
         ServeProbes {
             round_nanos: r.histogram("iba_serve_round_nanos"),
-            phase_route_nanos: r.histogram("iba_serve_phase_route_nanos"),
             phase_merge_nanos: r.histogram("iba_serve_phase_merge_nanos"),
-            shard_round_nanos: r.histogram("iba_serve_shard_round_nanos"),
             pool_size: r.gauge("iba_serve_pool_size"),
             buffered: r.gauge("iba_serve_buffered"),
             ingress_depth: r.gauge("iba_serve_ingress_depth"),
@@ -141,7 +133,6 @@ impl ServeProbes {
             checkpoint_resumes: r.counter("iba_serve_checkpoint_resumes_total"),
             resume_round: r.gauge("iba_serve_resume_round"),
             live_bins: r.gauge("iba_serve_bins"),
-            live_shards: r.gauge("iba_serve_shards"),
             membership_events: r.counter("iba_serve_membership_events_total"),
             balls_moved: r.counter("iba_serve_balls_moved_total"),
         }

@@ -1,37 +1,30 @@
-//! The sharded CAPPED(c, λ) dispatch service.
+//! The CAPPED(c, λ) dispatch service: the process plus tickets.
 //!
-//! [`CappedService::spawn`] partitions the configured bins into `S`
-//! contiguous shards and wires up the admission front end. The driver
-//! (the thread calling [`run_round`](CappedService::run_round)) owns
-//! every shard and runs every shard's round itself, so the service
-//! starts no thread. Each call executes the paper's Algorithm 1 once:
+//! A [`CappedService`] holds one [`CappedProcess`] over the live bins and
+//! the one RNG stream that steps it, and wires the admission front end
+//! around them. The driver (the thread calling
+//! [`run_round`](CappedService::run_round)) executes the paper's
+//! Algorithm 1 once per call:
 //!
-//! 1. apply the scheduled membership changes and fault events (through
-//!    [`FaultSchedule`], the same applier
-//!    [`iba_sim::faults::FaultedProcess`] uses);
-//! 2. generate arrivals — the configured arrival model, client requests
-//!    admitted from the bounded ingress queue, or both — into the pool;
-//! 3. draw every pooled ball's bin in bulk
-//!    ([`SimRng::fill_uniform_bins`], consumption-identical to one
-//!    uniform draw per ball, oldest-first), route the pool's label runs in
-//!    the same pass — each shard gets the local bin of every ball it owns
-//!    and the label runs of those balls;
-//! 4. run every shard's bin-local round in shard order and merge: the
-//!    shards' reject runs merge label by label back into the global pool
-//!    (retrying next round), served balls produce waiting times and
-//!    ticket [`Completion`]s in bin order.
+//! 1. apply the scheduled membership changes (bins join and leave at the
+//!    top of the index space) and fault events (through [`FaultSchedule`],
+//!    the same applier [`iba_sim::faults::FaultedProcess`] uses);
+//! 2. count the round's arrivals — the configured arrival model's sample,
+//!    client requests admitted from the bounded ingress queue, or both;
+//! 3. step the process with them
+//!    ([`CappedProcess::step_with_arrivals`]): every pooled ball draws its
+//!    bin, the bins accept oldest-first and serve, and a sink records the
+//!    bin of every served ball;
+//! 4. complete tickets in one pass over the served balls, in bin order: a
+//!    ball that waited `w` rounds carries label `round − w` and takes the
+//!    longest-waiting ticket of that label.
 //!
-//! Faults, membership changes and checkpoints are plain method calls on
-//! the shards' [`BinShard`]s between rounds. The bins of one round
-//! accept and serve independently, so running the shards one after
-//! another on one thread is Algorithm 1's round as it stands; the
-//! service's only concurrency is its callers ([`Dispatcher`] clones on
-//! any thread, a network front end on its own).
+//! The service starts no thread; its only concurrency is its callers
+//! ([`Dispatcher`] clones on any thread, a network front end on its own).
 //!
 //! Rejected requests never time out — exactly the paper's pool
-//! semantics. Together with the driver owning the only RNG stream, this
-//! is what makes the service's trajectory provably identical to
-//! `CappedProcess` under the same seed, for any shard count.
+//! semantics. The service's round *is* the process's round, so its
+//! trajectory is identical to `CappedProcess` under the same seed.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -40,37 +33,33 @@ use std::sync::Arc;
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::metrics::WaitQuantiles;
-use iba_core::pool::Run;
-use iba_core::shard::{shard_range, BinShard};
-use iba_core::{Capacity, CappedConfig, CappedProcess, KernelMode, Pool};
+use iba_core::{CappedConfig, CappedProcess, KernelMode};
 use iba_membership::{Autoscaler, MembershipEvent, MembershipPlan};
 use iba_sim::codec::{Decoder, Encoder};
 use iba_sim::error::ConfigError;
-use iba_sim::faults::{FaultAction, FaultPlan, FaultSchedule};
+use iba_sim::faults::{FaultPlan, FaultSchedule};
 use iba_sim::process::RoundReport;
 use iba_sim::stats::Histogram;
-use iba_sim::{AllocationProcess, SimRng, Simulation};
+use iba_sim::{AllocationProcess, SimRng};
 
 use crate::checkpoint::ResumeError;
 use crate::dispatch::{Completion, Dispatcher, Ingress, Ticket};
 use crate::metrics::ServeSnapshot;
 use crate::obs;
-use crate::shard::Slot;
 
 /// Service checkpoint envelope tag ("IBa SerVe"). The envelope wraps a
 /// complete `iba_core::checkpoint` payload (tag `IBA1`) as an opaque byte
 /// blob and adds the serve-only state around it: the RNG-mode word
-/// (always 0), the shard count, the ticket-id watermark, and the pending
+/// (always 0), the range count, the ticket-id watermark, and the pending
 /// ticket map. Version 2 appends the membership section (live bin count,
-/// shard range ends, balls-moved and membership-event counters) so crash
-/// recovery works mid-resize; version-1 envelopes stay readable.
+/// range ends, balls-moved and membership-event counters) so crash
+/// recovery works mid-resize; version-1 envelopes stay readable. The
+/// service writes one range, `0..live_n`; older services wrote one per
+/// shard, and any ascending list of range ends that ends at the live bin
+/// count still resumes.
 const ENVELOPE_TAG: &str = "IBSV";
 /// Current envelope format version.
 const ENVELOPE_VERSION: u32 = 2;
-
-/// Balls whose bins the driver draws and routes at a time: the choices
-/// stay in L1 between the draw and the routing.
-const ROUTE_CHUNK: usize = 1024;
 
 /// Where the service's randomness comes from.
 ///
@@ -82,7 +71,7 @@ pub enum RngMode {
     /// The driver owns the single RNG stream and consumes it in exactly
     /// the order [`iba_core::process::CappedProcess`] does, making the
     /// service trajectory bit-identical to the bare process under the
-    /// same seed (any shard count).
+    /// same seed.
     #[default]
     Central,
 }
@@ -92,9 +81,9 @@ pub enum RngMode {
 pub struct ServiceConfig {
     /// The CAPPED(c, λ) parameters.
     pub capped: CappedConfig,
-    /// Number of shards (`1..=n`): the contiguous bin ranges that
-    /// membership events split and merge. The driver runs every shard's
-    /// round.
+    /// Checked to lie in `1..=n` and otherwise unused: the service runs
+    /// one bin set. It goes with the benchmark's API shims (ROADMAP
+    /// item 3).
     pub shards: usize,
     /// Seed of the driver's RNG stream, the service's only one.
     pub seed: u64,
@@ -174,15 +163,17 @@ impl ServiceConfig {
     }
 }
 
-/// A running sharded CAPPED(c, λ) service. See the [module docs](self)
-/// for the per-round protocol.
+/// A running CAPPED(c, λ) service. See the [module docs](self) for the
+/// per-round protocol.
 ///
 /// Dropping the service closes its ingress; [`shutdown`](Self::shutdown)
 /// ends its rounds.
 pub struct CappedService {
+    /// The configuration the service was started with; membership resizes
+    /// only the process's copy.
     config: CappedConfig,
-    /// The shards in bin order; they tile `0..live_bins()`.
-    slots: Vec<Slot>,
+    /// The pool, the live bins and the round counters.
+    process: CappedProcess,
     model_arrivals: bool,
     max_admit: Option<u64>,
     driver_rng: SimRng,
@@ -200,21 +191,18 @@ pub struct CappedService {
     autoscaler: Option<Autoscaler>,
     /// Lifetime count of membership events that changed the topology.
     membership_events: u64,
-    /// Lifetime count of balls physically relocated by membership changes
-    /// (drained from removed bins or transferred between shards).
+    /// Lifetime count of balls drained from removed bins into the pool.
     balls_moved: u64,
-    pool: Pool,
     /// Tickets awaiting service: one id range per round that admitted
-    /// any, in ascending label order, none empty. Labels never exceed
-    /// `round` and ids ascend with labels, so admission appends and TTL
-    /// reaping pops the front. Balls with equal labels are
+    /// any, in ascending label order, none empty between rounds. Labels
+    /// never exceed `round` and ids ascend with labels, so admission
+    /// appends and TTL reaping pops the front. Balls with equal labels are
     /// interchangeable, so matching a served ball to the longest-waiting
     /// ticket of its label is consistent.
     pending: VecDeque<PendingRound>,
-    round: u64,
-    total_generated: u64,
+    /// The bin of every ball the last round served, in bin order.
+    served_bins: Vec<u32>,
     total_admitted: u64,
-    total_served: u64,
     wait_hist: Histogram,
     ticket_ttl: Option<u64>,
     /// Ticket ids reaped by TTL expiry since the last
@@ -238,15 +226,14 @@ impl std::fmt::Debug for CappedService {
         f.debug_struct("CappedService")
             .field("config", &self.config)
             .field("live_bins", &self.live_bins())
-            .field("shards", &self.shards())
-            .field("round", &self.round)
-            .field("pool_size", &self.pool.len())
+            .field("round", &self.round())
+            .field("pool_size", &self.pool_size())
             .finish_non_exhaustive()
     }
 }
 
 impl CappedService {
-    /// Partitions the bins and returns the running service.
+    /// Returns the running service over a fresh process.
     ///
     /// # Errors
     ///
@@ -254,19 +241,10 @@ impl CappedService {
     /// `1..=n`.
     pub fn spawn(config: ServiceConfig) -> Result<Self, ConfigError> {
         Self::validate(&config)?;
-        let n = config.capped.bins();
-        let slots = (0..config.shards)
-            .map(|s| {
-                Slot::new(BinShard::new(
-                    &config.capped,
-                    shard_range(n, config.shards, s),
-                ))
-            })
-            .collect();
         Ok(Self::assemble(
             &config,
+            CappedProcess::new(config.capped.clone()),
             SimRng::seed_from(config.seed),
-            slots,
             0,
         ))
     }
@@ -281,17 +259,17 @@ impl CappedService {
         Ok(())
     }
 
-    /// Builds the service around prepared shards; shared by
-    /// [`spawn`](Self::spawn) (fresh shards) and [`resume`](Self::resume)
-    /// (checkpointed shards).
+    /// Builds the service around a process and its RNG stream; shared by
+    /// [`spawn`](Self::spawn) (a fresh process) and
+    /// [`resume`](Self::resume) (a restored one).
     fn assemble(
         config: &ServiceConfig,
+        process: CappedProcess,
         driver_rng: SimRng,
-        slots: Vec<Slot>,
         first_ticket_id: u64,
     ) -> Self {
         CappedService {
-            slots,
+            process,
             model_arrivals: config.model_arrivals,
             max_admit: config.max_admit_per_round,
             driver_rng,
@@ -305,12 +283,9 @@ impl CappedService {
             autoscaler: None,
             membership_events: 0,
             balls_moved: 0,
-            pool: Pool::new(),
             pending: VecDeque::new(),
-            round: 0,
-            total_generated: 0,
+            served_bins: Vec::new(),
             total_admitted: 0,
-            total_served: 0,
             wait_hist: Histogram::new(),
             ticket_ttl: config.ticket_ttl_rounds,
             expired_tickets: Vec::new(),
@@ -331,9 +306,9 @@ impl CappedService {
     /// never collide with pre-crash ids), the lifetime admission counter,
     /// and the pending tickets. The resumed trajectory is
     /// **bit-identical** to the uninterrupted run (the differential test
-    /// pins this). A checkpoint taken with every configured bin live
-    /// resumes onto `config.shards` balanced shards, whatever shard count
-    /// it was taken with; a mid-resize checkpoint keeps its saved ranges.
+    /// pins this). An envelope's range list (one range per shard of the
+    /// service that wrote it) only has to ascend and end at the live bin
+    /// count: the service runs one bin set, whatever `config.shards` says.
     ///
     /// Not restored (by design): scheduled fault plans and active bursts
     /// (re-[`schedule`](Self::schedule) after resume, shifting rounds as
@@ -358,7 +333,7 @@ impl CappedService {
         if dec.u32("rng mode")? != 0 {
             return Err(ResumeError::Invalid { what: "rng mode" });
         }
-        let saved_shards = dec.usize("shard count")?;
+        let saved_ranges = dec.usize("shard count")?;
         let next_ticket_id = dec.u64("ticket watermark")?;
         let total_admitted = dec.u64("total admitted")?;
         let total_expired = dec.u64("total expired")?;
@@ -396,33 +371,34 @@ impl CappedService {
                 ids: first..last + 1,
             });
         }
-        // Version 2 appends the membership section; a v1 envelope is a
-        // fixed-topology run (live n = configured n, balanced ranges).
-        let (live_n, saved_ends, balls_moved, membership_events) = if version >= 2 {
+        // Version 2 appends the membership section; a v1 envelope is a run
+        // at the configured n. The range ends must ascend from a non-empty
+        // first range to the live bin count: this service writes one
+        // range, the sharded services before it one per shard.
+        let (live_n, balls_moved, membership_events) = if version >= 2 {
             let live_n = dec.usize("live bin count")?;
-            let ends: Vec<u64> = dec.u64_seq("shard range ends")?;
-            let balls_moved = dec.u64("balls moved")?;
-            let membership_events = dec.u64("membership events")?;
-            (live_n, Some(ends), balls_moved, membership_events)
+            let ends = dec.u64_seq("shard range ends")?;
+            let tiles = ends.len() == saved_ranges
+                && ends.first().is_some_and(|&first| first >= 1)
+                && ends.windows(2).all(|w| w[0] < w[1])
+                && ends.last() == Some(&(live_n as u64));
+            if !tiles {
+                return Err(ResumeError::Invalid {
+                    what: "shard range ends",
+                });
+            }
+            (
+                live_n,
+                dec.u64("balls moved")?,
+                dec.u64("membership events")?,
+            )
         } else {
-            (config.capped.bins(), None, 0, 0)
+            (config.capped.bins(), 0, 0)
         };
         if !dec.is_exhausted() {
             return Err(ResumeError::Invalid {
                 what: "trailing bytes",
             });
-        }
-        if let Some(ends) = &saved_ends {
-            let contiguous = ends.len() == saved_shards
-                && !ends.is_empty()
-                && *ends.last().expect("non-empty") == live_n as u64
-                && ends.windows(2).all(|w| w[0] < w[1])
-                && ends[0] >= 1;
-            if !contiguous {
-                return Err(ResumeError::Invalid {
-                    what: "shard range ends",
-                });
-            }
         }
 
         let sim = iba_core::checkpoint::restore(&core_bytes)?;
@@ -450,102 +426,34 @@ impl CappedService {
                 what: "more pending tickets of a label than balls",
             });
         }
-        let driver_rng = SimRng::from_state(sim.rng().state());
-        // Topology: the driver owns all the randomness, so a no-churn
-        // checkpoint (every v1 envelope included) resumes onto whatever
-        // shard count the caller asked for; a mid-resize run keeps its
-        // saved ranges.
-        let ranges: Vec<Range<usize>> = match saved_ends {
-            Some(ends) if live_n != config.capped.bins() => {
-                let mut start = 0usize;
-                ends.iter()
-                    .map(|&end| {
-                        let range = start..end as usize;
-                        start = end as usize;
-                        range
-                    })
-                    .collect()
-            }
-            _ => (0..config.shards)
-                .map(|s| shard_range(live_n, config.shards, s))
-                .collect(),
-        };
-        let slots = ranges
-            .into_iter()
-            .map(|range| {
-                let first_bin = range.start;
-                let parts = range
-                    .map(|i| {
-                        let bin = process.bin(i);
-                        let contents = bin.iter().copied().collect();
-                        (bin.capacity(), contents, process.is_bin_offline(i))
-                    })
-                    .collect();
-                Slot::new(BinShard::from_parts(first_bin, parts))
-            })
-            .collect();
-
-        let mut service = Self::assemble(&config, driver_rng, slots, next_ticket_id);
-        service.round = process.round();
-        service.total_generated = process.total_generated();
-        service.total_served = process.total_deleted();
+        let driver_rng = sim.rng().clone();
+        let mut service = Self::assemble(&config, sim.into_process(), driver_rng, next_ticket_id);
         service.total_admitted = total_admitted;
         service.total_expired = total_expired;
         service.balls_moved = balls_moved;
         service.membership_events = membership_events;
-        service.pool = process.pool().clone();
         service.pending = pending;
         if let Some(p) = obs::probes() {
             p.checkpoint_resumes.inc();
-            p.resume_round.set(service.round);
+            p.resume_round.set(service.round());
         }
         Ok(service)
     }
 
     /// Serializes the full service state for a later
     /// [`resume`](Self::resume): the embedded core checkpoint (`IBA1`,
-    /// byte-compatible with `iba_core::checkpoint`) wrapped in the serve
-    /// envelope (`IBSV`). The driver holds every shard between rounds, so
-    /// the capture is consistent.
+    /// byte-compatible with `iba_core::checkpoint`) of the process and the
+    /// driver's RNG stream, wrapped in the serve envelope (`IBSV`). A
+    /// mid-resize service's process carries the resized configuration, so
+    /// restore-side validation (CRC, conservation, pool order) runs
+    /// against the live bin count.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        // The inner core checkpoint is the `iba_core::checkpoint` of the
-        // process this service is: the pool, the counters, the driver's
-        // RNG, and one shard holding every bin (shards own contiguous
-        // ascending ranges, so concatenating their parts in shard order
-        // walks the bins globally in order). Restore-side validation (CRC,
-        // conservation, pool order) comes for free. A mid-resize service
-        // embeds the resized configuration so that validation runs
-        // against the live bin count.
-        let live_n = self.live_bins();
-        let inner_config = if live_n == self.config.bins() {
-            self.config.clone()
-        } else {
-            self.config
-                .clone()
-                .resized(live_n)
-                .expect("membership is gated to resizable configurations")
-        };
-        let parts = self
-            .slots
-            .iter()
-            .flat_map(|slot| slot.bins.to_parts())
-            .collect();
-        let process = CappedProcess::from_parts(
-            inner_config,
-            BinShard::from_parts(0, parts),
-            self.pool.clone(),
-            self.round,
-            self.total_generated,
-            self.total_served,
-        );
-        let core_bytes =
-            iba_core::checkpoint::save(&Simulation::new(process, self.driver_rng.clone()));
-
+        let core_bytes = iba_core::checkpoint::save_parts(&self.process, &self.driver_rng);
         let mut enc = Encoder::new();
         enc.header(ENVELOPE_TAG, ENVELOPE_VERSION);
         enc.byte_seq(&core_bytes);
         enc.u32(0); // RNG mode: the driver-owned stream is the only one
-        enc.usize(self.shards());
+        enc.usize(1); // one bin range
         enc.u64(self.ingress.next_id());
         enc.u64(self.total_admitted);
         enc.u64(self.total_expired);
@@ -556,8 +464,9 @@ impl CappedService {
             entry.ids.clone().for_each(|id| enc.u64(id));
         }
         // Membership section (envelope v2).
+        let live_n = self.live_bins();
         enc.usize(live_n);
-        enc.u64_seq(self.slots.iter().map(|slot| slot.end() as u64));
+        enc.u64_seq(std::iter::once(live_n as u64));
         enc.u64(self.balls_moved);
         enc.u64(self.membership_events);
         if let Some(p) = obs::probes() {
@@ -642,16 +551,10 @@ impl CappedService {
         &self.config
     }
 
-    /// Number of shards. Moves with shard split/merge events and
-    /// shrink-driven retirements.
-    pub fn shards(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Live bin count; starts at `config().bins()` and moves with
     /// membership events.
     pub fn live_bins(&self) -> usize {
-        self.slots.last().map_or(0, |slot| slot.end())
+        self.process.bins()
     }
 
     /// Lifetime count of membership events that changed the topology.
@@ -659,14 +562,13 @@ impl CappedService {
         self.membership_events
     }
 
-    /// Lifetime count of balls physically relocated by membership changes
-    /// (drained from removed bins back into the pool, or transferred
-    /// between shards by a shard merge).
+    /// Lifetime count of balls drained from removed bins back into the
+    /// pool by membership changes.
     pub fn balls_moved(&self) -> u64 {
         self.balls_moved
     }
 
-    /// Acceptance kernel every shard runs: always [`KernelMode::Arena`],
+    /// Acceptance kernel the process runs: always [`KernelMode::Arena`],
     /// the one kernel. Kept for the repository benchmark, which prints it;
     /// it goes with the benchmark's API shims (ROADMAP item 3).
     pub fn kernel_mode(&self) -> KernelMode {
@@ -675,23 +577,23 @@ impl CappedService {
 
     /// Last completed round.
     pub fn round(&self) -> u64 {
-        self.round
+        self.process.round()
     }
 
     /// Current pool size (balls awaiting allocation).
     pub fn pool_size(&self) -> usize {
-        self.pool.len()
+        self.process.pool_size()
     }
 
-    /// Total balls buffered across all shards (as of the last round).
+    /// Total balls buffered in the bins.
     pub fn buffered(&self) -> u64 {
-        self.slots.iter().map(|slot| slot.stats.buffered).sum()
+        self.process.buffered() as u64
     }
 
     /// Lifetime count of balls that entered the system (model arrivals +
     /// admitted requests + fault surges).
     pub fn total_generated(&self) -> u64 {
-        self.total_generated
+        self.process.total_generated()
     }
 
     /// Lifetime count of admitted client requests.
@@ -701,7 +603,7 @@ impl CappedService {
 
     /// Lifetime count of served balls.
     pub fn total_served(&self) -> u64 {
-        self.total_served
+        self.process.total_deleted()
     }
 
     /// Number of admitted requests not yet served (and not reaped), summed
@@ -727,7 +629,7 @@ impl CappedService {
     /// Ball conservation: everything that entered the system is served,
     /// pooled, or buffered.
     pub fn conserves_balls(&self) -> bool {
-        self.total_generated == self.total_served + self.pool.len() as u64 + self.buffered()
+        self.process.conserves_balls()
     }
 
     /// Exact waiting-time quantiles over every ball served so far.
@@ -738,20 +640,20 @@ impl CappedService {
     /// Captures a metrics snapshot (see [`ServeSnapshot`]).
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
-            round: self.round,
+            round: self.round(),
             bins: self.live_bins() as u64,
-            pool_size: self.pool.len() as u64,
+            pool_size: self.pool_size() as u64,
             buffered: self.buffered(),
-            shard_max_load: self.slots.iter().map(|slot| slot.stats.max_load).collect(),
-            total_generated: self.total_generated,
+            max_load: self.process.loads().into_iter().max().unwrap_or(0) as u64,
+            total_generated: self.total_generated(),
             total_admitted: self.total_admitted,
-            total_served: self.total_served,
+            total_served: self.total_served(),
             wait: self.wait_quantiles(),
         }
     }
 
-    /// Executes one round of Algorithm 1 across the shards and returns
-    /// the same [`RoundReport`] the bare process would produce.
+    /// Executes one round of Algorithm 1 and returns the process's
+    /// [`RoundReport`] for it.
     ///
     /// # Panics
     ///
@@ -759,78 +661,40 @@ impl CappedService {
     pub fn run_round(&mut self) -> RoundReport {
         assert!(!self.stopped, "service was shut down");
         let round_timer = iba_obs::PhaseTimer::start();
-        let round = self.round + 1;
+        let round = self.round() + 1;
 
         // 1. Membership changes at the round boundary fix this round's
-        // topology; then the round's faults (which target the possibly
-        // resized bin set — surge balls keep the pre-round label, matching
-        // FaultedProcess + inject_pool).
+        // bins; then the round's faults (which target the possibly resized
+        // bin set — surge balls keep the pre-round label).
         self.apply_membership(round);
-        self.apply_faults(round);
-        self.round = round;
-        let n = self.live_bins();
+        let generated_before = self.process.total_generated();
+        self.faults.apply(&mut self.process);
+        let surged = self.process.total_generated() - generated_before;
 
-        // 2. Arrivals: model generation first, then admitted requests —
+        // 2. Arrivals: the model's sample first (the RNG's first draw of
+        // the round, as in `CappedProcess::step`), then admitted requests —
         // all labeled with the new round.
         let model = if self.model_arrivals {
-            let generated = self.config.arrivals().sample(&mut self.driver_rng);
-            self.pool.push_generation(round, generated);
-            generated
+            self.config.arrivals().sample(&mut self.driver_rng)
         } else {
             0
         };
         let admitted = self.admit(round);
-        self.total_generated += model + admitted;
-        let thrown = self.pool.len() as u64;
 
-        // 3. Draw every pooled ball's bin (oldest-first, in cache-sized
-        // bulk draws that consume the stream exactly as one draw per ball
-        // would) and route each ball to the shard owning its bin.
-        let route_timer = iba_obs::PhaseTimer::start();
-        let mut runs = self.pool.take_runs();
-        route(&mut self.slots, &mut self.driver_rng, n, &runs);
-
-        // 4. Run every shard's round in shard order, then merge.
-        let merge_timer = iba_obs::PhaseTimer::start();
-        if let Some(p) = obs::probes() {
-            route_timer.observe(&p.phase_route_nanos);
-        }
-        self.slots.iter_mut().for_each(Slot::run);
-
-        let mut accepted = 0u64;
-        let mut failed_deletions = 0u64;
-        let mut buffered = 0u64;
-        let mut max_load = 0u64;
-        let served_before = self.total_served;
-        let mut waiting_times =
-            Vec::with_capacity(self.slots.iter().map(|slot| slot.served.len()).sum());
-        for slot in &self.slots {
-            accepted += slot.stats.accepted;
-            failed_deletions += slot.stats.failed_deletions;
-            buffered += slot.stats.buffered;
-            max_load = max_load.max(slot.stats.max_load);
-            // Shards own contiguous bin ranges, so concatenating in shard
-            // order reproduces the bare process's bin-order vector.
-            let first_bin = slot.bins.first_bin() as u64;
-            for &(local, ball) in &slot.served {
-                let wait = ball.age_at(round);
-                waiting_times.push(wait);
-                complete(
-                    &mut self.pending,
-                    self.completions.as_ref(),
-                    ball.label(),
-                    round,
-                    wait,
-                    first_bin + u64::from(local),
-                );
-            }
-        }
-        self.total_served += waiting_times.len() as u64;
-        self.wait_hist.record_all(&waiting_times);
-
-        // The pool's run buffer takes the merged rejects.
-        merge_rejects(&mut self.slots, &mut runs);
-        self.pool.restore_runs(runs);
+        // 3. The process's round, recording the bin of every served ball;
+        // 4. then the tickets those balls complete.
+        let step_timer = iba_obs::PhaseTimer::start();
+        let mut report = RoundReport::default();
+        let served_bins = &mut self.served_bins;
+        served_bins.clear();
+        self.process.step_with_arrivals(
+            model + admitted,
+            &mut self.driver_rng,
+            &mut report,
+            |bin, _| served_bins.push(bin as u32),
+        );
+        self.complete(round, &report.waiting_times);
+        self.wait_hist.record_all(&report.waiting_times);
 
         // 5. Deadline reaping: forget completion-notification state for
         // tickets past the TTL. The balls themselves stay pooled/buffered
@@ -859,6 +723,7 @@ impl CappedService {
         // 6. Autoscaling: compare the pool against the Theorem-2 bound
         // for the *live* capacity; a triggered event lands at the next
         // round boundary.
+        let n = self.live_bins();
         if let Some(scaler) = self.autoscaler.as_mut() {
             let c = self
                 .config
@@ -866,46 +731,24 @@ impl CappedService {
                 .as_finite()
                 .expect("autoscaler install is gated to finite capacities");
             let bound = theorem2_pool_bound(n, c, self.config.lambda());
-            let (_decision, event) = scaler.observe(round, n, self.pool.len() as u64, bound);
+            let (_decision, event) = scaler.observe(round, n, report.pool_size, bound);
             if let Some(event) = event {
                 self.mplan.insert(round + 1, event);
             }
         }
 
         if let Some(p) = obs::probes() {
-            merge_timer.observe(&p.phase_merge_nanos);
+            step_timer.observe(&p.phase_merge_nanos);
             round_timer.observe(&p.round_nanos);
             p.live_bins.set(n as u64);
-            p.live_shards.set(self.shards() as u64);
-            p.pool_size.set(self.pool.len() as u64);
-            p.buffered.set(buffered);
+            p.pool_size.set(report.pool_size);
+            p.buffered.set(report.buffered);
             p.pending_tickets.set(self.pending_tickets() as u64);
-            p.max_load_high_water.record_max(max_load);
-            p.served.add(self.total_served - served_before);
-            iba_obs::flight::recorder().record_round(iba_obs::flight::RoundSample {
-                round,
-                generated: model + admitted,
-                accepted,
-                deleted: waiting_times.len() as u64,
-                failed_deletions,
-                pool_size: self.pool.len() as u64,
-                buffered,
-                max_load,
-            });
+            p.max_load_high_water.record_max(report.max_load);
+            p.served.add(report.deleted);
+            p.surge_balls.add(surged);
         }
-
-        RoundReport {
-            round,
-            generated: model + admitted,
-            thrown,
-            accepted,
-            deleted: waiting_times.len() as u64,
-            failed_deletions,
-            pool_size: self.pool.len() as u64,
-            buffered,
-            max_load,
-            waiting_times,
-        }
+        report
     }
 
     /// Runs `count` rounds back-to-back, returning the last report.
@@ -928,43 +771,14 @@ impl CappedService {
         self.stopped = true;
     }
 
-    /// Applies the faults due before `round` to the shards and the pool.
-    fn apply_faults(&mut self, round: u64) {
-        let n = self.live_bins();
-        self.faults.apply(round, n, |action| match action {
-            FaultAction::Crash(i) | FaultAction::Recover(i) => {
-                let (slot, local) = locate(&mut self.slots, i);
-                slot.bins
-                    .set_offline(local, matches!(action, FaultAction::Crash(_)));
-            }
-            FaultAction::SetCapacity(i, capacity) => {
-                let capacity = capacity.map_or(Capacity::Infinite, |c| {
-                    Capacity::finite(c).expect("schedules skip zero capacities")
-                });
-                let (slot, local) = locate(&mut self.slots, i);
-                slot.bins.set_capacity(local, capacity);
-            }
-            // Unticketed balls labeled with the *current* (pre-step)
-            // round — `CappedProcess::inject_pool` semantics.
-            FaultAction::Surge(extra) => {
-                self.pool.push_generation(self.round, extra);
-                self.total_generated += extra;
-                if let Some(p) = obs::probes() {
-                    p.surge_balls.add(extra);
-                }
-            }
-        });
-    }
-
-    /// Admits the oldest queued ids (up to the per-round cap) into the
-    /// pool in one range take, queueing that range as one `pending` entry.
+    /// Admits the oldest queued ids (up to the per-round cap) in one range
+    /// take, queueing that range as one `pending` entry; returns how many.
     fn admit(&mut self, round: u64) -> u64 {
         if let Some(p) = obs::probes() {
             p.ingress_depth.set(self.ingress.depth());
         }
         let ids = self.ingress.take(self.max_admit);
         let admitted = ids.end - ids.start;
-        self.pool.push_generation(round, admitted);
         if admitted > 0 {
             debug_assert!(self.pending.back().is_none_or(|last| last.label < round));
             self.pending.push_back(PendingRound { label: round, ids });
@@ -976,6 +790,41 @@ impl CappedService {
         admitted
     }
 
+    /// Completes the tickets of the balls round `round` served: the ball
+    /// served in `served_bins[k]` waited `waits[k]` rounds, so its label
+    /// is `round − waits[k]`, and it takes the longest-waiting ticket of
+    /// that label (balls with equal labels are interchangeable). Model
+    /// and surge balls find no ticket left. Completions go out in bin
+    /// order; emptied entries are dropped after the pass.
+    fn complete(&mut self, round: u64, waits: &[u64]) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let pending = self.pending.make_contiguous();
+        for (&bin, &wait) in self.served_bins.iter().zip(waits) {
+            let label = round - wait;
+            let at = pending.partition_point(|entry| entry.label < label);
+            let Some(entry) = pending
+                .get_mut(at)
+                .filter(|e| e.label == label && !e.ids.is_empty())
+            else {
+                continue;
+            };
+            let id = entry.ids.start;
+            entry.ids.start += 1;
+            if let Some(tx) = &self.completions {
+                let _ = tx.send(Completion {
+                    ticket: Ticket::from_id(id),
+                    bin: u64::from(bin),
+                    admitted_round: label,
+                    served_round: round,
+                    waiting_rounds: wait,
+                });
+            }
+        }
+        self.pending.retain(|entry| !entry.ids.is_empty());
+    }
+
     /// Applies the membership events scheduled at `round`, in insertion
     /// order.
     fn apply_membership(&mut self, round: u64) {
@@ -983,13 +832,20 @@ impl CappedService {
             return;
         }
         for event in self.mplan.take_due(round) {
-            let changed = match event {
-                MembershipEvent::AddBins { count } => self.add_bins(count),
-                MembershipEvent::RemoveBins { count } => self.remove_bins(count),
-                MembershipEvent::SplitShard { shard } => self.split_shard(shard),
-                MembershipEvent::MergeShards { left } => self.merge_shards(left),
-            };
-            if changed {
+            let live = self.live_bins();
+            match event {
+                MembershipEvent::AddBins { count } => self.process.add_bins(count),
+                MembershipEvent::RemoveBins { count } => {
+                    let moved = self.process.remove_bins(count);
+                    if moved > 0 {
+                        self.balls_moved += moved;
+                        if let Some(p) = obs::probes() {
+                            p.balls_moved.add(moved);
+                        }
+                    }
+                }
+            }
+            if self.live_bins() != live {
                 self.membership_events += 1;
                 if let Some(p) = obs::probes() {
                     p.membership_events.inc();
@@ -997,187 +853,6 @@ impl CappedService {
             }
         }
     }
-
-    /// Grows the bin set by `count`: the new bins enter at the top of the
-    /// index space, online and empty, with their full capacity as
-    /// acceptance bound.
-    fn add_bins(&mut self, count: usize) -> bool {
-        let capacity = self.config.capacity();
-        let top = &mut self.slots.last_mut().expect("at least one shard").bins;
-        for _ in 0..count {
-            top.push_bin_with(capacity, &[], false);
-        }
-        count > 0
-    }
-
-    /// Shrinks the bin set by up to `count` bins from the top (always
-    /// keeping at least one). The removed bins' FIFO contents drain back
-    /// into the pool with their original labels and retry from the next
-    /// round; a shard whose last bin goes is dropped.
-    fn remove_bins(&mut self, count: usize) -> bool {
-        let to_remove = count.min(self.live_bins() - 1);
-        let mut drained = Vec::new();
-        for _ in 0..to_remove {
-            let top = self.slots.last_mut().expect("a bin stays");
-            if top.bins.len() > 1 {
-                drained.extend(top.bins.pop_bin().1);
-            } else {
-                let top = self.slots.pop().expect("a bin stays");
-                drained.extend(
-                    top.bins
-                        .to_parts()
-                        .into_iter()
-                        .flat_map(|(_, balls, _)| balls),
-                );
-            }
-        }
-        if !drained.is_empty() {
-            self.count_balls_moved(drained.len() as u64);
-            // The drained balls keep their labels: they merge into the
-            // pool's runs of the same labels.
-            self.pool.merge_balls(drained);
-        }
-        to_remove > 0
-    }
-
-    /// Splits shard `shard`'s range at its midpoint into a new shard for
-    /// the upper half. Only ownership moves — no ball leaves its ring, so
-    /// nothing counts as moved.
-    fn split_shard(&mut self, shard: usize) -> bool {
-        let Some(slot) = self.slots.get_mut(shard).filter(|s| s.bins.len() >= 2) else {
-            return false;
-        };
-        let at = slot.bins.len() / 2;
-        let first_bin = slot.bins.first_bin() + at;
-        let upper = slot.bins.split_off(at);
-        let upper = BinShard::from_parts(first_bin, upper);
-        self.slots.insert(shard + 1, Slot::new(upper));
-        true
-    }
-
-    /// Merges shard `left + 1` into shard `left`. Its buffered balls
-    /// transfer between shards and count as moved.
-    fn merge_shards(&mut self, left: usize) -> bool {
-        if left + 1 >= self.slots.len() {
-            return false;
-        }
-        let parts = self.slots.remove(left + 1).bins.to_parts();
-        let bins = &mut self.slots[left].bins;
-        let mut moved = 0u64;
-        for (capacity, balls, offline) in parts {
-            moved += balls.len() as u64;
-            bins.push_bin_with(capacity, &balls, offline);
-        }
-        self.count_balls_moved(moved);
-        true
-    }
-
-    fn count_balls_moved(&mut self, moved: u64) {
-        if moved > 0 {
-            self.balls_moved += moved;
-            if let Some(p) = obs::probes() {
-                p.balls_moved.add(moved);
-            }
-        }
-    }
-}
-
-/// Position of the shard owning global `bin`. Shards own contiguous
-/// ascending ranges, so this is a binary search over range ends — and for
-/// the balanced no-churn partition it agrees bin-for-bin with
-/// `iba_core::shard::shard_of`, preserving bit-exactness.
-fn owner_of(slots: &[Slot], bin: usize) -> usize {
-    slots.partition_point(|slot| slot.end() <= bin)
-}
-
-/// Draws the bin of every ball of `runs` (oldest-first, in bulk chunks of
-/// at most [`ROUTE_CHUNK`] balls of one run, which consume `rng` exactly
-/// as one draw per ball would) and routes it to the shard owning that
-/// bin in one pass: the owner gets the ball's local bin, and at the end
-/// of each run every shard closes it with the number of its balls it
-/// received. Each shard thus sees its balls in pool (oldest-first)
-/// order, and routing costs O(balls × log shards + runs × shards).
-fn route(slots: &mut [Slot], rng: &mut SimRng, n: usize, runs: &[Run]) {
-    // The shards' bin ranges, read once: the per-ball owner search is
-    // `owner_of`'s binary search over range ends, kept in two small
-    // arrays instead of reaching into every slot.
-    let ends: Vec<u32> = slots.iter().map(|slot| slot.end() as u32).collect();
-    let firsts: Vec<u32> = slots
-        .iter()
-        .map(|slot| slot.bins.first_bin() as u32)
-        .collect();
-    let mut chunk = [0u32; ROUTE_CHUNK];
-    for run in runs {
-        let mut left = run.count;
-        while left > 0 {
-            let take = left.min(ROUTE_CHUNK as u64) as usize;
-            let chunk = &mut chunk[..take];
-            rng.fill_uniform_bins(n, chunk);
-            for &bin in chunk.iter() {
-                let owner = ends.partition_point(|&end| end <= bin);
-                slots[owner].choices.push(bin - firsts[owner]);
-            }
-            left -= take as u64;
-        }
-        for slot in slots.iter_mut() {
-            slot.close_run(run.label);
-        }
-    }
-}
-
-/// Matches a served ball to the longest-waiting ticket of its label
-/// (balls with equal labels are interchangeable) and notifies the
-/// completion channel. Model-arrival and surge balls have no ticket.
-fn complete(
-    pending: &mut VecDeque<PendingRound>,
-    completions: Option<&Sender<Completion>>,
-    label: u64,
-    served_round: u64,
-    waiting_rounds: u64,
-    bin: u64,
-) {
-    let at = pending.partition_point(|entry| entry.label < label);
-    let Some(entry) = pending.get_mut(at).filter(|e| e.label == label) else {
-        return;
-    };
-    let id = entry.ids.start;
-    entry.ids.start += 1;
-    if entry.ids.is_empty() {
-        pending.remove(at);
-    }
-    if let Some(tx) = completions {
-        let _ = tx.send(Completion {
-            ticket: Ticket::from_id(id),
-            bin,
-            admitted_round: label,
-            served_round,
-            waiting_rounds,
-        });
-    }
-}
-
-/// Merges the shards' reject runs into `out`, oldest-first, emptying the
-/// shards' reject buffers. Each shard's rejects are already canonical
-/// runs, so taking every shard's youngest run of the youngest label in
-/// turn and summing their counts builds the merged runs from the back in
-/// time linear in labels × shards.
-fn merge_rejects(slots: &mut [Slot], out: &mut Vec<Run>) {
-    out.clear();
-    while let Some(youngest) = slots
-        .iter()
-        .filter_map(|slot| slot.rejected.last())
-        .map(|run| run.label)
-        .max()
-    {
-        let mut count = 0;
-        for rejected in slots.iter_mut().map(|slot| &mut slot.rejected) {
-            if rejected.last().is_some_and(|run| run.label == youngest) {
-                count += rejected.pop().expect("last run checked").count;
-            }
-        }
-        out.push(Run::new(youngest, count));
-    }
-    out.reverse();
 }
 
 /// Whether `process` holds at least as many balls of each pending label
@@ -1193,13 +868,6 @@ fn tickets_have_balls(pending: &VecDeque<PendingRound>, process: &CappedProcess)
         }
     }
     unbacked.iter().all(|&left| left == 0)
-}
-
-/// The shard owning global `bin`, and `bin`'s index within it.
-fn locate(slots: &mut [Slot], bin: usize) -> (&mut Slot, usize) {
-    let slot = &mut slots[owner_of(slots, bin)];
-    let local = bin - slot.bins.first_bin();
-    (slot, local)
 }
 
 impl Drop for CappedService {

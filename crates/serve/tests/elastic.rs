@@ -1,14 +1,14 @@
-//! Elastic-membership validation: runtime grow/shrink, shard split/merge,
-//! autoscaling, and crash recovery mid-resize.
+//! Elastic-membership validation: runtime grow/shrink, autoscaling, and
+//! crash recovery mid-resize.
 //!
 //! The anchors:
 //! - a service with membership *scheduled but never firing*
 //!   stays bit-identical to the bare `CappedProcess`;
-//! - shard splits and merges move ownership only — the trajectory is
-//!   bit-identical to an unsplit service;
 //! - a churn + fault + surge gauntlet conserves every ball, by total and
 //!   by id, also across a crash-restart from checkpoint bytes;
-//! - a checkpoint taken mid-resize resumes bit-identically.
+//! - a checkpoint taken mid-resize resumes bit-identically;
+//! - envelopes written by the earlier sharded service (one bin range per
+//!   shard) still resume.
 
 use std::collections::HashMap;
 
@@ -69,42 +69,11 @@ fn scheduled_but_unfired_membership_stays_bit_identical_to_capped_process() {
     assert_eq!(service.balls_moved(), 0);
 }
 
-#[test]
-fn shard_splits_and_merges_do_not_perturb_the_trajectory() {
-    let cfg = config(64, 2, 0.75);
-    let mut plain = model_service(cfg.clone(), 2, 7);
-    let mut churned = model_service(cfg, 2, 7);
-    churned
-        .schedule_membership(
-            MembershipPlan::new()
-                .with(10, MembershipEvent::SplitShard { shard: 0 })
-                .with(20, MembershipEvent::SplitShard { shard: 2 })
-                .with(40, MembershipEvent::MergeShards { left: 2 })
-                .with(50, MembershipEvent::MergeShards { left: 0 }),
-        )
-        .expect("uniform finite capacity");
-    for round in 1..=80 {
-        assert_eq!(
-            churned.run_round(),
-            plain.run_round(),
-            "diverged at round {round}"
-        );
-    }
-    assert_eq!(churned.shards(), 2, "two splits, two merges");
-    assert_eq!(churned.membership_events(), 4);
-    assert_eq!(churned.live_bins(), 64, "splits and merges keep n");
-    // Ownership handoffs relocated whatever the merged shards buffered.
-    assert!(churned.conserves_balls());
-}
-
-/// The gauntlet's membership churn: grow, split, shrink, merge, and
-/// more resizes, the split on the last of `shards` shards.
-fn gauntlet_membership(shards: usize) -> Vec<(u64, MembershipEvent)> {
+/// The gauntlet's membership churn: grow, shrink, and more resizes.
+fn gauntlet_membership() -> Vec<(u64, MembershipEvent)> {
     vec![
         (5, MembershipEvent::AddBins { count: 16 }),
-        (12, MembershipEvent::SplitShard { shard: shards - 1 }),
         (20, MembershipEvent::RemoveBins { count: 24 }),
-        (30, MembershipEvent::MergeShards { left: 0 }),
         (40, MembershipEvent::AddBins { count: 12 }),
         (55, MembershipEvent::RemoveBins { count: 40 }),
         (70, MembershipEvent::AddBins { count: 20 }),
@@ -148,9 +117,9 @@ fn gauntlet_faults() -> Vec<(u64, FaultEvent)> {
 /// Schedules the gauntlet's events that fall after round `after`: all of
 /// them on a fresh service, only the future ones on a resumed service
 /// (plans are deliberately not checkpointed).
-fn schedule_gauntlet(service: &mut CappedService, shards: usize, after: u64) {
+fn schedule_gauntlet(service: &mut CappedService, after: u64) {
     let mut membership = MembershipPlan::new();
-    for (round, event) in gauntlet_membership(shards) {
+    for (round, event) in gauntlet_membership() {
         if round > after {
             membership.insert(round, event);
         }
@@ -205,18 +174,18 @@ fn ledger_round(
 
 #[test]
 fn churn_fault_surge_gauntlet_loses_no_ball() {
-    // The third input crashes at round 19, after the growth, the split,
-    // the surge and the degradation: the checkpoint holds five shards, 64
-    // live bins, three crashed bins and eight degraded ones. The service resumes with the
-    // checkpoint's shard count, and only the events after the crash are
-    // scheduled again. The ledger runs across the crash unchanged.
+    // The third input crashes at round 19, after the growth, the surge
+    // and the degradation: the checkpoint holds 64 live bins, three
+    // crashed bins and eight degraded ones. Only the events after the
+    // crash are scheduled again on the resumed service. The ledger runs
+    // across the crash unchanged.
     for (shards, crash_at) in [(3, None), (4, None), (4, Some(19))] {
         let input = format!("{shards} shards, crash at {crash_at:?}");
         let service_config = |shards| {
             ServiceConfig::new(config(48, 2, 0.75), shards, 1234).with_model_arrivals(true)
         };
         let mut service = CappedService::spawn(service_config(shards)).expect("valid config");
-        schedule_gauntlet(&mut service, shards, 0);
+        schedule_gauntlet(&mut service, 0);
         let mut resident: HashMap<u64, i64> = HashMap::new();
         let mut prev_generated = 0u64;
         for round in 1..=100u64 {
@@ -228,19 +197,22 @@ fn churn_fault_surge_gauntlet_loses_no_ball() {
                 &input,
             );
             if crash_at == Some(round) {
+                assert_ne!(
+                    service.live_bins(),
+                    48,
+                    "{input}: the crash lands mid-resize"
+                );
                 let bytes = service.checkpoint_bytes();
-                let saved_shards = service.shards();
-                assert_ne!(saved_shards, shards, "{input}: the crash lands mid-resize");
                 service.shutdown();
-                service = CappedService::resume(service_config(saved_shards), &bytes)
+                service = CappedService::resume(service_config(shards), &bytes)
                     .expect("mid-resize resume");
                 assert_eq!(service.round(), round, "{input}");
-                schedule_gauntlet(&mut service, shards, round);
+                schedule_gauntlet(&mut service, round);
             }
         }
         assert_eq!(
             service.membership_events(),
-            gauntlet_membership(shards).len() as u64,
+            gauntlet_membership().len() as u64,
             "{input}: every membership event fired"
         );
         assert!(service.balls_moved() > 0, "{input}: drains moved balls");
@@ -265,7 +237,6 @@ fn mid_resize_checkpoint_resumes_bit_identically() {
     let cfg = ServiceConfig::new(config(32, 2, 0.75), 4, 2024).with_model_arrivals(true);
     let past = MembershipPlan::new()
         .with(5, MembershipEvent::AddBins { count: 10 })
-        .with(12, MembershipEvent::SplitShard { shard: 3 })
         .with(20, MembershipEvent::RemoveBins { count: 6 });
     let future = MembershipPlan::new()
         .with(40, MembershipEvent::RemoveBins { count: 12 })
@@ -283,7 +254,6 @@ fn mid_resize_checkpoint_resumes_bit_identically() {
 
     let mut resumed = CappedService::resume(cfg, &bytes).expect("mid-resize resume");
     assert_eq!(resumed.live_bins(), original.live_bins());
-    assert_eq!(resumed.shards(), original.shards());
     assert_eq!(resumed.balls_moved(), original.balls_moved());
     assert_eq!(resumed.membership_events(), original.membership_events());
     assert!(resumed.conserves_balls());
@@ -296,6 +266,71 @@ fn mid_resize_checkpoint_resumes_bit_identically() {
         );
     }
     assert_eq!(original.live_bins(), resumed.live_bins());
+}
+
+/// The runs behind the envelopes in `tests/data/`, which the sharded
+/// service (one bin range per shard) wrote: n = 32, c = 2, λ = 7/8,
+/// model arrivals, three tickets submitted before each of 40 rounds, and
+/// with `churn` eight bins added at round 5 and fourteen removed at
+/// round 15, so that checkpoint lands mid-resize on ranges 8, 16, 24, 26.
+fn fixture_config(shards: usize, seed: u64) -> ServiceConfig {
+    ServiceConfig::new(config(32, 2, 0.875), shards, seed).with_model_arrivals(true)
+}
+
+fn fixture_service(shards: usize, seed: u64, churn: bool) -> CappedService {
+    let mut service = CappedService::spawn(fixture_config(shards, seed)).expect("valid config");
+    if churn {
+        service
+            .schedule_membership(
+                MembershipPlan::new()
+                    .with(5, MembershipEvent::AddBins { count: 8 })
+                    .with(15, MembershipEvent::RemoveBins { count: 14 }),
+            )
+            .expect("uniform finite capacity");
+    }
+    let dispatcher = service.dispatcher();
+    for _ in 0..40 {
+        for _ in 0..3 {
+            dispatcher.submit().expect("ingress has room");
+        }
+        service.run_round();
+    }
+    service
+}
+
+#[test]
+fn envelopes_of_the_sharded_service_still_resume() {
+    let fixtures: [(&str, &[u8], u64); 2] = [
+        ("4 shards", include_bytes!("data/ibsv_4shard.bin"), 11),
+        (
+            "4 shards, mid-resize",
+            include_bytes!("data/ibsv_4shard_mid_resize.bin"),
+            12,
+        ),
+    ];
+    for (what, bytes, seed) in fixtures {
+        let mut dec = Decoder::new(bytes).expect("well-formed envelope");
+        dec.header("IBSV", 2).expect("envelope header");
+        let core_bytes = dec.byte_seq("core checkpoint").expect("core payload");
+        dec.u32("rng mode").expect("rng mode");
+        assert_eq!(dec.usize("shard count").expect("ranges"), 4, "{what}");
+        let mut reference = iba_core::checkpoint::restore(core_bytes).expect("core checkpoint");
+
+        let mut service = CappedService::resume(fixture_config(4, seed), bytes)
+            .unwrap_or_else(|e| panic!("{what}: a multi-range envelope resumes: {e}"));
+        assert_eq!(service.round(), 40, "{what}");
+        for r in 1..=50 {
+            assert_eq!(service.run_round(), reference.step(), "{what}: round +{r}");
+        }
+        assert!(service.conserves_balls(), "{what}");
+    }
+    // A one-shard service writes the same bytes it wrote before.
+    let rerun = fixture_service(1, 13, false);
+    assert_eq!(
+        rerun.checkpoint_bytes(),
+        include_bytes!("data/ibsv_1shard.bin"),
+        "one-shard envelope"
+    );
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //! - [`FaultPlan`] — a [`RoundPlan`] of [`FaultEvent`]s. Plans are plain
 //!   data: build them by hand, or generate stochastic churn with
 //!   [`ChurnModel`] from a dedicated RNG stream.
-//! - [`FaultSchedule`] — a plan in play: it turns each round's events
-//!   and the active arrival bursts into normalized [`FaultAction`]s and
+//! - [`FaultSchedule`] — a plan in play: it applies each round's events
+//!   and the active arrival bursts to a [`FaultTolerant`] process and
 //!   counts them in telemetry. Every driver of a plan goes through it.
 //! - [`FaultedProcess`] — a wrapper implementing
 //!   [`AllocationProcess`] that applies a plan to any inner process
@@ -188,23 +188,8 @@ impl ChurnModel {
     }
 }
 
-/// One normalized operation a [`FaultSchedule`] hands its caller: the
-/// bin index is in range and the capacity is never `Some(0)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Take bin `i` offline.
-    Crash(usize),
-    /// Bring bin `i` back online.
-    Recover(usize),
-    /// Set bin `i`'s capacity (`None` = unbounded).
-    SetCapacity(usize, Option<u32>),
-    /// Inject this many balls into the pool, labeled with the current
-    /// (pre-step) round.
-    Surge(u64),
-}
-
 /// A [`FaultPlan`] in play: the plan plus the arrival bursts it has
-/// started. This is the one place a plan's events become actions — the
+/// started. This is the one place a plan's events reach a process — the
 /// out-of-range filter, the `Some(0)` skip, burst expiry, the
 /// `iba_sim_fault_*` counters and the flight-recorder fault events — for
 /// [`FaultedProcess`] and for any other driver (the serving layer) alike.
@@ -230,24 +215,25 @@ impl FaultSchedule {
         self.plan.extend(plan);
     }
 
-    /// Hands `act` everything due before the step producing `round` on a
-    /// process with `n` bins: that round's events in insertion order,
-    /// then one [`FaultAction::Surge`] per arrival burst still active.
-    /// With nothing due it calls `act` not at all. Rounds are expected in
-    /// increasing order: events at or before `round` leave the plan.
-    pub fn apply(&mut self, round: u64, n: usize, mut act: impl FnMut(FaultAction)) {
+    /// Applies to `process` everything due before the step that produces
+    /// its next round: that round's events in insertion order, then one
+    /// [`surge_pool`](FaultTolerant::surge_pool) per arrival burst still
+    /// active. With nothing due it touches nothing. Rounds are expected in
+    /// increasing order: events at or before that round leave the plan.
+    pub fn apply<P: FaultTolerant>(&mut self, process: &mut P) {
+        let (round, n) = (process.round() + 1, process.bins());
         let probes = obs::probes();
         for event in self.plan.take_due(round) {
             let fired = match event {
                 FaultEvent::CrashBins { ref bins } => {
-                    let hit = act_on_bins(bins, n, &mut act, FaultAction::Crash);
+                    let hit = for_bins(bins, n, |i| process.crash_bin(i));
                     if let Some(p) = probes {
                         p.crashed_bins.add(hit);
                     }
                     "crash-bins"
                 }
                 FaultEvent::RecoverBins { ref bins } => {
-                    let hit = act_on_bins(bins, n, &mut act, FaultAction::Recover);
+                    let hit = for_bins(bins, n, |i| process.recover_bin(i));
                     if let Some(p) = probes {
                         p.recovered_bins.add(hit);
                     }
@@ -258,8 +244,7 @@ impl FaultSchedule {
                     capacity: Some(0), ..
                 } => continue,
                 FaultEvent::DegradeCapacity { ref bins, capacity } => {
-                    let set = |i| FaultAction::SetCapacity(i, capacity);
-                    let hit = act_on_bins(bins, n, &mut act, set);
+                    let hit = for_bins(bins, n, |i| process.set_bin_capacity(i, capacity));
                     if let Some(p) = probes {
                         p.degraded_bins.add(hit);
                     }
@@ -282,7 +267,7 @@ impl FaultSchedule {
                     if extra == 0 {
                         continue;
                     }
-                    act(FaultAction::Surge(extra));
+                    process.surge_pool(extra);
                     if let Some(p) = probes {
                         p.surge_balls.add(extra);
                     }
@@ -297,7 +282,7 @@ impl FaultSchedule {
             self.bursts.retain(|&(until, _)| until >= round);
             let mut surged = 0u64;
             for &(_, extra) in &self.bursts {
-                act(FaultAction::Surge(extra));
+                process.surge_pool(extra);
                 surged += extra;
             }
             if let Some(p) = probes {
@@ -307,16 +292,11 @@ impl FaultSchedule {
     }
 }
 
-/// Hands `act` one `action` per in-range bin of `list`; returns how many.
-fn act_on_bins(
-    list: &[usize],
-    n: usize,
-    act: &mut impl FnMut(FaultAction),
-    action: impl Fn(usize) -> FaultAction,
-) -> u64 {
+/// Calls `act` on every in-range bin of `list`; returns how many.
+fn for_bins(list: &[usize], n: usize, mut act: impl FnMut(usize)) -> u64 {
     let mut hit = 0u64;
     for &i in list.iter().filter(|&&i| i < n) {
-        act(action(i));
+        act(i);
         hit += 1;
     }
     hit
@@ -361,19 +341,6 @@ impl<P: FaultTolerant> FaultedProcess<P> {
     pub fn into_inner(self) -> P {
         self.inner
     }
-
-    /// Applies everything scheduled before the upcoming round: the plan's
-    /// events for that round, then any arrival bursts still active.
-    fn apply_pre_round_faults(&mut self) {
-        let inner = &mut self.inner;
-        let (round, n) = (inner.round() + 1, inner.bins());
-        self.schedule.apply(round, n, |action| match action {
-            FaultAction::Crash(i) => inner.crash_bin(i),
-            FaultAction::Recover(i) => inner.recover_bin(i),
-            FaultAction::SetCapacity(i, capacity) => inner.set_bin_capacity(i, capacity),
-            FaultAction::Surge(extra) => inner.surge_pool(extra),
-        });
-    }
 }
 
 impl<P: FaultTolerant> AllocationProcess for FaultedProcess<P> {
@@ -390,12 +357,12 @@ impl<P: FaultTolerant> AllocationProcess for FaultedProcess<P> {
     }
 
     fn step(&mut self, rng: &mut SimRng) -> RoundReport {
-        self.apply_pre_round_faults();
+        self.schedule.apply(&mut self.inner);
         self.inner.step(rng)
     }
 
     fn step_into(&mut self, rng: &mut SimRng, report: &mut RoundReport) {
-        self.apply_pre_round_faults();
+        self.schedule.apply(&mut self.inner);
         self.inner.step_into(rng, report);
     }
 

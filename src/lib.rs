@@ -16,8 +16,8 @@
 //!   THRESHOLD\[T\], sequential GREEDY\[d\].
 //! - [`analysis`] (`iba-analysis`) — Theorems 1–2, Section-V fits, tail
 //!   bounds, sweet-spot capacity.
-//! - [`serve`] (`iba-serve`) — the sharded CAPPED dispatch service
-//!   (shards on one driver, round clock, admission, live metrics).
+//! - [`serve`] (`iba-serve`) — the CAPPED dispatch service (one process
+//!   stepped by the driver, round clock, admission, live metrics).
 //!
 //! # Quickstart
 //!

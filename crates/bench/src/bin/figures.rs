@@ -6,18 +6,25 @@
 //! written, so an interrupted `all` run keeps every experiment that had
 //! finished.
 //!
+//! With `--check <dir>`, each CSV is also compared byte for byte with its
+//! reproduction record `<dir>/<name>.csv` (see [`iba_bench::record`]),
+//! before `--out` writes it, so `--check <dir> --out <dir>` reports what
+//! moved and then updates the record. Every selected experiment still
+//! runs; every mismatch is reported on stderr, and the exit is non-zero
+//! if any record differs or is missing, or, for `all`, if `<dir>` holds a
+//! CSV that names no experiment.
+//!
 //! ```text
 //! cargo run -p iba-bench --release --bin figures -- fig4-left --scale quick
 //! cargo run -p iba-bench --release --bin figures -- all --scale paper --out results/
+//! cargo run -p iba-bench --release --bin figures -- all --scale paper --check results_paper
 //! ```
 
-use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use iba_bench::cli;
-use iba_bench::figures::ExperimentOutput;
+use iba_bench::{cli, record};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,6 +37,7 @@ fn main() -> ExitCode {
     };
     let started = Instant::now();
     let mut completed = 0;
+    let mut mismatches = 0;
     for experiment in cli.experiments() {
         let experiment_started = Instant::now();
         let output = (experiment.run)(cli.scale);
@@ -39,8 +47,15 @@ fn main() -> ExitCode {
             experiment.name,
             experiment_started.elapsed().as_secs_f64()
         );
+        let csv = output.table.to_csv();
+        if let Some(dir) = &cli.check_dir {
+            if let Err(mismatch) = record::check(Path::new(dir), experiment.name, &csv) {
+                eprintln!("check failed: {mismatch}");
+                mismatches += 1;
+            }
+        }
         if let Some(dir) = &cli.out_dir {
-            if let Err(e) = write_csv(dir, experiment.name, &output) {
+            if let Err(e) = record::write(Path::new(dir), experiment.name, &csv) {
                 eprintln!("failed to write {}.csv: {e}", experiment.name);
                 return ExitCode::FAILURE;
             }
@@ -52,11 +67,28 @@ fn main() -> ExitCode {
         cli.scale,
         started.elapsed().as_secs_f64()
     );
-    ExitCode::SUCCESS
-}
-
-fn write_csv(dir: &str, name: &str, output: &ExperimentOutput) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let path = Path::new(dir).join(format!("{name}.csv"));
-    fs::write(path, output.table.to_csv())
+    let Some(dir) = &cli.check_dir else {
+        return ExitCode::SUCCESS;
+    };
+    if cli.command == "all" {
+        match record::strays(Path::new(dir)) {
+            Ok(strays) => {
+                for stray in &strays {
+                    eprintln!("check failed: {dir}/{stray} names no experiment");
+                }
+                mismatches += strays.len();
+            }
+            Err(e) => {
+                eprintln!("check failed: {dir}: {e}");
+                mismatches += 1;
+            }
+        }
+    }
+    if mismatches == 0 {
+        eprintln!("checked {completed} experiment(s) against {dir}: identical");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("{mismatches} mismatch(es) against {dir}");
+        ExitCode::FAILURE
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! Hand-rolled because `clap` is not in the approved dependency set; the
 //! surface is tiny: one subcommand (an experiment of [`EXPERIMENTS`], or
-//! `all`) plus `--scale <preset>` and `--out <dir>` flags.
+//! `all`) plus `--scale <preset>`, `--out <dir>` and `--check <dir>`
+//! flags.
 
 use std::str::FromStr;
 
@@ -18,6 +19,9 @@ pub struct Cli {
     pub scale: Scale,
     /// Optional directory to also write CSV files into.
     pub out_dir: Option<String>,
+    /// Optional reproduction record to compare every CSV with, byte for
+    /// byte (see [`crate::record`]).
+    pub check_dir: Option<String>,
 }
 
 impl Cli {
@@ -34,7 +38,7 @@ impl Cli {
 pub fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>]\n\
+        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>] [--check <dir>]\n\
          commands: {}, all",
         names.join(", ")
     )
@@ -56,6 +60,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         command,
         scale: Scale::Quick,
         out_dir: None,
+        check_dir: None,
     };
     while let Some(flag) = iter.next() {
         match flag.as_str() {
@@ -66,6 +71,10 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--out" => {
                 let v = iter.next().ok_or("--out requires a value")?;
                 cli.out_dir = Some(v.clone());
+            }
+            "--check" => {
+                let v = iter.next().ok_or("--check requires a value")?;
+                cli.check_dir = Some(v.clone());
             }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
@@ -87,13 +96,18 @@ mod tests {
         assert_eq!(cli.command, "fig4-left");
         assert_eq!(cli.scale, Scale::Quick);
         assert_eq!(cli.out_dir, None);
+        assert_eq!(cli.check_dir, None);
     }
 
     #[test]
     fn parses_all_flags() {
-        let cli = parse(&strings(&["all", "--scale", "smoke", "--out", "/tmp/x"])).unwrap();
+        let cli = parse(&strings(&[
+            "all", "--scale", "smoke", "--out", "/tmp/x", "--check", "/tmp/y",
+        ]))
+        .unwrap();
         assert_eq!(cli.scale, Scale::Smoke);
         assert_eq!(cli.out_dir.as_deref(), Some("/tmp/x"));
+        assert_eq!(cli.check_dir.as_deref(), Some("/tmp/y"));
     }
 
     #[test]
@@ -101,6 +115,7 @@ mod tests {
         assert!(parse(&strings(&["fig9"])).is_err());
         assert!(parse(&strings(&["all", "--wat"])).is_err());
         assert!(parse(&strings(&["all", "--scale"])).is_err());
+        assert!(parse(&strings(&["all", "--check"])).is_err());
         assert!(parse(&strings(&["all", "--seed", "9"])).is_err());
         assert!(parse(&[]).is_err());
     }

@@ -14,12 +14,18 @@
 //! | `ABL-d`, `ABL-arr`, `POLICY`, `STAB` | ablations & self-stabilization | [`ablations`] |
 //! | `TAIL`, `LOAD`, `CHAOS`, `HETERO` | tails, loads, faults, capacity mixtures | [`ablations`] |
 //! | `ASYNC` | continuous time (retrial-queue analog) | [`ablations`], [`continuous`] |
+//! | `REPL` | the paper replication grid against the Theorem-2 bound | [`sweep`] |
+//!
+//! Every experiment's CSV is committed as the reproduction record, at
+//! paper scale in `results_paper/` and at smoke scale in
+//! `crates/bench/tests/golden/`, and `figures --check` compares a run
+//! with it byte for byte ([`record`]).
 //!
 //! Run everything through the `figures` binary:
 //!
 //! ```text
 //! cargo run -p iba-bench --release --bin figures -- fig4-left --scale quick
-//! cargo run -p iba-bench --release --bin figures -- all --scale paper
+//! cargo run -p iba-bench --release --bin figures -- all --scale paper --check results_paper
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,7 +38,7 @@ pub mod compare;
 pub mod continuous;
 pub mod figures;
 pub mod measure;
-pub mod prov;
+pub mod record;
 pub mod scale;
 pub mod sweep;
 
@@ -163,5 +169,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "policy",
         title: "POLICY — acceptance priority",
         run: ablations::policy_ablation,
+    },
+    Experiment {
+        name: "replication",
+        title: "REPL — replication grid",
+        run: sweep::replication,
     },
 ];

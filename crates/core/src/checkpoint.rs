@@ -12,11 +12,10 @@
 //!   footer (see `iba_sim::codec`), so **any** single-byte corruption is
 //!   rejected deterministically at restore time.
 //! - [`RotatingFile`] — crash-safe files for any checkpoint's bytes (this
-//!   one, the service's envelope, the sweep's progress): each save is
-//!   written to a temporary sibling, fsynced and atomically renamed into
-//!   place after the previous generation was rotated to `<path>.prev`,
-//!   and a load falls back to `.prev` when the newest file is missing or
-//!   does not decode.
+//!   one, the service's envelope): each save is written to a temporary
+//!   sibling, fsynced and atomically renamed into place after the
+//!   previous generation was rotated to `<path>.prev`, and a load falls
+//!   back to `.prev` when the newest file is missing or does not decode.
 //!
 //! # Examples
 //!
@@ -190,8 +189,7 @@ fn sibling_with_suffix(path: &Path, suffix: &str) -> PathBuf {
 /// new bytes crash-safely (temp file, fsync, atomic rename, directory
 /// fsync), so after a crash at any point one complete generation is left.
 /// [`load`](Self::load) decodes the newest generation that decodes. The
-/// bytes are the caller's: a [`save`]d simulation, a service envelope, a
-/// sweep's progress.
+/// bytes are the caller's: a [`save`]d simulation or a service envelope.
 ///
 /// # Examples
 ///

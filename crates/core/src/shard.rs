@@ -19,7 +19,6 @@ use std::ops::Range;
 use crate::arena::{fast_accept, walk_accept, BinArena, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
-use crate::obs;
 use crate::pool::Run;
 
 /// One bin's extracted state: live capacity, FIFO contents (oldest
@@ -266,6 +265,10 @@ impl BinShard {
     /// reproduces [`CappedProcess`](crate::process::CappedProcess)'s
     /// global bin-order waiting-time vector.
     ///
+    /// The round adds nothing to `iba_core_{accepted,rejected}_balls_total`:
+    /// those count a process's rounds, and
+    /// [`CappedProcess`](crate::process::CappedProcess) adds to them itself.
+    ///
     /// # Panics
     ///
     /// Panics unless `runs` holds exactly `choices.len()` balls.
@@ -279,14 +282,8 @@ impl BinShard {
     where
         F: FnMut(usize, Ball),
     {
-        let thrown = choices.len() as u64;
-        let accepted = self.accept_stream(choices, runs, rejected);
-        if let Some(p) = obs::probes() {
-            p.accepted_balls.add(accepted);
-            p.rejected_balls.add(thrown - accepted);
-        }
         ShardRoundStats {
-            accepted,
+            accepted: self.accept_stream(choices, runs, rejected),
             ..self.serve_sweep(served)
         }
     }

@@ -5,7 +5,7 @@
 //! cannot fully account for rather than silently skipping lines. Each
 //! record carries an *identity*: `(benchmark, config_hash, seed,
 //! git_rev, git_dirty)`. Appending a record whose identity is already
-//! present is a dedup no-op, so re-running `replicate` on an unchanged
+//! present is a dedup no-op, so re-running a benchmark on an unchanged
 //! tree does not grow the store. A run whose code cannot be named (rev
 //! `unknown`, or a dirty tree) shares its identity with no other run.
 
@@ -19,7 +19,7 @@ use iba_obs::json::{self, content_hash, JsonObjWriter, JsonValue, Provenance};
 /// which code revision on which machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Benchmark name (`sweep`, `iba_top`, …).
+    /// Benchmark name (`iba_top`, …).
     pub benchmark: String,
     /// Content hash of the canonical config pairs (`fnv1a:<hex>`).
     pub config_hash: String,
@@ -32,7 +32,7 @@ pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was created.
     pub unix_time: u64,
     /// Flattened numeric results, dotted-path name → value, in emission
-    /// order (e.g. `rows.3.avg wait`).
+    /// order (e.g. `wait.p99`).
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -43,8 +43,8 @@ impl RunRecord {
     /// of an identical experiment is a duplicate even though its timings
     /// differ. A run of code the revision does not name (rev `unknown`,
     /// or a dirty tree) may be of any code, so its timestamp, wall time
-    /// and measured values join the hash: it always appends, and a gate
-    /// that excludes its identity excludes only itself.
+    /// and measured values join the hash: it always appends, and a
+    /// lookup that excludes its identity excludes only itself.
     pub fn identity_hash(&self) -> String {
         let mut pairs = vec![
             ("benchmark".to_string(), self.benchmark.clone()),
@@ -278,42 +278,6 @@ impl RunRegistry {
     }
 }
 
-/// Renders a number for canonical config hashing: integral values
-/// without a fractional part (`1024`, not `1024.0`), everything else via
-/// shortest round-trip formatting.
-pub fn canon_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// The canonical config pairs of a parameter sweep, whose
-/// [`content_hash`] is the sweep record's config hash (see
-/// `iba_bench::sweep::SweepGrid::config_pairs`, its one caller outside
-/// tests).
-pub fn sweep_config_pairs(
-    n: u64,
-    capacities: &[u32],
-    lambdas: &[f64],
-    window: u64,
-    seeds: u64,
-    master_seed: u64,
-) -> Vec<(String, String)> {
-    let cs: Vec<String> = capacities.iter().map(|c| c.to_string()).collect();
-    let ls: Vec<String> = lambdas.iter().map(|l| canon_num(*l)).collect();
-    vec![
-        ("benchmark".to_string(), "sweep".to_string()),
-        ("n".to_string(), n.to_string()),
-        ("c".to_string(), cs.join(",")),
-        ("lambda".to_string(), ls.join(",")),
-        ("window".to_string(), window.to_string()),
-        ("seeds".to_string(), seeds.to_string()),
-        ("seed".to_string(), master_seed.to_string()),
-    ]
-}
-
 /// Current seconds since the Unix epoch (0 if the clock is before 1970).
 pub fn unix_time_now() -> u64 {
     std::time::SystemTime::now()
@@ -492,30 +456,5 @@ mod tests {
         let err = RunRegistry::open(&path).unwrap_err();
         assert!(err.message.contains("line 1"), "{err}");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn sweep_pairs_are_stable() {
-        let pairs = sweep_config_pairs(2048, &[1, 2, 4], &[0.75, 0.9375], 150, 1, 20210705);
-        let rendered: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        assert_eq!(
-            rendered,
-            [
-                "benchmark=sweep",
-                "n=2048",
-                "c=1,2,4",
-                "lambda=0.75,0.9375",
-                "window=150",
-                "seeds=1",
-                "seed=20210705",
-            ]
-        );
-    }
-
-    #[test]
-    fn canon_num_renders_integers_plainly() {
-        assert_eq!(canon_num(1024.0), "1024");
-        assert_eq!(canon_num(0.95), "0.95");
-        assert_eq!(canon_num(-3.0), "-3");
     }
 }

@@ -286,6 +286,9 @@ impl NetClient {
     /// frames that arrive. Returns how many completions were buffered.
     /// Transport failures just disconnect (the next submission
     /// reconnects); they are not errors here.
+    ///
+    /// Frames already in the decoder count first: the read that brought a
+    /// submission its `Accepted` may have brought completions behind it.
     pub fn pump_completions(&mut self, wait: Duration) -> usize {
         let deadline = Instant::now() + wait;
         let before = self.completions.len();
@@ -293,6 +296,16 @@ impl NetClient {
             return 0;
         }
         loop {
+            loop {
+                match self.decoder.next_frame() {
+                    Ok(Some(frame)) => self.note_frame(&frame),
+                    Ok(None) => break,
+                    Err(_) => {
+                        self.disconnect();
+                        return self.completions.len() - before;
+                    }
+                }
+            }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 break;
@@ -303,17 +316,6 @@ impl NetClient {
                 Err(()) => {
                     self.disconnect();
                     break;
-                }
-            }
-            // Drain whatever frames the read produced.
-            loop {
-                match self.decoder.next_frame() {
-                    Ok(Some(frame)) => self.note_frame(&frame),
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.disconnect();
-                        return self.completions.len() - before;
-                    }
                 }
             }
         }
@@ -556,6 +558,53 @@ mod tests {
             .contains("drain"));
         let io = std::io::Error::other("nope");
         assert!(ClientError::Connect(io).to_string().contains("nope"));
+    }
+
+    #[test]
+    fn completions_read_behind_the_accept_are_not_lost() {
+        // A peer that answers the one `Alloc` with its `Accepted` and the
+        // ticket's `Completed` in one write, then falls silent: the
+        // client's read takes both frames at once, and the completion
+        // must not wait in the decoder for bytes that never come.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut preface = [0u8; 4];
+            stream.read_exact(&mut preface).unwrap();
+            assert_eq!(preface, proto::MAGIC);
+            let req_id = loop {
+                let mut buf = [0u8; 64];
+                let k = stream.read(&mut buf).unwrap();
+                decoder.push(&buf[..k]);
+                if let Some(Frame::Alloc { req_id }) = decoder.next_frame().unwrap() {
+                    break req_id;
+                }
+            };
+            let mut out = Vec::new();
+            Frame::Accepted { req_id, ticket: 7 }.encode_into(&mut out);
+            Frame::Completed {
+                ticket: 7,
+                bin: 1,
+                admitted_round: 2,
+                served_round: 3,
+                waiting_rounds: 1,
+            }
+            .encode_into(&mut out);
+            stream.write_all(&out).unwrap();
+            let _ = done_rx.recv();
+        });
+        let mut client = NetClient::new(ClientConfig::new(addr).with_seed(3));
+        assert_eq!(client.submit().unwrap(), 7);
+        client.pump_completions(Duration::from_millis(20));
+        let events = client.take_completions();
+        done_tx.send(()).unwrap();
+        server.join().unwrap();
+        assert_eq!(events.len(), 1, "the buffered completion was delivered");
+        assert_eq!(events[0].ticket, 7);
+        assert_eq!(client.stats().completed, 1);
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! Plain-text tables, CSV and JSON-lines emission for experiment results.
+//! Plain-text tables and CSV emission for experiment results.
 //!
 //! The figure harness prints every regenerated series both as an aligned
 //! text table (for the terminal / EXPERIMENTS.md) and as CSV (for external
-//! plotting); sweeps can additionally emit one JSON object per row
-//! ([`Table::to_jsonl`]) through the workspace's shared writer in
-//! [`iba_obs::json`]. CSV is hand-rolled because `serde` alone cannot
-//! serialize to a text format and `serde_json`/`csv` are not in the
-//! approved dependency set; JSON goes through `iba-obs` so escaping and
-//! the `schema` version stamp are implemented exactly once.
+//! plotting, and as the committed reproduction record). CSV is hand-rolled
+//! because `serde` alone cannot serialize to a text format and `csv` is
+//! not in the approved dependency set.
 
 use std::fmt::Write as _;
-
-use iba_obs::json::JsonObjWriter;
 
 /// A cell value in a result table.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,39 +209,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as JSON lines: one object per row, keyed by
-    /// column header, stamped with the shared `schema` version and the
-    /// table title (no trailing newline).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use iba_sim::output::Table;
-    /// let mut t = Table::new("demo", &["c", "pool/n"]);
-    /// t.row(vec![1u64.into(), 2.5f64.into()]);
-    /// assert_eq!(
-    ///     t.to_jsonl(),
-    ///     "{\"schema\":1,\"table\":\"demo\",\"c\":1,\"pool/n\":2.5}"
-    /// );
-    /// ```
-    pub fn to_jsonl(&self) -> String {
-        let mut lines = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let mut w = JsonObjWriter::with_schema();
-            w.field_str("table", &self.title);
-            for (header, cell) in self.headers.iter().zip(row) {
-                match cell {
-                    Cell::Text(s) => w.field_str(header, s),
-                    Cell::Int(v) => w.field_i64(header, *v),
-                    Cell::Uint(v) => w.field_u64(header, *v),
-                    Cell::Float(v) => w.field_f64(header, *v),
-                }
-            }
-            lines.push(w.finish());
-        }
-        lines.join("\n")
-    }
-
     /// Renders the table as RFC-4180 CSV (headers + rows, no title).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -312,35 +274,6 @@ mod tests {
         assert_eq!(lines[1], "|---|---|---|");
         assert!(lines[2].starts_with("| 0.75 | 1 |"));
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn jsonl_rows_parse_with_schema_stamp() {
-        let mut t = Table::new("weird \"title\"", &["name", "v"]);
-        t.row(vec!["a,b\"c".into(), 1.5f64.into()]);
-        t.row(vec!["plain".into(), f64::INFINITY.into()]);
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first = iba_obs::json::parse(lines[0]).unwrap();
-        assert_eq!(
-            first.get("schema").and_then(|v| v.as_u64()),
-            Some(iba_obs::json::SCHEMA_VERSION)
-        );
-        assert_eq!(
-            first.get("table").and_then(|v| v.as_str()),
-            Some("weird \"title\"")
-        );
-        assert_eq!(first.get("name").and_then(|v| v.as_str()), Some("a,b\"c"));
-        assert_eq!(first.get("v").and_then(|v| v.as_f64()), Some(1.5));
-        // Non-finite floats degrade to null rather than invalid JSON.
-        let second = iba_obs::json::parse(lines[1]).unwrap();
-        assert_eq!(second.get("v"), Some(&iba_obs::json::JsonValue::Null));
-    }
-
-    #[test]
-    fn jsonl_empty_table_is_empty_string() {
-        assert_eq!(Table::new("empty", &["a"]).to_jsonl(), "");
     }
 
     #[test]

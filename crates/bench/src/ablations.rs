@@ -7,7 +7,7 @@ use std::fmt;
 use iba_core::config::CappedConfig;
 use iba_core::coupling::CoupledRun;
 use iba_core::process::CappedProcess;
-use iba_core::{Ball, BinShard, Pool};
+use iba_core::{Ball, BinArena, Pool};
 use iba_sim::arrivals::ArrivalModel;
 use iba_sim::output::Table;
 use iba_sim::process::{AllocationProcess, RoundReport};
@@ -48,7 +48,7 @@ impl fmt::Display for Priority {
 /// the round's requests reach the bins in [`Priority`] order. Under either
 /// knob a ball's fate depends on loads that change *during* the request
 /// stream, so the process walks its bins ball by ball
-/// ([`BinShard::try_accept`]) and then runs the shard's deletion sweep.
+/// ([`BinArena::try_accept`]) and then runs the arena's deletion sweep.
 ///
 /// With `d = 1` and [`Priority::OldestFirst`] it is Algorithm 1: its
 /// `RoundReport`s equal [`CappedProcess`]'s under the same RNG stream.
@@ -58,7 +58,7 @@ pub struct AblationProcess {
     d: u32,
     priority: Priority,
     pool: Pool,
-    bins: BinShard,
+    arena: BinArena,
     round: u64,
 }
 
@@ -71,13 +71,13 @@ impl AblationProcess {
     /// Panics if `d == 0`.
     pub fn new(config: CappedConfig, d: u32, priority: Priority) -> Self {
         assert!(d >= 1, "every ball needs at least one choice");
-        let bins = BinShard::new(&config, 0..config.bins());
+        let arena = BinArena::new((0..config.bins()).map(|i| config.capacity_of(i)).collect());
         AblationProcess {
             config,
             d,
             priority,
             pool: Pool::new(),
-            bins,
+            arena,
             round: 0,
         }
     }
@@ -127,17 +127,17 @@ impl AllocationProcess for AblationProcess {
                 }
             }
         }
-        let n = self.bins.len();
+        let n = self.arena.bins();
         let mut rejected = Vec::new();
         for ball in balls {
             let mut best = rng.uniform_bin(n);
             for _ in 1..self.d {
                 let candidate = rng.uniform_bin(n);
-                if self.bins.load(candidate) < self.bins.load(best) {
+                if self.arena.len(candidate) < self.arena.len(best) {
                     best = candidate;
                 }
             }
-            if !self.bins.try_accept(best, ball) {
+            if !self.arena.try_accept(best, ball) {
                 rejected.push(ball);
             }
         }
@@ -147,7 +147,7 @@ impl AllocationProcess for AblationProcess {
         self.pool = rejected.into_iter().collect();
         let mut waiting_times = Vec::new();
         let stats = self
-            .bins
+            .arena
             .serve_sweep(|_, ball| waiting_times.push(ball.age_at(round)));
         RoundReport {
             round,

@@ -1,5 +1,11 @@
 //! Flat slot-arena storage for the bins — the one data layout of the round
-//! kernel, for finite and unbounded capacities alike.
+//! kernel, for finite and unbounded capacities alike — and the bin-local
+//! half of Algorithm 1's round: [`BinArena::accept_stream`] (every bin
+//! accepts the oldest `min{c − ℓ, ν}` of its requests) and
+//! [`BinArena::serve_sweep`] (every online bin serves the head of its
+//! queue). [`CappedProcess`](crate::process::CappedProcess) is a pool
+//! plus one arena, and its round is the only code that runs the two in
+//! turn.
 //!
 //! A literal implementation of CAPPED(c, λ) keeps one heap-allocated
 //! `VecDeque<Ball>` per bin, so a round's acceptance stage performs
@@ -58,7 +64,6 @@ use crate::ball::Ball;
 use crate::config::Capacity;
 use crate::obs;
 use crate::pool::{expand, push_run, Run};
-use crate::shard::ShardRoundStats;
 
 /// Strides are initially clamped to this many slots, so a huge finite
 /// capacity does not pre-commit memory that would almost never be used;
@@ -146,8 +151,31 @@ fn initial_stride(caps: &[Capacity], max_len: usize) -> usize {
         .next_power_of_two()
 }
 
+/// Statistics of one deletion sweep ([`BinArena::serve_sweep`]),
+/// aggregated over the bins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepStats {
+    /// Bins that attempted a deletion and found their buffer empty
+    /// (offline bins make no attempt and are excluded).
+    pub failed_deletions: u64,
+    /// Balls left in the buffers after the deletion stage.
+    pub buffered: u64,
+    /// Maximum bin load after the deletion stage.
+    pub max_load: u64,
+}
+
+impl SweepStats {
+    #[inline]
+    fn note_load(&mut self, load: u64) {
+        self.buffered += load;
+        self.max_load = self.max_load.max(load);
+    }
+}
+
 /// All of a process's FIFO bin buffers in one contiguous slot arena (see
-/// the module docs for the layout).
+/// the module docs for the layout), and the bin-local half of a round:
+/// [`accept_stream`](Self::accept_stream), then
+/// [`serve_sweep`](Self::serve_sweep).
 ///
 /// # Examples
 ///
@@ -406,25 +434,13 @@ impl BinArena {
         }
     }
 
-    /// Appends a new online bin at the end of the arena, pre-loaded with
-    /// `contents` (FIFO order, oldest first). Elastic membership: a fresh
-    /// bin enters empty; a bin transferred from another shard arrives with
-    /// its buffered balls.
-    ///
-    /// Like [`from_bins`](Self::from_bins), `contents` may legally exceed
-    /// the live capacity (a degraded bin in flight keeps its overflow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stride needed for `contents` exceeds [`MAX_STRIDE`].
-    pub fn push_bin_with(&mut self, capacity: Capacity, contents: &[Ball]) {
-        self.ensure_stride(contents.len());
+    /// Appends an empty, online bin of live capacity `capacity` at the end
+    /// of the arena (elastic membership growth).
+    pub fn push_bin(&mut self, capacity: Capacity) {
         let b = self.bins();
         self.slots
             .resize((b + 1) * self.stride + 1, Ball::generated_in(0));
-        self.slots[b * self.stride..b * self.stride + contents.len()].copy_from_slice(contents);
-        self.regs
-            .push(unwrapped(contents.len(), bound_of(capacity)));
+        self.regs.push(unwrapped(0, bound_of(capacity)));
         self.caps.push(capacity);
         self.blocking += usize::from(blocks_fast_path(capacity, self.stride));
         self.debug_check(b);
@@ -472,14 +488,38 @@ impl BinArena {
         self.blocking = count_blocking(&self.caps, new_stride);
     }
 
+    /// The acceptance stage of one round; returns the accepted count.
+    ///
+    /// The requests are the label `runs`, oldest first, plus one bin
+    /// choice per ball: `choices[i]` is the bin the `i`-th ball of the
+    /// runs asks for. Every online bin accepts the oldest `min{c − ℓ, ν}`
+    /// of its requests; the rejected balls are appended to `rejected` as
+    /// runs, oldest first. This is the single-pass `fast_accept` over
+    /// the runs, or, while some bin's capacity exceeds the stride,
+    /// `walk_accept`: the per-ball greedy walk of
+    /// [`try_accept`](Self::try_accept). Both are bit-exactly Algorithm 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `runs` holds exactly `choices.len()` balls.
+    pub fn accept_stream(&mut self, choices: &[u32], runs: &[Run], rejected: &mut Vec<Run>) -> u64 {
+        assert_eq!(
+            runs.iter().map(|run| run.count).sum::<u64>(),
+            choices.len() as u64,
+            "need exactly one choice per ball"
+        );
+        fast_accept(self, choices, runs, rejected)
+            .unwrap_or_else(|| walk_accept(self, choices, runs, rejected))
+    }
+
     /// The deletion stage of one round: every online bin serves the head
     /// of its queue into `served`, in bin order. It reads each bin's
     /// register and, for a non-empty online bin, its head slot
     /// `(tail − len) & mask`, and decrements the length — one register
     /// read-modify-write per bin, whichever acceptance pass ran before.
-    /// Returns the round's deletion statistics (`accepted` is left 0).
-    pub(crate) fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> ShardRoundStats {
-        let mut stats = ShardRoundStats::default();
+    /// Returns the round's deletion statistics.
+    pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> SweepStats {
+        let mut stats = SweepStats::default();
         let (stride, mask) = (self.stride, self.stride - 1);
         let slots = &self.slots;
         for (b, r) in self.regs.iter_mut().enumerate() {
@@ -507,8 +547,7 @@ impl BinArena {
 
 /// A read-only view of one bin's buffer in a [`BinArena`]: the ring's two
 /// slices in FIFO order plus the live capacity. This is what
-/// [`CappedProcess::bin`](crate::process::CappedProcess::bin) and
-/// [`BinShard::bin`](crate::shard::BinShard::bin) hand out.
+/// [`CappedProcess::bin`](crate::process::CappedProcess::bin) hands out.
 #[derive(Debug, Clone, Copy)]
 pub struct BinView<'a> {
     front: &'a [Ball],
@@ -923,18 +962,20 @@ mod tests {
 
         // A fresh bin enters empty, and a capacity within the stride keeps
         // the fast path open.
-        arena.push_bin_with(finite(2), &[]);
+        arena.push_bin(finite(2));
         assert_eq!(arena.bins(), 3);
         assert_eq!(arena.blocking, 0);
         assert_eq!(arena.len(2), 0);
 
-        // A transferred bin arrives with its balls in FIFO order.
-        arena.push_bin_with(finite(2), &[Ball::generated_in(1), Ball::generated_in(4)]);
+        // A pushed bin fills in FIFO order.
+        arena.push_bin(finite(2));
+        assert!(arena.try_accept(3, Ball::generated_in(1)));
+        assert!(arena.try_accept(3, Ball::generated_in(4)));
         assert_eq!(arena.len(3), 2);
         assert_eq!(arena.head(3), Some(&Ball::generated_in(1)));
 
         // A capacity past the stride blocks it; popping the bin reopens it.
-        arena.push_bin_with(finite(7), &[]);
+        arena.push_bin(finite(7));
         assert_eq!(arena.blocking, 1);
         let (cap, balls) = arena.pop_bin();
         assert_eq!(cap, finite(7));
@@ -959,21 +1000,283 @@ mod tests {
     }
 
     #[test]
-    fn push_bin_grows_stride_for_oversized_contents() {
-        let mut arena = BinArena::new(vec![finite(2); 2]);
-        let stride = arena.stride();
-        let big: Vec<Ball> = (1..=(stride as u64 + 1)).map(Ball::generated_in).collect();
-        arena.push_bin_with(Capacity::Infinite, &big);
-        assert!(arena.stride() > stride);
-        let labels: Vec<u64> = arena.iter_bin(2).map(Ball::label).collect();
-        let expected: Vec<u64> = (1..=(stride as u64 + 1)).collect();
-        assert_eq!(labels, expected);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot pop the last bin")]
     fn popping_the_last_bin_panics() {
         let mut arena = BinArena::new(vec![finite(2)]);
         arena.pop_bin();
+    }
+
+    fn ball(label: u64) -> Ball {
+        Ball::generated_in(label)
+    }
+
+    /// Runs one round's acceptance and deletion at `round`, returning the
+    /// accepted count, the sweep stats, the rejected balls, and the
+    /// served `(bin, wait)` pairs in bin order.
+    fn step(
+        arena: &mut BinArena,
+        round: u64,
+        stream: &[(usize, Ball)],
+    ) -> (u64, SweepStats, Vec<Ball>, Vec<(usize, u64)>) {
+        let (choices, runs) = requests(stream);
+        let mut rejected = Vec::new();
+        let mut served = Vec::new();
+        let accepted = arena.accept_stream(&choices, &runs, &mut rejected);
+        let stats = arena.serve_sweep(|b, ball| served.push((b, ball.age_at(round))));
+        assert!(crate::pool::is_canonical(&rejected));
+        (accepted, stats, expand(&rejected).collect(), served)
+    }
+
+    /// One bin's live capacity, FIFO contents and offline flag.
+    type Part = (Capacity, Vec<Ball>, bool);
+
+    /// Every bin's [`Part`], in bin order.
+    fn parts(arena: &BinArena) -> Vec<Part> {
+        (0..arena.bins())
+            .map(|b| {
+                let balls = arena.iter_bin(b).copied().collect();
+                (arena.capacity(b), balls, arena.is_offline(b))
+            })
+            .collect()
+    }
+
+    /// An arena holding `parts`, built the way a checkpoint restore
+    /// builds one: `from_bins`, then the offline flags.
+    fn rebuild(parts: Vec<Part>) -> BinArena {
+        let offline: Vec<bool> = parts.iter().map(|part| part.2).collect();
+        let (caps, contents) = parts
+            .into_iter()
+            .map(|(cap, balls, _)| (cap, balls))
+            .unzip();
+        let mut arena = BinArena::from_bins(caps, contents);
+        for (b, off) in offline.into_iter().enumerate() {
+            arena.set_offline(b, off);
+        }
+        arena
+    }
+
+    fn loads(arena: &BinArena) -> Vec<usize> {
+        (0..arena.bins()).map(|b| arena.len(b)).collect()
+    }
+
+    #[test]
+    fn accept_is_greedy_oldest_first_per_bin() {
+        let mut arena = BinArena::new(vec![finite(1); 4]);
+        // Oldest-first stream: bin 0 gets labels 1 then 2 — only 1 fits,
+        // and it is the one bin 0 serves.
+        let (accepted, _, rejected, served) =
+            step(&mut arena, 2, &[(0, ball(1)), (0, ball(2)), (1, ball(2))]);
+        assert_eq!(accepted, 2);
+        assert_eq!(rejected, vec![ball(2)]);
+        assert_eq!(served, vec![(0, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn serve_reports_waits_in_bin_order() {
+        let mut arena = BinArena::new(vec![finite(2); 3]);
+        let (_, stats, _, served) = step(&mut arena, 4, &[(0, ball(1)), (2, ball(3))]);
+        assert_eq!(served, vec![(0, 3), (2, 1)]);
+        assert_eq!(stats.failed_deletions, 1); // bin 1 was empty
+        assert_eq!(stats.buffered, 0);
+        assert_eq!(stats.max_load, 0);
+    }
+
+    /// Runs one round on `fast` through `fast_accept` (asserted to be the
+    /// path taken) and `serve_sweep`, and the same round on `walk` (the
+    /// per-ball `try_accept` walk, then `serve_sweep`): the rejects in
+    /// stream order, the served balls and every bin's FIFO contents must
+    /// agree.
+    fn assert_fast_round_matches_walk(
+        fast: &mut BinArena,
+        walk: &mut BinArena,
+        stream: &[(usize, Ball)],
+        what: &str,
+    ) {
+        let (mut fast_rejected, mut fast_served) = (Vec::new(), Vec::new());
+        let (choices, runs) = requests(stream);
+        assert!(
+            fast.fast_path_open(),
+            "{what}: the round must take fast_accept"
+        );
+        fast.accept_stream(&choices, &runs, &mut fast_rejected);
+        fast.serve_sweep(|b, ball| fast_served.push((b, ball)));
+        let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());
+        for &(b, ball) in stream {
+            if !walk.try_accept(b, ball) {
+                walk_rejected.push(ball);
+            }
+        }
+        walk.serve_sweep(|b, ball| walk_served.push((b, ball)));
+        let fast_rejected: Vec<Ball> = expand(&fast_rejected).collect();
+        assert_eq!(fast_rejected, walk_rejected, "{what}: rejects");
+        assert_eq!(fast_served, walk_served, "{what}: served balls");
+        assert_eq!(parts(fast), parts(walk), "{what}: bin contents");
+    }
+
+    /// Two arenas over the same parts: one for the kernel, one for the
+    /// per-ball walk.
+    fn kernel_pair(parts: Vec<Part>) -> (BinArena, BinArena) {
+        (rebuild(parts.clone()), rebuild(parts))
+    }
+
+    /// Every throw at the bins of `bins`, twice each, interleaved, with
+    /// distinct labels from `first_label` on — so a reject written over a
+    /// stored ball would show up as a wrong label.
+    fn hazard_stream(bins: usize, first_label: u64) -> Vec<(usize, Ball)> {
+        (0..2 * bins)
+            .map(|i| (i % bins, ball(first_label + i as u64)))
+            .collect()
+    }
+
+    #[test]
+    fn branchless_scatter_never_writes_a_reject_into_a_full_ring() {
+        // c = 2 gives stride 2, so a full bin's tail slot is its head slot:
+        // a reject written there would replace the ball served next.
+        let cap = finite(2);
+        let (mut fast, mut walk) = kernel_pair(vec![
+            (cap, vec![ball(1), ball(2)], false), // wraps to head 1 below
+            (cap, Vec::new(), false),             // fills at head 0 below
+            (cap, vec![ball(3)], true),           // offline
+            (cap, Vec::new(), false),             // open
+            (cap, vec![ball(4)], false),          // one slot of room
+        ]);
+        // A throw-free round serves one ball per bin; the per-ball walk
+        // then fills bin 0 from head 1 (wrapped) and bin 1 from head 0.
+        assert_fast_round_matches_walk(&mut fast, &mut walk, &[], "setup");
+        for arena in [&mut fast, &mut walk] {
+            for (b, label) in [(0, 5), (1, 6), (1, 7)] {
+                assert!(arena.try_accept(b, ball(label)));
+            }
+            assert_eq!(arena.len(0), 2);
+            assert_eq!(arena.len(1), 2);
+        }
+        for round in 0..3 {
+            let stream = hazard_stream(5, 100 + 10 * round);
+            assert_fast_round_matches_walk(
+                &mut fast,
+                &mut walk,
+                &stream,
+                &format!("full rings, round {round}"),
+            );
+        }
+    }
+
+    #[test]
+    fn branchless_scatter_keeps_an_overfull_uniform_bin_intact() {
+        // A degraded checkpoint restored under a uniform c = 2: bin 0
+        // holds four balls in a stride-4 ring (full, len == stride), bin 1
+        // three. Both have zero room and must reject every throw.
+        let cap = finite(2);
+        let (mut fast, mut walk) = kernel_pair(vec![
+            (cap, (1..=4).map(ball).collect(), false),
+            (cap, (5..=7).map(ball).collect(), false),
+            (cap, vec![ball(8)], false),
+            (cap, Vec::new(), false),
+        ]);
+        for round in 0..4 {
+            let stream = hazard_stream(4, 100 + 10 * round);
+            assert_fast_round_matches_walk(
+                &mut fast,
+                &mut walk,
+                &stream,
+                &format!("overfull bins, round {round}"),
+            );
+        }
+    }
+
+    #[test]
+    fn served_sink_receives_each_balls_bin() {
+        let mut arena = BinArena::new(vec![finite(2); 3]);
+        let mut served = Vec::new();
+        arena.accept_stream(&[0, 2], &[Run::new(1, 1), Run::new(3, 1)], &mut Vec::new());
+        arena.serve_sweep(|b, ball| served.push((b, ball)));
+        assert_eq!(served, vec![(0, ball(1)), (2, ball(3))]);
+    }
+
+    #[test]
+    fn offline_bins_freeze_and_skip_service() {
+        let mut arena = BinArena::new(vec![finite(2); 2]);
+        // Bin 0 accepts two balls and serves one: one ball stays.
+        step(&mut arena, 1, &[(0, ball(1)), (0, ball(1))]);
+        arena.set_offline(0, true);
+        assert!(arena.is_offline(0));
+        let (accepted, stats, rejected, served) = step(&mut arena, 2, &[(0, ball(2))]);
+        assert_eq!(accepted, 0);
+        assert_eq!(rejected, vec![ball(2)]);
+        assert!(served.is_empty());
+        // Offline bin 0 makes no deletion attempt; empty bin 1 fails one.
+        assert_eq!(stats.failed_deletions, 1);
+        assert_eq!(stats.buffered, 1);
+        assert_eq!(stats.max_load, 1);
+        // Recovery: the frozen ball is served first.
+        arena.set_offline(0, false);
+        let (_, _, _, served) = step(&mut arena, 3, &[]);
+        assert_eq!(served, vec![(0, 2)]);
+    }
+
+    #[test]
+    fn degraded_capacity_rejects_until_drained() {
+        let mut arena = BinArena::new(vec![finite(3)]);
+        step(&mut arena, 1, &[(0, ball(1)), (0, ball(1)), (0, ball(1))]);
+        assert_eq!(arena.len(0), 2);
+        arena.set_capacity(0, finite(1));
+        assert_eq!(arena.len(0), 2, "overflow balls stay");
+        let (accepted, _, _, served) = step(&mut arena, 2, &[(0, ball(2))]);
+        assert_eq!(accepted, 0);
+        assert_eq!(served, vec![(0, 1)]);
+        assert_eq!(arena.len(0), 1);
+    }
+
+    #[test]
+    fn from_bins_reproduces_a_live_arena() {
+        let mut original = BinArena::new(vec![finite(2); 4]);
+        step(
+            &mut original,
+            2,
+            &[(0, ball(1)), (0, ball(2)), (3, ball(2)), (3, ball(2))],
+        );
+        original.set_offline(1, true);
+        original.set_capacity(2, finite(1));
+
+        let mut restored = rebuild(parts(&original));
+        assert_eq!(loads(&restored), loads(&original));
+        assert_eq!(restored.capacity(2), finite(1));
+        assert!(restored.is_offline(1));
+        // Identical continuations: same accepts, same serves.
+        let stream = [(0, ball(3)), (1, ball(3)), (2, ball(3)), (3, ball(3))];
+        for round in 3..6 {
+            assert_eq!(
+                step(&mut original, round, &stream),
+                step(&mut restored, round, &stream),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn push_and_pop_bins_keep_round_state_consistent() {
+        let mut arena = BinArena::new(vec![finite(2); 3]);
+        step(
+            &mut arena,
+            1,
+            &[(0, ball(1)), (0, ball(1)), (2, ball(1)), (2, ball(1))],
+        );
+        assert_eq!(arena.buffered(), 2);
+
+        // Growth: the new bin is empty, online, and accepts immediately.
+        arena.push_bin(finite(2));
+        assert_eq!(arena.bins(), 4);
+        assert!(!arena.is_offline(3));
+        let (accepted, _, _, _) = step(&mut arena, 2, &[(3, ball(2)), (3, ball(2))]);
+        assert_eq!(accepted, 2);
+        assert_eq!(arena.len(3), 1);
+
+        // Shrink: the popped bin drains its balls; survivors keep theirs.
+        assert!(!arena.is_offline(3));
+        let (cap, balls) = arena.pop_bin();
+        assert_eq!(cap, finite(2));
+        assert_eq!(balls, vec![ball(2)]);
+        assert_eq!(arena.bins(), 3);
+        assert_eq!(arena.buffered(), 0, "bins 0 and 2 served their balls");
     }
 }

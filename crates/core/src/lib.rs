@@ -18,8 +18,11 @@
 //! - [`spec::SpecCapped`] — Algorithm 1 written as literally as possible,
 //!   the one oracle the differential suites hold the process to.
 //!
-//! Every configuration stores its bins in one flat [`BinArena`], the
-//! layout of the round kernel, unbounded capacities included.
+//! A [`CappedProcess`] is its pool plus one flat [`BinArena`] holding the
+//! bins — the one bin store and the layout of the round kernel, for every
+//! configuration, unbounded capacities included. The arena runs the
+//! bin-local half of a round (its acceptance stage, then its deletion
+//! sweep); the process composes the two.
 //!
 //! Setting the capacity to [`Capacity::Infinite`](config::Capacity) turns
 //! CAPPED(∞, λ) into the classical parallel GREEDY\[1\] process (see the
@@ -59,7 +62,6 @@ pub mod modcapped;
 mod obs;
 pub mod pool;
 pub mod process;
-pub mod shard;
 pub mod spec;
 
 pub use arena::{BinArena, BinView};
@@ -71,4 +73,3 @@ pub use modcapped::ModCappedProcess;
 pub use pool::Pool;
 pub use process::CappedProcess;
 pub use process::KernelMode;
-pub use shard::BinShard;

@@ -24,8 +24,7 @@ pub(crate) struct CoreProbes {
     pub fallback_rounds: Arc<Counter>,
     /// Arena re-layouts (stride growth; only fault-raised capacities).
     pub arena_grows: Arc<Counter>,
-    /// Balls accepted into buffers by any round (process or shard),
-    /// lifetime.
+    /// Balls accepted into buffers by any process round, lifetime.
     pub accepted_balls: Arc<Counter>,
     /// Allocation requests rejected back into the pool, lifetime.
     pub rejected_balls: Arc<Counter>,

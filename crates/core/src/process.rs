@@ -5,16 +5,15 @@ use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
 use iba_sim::stats::Histogram;
 
-use crate::arena::BinView;
+use crate::arena::{BinArena, BinView};
 use crate::ball::Ball;
 use crate::config::{Capacity, CappedConfig};
 use crate::pool::{Pool, Run};
-use crate::shard::{BinPart, BinShard};
 
 /// The round kernel a [`CappedProcess`] runs. There is one: the flat
-/// [`BinArena`](crate::arena::BinArena) with its acceptance scatter (the
-/// per-ball walk where the scatter does not apply) and bulk RNG draw, for
-/// every capacity configuration. The enum stays only because the
+/// [`BinArena`] with its acceptance scatter (the per-ball walk where the
+/// scatter does not apply) and bulk RNG draw, for every capacity
+/// configuration. The enum stays only because the
 /// repository benchmark prints its name; it goes with the benchmark's API
 /// shims (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,11 +44,13 @@ impl KernelMode {
 ///    enter the bin's FIFO queue;
 /// 4. every non-empty bin deletes (serves) the first ball in its queue.
 ///
-/// The process holds the pool, the round counters, and the choice source;
-/// the bins and the bin-local round (items 3 and 4) belong to one
-/// [`BinShard`] over `0..n`. The pool is processed in global oldest-first
-/// order and each bin accepts greedily while it has room, which yields
-/// exactly the acceptance rule in item 3 (see `Pool`'s documentation).
+/// The process is the pool plus one [`BinArena`] holding the bins; a
+/// round draws the choices, runs the arena's acceptance stage
+/// ([`BinArena::accept_stream`], item 3) and then its deletion sweep
+/// ([`BinArena::serve_sweep`], item 4). The pool is processed in global
+/// oldest-first order and each bin accepts greedily while it has room,
+/// which yields exactly the acceptance rule in item 3 (see `Pool`'s
+/// documentation).
 ///
 /// # Examples
 ///
@@ -70,7 +71,7 @@ impl KernelMode {
 pub struct CappedProcess {
     config: CappedConfig,
     pool: Pool,
-    bins: BinShard,
+    arena: BinArena,
     round: u64,
     total_generated: u64,
     total_deleted: u64,
@@ -92,34 +93,34 @@ impl CappedProcess {
     /// Creates the process in the paper's initial state: empty pool, empty
     /// bins, round 0.
     pub fn new(config: CappedConfig) -> Self {
-        let bins = BinShard::new(&config, 0..config.bins());
-        Self::from_parts(config, bins, Pool::new(), 0, 0, 0)
+        let arena = BinArena::new((0..config.bins()).map(|i| config.capacity_of(i)).collect());
+        Self::from_parts(config, arena, Pool::new(), 0, 0, 0)
     }
 
-    /// Assembles a process from its state: the bins (one shard over
-    /// `0..n`, holding queues, live capacities, and the fault mask), the
+    /// Assembles a process from its state: the bins (an arena of `n`
+    /// bins, holding queues, live capacities, and the fault mask), the
     /// age-sorted pool, the last completed round, and the lifetime
     /// generated/deleted counters. This is how checkpoints are restored.
     ///
     /// # Panics
     ///
-    /// Panics unless `bins` covers exactly `0..config.bins()`.
+    /// Panics unless `arena` holds exactly `config.bins()` bins.
     pub fn from_parts(
         config: CappedConfig,
-        bins: BinShard,
+        arena: BinArena,
         pool: Pool,
         round: u64,
         total_generated: u64,
         total_deleted: u64,
     ) -> Self {
         assert!(
-            bins.first_bin() == 0 && bins.len() == config.bins(),
-            "the process's shard must cover 0..n"
+            arena.bins() == config.bins(),
+            "the process's arena must hold n bins"
         );
         CappedProcess {
             config,
             pool,
-            bins,
+            arena,
             round,
             total_generated,
             total_deleted,
@@ -136,38 +137,14 @@ impl CappedProcess {
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message if `i ≥ n`; use
-    /// [`try_set_bin_offline`](Self::try_set_bin_offline) for fallible
-    /// handling of untrusted indices.
+    /// Panics with a descriptive message if `i ≥ n`.
     pub fn set_bin_offline(&mut self, i: usize, offline: bool) {
         assert!(
-            i < self.bins.len(),
+            i < self.arena.bins(),
             "bin index {i} out of range for a process with n = {} bins",
-            self.bins.len()
+            self.arena.bins()
         );
-        self.bins.set_offline(i, offline);
-    }
-
-    /// Fallible [`set_bin_offline`](Self::set_bin_offline) for indices
-    /// coming from untrusted input (CLI arguments, fault-plan files).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfDomain`](iba_sim::error::ConfigError)
-    /// if `i ≥ n`; the process is left unchanged.
-    pub fn try_set_bin_offline(
-        &mut self,
-        i: usize,
-        offline: bool,
-    ) -> Result<(), iba_sim::error::ConfigError> {
-        if i >= self.bins.len() {
-            return Err(iba_sim::error::ConfigError::OutOfDomain {
-                name: "bin index",
-                domain: "0..n",
-            });
-        }
-        self.bins.set_offline(i, offline);
-        Ok(())
+        self.arena.set_offline(i, offline);
     }
 
     /// Whether bin `i` is currently offline.
@@ -176,13 +153,13 @@ impl CappedProcess {
     ///
     /// Panics if `i ≥ n`.
     pub fn is_bin_offline(&self, i: usize) -> bool {
-        self.bins.is_offline(i)
+        self.arena.is_offline(i)
     }
 
     /// Number of currently offline bins.
     pub fn offline_count(&self) -> usize {
-        (0..self.bins.len())
-            .filter(|&i| self.bins.is_offline(i))
+        (0..self.arena.bins())
+            .filter(|&i| self.arena.is_offline(i))
             .count()
     }
 
@@ -201,7 +178,7 @@ impl CappedProcess {
             "bin index {i} out of range for a process with n = {} bins",
             self.config.bins()
         );
-        self.bins.set_capacity(i, capacity);
+        self.arena.set_capacity(i, capacity);
     }
 
     /// The configuration this process runs with.
@@ -241,24 +218,24 @@ impl CappedProcess {
     ///
     /// Panics if `i ≥ n`.
     pub fn bin(&self, i: usize) -> BinView<'_> {
-        self.bins.bin(i)
+        self.arena.view(i)
     }
 
     /// Current loads of all bins.
     pub fn loads(&self) -> Vec<usize> {
-        self.bins.loads()
+        (0..self.arena.bins()).map(|i| self.arena.len(i)).collect()
     }
 
     /// Histogram of current bin loads (values `0..=c`).
     pub fn load_histogram(&self) -> Histogram {
-        (0..self.bins.len())
-            .map(|i| self.bins.load(i) as u64)
+        (0..self.arena.bins())
+            .map(|i| self.arena.len(i) as u64)
             .collect()
     }
 
     /// Total number of balls stored in bin buffers.
     pub fn buffered(&self) -> usize {
-        self.bins.buffered()
+        self.arena.buffered()
     }
 
     /// The pool.
@@ -297,7 +274,7 @@ impl CappedProcess {
         enc.u64_seq(self.pool.iter().map(|ball| ball.label()));
         enc.usize(self.config.bins());
         for i in 0..self.config.bins() {
-            let bin = self.bins.bin(i);
+            let bin = self.arena.view(i);
             // Live capacity, which fault injection may have diverged from
             // the configured profile; 0 encodes "unbounded".
             enc.u64(match bin.capacity() {
@@ -308,7 +285,7 @@ impl CappedProcess {
             enc.u64_seq(labels.into_iter());
         }
         for i in 0..self.config.bins() {
-            enc.bool(self.bins.is_offline(i));
+            enc.bool(self.arena.is_offline(i));
         }
     }
 
@@ -320,7 +297,7 @@ impl CappedProcess {
     /// input, including states violating the process invariants (unsorted
     /// pool, a pooled or buffered ball labeled after the checkpoint's
     /// round, broken conservation) and states whose bin arena cannot be
-    /// built ([`BinShard::try_from_parts`]).
+    /// built ([`BinArena::try_from_bins`]).
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
@@ -347,7 +324,8 @@ impl CappedProcess {
         }
         // No reservation by `bin_count`: it comes from the input, and a
         // forged count must fail on the missing bytes, not allocate first.
-        let mut parts: Vec<BinPart> = Vec::new();
+        let mut caps = Vec::new();
+        let mut contents: Vec<Vec<Ball>> = Vec::new();
         for _ in 0..bin_count {
             let raw = dec.u64("bin capacity")?;
             let capacity = if raw == 0 {
@@ -369,18 +347,21 @@ impl CappedProcess {
             // No load-vs-capacity check: a degraded bin legally holds more
             // balls than its live capacity (capacity degradation);
             // conservation is verified below.
-            let balls = labels.iter().map(|&l| Ball::generated_in(l)).collect();
-            parts.push((capacity, balls, false));
+            caps.push(capacity);
+            contents.push(labels.iter().map(|&l| Ball::generated_in(l)).collect());
         }
-        for part in &mut parts {
-            part.2 = dec.bool("offline flag")?;
-        }
+        let offline = (0..bin_count)
+            .map(|_| dec.bool("offline flag"))
+            .collect::<Result<Vec<bool>, _>>()?;
         // The arena is n rings of the largest load's size: a forged load
         // can ask for more memory than exists, so it is allocated fallibly.
-        let bins = BinShard::try_from_parts(0, parts).ok_or(CodecError::Invalid {
+        let mut arena = BinArena::try_from_bins(caps, contents).ok_or(CodecError::Invalid {
             what: "bin arena size (a load past MAX_STRIDE, or more slots than can be allocated)",
         })?;
-        let process = Self::from_parts(config, bins, pool, round, total_generated, total_deleted);
+        for (i, off) in offline.into_iter().enumerate() {
+            arena.set_offline(i, off);
+        }
+        let process = Self::from_parts(config, arena, pool, round, total_generated, total_deleted);
         if !process.conserves_balls() {
             return Err(CodecError::Invalid {
                 what: "ball conservation",
@@ -460,7 +441,7 @@ impl CappedProcess {
     pub fn add_bins(&mut self, count: usize) {
         let capacity = self.config.capacity();
         for _ in 0..count {
-            self.bins.push_bin_with(capacity, &[], false);
+            self.arena.push_bin(capacity);
         }
         self.resize_config();
     }
@@ -476,8 +457,8 @@ impl CappedProcess {
     /// Panics if the configuration has a heterogeneous capacity profile.
     pub fn remove_bins(&mut self, count: usize) -> u64 {
         let mut drained = Vec::new();
-        for _ in 0..count.min(self.bins.len() - 1) {
-            drained.extend(self.bins.pop_bin().1);
+        for _ in 0..count.min(self.arena.bins() - 1) {
+            drained.extend(self.arena.pop_bin().1);
         }
         self.resize_config();
         let moved = drained.len() as u64;
@@ -488,11 +469,11 @@ impl CappedProcess {
     }
 
     fn resize_config(&mut self) {
-        if self.bins.len() != self.config.bins() {
+        if self.arena.bins() != self.config.bins() {
             self.config = self
                 .config
                 .clone()
-                .resized(self.bins.len())
+                .resized(self.arena.bins())
                 .expect("elastic membership needs uniform capacities");
         }
     }
@@ -525,7 +506,7 @@ impl CappedProcess {
 
         // 2 + 3. Random choices and oldest-first greedy acceptance: the
         // whole round is the pool's label runs plus one bin choice per
-        // ball through the shard. Pre-drawing every choice in pool order
+        // ball through the arena. Pre-drawing every choice in pool order
         // consumes the RNG exactly as per-ball draws interleaved with the
         // acceptance would.
         let accept_timer = iba_obs::PhaseTimer::start();
@@ -546,7 +527,9 @@ impl CappedProcess {
                 rng.fill_uniform_bins(n, &mut self.choices);
             }
         }
-        let accepted = self.bins.accept_stream(&self.choices, &runs, &mut rejected);
+        let accepted = self
+            .arena
+            .accept_stream(&self.choices, &runs, &mut rejected);
         runs.clear();
         self.scratch = runs;
         self.pool.restore_runs(rejected);
@@ -562,7 +545,7 @@ impl CappedProcess {
         let serve_timer = iba_obs::PhaseTimer::start();
         let waiting_times = &mut report.waiting_times;
         waiting_times.clear();
-        let stats = self.bins.serve_sweep(|bin, ball| {
+        let stats = self.arena.serve_sweep(|bin, ball| {
             waiting_times.push(ball.age_at(round));
             served(bin, ball);
         });
@@ -954,20 +937,6 @@ mod tests {
     fn set_bin_offline_rejects_out_of_range_index() {
         let mut p = process(4, 1, 0.5);
         p.set_bin_offline(4, true);
-    }
-
-    #[test]
-    fn try_set_bin_offline_reports_out_of_domain() {
-        use iba_sim::error::ConfigError;
-        let mut p = process(4, 1, 0.5);
-        assert!(matches!(
-            p.try_set_bin_offline(4, true),
-            Err(ConfigError::OutOfDomain { .. })
-        ));
-        assert_eq!(p.offline_count(), 0, "failed call must not mutate");
-        assert!(p.try_set_bin_offline(3, true).is_ok());
-        assert!(p.is_bin_offline(3));
-        assert_eq!(p.offline_count(), 1);
     }
 
     #[test]

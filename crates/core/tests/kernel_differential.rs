@@ -11,8 +11,9 @@
 //! every bin's requests by age, so these tests are an executable statement
 //! of the kernel's equivalence to Algorithm 1, not a fixture comparison.
 //! Beyond the round kernel itself they pin heavy pool surges, stride
-//! growth under CAPPED(∞, λ), checkpoint restores, and `BinShard`
-//! acceptance through elastic membership changes.
+//! growth under CAPPED(∞, λ), checkpoint restores (one of them a
+//! committed IBA1 file), and `BinArena` acceptance through elastic
+//! membership changes.
 
 use iba_core::checkpoint;
 use iba_core::spec::{SpecBin, SpecCapped};
@@ -516,6 +517,27 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
 }
 
 #[test]
+fn committed_checkpoint_restores_resaves_and_resumes_bit_exactly() {
+    // An IBA1 file written by an earlier build of the codec: n = 16 with
+    // a {1, 3} capacity profile, bin 5 raised to unbounded and loaded
+    // past the configured stride, bin 7 offline holding balls, and bin 3
+    // degraded to capacity 1 below its load. A same-build round trip
+    // cannot catch an encode/decode drift that changes both sides
+    // together; this file can.
+    let bytes: &[u8] = include_bytes!("data/iba1_faulted.bin");
+    let mut sim = checkpoint::restore(bytes).expect("the committed checkpoint restores");
+    assert_eq!(checkpoint::save(&sim), bytes, "re-saving changed the bytes");
+    let p = sim.process();
+    assert!(p.config().capacity_profile().is_some());
+    assert_eq!(p.bin(5).capacity(), Capacity::Infinite);
+    assert!(p.bin(5).len() > 4, "bin 5 outgrew the configured stride");
+    assert!(p.is_bin_offline(7) && !p.bin(7).is_empty());
+    assert_eq!(p.bin(3).capacity(), Capacity::finite(1).unwrap());
+    assert!(p.bin(3).len() > 1, "bin 3 holds more than its capacity");
+    assert_resume_matches_spec(&mut sim, 60, "committed checkpoint");
+}
+
+#[test]
 fn unbounded_checkpoint_round_trips_through_the_arena() {
     // A CAPPED(∞, λ) checkpoint taken after a surge grew the stride
     // restores onto a fresh arena sized by the loads it carries, and
@@ -567,20 +589,31 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
 
 #[test]
 fn shard_kernels_match_through_elastic_membership_changes() {
-    // BinShard-level oracle: one shard runs the fused round, a second
-    // runs the per-ball `try_accept` walk followed by `serve_sweep`. Fed identical routed streams, they stay
-    // identical through every mutation that rewrites the kernel shard's
-    // per-bin registers: bin growth and shrink, crash
-    // and recovery, capacity degradation and raises (past the stride,
-    // forcing the kernel onto the walk, and to unbounded), and a
-    // pop → rebuild → push round trip of the upper half (the
-    // elastic-membership and fault surface the service uses).
+    // BinArena-level oracle: one arena runs the kernel's acceptance
+    // stage and sweep, a second runs the per-ball `try_accept` walk
+    // followed by `serve_sweep`. Fed identical streams, they stay
+    // identical through every mutation that rewrites the kernel arena's
+    // per-bin registers: bin growth and shrink, crash and recovery,
+    // capacity degradation and raises (past the stride, forcing the
+    // kernel onto the walk, and to unbounded) — the elastic-membership
+    // and fault surface the service uses.
+    use iba_core::arena::SweepStats;
     use iba_core::pool::{expand, push_run, Run};
-    use iba_core::shard::{BinPart, BinShard, ShardRoundStats};
+    use iba_core::BinArena;
 
-    type Round = (ShardRoundStats, Vec<Ball>, Vec<(usize, Ball)>);
+    type Round = (u64, SweepStats, Vec<Ball>, Vec<(usize, Ball)>);
 
-    fn kernel_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {
+    /// Every bin's live capacity, FIFO contents and offline flag.
+    fn parts(arena: &BinArena) -> Vec<(Capacity, Vec<Ball>, bool)> {
+        (0..arena.bins())
+            .map(|b| {
+                let balls = arena.iter_bin(b).copied().collect();
+                (arena.capacity(b), balls, arena.is_offline(b))
+            })
+            .collect()
+    }
+
+    fn kernel_step(arena: &mut BinArena, requests: &[(usize, Ball)]) -> Round {
         // The kernel takes the balls as label runs plus one bin choice
         // per ball, and hands the rejects back as runs.
         let choices: Vec<u32> = requests.iter().map(|&(b, _)| b as u32).collect();
@@ -590,73 +623,63 @@ fn shard_kernels_match_through_elastic_membership_changes() {
         }
         let mut rejected = Vec::new();
         let mut served = Vec::new();
-        let stats = shard.run_round(&choices, &runs, &mut rejected, |b, ball| {
-            served.push((b, ball))
-        });
-        (stats, expand(&rejected).collect(), served)
+        let accepted = arena.accept_stream(&choices, &runs, &mut rejected);
+        let stats = arena.serve_sweep(|b, ball| served.push((b, ball)));
+        (accepted, stats, expand(&rejected).collect(), served)
     }
 
-    fn walk_step(shard: &mut BinShard, requests: &[(usize, Ball)]) -> Round {
+    fn walk_step(arena: &mut BinArena, requests: &[(usize, Ball)]) -> Round {
         let mut rejected = Vec::new();
         let mut served = Vec::new();
         let mut accepted = 0;
         for &(b, ball) in requests {
-            if shard.try_accept(b, ball) {
+            if arena.try_accept(b, ball) {
                 accepted += 1;
             } else {
                 rejected.push(ball);
             }
         }
-        let stats = shard.serve_sweep(|b, ball| served.push((b, ball)));
-        let stats = ShardRoundStats { accepted, ..stats };
-        (stats, rejected, served)
+        let stats = arena.serve_sweep(|b, ball| served.push((b, ball)));
+        (accepted, stats, rejected, served)
     }
 
     let c = Capacity::finite(2).unwrap();
-    let config = CappedConfig::new(16, 2, 0.75).expect("valid");
-    let mut fast = BinShard::new(&config, 0..8);
-    let mut walk = BinShard::new(&config, 0..8);
+    let mut fast = BinArena::new(vec![c; 8]);
+    let mut walk = BinArena::new(vec![c; 8]);
     let mut rng = SimRng::seed_from(3);
     let mut pending: Vec<Ball> = Vec::new();
     for round in 1..=200u64 {
-        for shard in [&mut fast, &mut walk] {
+        for arena in [&mut fast, &mut walk] {
             match round {
                 // Elastic membership: grow two bins, shrink one later.
-                30 | 45 => shard.push_bin_with(c, &[], false),
+                30 | 45 => arena.push_bin(c),
                 // Crash two bins, recover one, then the other.
                 55 => {
-                    shard.set_offline(1, true);
-                    shard.set_offline(6, true);
+                    arena.set_offline(1, true);
+                    arena.set_offline(6, true);
                 }
-                62 => shard.set_offline(1, false),
-                70 => shard.set_offline(6, false),
+                62 => arena.set_offline(1, false),
+                70 => arena.set_offline(6, false),
                 // Degrade, then raise past the stride (fast path bails to
                 // the per-ball walk, which grows the arena), raise
                 // another bin to unbounded, and restore both.
-                90 => shard.set_capacity(2, Capacity::finite(1).unwrap()),
-                100 => shard.set_capacity(2, Capacity::finite(9).unwrap()),
-                105 => shard.set_capacity(4, Capacity::Infinite),
+                90 => arena.set_capacity(2, Capacity::finite(1).unwrap()),
+                100 => arena.set_capacity(2, Capacity::finite(9).unwrap()),
+                105 => arena.set_capacity(4, Capacity::Infinite),
                 120 => {
-                    shard.set_capacity(2, c);
-                    shard.set_capacity(4, c);
-                }
-                // Pop the upper half off, rebuild it as its own shard,
-                // and push it back.
-                140 => {
-                    let mut parts: Vec<BinPart> =
-                        (5..shard.len()).map(|_| shard.pop_bin()).collect();
-                    parts.reverse();
-                    let upper = BinShard::from_parts(5, parts);
-                    for (cap, balls, offline) in upper.to_parts() {
-                        shard.push_bin_with(cap, &balls, offline);
-                    }
+                    arena.set_capacity(2, c);
+                    arena.set_capacity(4, c);
                 }
                 _ => {}
             }
         }
         if round == 80 {
-            let (cf, bf, of) = fast.pop_bin();
-            let (cw, bw, ow) = walk.pop_bin();
+            let (of, ow) = (
+                fast.is_offline(fast.bins() - 1),
+                walk.is_offline(walk.bins() - 1),
+            );
+            let (cf, bf) = fast.pop_bin();
+            let (cw, bw) = walk.pop_bin();
             assert_eq!((cf, &bf, of), (cw, &bw, ow), "popped bins diverged");
             pending.extend(bf); // drained balls re-enter the stream
         }
@@ -664,23 +687,23 @@ fn shard_kernels_match_through_elastic_membership_changes() {
             // A surge that fills the raised bins past the old stride.
             pending.extend(std::iter::repeat_n(Ball::generated_in(round), 40));
         }
-        let bins = fast.len();
+        let bins = fast.bins();
         pending.extend(std::iter::repeat_n(Ball::generated_in(round), 6));
         pending.sort();
         let requests: Vec<(usize, Ball)> = pending
             .drain(..)
             .map(|ball| (rng.uniform_bin(bins), ball))
             .collect();
-        let (stats_f, rej_f, served_f) = kernel_step(&mut fast, &requests);
-        let (stats_w, rej_w, served_w) = walk_step(&mut walk, &requests);
-        assert_eq!(stats_f, stats_w, "round stats diverged at round {round}");
+        let (acc_f, stats_f, rej_f, served_f) = kernel_step(&mut fast, &requests);
+        let (acc_w, stats_w, rej_w, served_w) = walk_step(&mut walk, &requests);
+        assert_eq!(
+            (acc_f, stats_f),
+            (acc_w, stats_w),
+            "round stats diverged at round {round}"
+        );
         assert_eq!(rej_f, rej_w, "rejects diverged at round {round}");
         assert_eq!(served_f, served_w, "serves diverged at round {round}");
-        assert_eq!(
-            fast.to_parts(),
-            walk.to_parts(),
-            "bins diverged at round {round}"
-        );
+        assert_eq!(parts(&fast), parts(&walk), "bins diverged at round {round}");
         pending = rej_f;
     }
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use iba_core::pool::{expand, is_canonical, push_run, Run};
-use iba_core::{checkpoint, Ball, BinShard, CappedConfig, CappedProcess, Pool};
+use iba_core::{checkpoint, Ball, BinArena, CappedConfig, CappedProcess, Pool};
 use iba_sim::stats::Histogram;
 use iba_sim::{SimRng, Simulation};
 
@@ -44,7 +44,7 @@ fn assert_matches(pool: &Pool, model: &[Ball], what: &str) {
 /// (empty bins, so conservation needs only the pool), decoded back.
 fn checkpoint_round_trip(pool: &Pool, round: u64) -> Pool {
     let config = CappedConfig::new(4, 2, 0.5).expect("valid");
-    let bins = BinShard::new(&config, 0..4);
+    let bins = BinArena::new(vec![config.capacity(); 4]);
     let generated = pool.len() as u64;
     let process = CappedProcess::from_parts(config, bins, pool.clone(), round, generated, 0);
     let bytes = checkpoint::save(&Simulation::new(process, SimRng::seed_from(1)));

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 
-use iba_core::shard::BinPart;
-use iba_core::{checkpoint, Ball, BinArena, BinShard, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_core::{checkpoint, Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool};
 use iba_sim::codec::CodecError;
 use iba_sim::process::AllocationProcess;
 use iba_sim::{SimRng, Simulation};
@@ -159,17 +158,34 @@ proptest! {
     }
 }
 
+/// One bin's live capacity, FIFO contents and offline flag.
+type Part = (Capacity, Vec<Ball>, bool);
+
+/// An arena holding `parts`: `from_bins`, then the offline flags.
+fn arena_of(parts: Vec<Part>) -> BinArena {
+    let offline: Vec<bool> = parts.iter().map(|part| part.2).collect();
+    let (caps, contents) = parts
+        .into_iter()
+        .map(|(cap, balls, _)| (cap, balls))
+        .unzip();
+    let mut arena = BinArena::from_bins(caps, contents);
+    for (b, off) in offline.into_iter().enumerate() {
+        arena.set_offline(b, off);
+    }
+    arena
+}
+
 /// The process of `sim`, re-assembled with its pool and bins passed
 /// through `forge` (and the generated-ball counter adjusted so that
 /// conservation still holds), saved as an IBA1 checkpoint with a valid
 /// CRC, and restored.
 fn restore_forged(
     sim: &Simulation<CappedProcess>,
-    forge: impl FnOnce(&mut Vec<Ball>, &mut Vec<BinPart>),
+    forge: impl FnOnce(&mut Vec<Ball>, &mut Vec<Part>),
 ) -> Result<Simulation<CappedProcess>, CodecError> {
     let p = sim.process();
     let mut pool: Vec<Ball> = p.pool().iter().collect();
-    let mut parts: Vec<BinPart> = (0..p.config().bins())
+    let mut parts: Vec<Part> = (0..p.config().bins())
         .map(|i| {
             let bin = p.bin(i);
             (
@@ -179,7 +195,7 @@ fn restore_forged(
             )
         })
         .collect();
-    let held = |pool: &Vec<Ball>, parts: &Vec<BinPart>| {
+    let held = |pool: &Vec<Ball>, parts: &Vec<Part>| {
         pool.len() + parts.iter().map(|part| part.1.len()).sum::<usize>()
     };
     let before = held(&pool, &parts);
@@ -187,7 +203,7 @@ fn restore_forged(
     let generated = p.total_generated() + held(&pool, &parts) as u64 - before as u64;
     let forged = CappedProcess::from_parts(
         p.config().clone(),
-        BinShard::from_parts(0, parts),
+        arena_of(parts),
         pool.into_iter().collect::<Pool>(),
         p.round(),
         generated,

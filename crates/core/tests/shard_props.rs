@@ -1,33 +1,66 @@
-//! Property suite of the per-bin registers: random interleavings of fused
-//! `BinShard::run_round`s with every mutator that rewrites a bin's
-//! register — crash and recovery, degrade and raise (past the stride, to
-//! unbounded and back), `push_bin_with` (overfull contents too),
-//! `pop_bin` (one bin, or the upper bins into a shard of their own via
-//! `from_parts`), and a `to_parts` round trip.
+//! Property suite of the per-bin registers: random interleavings of
+//! `BinArena` rounds (`accept_stream`, then `serve_sweep`) with every
+//! mutator that rewrites a bin's register — crash and recovery, degrade
+//! and raise (past the stride, to unbounded and back), `push_bin`,
+//! `pop_bin`, and a rebuild through `from_bins` (the checkpoint restore's
+//! path).
 //!
-//! Every round runs three ways: the fused kernel, a second shard walked
-//! ball by ball through `try_accept` and finished with `serve_sweep`, and
-//! the literal specification `SpecCapped`, rebuilt from its own state
+//! Every round runs three ways: the kernel, a second arena walked ball by
+//! ball through `try_accept` and finished with `serve_sweep`, and the
+//! literal specification `SpecCapped`, rebuilt from its own state
 //! whenever a bin joins or leaves. Stats, reject runs, served
 //! `(bin, ball)` pairs and every bin's state must agree after each round.
 
 use proptest::prelude::*;
 
 use iba_core::pool::{expand, push_run, Run};
-use iba_core::shard::{BinPart, BinShard, ShardRoundStats};
 use iba_core::spec::{SpecBin, SpecCapped};
-use iba_core::{Ball, Capacity, CappedConfig};
+use iba_core::{Ball, BinArena, Capacity, CappedConfig};
 use iba_sim::{AllocationProcess, SimRng};
 
 fn finite(c: u32) -> Capacity {
     Capacity::finite(c).expect("positive")
 }
 
-/// The fused kernel, the per-ball walk and the specification, in
-/// lockstep.
+/// One bin's live capacity, FIFO contents and offline flag.
+type Part = (Capacity, Vec<Ball>, bool);
+
+/// Every bin's [`Part`], in bin order.
+fn parts(arena: &BinArena) -> Vec<Part> {
+    (0..arena.bins())
+        .map(|b| {
+            let balls = arena.iter_bin(b).copied().collect();
+            (arena.capacity(b), balls, arena.is_offline(b))
+        })
+        .collect()
+}
+
+/// An arena holding `parts`, built the way a checkpoint restore builds
+/// one: `from_bins`, then the offline flags.
+fn rebuild(parts: Vec<Part>) -> BinArena {
+    let offline: Vec<bool> = parts.iter().map(|part| part.2).collect();
+    let (caps, contents) = parts
+        .into_iter()
+        .map(|(cap, balls, _)| (cap, balls))
+        .unzip();
+    let mut arena = BinArena::from_bins(caps, contents);
+    for (b, off) in offline.into_iter().enumerate() {
+        arena.set_offline(b, off);
+    }
+    arena
+}
+
+/// Pops `arena`'s last bin, returning its [`Part`].
+fn pop(arena: &mut BinArena) -> Part {
+    let offline = arena.is_offline(arena.bins() - 1);
+    let (cap, balls) = arena.pop_bin();
+    (cap, balls, offline)
+}
+
+/// The kernel, the per-ball walk and the specification, in lockstep.
 struct Lockstep {
-    fast: BinShard,
-    walk: BinShard,
+    fast: BinArena,
+    walk: BinArena,
     spec: SpecCapped,
     c: u32,
     rng: SimRng,
@@ -37,8 +70,8 @@ impl Lockstep {
     fn new(n: usize, c: u32, seed: u64) -> Self {
         let config = CappedConfig::new(n, c, 0.0).expect("valid");
         Lockstep {
-            fast: BinShard::new(&config, 0..n),
-            walk: BinShard::new(&config, 0..n),
+            fast: BinArena::new(vec![config.capacity(); n]),
+            walk: BinArena::new(vec![config.capacity(); n]),
             spec: SpecCapped::from_config(&config),
             c,
             rng: SimRng::seed_from(seed),
@@ -68,7 +101,7 @@ impl Lockstep {
 
     /// Applies mutator `op` (with parameter `x`) to all three.
     fn mutate(&mut self, op: u8, x: u64) {
-        let n = self.fast.len();
+        let n = self.fast.bins();
         let bin = (x % n as u64) as usize;
         let stride_past = 2 * self.c.next_power_of_two() + 1;
         let capacity = match op {
@@ -93,31 +126,22 @@ impl Lockstep {
                 self.spec.set_bin_capacity(bin, capacity);
             }
             7 => {
-                // A bin joins, carrying up to c + 3 balls (overfull if
-                // more than its capacity) from rounds up to now.
-                let round = self.spec.round();
-                let load = (x >> 8) % u64::from(self.c + 4);
-                let mut labels: Vec<u64> = (0..load)
-                    .map(|k| (x >> 16).wrapping_add(k) % (round + 1))
-                    .collect();
-                labels.sort_unstable();
-                let balls: Vec<Ball> = labels.iter().map(|&l| Ball::generated_in(l)).collect();
+                // An empty, online bin joins.
                 let capacity = if x & 1 == 0 {
                     finite(self.c)
                 } else {
                     finite(1 + (x as u32 >> 4) % 5)
                 };
-                let offline = (x >> 1) & 3 == 0;
-                self.fast.push_bin_with(capacity, &balls, offline);
-                self.walk.push_bin_with(capacity, &balls, offline);
+                self.fast.push_bin(capacity);
+                self.walk.push_bin(capacity);
                 let mut bins = self.spec_bins();
-                bins.push((capacity, labels, offline));
+                bins.push((capacity, Vec::new(), false));
                 self.rebuild_spec(self.spec.pool_labels(), bins);
             }
             8 if n > 1 => {
                 // The last bin leaves; its balls re-enter the pool.
-                let part: BinPart = self.fast.pop_bin();
-                assert_eq!(part, self.walk.pop_bin(), "popped bins diverged");
+                let part = pop(&mut self.fast);
+                assert_eq!(part, pop(&mut self.walk), "popped bins diverged");
                 let mut bins = self.spec_bins();
                 let (cap, labels, offline) = bins.pop().expect("n > 1");
                 let popped: Vec<u64> = part.1.iter().map(|b| b.label()).collect();
@@ -126,29 +150,14 @@ impl Lockstep {
                 pool.extend(popped);
                 self.rebuild_spec(pool, bins);
             }
-            9 if n > 1 => {
-                // Pop the upper bins off into their own shard, then push
-                // them back.
-                let at = 1 + (x as usize >> 8) % (n - 1);
-                for shard in [&mut self.fast, &mut self.walk] {
-                    let first = shard.first_bin() + at;
-                    let mut parts: Vec<BinPart> = (at..n).map(|_| shard.pop_bin()).collect();
-                    parts.reverse();
-                    let upper = BinShard::from_parts(first, parts);
-                    assert_eq!(upper.first_bin(), first);
-                    for (cap, balls, offline) in upper.to_parts() {
-                        shard.push_bin_with(cap, &balls, offline);
-                    }
-                }
-            }
             10 => {
-                // Rebuild the kernel's shard from its parts (the walk
-                // keeps its arena, stride included).
-                self.fast = BinShard::from_parts(self.fast.first_bin(), self.fast.to_parts());
+                // Rebuild the kernel's arena from its parts, as a restore
+                // does (the walk keeps its arena, stride included).
+                self.fast = rebuild(parts(&self.fast));
             }
             _ => {}
         }
-        assert_eq!(self.fast.to_parts(), self.walk.to_parts(), "op {op}");
+        assert_eq!(parts(&self.fast), parts(&self.walk), "op {op}");
     }
 
     /// One round: `fresh` new balls (labeled with the last completed
@@ -157,7 +166,7 @@ impl Lockstep {
     fn round(&mut self, fresh: u64) {
         self.spec.inject_pool(fresh);
         let labels = self.spec.pool_labels();
-        let n = self.fast.len();
+        let n = self.fast.bins();
         let choices: Vec<usize> = labels.iter().map(|_| self.rng.uniform_bin(n)).collect();
         let mut runs: Vec<Run> = Vec::new();
         for &label in &labels {
@@ -166,39 +175,34 @@ impl Lockstep {
         let choices32: Vec<u32> = choices.iter().map(|&b| b as u32).collect();
 
         let (mut rejected, mut served) = (Vec::new(), Vec::new());
-        let stats = self
-            .fast
-            .run_round(&choices32, &runs, &mut rejected, |b, ball| {
-                served.push((b, ball))
-            });
+        let accepted = self.fast.accept_stream(&choices32, &runs, &mut rejected);
+        let stats = self.fast.serve_sweep(|b, ball| served.push((b, ball)));
 
         let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());
-        let mut accepted = 0;
+        let mut walk_accepted = 0;
         for (&b, &label) in choices.iter().zip(&labels) {
             let ball = Ball::generated_in(label);
             if self.walk.try_accept(b, ball) {
-                accepted += 1;
+                walk_accepted += 1;
             } else {
                 walk_rejected.push(ball);
             }
         }
-        let walk_stats = ShardRoundStats {
-            accepted,
-            ..self.walk.serve_sweep(|b, ball| walk_served.push((b, ball)))
-        };
+        let walk_stats = self.walk.serve_sweep(|b, ball| walk_served.push((b, ball)));
 
         let report = self.spec.step_with_choices(&choices);
         let round = self.spec.round();
         let rejected: Vec<Ball> = expand(&rejected).collect();
-        assert_eq!(stats, walk_stats, "round {round}: stats");
+        assert_eq!(
+            (accepted, stats),
+            (walk_accepted, walk_stats),
+            "round {round}: stats"
+        );
         assert_eq!(rejected, walk_rejected, "round {round}: rejects");
         assert_eq!(served, walk_served, "round {round}: served balls");
-        assert_eq!(self.fast.to_parts(), self.walk.to_parts(), "round {round}");
+        assert_eq!(parts(&self.fast), parts(&self.walk), "round {round}");
 
-        assert_eq!(
-            stats.accepted, report.accepted,
-            "round {round}: spec accepted"
-        );
+        assert_eq!(accepted, report.accepted, "round {round}: spec accepted");
         assert_eq!(stats.failed_deletions, report.failed_deletions);
         assert_eq!(stats.buffered, report.buffered);
         assert_eq!(stats.max_load, report.max_load);
@@ -206,9 +210,7 @@ impl Lockstep {
         assert_eq!(pool, self.spec.pool_labels(), "round {round}: spec pool");
         let waits: Vec<u64> = served.iter().map(|(_, ball)| ball.age_at(round)).collect();
         assert_eq!(waits, report.waiting_times, "round {round}: spec waits");
-        let parts: Vec<SpecBin> = self
-            .fast
-            .to_parts()
+        let parts: Vec<SpecBin> = parts(&self.fast)
             .into_iter()
             .map(|(cap, balls, offline)| (cap, balls.iter().map(Ball::label).collect(), offline))
             .collect();
@@ -219,7 +221,7 @@ impl Lockstep {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fused rounds interleaved with random register mutators match the
+    /// Kernel rounds interleaved with random register mutators match the
     /// per-ball walk and the specification round by round.
     #[test]
     fn fused_rounds_match_walk_and_spec_under_every_mutator(
@@ -236,8 +238,8 @@ proptest! {
     }
 }
 
-/// Each mutator's register rewrite shows up in the very next fused round:
-/// a deterministic walk through all of them on one shard.
+/// Each mutator's register rewrite shows up in the very next kernel round:
+/// a deterministic walk through all of them on one arena.
 #[test]
 fn every_mutator_is_followed_by_a_matching_round() {
     let mut lockstep = Lockstep::new(6, 2, 11);
@@ -251,7 +253,6 @@ fn every_mutator_is_followed_by_a_matching_round() {
         (4, 3),
         (1, 1),
         (2, 0x100),
-        (9, 0x200),
         (10, 0),
         (8, 0),
         (6, 0x700),

@@ -68,7 +68,7 @@ pub struct Provenance {
     /// `scalar`).
     pub kernel: Option<String>,
     /// Thread count of the round loop, when the run had one (1: the
-    /// service runs every shard on its driver; records from older
+    /// service steps one process on its driver; records from older
     /// revisions counted one thread per shard).
     pub threads: Option<u64>,
 }

@@ -142,11 +142,11 @@ fn faulted_trajectory_is_bit_identical_to_faulted_process() {
 
 #[test]
 fn sharded_arena_kernel_is_bit_identical_to_scalar_reference() {
-    // The service's `BinShard`s accept through the flat-arena
-    // kernel; the reference here is the literal scalar
-    // specification (`SpecCapped`: one draw per ball, per-bin request
-    // sorting), so this differential proves Algorithm 1 == sharded
-    // service end to end, for every shard count.
+    // The service's process accepts through the flat-arena kernel; the
+    // reference here is the literal scalar specification (`SpecCapped`:
+    // one draw per ball, per-bin request sorting), so this differential
+    // proves Algorithm 1 == service end to end, whatever the (inert)
+    // shard count.
     for &(n, c, lambda) in CELLS {
         for shards in [1usize, 3, 8] {
             for &seed in SEEDS {

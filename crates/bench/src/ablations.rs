@@ -400,7 +400,7 @@ pub fn policy_ablation(scale: Scale) -> ExperimentOutput {
 /// and reports (i) dominance violations (always 0) and (ii) how the
 /// coupling slack — the looseness of the pool bound — scales with `m*`.
 pub fn mstar_sensitivity(scale: Scale) -> ExperimentOutput {
-    use iba_core::modcapped::{m_star_general, ModCappedProcess};
+    use iba_core::modcapped::m_star_general;
 
     let n = (scale.bins() / 8).max(64);
     let c = 2u32;
@@ -423,21 +423,14 @@ pub fn mstar_sensitivity(scale: Scale) -> ExperimentOutput {
     for percent in [25u64, 50, 100, 200] {
         let m_star = (paper_m_star as u64 * percent / 100) as usize;
         let config = CappedConfig::new(n, c, lambda).expect("valid");
-        let mut capped = CappedProcess::new(config);
-        let mut modcapped = ModCappedProcess::with_m_star(n, c, lambda, m_star).expect("valid");
+        let mut run = CoupledRun::with_m_star(config, m_star).expect("valid");
         let mut rng = SimRng::seed_from(percent + 11);
         let mut violations = 0u64;
         let mut slack_sum = 0.0;
         for _ in 0..rounds {
-            let nu_c = capped.next_throw_count();
-            let nu_m = modcapped.next_throw_count();
-            let choices: Vec<usize> = (0..nu_m.max(nu_c)).map(|_| rng.uniform_bin(n)).collect();
-            let rc = capped.step_with_choices(&choices[..nu_c]);
-            let rm = modcapped.step_with_choices(&choices[..nu_m]);
-            if rc.pool_size > rm.pool_size {
-                violations += 1;
-            }
-            slack_sum += rm.pool_size as f64 - rc.pool_size as f64;
+            let report = run.step(&mut rng);
+            violations += u64::from(!report.dominance_holds());
+            slack_sum += report.modcapped.pool_size as f64 - report.capped.pool_size as f64;
         }
         let mean_slack = slack_sum / rounds as f64;
         table.row(vec![

@@ -6,6 +6,12 @@
 //! written, so an interrupted `all` run keeps every experiment that had
 //! finished.
 //!
+//! With `--markdown`, stdout is one Markdown document in place of the
+//! text tables and charts: a header naming the scale's n, window and
+//! seeds, then one `## title` section per experiment with its table and
+//! notes, ready to paste into EXPERIMENTS.md. `--out` and `--check` work
+//! beside it unchanged.
+//!
 //! With `--check <dir>`, each CSV is also compared byte for byte with its
 //! reproduction record `<dir>/<name>.csv` (see [`iba_bench::record`]),
 //! before `--out` writes it, so `--check <dir> --out <dir>` reports what
@@ -18,6 +24,7 @@
 //! cargo run -p iba-bench --release --bin figures -- fig4-left --scale quick
 //! cargo run -p iba-bench --release --bin figures -- all --scale paper --out results/
 //! cargo run -p iba-bench --release --bin figures -- all --scale paper --check results_paper
+//! cargo run -p iba-bench --release --bin figures -- all --scale quick --markdown > report.md
 //! ```
 
 use std::path::Path;
@@ -36,12 +43,25 @@ fn main() -> ExitCode {
         }
     };
     let started = Instant::now();
+    if cli.markdown {
+        println!(
+            "# Reproduction report — scale `{}` (n = {}, window = {} rounds, {} seeds)\n",
+            cli.scale,
+            cli.scale.bins(),
+            cli.scale.window(),
+            cli.scale.seeds()
+        );
+    }
     let mut completed = 0;
     let mut mismatches = 0;
     for experiment in cli.experiments() {
         let experiment_started = Instant::now();
         let output = (experiment.run)(cli.scale);
-        println!("{}", output.render_with_charts());
+        if cli.markdown {
+            println!("{}", output.render_markdown(experiment.title));
+        } else {
+            println!("{}", output.render_with_charts());
+        }
         eprintln!(
             "{} finished in {:.1}s",
             experiment.name,

@@ -2,8 +2,8 @@
 //!
 //! Hand-rolled because `clap` is not in the approved dependency set; the
 //! surface is tiny: one subcommand (an experiment of [`EXPERIMENTS`], or
-//! `all`) plus `--scale <preset>`, `--out <dir>` and `--check <dir>`
-//! flags.
+//! `all`) plus `--scale <preset>`, `--out <dir>`, `--check <dir>` and
+//! `--markdown` flags.
 
 use std::str::FromStr;
 
@@ -22,6 +22,9 @@ pub struct Cli {
     /// Optional reproduction record to compare every CSV with, byte for
     /// byte (see [`crate::record`]).
     pub check_dir: Option<String>,
+    /// Print one Markdown document (a header, then a `## title` section
+    /// per experiment) in place of the text tables and charts.
+    pub markdown: bool,
 }
 
 impl Cli {
@@ -38,7 +41,8 @@ impl Cli {
 pub fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>] [--check <dir>]\n\
+        "usage: figures <command> [--scale paper|quick|smoke] [--out <dir>] [--check <dir>] \
+         [--markdown]\n\
          commands: {}, all",
         names.join(", ")
     )
@@ -61,6 +65,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         scale: Scale::Quick,
         out_dir: None,
         check_dir: None,
+        markdown: false,
     };
     while let Some(flag) = iter.next() {
         match flag.as_str() {
@@ -76,6 +81,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 let v = iter.next().ok_or("--check requires a value")?;
                 cli.check_dir = Some(v.clone());
             }
+            "--markdown" => cli.markdown = true,
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
@@ -97,6 +103,7 @@ mod tests {
         assert_eq!(cli.scale, Scale::Quick);
         assert_eq!(cli.out_dir, None);
         assert_eq!(cli.check_dir, None);
+        assert!(!cli.markdown);
     }
 
     #[test]
@@ -108,6 +115,27 @@ mod tests {
         assert_eq!(cli.scale, Scale::Smoke);
         assert_eq!(cli.out_dir.as_deref(), Some("/tmp/x"));
         assert_eq!(cli.check_dir.as_deref(), Some("/tmp/y"));
+    }
+
+    #[test]
+    fn parses_markdown_beside_the_record_flags() {
+        let cli = parse(&strings(&[
+            "all",
+            "--scale",
+            "smoke",
+            "--check",
+            "/tmp/y",
+            "--markdown",
+        ]))
+        .unwrap();
+        assert!(cli.markdown);
+        assert_eq!(cli.scale, Scale::Smoke);
+        assert_eq!(cli.check_dir.as_deref(), Some("/tmp/y"));
+        assert!(
+            parse(&strings(&["fig4-left", "--markdown"]))
+                .unwrap()
+                .markdown
+        );
     }
 
     #[test]

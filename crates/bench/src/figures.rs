@@ -63,6 +63,16 @@ impl ExperimentOutput {
         }
         out
     }
+
+    /// Renders a `## title` section of a Markdown document: the table in
+    /// GitHub-Markdown form, then the notes as block quotes.
+    pub fn render_markdown(&self, title: &str) -> String {
+        let mut out = format!("## {title}\n\n{}\n", self.table.to_markdown());
+        for note in &self.notes {
+            out.push_str(&format!("> {note}\n"));
+        }
+        out
+    }
 }
 
 /// `λ = 1 − 2⁻ⁱ`.

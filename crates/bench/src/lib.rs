@@ -2,7 +2,8 @@
 //!
 //! [`EXPERIMENTS`] is the one table of the experiments in DESIGN.md's
 //! per-experiment index: the `figures` binary runs one of them or `all`,
-//! and the `report` binary runs every one. The modules behind them:
+//! as text tables or, with `--markdown`, as one Markdown document. The
+//! modules behind them:
 //!
 //! | Experiment | Paper artifact | Module |
 //! |---|---|---|
@@ -47,12 +48,12 @@ pub use scale::Scale;
 
 use figures::ExperimentOutput;
 
-/// One experiment of the `figures` and `report` binaries.
+/// One experiment of the `figures` binary.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
     /// The `figures` subcommand, and the stem of its CSV file.
     pub name: &'static str,
-    /// The section title in the `report` binary's document.
+    /// The section title in `figures --markdown`'s document.
     pub title: &'static str,
     /// Runs the experiment at a scale.
     pub run: fn(Scale) -> ExperimentOutput,

@@ -19,7 +19,7 @@ use iba_sim::process::RoundReport;
 use iba_sim::rng::SimRng;
 
 use crate::config::CappedConfig;
-use crate::modcapped::ModCappedProcess;
+use crate::modcapped::{m_star_paper, ModCappedProcess};
 use crate::process::CappedProcess;
 
 /// Outcome of one coupled round.
@@ -82,11 +82,31 @@ impl CoupledRun {
     /// non-deterministic arrival model — the coupling is defined only for
     /// the paper's base process.
     pub fn new(config: CappedConfig) -> Result<Self, iba_sim::error::ConfigError> {
-        let capacity = config
-            .capacity()
-            .as_finite()
-            .expect("coupling requires a finite capacity");
-        let modcapped = ModCappedProcess::new(config.bins(), capacity, config.lambda())?;
+        let m_star = m_star_paper(config.bins(), finite_capacity(&config), config.lambda());
+        Self::with_m_star(config, m_star)
+    }
+
+    /// Creates a coupled pair whose MODCAPPED side keeps the threshold
+    /// `m_star` instead of the paper's (Lemma 6's proof never uses its
+    /// size, so dominance must hold for any).
+    ///
+    /// # Errors
+    ///
+    /// As [`CoupledRun::new`].
+    ///
+    /// # Panics
+    ///
+    /// As [`CoupledRun::new`].
+    pub fn with_m_star(
+        config: CappedConfig,
+        m_star: usize,
+    ) -> Result<Self, iba_sim::error::ConfigError> {
+        let modcapped = ModCappedProcess::with_m_star(
+            config.bins(),
+            finite_capacity(&config),
+            config.lambda(),
+            m_star,
+        )?;
         Ok(CoupledRun {
             capped: CappedProcess::new(config),
             modcapped,
@@ -141,6 +161,13 @@ impl CoupledRun {
             .filter(|_| !self.step(rng).dominance_holds())
             .count() as u64
     }
+}
+
+fn finite_capacity(config: &CappedConfig) -> u32 {
+    config
+        .capacity()
+        .as_finite()
+        .expect("coupling requires a finite capacity")
 }
 
 #[cfg(test)]

@@ -88,21 +88,26 @@ pub fn m_star_general(n: usize, c: u32, lambda: f64) -> usize {
     ((2.0 / c_f) * (1.0 / (1.0 - lambda)).ln() * n_f + 6.0 * c_f * n_f).ceil() as usize
 }
 
+/// The paper's `m*` for `(n, c, λ)`: the Section-III value for `c = 1`,
+/// the Section-IV value otherwise.
+pub fn m_star_paper(n: usize, c: u32, lambda: f64) -> usize {
+    if c == 1 {
+        m_star_unit(n, lambda)
+    } else {
+        m_star_general(n, c, lambda)
+    }
+}
+
 impl ModCappedProcess {
-    /// Creates a MODCAPPED(c, λ) process with the paper's `m*`:
-    /// the Section-III value for `c = 1`, the Section-IV value otherwise.
+    /// Creates a MODCAPPED(c, λ) process with the paper's `m*`
+    /// ([`m_star_paper`]).
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if `n = 0`, `c = 0`, `λ ∉ [0, 1 − 1/n]` or
     /// `λn ∉ ℕ`.
     pub fn new(bins: usize, capacity: u32, lambda: f64) -> Result<Self, ConfigError> {
-        let m_star = if capacity == 1 {
-            m_star_unit(bins, lambda)
-        } else {
-            m_star_general(bins, capacity, lambda)
-        };
-        Self::with_m_star(bins, capacity, lambda, m_star)
+        Self::with_m_star(bins, capacity, lambda, m_star_paper(bins, capacity, lambda))
     }
 
     /// Creates a MODCAPPED(c, λ) process with a custom threshold `m*`

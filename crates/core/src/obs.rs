@@ -6,8 +6,9 @@
 //! costs one relaxed load and returns `None` while telemetry is
 //! disabled, making every probe site free to leave inline in the round
 //! kernel. Probes are per-*round* (or per-sweep), never per-ball, and
-//! consume no randomness — the `telemetry_differential` test pins that
-//! enabling them changes no trajectory.
+//! consume no randomness —
+//! `kernel_differential::telemetry_toggle_does_not_perturb_the_trajectory`
+//! pins that enabling them changes no trajectory.
 
 use std::sync::{Arc, OnceLock};
 

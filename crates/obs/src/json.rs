@@ -2,8 +2,8 @@
 //! object writer for JSON-lines emission and a small recursive-descent
 //! parser for validating and round-tripping what we wrote.
 //!
-//! Every JSONL producer in the workspace (`ServeSnapshot`, sweep outputs,
-//! the telemetry sink, flight-recorder post-mortems) renders through
+//! Every JSONL producer in the workspace (`ServeSnapshot`, the experiment
+//! run registry, flight-recorder post-mortems) renders through
 //! [`JsonObjWriter`] so string escaping and the leading [`SCHEMA_VERSION`]
 //! field are implemented exactly once. The build environment is std-only
 //! (no `serde_json`), hence hand-rolled.

@@ -9,14 +9,14 @@
 //!   histograms behind a process-wide on/off switch
 //!   ([`set_enabled`]/[`enabled`]). **The disabled path of every probe is
 //!   a single relaxed atomic load**, so probes live inside the hot round
-//!   kernel without measurable cost when telemetry is off (the
-//!   `obs_overhead` bench in `iba-bench` pins this at n = 10⁶).
+//!   kernel; `kernel_differential::telemetry_toggle_does_not_perturb_the_trajectory`
+//!   pins that switching it changes no trajectory.
 //! - [`expo`] — Prometheus-style text exposition of a registry snapshot,
 //!   plus a strict parser for it.
 //! - [`json`] — the workspace's single hand-rolled JSON writer/parser.
-//!   Every JSONL producer (ServeSnapshot, sweep outputs, the telemetry
-//!   [`sink`], flight-recorder post-mortems) renders through it and stamps
-//!   a `schema` version field.
+//!   Every JSONL producer (ServeSnapshot, the experiment run registry,
+//!   flight-recorder post-mortems with their [`sink`]-rendered registry
+//!   snapshot) renders through it and stamps a `schema` version field.
 //! - [`flight`] — the flight recorder: a fixed-size ring of recent
 //!   round-level events that dumps a JSON post-mortem (events + registry
 //!   snapshot) on panic, invariant violation, or fault trigger.

@@ -394,7 +394,7 @@ impl Registry {
     }
 
     /// Zeroes every registered metric (metrics stay registered). Used by
-    /// tests and the overhead bench to isolate measurement windows.
+    /// tests and perfbench to isolate measurement windows.
     pub fn reset(&self) {
         for c in self.counters.lock().unwrap().values() {
             c.reset();

@@ -1,17 +1,12 @@
-//! The JSON-lines telemetry sink: renders registry snapshots as one JSON
-//! object per line and appends them to any `io::Write`.
+//! Registry snapshots as one JSON object per line, the form the flight
+//! recorder's post-mortem ([`crate::flight`]) embeds.
 //!
 //! Histograms are summarized (count, sum, mean, bucket-bound quantiles,
 //! max) rather than dumped bucket-by-bucket — the full-resolution view is
-//! the Prometheus exposition ([`crate::expo`]); the JSONL sink is for
-//! time-series logs read next to [`ServeSnapshot`] lines.
-//!
-//! [`ServeSnapshot`]: https://docs.rs/iba-serve
-
-use std::io;
+//! the Prometheus exposition ([`crate::expo`]).
 
 use crate::json::JsonObjWriter;
-use crate::registry::{HistogramSnapshot, Registry, RegistrySnapshot};
+use crate::registry::{HistogramSnapshot, RegistrySnapshot};
 
 /// Renders one histogram summary as a JSON object.
 fn histogram_json(h: &HistogramSnapshot) -> String {
@@ -67,48 +62,6 @@ pub fn snapshot_to_json_line(snapshot: &RegistrySnapshot) -> String {
     w.finish()
 }
 
-/// An append-only JSON-lines writer.
-#[derive(Debug)]
-pub struct JsonlSink<W: io::Write> {
-    writer: W,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-
-    /// Appends one pre-rendered line (a trailing newline is added).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's I/O errors.
-    pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
-    }
-
-    /// Appends the registry's current state as one telemetry line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's I/O errors.
-    pub fn write_registry(&mut self, registry: &Registry) -> io::Result<()> {
-        self.write_line(&snapshot_to_json_line(&registry.snapshot()))
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's I/O errors.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,23 +100,6 @@ mod tests {
             let v = parse(&line).unwrap();
             let hist = v.get("histograms").unwrap().get("empty_nanos").unwrap();
             assert_eq!(hist.get("p50"), Some(&JsonValue::Null));
-        });
-    }
-
-    #[test]
-    fn sink_appends_lines() {
-        with_telemetry(true, || {
-            let r = Registry::new();
-            r.counter("x_total").inc();
-            let mut sink = JsonlSink::new(Vec::new());
-            sink.write_registry(&r).unwrap();
-            sink.write_line("{\"schema\":1}").unwrap();
-            let buf = sink.into_inner().unwrap();
-            let text = String::from_utf8(buf).unwrap();
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 2);
-            assert!(parse(lines[0]).is_ok());
-            assert!(parse(lines[1]).is_ok());
         });
     }
 }

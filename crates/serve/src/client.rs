@@ -1,30 +1,30 @@
 //! A deadline-and-retry wire-protocol client for the network front end.
 //!
-//! [`NetClient`] is the client half the chaos harness measures through: a
-//! single blocking connection to a [`NetFrontend`](crate::net::NetFrontend)
-//! that survives everything the fault injector throws at the transport —
-//! resets, stalls, typed refusals — by layering three mechanisms:
+//! [`NetClient`] is a single blocking connection to a
+//! [`NetFrontend`](crate::net::NetFrontend) that survives what the
+//! front end's socket fault injector throws at the transport — resets,
+//! stalls, typed refusals — by layering three mechanisms:
 //!
 //! - **Deadlines**: every submission carries a wall-clock budget; when it
 //!   runs out the attempt is abandoned with
 //!   [`ClientError::DeadlineExpired`] rather than hanging.
 //! - **Jittered exponential backoff**: retryable refusals
-//!   ([`Frame::Saturated`], [`CloseReason::Quota`],
-//!   [`CloseReason::Drain`]) and transport failures back off
-//!   `base · 2^attempt`, capped, with ±25 % deterministic jitter from a
-//!   seeded [`SimRng`] so a thundering herd decorrelates reproducibly.
+//!   ([`Frame::Saturated`], [`CloseReason::Drain`]) and transport
+//!   failures back off `base · 2^attempt`, capped, with ±25 %
+//!   deterministic jitter from a seeded [`SimRng`] so a thundering herd
+//!   decorrelates reproducibly.
 //! - **Idempotent re-submission**: the request id is assigned once per
 //!   logical request and reused verbatim across retries and reconnects,
 //!   so a duplicate acceptance is *observable* (the second
 //!   [`Frame::Accepted`] for the same id is counted as a duplicate
-//!   rather than a new ticket) — the retry-amplification metric in the
-//!   chaos bench comes straight from these counters.
+//!   rather than a new ticket) — [`ClientStats`] carries the retry
+//!   amplification.
 //!
 //! Completion frames are harvested opportunistically on every read and
 //! buffered; [`NetClient::take_completions`] hands them out. A dropped
 //! connection loses the server-side ticket routing (the server serves
-//! the ball regardless — the paper's pool semantics), so under chaos
-//! `completed ≤ accepted`: exactly the goodput gap the bench reports.
+//! the ball regardless — the paper's pool semantics), so under injected
+//! faults `completed ≤ accepted`: the goodput gap.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -120,7 +120,7 @@ impl std::error::Error for ClientError {
     }
 }
 
-/// Lifetime counters of one client (the chaos bench's raw material).
+/// Lifetime counters of one client.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClientStats {
     /// Logical requests submitted (each gets one request id).
@@ -134,10 +134,8 @@ pub struct ClientStats {
     pub duplicate_accepts: u64,
     /// Completion frames received.
     pub completed: u64,
-    /// `Saturated` replies observed (backpressure + shed).
+    /// `Saturated` replies observed (ingress backpressure).
     pub saturated: u64,
-    /// `Closed` replies with [`CloseReason::Quota`].
-    pub closed_quota: u64,
     /// `Closed` replies with [`CloseReason::Drain`].
     pub closed_drain: u64,
     /// `Closed` replies with [`CloseReason::SlowConsumer`].
@@ -260,7 +258,7 @@ impl NetClient {
                 Ok(Reply::Closed(CloseReason::Shutdown)) => {
                     return Err(ClientError::Closed(CloseReason::Shutdown));
                 }
-                Ok(Reply::Closed(_)) => {} // quota/drain/slow-consumer: retry
+                Ok(Reply::Closed(_)) => {} // drain/slow-consumer: retry
                 Ok(Reply::Transport) => self.disconnect(),
                 Err(e) => {
                     // Could not even connect; if the deadline still has
@@ -419,7 +417,6 @@ impl NetClient {
                 reason,
             } => {
                 match reason {
-                    CloseReason::Quota => self.stats.closed_quota += 1,
                     CloseReason::Drain => self.stats.closed_drain += 1,
                     CloseReason::SlowConsumer => self.stats.closed_slow_consumer += 1,
                     CloseReason::Shutdown => self.stats.closed_shutdown += 1,

@@ -248,12 +248,6 @@ impl Dispatcher {
         self.ingress.depth() as usize
     }
 
-    /// Ingress fill ratio in `[0, 1]` — the pressure signal admission
-    /// control sheds on.
-    pub fn fill_ratio(&self) -> f64 {
-        self.depth() as f64 / self.capacity() as f64
-    }
-
     /// Submits one request without blocking.
     ///
     /// # Errors

@@ -23,9 +23,6 @@
 //!   backpressure, streamed completion notifications), with the
 //!   [`iba_obs`] Prometheus exposition served over minimal HTTP
 //!   (`GET /metrics`) on the same event loop for mid-run scraping.
-//! - **Workload generation** ([`workload`]) — open-loop λn-per-round
-//!   arrivals plus burst/surge scenarios described by the same
-//!   [`iba_sim::faults::FaultPlan`] schedules the simulator uses.
 //! - **Live metrics** ([`metrics`]) — periodic JSON-lines snapshots of
 //!   pool size, max bin load, and exact p50/p99/p999 waiting-time
 //!   quantiles ([`iba_core::metrics::WaitQuantiles`]).
@@ -74,7 +71,6 @@ pub mod net;
 mod obs;
 pub mod proto;
 pub mod service;
-pub mod workload;
 
 pub use chaos::{NetFault, NetFaultPlan};
 pub use checkpoint::{ResumeError, ServeCheckpointError};
@@ -82,12 +78,9 @@ pub use client::{ClientConfig, ClientError, ClientStats, NetClient};
 pub use clock::{Pacing, RoundClock};
 pub use dispatch::{Completion, Dispatcher, SubmitError, Ticket};
 pub use metrics::ServeSnapshot;
-pub use net::{
-    run_net_loop, AdmissionControl, NetFrontend, NetLoopOptions, NetLoopSummary, NetStats,
-};
+pub use net::{run_net_loop, NetFrontend, NetLoopOptions, NetLoopSummary, NetStats};
 pub use proto::{CloseReason, Frame, FrameDecoder, ProtoError};
 pub use service::{CappedService, RngMode, ServiceConfig};
 // Re-exported so serve-layer users can name the round kernel reported by
 // `CappedService::kernel_mode` without a direct `iba_core` dependency.
 pub use iba_core::KernelMode;
-pub use workload::{run_open_loop, OpenLoop, WorkloadSummary};

@@ -35,19 +35,13 @@
 //! without limit (with a best-effort [`CloseReason::SlowConsumer`] frame
 //! on the way out).
 //!
-//! # Admission control and drain
+//! # Drain
 //!
-//! [`AdmissionControl`] adds two policy layers in front of the
-//! dispatcher: a per-connection **token bucket** (refilled every round,
-//! refusals answered with [`CloseReason::Quota`] — the peer holds too
-//! many requests in flight for its quota) and **probabilistic shedding**
-//! keyed on the ingress queue's fill ratio (refusals answered with
-//! [`Frame::Saturated`], exactly like hard backpressure, because a
-//! retry-later is the right client response to both). Calling
-//! [`NetFrontend::begin_drain`] flips the front end into drain mode: new
-//! allocations are refused with [`CloseReason::Drain`] while in-flight
-//! completions keep flushing, and [`NetFrontend::drained`] reports when
-//! everything owed has been delivered.
+//! The bounded ingress queue is the front end's only admission limit.
+//! Calling [`NetFrontend::begin_drain`] flips the front end into drain
+//! mode: new allocations are refused with [`CloseReason::Drain`] while
+//! in-flight completions keep flushing, and [`NetFrontend::drained`]
+//! reports when everything owed has been delivered.
 //!
 //! # Chaos injection
 //!
@@ -117,8 +111,6 @@ struct Conn {
     /// Writes are suppressed while the current round is below this
     /// (injected fault; 0 = no stall).
     write_stalled_until: u64,
-    /// Token-bucket balance for per-connection admission quotas.
-    tokens: u32,
     /// Fault-injected bytes, consumed before socket reads as if the peer
     /// had sent them.
     injected: Vec<u8>,
@@ -159,77 +151,6 @@ enum DropReason {
     Fault,
 }
 
-/// Admission-control policy for a [`NetFrontend`]: what is refused
-/// *before* it ever reaches the dispatcher.
-///
-/// Both layers are optional and independent:
-///
-/// - **Per-connection quota** (`quota_per_round`): a token bucket per
-///   connection, refilled by `quota_per_round` tokens at every round
-///   boundary up to a `quota_burst` cap, one token per allocation
-///   request. Refusals get [`Frame::Closed`] with
-///   [`CloseReason::Quota`] — the *peer* is over budget, other
-///   connections are unaffected.
-/// - **Pressure shedding** (`shed_start`): once the ingress queue's fill
-///   ratio exceeds `shed_start`, requests are refused with probability
-///   ramping linearly from 0 (at `shed_start`) to 1 (queue full), drawn
-///   from a seeded RNG. Refusals get [`Frame::Saturated`] — the same
-///   retryable answer as hard backpressure, shifted earlier so the queue
-///   keeps headroom for bursts.
-#[derive(Debug, Clone)]
-pub struct AdmissionControl {
-    /// Tokens granted to each connection per round; `None` disables the
-    /// quota layer.
-    pub quota_per_round: Option<u32>,
-    /// Token-bucket cap (burst allowance). Also the initial balance of a
-    /// fresh connection.
-    pub quota_burst: u32,
-    /// Ingress fill ratio at which probabilistic shedding starts;
-    /// `>= 1.0` disables the shed layer.
-    pub shed_start: f64,
-    /// Seed for the shed-decision RNG (deterministic given traffic).
-    pub seed: u64,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        AdmissionControl {
-            quota_per_round: None,
-            quota_burst: 64,
-            shed_start: 1.0,
-            seed: 0,
-        }
-    }
-}
-
-impl AdmissionControl {
-    /// Policy with a per-connection quota of `per_round` tokens/round and
-    /// a burst cap of `burst`.
-    #[must_use]
-    pub fn with_quota(mut self, per_round: u32, burst: u32) -> Self {
-        self.quota_per_round = Some(per_round);
-        self.quota_burst = burst.max(1);
-        self
-    }
-
-    /// Policy shedding probabilistically once the ingress fill ratio
-    /// exceeds `start` (clamped to `[0, 1]`), using `seed`.
-    #[must_use]
-    pub fn with_shedding(mut self, start: f64, seed: u64) -> Self {
-        self.shed_start = start.clamp(0.0, 1.0);
-        self.seed = seed;
-        self
-    }
-
-    /// Probability of shedding at ingress fill ratio `fill`.
-    fn shed_probability(&self, fill: f64) -> f64 {
-        if self.shed_start >= 1.0 || fill <= self.shed_start {
-            return 0.0;
-        }
-        ((fill - self.shed_start) / (1.0 - self.shed_start)).clamp(0.0, 1.0)
-    }
-}
-
 /// Armed chaos state: the schedule plus the RNG that picks victims.
 #[derive(Debug)]
 struct FaultInjector {
@@ -268,10 +189,6 @@ pub struct NetStats {
     pub scrapes: u64,
     /// Connections dropped for protocol violations.
     pub proto_errors: u64,
-    /// Allocation requests refused by a per-connection quota.
-    pub allocs_quota: u64,
-    /// Allocation requests shed probabilistically under ingress pressure.
-    pub allocs_shed: u64,
     /// Allocation requests refused because the front end was draining.
     pub allocs_drained: u64,
     /// Chaos fault events applied to the socket layer.
@@ -292,10 +209,8 @@ pub struct NetFrontend {
     next_conn_id: u64,
     stats: NetStats,
     /// Current service round, advanced by [`on_round`](Self::on_round) —
-    /// the clock faults and quota refills key on.
+    /// the clock faults key on.
     round: u64,
-    admission: Option<AdmissionControl>,
-    shed_rng: SimRng,
     faults: Option<FaultInjector>,
     draining: bool,
 }
@@ -319,8 +234,6 @@ impl NetFrontend {
             next_conn_id: 0,
             stats: NetStats::default(),
             round: 0,
-            admission: None,
-            shed_rng: SimRng::seed_from(0),
             faults: None,
             draining: false,
         })
@@ -344,16 +257,6 @@ impl NetFrontend {
     /// Tickets submitted over the network still awaiting completion.
     pub fn pending_tickets(&self) -> usize {
         self.tickets.len()
-    }
-
-    /// Installs an admission-control policy (replacing any previous one).
-    /// Existing connections start with a full burst allowance.
-    pub fn set_admission_control(&mut self, policy: AdmissionControl) {
-        self.shed_rng = SimRng::seed_from(policy.seed);
-        for conn in self.conns.iter_mut().flatten() {
-            conn.tokens = policy.quota_burst;
-        }
-        self.admission = Some(policy);
     }
 
     /// Arms a socket fault plan. Victim selection draws from a stream
@@ -392,20 +295,12 @@ impl NetFrontend {
         self.tickets.remove(&id);
     }
 
-    /// Advances the front end's round clock: refills admission quota
-    /// buckets and applies any socket faults scheduled for `round`.
+    /// Advances the front end's round clock and applies any socket faults
+    /// scheduled for `round`.
     /// [`run_net_loop`] calls this once per round, just before the round
     /// executes; drive it manually when polling by hand.
     pub fn on_round(&mut self, round: u64) {
         self.round = round;
-        if let Some(policy) = &self.admission {
-            if let Some(per_round) = policy.quota_per_round {
-                let cap = policy.quota_burst;
-                for conn in self.conns.iter_mut().flatten() {
-                    conn.tokens = conn.tokens.saturating_add(per_round).min(cap);
-                }
-            }
-        }
         let Some(injector) = &mut self.faults else {
             return;
         };
@@ -562,10 +457,6 @@ impl NetFrontend {
                         close_after_flush: false,
                         read_stalled_until: 0,
                         write_stalled_until: 0,
-                        tokens: self
-                            .admission
-                            .as_ref()
-                            .map_or(u32::MAX, |policy| policy.quota_burst),
                         injected: Vec::new(),
                     };
                     self.next_conn_id += 1;
@@ -730,18 +621,19 @@ impl NetFrontend {
             let Frame::Alloc { req_id } = frame else {
                 return Err(DropReason::Proto); // server-only opcode
             };
-            let reply = self.admit_alloc(slot, conn, req_id, dispatcher);
+            let reply = self.admit_alloc(slot, conn.id, req_id, dispatcher);
             conn.queue_frame(&reply)?;
         }
         Ok(())
     }
 
-    /// Decides one allocation request: drain refusal, then quota, then
-    /// probabilistic shed, then the dispatcher itself.
+    /// Decides one allocation request: refused while draining, otherwise
+    /// submitted to the dispatcher, whose bounded ingress answers
+    /// `Saturated` when full.
     fn admit_alloc(
         &mut self,
         slot: usize,
-        conn: &mut Conn,
+        conn_id: u64,
         req_id: u64,
         dispatcher: &Dispatcher,
     ) -> Frame {
@@ -755,38 +647,10 @@ impl NetFrontend {
                 reason: CloseReason::Drain,
             };
         }
-        if let Some(policy) = &self.admission {
-            if policy.quota_per_round.is_some() {
-                if conn.tokens == 0 {
-                    self.stats.allocs_quota += 1;
-                    if let Some(p) = obs::probes() {
-                        p.net_allocs_quota.inc();
-                    }
-                    return Frame::Closed {
-                        req_id,
-                        reason: CloseReason::Quota,
-                    };
-                }
-                conn.tokens -= 1;
-            }
-            let p_shed = policy.shed_probability(dispatcher.fill_ratio());
-            if p_shed > 0.0 && self.shed_rng.bernoulli(p_shed) {
-                self.stats.allocs_shed += 1;
-                if let Some(p) = obs::probes() {
-                    p.net_allocs_shed.inc();
-                }
-                return Frame::Saturated { req_id };
-            }
-        }
         match dispatcher.submit() {
             Ok(ticket) => {
-                self.tickets.insert(
-                    ticket.id(),
-                    PendingTicket {
-                        slot,
-                        conn_id: conn.id,
-                    },
-                );
+                self.tickets
+                    .insert(ticket.id(), PendingTicket { slot, conn_id });
                 self.stats.allocs_accepted += 1;
                 Frame::Accepted {
                     req_id,
@@ -929,8 +793,7 @@ pub struct NetLoopSummary {
 }
 
 /// Drives the service and the front end on the calling thread: each
-/// iteration advances the front end's round clock (quota refills + armed
-/// faults), polls I/O until the round interval elapses, runs one round,
+/// iteration advances the front end's round clock (armed faults), polls I/O until the round interval elapses, runs one round,
 /// routes the round's completions back to their connections, and
 /// flushes. Returns after `opts.max_rounds` rounds or as soon as `stop`
 /// is set — after an orderly drain first if `opts.drain_on_stop` is set.

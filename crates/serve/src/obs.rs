@@ -67,11 +67,6 @@ pub(crate) struct ServeProbes {
     pub net_proto_errors: Arc<Counter>,
     /// Poll iterations that made no progress (event loop idle), lifetime.
     pub net_idle_polls: Arc<Counter>,
-    /// Allocation requests refused by per-connection quota, lifetime.
-    pub net_allocs_quota: Arc<Counter>,
-    /// Allocation requests shed probabilistically under ingress pressure,
-    /// lifetime.
-    pub net_allocs_shed: Arc<Counter>,
     /// Allocation requests refused because the front end was draining,
     /// lifetime.
     pub net_allocs_drained: Arc<Counter>,
@@ -123,8 +118,6 @@ impl ServeProbes {
             net_write_errors: r.counter("iba_serve_net_write_errors_total"),
             net_proto_errors: r.counter("iba_serve_net_proto_errors_total"),
             net_idle_polls: r.counter("iba_serve_net_idle_polls_total"),
-            net_allocs_quota: r.counter("iba_serve_net_allocs_quota_total"),
-            net_allocs_shed: r.counter("iba_serve_net_allocs_shed_total"),
             net_allocs_drained: r.counter("iba_serve_net_allocs_drained_total"),
             net_faults_injected: r.counter("iba_serve_net_faults_injected_total"),
             net_conns_dropped_by_fault: r.counter("iba_serve_net_conns_dropped_by_fault_total"),

@@ -56,20 +56,18 @@ pub enum CloseReason {
     /// The server is draining: it stops admitting but still flushes
     /// in-flight completions. Retry against another instance.
     Drain,
-    /// The connection exceeded its per-connection admission quota this
-    /// round. Back off and retry.
-    Quota,
     /// The peer stopped reading and its outbound queue overflowed.
     SlowConsumer,
 }
 
 impl CloseReason {
-    /// The wire code for this reason.
+    /// The wire code for this reason. Code 2 is unassigned: older peers
+    /// sent it for a per-connection quota refusal, so a new reason must
+    /// not reuse it.
     pub fn code(self) -> u64 {
         match self {
             CloseReason::Shutdown => 0,
             CloseReason::Drain => 1,
-            CloseReason::Quota => 2,
             CloseReason::SlowConsumer => 3,
         }
     }
@@ -79,7 +77,6 @@ impl CloseReason {
     pub fn from_code(code: u64) -> Self {
         match code {
             1 => CloseReason::Drain,
-            2 => CloseReason::Quota,
             3 => CloseReason::SlowConsumer,
             _ => CloseReason::Shutdown,
         }
@@ -91,7 +88,6 @@ impl fmt::Display for CloseReason {
         f.write_str(match self {
             CloseReason::Shutdown => "shutdown",
             CloseReason::Drain => "drain",
-            CloseReason::Quota => "quota",
             CloseReason::SlowConsumer => "slow-consumer",
         })
     }
@@ -121,8 +117,8 @@ pub enum Frame {
         req_id: u64,
     },
     /// Server → client: the request was refused and will never be
-    /// admitted on this connection; [`CloseReason`] says why (shed vs
-    /// drain vs shutdown) so clients can pick a retry strategy.
+    /// admitted on this connection; [`CloseReason`] says why (drain vs
+    /// shutdown vs slow consumer) so clients can pick a retry strategy.
     Closed {
         /// Echo of the client's request id (0 when the close is not tied
         /// to a specific request, e.g. a slow-consumer disconnect).
@@ -404,10 +400,6 @@ mod tests {
                 reason: CloseReason::Drain,
             },
             Frame::Closed {
-                req_id: 6,
-                reason: CloseReason::Quota,
-            },
-            Frame::Closed {
                 req_id: 0,
                 reason: CloseReason::SlowConsumer,
             },
@@ -491,14 +483,12 @@ mod tests {
                 reason: CloseReason::Shutdown,
             }))
         );
-        assert_eq!(
-            CloseReason::from_code(CloseReason::Quota.code()),
-            CloseReason::Quota
-        );
+        // Code 2 is unassigned; an older peer that still sends it reads as
+        // Shutdown, like any unknown code.
+        assert_eq!(CloseReason::from_code(2), CloseReason::Shutdown);
         for reason in [
             CloseReason::Shutdown,
             CloseReason::Drain,
-            CloseReason::Quota,
             CloseReason::SlowConsumer,
         ] {
             assert_eq!(CloseReason::from_code(reason.code()), reason);

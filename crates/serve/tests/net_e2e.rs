@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use iba_core::CappedConfig;
 use iba_serve::proto::MAGIC;
 use iba_serve::{
-    run_net_loop, AdmissionControl, CappedService, ClientConfig, CloseReason, Frame, FrameDecoder,
-    NetClient, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, NetStats, ServiceConfig,
+    run_net_loop, CappedService, ClientConfig, CloseReason, Frame, FrameDecoder, NetClient,
+    NetFault, NetFaultPlan, NetFrontend, NetLoopOptions, NetStats, ServiceConfig,
 };
 
 const N: usize = 32;
@@ -538,99 +538,6 @@ fn read_stall_defers_requests_until_release() {
     assert!(frontend.stats().faults_injected >= 1);
 }
 
-/// Per-connection quotas: requests beyond the round's token budget get a
-/// typed `Closed(Quota)` reply, the connection survives, and the next
-/// round's refill admits again.
-#[test]
-fn quota_exhaustion_closes_with_typed_reason_and_refills() {
-    let service = spawn_service(1 << 10);
-    let dispatcher = service.dispatcher();
-    let mut frontend = NetFrontend::bind("127.0.0.1:0").expect("bind loopback");
-    frontend.set_admission_control(AdmissionControl::default().with_quota(2, 2));
-    let mut client = connect_wire(frontend.local_addr());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while frontend.connections() < 1 {
-        assert!(Instant::now() < deadline, "accept timed out");
-        frontend.poll(&dispatcher);
-    }
-    frontend.on_round(1);
-    let mut wire = Vec::new();
-    for req_id in 0..3 {
-        Frame::Alloc { req_id }.encode_into(&mut wire);
-    }
-    client.write_all(&wire).expect("burst");
-    let mut decoder = FrameDecoder::new();
-    let mut frames = Vec::new();
-    while frames.len() < 3 {
-        assert!(Instant::now() < deadline, "timed out");
-        frontend.poll(&dispatcher);
-        pump(&mut client, &mut decoder);
-        frames.extend(decoded(&mut decoder));
-    }
-    assert!(matches!(frames[0], Frame::Accepted { req_id: 0, .. }));
-    assert!(matches!(frames[1], Frame::Accepted { req_id: 1, .. }));
-    assert_eq!(
-        frames[2],
-        Frame::Closed {
-            req_id: 2,
-            reason: CloseReason::Quota
-        },
-        "over-quota request is refused with the typed reason"
-    );
-    assert_eq!(frontend.stats().allocs_quota, 1);
-    assert_eq!(frontend.connections(), 1, "quota refusal keeps the conn");
-
-    // Next round refills the bucket: the same connection is admitted again.
-    frontend.on_round(2);
-    client
-        .write_all(&Frame::Alloc { req_id: 3 }.encode())
-        .unwrap();
-    let mut frames = Vec::new();
-    while frames.is_empty() {
-        assert!(Instant::now() < deadline, "timed out after refill");
-        frontend.poll(&dispatcher);
-        pump(&mut client, &mut decoder);
-        frames = decoded(&mut decoder);
-    }
-    assert!(matches!(frames[0], Frame::Accepted { req_id: 3, .. }));
-}
-
-/// Probabilistic shedding: with shedding armed from fill ratio 0 and the
-/// ingress queue pinned full, every alloc is shed with a `Saturated`
-/// reply before it ever reaches the dispatcher.
-#[test]
-fn full_ingress_with_shedding_sheds_before_the_dispatcher() {
-    let service = spawn_service(4);
-    let dispatcher = service.dispatcher();
-    // Pin the ingress queue full so fill_ratio() == 1.0.
-    for _ in 0..4 {
-        dispatcher.submit().expect("fill ingress");
-    }
-    let mut frontend = NetFrontend::bind("127.0.0.1:0").expect("bind loopback");
-    frontend.set_admission_control(AdmissionControl::default().with_shedding(0.0, 77));
-    let mut client = connect_wire(frontend.local_addr());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while frontend.connections() < 1 {
-        assert!(Instant::now() < deadline, "accept timed out");
-        frontend.poll(&dispatcher);
-    }
-    frontend.on_round(1);
-    client
-        .write_all(&Frame::Alloc { req_id: 5 }.encode())
-        .unwrap();
-    let mut decoder = FrameDecoder::new();
-    let mut frames = Vec::new();
-    while frames.is_empty() {
-        assert!(Instant::now() < deadline, "timed out");
-        frontend.poll(&dispatcher);
-        pump(&mut client, &mut decoder);
-        frames = decoded(&mut decoder);
-    }
-    assert_eq!(frames[0], Frame::Saturated { req_id: 5 });
-    assert_eq!(frontend.stats().allocs_shed, 1);
-    assert_eq!(dispatcher.depth(), 4, "shed requests never hit the queue");
-}
-
 /// Drain mode: in-flight tickets finish and stream their completions, new
 /// work is refused with `Closed(Drain)`, and the front end reports
 /// `drained()` once the last ticket resolves.
@@ -768,16 +675,16 @@ fn net_client_round_trips_against_a_live_loop() {
     assert_eq!(stats.deadline_expired, 0);
 }
 
-/// Typed quota refusals propagate end-to-end: a strict per-round quota
-/// forces the client through `Closed(Quota)` retries, yet every
-/// submission eventually lands.
+/// Hard backpressure propagates end-to-end: with a 1-slot ingress queue
+/// and a 2-ms round interval, a submission sent right after an acceptance
+/// finds the queue full and gets `Saturated` until the next round admits,
+/// so the client retries, yet every submission eventually lands.
 #[test]
-fn net_client_retries_through_quota_refusals() {
+fn net_client_retries_through_backpressure() {
     const REQUESTS: usize = 5;
-    let mut service = spawn_service(1 << 16);
+    let mut service = spawn_service(1);
     let completions = service.take_completions().expect("fresh service");
-    let mut frontend = NetFrontend::bind("127.0.0.1:0").expect("bind loopback");
-    frontend.set_admission_control(AdmissionControl::default().with_quota(1, 1));
+    let frontend = NetFrontend::bind("127.0.0.1:0").expect("bind loopback");
     let addr = frontend.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
     let server = {
@@ -806,7 +713,7 @@ fn net_client_retries_through_quota_refusals() {
             .with_backoff(Duration::from_micros(500), Duration::from_millis(4)),
     );
     for _ in 0..REQUESTS {
-        client.submit().expect("retries ride out the quota");
+        client.submit().expect("retries ride out the backpressure");
     }
     stop.store(true, Ordering::Relaxed);
     let stats = server.join().expect("server thread");
@@ -814,14 +721,14 @@ fn net_client_retries_through_quota_refusals() {
     let cs = client.stats();
     assert_eq!(cs.accepted, REQUESTS as u64);
     assert!(
-        cs.closed_quota >= 1,
-        "a 1/round quota must refuse at least one burst submission"
+        cs.saturated >= 1,
+        "a 1-slot ingress queue must refuse at least one back-to-back submission"
     );
-    assert!(cs.retries >= cs.closed_quota);
-    // Every attempt resolved as either an acceptance or a quota refusal,
-    // and the server's ledger of refusals matches the client's.
-    assert_eq!(cs.attempts, cs.accepted + cs.closed_quota);
-    assert_eq!(stats.allocs_quota, cs.closed_quota);
+    assert!(cs.retries >= cs.saturated);
+    // Every attempt resolved as either an acceptance or a saturation
+    // refusal, and the server's ledger of refusals matches the client's.
+    assert_eq!(cs.attempts, cs.accepted + cs.saturated);
+    assert_eq!(stats.allocs_saturated, cs.saturated);
 }
 
 /// Parks until `progress` reaches `target` submissions, so the test's

@@ -11,7 +11,6 @@ fn close_reason() -> BoxedStrategy<CloseReason> {
     prop_oneof![
         Just(CloseReason::Shutdown),
         Just(CloseReason::Drain),
-        Just(CloseReason::Quota),
         Just(CloseReason::SlowConsumer),
     ]
     .boxed()

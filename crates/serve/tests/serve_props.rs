@@ -1,6 +1,6 @@
 //! Property-based tests of the sharded service: ball conservation and
 //! ticket accounting under arbitrary fault plans and open-loop client
-//! traffic.
+//! traffic submitted through the bounded ingress.
 //!
 //! The laws pinned here hold for *any* fault sequence:
 //!
@@ -13,11 +13,14 @@
 use proptest::prelude::*;
 
 use iba_core::CappedConfig;
-use iba_serve::workload::{run_open_loop, OpenLoop};
-use iba_serve::{CappedService, ServiceConfig};
+use iba_serve::{CappedService, ServiceConfig, SubmitError};
 use iba_sim::faults::{FaultEvent, FaultPlan};
 
 const N: usize = 24;
+
+/// Fault plans schedule at rounds below 40 and every run lasts 10 rounds
+/// past its plan's last round, so no run exceeds this many rounds.
+const MAX_ROUNDS: usize = 49;
 
 fn fault_event() -> BoxedStrategy<FaultEvent> {
     // Bin indices deliberately range past n so out-of-range sanitization
@@ -105,18 +108,30 @@ proptest! {
     #[test]
     fn tickets_balance_under_open_loop_traffic(
         plan in fault_plan(),
-        rate in 0u64..30,
+        demand in prop::collection::vec(0u64..30, MAX_ROUNDS),
         shards in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let rounds = plan.last_round().unwrap_or(0) + 10;
+        let rounds = plan.last_round().unwrap_or(0) as usize + 10;
         let mut svc = service(2, shards, seed);
         let completions = svc.take_completions().expect("fresh service");
-        let load = OpenLoop::new(rate).with_plan(plan);
-        let summary = run_open_loop(&mut svc, &load, rounds);
+        svc.schedule(plan);
+        let dispatcher = svc.dispatcher();
+        let (mut offered, mut submitted, mut shed) = (0u64, 0u64, 0u64);
+        for &round_demand in &demand[..rounds] {
+            offered += round_demand;
+            for _ in 0..round_demand {
+                match dispatcher.submit() {
+                    Ok(_) => submitted += 1,
+                    Err(SubmitError::Saturated) => shed += 1,
+                    Err(SubmitError::Closed) => prop_assert!(false, "the service is running"),
+                }
+            }
+            svc.run_round();
+        }
 
-        prop_assert_eq!(summary.offered, summary.submitted + summary.shed);
-        prop_assert_eq!(summary.submitted, svc.total_admitted());
+        prop_assert_eq!(offered, submitted + shed);
+        prop_assert_eq!(submitted, svc.total_admitted());
         let notified = completions.try_iter().count() as u64;
         prop_assert_eq!(
             svc.total_admitted(),

@@ -120,6 +120,46 @@ fn ingress_backpressure_saturates() {
     // Admission drains the queue; submission works again.
     service.run_round();
     assert!(dispatcher.submit().is_ok());
+
+    // A load the rounds keep up with is fully admitted: 16 requests a
+    // round into 32 bins through a 1 024-slot queue.
+    let mut service = CappedService::spawn(
+        ServiceConfig::new(config(32, 2, 0.0), 4, 99).with_ingress_capacity(1024),
+    )
+    .unwrap();
+    assert_eq!(offer(&mut service, 16, 50), 0);
+    assert_eq!(service.total_admitted(), 800);
+    assert!(service.total_served() > 0);
+    assert!(service.conserves_balls());
+
+    // Overload is refused at ingress instead of queueing without bound:
+    // 64 requests a round into 4 unit-capacity bins through an 8-slot
+    // queue.
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(config(4, 1, 0.0), 2, 99).with_ingress_capacity(8))
+            .unwrap();
+    let shed = offer(&mut service, 64, 30);
+    assert!(shed > 0);
+    assert_eq!(service.total_admitted() + shed, 64 * 30);
+    assert!(service.conserves_balls());
+}
+
+/// Submits `per_round` requests before each of `rounds` rounds and
+/// returns how many the ingress refused as `Saturated`.
+fn offer(service: &mut CappedService, per_round: u64, rounds: u64) -> u64 {
+    let dispatcher = service.dispatcher();
+    let mut shed = 0;
+    for _ in 0..rounds {
+        for _ in 0..per_round {
+            match dispatcher.submit() {
+                Ok(_) => {}
+                Err(SubmitError::Saturated) => shed += 1,
+                Err(SubmitError::Closed) => panic!("the service is running"),
+            }
+        }
+        service.run_round();
+    }
+    shed
 }
 
 #[test]
@@ -943,11 +983,11 @@ fn depth_is_exact_and_admission_takes_the_oldest_ids() {
     let completions = service.take_completions().unwrap();
     let dispatcher = service.dispatcher();
     assert_eq!(dispatcher.capacity(), 4);
-    assert_eq!((dispatcher.depth(), dispatcher.fill_ratio()), (0, 0.0));
+    assert_eq!(dispatcher.depth(), 0);
     for _ in 0..4 {
         dispatcher.submit().unwrap();
     }
-    assert_eq!((dispatcher.depth(), dispatcher.fill_ratio()), (4, 1.0));
+    assert_eq!(dispatcher.depth(), 4);
     // A refusal neither queues nor inflates the depth.
     assert_eq!(dispatcher.submit(), Err(SubmitError::Saturated));
     assert_eq!(dispatcher.depth(), 4);

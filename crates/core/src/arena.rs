@@ -1,11 +1,10 @@
 //! Flat slot-arena storage for the bins — the one data layout of the round
-//! kernel, for finite and unbounded capacities alike — and the bin-local
-//! half of Algorithm 1's round: [`BinArena::accept_stream`] (every bin
-//! accepts the oldest `min{c − ℓ, ν}` of its requests) and
-//! [`BinArena::serve_sweep`] (every online bin serves the head of its
-//! queue). [`CappedProcess`](crate::process::CappedProcess) is a pool
-//! plus one arena, and its round is the only code that runs the two in
-//! turn.
+//! kernel — and the bin-local half of Algorithm 1's round:
+//! [`BinArena::accept_stream`] (every bin accepts the oldest
+//! `min{c − ℓ, ν}` of its requests) and [`BinArena::serve_sweep`] (every
+//! online bin serves the head of its queue).
+//! [`CappedProcess`](crate::process::CappedProcess) is a pool plus one
+//! arena, and its round is the only code that runs the two in turn.
 //!
 //! A literal implementation of CAPPED(c, λ) keeps one heap-allocated
 //! `VecDeque<Ball>` per bin, so a round's acceptance stage performs
@@ -14,37 +13,33 @@
 //! structure-of-arrays layout:
 //!
 //! - **`slots`** — one contiguous `Vec<Ball>` of `n · stride` ring slots
-//!   (`stride` is a power of two ≥ every configured finite capacity, so for
-//!   the paper process this is exactly an `n · c` layout), followed by one
-//!   guard slot that `fast_accept`'s branchless scatter writes rejects to;
+//!   (`stride` is a power of two ≥ every live capacity and every load, so
+//!   for the paper process this is exactly an `n · c` layout), followed by
+//!   one guard slot that `fast_accept`'s branchless scatter writes rejects
+//!   to;
 //! - **`regs`** — one packed `u64` **register** per bin, the bin's only
 //!   ring state: its length (bits 0..24), its acceptance bound (bits
-//!   24..40: the live capacity clipped to `u16::MAX`, or 0 while the bin
-//!   is offline) and its tail (bits 40..64, the next free ring offset
-//!   kept modulo 2²⁴). The tail sits at the top, so an increment carries
-//!   out of the word and never into another field, and `tail & (stride −
-//!   1)` stays valid for every power-of-two stride. The head is derived,
+//!   24..40: the live capacity, or 0 while the bin is offline) and its
+//!   tail (bits 40..64, the next free ring offset kept modulo 2²⁴). The
+//!   tail sits at the top, so an increment carries out of the word and
+//!   never into another field, and `tail & (stride − 1)` stays valid for
+//!   every power-of-two stride. The head is derived,
 //!   `(tail − len) & (stride − 1)`;
 //! - **`caps`** — the per-bin **live** capacity (fault injection may
 //!   diverge it from the configured profile).
 //!
 //! Every mutator rewrites the one register it touches, so the acceptance
 //! scatter and the deletion sweep read the same word and nothing is ever
-//! left to commit or re-derive between them. The fields cap the stride at
-//! [`MAX_STRIDE`] (a full ring's length must fit the 24-bit length field).
+//! left to commit or re-derive between them.
 //!
-//! On top of the layout, the round kernel's acceptance stage has two
-//! passes, both bit-exactly Algorithm 1's "accept the oldest
-//! `min{c − ℓ, ν}`" rule. `fast_accept` is one branch-free scatter in
-//! age order; it runs while no bin's capacity can outgrow its ring, which
-//! is every round of a finite configuration that no fault has raised
-//! past the stride. `walk_accept` is the per-ball greedy walk of
-//! [`try_accept`](BinArena::try_accept), which grows the stride as it
-//! goes; it takes the rounds the fast path refuses (an unbounded bin, or
-//! a fault raising a capacity past the stride). Because the requests are
-//! age-ordered and acceptance at a bin depends only on that bin's own
-//! request order, both leave the rejects in exact pool age order with
-//! zero sorting.
+//! The arena keeps one invariant: **`stride` ≥ every live capacity and
+//! every load**. A bin accepts only below its capacity, so no accepted
+//! ball can outgrow its ring, and the acceptance stage is one pass,
+//! `fast_accept`: a branch-free scatter in age order, bit-exactly
+//! Algorithm 1's "accept the oldest `min{c − ℓ, ν}`" rule. Because the
+//! requests are age-ordered and acceptance at a bin depends only on that
+//! bin's own request order, it leaves the rejects in exact pool age order
+//! with zero sorting.
 //!
 //! A round's requests arrive as the pool's label runs plus one bin choice
 //! per ball: `choices[i]` is the bin the `i`-th ball of the runs (oldest
@@ -52,30 +47,19 @@
 //! one `(label, count − taken)` run — so no stage handles a per-ball
 //! ball array.
 //!
-//! Unbounded bins ([`Capacity::Infinite`], configured or raised by a fault)
-//! are honored by growing the stride on demand: the arena re-lays itself
-//! out with a doubled (power-of-two) stride, an `O(n · stride)` copy. Under
-//! a finite configuration that only happens on a fault raising a bin past
-//! the current stride — never in the steady state of the paper process.
-//! Under CAPPED(∞, λ) the stride tracks the largest load any bin has ever
-//! reached and never shrinks, so the arena holds `n` rings of that size.
+//! A capacity raised past the stride (a fault, or a pushed bin) re-lays
+//! the arena out between rounds, inside
+//! [`set_capacity`](BinArena::set_capacity) or
+//! [`push_bin`](BinArena::push_bin): an `O(n · stride)` copy into the next
+//! power-of-two stride. Capacities are at most
+//! [`MAX_CAPACITY`], so the stride is too, and the arena never holds more
+//! than `n · MAX_CAPACITY` slots; the steady state of the paper process
+//! never grows.
 
 use crate::ball::Ball;
-use crate::config::Capacity;
+use crate::config::{Capacity, MAX_CAPACITY};
 use crate::obs;
-use crate::pool::{expand, push_run, Run};
-
-/// Strides are initially clamped to this many slots, so a huge finite
-/// capacity does not pre-commit memory that would almost never be used;
-/// bins whose capacity exceeds the clamp grow the arena lazily on first
-/// overflow.
-const STRIDE_CLAMP: usize = 4096;
-
-/// The largest ring size per bin. A bin holds at most `stride` balls, and
-/// the register's 24-bit length field must hold a full ring; a state
-/// that needs a larger ring is refused
-/// ([`try_from_bins`](BinArena::try_from_bins)) or panics (growth).
-pub const MAX_STRIDE: usize = 1 << 23;
+use crate::pool::{push_run, Run};
 
 /// Register field layout: length in bits 0..24, bound in 24..40, tail in
 /// 40..64 (see the module docs).
@@ -85,6 +69,10 @@ const BOUND_MAX: u64 = u16::MAX as u64;
 const TAIL_SHIFT: u32 = 40;
 /// Register increment of one accepted ball: length + 1, tail + 1.
 const ACCEPT: u64 = 1 | 1 << TAIL_SHIFT;
+
+// Every capacity fits the bound field, and so a full ring's length fits
+// the wider length field.
+const _: () = assert!(MAX_CAPACITY as u64 <= BOUND_MAX);
 
 #[inline]
 fn reg_len(r: u64) -> usize {
@@ -108,47 +96,9 @@ fn unwrapped(len: usize, bound: u64) -> u64 {
 }
 
 /// The acceptance bound an online bin of capacity `cap` carries: the
-/// capacity, clipped to the field. Never 0, so 0 can mean "offline".
+/// capacity itself. Never 0, so 0 can mean "offline".
 fn bound_of(cap: Capacity) -> u64 {
-    match cap {
-        Capacity::Finite(c) => u64::from(c.get()).min(BOUND_MAX),
-        Capacity::Infinite => BOUND_MAX,
-    }
-}
-
-/// Whether a bin of capacity `cap` keeps the arena off `fast_accept`: its
-/// accepted balls could outgrow a `stride` ring, or its bound is clipped.
-fn blocks_fast_path(cap: Capacity, stride: usize) -> bool {
-    match cap {
-        Capacity::Finite(c) => c.get() as usize > stride.min(BOUND_MAX as usize),
-        Capacity::Infinite => true,
-    }
-}
-
-/// How many of `caps` [block the fast path](blocks_fast_path) at `stride`.
-fn count_blocking(caps: &[Capacity], stride: usize) -> usize {
-    caps.iter()
-        .filter(|&&c| blocks_fast_path(c, stride))
-        .count()
-}
-
-/// The initial stride for a set of capacities and pre-existing loads:
-/// a power of two covering every load and every finite capacity up to the
-/// [`STRIDE_CLAMP`].
-fn initial_stride(caps: &[Capacity], max_len: usize) -> usize {
-    let max_cap = caps
-        .iter()
-        .filter_map(|c| match c {
-            Capacity::Finite(c) => Some(c.get() as usize),
-            Capacity::Infinite => None,
-        })
-        .max()
-        .unwrap_or(1);
-    max_cap
-        .min(STRIDE_CLAMP)
-        .max(max_len)
-        .max(1)
-        .next_power_of_two()
+    u64::from(cap.get())
 }
 
 /// Statistics of one deletion sweep ([`BinArena::serve_sweep`]),
@@ -200,11 +150,9 @@ pub struct BinArena {
     regs: Vec<u64>,
     /// Live per-bin capacities.
     caps: Vec<Capacity>,
-    /// Ring size per bin; always a power of two, at most [`MAX_STRIDE`].
+    /// Ring size per bin: a power of two, at least every live capacity and
+    /// every load, at most [`MAX_CAPACITY`].
     stride: usize,
-    /// Bins whose live capacity [blocks the fast path](blocks_fast_path);
-    /// [`fast_accept`] runs only while this is 0.
-    blocking: usize,
 }
 
 impl BinArena {
@@ -228,12 +176,12 @@ impl BinArena {
     /// [`try_from_bins`](Self::try_from_bins) refuses the state.
     pub fn from_bins(caps: Vec<Capacity>, contents: Vec<Vec<Ball>>) -> Self {
         Self::try_from_bins(caps, contents)
-            .expect("a bin holds more than MAX_STRIDE balls, or the arena cannot be allocated")
+            .expect("a bin holds more than MAX_CAPACITY balls, or the arena cannot be allocated")
     }
 
     /// [`from_bins`](Self::from_bins) for states from outside input: the
-    /// ring slots are allocated fallibly, so a forged load cannot abort
-    /// the process. `None` if some bin holds more than [`MAX_STRIDE`]
+    /// ring slots are allocated fallibly, so a forged state cannot abort
+    /// the process. `None` if some bin holds more than [`MAX_CAPACITY`]
     /// balls or the `n · stride` slots cannot be allocated.
     ///
     /// # Panics
@@ -243,10 +191,11 @@ impl BinArena {
         assert!(!caps.is_empty(), "an arena needs at least one bin");
         assert!(contents.len() <= caps.len(), "more bin contents than bins");
         let max_len = contents.iter().map(Vec::len).max().unwrap_or(0);
-        let stride = initial_stride(&caps, max_len);
-        if stride > MAX_STRIDE {
+        if max_len > MAX_CAPACITY as usize {
             return None;
         }
+        let max_cap = caps.iter().map(|c| c.get() as usize).max().unwrap_or(1);
+        let stride = max_cap.max(max_len).next_power_of_two();
         let bins = caps.len();
         let total = bins.checked_mul(stride)?.checked_add(1)?;
         let mut slots = Vec::new();
@@ -260,13 +209,11 @@ impl BinArena {
             slots[b * stride..b * stride + balls.len()].copy_from_slice(balls);
             regs[b] = unwrapped(balls.len(), bound_of(caps[b]));
         }
-        let blocking = count_blocking(&caps, stride);
         Some(BinArena {
             slots,
             regs,
             caps,
             stride,
-            blocking,
         })
     }
 
@@ -280,11 +227,11 @@ impl BinArena {
         self.stride
     }
 
-    /// Whether [`fast_accept`] may run: no bin's live capacity exceeds
-    /// the stride (or the bound field).
-    #[inline]
-    pub(crate) fn fast_path_open(&self) -> bool {
-        self.blocking == 0
+    /// Whether the arena's invariant holds: the stride covers every live
+    /// capacity and every load.
+    fn stride_covers_every_bin(&self) -> bool {
+        self.caps.iter().all(|c| c.get() as usize <= self.stride)
+            && self.regs.iter().all(|&r| reg_len(r) <= self.stride)
     }
 
     /// Current load of bin `b`.
@@ -314,7 +261,7 @@ impl BinArena {
     }
 
     /// Checks that bin `b`'s register bound is its effective bound: the
-    /// live capacity clipped, or 0 while offline.
+    /// live capacity, or 0 while offline.
     #[inline]
     fn debug_check(&self, b: usize) {
         let bound = reg_bound(self.regs[b]);
@@ -324,13 +271,13 @@ impl BinArena {
         );
     }
 
-    /// Changes bin `b`'s live capacity (fault injection). Balls stored
+    /// Changes bin `b`'s live capacity (fault injection), re-laying the
+    /// arena out first if the capacity exceeds the stride. Balls stored
     /// above a lowered capacity stay until served; the bin rejects new
     /// balls until it drains below the new bound. An offline bin stays
     /// offline.
     pub fn set_capacity(&mut self, b: usize, capacity: Capacity) {
-        self.blocking -= usize::from(blocks_fast_path(self.caps[b], self.stride));
-        self.blocking += usize::from(blocks_fast_path(capacity, self.stride));
+        self.grow(capacity);
         self.caps[b] = capacity;
         if !self.is_offline(b) {
             self.set_bound(b, bound_of(capacity));
@@ -350,26 +297,20 @@ impl BinArena {
     }
 
     /// Remaining room of bin `b`: how many more balls it may accept (0
-    /// while offline). `usize::MAX` for unbounded bins — callers clamp
-    /// against a request count before using it arithmetically.
+    /// while offline).
     #[inline]
     pub fn room(&self, b: usize) -> usize {
         if self.is_offline(b) {
             return 0;
         }
-        match self.caps[b] {
-            Capacity::Finite(c) => (c.get() as usize).saturating_sub(self.len(b)),
-            Capacity::Infinite => usize::MAX,
-        }
+        (self.caps[b].get() as usize).saturating_sub(self.len(b))
     }
 
-    /// Accepts `ball` into bin `b` if it is online and has room, growing
-    /// the stride if a raised capacity lets the bin outgrow its ring.
+    /// Accepts `ball` into bin `b` if it is online and has room.
     pub fn try_accept(&mut self, b: usize, ball: Ball) -> bool {
         if self.room(b) == 0 {
             return false;
         }
-        self.ensure_stride(self.len(b) + 1);
         let r = self.regs[b];
         self.slots[b * self.stride + (reg_tail(r) & (self.stride - 1))] = ball;
         self.regs[b] = r.wrapping_add(ACCEPT);
@@ -424,25 +365,16 @@ impl BinArena {
         self.regs.iter().map(|&r| reg_len(r)).sum()
     }
 
-    /// Ensures every bin's ring can hold `min_fill` balls, re-laying the
-    /// arena out with a larger stride if not. No-op in the steady state;
-    /// only capacity-raising faults (or restores of degraded checkpoints)
-    /// ever trigger the copy.
-    pub fn ensure_stride(&mut self, min_fill: usize) {
-        if min_fill > self.stride {
-            self.grow(min_fill);
-        }
-    }
-
     /// Appends an empty, online bin of live capacity `capacity` at the end
-    /// of the arena (elastic membership growth).
+    /// of the arena (elastic membership growth), re-laying the arena out
+    /// first if the capacity exceeds the stride.
     pub fn push_bin(&mut self, capacity: Capacity) {
+        self.grow(capacity);
         let b = self.bins();
         self.slots
             .resize((b + 1) * self.stride + 1, Ball::generated_in(0));
         self.regs.push(unwrapped(0, bound_of(capacity)));
         self.caps.push(capacity);
-        self.blocking += usize::from(blocks_fast_path(capacity, self.stride));
         self.debug_check(b);
     }
 
@@ -459,19 +391,22 @@ impl BinArena {
         let balls: Vec<Ball> = self.iter_bin(b).copied().collect();
         self.regs.pop();
         let cap = self.caps.pop().expect("non-empty arena");
-        self.blocking -= usize::from(blocks_fast_path(cap, self.stride));
         self.slots.truncate(self.bins() * self.stride + 1);
         (cap, balls)
     }
 
-    /// Re-lays the arena out with a stride of at least `needed` (at least
-    /// doubled, kept a power of two), unwrapping every ring to `head = 0`.
-    fn grow(&mut self, needed: usize) {
+    /// Keeps the invariant for a bin about to take capacity `capacity`:
+    /// if it exceeds the stride, re-lays the arena out with the power-of-two
+    /// stride covering it, unwrapping every ring to `head = 0`. The stride
+    /// never shrinks, so it keeps covering every load too.
+    fn grow(&mut self, capacity: Capacity) {
+        if capacity.get() as usize <= self.stride {
+            return;
+        }
         if let Some(p) = obs::probes() {
             p.arena_grows.inc();
         }
-        let new_stride = needed.max(self.stride * 2).next_power_of_two();
-        assert!(new_stride <= MAX_STRIDE, "stride exceeds MAX_STRIDE");
+        let new_stride = (capacity.get() as usize).next_power_of_two();
         let bins = self.bins();
         let mut slots = vec![Ball::generated_in(0); bins * new_stride + 1];
         for b in 0..bins {
@@ -485,7 +420,6 @@ impl BinArena {
         }
         self.slots = slots;
         self.stride = new_stride;
-        self.blocking = count_blocking(&self.caps, new_stride);
     }
 
     /// The acceptance stage of one round; returns the accepted count.
@@ -494,10 +428,8 @@ impl BinArena {
     /// choice per ball: `choices[i]` is the bin the `i`-th ball of the
     /// runs asks for. Every online bin accepts the oldest `min{c − ℓ, ν}`
     /// of its requests; the rejected balls are appended to `rejected` as
-    /// runs, oldest first. This is the single-pass `fast_accept` over
-    /// the runs, or, while some bin's capacity exceeds the stride,
-    /// `walk_accept`: the per-ball greedy walk of
-    /// [`try_accept`](Self::try_accept). Both are bit-exactly Algorithm 1.
+    /// runs, oldest first. This is the single-pass `fast_accept` scatter
+    /// over the runs, bit-exactly Algorithm 1.
     ///
     /// # Panics
     ///
@@ -509,14 +441,13 @@ impl BinArena {
             "need exactly one choice per ball"
         );
         fast_accept(self, choices, runs, rejected)
-            .unwrap_or_else(|| walk_accept(self, choices, runs, rejected))
     }
 
     /// The deletion stage of one round: every online bin serves the head
     /// of its queue into `served`, in bin order. It reads each bin's
     /// register and, for a non-empty online bin, its head slot
     /// `(tail − len) & mask`, and decrements the length — one register
-    /// read-modify-write per bin, whichever acceptance pass ran before.
+    /// read-modify-write per bin.
     /// Returns the round's deletion statistics.
     pub fn serve_sweep<F: FnMut(usize, Ball)>(&mut self, mut served: F) -> SweepStats {
         let mut stats = SweepStats::default();
@@ -582,13 +513,11 @@ impl<'a> BinView<'a> {
     }
 }
 
-/// The single-pass fast path of the acceptance stage.
+/// The acceptance stage's one pass.
 ///
-/// While no bin's capacity exceeds the stride (nor the 16-bit bound
-/// field), every bin's fill is bounded by `max{ℓ, c} ≤ stride`, so no
-/// accepted ball can outgrow its ring and the scatter needs no per-bin
-/// setup. The arena keeps that condition as an O(1) count of blocking
-/// bins.
+/// The stride covers every live capacity, so every bin's fill is bounded
+/// by `max{ℓ, c} ≤ stride`: no accepted ball can outgrow its ring and the
+/// scatter needs no per-bin setup.
 ///
 /// The scatter is a **single branch-free pass** in age order, run by run:
 /// one read-modify-write of the bin's register per request. Every ball of
@@ -609,10 +538,6 @@ impl<'a> BinView<'a> {
 /// instead of ahead of time. The registers are complete when the scatter
 /// ends: the deletion sweep reads them as they are.
 ///
-/// Returns `None` **without touching the requests** while some bin blocks
-/// the fast path — the caller must then run [`walk_accept`], which grows
-/// the stride as it goes.
-///
 /// The caller must guarantee that `runs` holds exactly `choices.len()`
 /// balls.
 pub(crate) fn fast_accept(
@@ -620,15 +545,12 @@ pub(crate) fn fast_accept(
     choices: &[u32],
     runs: &[Run],
     rejected: &mut Vec<Run>,
-) -> Option<u64> {
-    debug_assert_eq!(
-        arena.blocking,
-        count_blocking(&arena.caps, arena.stride),
-        "the fast-path count is stale"
+) -> u64 {
+    debug_assert!(
+        arena.stride_covers_every_bin(),
+        "a live capacity or a load exceeds the stride {}",
+        arena.stride
     );
-    if !arena.fast_path_open() {
-        return bail();
-    }
     // Scatter: the only random-access pass. The per-request accesses are
     // mutually independent, so the out-of-order core overlaps their cache
     // misses on its own — an explicit software-prefetch stage was
@@ -660,52 +582,13 @@ pub(crate) fn fast_accept(
     if let Some(p) = obs::probes() {
         p.fast_accept_rounds.inc();
     }
-    Some(accepted)
-}
-
-/// The shared fast-path bail-out: counts the event (telemetry only) and
-/// yields the `None` that sends the caller to [`walk_accept`].
-#[cold]
-fn bail() -> Option<u64> {
-    if let Some(p) = obs::probes() {
-        p.fast_accept_bailouts.inc();
-    }
-    None
-}
-
-/// The general acceptance pass: the per-ball greedy walk of
-/// [`BinArena::try_accept`] over the requests in age order, growing the
-/// stride whenever a bin outgrows its ring. It runs the rounds
-/// [`fast_accept`] refuses — an unbounded bin, or a capacity raised past
-/// the stride or the bound field — which no finite configuration reaches
-/// without a fault.
-///
-/// `choices[i]` is the bin the `i`-th ball of `runs` (oldest first)
-/// requests. Rejected balls are appended to `rejected` as runs, in age
-/// order. Returns the number of accepted balls.
-pub(crate) fn walk_accept(
-    arena: &mut BinArena,
-    choices: &[u32],
-    runs: &[Run],
-    rejected: &mut Vec<Run>,
-) -> u64 {
-    if let Some(p) = obs::probes() {
-        p.fallback_rounds.inc();
-    }
-    let mut accepted = 0u64;
-    for (&b, ball) in choices.iter().zip(expand(runs)) {
-        if arena.try_accept(b as usize, ball) {
-            accepted += 1;
-        } else {
-            push_run(rejected, ball.label(), 1);
-        }
-    }
     accepted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::expand;
 
     fn finite(c: u32) -> Capacity {
         Capacity::finite(c).unwrap()
@@ -741,15 +624,23 @@ mod tests {
         arena.serve(3); // move the head so growth must unwrap a ring
         arena.try_accept(3, Ball::generated_in(2));
         arena.try_accept(3, Ball::generated_in(3));
-        arena.set_capacity(3, Capacity::Infinite);
-        for label in 4..20 {
-            assert!(arena.try_accept(3, Ball::generated_in(label)));
-        }
-        assert!(arena.stride() >= 18);
+        // The raise re-lays the arena out at once, before any round.
+        arena.set_capacity(3, finite(20));
+        assert_eq!(arena.stride(), 32);
         let labels: Vec<u64> = arena.iter_bin(3).map(Ball::label).collect();
-        let expected: Vec<u64> = (2..20).collect();
-        assert_eq!(labels, expected, "FIFO order survives the re-layout");
+        assert_eq!(labels, vec![2, 3], "FIFO order survives the re-layout");
+        // The scatter then fills the raised bin past the old stride.
+        let stream: Vec<(usize, Ball)> = (4..40).map(|i| (3usize, Ball::generated_in(i))).collect();
+        let (choices, runs) = requests(&stream);
+        let mut rejected = Vec::new();
+        assert_eq!(arena.accept_stream(&choices, &runs, &mut rejected), 18);
+        let expected: Vec<Run> = (22..40).map(|label| Run::new(label, 1)).collect();
+        assert_eq!(rejected, expected);
+        let labels: Vec<u64> = arena.iter_bin(3).map(Ball::label).collect();
+        assert_eq!(labels, (2..22).collect::<Vec<u64>>());
         assert_eq!(arena.len(0), 0);
+        arena.set_capacity(3, finite(2));
+        assert_eq!(arena.stride(), 32, "lowering a capacity never shrinks");
     }
 
     #[test]
@@ -802,15 +693,23 @@ mod tests {
     }
 
     #[test]
-    fn fast_accept_matches_walk_accept() {
+    fn fast_accept_matches_a_try_accept_walk() {
+        // The reference is the per-ball greedy walk of `try_accept` in age
+        // order, run here on a second arena.
         let (mut fast_arena, stream) = fixture();
         let (mut walk_arena, _) = fixture();
         let (choices, runs) = requests(&stream);
         let mut fast_rejected = Vec::new();
-        let fast = fast_accept(&mut fast_arena, &choices, &runs, &mut fast_rejected)
-            .expect("no capacity above the stride");
+        let fast = fast_accept(&mut fast_arena, &choices, &runs, &mut fast_rejected);
         let mut walk_rejected = Vec::new();
-        let walked = walk_accept(&mut walk_arena, &choices, &runs, &mut walk_rejected);
+        let mut walked = 0;
+        for &(b, ball) in &stream {
+            if walk_arena.try_accept(b, ball) {
+                walked += 1;
+            } else {
+                push_run(&mut walk_rejected, ball.label(), 1);
+            }
+        }
         assert_eq!(fast, walked);
         assert_eq!(fast_rejected, walk_rejected);
         assert!(crate::pool::is_canonical(&fast_rejected));
@@ -829,7 +728,7 @@ mod tests {
         arena.serve(0); // head = 1, len = 1
         let (choices, runs) = requests(&[(0usize, Ball::generated_in(3))]);
         let mut rejected = Vec::new();
-        let accepted = fast_accept(&mut arena, &choices, &runs, &mut rejected).expect("fits");
+        let accepted = fast_accept(&mut arena, &choices, &runs, &mut rejected);
         assert_eq!(accepted, 1);
         assert!(rejected.is_empty());
         let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
@@ -855,67 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_accept_bails_out_on_possible_overflow() {
-        // An unbounded (fault-raised) bin could outgrow its ring: the fast
-        // path must refuse without consuming the stream or touching state.
-        let mut arena = BinArena::new(vec![finite(2); 2]);
-        arena.set_capacity(0, Capacity::Infinite);
-        let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
-        let (choices, runs) = requests(&stream);
-        let mut rejected = Vec::new();
-        assert_eq!(
-            fast_accept(&mut arena, &choices, &runs, &mut rejected),
-            None
-        );
-        assert!(rejected.is_empty());
-        assert_eq!(arena.buffered(), 0);
-        assert_eq!(arena.stride(), 2, "fast path must not grow the arena");
-        // Restoring the capacity unblocks the fast path.
-        arena.set_capacity(0, finite(2));
-        assert!(fast_accept(&mut arena, &choices, &runs, &mut rejected).is_some());
-    }
-
-    #[test]
-    fn fast_accept_bails_out_on_capacity_past_u16() {
-        // Regression: a live capacity past 65535 does not fit the 16-bit
-        // bound field, so it must take the walk even once the stride has
-        // grown past it.
-        let mut arena = BinArena::new(vec![finite(2); 2]);
-        arena.set_capacity(0, finite(70_000));
-        arena.ensure_stride(1 << 17);
-        let stream: Vec<(usize, Ball)> = (0..10).map(|i| (0usize, Ball::generated_in(i))).collect();
-        let (choices, runs) = requests(&stream);
-        let mut rejected = Vec::new();
-        let out = fast_accept(&mut arena, &choices, &runs, &mut rejected);
-        assert_eq!(out, None, "capacity > u16::MAX must bail to the walk");
-        assert!(rejected.is_empty());
-        assert_eq!(arena.buffered(), 0, "bail must not consume the stream");
-
-        // The walk handles the same stream exactly.
-        let accepted = walk_accept(&mut arena, &choices, &runs, &mut rejected);
-        assert_eq!(accepted, 10);
-        assert!(rejected.is_empty());
-        let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
-        assert_eq!(labels, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn walk_accept_grows_for_unbounded_bins() {
-        let mut arena = BinArena::new(vec![finite(2); 2]);
-        arena.set_capacity(0, Capacity::Infinite);
-        let stream: Vec<(usize, Ball)> = (0..40).map(|i| (0usize, Ball::generated_in(i))).collect();
-        let (choices, runs) = requests(&stream);
-        let mut rejected = Vec::new();
-        let accepted = walk_accept(&mut arena, &choices, &runs, &mut rejected);
-        assert_eq!(accepted, 40);
-        assert!(rejected.is_empty());
-        assert_eq!(arena.len(0), 40);
-        let labels: Vec<u64> = arena.iter_bin(0).map(Ball::label).collect();
-        let expected: Vec<u64> = (0..40).collect();
-        assert_eq!(labels, expected);
-    }
-
-    #[test]
     fn offline_is_a_zero_bound_that_survives_capacity_changes() {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         assert!(arena.try_accept(0, Ball::generated_in(1)));
@@ -935,7 +773,10 @@ mod tests {
 
     #[test]
     fn try_from_bins_refuses_a_load_past_the_stride_ceiling() {
-        let over = vec![vec![Ball::generated_in(0); MAX_STRIDE + 1]];
+        let full = vec![vec![Ball::generated_in(0); MAX_CAPACITY as usize]];
+        let arena = BinArena::try_from_bins(vec![finite(2)], full).expect("a full ring fits");
+        assert_eq!(arena.stride(), MAX_CAPACITY as usize);
+        let over = vec![vec![Ball::generated_in(0); MAX_CAPACITY as usize + 1]];
         assert!(BinArena::try_from_bins(vec![finite(2)], over).is_none());
     }
 
@@ -955,16 +796,15 @@ mod tests {
     }
 
     #[test]
-    fn push_and_pop_bins_preserve_contents_and_the_fast_path_count() {
+    fn push_and_pop_bins_preserve_contents_and_the_stride() {
         let mut arena = BinArena::new(vec![finite(2); 2]);
         assert!(arena.try_accept(1, Ball::generated_in(3)));
-        assert_eq!(arena.blocking, 0);
 
         // A fresh bin enters empty, and a capacity within the stride keeps
-        // the fast path open.
+        // the layout.
         arena.push_bin(finite(2));
         assert_eq!(arena.bins(), 3);
-        assert_eq!(arena.blocking, 0);
+        assert_eq!(arena.stride(), 2);
         assert_eq!(arena.len(2), 0);
 
         // A pushed bin fills in FIFO order.
@@ -974,13 +814,15 @@ mod tests {
         assert_eq!(arena.len(3), 2);
         assert_eq!(arena.head(3), Some(&Ball::generated_in(1)));
 
-        // A capacity past the stride blocks it; popping the bin reopens it.
+        // A capacity past the stride re-lays the arena out; popping the
+        // bin keeps the stride.
         arena.push_bin(finite(7));
-        assert_eq!(arena.blocking, 1);
+        assert_eq!(arena.stride(), 8);
+        assert_eq!(arena.head(3), Some(&Ball::generated_in(1)));
         let (cap, balls) = arena.pop_bin();
         assert_eq!(cap, finite(7));
         assert!(balls.is_empty());
-        assert_eq!(arena.blocking, 0);
+        assert_eq!(arena.stride(), 8);
 
         let (cap, balls) = arena.pop_bin();
         assert_eq!(cap, finite(2));
@@ -988,15 +830,6 @@ mod tests {
         assert_eq!(arena.bins(), 3);
         assert_eq!(arena.buffered(), 1, "bin 1's ball survived the churn");
         assert_eq!(arena.head(1), Some(&Ball::generated_in(3)));
-    }
-
-    #[test]
-    fn growth_recounts_the_bins_that_block_the_fast_path() {
-        let mut arena = BinArena::new(vec![finite(2); 2]);
-        arena.set_capacity(0, finite(5));
-        assert_eq!(arena.blocking, 1);
-        arena.ensure_stride(8);
-        assert_eq!(arena.blocking, 0, "capacity 5 fits a stride-8 ring");
     }
 
     #[test]
@@ -1081,11 +914,10 @@ mod tests {
         assert_eq!(stats.max_load, 0);
     }
 
-    /// Runs one round on `fast` through `fast_accept` (asserted to be the
-    /// path taken) and `serve_sweep`, and the same round on `walk` (the
-    /// per-ball `try_accept` walk, then `serve_sweep`): the rejects in
-    /// stream order, the served balls and every bin's FIFO contents must
-    /// agree.
+    /// Runs one round on `fast` through `accept_stream` and `serve_sweep`,
+    /// and the same round on `walk` (the per-ball `try_accept` walk, then
+    /// `serve_sweep`): the rejects in stream order, the served balls and
+    /// every bin's FIFO contents must agree.
     fn assert_fast_round_matches_walk(
         fast: &mut BinArena,
         walk: &mut BinArena,
@@ -1094,10 +926,6 @@ mod tests {
     ) {
         let (mut fast_rejected, mut fast_served) = (Vec::new(), Vec::new());
         let (choices, runs) = requests(stream);
-        assert!(
-            fast.fast_path_open(),
-            "{what}: the round must take fast_accept"
-        );
         fast.accept_stream(&choices, &runs, &mut fast_rejected);
         fast.serve_sweep(|b, ball| fast_served.push((b, ball)));
         let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());

@@ -338,13 +338,14 @@ mod tests {
         let mut sim = running_sim(60);
         sim.process_mut()
             .set_bin_capacity(0, Capacity::finite(1).unwrap());
-        sim.process_mut().set_bin_capacity(1, Capacity::Infinite);
+        let raised = Capacity::finite(64).unwrap();
+        sim.process_mut().set_bin_capacity(1, raised);
         let mut restored = restore(&save(&sim)).expect("restores");
         assert_eq!(
             restored.process().bin(0).capacity(),
             Capacity::finite(1).unwrap()
         );
-        assert_eq!(restored.process().bin(1).capacity(), Capacity::Infinite);
+        assert_eq!(restored.process().bin(1).capacity(), raised);
         for _ in 0..50 {
             assert_eq!(sim.step(), restored.step());
         }

@@ -6,55 +6,57 @@ use std::num::NonZeroU32;
 use iba_sim::arrivals::ArrivalModel;
 use iba_sim::error::ConfigError;
 
-/// A bin's buffer capacity: the `c` in CAPPED(c, λ).
+/// The largest buffer capacity a bin may have, configured or raised by a
+/// fault. Balls enter a bin only by acceptance, so no load exceeds it
+/// either, and a bin's ring in the
+/// [`BinArena`](crate::arena::BinArena) never needs more slots.
+pub const MAX_CAPACITY: u32 = 4096;
+
+/// A bin's buffer capacity: the `c ∈ ℕ` of CAPPED(c, λ), at least 1 and
+/// at most [`MAX_CAPACITY`].
 ///
-/// The paper requires `c ∈ ℕ` (at least 1); `Capacity::Infinite` models
-/// `c = ∞`, for which CAPPED(∞, λ) coincides with the parallel GREEDY\[1\]
-/// process (Section II).
+/// CAPPED(∞, λ) is the parallel GREEDY\[1\] process (Section II), which
+/// `iba_baselines::GreedyBatchProcess` with `d = 1` implements; a
+/// capacity no load reaches (such as [`MAX_CAPACITY`] at a small `n`)
+/// rejects nothing and so runs the same trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Capacity {
-    /// A finite buffer of the given size.
-    Finite(NonZeroU32),
-    /// No capacity limit (CAPPED(∞, λ) ≡ GREEDY\[1\]).
-    Infinite,
-}
+pub struct Capacity(NonZeroU32);
 
 impl Capacity {
-    /// Creates a finite capacity.
+    /// Creates a capacity.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroCapacity`] if `c == 0`.
+    /// Returns [`ConfigError::ZeroCapacity`] if `c == 0` and
+    /// [`ConfigError::OutOfDomain`] if `c > MAX_CAPACITY`.
     pub fn finite(c: u32) -> Result<Self, ConfigError> {
+        if c > MAX_CAPACITY {
+            return Err(ConfigError::OutOfDomain {
+                name: "capacity",
+                domain: "c <= MAX_CAPACITY (4096)",
+            });
+        }
         NonZeroU32::new(c)
-            .map(Capacity::Finite)
+            .map(Capacity)
             .ok_or(ConfigError::ZeroCapacity)
+    }
+
+    /// The capacity's value, in `1..=MAX_CAPACITY`.
+    #[inline]
+    pub fn get(self) -> u32 {
+        self.0.get()
     }
 
     /// Whether a buffer currently holding `load` balls can accept another.
     #[inline]
     pub fn has_room(&self, load: usize) -> bool {
-        match self {
-            Capacity::Finite(c) => load < c.get() as usize,
-            Capacity::Infinite => true,
-        }
-    }
-
-    /// The finite value, if any.
-    pub fn as_finite(&self) -> Option<u32> {
-        match self {
-            Capacity::Finite(c) => Some(c.get()),
-            Capacity::Infinite => None,
-        }
+        load < self.get() as usize
     }
 }
 
 impl fmt::Display for Capacity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Capacity::Finite(c) => write!(f, "{c}"),
-            Capacity::Infinite => write!(f, "∞"),
-        }
+        write!(f, "{}", self.0)
     }
 }
 
@@ -85,7 +87,7 @@ const RETIRED_POLICY: u32 = 0;
 /// let config = CappedConfig::new(1 << 10, 3, 0.75)?
 ///     .with_capacity_profile((0..1 << 10).map(|i| 2 + 2 * (i % 2)).collect())?;
 /// assert_eq!(config.bins(), 1024);
-/// assert_eq!(config.capacity().as_finite(), Some(4)); // the profile's maximum
+/// assert_eq!(config.capacity().get(), 4); // the profile's maximum
 /// assert_eq!(config.mean_capacity(), 3.0);
 /// assert_eq!(config.arrivals().mean(), 768.0);
 /// # Ok(())
@@ -109,29 +111,13 @@ impl CappedConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if `n == 0`, `c == 0`, `λ ∉ [0, 1 − 1/n]`,
-    /// or `λn` is not an integer.
+    /// Returns a [`ConfigError`] if `n == 0`, `c ∉ [1, MAX_CAPACITY]`,
+    /// `λ ∉ [0, 1 − 1/n]`, or `λn` is not an integer.
     pub fn new(bins: usize, capacity: u32, lambda: f64) -> Result<Self, ConfigError> {
         let arrivals = ArrivalModel::deterministic_rate(bins, lambda)?;
         Ok(CappedConfig {
             bins,
             capacity: Capacity::finite(capacity)?,
-            lambda,
-            arrivals,
-            capacity_profile: None,
-        })
-    }
-
-    /// Creates a CAPPED(∞, λ) configuration (equivalent to GREEDY\[1\]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the arrival parameters are invalid.
-    pub fn unbounded(bins: usize, lambda: f64) -> Result<Self, ConfigError> {
-        let arrivals = ArrivalModel::deterministic_rate(bins, lambda)?;
-        Ok(CappedConfig {
-            bins,
-            capacity: Capacity::Infinite,
             lambda,
             arrivals,
             capacity_profile: None,
@@ -188,8 +174,8 @@ impl CappedConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::OutOfDomain`] if the profile length differs
-    /// from the number of bins, or [`ConfigError::ZeroCapacity`] if any
-    /// entry is zero.
+    /// from the number of bins or an entry exceeds [`MAX_CAPACITY`], or
+    /// [`ConfigError::ZeroCapacity`] if any entry is zero.
     pub fn with_capacity_profile(mut self, profile: Vec<u32>) -> Result<Self, ConfigError> {
         if profile.len() != self.bins {
             return Err(ConfigError::OutOfDomain {
@@ -233,11 +219,7 @@ impl CappedConfig {
             Some(profile) => {
                 profile.iter().map(|&c| f64::from(c)).sum::<f64>() / profile.len() as f64
             }
-            None => self
-                .capacity
-                .as_finite()
-                .map(f64::from)
-                .unwrap_or(f64::INFINITY),
+            None => f64::from(self.capacity.get()),
         }
     }
 
@@ -269,10 +251,7 @@ impl CappedConfig {
     /// of versions that still had the two ablation knobs.
     pub fn encode_into(&self, enc: &mut iba_sim::codec::Encoder) {
         enc.usize(self.bins);
-        match self.capacity {
-            Capacity::Finite(c) => enc.u32(c.get()),
-            Capacity::Infinite => enc.u32(0),
-        }
+        enc.u32(self.capacity.get());
         enc.f64(self.lambda);
         self.arrivals.encode_into(enc);
         enc.u32(RETIRED_CHOICES);
@@ -291,21 +270,20 @@ impl CappedConfig {
     /// # Errors
     ///
     /// Returns a [`iba_sim::codec::CodecError`] on truncated or malformed
-    /// input: a retired word other than its constant, a profile that
-    /// fails [`with_capacity_profile`](Self::with_capacity_profile)'s
-    /// validation (length, zero or out-of-range entries), or a capacity
-    /// word that is not the profile's maximum.
+    /// input: a capacity word of 0 or above [`MAX_CAPACITY`], a retired
+    /// word other than its constant, a profile that fails
+    /// [`with_capacity_profile`](Self::with_capacity_profile)'s validation
+    /// (length, zero or out-of-range entries), or a capacity word that is
+    /// not the profile's maximum.
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
         use iba_sim::codec::CodecError;
         let bins = dec.usize("config bins")?;
         let raw_capacity = dec.u32("config capacity")?;
-        let capacity = if raw_capacity == 0 {
-            Capacity::Infinite
-        } else {
-            Capacity::finite(raw_capacity).expect("non-zero checked")
-        };
+        let capacity = Capacity::finite(raw_capacity).map_err(|_| CodecError::Invalid {
+            what: "config capacity",
+        })?;
         let lambda = dec.f64("config lambda")?;
         let arrivals = ArrivalModel::decode_from(dec)?;
         let choices = dec.u32("config choices")?;
@@ -349,7 +327,7 @@ impl CappedConfig {
     /// to skip most of the transient.
     pub fn predicted_stationary_pool(&self) -> usize {
         let n = self.bins as f64;
-        let c = self.mean_capacity().min(u32::MAX as f64);
+        let c = self.mean_capacity();
         let log_term = if self.lambda < 1.0 {
             (1.0 / (1.0 - self.lambda)).ln()
         } else {
@@ -378,23 +356,26 @@ mod tests {
         assert!(c2.has_room(0));
         assert!(c2.has_room(1));
         assert!(!c2.has_room(2));
-        assert!(Capacity::Infinite.has_room(usize::MAX - 1));
-        assert_eq!(c2.as_finite(), Some(2));
-        assert_eq!(Capacity::Infinite.as_finite(), None);
+        assert_eq!(c2.get(), 2);
+        let max = Capacity::finite(MAX_CAPACITY).unwrap();
+        assert!(max.has_room(MAX_CAPACITY as usize - 1));
+        assert!(!max.has_room(MAX_CAPACITY as usize));
     }
 
     #[test]
     fn capacity_conversions_and_display() {
-        assert!(Capacity::try_from(0u32).is_err());
+        assert_eq!(Capacity::try_from(0u32), Err(ConfigError::ZeroCapacity));
+        assert!(matches!(
+            Capacity::try_from(MAX_CAPACITY + 1),
+            Err(ConfigError::OutOfDomain {
+                name: "capacity",
+                ..
+            })
+        ));
+        assert!(CappedConfig::new(8, MAX_CAPACITY + 1, 0.5).is_err());
         let c = Capacity::try_from(5u32).unwrap();
         assert_eq!(c.to_string(), "5");
-        assert_eq!(Capacity::Infinite.to_string(), "∞");
-    }
-
-    #[test]
-    fn unbounded_is_infinite() {
-        let cfg = CappedConfig::unbounded(8, 0.5).unwrap();
-        assert_eq!(cfg.capacity(), Capacity::Infinite);
+        assert_eq!(Capacity::try_from(MAX_CAPACITY).unwrap().get(), 4096);
     }
 
     #[test]
@@ -420,9 +401,9 @@ mod tests {
             .is_err());
         // Valid profile: capacity() is the max, per-bin values preserved.
         let cfg = base.with_capacity_profile(vec![1, 3, 1, 3]).unwrap();
-        assert_eq!(cfg.capacity().as_finite(), Some(3));
-        assert_eq!(cfg.capacity_of(0).as_finite(), Some(1));
-        assert_eq!(cfg.capacity_of(1).as_finite(), Some(3));
+        assert_eq!(cfg.capacity().get(), 3);
+        assert_eq!(cfg.capacity_of(0).get(), 1);
+        assert_eq!(cfg.capacity_of(1).get(), 3);
         assert_eq!(cfg.mean_capacity(), 2.0);
         assert_eq!(cfg.capacity_profile(), Some(&[1u32, 3, 1, 3][..]));
     }
@@ -431,12 +412,8 @@ mod tests {
     fn uniform_config_has_no_profile() {
         let cfg = CappedConfig::new(4, 2, 0.5).unwrap();
         assert_eq!(cfg.capacity_profile(), None);
-        assert_eq!(cfg.capacity_of(3).as_finite(), Some(2));
+        assert_eq!(cfg.capacity_of(3).get(), 2);
         assert_eq!(cfg.mean_capacity(), 2.0);
-        assert_eq!(
-            CappedConfig::unbounded(4, 0.5).unwrap().mean_capacity(),
-            f64::INFINITY
-        );
     }
 
     /// Encodes a config word by word in the IBA1 v2 layout, with every
@@ -514,6 +491,17 @@ mod tests {
         // The capacity word must be the profile's maximum.
         assert!(invalid(parent_layout(2, 1, Some(&[1, 3, 1, 3]), 0)));
         assert!(invalid(parent_layout(0, 1, Some(&[1, 3, 1, 3]), 0)));
+        // A capacity word of 0 (which once meant unbounded) or past the
+        // maximum, with or without a profile.
+        assert!(invalid(parent_layout(0, 1, None, 0)));
+        assert!(invalid(parent_layout(MAX_CAPACITY + 1, 1, None, 0)));
+        let past = u64::from(MAX_CAPACITY + 1);
+        assert!(invalid(parent_layout(
+            MAX_CAPACITY + 1,
+            1,
+            Some(&[1, past, 1, 3]),
+            0
+        )));
         // Zero entries and wrong lengths, as before.
         assert!(invalid(parent_layout(3, 1, Some(&[1, 3, 0, 3]), 0)));
         assert!(invalid(parent_layout(3, 1, Some(&[1, 3, 3]), 0)));

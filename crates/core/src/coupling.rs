@@ -78,11 +78,10 @@ impl CoupledRun {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration uses an infinite capacity or a
-    /// non-deterministic arrival model — the coupling is defined only for
-    /// the paper's base process.
+    /// Panics if the configuration uses a non-deterministic arrival model
+    /// — the coupling is defined only for the paper's base process.
     pub fn new(config: CappedConfig) -> Result<Self, iba_sim::error::ConfigError> {
-        let m_star = m_star_paper(config.bins(), finite_capacity(&config), config.lambda());
+        let m_star = m_star_paper(config.bins(), config.capacity().get(), config.lambda());
         Self::with_m_star(config, m_star)
     }
 
@@ -103,7 +102,7 @@ impl CoupledRun {
     ) -> Result<Self, iba_sim::error::ConfigError> {
         let modcapped = ModCappedProcess::with_m_star(
             config.bins(),
-            finite_capacity(&config),
+            config.capacity().get(),
             config.lambda(),
             m_star,
         )?;
@@ -161,13 +160,6 @@ impl CoupledRun {
             .filter(|_| !self.step(rng).dominance_holds())
             .count() as u64
     }
-}
-
-fn finite_capacity(config: &CappedConfig) -> u32 {
-    config
-        .capacity()
-        .as_finite()
-        .expect("coupling requires a finite capacity")
 }
 
 #[cfg(test)]
@@ -229,11 +221,5 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(a.step(&mut rng_a), b.step(&mut rng_b));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "finite capacity")]
-    fn rejects_infinite_capacity() {
-        let _ = CoupledRun::new(CappedConfig::unbounded(16, 0.5).unwrap());
     }
 }

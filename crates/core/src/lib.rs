@@ -20,14 +20,16 @@
 //!
 //! A [`CappedProcess`] is its pool plus one flat [`BinArena`] holding the
 //! bins — the one bin store and the layout of the round kernel, for every
-//! configuration, unbounded capacities included. The arena runs the
-//! bin-local half of a round (its acceptance stage, then its deletion
-//! sweep); the process composes the two.
+//! configuration. The arena runs the bin-local half of a round (its
+//! acceptance stage, then its deletion sweep); the process composes the
+//! two.
 //!
-//! Setting the capacity to [`Capacity::Infinite`](config::Capacity) turns
-//! CAPPED(∞, λ) into the classical parallel GREEDY\[1\] process (see the
-//! paper's Section II), which is verified against the independent baseline
-//! implementation in `iba-baselines` by the workspace integration tests.
+//! Capacities are the paper's `c ∈ ℕ`, bounded by
+//! [`MAX_CAPACITY`]. CAPPED(∞, λ) is the classical
+//! parallel GREEDY\[1\] process (the paper's Section II), which
+//! `iba_baselines::GreedyBatchProcess` with `d = 1` implements; the
+//! workspace integration tests check that CAPPED at a capacity no load
+//! reaches rejects nothing and runs GREEDY\[1\]'s trajectory.
 //!
 //! # Example
 //!
@@ -66,7 +68,7 @@ pub mod spec;
 
 pub use arena::{BinArena, BinView};
 pub use ball::Ball;
-pub use config::{Capacity, CappedConfig};
+pub use config::{Capacity, CappedConfig, MAX_CAPACITY};
 pub use coupling::CoupledRun;
 pub use metrics::WaitQuantiles;
 pub use modcapped::ModCappedProcess;

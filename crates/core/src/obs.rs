@@ -17,13 +17,9 @@ use iba_obs::{global, Counter, Histogram};
 /// The core crate's registered metrics.
 #[derive(Debug)]
 pub(crate) struct CoreProbes {
-    /// Rounds accepted through the single-pass scatter fast path.
+    /// Rounds accepted through the single-pass scatter (every round).
     pub fast_accept_rounds: Arc<Counter>,
-    /// Fast-path bail-outs (fell back to the per-ball walk).
-    pub fast_accept_bailouts: Arc<Counter>,
-    /// Rounds accepted through the per-ball walk.
-    pub fallback_rounds: Arc<Counter>,
-    /// Arena re-layouts (stride growth; only fault-raised capacities).
+    /// Arena re-layouts (stride growth: a capacity raised past the stride).
     pub arena_grows: Arc<Counter>,
     /// Balls accepted into buffers by any process round, lifetime.
     pub accepted_balls: Arc<Counter>,
@@ -42,8 +38,6 @@ impl CoreProbes {
         let r = global();
         CoreProbes {
             fast_accept_rounds: r.counter("iba_core_arena_fast_accept_rounds_total"),
-            fast_accept_bailouts: r.counter("iba_core_arena_fast_accept_bailouts_total"),
-            fallback_rounds: r.counter("iba_core_arena_fallback_rounds_total"),
             arena_grows: r.counter("iba_core_arena_grow_total"),
             accepted_balls: r.counter("iba_core_accepted_balls_total"),
             rejected_balls: r.counter("iba_core_rejected_balls_total"),

@@ -7,13 +7,12 @@ use iba_sim::stats::Histogram;
 
 use crate::arena::{BinArena, BinView};
 use crate::ball::Ball;
-use crate::config::{Capacity, CappedConfig};
+use crate::config::{Capacity, CappedConfig, MAX_CAPACITY};
 use crate::pool::{Pool, Run};
 
 /// The round kernel a [`CappedProcess`] runs. There is one: the flat
-/// [`BinArena`] with its acceptance scatter (the per-ball walk where the
-/// scatter does not apply) and bulk RNG draw, for every capacity
-/// configuration. The enum stays only because the
+/// [`BinArena`] with its acceptance scatter and bulk RNG draw, for every
+/// capacity configuration. The enum stays only because the
 /// repository benchmark prints its name; it goes with the benchmark's API
 /// shims (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -172,7 +171,7 @@ impl CappedProcess {
     /// # Panics
     ///
     /// Panics if `i ≥ n`.
-    pub fn set_bin_capacity(&mut self, i: usize, capacity: crate::config::Capacity) {
+    pub fn set_bin_capacity(&mut self, i: usize, capacity: Capacity) {
         assert!(
             i < self.config.bins(),
             "bin index {i} out of range for a process with n = {} bins",
@@ -276,11 +275,8 @@ impl CappedProcess {
         for i in 0..self.config.bins() {
             let bin = self.arena.view(i);
             // Live capacity, which fault injection may have diverged from
-            // the configured profile; 0 encodes "unbounded".
-            enc.u64(match bin.capacity() {
-                Capacity::Finite(c) => u64::from(c.get()),
-                Capacity::Infinite => 0,
-            });
+            // the configured profile.
+            enc.u64(u64::from(bin.capacity().get()));
             let labels: Vec<u64> = bin.iter().map(Ball::label).collect();
             enc.u64_seq(labels.into_iter());
         }
@@ -296,8 +292,9 @@ impl CappedProcess {
     /// Returns a [`iba_sim::codec::CodecError`] on truncated or malformed
     /// input, including states violating the process invariants (unsorted
     /// pool, a pooled or buffered ball labeled after the checkpoint's
-    /// round, broken conservation) and states whose bin arena cannot be
-    /// built ([`BinArena::try_from_bins`]).
+    /// round, a bin capacity of 0 or above [`MAX_CAPACITY`], a load above
+    /// [`MAX_CAPACITY`], broken conservation) and states whose bin arena
+    /// cannot be allocated ([`BinArena::try_from_bins`]).
     pub fn decode_from(
         dec: &mut iba_sim::codec::Decoder<'_>,
     ) -> Result<Self, iba_sim::codec::CodecError> {
@@ -328,17 +325,20 @@ impl CappedProcess {
         let mut contents: Vec<Vec<Ball>> = Vec::new();
         for _ in 0..bin_count {
             let raw = dec.u64("bin capacity")?;
-            let capacity = if raw == 0 {
-                Capacity::Infinite
-            } else {
-                u32::try_from(raw)
-                    .ok()
-                    .and_then(|c| Capacity::finite(c).ok())
-                    .ok_or(CodecError::Invalid {
-                        what: "bin capacity",
-                    })?
-            };
+            let capacity = u32::try_from(raw)
+                .ok()
+                .and_then(|c| Capacity::finite(c).ok())
+                .ok_or(CodecError::Invalid {
+                    what: "bin capacity",
+                })?;
             let labels = dec.u64_seq("bin queue")?;
+            // Balls enter a bin only by acceptance, below a capacity of at
+            // most MAX_CAPACITY.
+            if labels.len() > MAX_CAPACITY as usize {
+                return Err(CodecError::Invalid {
+                    what: "bin load past MAX_CAPACITY",
+                });
+            }
             if labels.iter().any(|&label| label > round) {
                 return Err(CodecError::Invalid {
                     what: "bin label past the checkpoint round",
@@ -353,10 +353,10 @@ impl CappedProcess {
         let offline = (0..bin_count)
             .map(|_| dec.bool("offline flag"))
             .collect::<Result<Vec<bool>, _>>()?;
-        // The arena is n rings of the largest load's size: a forged load
-        // can ask for more memory than exists, so it is allocated fallibly.
+        // The arena is n rings of at most MAX_CAPACITY slots each, and n
+        // comes from the input, so it is allocated fallibly.
         let mut arena = BinArena::try_from_bins(caps, contents).ok_or(CodecError::Invalid {
-            what: "bin arena size (a load past MAX_STRIDE, or more slots than can be allocated)",
+            what: "bin arena size (more slots than can be allocated)",
         })?;
         for (i, off) in offline.into_iter().enumerate() {
             arena.set_offline(i, off);
@@ -632,15 +632,11 @@ impl iba_sim::faults::FaultTolerant for CappedProcess {
         self.offline_count()
     }
 
-    fn set_bin_capacity(&mut self, i: usize, capacity: Option<u32>) {
-        let capacity = match capacity {
-            None => Capacity::Infinite,
-            Some(c) => match Capacity::finite(c) {
-                Ok(cap) => cap,
-                Err(_) => return, // zero capacity: malformed, ignore
-            },
-        };
-        CappedProcess::set_bin_capacity(self, i, capacity);
+    fn set_bin_capacity(&mut self, i: usize, capacity: u32) {
+        // 0 or above MAX_CAPACITY: malformed, ignored.
+        if let Ok(capacity) = Capacity::finite(capacity) {
+            CappedProcess::set_bin_capacity(self, i, capacity);
+        }
     }
 
     fn surge_pool(&mut self, extra: u64) {
@@ -651,7 +647,6 @@ impl iba_sim::faults::FaultTolerant for CappedProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Capacity;
 
     fn process(n: usize, c: u32, lambda: f64) -> CappedProcess {
         CappedProcess::new(CappedConfig::new(n, c, lambda).unwrap())
@@ -739,13 +734,13 @@ mod tests {
     }
 
     #[test]
-    fn infinite_capacity_accepts_everything() {
-        let mut p = CappedProcess::new(CappedConfig::unbounded(32, 0.75).unwrap());
-        assert_eq!(p.config().capacity(), Capacity::Infinite);
+    fn max_capacity_accepts_everything() {
+        // A capacity no load reaches rejects nothing: CAPPED(∞, λ).
+        let mut p = process(32, MAX_CAPACITY, 0.75);
         let mut rng = SimRng::seed_from(8);
         for _ in 0..100 {
             let r = p.step(&mut rng);
-            assert_eq!(r.pool_size, 0, "unbounded bins reject nothing");
+            assert_eq!(r.pool_size, 0, "a capacity no load reaches rejects nothing");
             assert_eq!(r.accepted, r.thrown);
         }
     }
@@ -965,12 +960,12 @@ mod tests {
         assert_eq!(FaultTolerant::offline_bins(&p), 1);
         FaultTolerant::recover_bin(&mut p, 2);
         assert_eq!(p.offline_count(), 0);
-        FaultTolerant::set_bin_capacity(&mut p, 1, Some(5));
+        FaultTolerant::set_bin_capacity(&mut p, 1, 5);
         assert_eq!(p.bin(1).capacity(), Capacity::finite(5).unwrap());
-        FaultTolerant::set_bin_capacity(&mut p, 1, Some(0)); // malformed: ignored
+        // Malformed: ignored.
+        FaultTolerant::set_bin_capacity(&mut p, 1, 0);
+        FaultTolerant::set_bin_capacity(&mut p, 1, MAX_CAPACITY + 1);
         assert_eq!(p.bin(1).capacity(), Capacity::finite(5).unwrap());
-        FaultTolerant::set_bin_capacity(&mut p, 1, None);
-        assert_eq!(p.bin(1).capacity(), Capacity::Infinite);
         FaultTolerant::surge_pool(&mut p, 42);
         assert_eq!(p.pool_size(), 42);
         assert!(p.conserves_balls());

@@ -12,8 +12,8 @@
 //! differential suite all run against it.
 //!
 //! Besides the paper's process it models the fault surface the optimized
-//! process exposes, as plainly: per-bin live capacities (finite or
-//! unbounded, possibly below the current load), offline bins, and pool
+//! process exposes, as plainly: per-bin live capacities (possibly below
+//! the current load), offline bins, and pool
 //! surges. It also implements [`AllocationProcess`] and [`FaultTolerant`],
 //! so `FaultedProcess<SpecCapped>` replays a fault plan.
 //!
@@ -78,7 +78,7 @@ impl SpecCapped {
 
     /// Creates the specification of `config` in the paper's initial state:
     /// its arrival model and its per-bin capacities (heterogeneous
-    /// profiles and unbounded bins included), empty pool, empty bins.
+    /// profiles included), empty pool, empty bins.
     pub fn from_config(config: &CappedConfig) -> Self {
         let capacities = (0..config.bins()).map(|i| config.capacity_of(i)).collect();
         Self::empty(config.arrivals().clone(), capacities)
@@ -226,8 +226,8 @@ impl SpecCapped {
     /// 1. generate `batch` balls, add to pool;
     /// 2. ball `i` (in pool order, oldest first) requests `choices[i]`;
     /// 3. every online bin gathers its requests, sorts them by age (ties by
-    ///    identity) and accepts the oldest `min{c − ℓ, ν}` (all of them if
-    ///    unbounded, none if `ℓ ≥ c`); offline bins accept nothing;
+    ///    identity) and accepts the oldest `min{c − ℓ, ν}` (none if
+    ///    `ℓ ≥ c`); offline bins accept nothing;
     /// 4. every online, non-empty bin deletes its first-queued ball; an
     ///    online empty bin counts a failed deletion.
     ///
@@ -267,12 +267,7 @@ impl SpecCapped {
             let free = if self.offline[bin] {
                 0
             } else {
-                match self.capacities[bin] {
-                    Capacity::Finite(c) => {
-                        (c.get() as usize).saturating_sub(self.queues[bin].len())
-                    }
-                    Capacity::Infinite => usize::MAX,
-                }
+                (self.capacities[bin].get() as usize).saturating_sub(self.queues[bin].len())
             };
             // Sort requests by (label, id): the oldest balls first, ties
             // broken by identity. (Pool order already has this property,
@@ -355,9 +350,9 @@ impl AllocationProcess for SpecCapped {
 }
 
 /// The fault surface of [`CappedProcess`](crate::process::CappedProcess):
-/// crashes freeze a bin, capacity changes set the live bound (`Some(0)`
-/// is malformed and ignored), surges enter the pool labeled with the
-/// current round.
+/// crashes freeze a bin, capacity changes set the live bound (0 or a
+/// value above [`MAX_CAPACITY`](crate::config::MAX_CAPACITY) is malformed
+/// and ignored), surges enter the pool labeled with the current round.
 impl FaultTolerant for SpecCapped {
     fn crash_bin(&mut self, i: usize) {
         self.set_bin_offline(i, true);
@@ -371,14 +366,9 @@ impl FaultTolerant for SpecCapped {
         self.offline.iter().filter(|&&o| o).count()
     }
 
-    fn set_bin_capacity(&mut self, i: usize, capacity: Option<u32>) {
-        match capacity {
-            None => self.capacities[i] = Capacity::Infinite,
-            Some(c) => {
-                if let Ok(cap) = Capacity::finite(c) {
-                    self.capacities[i] = cap;
-                }
-            }
+    fn set_bin_capacity(&mut self, i: usize, capacity: u32) {
+        if let Ok(capacity) = Capacity::finite(capacity) {
+            self.capacities[i] = capacity;
         }
     }
 
@@ -479,14 +469,17 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_bin_accepts_every_request() {
+    fn raised_bin_accepts_every_request_and_skips_malformed_raises() {
         let mut spec = SpecCapped::new(2, 1, 5);
-        FaultTolerant::set_bin_capacity(&mut spec, 1, None);
+        let raised = Capacity::finite(64).unwrap();
+        FaultTolerant::set_bin_capacity(&mut spec, 1, 64);
         let r = spec.step_with_choices(&[1; 5]);
         assert_eq!(r.accepted, 5);
         assert_eq!(spec.load(1), 4);
-        FaultTolerant::set_bin_capacity(&mut spec, 1, Some(0)); // malformed
-        assert_eq!(spec.capacity(1), Capacity::Infinite);
+        // Malformed: 0 and a value above MAX_CAPACITY change nothing.
+        FaultTolerant::set_bin_capacity(&mut spec, 1, 0);
+        FaultTolerant::set_bin_capacity(&mut spec, 1, crate::config::MAX_CAPACITY + 1);
+        assert_eq!(spec.capacity(1), raised);
     }
 
     #[test]

@@ -4,20 +4,20 @@
 //! against [`SpecCapped`] — the same [`RoundReport`] every round,
 //! including the waiting-time vectors, the same RNG consumption, and the
 //! same state after any prefix — across `(n, c, λ)` cells, seeds,
-//! pre-drawn choice slices, unbounded capacities, checkpoint/resume
-//! round-trips, and fault injection.
+//! pre-drawn choice slices, capacities raised past the stride,
+//! checkpoint/resume round-trips, and fault injection.
 //!
 //! The specification draws one `uniform_bin` per pooled ball and re-sorts
 //! every bin's requests by age, so these tests are an executable statement
 //! of the kernel's equivalence to Algorithm 1, not a fixture comparison.
 //! Beyond the round kernel itself they pin heavy pool surges, stride
-//! growth under CAPPED(∞, λ), checkpoint restores (one of them a
-//! committed IBA1 file), and `BinArena` acceptance through elastic
+//! growth under raised capacities, checkpoint restores (two of them
+//! committed IBA1 files), and `BinArena` acceptance through elastic
 //! membership changes.
 
 use iba_core::checkpoint;
 use iba_core::spec::{SpecBin, SpecCapped};
-use iba_core::{Ball, Capacity, CappedConfig, CappedProcess};
+use iba_core::{Ball, Capacity, CappedConfig, CappedProcess, MAX_CAPACITY};
 use iba_sim::faults::{FaultEvent, FaultPlan, FaultedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::{SimRng, Simulation};
@@ -169,22 +169,35 @@ fn arena_kernel_is_bit_exact_on_heterogeneous_capacities() {
 }
 
 #[test]
-fn arena_kernel_is_bit_exact_at_unbounded_capacity() {
-    // CAPPED(∞, λ) runs on the arena too: every bin starts with a one-slot
-    // ring, and each surge below pushes the largest load past the stride
-    // again, so the arena re-lays itself out several times mid-run.
+fn arena_kernel_is_bit_exact_across_raises_past_the_stride() {
+    // Every bin starts with a one-slot ring (c = 1); two raises past the
+    // stride re-lay the arena out mid-run, and the surges fill the raised
+    // bins far past the old rings.
     let plan = || {
         FaultPlan::new()
+            .with(
+                3,
+                FaultEvent::DegradeCapacity {
+                    bins: (0..16).collect(),
+                    capacity: 64,
+                },
+            )
             .with(5, FaultEvent::PoolSurge { extra: 300 })
             .with(20, FaultEvent::PoolSurge { extra: 1_200 })
+            .with(
+                30,
+                FaultEvent::DegradeCapacity {
+                    bins: (16..32).collect(),
+                    capacity: 256,
+                },
+            )
             .with(45, FaultEvent::PoolSurge { extra: 4_000 })
     };
     for &seed in SEEDS {
-        let config = CappedConfig::unbounded(64, 0.75).expect("valid");
-        let (arena, spec) = pair(config);
+        let (arena, spec) = pair(cell(64, 1, 0.75));
         let mut arena = FaultedProcess::new(arena, plan());
         let mut spec = FaultedProcess::new(spec, plan());
-        let what = format!("c=inf seed={seed}");
+        let what = format!("raised seed={seed}");
         lockstep(&mut arena, &mut spec, seed, 80, &what);
         assert_same_state(arena.inner(), spec.inner(), &what);
         let peak = arena.inner().loads().into_iter().max().unwrap_or(0);
@@ -197,8 +210,8 @@ fn arena_kernel_is_bit_exact_at_unbounded_capacity() {
 
 /// A fault scenario covering every event the kernel must survive: bins
 /// going offline mid-run, capacity degradation below current load,
-/// restoration to the configured bound, a raise to *unbounded* (which
-/// forces the arena to grow its stride), bursts, and surges.
+/// restoration to the configured bound, a raise past the stride (which
+/// re-lays the arena out), bursts, and surges.
 fn scenario() -> FaultPlan {
     FaultPlan::new()
         .with(
@@ -211,7 +224,7 @@ fn scenario() -> FaultPlan {
             8,
             FaultEvent::DegradeCapacity {
                 bins: vec![2, 3],
-                capacity: Some(1),
+                capacity: 1,
             },
         )
         .with(
@@ -226,7 +239,7 @@ fn scenario() -> FaultPlan {
             14,
             FaultEvent::DegradeCapacity {
                 bins: vec![4],
-                capacity: None, // raised to unbounded: the arena must grow
+                capacity: 64, // raised past the stride: the arena must grow
             },
         )
         .with(18, FaultEvent::RecoverBins { bins: vec![0, 7] })
@@ -234,26 +247,24 @@ fn scenario() -> FaultPlan {
             22,
             FaultEvent::DegradeCapacity {
                 bins: vec![2, 3, 4],
-                capacity: Some(2),
+                capacity: 2,
             },
         )
         .with(25, FaultEvent::RecoverBins { bins: vec![13] })
 }
 
 #[test]
-fn arena_kernel_survives_capacity_raised_past_u16() {
-    // Regression: a bin's register keeps its acceptance bound in a
-    // 16-bit field, so a fault-raised capacity past 65535 must take the
-    // per-ball walk instead of running on a clipped bound.
-    // The plan raises one bin far past u16::MAX mid-run and
-    // later degrades it back down, while arrivals keep flowing.
+fn arena_and_spec_skip_a_raise_past_max_capacity() {
+    // A raise above MAX_CAPACITY is malformed: the arena and the
+    // specification both skip it and keep the bin's capacity. A raise to
+    // MAX_CAPACITY itself is applied by both and grows the stride to it.
     let plan = || {
         FaultPlan::new()
             .with(
                 6,
                 FaultEvent::DegradeCapacity {
                     bins: vec![3],
-                    capacity: Some(70_000), // > u16::MAX: the bound field would clip
+                    capacity: MAX_CAPACITY + 1,
                 },
             )
             .with(10, FaultEvent::PoolSurge { extra: 200 })
@@ -261,17 +272,24 @@ fn arena_kernel_survives_capacity_raised_past_u16() {
                 20,
                 FaultEvent::DegradeCapacity {
                     bins: vec![3],
-                    capacity: Some(2),
+                    capacity: MAX_CAPACITY,
                 },
             )
+            .with(22, FaultEvent::PoolSurge { extra: 200 })
     };
+    let c = Capacity::finite(2).unwrap();
     for &seed in SEEDS {
         let (arena, spec) = pair(cell(32, 2, 0.75));
         let mut arena = FaultedProcess::new(arena, plan());
         let mut spec = FaultedProcess::new(spec, plan());
-        let what = format!("u16 raise, seed {seed}");
-        lockstep(&mut arena, &mut spec, seed, 60, &what);
+        let what = format!("raise past MAX_CAPACITY, seed {seed}");
+        lockstep(&mut arena, &mut spec, seed, 15, &what);
         assert_same_state(arena.inner(), spec.inner(), &what);
+        assert_eq!(arena.inner().bin(3).capacity(), c, "{what}: skipped");
+        lockstep(&mut arena, &mut spec, seed ^ 1, 45, &what);
+        assert_same_state(arena.inner(), spec.inner(), &what);
+        let max = Capacity::finite(MAX_CAPACITY).unwrap();
+        assert_eq!(arena.inner().bin(3).capacity(), max, "{what}: applied");
     }
 }
 
@@ -357,7 +375,6 @@ fn telemetry_toggle_does_not_perturb_the_trajectory() {
     let probes = [
         registry.counter("iba_core_accepted_balls_total"),
         registry.counter("iba_core_arena_fast_accept_rounds_total"),
-        registry.counter("iba_core_arena_fallback_rounds_total"),
         registry.counter("iba_core_arena_grow_total"),
     ];
     let total = |probes: &[std::sync::Arc<iba_obs::Counter>]| -> u64 {
@@ -493,7 +510,7 @@ fn assert_resume_matches_spec(sim: &mut Simulation<CappedProcess>, rounds: u64, 
 
 #[test]
 fn faulted_checkpoint_round_trips_through_the_arena() {
-    // Degrade capacities (including a raise to unbounded) before the
+    // Degrade capacities (including a raise past the stride) before the
     // checkpoint, so the restore must rebuild an arena whose live
     // capacities diverge from the configured profile — over-full bins and
     // all — then continue bit-exactly.
@@ -502,7 +519,8 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
     sim.run_rounds(30);
     sim.process_mut()
         .set_bin_capacity(1, Capacity::finite(1).unwrap());
-    sim.process_mut().set_bin_capacity(5, Capacity::Infinite);
+    let raised = Capacity::finite(64).unwrap();
+    sim.process_mut().set_bin_capacity(5, raised);
     sim.process_mut().set_bin_offline(9, true);
     sim.run_rounds(30);
 
@@ -511,7 +529,7 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
         restored.process().bin(1).capacity(),
         Capacity::finite(1).unwrap()
     );
-    assert_eq!(restored.process().bin(5).capacity(), Capacity::Infinite);
+    assert_eq!(restored.process().bin(5).capacity(), raised);
     assert!(restored.process().is_bin_offline(9));
     assert_resume_matches_spec(&mut sim, 80, "degraded resume");
 }
@@ -519,17 +537,17 @@ fn faulted_checkpoint_round_trips_through_the_arena() {
 #[test]
 fn committed_checkpoint_restores_resaves_and_resumes_bit_exactly() {
     // An IBA1 file written by an earlier build of the codec: n = 16 with
-    // a {1, 3} capacity profile, bin 5 raised to unbounded and loaded
-    // past the configured stride, bin 7 offline holding balls, and bin 3
-    // degraded to capacity 1 below its load. A same-build round trip
-    // cannot catch an encode/decode drift that changes both sides
-    // together; this file can.
+    // a {1, 3} capacity profile, bin 5 raised to 64 and loaded past the
+    // configured stride, bin 7 offline holding balls, and bin 3 degraded
+    // to capacity 1 below its load. A same-build round trip cannot catch
+    // an encode/decode drift that changes both sides together; this file
+    // can.
     let bytes: &[u8] = include_bytes!("data/iba1_faulted.bin");
     let mut sim = checkpoint::restore(bytes).expect("the committed checkpoint restores");
     assert_eq!(checkpoint::save(&sim), bytes, "re-saving changed the bytes");
     let p = sim.process();
     assert!(p.config().capacity_profile().is_some());
-    assert_eq!(p.bin(5).capacity(), Capacity::Infinite);
+    assert_eq!(p.bin(5).capacity(), Capacity::finite(64).unwrap());
     assert!(p.bin(5).len() > 4, "bin 5 outgrew the configured stride");
     assert!(p.is_bin_offline(7) && !p.bin(7).is_empty());
     assert_eq!(p.bin(3).capacity(), Capacity::finite(1).unwrap());
@@ -538,17 +556,35 @@ fn committed_checkpoint_restores_resaves_and_resumes_bit_exactly() {
 }
 
 #[test]
-fn unbounded_checkpoint_round_trips_through_the_arena() {
-    // A CAPPED(∞, λ) checkpoint taken after a surge grew the stride
-    // restores onto a fresh arena sized by the loads it carries, and
-    // continues the trajectory of the original and of the specification.
-    let config = CappedConfig::unbounded(48, 0.75).expect("valid");
+fn committed_checkpoint_with_an_unbounded_bin_is_refused() {
+    // An IBA1 file from when a bin could be unbounded (n = 16, {1, 3}
+    // profile, round 27, bin 5 raised to ∞ holding 56 balls): bin 5's
+    // capacity word is 0, which no capacity encodes any more. Restoring
+    // it is a typed refusal, not a panic.
+    let bytes: &[u8] = include_bytes!("data/iba1_infinite_bin.bin");
+    assert!(matches!(
+        checkpoint::restore(bytes),
+        Err(iba_sim::codec::CodecError::Invalid { .. })
+    ));
+}
+
+#[test]
+fn raised_checkpoint_round_trips_through_the_arena() {
+    // A checkpoint taken after raises and a surge grew the stride
+    // restores onto a fresh arena sized by the capacities and loads it
+    // carries, and continues the trajectory of the original and of the
+    // specification.
+    let config = CappedConfig::new(48, 1, 0.75).expect("valid");
     let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(29));
     sim.run_rounds(10);
+    for bin in 0..24 {
+        sim.process_mut()
+            .set_bin_capacity(bin, Capacity::finite(64).unwrap());
+    }
     sim.process_mut().inject_pool(2_000);
     sim.run_rounds(5);
     assert!(sim.process().loads().into_iter().max().unwrap_or(0) > 16);
-    assert_resume_matches_spec(&mut sim, 60, "unbounded resume");
+    assert_resume_matches_spec(&mut sim, 60, "raised resume");
 }
 
 #[test]
@@ -564,8 +600,8 @@ fn arena_kernel_is_bit_exact_under_heavy_pool_surge() {
 
 #[test]
 fn overfull_uniform_restore_rearms_with_zero_room() {
-    // Regression for a quota underflow: raise a bin to unbounded, overfill
-    // it past c₀, degrade it back to c₀, and checkpoint. The restore
+    // Regression for a quota underflow: raise a bin past the stride,
+    // overfill it past c₀, degrade it back to c₀, and checkpoint. The restore
     // re-derives a *uniform* capacity profile around a bin whose load
     // exceeds c₀; the re-arm sweep must give that bin zero room
     // (`saturating_sub`), not an underflowed 16-bit quota. The restored
@@ -574,7 +610,8 @@ fn overfull_uniform_restore_rearms_with_zero_room() {
     let config = CappedConfig::new(16, 2, 0.75).expect("valid");
     let mut sim = Simulation::new(CappedProcess::new(config), SimRng::seed_from(19));
     sim.run_rounds(10);
-    sim.process_mut().set_bin_capacity(3, Capacity::Infinite);
+    sim.process_mut()
+        .set_bin_capacity(3, Capacity::finite(64).unwrap());
     sim.process_mut().inject_pool(60);
     sim.run_rounds(10);
     assert!(
@@ -594,9 +631,9 @@ fn shard_kernels_match_through_elastic_membership_changes() {
     // followed by `serve_sweep`. Fed identical streams, they stay
     // identical through every mutation that rewrites the kernel arena's
     // per-bin registers: bin growth and shrink, crash and recovery,
-    // capacity degradation and raises (past the stride, forcing the
-    // kernel onto the walk, and to unbounded) — the elastic-membership
-    // and fault surface the service uses.
+    // capacity degradation and raises (past the stride, which re-lays the
+    // arena out, and far past it) — the elastic-membership and fault
+    // surface the service uses.
     use iba_core::arena::SweepStats;
     use iba_core::pool::{expand, push_run, Run};
     use iba_core::BinArena;
@@ -660,12 +697,12 @@ fn shard_kernels_match_through_elastic_membership_changes() {
                 }
                 62 => arena.set_offline(1, false),
                 70 => arena.set_offline(6, false),
-                // Degrade, then raise past the stride (fast path bails to
-                // the per-ball walk, which grows the arena), raise
-                // another bin to unbounded, and restore both.
+                // Degrade, then raise past the stride (the arena re-lays
+                // itself out), raise another bin far past it, and
+                // restore both.
                 90 => arena.set_capacity(2, Capacity::finite(1).unwrap()),
                 100 => arena.set_capacity(2, Capacity::finite(9).unwrap()),
-                105 => arena.set_capacity(4, Capacity::Infinite),
+                105 => arena.set_capacity(4, Capacity::finite(64).unwrap()),
                 120 => {
                     arena.set_capacity(2, c);
                     arena.set_capacity(4, c);

@@ -1,11 +1,13 @@
 //! Property-based tests of the CAPPED process internals: acceptance-rule
 //! equivalence and determinism under pre-drawn choices, and the
 //! checkpoint decoder's refusal of balls from the future and of loads
-//! whose arena cannot be allocated.
+//! past `MAX_CAPACITY` or whose arena cannot be allocated.
 
 use proptest::prelude::*;
 
-use iba_core::{checkpoint, Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_core::{
+    checkpoint, Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool, MAX_CAPACITY,
+};
 use iba_sim::codec::CodecError;
 use iba_sim::process::AllocationProcess;
 use iba_sim::{SimRng, Simulation};
@@ -89,8 +91,8 @@ proptest! {
     }
 
     /// A bin never exceeds its capacity and serves FIFO for arbitrary
-    /// operation sequences, also across a mid-sequence raise to unbounded
-    /// (which makes the one-bin arena grow its ring).
+    /// operation sequences, also across a mid-sequence raise past the
+    /// stride (which makes the one-bin arena grow its ring).
     #[test]
     fn buffer_respects_capacity_and_fifo(
         cap in 1u32..8,
@@ -99,17 +101,18 @@ proptest! {
     ) {
         let mut bin = BinArena::new(vec![Capacity::finite(cap).unwrap()]);
         let mut model: std::collections::VecDeque<u64> = Default::default();
-        let mut bound = Some(cap as usize);
+        let mut bound = cap as usize;
         let mut label = 0u64;
         for (i, push) in ops.into_iter().enumerate() {
             if i == raise_at {
-                bin.set_capacity(0, Capacity::Infinite);
-                bound = None;
+                bin.set_capacity(0, Capacity::finite(64).unwrap());
+                bound = 64;
+                prop_assert_eq!(bin.stride(), 64);
             }
             if push {
                 label += 1;
                 let accepted = bin.try_accept(0, Ball::generated_in(label));
-                if bound.is_none_or(|c| model.len() < c) {
+                if model.len() < bound {
                     prop_assert!(accepted);
                     model.push_back(label);
                 } else {
@@ -120,7 +123,7 @@ proptest! {
                 prop_assert_eq!(served, model.pop_front());
             }
             prop_assert_eq!(bin.len(0), model.len());
-            prop_assert!(bound.is_none_or(|c| bin.len(0) <= c));
+            prop_assert!(bin.len(0) <= bound);
             let held: Vec<u64> = bin.iter_bin(0).map(Ball::label).collect();
             prop_assert_eq!(held, model.iter().copied().collect::<Vec<u64>>());
         }
@@ -209,10 +212,30 @@ fn restore_forged(
         generated,
         p.total_deleted(),
     );
-    checkpoint::restore(&checkpoint::save(&Simulation::new(
+    restore_bounded(&checkpoint::save(&Simulation::new(
         forged,
         sim.rng().clone(),
     )))
+}
+
+/// `checkpoint::restore`, asserting that a restored process's arena —
+/// rebuilt from its bins as the decoder builds it — needs a stride of at
+/// most `MAX_CAPACITY`.
+fn restore_bounded(bytes: &[u8]) -> Result<Simulation<CappedProcess>, CodecError> {
+    let restored = checkpoint::restore(bytes)?;
+    let p = restored.process();
+    let parts = (0..p.config().bins())
+        .map(|i| {
+            let bin = p.bin(i);
+            (bin.capacity(), bin.iter().copied().collect(), false)
+        })
+        .collect();
+    let stride = arena_of(parts).stride();
+    assert!(
+        stride <= MAX_CAPACITY as usize,
+        "a restore sized its rings at {stride} slots"
+    );
+    Ok(restored)
 }
 
 fn small_run() -> Simulation<CappedProcess> {
@@ -298,9 +321,28 @@ fn checkpoint_refuses_a_forged_load_whose_arena_cannot_be_allocated() {
     // 2¹⁷ bins and 2²⁰ balls in bin 0: the arena would be 2³⁷ slots of
     // 8 B = 1 TiB. Restoring used to abort the process in the allocator.
     let (n, load) = (1 << 17, 1 << 20);
-    assert!(checkpoint::restore(&forged_load_checkpoint(4, 3)).is_ok());
+    assert!(restore_bounded(&forged_load_checkpoint(4, 3)).is_ok());
     assert!(matches!(
-        checkpoint::restore(&forged_load_checkpoint(n, load)),
+        restore_bounded(&forged_load_checkpoint(n, load)),
         Err(CodecError::Invalid { .. })
     ));
+}
+
+#[test]
+fn checkpoint_refuses_a_load_past_max_capacity() {
+    // 2⁸ bins and 2¹⁸ balls in bin 0, CRC-valid and conserving: a 2.1 MB
+    // file whose rings would have claimed 2⁸ · 2¹⁸ slots of 8 B = 512 MiB.
+    // Balls enter a bin only by acceptance, so no load exceeds
+    // MAX_CAPACITY, and the decoder refuses this one before allocating.
+    let cap = MAX_CAPACITY as usize;
+    assert!(matches!(
+        restore_bounded(&forged_load_checkpoint(1 << 8, 1 << 18)),
+        Err(CodecError::Invalid { .. })
+    ));
+    assert!(matches!(
+        restore_bounded(&forged_load_checkpoint(4, cap + 1)),
+        Err(CodecError::Invalid { .. })
+    ));
+    // A full MAX_CAPACITY ring, degraded to capacity 2, is legal.
+    assert!(restore_bounded(&forged_load_checkpoint(4, cap)).is_ok());
 }

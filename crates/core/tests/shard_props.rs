@@ -1,7 +1,7 @@
 //! Property suite of the per-bin registers: random interleavings of
 //! `BinArena` rounds (`accept_stream`, then `serve_sweep`) with every
 //! mutator that rewrites a bin's register — crash and recovery, degrade
-//! and raise (past the stride, to unbounded and back), `push_bin`,
+//! and raise (past the stride, far past it and back), `push_bin`,
 //! `pop_bin`, and a rebuild through `from_bins` (the checkpoint restore's
 //! path).
 //!
@@ -107,8 +107,8 @@ impl Lockstep {
         let capacity = match op {
             2 => Some(finite(1 + (x as u32 >> 8) % self.c)), // degrade
             3 => Some(finite(stride_past)),                  // past the stride
-            4 => Some(Capacity::Infinite),
-            5 => Some(finite(self.c)), // restore
+            4 => Some(finite(64)),                           // far past the stride
+            5 => Some(finite(self.c)),                       // restore
             6 => Some(finite(1 + (x as u32 >> 8) % (2 * self.c + 4))),
             _ => None,
         };
@@ -179,11 +179,11 @@ impl Lockstep {
         let stats = self.fast.serve_sweep(|b, ball| served.push((b, ball)));
 
         let (mut walk_rejected, mut walk_served) = (Vec::new(), Vec::new());
-        let mut walk_accepted = 0;
+        let mut walked = 0;
         for (&b, &label) in choices.iter().zip(&labels) {
             let ball = Ball::generated_in(label);
             if self.walk.try_accept(b, ball) {
-                walk_accepted += 1;
+                walked += 1;
             } else {
                 walk_rejected.push(ball);
             }
@@ -195,7 +195,7 @@ impl Lockstep {
         let rejected: Vec<Ball> = expand(&rejected).collect();
         assert_eq!(
             (accepted, stats),
-            (walk_accepted, walk_stats),
+            (walked, walk_stats),
             "round {round}: stats"
         );
         assert_eq!(rejected, walk_rejected, "round {round}: rejects");

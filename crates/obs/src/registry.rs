@@ -169,16 +169,6 @@ impl Histogram {
         }
     }
 
-    /// Records the elapsed nanoseconds since `start` (saturating at
-    /// `u64::MAX`; no-op while telemetry is disabled).
-    #[inline]
-    pub fn record_elapsed(&self, start: Instant) {
-        if enabled() {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.record(nanos);
-        }
-    }
-
     /// A point-in-time copy of the histogram's state.
     ///
     /// Buckets, count and sum are loaded independently, so a snapshot

@@ -237,7 +237,12 @@ fn config_pairs(opts: &Options) -> Vec<(String, String)> {
 
 /// Builds the registry run record for `--snapshot-json`: the final
 /// service state flattened to metrics, under the run's provenance.
-fn snapshot_record(opts: &Options, service: &CappedService, wall_ms: f64) -> RunRecord {
+fn snapshot_record(
+    opts: &Options,
+    service: &CappedService,
+    wall_ms: f64,
+    provenance: Provenance,
+) -> RunRecord {
     let snap = service.snapshot();
     let bound = theorem2_pool_bound(snap.bins as usize, opts.c, opts.lambda);
     let mut metrics = vec![
@@ -262,19 +267,19 @@ fn snapshot_record(opts: &Options, service: &CappedService, wall_ms: f64) -> Run
         benchmark: "iba_top".to_string(),
         config_hash: content_hash(&config_pairs(opts)),
         seed: opts.seed,
-        provenance: Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
+        provenance,
         wall_ms,
         unix_time: unix_time_now(),
         metrics,
     }
 }
 
-fn run(opts: &Options) -> Result<(), String> {
+/// Runs the dashboard; `provenance` (collected once, it runs `git`) is the
+/// flight recorder's run context and the `--snapshot-json` record's.
+fn run(opts: &Options, provenance: Provenance) -> Result<(), String> {
     iba_obs::set_enabled(true);
     iba_obs::flight::install_panic_hook();
-    iba_obs::flight::set_run_context(
-        Provenance::collect().with_execution(KernelMode::Arena.name(), 1),
-    );
+    iba_obs::flight::set_run_context(provenance.clone());
 
     let capped = CappedConfig::new(opts.n, opts.c, opts.lambda)
         .map_err(|e| format!("invalid CAPPED parameters: {e}"))?;
@@ -343,7 +348,7 @@ fn run(opts: &Options) -> Result<(), String> {
     }
     if let Some(path) = opts.snapshot_json.as_deref() {
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let record = snapshot_record(opts, &service, wall_ms);
+        let record = snapshot_record(opts, &service, wall_ms, provenance);
         let mut registry = RunRegistry::open(std::path::Path::new(path))
             .map_err(|e| format!("registry {path}: {e}"))?;
         registry
@@ -368,7 +373,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run(&opts) {
+    let provenance = Provenance::collect().with_execution(KernelMode::Arena.name(), 1);
+    match run(&opts, provenance) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("iba-top FAILED: {message}");

@@ -237,13 +237,9 @@ impl Dispatcher {
         Dispatcher { ingress }
     }
 
-    /// Capacity of the bounded ingress queue.
-    pub fn capacity(&self) -> usize {
-        self.ingress.capacity as usize
-    }
-
     /// Requests currently enqueued awaiting admission: exact at one
-    /// instant, and never above [`capacity`](Self::capacity).
+    /// instant, and never above the ingress capacity
+    /// ([`ServiceConfig::with_ingress_capacity`](crate::service::ServiceConfig::with_ingress_capacity)).
     pub fn depth(&self) -> usize {
         self.ingress.depth() as usize
     }

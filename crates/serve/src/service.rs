@@ -510,9 +510,9 @@ impl CappedService {
     /// # Errors
     ///
     /// [`ConfigError::OutOfDomain`] unless the configuration uses one
-    /// uniform finite capacity class — elastic membership adds and removes
-    /// bins of the configured capacity, which a heterogeneous capacity
-    /// profile or unbounded bins cannot express.
+    /// uniform capacity class — elastic membership adds and removes bins
+    /// of the configured capacity, which a heterogeneous capacity profile
+    /// cannot express.
     pub fn schedule_membership(&mut self, plan: MembershipPlan) -> Result<(), ConfigError> {
         self.ensure_elastic()?;
         self.mplan.extend(plan);
@@ -528,7 +528,7 @@ impl CappedService {
     /// # Errors
     ///
     /// [`ConfigError::OutOfDomain`] unless the configuration uses one
-    /// uniform finite capacity class.
+    /// uniform capacity class.
     pub fn set_autoscaler(&mut self, scaler: Autoscaler) -> Result<(), ConfigError> {
         self.ensure_elastic()?;
         self.autoscaler = Some(scaler);
@@ -536,11 +536,10 @@ impl CappedService {
     }
 
     fn ensure_elastic(&self) -> Result<(), ConfigError> {
-        if self.config.capacity_profile().is_some() || self.config.capacity().as_finite().is_none()
-        {
+        if self.config.capacity_profile().is_some() {
             return Err(ConfigError::OutOfDomain {
                 name: "capacity",
-                domain: "one uniform finite capacity class (elastic membership)",
+                domain: "one uniform capacity class (elastic membership)",
             });
         }
         Ok(())
@@ -725,11 +724,7 @@ impl CappedService {
         // round boundary.
         let n = self.live_bins();
         if let Some(scaler) = self.autoscaler.as_mut() {
-            let c = self
-                .config
-                .capacity()
-                .as_finite()
-                .expect("autoscaler install is gated to finite capacities");
+            let c = self.config.capacity().get();
             let bound = theorem2_pool_bound(n, c, self.config.lambda());
             let (_decision, event) = scaler.observe(round, n, report.pool_size, bound);
             if let Some(event) = event {

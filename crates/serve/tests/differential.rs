@@ -101,7 +101,7 @@ fn scenario() -> FaultPlan {
             8,
             FaultEvent::DegradeCapacity {
                 bins: vec![4, 5, 6],
-                capacity: Some(1),
+                capacity: 1,
             },
         )
         .with(
@@ -117,7 +117,7 @@ fn scenario() -> FaultPlan {
             18,
             FaultEvent::DegradeCapacity {
                 bins: vec![4, 5, 6],
-                capacity: None,
+                capacity: 64,
             },
         )
         .with(20, FaultEvent::RecoverBins { bins: vec![17] })

@@ -95,7 +95,7 @@ fn gauntlet_faults() -> Vec<(u64, FaultEvent)> {
             18,
             FaultEvent::DegradeCapacity {
                 bins: (0..8).collect(),
-                capacity: Some(1),
+                capacity: 1,
             },
         ),
         (
@@ -380,13 +380,6 @@ fn membership_is_rejected_for_non_uniform_capacity_configs() {
         .is_err());
     assert!(service
         .set_autoscaler(Autoscaler::new(AutoscalerConfig::new(1, 16)))
-        .is_err());
-
-    let unbounded = CappedConfig::unbounded(8, 0.5).unwrap();
-    let mut service =
-        CappedService::spawn(ServiceConfig::new(unbounded, 2, 1)).expect("unbounded serves fine");
-    assert!(service
-        .schedule_membership(MembershipPlan::new().with(1, MembershipEvent::AddBins { count: 1 }))
         .is_err());
 }
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use iba_core::CappedConfig;
+use iba_core::{CappedConfig, MAX_CAPACITY};
 use iba_serve::{CappedService, ServiceConfig, SubmitError};
 use iba_sim::faults::{FaultEvent, FaultPlan};
 
@@ -24,18 +24,19 @@ const MAX_ROUNDS: usize = 49;
 
 fn fault_event() -> BoxedStrategy<FaultEvent> {
     // Bin indices deliberately range past n so out-of-range sanitization
-    // is exercised; capacity 0 encodes "unbounded" here (the service
-    // separately skips the malformed Some(0)).
+    // is exercised. Capacities cover the malformed 0 (the service skips
+    // it), degrades and raises within the stride, a raise past it (the
+    // arena re-lays itself out) and a value above MAX_CAPACITY (the
+    // process skips it).
     prop_oneof![
         prop::collection::vec(0usize..N + 8, 1..6).prop_map(|bins| FaultEvent::CrashBins { bins }),
         prop::collection::vec(0usize..N + 8, 1..6)
             .prop_map(|bins| FaultEvent::RecoverBins { bins }),
-        (prop::collection::vec(0usize..N + 8, 1..6), 0u32..5).prop_map(|(bins, c)| {
-            FaultEvent::DegradeCapacity {
-                bins,
-                capacity: (c > 0).then_some(c),
-            }
-        }),
+        (
+            prop::collection::vec(0usize..N + 8, 1..6),
+            prop_oneof![0u32..5, 0u32..5, Just(64u32), Just(MAX_CAPACITY + 1)],
+        )
+            .prop_map(|(bins, capacity)| FaultEvent::DegradeCapacity { bins, capacity }),
         (1u64..20, 1u64..8).prop_map(|(extra_per_round, rounds)| FaultEvent::ArrivalBurst {
             extra_per_round,
             rounds,

@@ -982,7 +982,6 @@ fn depth_is_exact_and_admission_takes_the_oldest_ids() {
     .unwrap();
     let completions = service.take_completions().unwrap();
     let dispatcher = service.dispatcher();
-    assert_eq!(dispatcher.capacity(), 4);
     assert_eq!(dispatcher.depth(), 0);
     for _ in 0..4 {
         dispatcher.submit().unwrap();

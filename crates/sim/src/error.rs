@@ -13,8 +13,7 @@ use std::fmt;
 pub enum ConfigError {
     /// The number of bins `n` was zero.
     ZeroBins,
-    /// The capacity `c` was zero (the process requires `c ∈ ℕ`, i.e. ≥ 1,
-    /// or the explicit `Infinite` marker).
+    /// The capacity `c` was zero (the process requires `c ∈ ℕ`, i.e. ≥ 1).
     ZeroCapacity,
     /// The injection rate was outside the analyzed range.
     InvalidRate {
@@ -50,7 +49,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroBins => write!(f, "number of bins must be positive"),
             ConfigError::ZeroCapacity => {
-                write!(f, "buffer capacity must be at least 1 (or explicitly infinite)")
+                write!(f, "buffer capacity must be at least 1")
             }
             ConfigError::InvalidRate { lambda, constraint } => {
                 write!(f, "injection rate {lambda} violates constraint {constraint}")

@@ -54,11 +54,12 @@ pub trait FaultTolerant: AllocationProcess {
     /// Number of currently offline bins.
     fn offline_bins(&self) -> usize;
 
-    /// Sets bin `i`'s buffer capacity: `Some(c)` (with `c ≥ 1`) bounds the
-    /// buffer, `None` makes it unbounded. Balls already buffered above a
-    /// lowered capacity stay (the bin rejects until it drains). Processes
-    /// without per-bin capacities ignore this (default no-op).
-    fn set_bin_capacity(&mut self, _i: usize, _capacity: Option<u32>) {}
+    /// Sets bin `i`'s buffer capacity to `capacity`. Balls already
+    /// buffered above a lowered capacity stay (the bin rejects until it
+    /// drains). A capacity the process cannot hold (0, or above its
+    /// largest capacity) is malformed and skipped. Processes without
+    /// per-bin capacities ignore this (default no-op).
+    fn set_bin_capacity(&mut self, _i: usize, _capacity: u32) {}
 
     /// Injects `extra` balls into the process's allocation backlog (pool),
     /// labeled with the current round. Used for arrival bursts and pool
@@ -69,9 +70,11 @@ pub trait FaultTolerant: AllocationProcess {
 /// One scheduled fault.
 ///
 /// Bin indices that are out of range for the wrapped process, and
-/// `DegradeCapacity` with `Some(0)`, are *skipped* by [`FaultedProcess`]
+/// `DegradeCapacity` with capacity 0, are *skipped* by [`FaultedProcess`]
 /// rather than panicking — fault plans are experiment inputs and a
-/// robustness harness should not fall over on a malformed one.
+/// robustness harness should not fall over on a malformed one. A capacity
+/// above what the process can hold is skipped by the process
+/// ([`FaultTolerant::set_bin_capacity`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Take the listed bins offline.
@@ -84,12 +87,12 @@ pub enum FaultEvent {
         /// Bin indices to recover.
         bins: Vec<usize>,
     },
-    /// Change the listed bins' buffer capacity (`None` = unbounded).
+    /// Change the listed bins' buffer capacity.
     DegradeCapacity {
         /// Bin indices to modify.
         bins: Vec<usize>,
-        /// New capacity; `Some(c)` requires `c ≥ 1`, `None` is unbounded.
-        capacity: Option<u32>,
+        /// New capacity, at least 1.
+        capacity: u32,
     },
     /// Inject `extra_per_round` additional balls at the start of each of
     /// the next `rounds` rounds (including the round the event fires in).
@@ -190,7 +193,7 @@ impl ChurnModel {
 
 /// A [`FaultPlan`] in play: the plan plus the arrival bursts it has
 /// started. This is the one place a plan's events reach a process — the
-/// out-of-range filter, the `Some(0)` skip, burst expiry, the
+/// out-of-range filter, the capacity-0 skip, burst expiry, the
 /// `iba_sim_fault_*` counters and the flight-recorder fault events — for
 /// [`FaultedProcess`] and for any other driver (the serving layer) alike.
 #[derive(Debug, Clone, Default)]
@@ -239,10 +242,8 @@ impl FaultSchedule {
                     }
                     "recover-bins"
                 }
-                // Malformed: capacities are >= 1 or unbounded.
-                FaultEvent::DegradeCapacity {
-                    capacity: Some(0), ..
-                } => continue,
+                // Malformed: capacities are >= 1.
+                FaultEvent::DegradeCapacity { capacity: 0, .. } => continue,
                 FaultEvent::DegradeCapacity { ref bins, capacity } => {
                     let hit = for_bins(bins, n, |i| process.set_bin_capacity(i, capacity));
                     if let Some(p) = probes {
@@ -330,11 +331,6 @@ impl<P: FaultTolerant> FaultedProcess<P> {
     /// The wrapped process.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped process.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
     }
 
     /// Unwraps the inner process.
@@ -704,6 +700,7 @@ mod tests {
             self.generated += 1;
             let target = (self.round % self.bins() as u64) as usize;
             let mut accepted = 0u64;
+            // A bin whose capacity no fault set has no bound.
             let has_room = |load: u64, cap: Option<u32>| cap.is_none_or(|c| load < u64::from(c));
             while self.pool > 0
                 && !self.offline[target]
@@ -748,8 +745,8 @@ mod tests {
             self.offline.iter().filter(|&&o| o).count()
         }
 
-        fn set_bin_capacity(&mut self, i: usize, capacity: Option<u32>) {
-            self.capacities[i] = capacity;
+        fn set_bin_capacity(&mut self, i: usize, capacity: u32) {
+            self.capacities[i] = Some(capacity);
         }
 
         fn surge_pool(&mut self, extra: u64) {
@@ -799,14 +796,14 @@ mod tests {
                 1,
                 FaultEvent::DegradeCapacity {
                     bins: vec![0],
-                    capacity: Some(0),
+                    capacity: 0,
                 },
             )
             .with(
                 1,
                 FaultEvent::DegradeCapacity {
                     bins: vec![50, 0],
-                    capacity: Some(3),
+                    capacity: 3,
                 },
             );
         let mut p = FaultedProcess::new(ToyProcess::new(4), plan);

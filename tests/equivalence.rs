@@ -2,11 +2,22 @@
 //! (paper, Section II: "c = ∞ implies no capacity limit and therefore
 //! CAPPED(∞, λ) is identical to GREEDY[1]").
 //!
+//! Capacities are finite, so the unbounded side is CAPPED at
+//! `MAX_CAPACITY`, a capacity no load reaches in these runs: the tests
+//! assert that it never rejects a ball (its pool is empty every round),
+//! which is exactly what makes it CAPPED(∞, λ).
+//!
 //! The two implementations live in different crates and share no code, so
 //! driving them with identical bin choices and asserting identical
 //! trajectories is a strong differential test of both.
 
+use infinite_balanced_allocation::core::MAX_CAPACITY;
 use infinite_balanced_allocation::prelude::*;
+
+/// CAPPED at the largest capacity: no load in these runs reaches it.
+fn unbounded(n: usize, lambda: f64) -> CappedProcess {
+    CappedProcess::new(CappedConfig::new(n, MAX_CAPACITY, lambda).expect("valid"))
+}
 
 /// Drives both processes with the same per-round choice vectors and
 /// asserts the full reports coincide.
@@ -16,7 +27,7 @@ fn capped_infinity_equals_greedy_one_trajectorywise() {
     let lambda = 0.75;
     let batch = (lambda * n as f64) as usize;
 
-    let mut capped = CappedProcess::new(CappedConfig::unbounded(n, lambda).expect("valid"));
+    let mut capped = unbounded(n, lambda);
     let mut greedy = GreedyBatchProcess::new(n, 1, lambda).expect("valid");
     let mut rng = SimRng::seed_from(1234);
 
@@ -71,7 +82,7 @@ fn finite_capacity_differs_from_greedy_one() {
 fn unbounded_and_greedy_agree_statistically() {
     let n = 256;
     let lambda = 0.75;
-    let mut capped = CappedProcess::new(CappedConfig::unbounded(n, lambda).expect("valid"));
+    let mut capped = unbounded(n, lambda);
     let mut greedy = GreedyBatchProcess::new(n, 1, lambda).expect("valid");
     let mut rng_a = SimRng::seed_from(1);
     let mut rng_b = SimRng::seed_from(2);
@@ -81,6 +92,7 @@ fn unbounded_and_greedy_agree_statistically() {
     for i in 0..rounds {
         let ra = capped.step(&mut rng_a);
         let rb = greedy.step(&mut rng_b);
+        assert_eq!(ra.pool_size, 0, "round {i}: CAPPED rejected a ball");
         if i >= rounds / 2 {
             load_a += ra.buffered as f64;
             load_b += rb.buffered as f64;

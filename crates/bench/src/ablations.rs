@@ -12,6 +12,7 @@ use iba_sim::arrivals::ArrivalModel;
 use iba_sim::output::Table;
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
+use iba_sim::runner::{replicate, PointEstimate};
 
 use iba_analysis::fits;
 
@@ -449,7 +450,9 @@ pub fn mstar_sensitivity(scale: Scale) -> ExperimentOutput {
 /// exponential service and retries; see [`crate::continuous`]) compared
 /// against the round-synchronous process at the same `(c, λ)`. The
 /// qualitative conclusions — orbit ≈ pool scaling in `1/c`, the
-/// waiting-time minimum at moderate `c` — must survive asynchrony.
+/// waiting-time minimum at moderate `c` — must survive asynchrony. Both
+/// sides are measured over `scale.seeds()` independent seeds; the
+/// continuous columns carry their 95 % CI half-widths.
 pub fn async_comparison(scale: Scale) -> ExperimentOutput {
     let n = (scale.bins() / 8).max(256); // events are costlier than rounds
     let mut table = Table::new(
@@ -459,12 +462,15 @@ pub fn async_comparison(scale: Scale) -> ExperimentOutput {
             "c",
             "sync pool/n",
             "async orbit/n",
+            "orbit ci95",
             "sync avg wait",
             "async avg sojourn",
+            "sojourn ci95",
         ],
     );
     let notes = vec![format!(
-        "n = {n}; async: Poisson arrivals rate lambda*n, Exp(1) service and retries; sojourn counts service time, so async >= sync + ~1 is expected"
+        "n = {n}, {} seeds per cell; async: Poisson arrivals rate lambda*n, Exp(1) service and retries; sojourn counts service time, so async >= sync + ~1 is expected",
+        scale.seeds()
     )];
     for lambda in [0.75, 1.0 - 1.0 / 64.0] {
         for c in [1u32, 2, 3, 4] {
@@ -473,19 +479,26 @@ pub fn async_comparison(scale: Scale) -> ExperimentOutput {
                 .with_master_seed(u64::from(c) * 3 + 100);
             let sync = measure_capped(&config, &m);
 
-            let mut system = ContinuousCapped::new(ContinuousConfig::paper_analog(n, c, lambda));
-            let mut rng = SimRng::seed_from(u64::from(c) * 5 + 200);
+            let continuous = ContinuousConfig::paper_analog(n, c, lambda);
             let warm = 40.0 / (1.0 - lambda);
-            system.run_for(warm, &mut rng);
-            let stats = system.observe(scale.window() as f64, &mut rng);
+            let runs = replicate(u64::from(c) * 5 + 200, scale.seeds(), |_, mut rng| {
+                let mut system = ContinuousCapped::new(continuous);
+                system.run_for(warm, &mut rng);
+                let stats = system.observe(scale.window() as f64, &mut rng);
+                (stats.mean_orbit / n as f64, stats.sojourns.mean())
+            });
+            let orbit = PointEstimate::from_values(&runs.iter().map(|r| r.0).collect::<Vec<_>>());
+            let sojourn = PointEstimate::from_values(&runs.iter().map(|r| r.1).collect::<Vec<_>>());
 
             table.row(vec![
                 format!("{lambda:.6}").into(),
                 u64::from(c).into(),
                 sync.normalized_pool_mean().into(),
-                (stats.mean_orbit / n as f64).into(),
+                orbit.mean().into(),
+                orbit.ci95.half_width.into(),
                 sync.wait_mean.mean().into(),
-                stats.sojourns.mean().into(),
+                sojourn.mean().into(),
+                sojourn.ci95.half_width.into(),
             ]);
         }
     }

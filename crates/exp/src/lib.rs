@@ -2,9 +2,9 @@
 //!
 //! [`registry`] is an append-only JSONL store of
 //! [`registry::RunRecord`]s: content-hashed config, seed, git revision,
-//! host, kernel mode, wall time and flattened metrics, with a strict
-//! parser and dedup by identity. `iba-top --snapshot-json` appends its
-//! run record there.
+//! host, kernel mode, wall time and flattened metrics. It is write-only:
+//! nothing here reads the store back, and a re-run appends a second line.
+//! `iba-top --snapshot-json` appends its run record there.
 //!
 //! The paper's numbers are not kept here: every experiment's CSV is
 //! committed as the reproduction record and checked byte for byte by

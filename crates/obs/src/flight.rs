@@ -4,17 +4,19 @@
 //! Processes record one [`RoundSample`] per completed round (only while
 //! telemetry is enabled — the disabled path is the usual single relaxed
 //! load). Fault injection and invariant checks add [`FlightEvent::Marker`]
-//! entries. On a panic (see [`install_panic_hook`]), an invariant
-//! violation, or — when [`set_dump_on_fault`] is armed — a fault trigger,
-//! [`PostMortem::capture`] freezes the last N events together with a full
-//! registry snapshot, so a misbehaving million-bin run leaves evidence
-//! instead of a bare backtrace.
+//! entries. On a panic (see [`install_panic_hook`]) or an invariant
+//! violation, [`PostMortem::capture`] freezes the last
+//! [`DEFAULT_CAPACITY`] events together with a full registry snapshot, so
+//! a misbehaving million-bin run leaves evidence instead of a bare
+//! backtrace.
+//!
+//! A post-mortem is written, never read back: [`PostMortem::to_json`] is
+//! the whole interface, and tests check its line with the JSON reader.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
-use crate::json::{self, JsonObjWriter, JsonValue, Provenance};
+use crate::json::{JsonObjWriter, Provenance};
 use crate::registry::{enabled, global};
 use crate::sink::snapshot_to_json_line;
 
@@ -33,7 +35,7 @@ pub fn run_context() -> Option<Provenance> {
     RUN_CONTEXT.lock().unwrap().clone()
 }
 
-/// Default number of events the ring retains.
+/// Number of events the ring retains.
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// One round of a process, at `RoundReport` granularity (fixed-size: the
@@ -98,33 +100,11 @@ impl FlightEvent {
             }
         }
     }
-
-    fn from_json(v: &JsonValue) -> Option<FlightEvent> {
-        let u = |k: &str| v.get(k)?.as_u64();
-        match v.get("kind")?.as_str()? {
-            "round" => Some(FlightEvent::Round(RoundSample {
-                round: u("round")?,
-                generated: u("generated")?,
-                accepted: u("accepted")?,
-                deleted: u("deleted")?,
-                failed_deletions: u("failed_deletions")?,
-                pool_size: u("pool_size")?,
-                buffered: u("buffered")?,
-                max_load: u("max_load")?,
-            })),
-            "marker" => Some(FlightEvent::Marker {
-                round: u("round")?,
-                label: v.get("label")?.as_str()?.to_string(),
-            }),
-            _ => None,
-        }
-    }
 }
 
 #[derive(Debug)]
 struct Ring {
     events: VecDeque<FlightEvent>,
-    capacity: usize,
     dropped: u64,
 }
 
@@ -140,7 +120,6 @@ impl FlightRecorder {
         FlightRecorder {
             ring: Mutex::new(Ring {
                 events: VecDeque::with_capacity(DEFAULT_CAPACITY),
-                capacity: DEFAULT_CAPACITY,
                 dropped: 0,
             }),
         }
@@ -148,7 +127,7 @@ impl FlightRecorder {
 
     fn push(&self, event: FlightEvent) {
         let mut ring = self.ring.lock().unwrap();
-        if ring.events.len() == ring.capacity {
+        if ring.events.len() == DEFAULT_CAPACITY {
             ring.events.pop_front();
             ring.dropped += 1;
         }
@@ -172,21 +151,6 @@ impl FlightRecorder {
                 label: label.to_string(),
             });
         }
-    }
-
-    /// Resizes the ring (oldest events are dropped if shrinking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0.
-    pub fn set_capacity(&self, capacity: usize) {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
-        let mut ring = self.ring.lock().unwrap();
-        while ring.events.len() > capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.capacity = capacity;
     }
 
     /// Empties the ring and resets the dropped count.
@@ -213,35 +177,16 @@ pub fn recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(FlightRecorder::new)
 }
 
-static DUMP_ON_FAULT: AtomicBool = AtomicBool::new(false);
-
-/// Arms or disarms post-mortem dumping on fault triggers (disarmed by
-/// default: fault injections always leave a marker, but chaos experiments
-/// firing thousands of scripted faults should not each write a dump).
-pub fn set_dump_on_fault(on: bool) {
-    DUMP_ON_FAULT.store(on, Ordering::SeqCst);
-}
-
-/// Records a fault-trigger marker and, if armed via [`set_dump_on_fault`],
-/// writes a post-mortem to stderr. No-op while telemetry is disabled.
+/// Records a fault-trigger marker. No-op while telemetry is disabled.
 pub fn fault_triggered(round: u64, label: &str) {
-    if !enabled() {
-        return;
-    }
     recorder().record_marker(round, label);
-    if DUMP_ON_FAULT.load(Ordering::Relaxed) {
-        eprintln!(
-            "{}",
-            PostMortem::capture(&format!("fault:{label}")).to_json()
-        );
-    }
 }
 
 /// A frozen post-mortem: why it was taken, the recent events, and the full
 /// registry state at capture time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PostMortem {
-    /// Why the dump was taken (`panic`, `invariant:...`, `fault:...`).
+    /// Why the dump was taken (`panic`, `invariant:...`).
     pub reason: String,
     /// Events evicted from the ring before capture.
     pub dropped: u64,
@@ -282,83 +227,6 @@ impl PostMortem {
         w.field_raw("telemetry", &self.telemetry);
         w.finish()
     }
-
-    /// Parses a dump produced by [`PostMortem::to_json`] back into a
-    /// `PostMortem` (the round-trip the CI smoke job asserts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`json::JsonError`] if the input is not valid JSON or
-    /// does not have the post-mortem shape.
-    pub fn from_json(input: &str) -> Result<PostMortem, json::JsonError> {
-        let v = json::parse(input)?;
-        let shape = |message: &str| json::JsonError {
-            offset: 0,
-            message: message.to_string(),
-        };
-        if v.get("kind").and_then(JsonValue::as_str) != Some("postmortem") {
-            return Err(shape("not a postmortem dump"));
-        }
-        if v.get("schema").and_then(JsonValue::as_u64) != Some(json::SCHEMA_VERSION) {
-            return Err(shape("unsupported schema version"));
-        }
-        let reason = v
-            .get("reason")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| shape("missing reason"))?
-            .to_string();
-        let dropped = v
-            .get("dropped")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| shape("missing dropped"))?;
-        let provenance = match v.get("provenance") {
-            None => None,
-            Some(p) => {
-                Some(Provenance::from_value(p).ok_or_else(|| shape("malformed provenance"))?)
-            }
-        };
-        let events = v
-            .get("events")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| shape("missing events"))?
-            .iter()
-            .map(|e| FlightEvent::from_json(e).ok_or_else(|| shape("malformed event")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let telemetry = v
-            .get("telemetry")
-            .ok_or_else(|| shape("missing telemetry"))?;
-        // Re-render the telemetry object so `to_json` of the round-tripped
-        // value is stable (field order is preserved by the parser).
-        Ok(PostMortem {
-            reason,
-            dropped,
-            provenance,
-            events,
-            telemetry: render_value(telemetry),
-        })
-    }
-}
-
-/// Re-renders a parsed [`JsonValue`] to canonical single-line JSON
-/// (object field order preserved).
-fn render_value(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Number(n) => json::number(*n),
-        JsonValue::String(s) => json::quoted(s),
-        JsonValue::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", inner.join(","))
-        }
-        JsonValue::Object(fields) => {
-            let inner: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("{}:{}", json::quoted(k), render_value(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
 }
 
 /// Installs a panic hook (once) that appends a post-mortem dump to stderr
@@ -385,6 +253,8 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::assert_provenance;
+    use crate::json::{parse, JsonValue, SCHEMA_VERSION};
     use crate::registry::with_telemetry;
 
     fn sample(round: u64) -> RoundSample {
@@ -398,6 +268,61 @@ mod tests {
             buffered: 5,
             max_load: 2,
         }
+    }
+
+    /// The JSON object a dump holds for `event`, as the reader returns it.
+    fn event_value(event: &FlightEvent) -> JsonValue {
+        let num = |v: u64| JsonValue::Number(v as f64);
+        let fields: Vec<(&str, JsonValue)> = match event {
+            FlightEvent::Round(s) => vec![
+                ("kind", JsonValue::String("round".into())),
+                ("round", num(s.round)),
+                ("generated", num(s.generated)),
+                ("accepted", num(s.accepted)),
+                ("deleted", num(s.deleted)),
+                ("failed_deletions", num(s.failed_deletions)),
+                ("pool_size", num(s.pool_size)),
+                ("buffered", num(s.buffered)),
+                ("max_load", num(s.max_load)),
+            ],
+            FlightEvent::Marker { round, label } => vec![
+                ("kind", JsonValue::String("marker".into())),
+                ("round", num(*round)),
+                ("label", JsonValue::String(label.clone())),
+            ],
+        };
+        JsonValue::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Parses a dump, asserting it is one line of the post-mortem shape
+    /// with `events` in order.
+    fn parse_dump(dump: &str, events: &[FlightEvent]) -> JsonValue {
+        assert!(!dump.contains('\n'), "a dump is one line: {dump}");
+        let v = parse(dump).expect("a dump is valid JSON");
+        assert_eq!(
+            v.get("schema").and_then(JsonValue::as_u64),
+            Some(SCHEMA_VERSION)
+        );
+        assert_eq!(
+            v.get("kind").and_then(JsonValue::as_str),
+            Some("postmortem")
+        );
+        let expected: Vec<JsonValue> = events.iter().map(event_value).collect();
+        assert_eq!(
+            v.get("events").and_then(JsonValue::as_array),
+            Some(&expected[..])
+        );
+        let telemetry = v.get("telemetry").expect("telemetry snapshot");
+        assert_eq!(
+            telemetry.get("kind").and_then(JsonValue::as_str),
+            Some("telemetry")
+        );
+        v
     }
 
     #[test]
@@ -414,33 +339,20 @@ mod tests {
     fn ring_evicts_oldest() {
         with_telemetry(true, || {
             let r = FlightRecorder::new();
-            r.set_capacity(3);
-            for round in 1..=5 {
+            for round in 1..=DEFAULT_CAPACITY as u64 + 2 {
                 r.record_round(sample(round));
             }
             let events = r.events();
-            assert_eq!(events.len(), 3);
+            assert_eq!(events.len(), DEFAULT_CAPACITY);
             assert_eq!(r.dropped(), 2);
-            match &events[0] {
-                FlightEvent::Round(s) => assert_eq!(s.round, 3),
-                other => panic!("unexpected event {other:?}"),
-            }
+            assert_eq!(events[0], FlightEvent::Round(sample(3)));
+            assert_eq!(
+                events[DEFAULT_CAPACITY - 1],
+                FlightEvent::Round(sample(DEFAULT_CAPACITY as u64 + 2))
+            );
             r.clear();
             assert!(r.events().is_empty());
             assert_eq!(r.dropped(), 0);
-        });
-    }
-
-    #[test]
-    fn shrinking_capacity_drops_oldest() {
-        with_telemetry(true, || {
-            let r = FlightRecorder::new();
-            for round in 1..=4 {
-                r.record_round(sample(round));
-            }
-            r.set_capacity(2);
-            assert_eq!(r.events().len(), 2);
-            assert_eq!(r.dropped(), 2);
         });
     }
 
@@ -449,31 +361,28 @@ mod tests {
         with_telemetry(true, || {
             recorder().clear();
             recorder().record_round(sample(41));
-            recorder().record_marker(42, "fault:crash_bins:3 \"quoted\"");
+            recorder().record_marker(42, "fault:crash_bins:3 \"quoted\"\nline");
             recorder().record_round(sample(42));
             let pm = PostMortem::capture("invariant:conservation");
-            let dump = pm.to_json();
-            let back = PostMortem::from_json(&dump).unwrap();
-            assert_eq!(back.reason, pm.reason);
-            assert_eq!(back.dropped, pm.dropped);
-            assert_eq!(back.events, pm.events);
-            // The re-rendered dump is itself parseable and stable.
+            assert_eq!(pm.events, recorder().events());
+            let v = parse_dump(&pm.to_json(), &pm.events);
             assert_eq!(
-                PostMortem::from_json(&back.to_json()).unwrap().events,
-                pm.events
+                v.get("reason").and_then(JsonValue::as_str),
+                Some("invariant:conservation")
             );
+            assert_eq!(v.get("dropped").and_then(JsonValue::as_u64), Some(0));
             recorder().clear();
         });
     }
 
-    /// Satellite guarantee: a chaos-run panic dump carries the run's
-    /// provenance — git revision, kernel mode, thread count — and every
-    /// field survives the JSON round-trip.
+    /// A chaos-run panic dump carries the run's provenance — git
+    /// revision, kernel mode, thread count — and every field reaches the
+    /// JSON line.
     #[test]
     fn post_mortem_carries_run_provenance_through_json() {
         with_telemetry(true, || {
             let prov = Provenance {
-                schema_version: json::SCHEMA_VERSION,
+                schema_version: SCHEMA_VERSION,
                 git_rev: "deadbeefcafe".into(),
                 git_dirty: true,
                 host: "chaos-runner".into(),
@@ -485,33 +394,20 @@ mod tests {
             recorder().clear();
             recorder().record_marker(3, "fault:crash_bins:2");
             let pm = PostMortem::capture("panic");
-            let back = PostMortem::from_json(&pm.to_json()).unwrap();
-            let got = back.provenance.expect("provenance attached to the dump");
-            assert_eq!(got, prov);
-            assert_eq!(got.git_rev, "deadbeefcafe");
-            assert_eq!(got.kernel.as_deref(), Some("arena_parallel"));
-            assert_eq!(got.threads, Some(8));
-            assert!(got.git_dirty);
-            // A malformed provenance object is rejected, not ignored.
-            let bad = pm.to_json().replace("\"git_rev\":\"deadbeefcafe\",", "");
-            assert!(PostMortem::from_json(&bad).is_err());
+            let v = parse_dump(&pm.to_json(), &recorder().events());
+            assert_provenance(v.get("provenance").expect("provenance attached"), &prov);
             *RUN_CONTEXT.lock().unwrap() = None;
+            // Without a run context the field is absent.
+            let bare = parse_dump(&PostMortem::capture("panic").to_json(), &pm.events);
+            assert_eq!(bare.get("provenance"), None);
             recorder().clear();
         });
-    }
-
-    #[test]
-    fn from_json_rejects_other_lines() {
-        assert!(PostMortem::from_json("{\"schema\":1}").is_err());
-        assert!(PostMortem::from_json("nonsense").is_err());
-        assert!(PostMortem::from_json("{\"schema\":99,\"kind\":\"postmortem\"}").is_err());
     }
 
     #[test]
     fn fault_trigger_leaves_marker() {
         with_telemetry(true, || {
             recorder().clear();
-            set_dump_on_fault(false);
             fault_triggered(7, "crash_bins:2");
             let events = recorder().events();
             assert_eq!(

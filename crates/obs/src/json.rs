@@ -1,12 +1,17 @@
 //! The workspace's single hand-rolled JSON implementation: an append-only
-//! object writer for JSON-lines emission and a small recursive-descent
-//! parser for validating and round-tripping what we wrote.
+//! object writer for JSON-lines emission, and a small recursive-descent
+//! reader.
 //!
 //! Every JSONL producer in the workspace (`ServeSnapshot`, the experiment
 //! run registry, flight-recorder post-mortems) renders through
 //! [`JsonObjWriter`] so string escaping and the leading [`SCHEMA_VERSION`]
 //! field are implemented exactly once. The build environment is std-only
 //! (no `serde_json`), hence hand-rolled.
+//!
+//! The program never reads its own JSON back. [`parse`] and [`JsonValue`]
+//! have no caller outside tests: the unit and integration tests check
+//! emitted lines with them, and so does the benchmark's contract test
+//! (ROADMAP item 3 takes the reader out of the library).
 
 use std::error::Error;
 use std::fmt;
@@ -115,23 +120,6 @@ impl Provenance {
         }
         w.finish()
     }
-
-    /// Parses a provenance object written by [`Provenance::to_json_object`].
-    /// `None` if any required field is missing or mistyped.
-    pub fn from_value(v: &JsonValue) -> Option<Provenance> {
-        Some(Provenance {
-            schema_version: v.get("schema_version")?.as_u64()?,
-            git_rev: v.get("git_rev")?.as_str()?.to_string(),
-            git_dirty: match v.get("git_dirty")? {
-                JsonValue::Bool(b) => *b,
-                _ => return None,
-            },
-            host: v.get("host")?.as_str()?.to_string(),
-            cores: v.get("cores")?.as_u64()?,
-            kernel: v.get("kernel").and_then(|k| k.as_str()).map(str::to_string),
-            threads: v.get("threads").and_then(JsonValue::as_u64),
-        })
-    }
 }
 
 /// Best-effort hostname: `/proc/sys/kernel/hostname`, then `$HOSTNAME`,
@@ -226,19 +214,10 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Returns `s` as a quoted, escaped JSON string literal.
-pub fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
 /// Renders an `f64` the way the workspace's JSON lines expect: finite
 /// values via Rust's shortest round-trip formatting, non-finite values as
 /// `null` (JSON has no NaN/Infinity).
-pub fn number(v: f64) -> String {
+fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -735,7 +714,7 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -885,29 +864,52 @@ mod tests {
         );
     }
 
+    /// Asserts that `v`, a parsed provenance object, holds every field
+    /// of `prov`, in emission order, and no other.
+    pub(crate) fn assert_provenance(v: &JsonValue, prov: &Provenance) {
+        let mut expected = vec![
+            (
+                "schema_version",
+                JsonValue::Number(prov.schema_version as f64),
+            ),
+            ("git_rev", JsonValue::String(prov.git_rev.clone())),
+            ("git_dirty", JsonValue::Bool(prov.git_dirty)),
+            ("host", JsonValue::String(prov.host.clone())),
+            ("cores", JsonValue::Number(prov.cores as f64)),
+        ];
+        if let Some(kernel) = &prov.kernel {
+            expected.push(("kernel", JsonValue::String(kernel.clone())));
+        }
+        if let Some(threads) = prov.threads {
+            expected.push(("threads", JsonValue::Number(threads as f64)));
+        }
+        let expected: Vec<(String, JsonValue)> = expected
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(v, &JsonValue::Object(expected));
+    }
+
     #[test]
     fn provenance_round_trips_through_json() {
         let prov = Provenance {
             schema_version: SCHEMA_VERSION,
             git_rev: "0123abcd".into(),
             git_dirty: true,
-            host: "bench-box".into(),
+            host: "bench-box \"quoted\"".into(),
             cores: 8,
             kernel: Some("arena_parallel".into()),
             threads: Some(4),
         };
         let line = prov.to_json_object();
-        let back = Provenance::from_value(&parse(&line).unwrap()).unwrap();
-        assert_eq!(back, prov);
+        assert_provenance(&parse(&line).unwrap(), &prov);
         // The optional kernel fields really are optional.
         let bare = Provenance {
             kernel: None,
             threads: None,
             ..prov
         };
-        let back = Provenance::from_value(&parse(&bare.to_json_object()).unwrap()).unwrap();
-        assert_eq!(back, bare);
-        assert!(Provenance::from_value(&parse("{}").unwrap()).is_none());
+        assert_provenance(&parse(&bare.to_json_object()).unwrap(), &bare);
     }
 
     #[test]
@@ -917,12 +919,5 @@ mod tests {
         assert!(!prov.host.is_empty());
         assert!(prov.cores >= 1);
         assert_eq!(prov.schema_version, SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn quoted_helper() {
-        assert_eq!(quoted("a\"b"), "\"a\\\"b\"");
-        assert_eq!(number(1.5), "1.5");
-        assert_eq!(number(f64::NAN), "null");
     }
 }

@@ -11,15 +11,18 @@
 //!   a single relaxed atomic load**, so probes live inside the hot round
 //!   kernel; `kernel_differential::telemetry_toggle_does_not_perturb_the_trajectory`
 //!   pins that switching it changes no trajectory.
-//! - [`expo`] — Prometheus-style text exposition of a registry snapshot,
-//!   plus a strict parser for it.
-//! - [`json`] — the workspace's single hand-rolled JSON writer/parser.
-//!   Every JSONL producer (ServeSnapshot, the experiment run registry,
+//! - [`expo`] — Prometheus-style text exposition of a registry snapshot.
+//! - [`json`] — the workspace's single hand-rolled JSON writer. Every
+//!   JSONL producer (ServeSnapshot, the experiment run registry,
 //!   flight-recorder post-mortems with their [`sink`]-rendered registry
 //!   snapshot) renders through it and stamps a `schema` version field.
 //! - [`flight`] — the flight recorder: a fixed-size ring of recent
 //!   round-level events that dumps a JSON post-mortem (events + registry
-//!   snapshot) on panic, invariant violation, or fault trigger.
+//!   snapshot) on panic or invariant violation.
+//!
+//! Telemetry is write-only: nothing in the library reads back what it
+//! wrote. The JSON reader in [`json`] is kept for tests (and the
+//! benchmark's contract test); the exposition parser is test support.
 //!
 //! # Example
 //!
@@ -54,3 +57,8 @@ pub use registry::{
     enabled, global, init_from_env, set_enabled, Counter, Gauge, Histogram, HistogramSnapshot,
     PhaseTimer, Registry, RegistrySnapshot,
 };
+
+/// The strict exposition parser, shared with the integration suites.
+#[cfg(test)]
+#[path = "../tests/support/expo_parse.rs"]
+mod expo_parse;

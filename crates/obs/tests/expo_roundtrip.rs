@@ -4,12 +4,20 @@
 //! one of the 65 power-of-two buckets and the `iba_run_info` provenance
 //! labels. This is the guarantee that lets the replication tooling scrape
 //! a running service, archive the exposition, and re-emit it later with
-//! zero loss.
+//! zero loss. The strict parser is test support
+//! (`support/expo_parse.rs`); the library only renders.
 
-use iba_obs::expo::{parse, render_exposition, render_with_provenance, RUN_INFO_METRIC};
+#[path = "support/expo_parse.rs"]
+mod expo_parse;
+
+use expo_parse::{parse, render_exposition};
+use iba_core::CappedConfig;
+use iba_obs::expo::{render_with_provenance, RUN_INFO_METRIC};
 use iba_obs::json::{Provenance, SCHEMA_VERSION};
 use iba_obs::registry::HISTOGRAM_BUCKETS;
 use iba_obs::{set_enabled, Registry};
+use iba_serve::{CappedService, ServiceConfig};
+use iba_sim::faults::{FaultEvent, FaultPlan};
 
 fn fully_populated_registry() -> Registry {
     // Both tests of this binary run concurrently and record through the
@@ -100,4 +108,46 @@ fn round_trip_without_provenance_matches_plain_render() {
     let expo = parse(&plain).unwrap();
     assert_eq!(render_exposition(&expo), plain);
     assert!(!plain.contains(RUN_INFO_METRIC));
+}
+
+/// What `serve_demo --telemetry` prints at exit: the global registry's
+/// exposition after a telemetry-enabled service run under a fault plan.
+/// It parses strictly, re-renders byte-identically, and holds the
+/// service's round count and the faults it applied. No other test of
+/// this binary records into the global registry, so the counts are exact.
+#[test]
+fn faulted_service_run_renders_a_strict_exposition() {
+    set_enabled(true);
+    const ROUNDS: u64 = 20;
+    let config = CappedConfig::new(64, 2, 0.75).unwrap();
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(config, 1, 5).with_model_arrivals(true)).unwrap();
+    service.schedule(
+        FaultPlan::new()
+            .with(
+                3,
+                FaultEvent::CrashBins {
+                    bins: vec![1, 2, 3],
+                },
+            )
+            .with(8, FaultEvent::RecoverBins { bins: vec![1, 2] }),
+    );
+    service.run_rounds(ROUNDS);
+    assert!(service.conserves_balls());
+
+    let text = iba_obs::expo::render_registry(iba_obs::global());
+    let expo = parse(&text).expect("strict parse of the service's exposition");
+    assert_eq!(render_exposition(&expo), text);
+    assert_eq!(
+        expo.families
+            .get("iba_serve_round_nanos")
+            .map(String::as_str),
+        Some("histogram")
+    );
+    assert_eq!(
+        expo.value("iba_serve_round_nanos_count"),
+        Some(ROUNDS as f64)
+    );
+    assert_eq!(expo.value("iba_sim_fault_crashed_bins_total"), Some(3.0));
+    assert_eq!(expo.value("iba_sim_fault_recovered_bins_total"), Some(2.0));
 }

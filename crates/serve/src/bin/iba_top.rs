@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use iba_analysis::bounds::theorem2_pool_bound;
 use iba_core::CappedConfig;
-use iba_exp::registry::{unix_time_now, RunRecord, RunRegistry};
+use iba_exp::registry::{append, unix_time_now, RunRecord};
 use iba_obs::json::{content_hash, Provenance};
 use iba_obs::HistogramSnapshot;
 use iba_serve::{CappedService, KernelMode, Pacing, RoundClock, ServiceConfig};
@@ -74,8 +74,9 @@ the max bin load, and the registry's phase-timing breakdown.
 the process exits 0.
 --snapshot runs quietly and writes the final frame to PATH as plain text
 (one-shot mode, for scripts and dashboards). --snapshot-json appends the
-final state to PATH as an experiment-registry run record (provenance,
-config hash, metrics) — the same JSONL store the bench harnesses feed.";
+final state to PATH as one experiment-registry run record line
+(provenance, config hash, metrics); PATH is never read, so every run
+appends a line.";
 
 fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
@@ -349,11 +350,7 @@ fn run(opts: &Options, provenance: Provenance) -> Result<(), String> {
     if let Some(path) = opts.snapshot_json.as_deref() {
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let record = snapshot_record(opts, &service, wall_ms, provenance);
-        let mut registry = RunRegistry::open(std::path::Path::new(path))
-            .map_err(|e| format!("registry {path}: {e}"))?;
-        registry
-            .append(record)
-            .map_err(|e| format!("registry {path}: {e}"))?;
+        append(std::path::Path::new(path), &record).map_err(|e| format!("registry {path}: {e}"))?;
         eprintln!("appended run record to {path}");
     }
     service.shutdown();

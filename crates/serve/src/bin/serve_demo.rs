@@ -83,8 +83,8 @@ The demo submits rounds x lambda*n requests total, runs rounds until all of
 them are served (bounded by a safety cap), verifies conservation and
 capacity invariants every round, and prints a throughput/latency report.
 --telemetry (or IBA_TELEMETRY=1) additionally enables the iba-obs registry
-and flight recorder, prints the Prometheus exposition at exit (self-checked
-through the strict parser), and dumps a post-mortem on invariant violation.
+and flight recorder, prints the Prometheus exposition at exit, and dumps a
+post-mortem on invariant violation.
 
 --listen ADDR switches to network mode: instead of in-process generators,
 the demo serves the length-prefixed wire protocol on ADDR (port 0 picks an
@@ -437,13 +437,6 @@ fn run_listen(opts: &Options, addr: &str) -> Result<(), String> {
             service.balls_moved()
         );
     }
-    let exposition = iba_obs::expo::render_registry(iba_obs::global());
-    let parsed = iba_obs::expo::parse(&exposition)
-        .map_err(|e| format!("telemetry exposition failed to parse: {e}"))?;
-    println!(
-        "telemetry self-check: {} samples parsed strictly",
-        parsed.samples.len()
-    );
     println!("invariants: conservation held over the network run");
     Ok(())
 }
@@ -591,24 +584,8 @@ fn run(opts: &Options) -> Result<(), String> {
     println!("invariants: conservation and capacity held every round");
 
     if iba_obs::enabled() {
-        // Print the Prometheus exposition and round-trip it through the
-        // strict parser — the CI observability smoke job keys off this.
-        let exposition = iba_obs::expo::render_registry(iba_obs::global());
-        let parsed = iba_obs::expo::parse(&exposition)
-            .map_err(|e| format!("telemetry exposition failed to parse: {e}"))?;
-        let dump = iba_obs::flight::PostMortem::capture("serve_demo exit");
-        let round_trip = iba_obs::flight::PostMortem::from_json(&dump.to_json())
-            .map_err(|e| format!("post-mortem dump failed to round-trip: {e}"))?;
-        if round_trip.events.len() != dump.events.len() {
-            return Err("post-mortem round-trip lost flight events".into());
-        }
         println!("--- telemetry ---");
-        print!("{exposition}");
-        println!(
-            "telemetry self-check: {} samples parsed, {} flight events round-tripped",
-            parsed.samples.len(),
-            dump.events.len()
-        );
+        print!("{}", iba_obs::expo::render_registry(iba_obs::global()));
     }
     Ok(())
 }

@@ -9,6 +9,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "../../obs/tests/support/expo_parse.rs"]
+mod expo_parse;
+
 use iba_core::CappedConfig;
 use iba_serve::proto::MAGIC;
 use iba_serve::{
@@ -173,7 +176,7 @@ fn saturated_ingress_sheds_with_explicit_replies() {
 }
 
 /// The scrape plane: `GET /metrics` on the same listener answers with
-/// exposition the strict `iba-obs` parser accepts, mid-run, and
+/// exposition the strict test-support parser accepts, mid-run, and
 /// successive scrapes observe advancing (non-stale) counters.
 #[test]
 fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
@@ -277,7 +280,7 @@ fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
 /// exposition. `poll` runs between reads: it pumps the front end when
 /// the test drives it inline, and does nothing when a server thread
 /// runs the loop.
-fn scrape(addr: std::net::SocketAddr, mut poll: impl FnMut()) -> iba_obs::expo::Exposition {
+fn scrape(addr: std::net::SocketAddr, mut poll: impl FnMut()) -> expo_parse::Exposition {
     let mut http = TcpStream::connect(addr).expect("connect scraper");
     http.set_read_timeout(Some(Duration::from_millis(5)))
         .expect("read timeout");
@@ -298,8 +301,8 @@ fn scrape(addr: std::net::SocketAddr, mut poll: impl FnMut()) -> iba_obs::expo::
     }
     let text = String::from_utf8(response).expect("utf8 response");
     assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-    let body = iba_obs::expo::http_body(&text).expect("header terminator");
-    iba_obs::expo::parse(body).expect("strict exposition parse")
+    let body = expo_parse::http_body(&text).expect("header terminator");
+    expo_parse::parse(body).expect("strict exposition parse")
 }
 
 /// Non-protocol, non-HTTP connections are dropped, and a 404 comes back

@@ -723,23 +723,6 @@ pub fn chaos(scale: Scale) -> ExperimentOutput {
         max_rounds: 4_000,
     };
 
-    // Fleet-wide fault/recovery totals are read back from the telemetry
-    // registry afterwards (as deltas against these baselines) instead of
-    // being re-accumulated across the scenario estimates by hand.
-    let registry = iba_obs::global();
-    let recovery_runs = registry.counter("iba_sim_recovery_runs_total");
-    let unrecovered = registry.counter("iba_sim_recovery_unrecovered_total");
-    let crashed_bins = registry.counter("iba_sim_fault_crashed_bins_total");
-    let surge_balls = registry.counter("iba_sim_fault_surge_balls_total");
-    let base = [
-        recovery_runs.get(),
-        unrecovered.get(),
-        crashed_bins.get(),
-        surge_balls.get(),
-    ];
-    let telemetry_was_on = iba_obs::enabled();
-    iba_obs::set_enabled(true);
-
     let config = CappedConfig::new(n, c, lambda).expect("valid");
     let warm = |config: &CappedConfig| {
         let mut p = CappedProcess::new(config.clone());
@@ -792,7 +775,8 @@ pub fn chaos(scale: Scale) -> ExperimentOutput {
     let replay = run_crash(10);
     let bit_exact = first.reports == replay.reports;
     row("crash 10%".into(), &first);
-    row("crash 20%".into(), &run_crash(20));
+    let crash20 = run_crash(20);
+    row("crash 20%".into(), &crash20);
 
     let churn_model = ChurnModel {
         crash_prob: 0.004,
@@ -820,9 +804,9 @@ pub fn chaos(scale: Scale) -> ExperimentOutput {
     });
     row("surge 2n".into(), &surge);
 
-    if !telemetry_was_on {
-        iba_obs::set_enabled(false);
-    }
+    let scenarios = [&first, &crash20, &churn, &surge];
+    let runs: usize = scenarios.iter().map(|e| e.replications).sum();
+    let recovered: usize = scenarios.iter().map(|e| e.recovered).sum();
     let notes = vec![
         format!(
             "n = {n}; {replications} replications per scenario; outage window {outage} rounds; \
@@ -837,16 +821,11 @@ pub fn chaos(scale: Scale) -> ExperimentOutput {
             opts.max_rounds
         ),
         format!(
-            "replaying scenario 'crash 10%' with the same master seed was bit-exact: {bit_exact} \
-             (telemetry enabled — probes must not perturb the trajectory)"
+            "replaying scenario 'crash 10%' with the same master seed was bit-exact: {bit_exact}"
         ),
         format!(
-            "registry totals: {} recovery runs ({} unrecovered), {} bin crashes, \
-             {} surge balls injected",
-            recovery_runs.get() - base[0],
-            unrecovered.get() - base[1],
-            crashed_bins.get() - base[2],
-            surge_balls.get() - base[3],
+            "totals: {runs} recovery runs over the four scenarios ({} unrecovered)",
+            runs - recovered
         ),
     ];
     ExperimentOutput::new(table, notes)

@@ -283,12 +283,6 @@ impl JsonObjWriter {
         let _ = write!(self.buf, "{v}");
     }
 
-    /// Appends a signed integer field.
-    pub fn field_i64(&mut self, name: &str, v: i64) {
-        self.key(name);
-        let _ = write!(self.buf, "{v}");
-    }
-
     /// Appends a floating-point field (shortest round-trip formatting;
     /// non-finite values render as `null`).
     pub fn field_f64(&mut self, name: &str, v: f64) {
@@ -332,19 +326,6 @@ impl JsonObjWriter {
     pub fn field_raw(&mut self, name: &str, raw: &str) {
         self.key(name);
         self.buf.push_str(raw);
-    }
-
-    /// Appends an array field of unsigned integers.
-    pub fn field_u64_array(&mut self, name: &str, values: &[u64]) {
-        self.key(name);
-        self.buf.push('[');
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v}");
-        }
-        self.buf.push(']');
     }
 
     /// Appends an array field of already-rendered JSON values.
@@ -722,14 +703,13 @@ pub(crate) mod tests {
         let mut w = JsonObjWriter::new();
         w.field_str("s", "a\"b\\c\nd\u{1}");
         w.field_u64("u", 42);
-        w.field_i64("i", -3);
         w.field_f64("f", 0.5);
         w.field_bool("t", true);
         w.field_null("z");
         let line = w.finish();
         assert_eq!(
             line,
-            "{\"s\":\"a\\\"b\\\\c\\nd\\u0001\",\"u\":42,\"i\":-3,\
+            "{\"s\":\"a\\\"b\\\\c\\nd\\u0001\",\"u\":42,\
              \"f\":0.5,\"t\":true,\"z\":null}"
         );
     }
@@ -743,13 +723,9 @@ pub(crate) mod tests {
     #[test]
     fn writer_arrays_and_raw() {
         let mut w = JsonObjWriter::new();
-        w.field_u64_array("a", &[1, 2, 3]);
         w.field_raw("o", "{\"x\":1}");
         w.field_raw_array("r", &["1".into(), "\"two\"".into()]);
-        assert_eq!(
-            w.finish(),
-            "{\"a\":[1,2,3],\"o\":{\"x\":1},\"r\":[1,\"two\"]}"
-        );
+        assert_eq!(w.finish(), "{\"o\":{\"x\":1},\"r\":[1,\"two\"]}");
     }
 
     #[test]
@@ -766,7 +742,7 @@ pub(crate) mod tests {
         w.field_str("name", "weird \"\\\n\t chars");
         w.field_u64("n", u64::from(u32::MAX));
         w.field_f64("x", -1.25e-3);
-        w.field_u64_array("xs", &[0, 7]);
+        w.field_raw_array("xs", &["0".into(), "7".into()]);
         let line = w.finish();
         let v = parse(&line).unwrap();
         assert_eq!(v.get("schema").unwrap().as_u64(), Some(SCHEMA_VERSION));

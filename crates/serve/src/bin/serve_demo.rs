@@ -1,11 +1,12 @@
 //! End-to-end demonstration and smoke test of the serving layer.
 //!
-//! Spawns a [`CappedService`], pushes `rounds × λn` requests
-//! through it from concurrent generator threads (blocking on ingress
-//! backpressure), drains completion notifications on a collector thread,
-//! checks the conservation and capacity invariants every round, and
-//! prints a throughput / waiting-time report. Exits non-zero on any
-//! invariant violation, which makes it directly usable as a CI smoke job:
+//! Spawns a [`CappedService`] and pushes `rounds × λn` requests through
+//! it on the one thread that runs the rounds: each round submits up to λn
+//! requests, runs the round, and drains the completion notifications it
+//! produced. It checks the conservation and capacity invariants every
+//! round and prints a throughput / waiting-time report; the run is
+//! deterministic in its seed. Exits non-zero on any invariant violation,
+//! which makes it directly usable as a CI smoke job:
 //!
 //! ```text
 //! cargo run --release -p iba-serve --bin serve_demo -- \
@@ -13,16 +14,15 @@
 //! ```
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 use iba_core::checkpoint::RotatingFile;
 use iba_core::CappedConfig;
 use iba_membership::{Autoscaler, AutoscalerConfig};
 use iba_serve::{
-    run_net_loop, CappedService, Completion, Dispatcher, KernelMode, NetFault, NetFaultPlan,
-    NetFrontend, NetLoopOptions, Pacing, RoundClock, ServeCheckpointError, ServiceConfig,
+    run_net_loop, CappedService, KernelMode, NetFault, NetFaultPlan, NetFrontend, NetLoopOptions,
+    Pacing, RoundClock, ServeCheckpointError, ServiceConfig,
 };
 
 struct Options {
@@ -31,7 +31,6 @@ struct Options {
     c: u32,
     lambda: f64,
     seed: u64,
-    generators: usize,
     pace_us: u64,
     metrics_every: u64,
     ingress_capacity: usize,
@@ -53,7 +52,6 @@ impl Options {
             c: 4,
             lambda: 0.75,
             seed: 2021,
-            generators: 4,
             pace_us: 0,
             metrics_every: 0,
             ingress_capacity: 1 << 16,
@@ -73,20 +71,23 @@ const USAGE: &str =
     "serve_demo: push an open-loop CAPPED(c, lambda) workload through a CAPPED service
 
 USAGE: serve_demo [--rounds N] [--n BINS] [--c CAP] [--lambda L]
-                  [--seed SEED] [--generators G] [--pace-us MICROS]
+                  [--seed SEED] [--pace-us MICROS]
                   [--metrics-every K] [--ingress-cap Q]
                   [--telemetry] [--listen ADDR] [--elastic]
                   [--checkpoint PATH] [--checkpoint-every K] [--resume]
                   [--chaos SPEC] [--chaos-seed SEED]
 
-The demo submits rounds x lambda*n requests total, runs rounds until all of
-them are served (bounded by a safety cap), verifies conservation and
-capacity invariants every round, and prints a throughput/latency report.
+The demo submits rounds x lambda*n requests total, at most lambda*n a round
+(a full ingress, --ingress-cap below lambda*n, defers the rest to the next
+round), runs rounds until all of them are served (bounded by a safety cap),
+verifies conservation and capacity invariants every round, and prints a
+throughput/latency report. Submission, rounds and completions share one
+thread, so a seed fixes the run.
 --telemetry (or IBA_TELEMETRY=1) additionally enables the iba-obs registry
 and flight recorder, prints the Prometheus exposition at exit, and dumps a
 post-mortem on invariant violation.
 
---listen ADDR switches to network mode: instead of in-process generators,
+--listen ADDR switches to network mode: instead of submitting in process,
 the demo serves the length-prefixed wire protocol on ADDR (port 0 picks an
 ephemeral port) and answers GET /metrics with the live Prometheus
 exposition on the same listener. It runs --rounds rounds paced at --pace-us
@@ -146,7 +147,6 @@ fn parse_args() -> Result<Options, String> {
             "--c" => opts.c = parse_value(&flag, &value)?,
             "--lambda" => opts.lambda = parse_value(&flag, &value)?,
             "--seed" => opts.seed = parse_value(&flag, &value)?,
-            "--generators" => opts.generators = parse_value(&flag, &value)?,
             "--pace-us" => opts.pace_us = parse_value(&flag, &value)?,
             "--metrics-every" => opts.metrics_every = parse_value(&flag, &value)?,
             "--ingress-cap" => opts.ingress_capacity = parse_value(&flag, &value)?,
@@ -158,8 +158,8 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if opts.rounds == 0 || opts.generators == 0 {
-        return Err("--rounds and --generators must be at least 1".into());
+    if opts.rounds == 0 {
+        return Err("--rounds must be at least 1".into());
     }
     if opts.checkpoint_every == 0 {
         return Err("--checkpoint-every must be at least 1".into());
@@ -226,50 +226,6 @@ fn parse_chaos(spec: &str) -> Result<NetFaultPlan, String> {
         return Err("--chaos spec contains no events".into());
     }
     Ok(plan)
-}
-
-/// Generator threads split `target` submissions evenly and block on
-/// ingress backpressure, so the offered load is exact.
-fn spawn_generators(
-    dispatcher: &Dispatcher,
-    generators: usize,
-    target: u64,
-) -> Vec<std::thread::JoinHandle<u64>> {
-    let base = target / generators as u64;
-    let extra = target % generators as u64;
-    (0..generators)
-        .map(|g| {
-            let dispatcher = dispatcher.clone();
-            let quota = base + u64::from((g as u64) < extra);
-            std::thread::Builder::new()
-                .name(format!("iba-serve-gen-{g}"))
-                .spawn(move || {
-                    let mut sent = 0;
-                    while sent < quota && dispatcher.submit_blocking().is_ok() {
-                        sent += 1;
-                    }
-                    sent
-                })
-                .expect("spawn generator thread")
-        })
-        .collect()
-}
-
-fn spawn_collector(
-    completions: std::sync::mpsc::Receiver<Completion>,
-    collected: Arc<AtomicU64>,
-) -> std::thread::JoinHandle<u64> {
-    std::thread::Builder::new()
-        .name("iba-serve-collector".into())
-        .spawn(move || {
-            let mut max_wait = 0;
-            for completion in completions {
-                collected.fetch_add(1, Ordering::Relaxed);
-                max_wait = max_wait.max(completion.waiting_rounds);
-            }
-            max_wait
-        })
-        .expect("spawn collector thread")
 }
 
 /// Installs the pool-bound-driven autoscaler (`--elastic`): grow under
@@ -460,9 +416,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let per_round = (opts.lambda * opts.n as f64).round() as u64;
     let target = opts.rounds * per_round;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(capped, 1, opts.seed)
-            .with_ingress_capacity(opts.ingress_capacity)
-            .with_max_admit_per_round(Some(per_round)),
+        ServiceConfig::new(capped, 1, opts.seed).with_ingress_capacity(opts.ingress_capacity),
     )
     .map_err(|e| format!("invalid service configuration: {e}"))?;
     if opts.elastic {
@@ -474,10 +428,8 @@ fn run(opts: &Options) -> Result<(), String> {
         opts.n, opts.c, opts.lambda, target, opts.rounds, per_round
     );
 
-    let generators = spawn_generators(&service.dispatcher(), opts.generators, target);
-    let collected = Arc::new(AtomicU64::new(0));
-    let completion_rx = service.take_completions().expect("fresh service");
-    let collector = spawn_collector(completion_rx, Arc::clone(&collected));
+    let dispatcher = service.dispatcher();
+    let completions = service.take_completions().expect("fresh service");
 
     let pacing = if opts.pace_us == 0 {
         Pacing::Immediate
@@ -490,6 +442,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let round_cap = opts.rounds * 10 + 1_000;
     let start = Instant::now();
     let mut rounds_run = 0;
+    let (mut offered, mut notified, mut max_wait_seen) = (0, 0, 0);
     while service.total_served() < target {
         if rounds_run >= round_cap {
             return Err(format!(
@@ -498,8 +451,18 @@ fn run(opts: &Options) -> Result<(), String> {
             ));
         }
         clock.wait();
+        // The service owns the ingress, so a refusal is `Saturated`: the
+        // shortfall is offered again next round.
+        let quota = per_round.min(target - offered);
+        offered += (0..quota)
+            .take_while(|_| dispatcher.submit().is_ok())
+            .count() as u64;
         let report = service.run_round();
         rounds_run += 1;
+        for completion in completions.try_iter() {
+            notified += 1;
+            max_wait_seen = max_wait_seen.max(completion.waiting_rounds);
+        }
         if !report.conserves_balls() {
             return Err(violation(
                 report.round,
@@ -527,24 +490,10 @@ fn run(opts: &Options) -> Result<(), String> {
     }
     let elapsed = start.elapsed();
 
-    let mut offered = 0;
-    for generator in generators {
-        offered += generator.join().expect("generator thread panicked");
-    }
     if offered != target {
-        return Err(format!("generators offered {offered}, expected {target}"));
+        return Err(format!("offered {offered}, expected {target}"));
     }
     let snapshot = service.snapshot();
-    let elastic_state = (
-        service.live_bins(),
-        service.membership_events(),
-        service.balls_moved(),
-    );
-    // Dropping the service closes the ingress and the completion channel,
-    // which is what lets the collector's loop terminate.
-    drop(service);
-    let max_wait_seen = collector.join().expect("collector thread panicked");
-    let notified = collected.load(Ordering::Relaxed);
 
     if snapshot.total_served != target {
         return Err(format!(
@@ -576,9 +525,11 @@ fn run(opts: &Options) -> Result<(), String> {
         snapshot.pool_size, snapshot.buffered, snapshot.max_load
     );
     if opts.elastic {
-        let (live_bins, events, moved) = elastic_state;
         println!(
-            "elastic: {live_bins} bins live after {events} membership events, {moved} balls moved"
+            "elastic: {} bins live after {} membership events, {} balls moved",
+            service.live_bins(),
+            service.membership_events(),
+            service.balls_moved()
         );
     }
     println!("invariants: conservation and capacity held every round");

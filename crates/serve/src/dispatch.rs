@@ -5,12 +5,11 @@
 //! [`Dispatcher`] handle. A request is only its ticket id, so the
 //! **bounded** ingress queue is an id range: submitting reserves the next
 //! id at the tail with one compare-and-swap, and each round the service
-//! admits a prefix of the queued ids by moving the head forward — one
-//! range take per round, whatever the number of tickets. When the queue
-//! is full the service is saturated and [`Dispatcher::submit`] reports
-//! backpressure instead of queueing unboundedly
-//! ([`SubmitError::Saturated`]), while [`Dispatcher::submit_blocking`]
-//! parks the caller until an admission frees space. Each accepted
+//! admits every queued id by moving the head up to the tail — one range
+//! take per round, whatever the number of tickets. Submission never
+//! blocks: when the queue is full the service is saturated and
+//! [`Dispatcher::submit`] reports backpressure instead of queueing
+//! unboundedly ([`SubmitError::Saturated`]). Each accepted
 //! submission is identified by a [`Ticket`]; when the ball it became is
 //! served by a bin, the service emits a [`Completion`] carrying the
 //! measured waiting time in rounds.
@@ -18,7 +17,7 @@
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::obs;
 
@@ -96,10 +95,7 @@ pub struct Completion {
 /// round. The ids publish no other data: `head`'s release store pairs with
 /// the submitters' acquire loads, and `tail`'s swaps with the admission's
 /// acquire load, so each side sees the other's counter no older than its
-/// last synchronisation. The mutex guards no data, so a poisoned lock is
-/// recovered; it and the condition variable are touched only by
-/// [`Dispatcher::submit_blocking`]'s slow path, by an admission that frees
-/// space, and by [`close`](Self::close).
+/// last synchronisation.
 #[derive(Debug)]
 pub(crate) struct Ingress {
     /// The next ticket id to hand out (the checkpoint watermark).
@@ -108,8 +104,6 @@ pub(crate) struct Ingress {
     head: AtomicU64,
     capacity: u64,
     closed: AtomicBool,
-    lock: Mutex<()>,
-    space: Condvar,
 }
 
 impl Ingress {
@@ -122,8 +116,6 @@ impl Ingress {
             head: AtomicU64::new(first_id),
             capacity: capacity as u64,
             closed: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            space: Condvar::new(),
         }
     }
 
@@ -172,53 +164,20 @@ impl Ingress {
         }
     }
 
-    /// Reserves the tail id, parking while the queue is full.
-    fn reserve_blocking(&self) -> Result<u64, SubmitError> {
-        match self.try_reserve() {
-            Err(SubmitError::Saturated) => {}
-            done => return done,
-        }
-        // An admission moves `head` before it takes the lock to notify, so
-        // a retry under the lock either sees the freed space or is parked
-        // in `wait` when the notification comes: no wake-up is lost.
-        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match self.try_reserve() {
-                Err(SubmitError::Saturated) => {
-                    guard = self
-                        .space
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                done => return done,
-            }
-        }
-    }
-
-    /// Admits the oldest queued ids, at most `max` of them (all if
-    /// `None`), and wakes any parked submitter if that freed space. Only
-    /// the owning service calls this, so `head` has a single writer.
-    pub(crate) fn take(&self, max: Option<u64>) -> Range<u64> {
+    /// Admits every queued id, oldest first. Only the owning service
+    /// calls this, so `head` has a single writer.
+    pub(crate) fn take(&self) -> Range<u64> {
         let head = self.head.load(Ordering::Relaxed);
-        let queued = self.tail.load(Ordering::Acquire) - head;
-        let end = head + max.map_or(queued, |cap| cap.min(queued));
+        let end = self.tail.load(Ordering::Acquire);
         if end > head {
             self.head.store(end, Ordering::Release);
-            self.wake_all();
         }
         head..end
     }
 
-    /// Refuses every later submission and wakes parked submitters, which
-    /// then return [`SubmitError::Closed`].
+    /// Refuses every later submission with [`SubmitError::Closed`].
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.wake_all();
-    }
-
-    fn wake_all(&self) {
-        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.space.notify_all();
     }
 }
 
@@ -263,24 +222,6 @@ impl Dispatcher {
         }
         result
     }
-
-    /// Submits one request, blocking while the ingress queue is full —
-    /// the backpressure mode for closed-loop clients.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] if the service is gone, including while
-    /// this call is parked on a full queue.
-    pub fn submit_blocking(&self) -> Result<Ticket, SubmitError> {
-        let result = self.ingress.reserve_blocking().map(Ticket::from_id);
-        if let Some(p) = obs::probes() {
-            p.submits.inc();
-            if result.is_err() {
-                p.submits_closed.inc();
-            }
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -289,15 +230,18 @@ mod tests {
 
     #[test]
     fn take_admits_the_oldest_ids_up_to_the_cap() {
-        let ingress = Arc::new(Ingress::new(8, 100));
+        let ingress = Arc::new(Ingress::new(4, 100));
         let d = Dispatcher::new(Arc::clone(&ingress));
-        for _ in 0..5 {
+        for _ in 0..4 {
             d.submit().unwrap();
         }
-        assert_eq!(ingress.take(Some(3)), 100..103);
-        assert_eq!(d.depth(), 2);
-        assert_eq!(ingress.take(None), 103..105);
-        assert_eq!(ingress.take(None), 105..105);
+        assert_eq!(d.submit(), Err(SubmitError::Saturated));
+        assert_eq!(d.depth(), 4);
+        assert_eq!(ingress.take(), 100..104);
+        assert_eq!(d.depth(), 0);
+        d.submit().unwrap();
+        assert_eq!(ingress.take(), 104..105);
+        assert_eq!(ingress.take(), 105..105);
         assert_eq!(ingress.next_id(), 105);
     }
 

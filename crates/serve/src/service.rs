@@ -94,9 +94,6 @@ pub struct ServiceConfig {
     pub model_arrivals: bool,
     /// Capacity of the bounded ingress queue (backpressure threshold).
     pub ingress_capacity: usize,
-    /// Upper bound on client requests admitted per round; `None` drains
-    /// the whole ingress queue every round.
-    pub max_admit_per_round: Option<u64>,
     /// Rounds an admitted ticket may wait before the service reaps its
     /// completion-notification state (the client's deadline has long
     /// passed; the ball itself still gets served — paper semantics are
@@ -106,8 +103,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Creates a configuration with the defaults: no model arrivals
-    /// (request-driven), ingress capacity 65 536, unbounded per-round
-    /// admission.
+    /// (request-driven), ingress capacity 65 536, no ticket TTL.
     pub fn new(capped: CappedConfig, shards: usize, seed: u64) -> Self {
         ServiceConfig {
             capped,
@@ -115,7 +111,6 @@ impl ServiceConfig {
             seed,
             model_arrivals: false,
             ingress_capacity: 1 << 16,
-            max_admit_per_round: None,
             ticket_ttl_rounds: None,
         }
     }
@@ -139,13 +134,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_ingress_capacity(mut self, capacity: usize) -> Self {
         self.ingress_capacity = capacity;
-        self
-    }
-
-    /// Caps the number of requests admitted per round.
-    #[must_use]
-    pub fn with_max_admit_per_round(mut self, cap: Option<u64>) -> Self {
-        self.max_admit_per_round = cap;
         self
     }
 
@@ -175,7 +163,6 @@ pub struct CappedService {
     /// The pool, the live bins and the round counters.
     process: CappedProcess,
     model_arrivals: bool,
-    max_admit: Option<u64>,
     driver_rng: SimRng,
     /// The bounded ingress queue every [`Dispatcher`] clone submits to.
     ingress: Arc<Ingress>,
@@ -271,7 +258,6 @@ impl CappedService {
         CappedService {
             process,
             model_arrivals: config.model_arrivals,
-            max_admit: config.max_admit_per_round,
             driver_rng,
             ingress: Arc::new(Ingress::new(
                 config.ingress_capacity.max(1),
@@ -766,13 +752,13 @@ impl CappedService {
         self.stopped = true;
     }
 
-    /// Admits the oldest queued ids (up to the per-round cap) in one range
-    /// take, queueing that range as one `pending` entry; returns how many.
+    /// Admits every queued id in one range take, queueing that range as
+    /// one `pending` entry; returns how many.
     fn admit(&mut self, round: u64) -> u64 {
         if let Some(p) = obs::probes() {
             p.ingress_depth.set(self.ingress.depth());
         }
-        let ids = self.ingress.take(self.max_admit);
+        let ids = self.ingress.take();
         let admitted = ids.end - ids.start;
         if admitted > 0 {
             debug_assert!(self.pending.back().is_none_or(|last| last.label < round));
@@ -866,8 +852,8 @@ fn tickets_have_balls(pending: &VecDeque<PendingRound>, process: &CappedProcess)
 }
 
 impl Drop for CappedService {
-    /// Closes the ingress: later submissions, and submitters parked on a
-    /// full queue, get [`SubmitError::Closed`].
+    /// Closes the ingress: later submissions get
+    /// [`SubmitError::Closed`].
     ///
     /// [`SubmitError::Closed`]: crate::SubmitError::Closed
     fn drop(&mut self) {

@@ -1,16 +1,15 @@
 //! The service's public surface: spawn validation, rounds and ticket
 //! completions (each served ball takes the longest-waiting ticket of its
 //! label), the ingress (consecutive ids, exact depth, contiguous
-//! admission ranges under concurrent submitters, parked
-//! `submit_blocking` callers woken by admission and by shutdown),
-//! admission caps and backpressure, scheduled faults, checkpoint
+//! admission ranges under concurrent submitters, refusal once closed),
+//! backpressure, scheduled faults, checkpoint
 //! resume (across shard counts, with pending tickets, and against hostile
 //! envelopes), ticket TTL reaping, shutdown, and the fault telemetry a
 //! service run records.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -89,22 +88,6 @@ fn submitted_requests_complete_with_waiting_times() {
         );
     }
     assert!(service.conserves_balls());
-}
-
-#[test]
-fn admission_cap_defers_excess_to_later_rounds() {
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(config(16, 2, 0.0), 2, 7).with_max_admit_per_round(Some(3)),
-    )
-    .unwrap();
-    let dispatcher = service.dispatcher();
-    for _ in 0..8 {
-        dispatcher.submit().unwrap();
-    }
-    assert_eq!(service.run_round().generated, 3);
-    assert_eq!(service.run_round().generated, 3);
-    assert_eq!(service.run_round().generated, 2);
-    assert_eq!(service.total_admitted(), 8);
 }
 
 #[test]
@@ -974,12 +957,9 @@ fn dispatcher_ids_are_consecutive_across_clones() {
 
 #[test]
 fn depth_is_exact_and_admission_takes_the_oldest_ids() {
-    let mut service = CappedService::spawn(
-        ServiceConfig::new(config(16, 2, 0.0), 2, 7)
-            .with_ingress_capacity(4)
-            .with_max_admit_per_round(Some(3)),
-    )
-    .unwrap();
+    let mut service =
+        CappedService::spawn(ServiceConfig::new(config(16, 2, 0.0), 2, 7).with_ingress_capacity(4))
+            .unwrap();
     let completions = service.take_completions().unwrap();
     let dispatcher = service.dispatcher();
     assert_eq!(dispatcher.depth(), 0);
@@ -990,15 +970,20 @@ fn depth_is_exact_and_admission_takes_the_oldest_ids() {
     // A refusal neither queues nor inflates the depth.
     assert_eq!(dispatcher.submit(), Err(SubmitError::Saturated));
     assert_eq!(dispatcher.depth(), 4);
-    assert_eq!(service.run_round().generated, 3);
+    // A round admits the whole queue, oldest first.
+    assert_eq!(service.run_round().generated, 4);
+    assert_eq!(dispatcher.depth(), 0);
+    dispatcher.submit().unwrap();
     assert_eq!(dispatcher.depth(), 1);
+    assert_eq!(service.run_round().generated, 1);
+    assert_eq!(dispatcher.depth(), 0);
     service.run_rounds(20);
     let mut admitted: Vec<(u64, u64)> = completions
         .try_iter()
         .map(|c| (c.admitted_round, c.ticket.id()))
         .collect();
     admitted.sort_unstable_by_key(|&(_, id)| id);
-    assert_eq!(admitted, vec![(1, 0), (1, 1), (1, 2), (2, 3)]);
+    assert_eq!(admitted, vec![(1, 0), (1, 1), (1, 2), (1, 3), (2, 4)]);
 }
 
 #[test]
@@ -1046,53 +1031,6 @@ fn submits_to_a_dropped_service_are_closed() {
     dispatcher.submit().unwrap();
     drop(service);
     assert_eq!(dispatcher.submit(), Err(SubmitError::Closed));
-    assert_eq!(dispatcher.submit_blocking(), Err(SubmitError::Closed));
-}
-
-/// A service whose one-slot ingress is full, and a thread parked in
-/// `submit_blocking` on it that reports its result.
-fn parked_submitter(
-    shards: usize,
-) -> (
-    CappedService,
-    mpsc::Receiver<Result<Ticket, SubmitError>>,
-    thread::JoinHandle<()>,
-) {
-    let service = CappedService::spawn(
-        ServiceConfig::new(config(16, 2, 0.0), shards, 7).with_ingress_capacity(1),
-    )
-    .unwrap();
-    let dispatcher = service.dispatcher();
-    assert_eq!(dispatcher.submit().unwrap().id(), 0);
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || tx.send(dispatcher.submit_blocking()).unwrap());
-    assert_eq!(
-        rx.recv_timeout(Duration::from_millis(50)),
-        Err(mpsc::RecvTimeoutError::Timeout),
-        "the queue is full, so the submitter parks"
-    );
-    (service, rx, handle)
-}
-
-#[test]
-fn ingress_parked_submit_blocking_wakes_after_a_round_admits() {
-    let (mut service, rx, handle) = parked_submitter(2);
-    service.run_round();
-    let ticket = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-    assert_eq!(ticket.id(), 1);
-    handle.join().unwrap();
-    assert_eq!(service.run_round().generated, 1);
-}
-
-#[test]
-fn ingress_parked_submit_blocking_returns_closed_on_drop() {
-    let (service, rx, handle) = parked_submitter(1);
-    drop(service);
-    assert_eq!(
-        rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-        Err(SubmitError::Closed)
-    );
-    handle.join().unwrap();
 }
 
 #[test]
@@ -1100,27 +1038,20 @@ fn ingress_admits_contiguous_ranges_under_concurrent_submitters() {
     const CAPACITY: usize = 256;
     const PER_THREAD: usize = 1500;
     let mut service = CappedService::spawn(
-        ServiceConfig::new(config(128, 2, 0.0), 2, 11)
-            .with_ingress_capacity(CAPACITY)
-            .with_max_admit_per_round(Some(100)),
+        ServiceConfig::new(config(128, 2, 0.0), 2, 11).with_ingress_capacity(CAPACITY),
     )
     .unwrap();
     let completions = service.take_completions().unwrap();
     let finished = Arc::new(AtomicUsize::new(0));
-    // Two submitters retry refusals, two park in `submit_blocking`.
+    // Every submitter retries its refusals.
     let submitters: Vec<_> = (0..4)
-        .map(|k| {
+        .map(|_| {
             let dispatcher = service.dispatcher();
             let finished = Arc::clone(&finished);
             thread::spawn(move || {
                 let mut ids = Vec::with_capacity(PER_THREAD);
                 while ids.len() < PER_THREAD {
-                    let result = if k % 2 == 0 {
-                        dispatcher.submit()
-                    } else {
-                        dispatcher.submit_blocking()
-                    };
-                    match result {
+                    match dispatcher.submit() {
                         Ok(ticket) => ids.push(ticket.id()),
                         Err(SubmitError::Saturated) => thread::yield_now(),
                         Err(SubmitError::Closed) => panic!("the service is running"),
@@ -1146,7 +1077,7 @@ fn ingress_admits_contiguous_ranges_under_concurrent_submitters() {
             break;
         }
         let report = service.run_round();
-        assert!(report.generated <= 100);
+        assert!(report.generated <= CAPACITY as u64);
         generated.insert(report.round, report.generated);
         done.extend(
             completions

@@ -543,19 +543,6 @@ pub fn run_recovery<P: FaultTolerant>(
         }
     }
 
-    if let Some(p) = obs::probes() {
-        // Record the measurement into the registry so experiment harnesses
-        // (the `chaos` ablation) can report fleet-wide recovery totals
-        // without re-accumulating the per-replication reports.
-        p.recovery_runs.inc();
-        match rounds_to_restabilize {
-            Some(rounds) => p.recovery_rounds.record(rounds),
-            None => p.recovery_unrecovered.inc(),
-        }
-        p.recovery_peak_pool.record_max(peak_pool);
-        p.recovery_peak_backlog.record_max(peak_backlog);
-    }
-
     RecoveryReport {
         baseline_pool,
         baseline_wait,

@@ -3,13 +3,11 @@
 //! Same pattern as the other crates' probes: handles registered once in
 //! the global [`iba_obs`] registry, cached behind a `OnceLock`, gated by
 //! [`probes`] at the cost of a single relaxed load when telemetry is
-//! disabled. The recovery gauges use `record_max`, so they aggregate
-//! correctly across the parallel replications of
-//! [`measure_recovery`](crate::faults::measure_recovery).
+//! disabled.
 
 use std::sync::{Arc, OnceLock};
 
-use iba_obs::{global, Counter, Gauge, Histogram};
+use iba_obs::{global, Counter};
 
 /// The sim crate's registered metrics.
 #[derive(Debug)]
@@ -24,16 +22,6 @@ pub(crate) struct SimProbes {
     pub bursts: Arc<Counter>,
     /// Balls injected by `PoolSurge` events and active bursts, lifetime.
     pub surge_balls: Arc<Counter>,
-    /// Completed `run_recovery` measurements, lifetime.
-    pub recovery_runs: Arc<Counter>,
-    /// Recovery runs whose pool never re-entered the baseline band.
-    pub recovery_unrecovered: Arc<Counter>,
-    /// Rounds-to-restabilize of recovered runs.
-    pub recovery_rounds: Arc<Histogram>,
-    /// Largest peak pool size any recovery run observed.
-    pub recovery_peak_pool: Arc<Gauge>,
-    /// Largest peak backlog (pool + buffered) any recovery run observed.
-    pub recovery_peak_backlog: Arc<Gauge>,
 }
 
 impl SimProbes {
@@ -45,11 +33,6 @@ impl SimProbes {
             degraded_bins: r.counter("iba_sim_fault_degraded_bins_total"),
             bursts: r.counter("iba_sim_fault_bursts_total"),
             surge_balls: r.counter("iba_sim_fault_surge_balls_total"),
-            recovery_runs: r.counter("iba_sim_recovery_runs_total"),
-            recovery_unrecovered: r.counter("iba_sim_recovery_unrecovered_total"),
-            recovery_rounds: r.histogram("iba_sim_recovery_rounds"),
-            recovery_peak_pool: r.gauge("iba_sim_recovery_peak_pool"),
-            recovery_peak_backlog: r.gauge("iba_sim_recovery_peak_backlog"),
         }
     }
 }

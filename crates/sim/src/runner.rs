@@ -10,7 +10,7 @@ use std::num::NonZeroUsize;
 use std::thread;
 
 use crate::rng::SimRng;
-use crate::stats::ci::{normal_ci, ConfidenceInterval};
+use crate::stats::ci::{ci95, ConfidenceInterval};
 use crate::stats::Summary;
 
 /// Aggregate of one scalar metric across replications.
@@ -18,7 +18,7 @@ use crate::stats::Summary;
 pub struct PointEstimate {
     /// Summary over the per-replication estimates.
     pub summary: Summary,
-    /// 95 % normal-approximation confidence interval over replications.
+    /// 95 % Student's t confidence interval over replications.
     pub ci95: ConfidenceInterval,
 }
 
@@ -34,8 +34,10 @@ impl PointEstimate {
             "point estimate needs at least one value"
         );
         let summary: Summary = values.iter().copied().collect();
-        let ci95 = normal_ci(&summary, 0.95);
-        PointEstimate { summary, ci95 }
+        PointEstimate {
+            ci95: ci95(&summary),
+            summary,
+        }
     }
 
     /// Mean across replications.
@@ -220,6 +222,22 @@ mod tests {
         let est = PointEstimate::from_values(&[2.0, 4.0]);
         assert_eq!(est.mean(), 3.0);
         assert_eq!(est.max(), 4.0);
+    }
+
+    #[test]
+    fn two_values_take_t_with_one_degree_of_freedom() {
+        // s.e. = |4 − 2| / 2 = 1, so the half-width is t₀.₉₇₅(1).
+        let est = PointEstimate::from_values(&[2.0, 4.0]);
+        assert!((est.summary.std_error() - 1.0).abs() < 1e-12);
+        assert!((est.ci95.half_width - 12.706).abs() < 1e-9);
+    }
+
+    #[test]
+    fn three_values_take_t_with_two_degrees_of_freedom() {
+        let est = PointEstimate::from_values(&[1.0, 2.0, 3.0]);
+        let se = est.summary.std_error();
+        assert!((se - 1.0 / 3f64.sqrt()).abs() < 1e-12);
+        assert!((est.ci95.half_width - 4.303 * se).abs() < 1e-9);
     }
 
     #[test]

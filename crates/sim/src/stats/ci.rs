@@ -1,9 +1,11 @@
 //! Confidence intervals across replications.
 //!
-//! Each figure data point in this reproduction is run with several seeds;
-//! the runner reports a normal-approximation confidence interval over the
-//! per-seed point estimates so EXPERIMENTS.md can state measurement
-//! uncertainty.
+//! Each figure data point in this reproduction is run with a few seeds
+//! (2 at smoke scale, 3 at paper scale); the runner reports a Student's t
+//! 95 % confidence interval over the per-seed point estimates so
+//! EXPERIMENTS.md can state measurement uncertainty. With so few
+//! replications the normal quantile 1.96 would make the interval 6.5×
+//! (2 seeds) or 2.2× (3 seeds) too narrow.
 
 use crate::stats::summary::Summary;
 
@@ -14,8 +16,6 @@ pub struct ConfidenceInterval {
     pub mean: f64,
     /// Half-width of the interval.
     pub half_width: f64,
-    /// Confidence level the interval was built for, e.g. `0.95`.
-    pub level: f64,
 }
 
 impl ConfidenceInterval {
@@ -41,63 +41,38 @@ impl std::fmt::Display for ConfidenceInterval {
     }
 }
 
-/// Two-sided standard-normal quantile `z` such that `Φ(z) = (1 + level)/2`,
-/// computed by bisection on the complementary error function.
-///
-/// # Panics
-///
-/// Panics if `level` is not in `(0, 1)`.
-pub fn z_value(level: f64) -> f64 {
-    assert!(
-        level > 0.0 && level < 1.0,
-        "confidence level must be in (0, 1)"
-    );
-    let target = (1.0 + level) / 2.0;
-    // Bisection over [0, 10] on the standard normal CDF, which is monotone.
-    let (mut lo, mut hi) = (0.0f64, 10.0f64);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if normal_cdf(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+/// Two-sided 95 % quantiles t₀.₉₇₅ of Student's t distribution with
+/// 1, 2, …, 30 degrees of freedom.
+const T975: [f64; 30] = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+    2.052, 2.048, 2.045, 2.042,
+];
+
+/// t₀.₉₇₅ with `df ≥ 1` degrees of freedom: the table up to 30, and the
+/// normal quantile 1.960 above.
+fn t975(df: u64) -> f64 {
+    T975.get(df as usize - 1).copied().unwrap_or(1.960)
 }
 
-/// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf approximation
-/// (absolute error < 1.5·10⁻⁷, ample for confidence intervals).
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Error function approximation (Abramowitz–Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Builds a normal-approximation confidence interval from a summary of
-/// per-replication estimates.
+/// Builds the 95 % confidence interval `mean ± t₀.₉₇₅(k − 1) · s.e.` from
+/// a summary of `k` per-replication estimates.
 ///
 /// With a single replication, the half-width is 0 (no spread information);
 /// callers should prefer ≥ 3 replications for meaningful intervals.
 ///
 /// # Panics
 ///
-/// Panics if `summary` is empty or `level` is not in `(0, 1)`.
-pub fn normal_ci(summary: &Summary, level: f64) -> ConfidenceInterval {
+/// Panics if `summary` is empty.
+pub fn ci95(summary: &Summary) -> ConfidenceInterval {
     assert!(summary.count() > 0, "confidence interval of empty sample");
+    let half_width = match summary.count() {
+        1 => 0.0,
+        k => t975(k - 1) * summary.std_error(),
+    };
     ConfidenceInterval {
         mean: summary.mean(),
-        half_width: z_value(level) * summary.std_error(),
-        level,
+        half_width,
     }
 }
 
@@ -106,40 +81,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn erf_known_values() {
-        // The A&S 7.1.26 polynomial has absolute error up to 1.5e-7.
-        assert!(erf(0.0).abs() < 1.5e-7);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(2.0) - 0.9953222650).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-4);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-4);
-    }
-
-    #[test]
     fn z_value_matches_textbook() {
-        assert!((z_value(0.95) - 1.95996).abs() < 1e-3);
-        assert!((z_value(0.99) - 2.57583).abs() < 1e-3);
-        assert!((z_value(0.68) - 0.99446).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence level")]
-    fn z_value_rejects_bad_level() {
-        z_value(1.0);
+        // Above 30 degrees of freedom t₀.₉₇₅ is the normal z = 1.960.
+        assert_eq!(t975(1), 12.706);
+        assert_eq!(t975(2), 4.303);
+        assert_eq!(t975(30), 2.042);
+        assert_eq!(t975(31), 1.960);
+        assert_eq!(t975(u64::MAX), 1.960);
+        assert!(T975.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]
     fn ci_endpoints_and_contains() {
         let s: Summary = [10.0, 12.0, 11.0, 9.0, 13.0].into_iter().collect();
-        let ci = normal_ci(&s, 0.95);
+        let ci = ci95(&s);
         assert!((ci.mean - 11.0).abs() < 1e-12);
-        assert!(ci.half_width > 0.0);
+        assert!((ci.half_width - 2.776 * s.std_error()).abs() < 1e-12);
         assert!(ci.contains(11.0));
         assert!(ci.contains(ci.lo()) && ci.contains(ci.hi()));
         assert!(!ci.contains(ci.hi() + 0.001));
@@ -150,17 +107,9 @@ mod tests {
     #[test]
     fn single_observation_has_zero_width() {
         let s: Summary = [5.0].into_iter().collect();
-        let ci = normal_ci(&s, 0.95);
+        let ci = ci95(&s);
         assert_eq!(ci.half_width, 0.0);
         assert!(ci.contains(5.0));
-    }
-
-    #[test]
-    fn wider_level_gives_wider_interval() {
-        let s: Summary = (0..20).map(|i| i as f64).collect();
-        let ci95 = normal_ci(&s, 0.95);
-        let ci99 = normal_ci(&s, 0.99);
-        assert!(ci99.half_width > ci95.half_width);
     }
 
     #[test]
@@ -168,7 +117,6 @@ mod tests {
         let ci = ConfidenceInterval {
             mean: 1.0,
             half_width: 0.5,
-            level: 0.95,
         };
         assert!(ci.to_string().contains('±'));
     }

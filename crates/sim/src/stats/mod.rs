@@ -14,7 +14,7 @@
 //!   window statistics and slope estimation (used by adaptive burn-in).
 //! - [`regression`] — ordinary least squares for fit diagnostics.
 //! - [`autocorr`] — autocorrelation diagnostics and effective sample size.
-//! - [`ci`] — normal-approximation confidence intervals across replications.
+//! - [`ci`] — Student's t confidence intervals across replications.
 
 pub mod autocorr;
 pub mod ci;
